@@ -201,7 +201,9 @@ def bichromatic_cycles(g: Multigraph, c: EdgeColoring, i: Color, j: Color) -> li
     return cycles
 
 
-def _validate_switch(g: Multigraph, c: EdgeColoring, cycle: BichromaticCycle, index=None) -> None:
+def _validate_switch(
+    g: Multigraph, c: EdgeColoring | WorkingColoring, cycle: BichromaticCycle, index=None
+) -> None:
     """Raise StaleSwitchError unless ``cycle`` is bi-chromatic for ``c``."""
 
     def stale(msg):
@@ -242,20 +244,50 @@ def _validate_switch(g: Multigraph, c: EdgeColoring, cycle: BichromaticCycle, in
             raise stale(f"cycle is not a full two-color component at vertex {v}")
 
 
+class WorkingColoring:
+    """One mutable copy of a coloring that a switch sequence replays into.
+
+    :meth:`switch` runs the full :func:`_validate_switch` before it flips, so
+    every flip transposes a whole alternating two-color component. Such a
+    flip keeps a legal coloring legal, so a replay that starts legal stays
+    legal at every step without re-checking the graph.
+    """
+
+    __slots__ = ("graph", "degree", "_colors")
+
+    def __init__(self, g: Multigraph, c: EdgeColoring):
+        self.graph = g
+        self.degree = c.degree
+        self._colors = dict(c.items())
+
+    def __getitem__(self, e: EdgeId) -> Color:
+        try:
+            return self._colors[e]
+        except KeyError:
+            raise ColoringError(f"edge {e} is not colored") from None
+
+    def switch(self, cycle: BichromaticCycle, index: int | None = None) -> None:
+        """Validate ``cycle`` against the current colors, then transpose it."""
+        _validate_switch(self.graph, self, cycle, index)
+        lo, hi = cycle.colors
+        colors = self._colors
+        for e, _ in cycle.darts:
+            colors[e] = hi if colors[e] == lo else lo
+
+    def coloring(self) -> EdgeColoring:
+        return EdgeColoring(self.degree, self._colors)
+
+
 def kempe_switch(g: Multigraph, c: EdgeColoring, cycle: BichromaticCycle) -> EdgeColoring:
     """Transpose the cycle's two colors along it; all other edges unchanged."""
-    _validate_switch(g, c, cycle)
-    lo, hi = cycle.colors
-    flip = {lo: hi, hi: lo}
-    return c.recolored({e: flip[c[e]] for e in cycle.edges})
+    working = WorkingColoring(g, c)
+    working.switch(cycle)
+    return working.coloring()
 
 
 def apply_sequence(g: Multigraph, c: EdgeColoring, sequence: Sequence[BichromaticCycle]) -> EdgeColoring:
     """Left-to-right replay of switches; fails on the first stale switch."""
-    current = c
+    working = WorkingColoring(g, c)
     for k, cycle in enumerate(sequence):
-        _validate_switch(g, current, cycle, index=k)
-        lo, hi = cycle.colors
-        flip = {lo: hi, hi: lo}
-        current = current.recolored({e: flip[current[e]] for e in cycle.edges})
-    return current
+        working.switch(cycle, k)
+    return working.coloring()

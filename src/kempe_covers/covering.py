@@ -23,10 +23,10 @@ from .coloring import (
     BichromaticCycle,
     EdgeColoring,
     SwitchSequence,
+    WorkingColoring,
     _validate_switch,
     _walk_cycle,
     is_legal,
-    kempe_switch,
 )
 from .errors import CoveringError
 from .graph import EdgeId, Multigraph, VertexId, disjoint_copies
@@ -143,7 +143,10 @@ def verify_covering(p: CoveringMap) -> Verdict:
             return Verdict(False, f"local bijection fails at source vertex {v} (collision)")
         if set(local) != set(tgt.edges_at(p.vertex_image(v))):
             return Verdict(False, f"local bijection fails at source vertex {v}")
-    sizes = {len(p.vertex_fiber(v)) for v in tgt.vertices()}
+    counts = [0] * tgt.vertex_count
+    for image in p.vertex_map:
+        counts[image] += 1
+    sizes = set(counts)
     if len(sizes) != 1:
         return Verdict(False, f"fiber sizes not constant: {sorted(sizes)}")
     return Verdict(True)
@@ -168,14 +171,31 @@ def pullback_coloring(p: CoveringMap, c: EdgeColoring) -> EdgeColoring:
     return pulled
 
 
-def lift_switch(p: CoveringMap, c: EdgeColoring, cycle: BichromaticCycle) -> list[BichromaticCycle]:
+def _edge_fibers(p: CoveringMap) -> dict[EdgeId, list[EdgeId]]:
+    """Target edge -> its source edges in increasing id order, in one pass."""
+    fibers: dict[EdgeId, list[EdgeId]] = {}
+    for e, img in sorted(p._emap.items()):
+        fibers.setdefault(img, []).append(e)
+    return fibers
+
+
+def lift_switch(
+    p: CoveringMap,
+    c: EdgeColoring | WorkingColoring,
+    cycle: BichromaticCycle,
+    fibers: Mapping[EdgeId, Sequence[EdgeId]] | None = None,
+) -> list[BichromaticCycle]:
     """Components of the cycle's preimage, each bi-chromatic for the pulled-back coloring.
 
     Applying every returned switch to the pull-back equals pulling back the
     switched base coloring; the components are disjoint, so any order works.
+    ``fibers`` is ``p``'s edge-fiber index; callers that lift many switches
+    through one cover build it once and pass it in.
     """
     _validate_switch(p.target, c, cycle)
-    member = {e: None for e in sorted(p.edge_map) if p.edge_image(e) in cycle.edges}
+    if fibers is None:
+        fibers = _edge_fibers(p)
+    member = dict.fromkeys(sorted(f for e, _ in cycle.darts for f in fibers.get(e, ())))
     lifted = []
     used: set[EdgeId] = set()
     for e in member:
@@ -189,11 +209,12 @@ def lift_switch(p: CoveringMap, c: EdgeColoring, cycle: BichromaticCycle) -> lis
 
 def lift_sequence(p: CoveringMap, c: EdgeColoring, sequence: Sequence[BichromaticCycle]) -> SwitchSequence:
     """Lift a replayable sequence switch by switch against the evolving base coloring."""
+    fibers = _edge_fibers(p)
+    base = WorkingColoring(p.target, c)
     out: list[BichromaticCycle] = []
-    current = c
-    for cycle in sequence:
-        out.extend(lift_switch(p, current, cycle))
-        current = kempe_switch(p.target, current, cycle)
+    for k, cycle in enumerate(sequence):
+        out.extend(lift_switch(p, base, cycle, fibers))
+        base.switch(cycle, k)
     return tuple(out)
 
 
@@ -242,7 +263,9 @@ def extend_subgraph_cover(g: Multigraph, h: Multigraph, p: CoveringMap) -> Cover
     require_covering(p)
     m = p.degree  # raises on non-constant fibers
 
-    fibers = {v: p.vertex_fiber(v) for v in g.vertices()}
+    fibers: list[list[VertexId]] = [[] for _ in g.vertices()]
+    for w, image in enumerate(p.vertex_map):
+        fibers[image].append(w)
     pairs = p.source.edge_table()
     emap = p.edge_map
     next_id = max(pairs, default=-1) + 1

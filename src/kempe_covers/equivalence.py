@@ -35,10 +35,10 @@ from .coloring import (
     BichromaticCycle,
     EdgeColoring,
     SwitchSequence,
+    WorkingColoring,
     bichromatic_cycles,
     common_degree,
     is_legal,
-    kempe_switch,
 )
 from .covering import (
     CoveringMap,
@@ -89,7 +89,13 @@ class EquivalenceWitness:
 
 
 def verify_witness(w: EquivalenceWitness) -> Verdict:
-    """Machine-check a witness: cover axioms, replay equality, degree bound."""
+    """Machine-check a witness: cover axioms, replay equality, degree bound.
+
+    The replay starts from the start pull-back, which :func:`pullback_coloring`
+    proves legal, and validates every switch as a whole alternating two-color
+    component before flipping it, so each intermediate coloring is legal too.
+    The end state must equal the goal pull-back edge for edge.
+    """
     try:
         if w.cover.target != w.graph:
             return Verdict(False, "cover does not map onto the witness graph")
@@ -105,20 +111,16 @@ def verify_witness(w: EquivalenceWitness) -> Verdict:
             return Verdict(False, "start coloring is not legal")
         if not is_legal(w.graph, w.goal):
             return Verdict(False, "goal coloring is not legal")
-        current = pullback_coloring(w.cover, w.start)
+        current = WorkingColoring(w.cover.source, pullback_coloring(w.cover, w.start))
         goal = pullback_coloring(w.cover, w.goal)
         for k, cycle in enumerate(w.switches):
-            current = kempe_switch(w.cover.source, current, cycle)
-            if not is_legal(w.cover.source, current):
-                return Verdict(False, f"coloring illegal after switch {k}")
-        if current != goal:
-            for e in w.cover.source.edge_ids():
-                if current[e] != goal[e]:
-                    return Verdict(
-                        False,
-                        f"replay mismatch at cover edge {e}: got {current[e]}, want {goal[e]}",
-                    )
-            return Verdict(False, "replay mismatch")
+            current.switch(cycle, k)
+        for e in w.cover.source.edge_ids():
+            if current[e] != goal[e]:
+                return Verdict(
+                    False,
+                    f"replay mismatch at cover edge {e}: got {current[e]}, want {goal[e]}",
+                )
         if w.cover.degree > beta(d):
             return Verdict(False, f"covering degree {w.cover.degree} exceeds beta({d}) = {beta(d)}")
         return Verdict(True)

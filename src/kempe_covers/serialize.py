@@ -97,21 +97,32 @@ def instance_to_json(
     return doc
 
 
+def _strict_int(value, what: str) -> int:
+    """A JSON integer. Integral floats pass; bools, strings and fractions do not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        shown = json.dumps(value, default=repr)
+        raise FormatError(f"{what} must be an integer, got {shown[:40]}")
+    return value
+
+
 def instance_from_json(doc) -> tuple[Multigraph, dict[str, EdgeColoring]]:
     """Parse an instance document. Structural problems raise FormatError;
     color-range violations raise ColoringError (a content violation)."""
     if not isinstance(doc, dict) or doc.get("format") != INSTANCE_FORMAT:
         raise FormatError(f"not a {INSTANCE_FORMAT} document")
     try:
-        vertex_count = int(doc["vertices"])
+        raw_vertices = doc["vertices"]
         raw_edges = list(doc["edges"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed instance: {exc}") from exc
+    vertex_count = _strict_int(raw_vertices, "vertex count")
     pairs = []
     for k, pair in enumerate(raw_edges):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise FormatError(f"edge {k} is not a pair")
-        pairs.append((int(pair[0]), int(pair[1])))
+        pairs.append(tuple(_strict_int(v, f"edge {k} endpoint") for v in pair))
     try:
         g = Multigraph.from_edges(vertex_count, pairs)
     except KempeCoversError as exc:
@@ -120,18 +131,21 @@ def instance_from_json(doc) -> tuple[Multigraph, dict[str, EdgeColoring]]:
     raw_colorings = doc.get("colorings", {})
     if not isinstance(raw_colorings, dict):
         raise FormatError("colorings must be an object")
-    degree = doc.get("degree")
-    if degree is None:
-        degree = is_regular(g)
-    if degree is None:
-        degree = max(
-            (int(col) for colors in raw_colorings.values() for col in colors), default=1
-        )
-    colorings = {}
+    color_lists = {}
     for name, colors in raw_colorings.items():
         if not isinstance(colors, list) or len(colors) != len(pairs):
             raise FormatError(f"coloring {name!r} must list one color per edge")
-        colorings[name] = EdgeColoring(int(degree), {e: int(col) for e, col in enumerate(colors)})
+        color_lists[name] = [_strict_int(col, f"coloring {name!r} color") for col in colors]
+    degree = doc.get("degree")
+    if degree is not None:
+        degree = _strict_int(degree, "degree")
+    else:
+        degree = is_regular(g)
+    if degree is None:
+        degree = max((col for colors in color_lists.values() for col in colors), default=1)
+    colorings = {
+        name: EdgeColoring(degree, dict(enumerate(colors))) for name, colors in color_lists.items()
+    }
     return g, colorings
 
 

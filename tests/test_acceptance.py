@@ -102,7 +102,7 @@ def test_criterion_5_randomized_soundness():
         g, c1, c2 = random_colored_instance(seed, 3, n)
         w = kempe_cover_witness(g, c1, c2)
         assert w.cover.degree == (1 if c1 == c2 else 2)
-        verdict = verify_witness(w)  # includes per-step legality of the replay
+        verdict = verify_witness(w)  # validates every switch of the replay
         assert verdict, f"d=3 seed {seed}: {verdict.reason}"
         checked += 1
     for seed in range(50):

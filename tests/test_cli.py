@@ -1,3 +1,5 @@
+import pytest
+
 from kempe_covers import bundled_instance_path, dot_export, EdgeColoring
 from kempe_covers.cli import main
 from kempe_covers.serialize import (
@@ -156,3 +158,31 @@ def test_dot_export_deterministic_and_bold(k33, k33_pair):
     assert bold.count("style=bold") == 2
     # blue/red/black palette for colors 1..3
     assert 'color="blue"' in text1 and 'color="red"' in text1 and 'color="black"' in text1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("color", "x"),
+        ("edge", ["a", 1]),
+        ("degree", "q"),
+        ("color", 1.7),
+        ("color", True),
+    ],
+)
+def test_check_rejects_non_integer_fields(tmp_path, capsys, field, value):
+    doc = load_json(THETA)
+    if field == "color":
+        doc["colorings"]["c1"][0] = value
+    elif field == "edge":
+        doc["edges"][0] = value
+    else:
+        doc["degree"] = value
+    path = tmp_path / "bad.json"
+    dump_json(doc, path)
+    assert main(["check", "--input", str(path), "--coloring", "c1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "must be an integer" in captured.err
+    assert "Traceback" not in captured.err

@@ -1,6 +1,7 @@
 import pytest
 
 from kempe_covers import (
+    BichromaticCycle,
     CoveringMap,
     EdgeColoring,
     EquivalenceWitness,
@@ -13,6 +14,7 @@ from kempe_covers import (
     connected_components,
     disjoint_copies,
     equivalent_without_cover,
+    is_legal,
     kempe_cover_witness,
     kempe_switch,
     random_colored_instance,
@@ -165,3 +167,38 @@ def test_oracle_path_yields_identity_witness(theta, theta_coloring):
     assert path is not None and len(path) == 1
     w = EquivalenceWitness(theta, theta_coloring, goal, CoveringMap.identity(theta), path)
     assert verify_witness(w)
+
+
+def blind_flip(c, cycle):
+    """The coloring a replay would reach by flipping ``cycle`` without checking it."""
+    lo, hi = cycle.colors
+    return c.recolored({e: lo if c[e] == hi else hi for e in cycle.edges})
+
+
+def rejected_at_position(g, c, bad):
+    """Replay switch, undo, then ``bad``: the verdict must name position 2."""
+    gamma = bichromatic_cycles(g, c, 1, 2)[0]
+    w = EquivalenceWitness(g, c, c, CoveringMap.identity(g), (gamma, gamma, bad))
+    verdict = verify_witness(w)
+    assert not verdict
+    assert "sequence position 2" in verdict.reason
+    return verdict.reason
+
+
+def test_closed_walk_with_foreign_color_rejected(k33, k33_pair):
+    c1, _ = k33_pair
+    # 0 -> 3 -> 1 -> 4 -> 0 is a closed walk colored 1, 2, 3, 2
+    bad = BichromaticCycle((1, 2), ((0, 0), (3, 1), (4, 0), (1, 1)))
+    assert [c1[e] for e, _ in bad.darts] == [1, 2, 3, 2]
+    assert not is_legal(k33, blind_flip(c1, bad))
+    assert "not in (1, 2)" in rejected_at_position(k33, c1, bad)
+
+
+def test_non_alternating_walk_rejected(k33, k33_pair):
+    c1, _ = k33_pair
+    # edges colored 1, 1, 2, 2: under a legal coloring two consecutive edges
+    # of one color cannot meet, so the walk breaks before it could alternate
+    bad = BichromaticCycle((1, 2), ((0, 0), (5, 0), (1, 1), (3, 1)))
+    assert [c1[e] for e, _ in bad.darts] == [1, 1, 2, 2]
+    assert not is_legal(k33, blind_flip(c1, bad))
+    assert "walk breaks" in rejected_at_position(k33, c1, bad)

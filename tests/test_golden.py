@@ -1,0 +1,55 @@
+"""Witnesses must stay byte-identical: same edge ids, cycle order and walks.
+
+The files under ``tests/golden/`` are canonical witness dumps (one line,
+sorted keys, no spaces, trailing newline). A refactor of the construction,
+lifting or replay must reproduce them exactly. Regenerate a file only for a
+deliberate, recorded change of the emitted witnesses.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from kempe_covers import (
+    bundled_instance_path,
+    kempe_cover_witness,
+    random_colored_instance,
+    verify_witness,
+)
+from kempe_covers.serialize import instance_from_json, load_json, witness_from_json, witness_to_json
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def canonical(witness, names=None) -> str:
+    return json.dumps(witness_to_json(witness, names), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def bundled(name):
+    g, colorings = instance_from_json(load_json(bundled_instance_path(name)))
+    return kempe_cover_witness(g, colorings["c1"], colorings["c2"]), ("c1", "c2")
+
+
+def random_d4():
+    return kempe_cover_witness(*random_colored_instance(2, 4, 8)), None
+
+
+CASES = {
+    "k33_c1_c2.json": lambda: bundled("k33"),
+    "theta_c1_c2.json": lambda: bundled("theta"),
+    "random_d4_n8_seed2.json": random_d4,
+}
+
+
+@pytest.mark.parametrize("filename", sorted(CASES))
+def test_witness_matches_golden_file(filename):
+    witness, names = CASES[filename]()
+    assert canonical(witness, names) == (GOLDEN / filename).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("filename", sorted(CASES))
+def test_golden_file_verifies(filename):
+    witness, _ = witness_from_json(load_json(GOLDEN / filename))
+    verdict = verify_witness(witness)
+    assert verdict, verdict.reason

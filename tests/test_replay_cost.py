@@ -1,0 +1,93 @@
+"""Replay and covering checks stay linear: counted calls, no timing.
+
+Each test counts calls to a known-expensive operation on a d=4 witness with
+74 switches, then on the same witness with extra switches appended, and
+requires the counts to match: the cost must not grow with the switch count.
+The appended switches repeat the last switch an even number of times, which
+flips one component back and forth and leaves the verdict unchanged.
+"""
+
+import pytest
+
+from kempe_covers import (
+    CoveringMap,
+    EdgeColoring,
+    EquivalenceWitness,
+    coloring,
+    copies_cover,
+    covering,
+    equivalence,
+    kempe_cover_witness,
+    lift_sequence,
+    pullback_coloring,
+    random_colored_instance,
+    verify_covering,
+    verify_witness,
+)
+
+EXTRA = 60
+
+
+@pytest.fixture(scope="module")
+def witnesses():
+    w = kempe_cover_witness(*random_colored_instance(2, 4, 8))
+    assert len(w.switches) >= 50
+    longer = EquivalenceWitness(
+        w.graph, w.start, w.goal, w.cover, w.switches + (w.switches[-1],) * EXTRA
+    )
+    return w, longer
+
+
+def counter(monkeypatch, owners, name):
+    """Wrap ``name`` on every owner (same original) and count the calls."""
+    calls = []
+    original = getattr(owners[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_verify_witness_cost_is_independent_of_switch_count(monkeypatch, witnesses):
+    legal = counter(monkeypatch, (coloring, covering, equivalence), "is_legal")
+    built = counter(monkeypatch, (EdgeColoring,), "__init__")
+    counts = []
+    for w in witnesses:
+        legal.clear()
+        built.clear()
+        verdict = verify_witness(w)
+        assert verdict, verdict.reason
+        counts.append((len(legal), len(built)))
+    assert counts[0] == counts[1]
+    assert max(counts[0]) < 10 < len(witnesses[0].switches)
+
+
+def test_verify_covering_does_not_scan_vertex_fibers(monkeypatch, witnesses):
+    fibers = counter(monkeypatch, (CoveringMap,), "vertex_fiber")
+    assert verify_covering(witnesses[0].cover)
+    assert fibers == []
+
+
+def test_lift_sequence_reads_the_edge_map_a_constant_number_of_times(monkeypatch, witnesses):
+    w = witnesses[0]
+    projection = copies_cover(w.cover.source, 2)
+    start = pullback_coloring(w.cover, w.start)
+    reads = []
+    original = CoveringMap.edge_map
+
+    def counted(self):
+        reads.append(None)
+        return original.fget(self)
+
+    monkeypatch.setattr(CoveringMap, "edge_map", property(counted))
+    counts = []
+    for sequence in (w.switches, witnesses[1].switches):
+        reads.clear()
+        lifted = lift_sequence(projection, start, sequence)
+        assert len(lifted) == 2 * len(sequence)
+        counts.append(len(reads))
+    assert counts[0] == counts[1] <= 1

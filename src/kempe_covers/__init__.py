@@ -36,7 +36,6 @@ from .covering import (
     Verdict,
     compose,
     copies_cover,
-    covering_degree,
     extend_subgraph_cover,
     lift_sequence,
     lift_switch,
@@ -65,7 +64,6 @@ from .errors import (
 )
 from .graph import (
     Multigraph,
-    MultigraphBuilder,
     connected_components,
     disjoint_copies,
     disjoint_union,
@@ -111,7 +109,6 @@ __all__ = [
     "KempeCoversError",
     "LoopEdgeError",
     "Multigraph",
-    "MultigraphBuilder",
     "RegularityError",
     "StaleSwitchError",
     "SwitchSequence",
@@ -130,7 +127,6 @@ __all__ = [
     "compose",
     "connected_components",
     "copies_cover",
-    "covering_degree",
     "default_orientation",
     "disjoint_copies",
     "disjoint_union",

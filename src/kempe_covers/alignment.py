@@ -37,7 +37,7 @@ from .coloring import (
     BichromaticCycle,
     EdgeColoring,
     SwitchSequence,
-    _walk_cycle,
+    _cycle_decomposition,
     apply_sequence,
     common_degree,
     require_legal,
@@ -251,14 +251,9 @@ def align_color(
     split = split_color_d(g, c1, c2)
     d = c1.degree
 
-    member = {e: None for e in p.source.edge_ids() if p.edge_image(e) in split.moving}
+    member = [e for e in p.source.edge_ids() if p.edge_image(e) in split.moving]
     switches = []
-    used: set[EdgeId] = set()
-    for e in member:
-        if e in used:
-            continue
-        walk = _walk_cycle(p.source, member, (e, 0))
-        used.update(f for f, _ in walk)
+    for walk in _cycle_decomposition(p.source, member):
         cycle_colors = sorted({shifted[f] for f, _ in walk})
         if len(cycle_colors) != 2:
             raise ColoringError("lifted moving cycle is not bi-chromatic")

@@ -11,7 +11,8 @@ import json
 import sys
 from pathlib import Path
 
-from .coloring import is_legal
+from .coloring import WorkingColoring, is_legal
+from .covering import pullback_coloring
 from .equivalence import kempe_cover_witness, verify_witness
 from .errors import FormatError, KempeCoversError
 from .graph import is_regular
@@ -105,20 +106,16 @@ def _cmd_witness(args) -> int:
 
 
 def _emit_dot_files(directory: Path, witness) -> None:
-    from .covering import pullback_coloring
-
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "base_from.dot").write_text(dot_export(witness.graph, witness.start))
     (directory / "base_to.dot").write_text(dot_export(witness.graph, witness.goal))
     cover_graph = witness.cover.source
-    current = pullback_coloring(witness.cover, witness.start)
+    current = WorkingColoring(cover_graph, pullback_coloring(witness.cover, witness.start))
     (directory / "cover_from.dot").write_text(dot_export(cover_graph, current))
-    from .coloring import kempe_switch
-
     for k, cycle in enumerate(witness.switches):
         path = directory / f"cover_step_{k:03d}.dot"
         path.write_text(dot_export(cover_graph, current, highlight=cycle))
-        current = kempe_switch(cover_graph, current, cycle)
+        current.switch(cycle, k)
     (directory / "cover_to.dot").write_text(dot_export(cover_graph, current))
 
 

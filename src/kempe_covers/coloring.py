@@ -48,17 +48,9 @@ class EdgeColoring:
     def items(self):
         return self._colors.items()
 
-    def edge_ids(self) -> tuple[EdgeId, ...]:
-        return tuple(sorted(self._colors))
-
     def color_class(self, color: Color) -> frozenset[EdgeId]:
         """Edge set carrying the given color."""
         return frozenset(e for e, c in self._colors.items() if c == color)
-
-    def recolored(self, updates: Mapping[EdgeId, Color]) -> "EdgeColoring":
-        merged = dict(self._colors)
-        merged.update(updates)
-        return EdgeColoring(self._degree, merged)
 
     def restricted(self, edges: Iterable[EdgeId], degree: int | None = None) -> "EdgeColoring":
         """Restriction to an edge subset, optionally with a smaller ambient degree."""
@@ -157,26 +149,41 @@ def color_class_subgraph(g: Multigraph, c: EdgeColoring, colors: Iterable[Color]
     return spanning_subgraph(g, (e for e in g.edge_ids() if c[e] in chosen))
 
 
-def _walk_cycle(g: Multigraph, member: dict[EdgeId, None], start: Dart) -> tuple[Dart, ...]:
-    """Closed walk through ``member`` edges starting at ``start``.
+def _cycle_decomposition(g: Multigraph, edges: Iterable[EdgeId]) -> list[tuple[Dart, ...]]:
+    """The closed walks that make up an edge set, in canonical form.
 
-    Assumes every vertex on the support meets exactly two member edges.
+    Each walk starts at slot 0 of its smallest edge id, and the walks are
+    ordered by that id. Raises unless every vertex the edges touch meets
+    exactly two of them; every such vertex is reached as the end of a dart,
+    so checking there checks the whole support.
     """
-    darts = [start]
-    e, slot = start
-    while True:
-        v = g.endpoints(e)[1 - slot]  # arrive here
-        nxt = None
-        for f, fslot in g.darts_at(v):  # darts_at(v) darts all have source v
-            if f != e and f in member:
-                nxt = (f, fslot)
+    member = set(edges)
+    endpoints, darts_at = g.endpoints, g.darts_at
+    walks = []
+    used: set[EdgeId] = set()
+    for first in sorted(member):
+        if first in used:
+            continue
+        start = (first, 0)
+        darts = [start]
+        e, slot = start
+        while True:
+            nxt = None
+            for dart in darts_at(endpoints(e)[1 - slot]):  # each leaves the arrival vertex
+                if dart[0] != e and dart[0] in member:
+                    if nxt is not None:  # a third member edge at this vertex
+                        nxt = None
+                        break
+                    nxt = dart
+            if nxt is None:
+                raise IllegalColoringError("edge set is not 2-regular on its support")
+            if nxt == start:
                 break
-        if nxt is None or len(darts) > len(member):
-            raise IllegalColoringError("two-color subgraph is not 2-regular on its support")
-        if nxt == darts[0]:
-            return tuple(darts)
-        darts.append(nxt)
-        e, slot = nxt
+            darts.append(nxt)
+            e, slot = nxt
+        used.update(f for f, _ in darts)
+        walks.append(tuple(darts))
+    return walks
 
 
 def bichromatic_cycles(g: Multigraph, c: EdgeColoring, i: Color, j: Color) -> list[BichromaticCycle]:
@@ -189,16 +196,8 @@ def bichromatic_cycles(g: Multigraph, c: EdgeColoring, i: Color, j: Color) -> li
         raise ColoringError(f"need two distinct colors, got {i} twice")
     lo, hi = min(i, j), max(i, j)
     _check_total(g, c)
-    member = {e: None for e in g.edge_ids() if c[e] in (lo, hi)}
-    cycles = []
-    used = set()
-    for e in member:  # increasing id order
-        if e in used:
-            continue
-        walk = _walk_cycle(g, member, (e, 0))
-        used.update(f for f, _ in walk)
-        cycles.append(BichromaticCycle((lo, hi), walk))
-    return cycles
+    member = [e for e in g.edge_ids() if c[e] in (lo, hi)]
+    return [BichromaticCycle((lo, hi), walk) for walk in _cycle_decomposition(g, member)]
 
 
 def _validate_switch(
@@ -244,6 +243,13 @@ def _validate_switch(
             raise stale(f"cycle is not a full two-color component at vertex {v}")
 
 
+def _transpose(colors: dict[EdgeId, Color], cycle: BichromaticCycle) -> None:
+    """Swap the cycle's two colors along it, in place and without checking."""
+    lo, hi = cycle.colors
+    for e, _ in cycle.darts:
+        colors[e] = hi if colors[e] == lo else lo
+
+
 class WorkingColoring:
     """One mutable copy of a coloring that a switch sequence replays into.
 
@@ -269,10 +275,7 @@ class WorkingColoring:
     def switch(self, cycle: BichromaticCycle, index: int | None = None) -> None:
         """Validate ``cycle`` against the current colors, then transpose it."""
         _validate_switch(self.graph, self, cycle, index)
-        lo, hi = cycle.colors
-        colors = self._colors
-        for e, _ in cycle.darts:
-            colors[e] = hi if colors[e] == lo else lo
+        _transpose(self._colors, cycle)
 
     def coloring(self) -> EdgeColoring:
         return EdgeColoring(self.degree, self._colors)

@@ -24,8 +24,8 @@ from .coloring import (
     EdgeColoring,
     SwitchSequence,
     WorkingColoring,
+    _cycle_decomposition,
     _validate_switch,
-    _walk_cycle,
     is_legal,
 )
 from .errors import CoveringError
@@ -87,9 +87,6 @@ class CoveringMap:
         """Source vertices over ``v``, in increasing id order."""
         return tuple(w for w in self.source.vertices() if self._vmap[w] == v)
 
-    def edge_fiber(self, e: EdgeId) -> tuple[EdgeId, ...]:
-        return tuple(sorted(f for f, img in self._emap.items() if img == e))
-
     @property
     def degree(self) -> int:
         """Common fiber size; raises if fibers are not constant."""
@@ -143,12 +140,10 @@ def verify_covering(p: CoveringMap) -> Verdict:
             return Verdict(False, f"local bijection fails at source vertex {v} (collision)")
         if set(local) != set(tgt.edges_at(p.vertex_image(v))):
             return Verdict(False, f"local bijection fails at source vertex {v}")
-    counts = [0] * tgt.vertex_count
-    for image in p.vertex_map:
-        counts[image] += 1
-    sizes = set(counts)
-    if len(sizes) != 1:
-        return Verdict(False, f"fiber sizes not constant: {sorted(sizes)}")
+    try:
+        p.degree
+    except CoveringError as exc:
+        return Verdict(False, str(exc))
     return Verdict(True)
 
 
@@ -157,10 +152,6 @@ def require_covering(p: CoveringMap) -> CoveringMap:
     if not verdict:
         raise CoveringError(verdict.reason)
     return p
-
-
-def covering_degree(p: CoveringMap) -> int:
-    return p.degree
 
 
 def pullback_coloring(p: CoveringMap, c: EdgeColoring) -> EdgeColoring:
@@ -195,16 +186,8 @@ def lift_switch(
     _validate_switch(p.target, c, cycle)
     if fibers is None:
         fibers = _edge_fibers(p)
-    member = dict.fromkeys(sorted(f for e, _ in cycle.darts for f in fibers.get(e, ())))
-    lifted = []
-    used: set[EdgeId] = set()
-    for e in member:
-        if e in used:
-            continue
-        walk = _walk_cycle(p.source, member, (e, 0))
-        used.update(f for f, _ in walk)
-        lifted.append(BichromaticCycle(cycle.colors, walk))
-    return lifted
+    member = [f for e, _ in cycle.darts for f in fibers.get(e, ())]
+    return [BichromaticCycle(cycle.colors, walk) for walk in _cycle_decomposition(p.source, member)]
 
 
 def lift_sequence(p: CoveringMap, c: EdgeColoring, sequence: Sequence[BichromaticCycle]) -> SwitchSequence:

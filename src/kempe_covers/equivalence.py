@@ -63,13 +63,20 @@ from .graph import (
 )
 
 
+def _betas(d: int):
+    """beta(1), beta(2), ..., beta(d), lazily; the sequence never decreases."""
+    value = 1
+    for k in range(1, d + 1):
+        if k >= 3:
+            value = (k - 1) * value * value
+        yield value
+
+
 def beta(d: int) -> int:
     """Covering-degree bound: beta(1) = beta(2) = 1, beta(d) = (d-1)*beta(d-1)^2."""
     if d < 1:
         raise GraphStructureError(f"beta needs d >= 1, got {d}")
-    value = 1
-    for k in range(3, d + 1):
-        value = (k - 1) * value * value
+    *_, value = _betas(d)
     return value
 
 
@@ -121,7 +128,8 @@ def verify_witness(w: EquivalenceWitness) -> Verdict:
                     False,
                     f"replay mismatch at cover edge {e}: got {current[e]}, want {goal[e]}",
                 )
-        if w.cover.degree > beta(d):
+        # beta(d) has about 2**d digits: stop the recurrence once it reaches the degree
+        if all(value < w.cover.degree for value in _betas(d)):
             return Verdict(False, f"covering degree {w.cover.degree} exceeds beta({d}) = {beta(d)}")
         return Verdict(True)
     except KempeCoversError as exc:

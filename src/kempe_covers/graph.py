@@ -7,8 +7,8 @@ edge stores an ordered endpoint pair ``(u, v)``; the pairs ``(edge, 0)`` and
 ``(edge, 1)`` are its two darts (half-edges). Darts make walks through
 parallel edges and 2-cycles unambiguous, which bi-chromatic cycles need.
 
-Graphs are immutable once constructed; build them through
-:class:`MultigraphBuilder` or :meth:`Multigraph.from_edges`.
+Graphs are immutable once constructed; :meth:`Multigraph.from_edges`
+builds one with dense edge ids from a list of endpoint pairs.
 """
 
 from __future__ import annotations
@@ -99,22 +99,6 @@ class Multigraph:
     def degree(self, v: VertexId) -> int:
         return len(self.darts_at(v))
 
-    def dart_source(self, dart: Dart) -> VertexId:
-        e, slot = dart
-        return self.endpoints(e)[slot]
-
-    def dart_target(self, dart: Dart) -> VertexId:
-        e, slot = dart
-        return self.endpoints(e)[1 - slot]
-
-    def other_end(self, e: EdgeId, v: VertexId) -> VertexId:
-        u, w = self.endpoints(e)
-        if v == u:
-            return w
-        if v == w:
-            return u
-        raise UnknownVertexError(f"vertex {v} is not an endpoint of edge {e}")
-
     def edge_table(self) -> dict[EdgeId, tuple[VertexId, VertexId]]:
         """Copy of the id -> endpoint-pair table."""
         return dict(self._edges)
@@ -129,38 +113,6 @@ class Multigraph:
 
     def __repr__(self) -> str:
         return f"Multigraph(vertices={self._n}, edges={len(self._edges)})"
-
-
-class MultigraphBuilder:
-    """Accumulates vertices and edges, then freezes into a :class:`Multigraph`."""
-
-    def __init__(self):
-        self._n = 0
-        self._pairs: dict[EdgeId, tuple[VertexId, VertexId]] = {}
-        self._next_edge = 0
-
-    def add_vertex(self) -> VertexId:
-        v = self._n
-        self._n += 1
-        return v
-
-    def add_vertices(self, count: int) -> list[VertexId]:
-        return [self.add_vertex() for _ in range(count)]
-
-    def add_edge(self, u: VertexId, v: VertexId) -> EdgeId:
-        if not (0 <= u < self._n):
-            raise UnknownVertexError(f"no vertex {u}")
-        if not (0 <= v < self._n):
-            raise UnknownVertexError(f"no vertex {v}")
-        if u == v:
-            raise LoopEdgeError(f"loop at vertex {u} rejected")
-        e = self._next_edge
-        self._next_edge += 1
-        self._pairs[e] = (u, v)
-        return e
-
-    def build(self) -> Multigraph:
-        return Multigraph(self._n, self._pairs)
 
 
 def is_regular(g: Multigraph) -> int | None:

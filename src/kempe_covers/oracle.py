@@ -16,8 +16,10 @@ from itertools import combinations
 from .coloring import (
     EdgeColoring,
     SwitchSequence,
+    _transpose,
     bichromatic_cycles,
     common_degree,
+    kempe_switch,
 )
 from .errors import EnumerationLimitError, GraphStructureError, RegularityError
 from .graph import Multigraph, is_regular
@@ -101,8 +103,9 @@ def _switch_neighbors(g: Multigraph, c: EdgeColoring):
     """All (switch, resulting coloring) pairs one Kempe switch away."""
     for i, j in combinations(range(1, c.degree + 1), 2):
         for cycle in bichromatic_cycles(g, c, i, j):
-            flip = {i: j, j: i}
-            yield cycle, c.recolored({e: flip[c[e]] for e in cycle.edges})
+            colors = dict(c.items())
+            _transpose(colors, cycle)
+            yield cycle, EdgeColoring(c.degree, colors)
 
 
 def kempe_class_partition(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> ColoringCensus:
@@ -211,7 +214,5 @@ def random_colored_instance(
         for _ in range(2 * d):
             i, j = rng.sample(range(1, d + 1), 2)
             cycles = bichromatic_cycles(g, c2, min(i, j), max(i, j))
-            cycle = cycles[rng.randrange(len(cycles))]
-            flip = {min(i, j): max(i, j), max(i, j): min(i, j)}
-            c2 = c2.recolored({e: flip[c2[e]] for e in cycle.edges})
+            c2 = kempe_switch(g, c2, cycles[rng.randrange(len(cycles))])
     return g, c1, c2

@@ -13,10 +13,10 @@ from __future__ import annotations
 import json
 from typing import Iterable, Mapping
 
-from .coloring import BichromaticCycle, EdgeColoring, _walk_cycle
+from .coloring import BichromaticCycle, EdgeColoring, WorkingColoring, _cycle_decomposition
 from .covering import CoveringMap
 from .equivalence import EquivalenceWitness
-from .errors import FormatError, KempeCoversError, StaleSwitchError
+from .errors import FormatError, IllegalColoringError, KempeCoversError, StaleSwitchError
 from .graph import EdgeId, Multigraph, is_regular
 
 INSTANCE_FORMAT = "kempe-instance/1"
@@ -49,7 +49,7 @@ def dot_color(color: int) -> str:
 
 def dot_export(
     g: Multigraph,
-    c: EdgeColoring,
+    c: EdgeColoring | WorkingColoring,
     highlight: BichromaticCycle | Iterable[EdgeId] | None = None,
 ) -> str:
     """Deterministic DOT text for a colored graph; highlighted edges are bold."""
@@ -99,12 +99,12 @@ def instance_to_json(
 
 def _strict_int(value, what: str) -> int:
     """A JSON integer. Integral floats pass; bools, strings and fractions do not."""
+    if type(value) is int:
+        return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        shown = json.dumps(value, default=repr)
-        raise FormatError(f"{what} must be an integer, got {shown[:40]}")
-    return value
+    shown = json.dumps(value, default=repr)
+    raise FormatError(f"{what} must be an integer, got {shown[:40]}")
 
 
 def instance_from_json(doc) -> tuple[Multigraph, dict[str, EdgeColoring]]:
@@ -161,9 +161,11 @@ def _graph_to_json(g: Multigraph) -> dict:
 
 def _graph_from_json(doc) -> Multigraph:
     try:
-        return Multigraph(
-            int(doc["vertices"]), {int(e): (int(u), int(v)) for e, u, v in doc["edges"]}
-        )
+        pairs = {
+            _strict_int(e, "edge id"): (_strict_int(u, "endpoint"), _strict_int(v, "endpoint"))
+            for e, u, v in doc["edges"]
+        }
+        return Multigraph(_strict_int(doc["vertices"], "vertex count"), pairs)
     except (KeyError, TypeError, ValueError, KempeCoversError) as exc:
         raise FormatError(f"malformed graph block: {exc}") from exc
 
@@ -174,7 +176,8 @@ def _coloring_to_json(c: EdgeColoring) -> dict:
 
 def _coloring_from_json(doc) -> EdgeColoring:
     try:
-        return EdgeColoring(int(doc["degree"]), {int(e): int(col) for e, col in doc["colors"]})
+        colors = {_strict_int(e, "edge id"): _strict_int(col, "color") for e, col in doc["colors"]}
+        return EdgeColoring(_strict_int(doc["degree"], "degree"), colors)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed coloring block: {exc}") from exc
 
@@ -204,20 +207,20 @@ def switch_from_edges(g: Multigraph, colors: tuple[int, int], edges: Iterable[Ed
     Broken cycle structure is a content violation (tampering), not a parse
     error, so it raises StaleSwitchError.
     """
-    member = {e: None for e in sorted(edges)}
-    if not member:
+    edges = sorted(edges)
+    if not edges:
         raise StaleSwitchError("switch with empty edge set")
-    for e in member:
+    for e in edges:
         if not g.has_edge(e):
             raise StaleSwitchError(f"switch references unknown edge {e}")
     try:
-        walk = _walk_cycle(g, member, (next(iter(member)), 0))
-    except KempeCoversError as exc:
+        walks = _cycle_decomposition(g, edges)
+    except IllegalColoringError as exc:
         raise StaleSwitchError(f"switch edges do not form a cycle: {exc}") from exc
-    if len(walk) != len(member):
+    if len(walks) != 1:
         raise StaleSwitchError("switch edges do not form a single cycle")
     lo, hi = sorted(colors)
-    return BichromaticCycle((lo, hi), walk)
+    return BichromaticCycle((lo, hi), walks[0])
 
 
 def witness_from_json(doc) -> tuple[EquivalenceWitness, dict | None]:
@@ -229,8 +232,8 @@ def witness_from_json(doc) -> tuple[EquivalenceWitness, dict | None]:
     start = _coloring_from_json(doc.get("start", {}))
     goal = _coloring_from_json(doc.get("goal", {}))
     try:
-        vertex_map = [int(v) for v in doc["vertex_map"]]
-        edge_map = {int(e): int(img) for e, img in doc["edge_map"]}
+        vertex_map = [_strict_int(v, "vertex map entry") for v in doc["vertex_map"]]
+        edge_map = {_strict_int(e, "edge id"): _strict_int(img, "edge image") for e, img in doc["edge_map"]}
         raw_sequence = list(doc.get("sequence", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed witness: {exc}") from exc
@@ -238,8 +241,8 @@ def witness_from_json(doc) -> tuple[EquivalenceWitness, dict | None]:
     switches = []
     for entry in raw_sequence:
         try:
-            colors = tuple(int(c) for c in entry["colors"])
-            edges = [int(e) for e in entry["edges"]]
+            colors = tuple(_strict_int(c, "switch color") for c in entry["colors"])
+            edges = [_strict_int(e, "switch edge id") for e in entry["edges"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed switch entry: {exc}") from exc
         if len(colors) != 2:

@@ -10,7 +10,6 @@ from kempe_covers import (
     apply_sequence,
     bichromatic_cycles,
     build_alignment_cover,
-    covering_degree,
     default_orientation,
     is_legal,
     pullback_coloring,
@@ -92,7 +91,7 @@ def test_build_alignment_cover_k33(k33, k33_pair):
     assert p.source.vertex_count == 12
     assert p.source.edge_count == 18
     assert verify_covering(p)
-    assert covering_degree(p) == 2
+    assert p.degree == 2
     assert is_legal(p.source, shifted)
     assert shifted.color_class(3) == pullback_coloring(p, c1).color_class(3)
 
@@ -138,7 +137,7 @@ def test_moving_edge_copies_colored_by_their_sheet():
         for e in split.moving:
             if c1[e] == d:
                 continue
-            for copy in p.edge_fiber(e):
+            for copy in (f for f, img in p.edge_map.items() if img == e):
                 sheets = {v % modulus for v in p.source.endpoints(copy)}
                 assert len(sheets) == 1  # offset vanishes on moving edges
                 sheet = sheets.pop()

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 
-from kempe_covers import bundled_instance_path, dot_export, EdgeColoring
+import kempe_covers
+from kempe_covers import bichromatic_cycles, bundled_instance_path, dot_export, pullback_coloring, EdgeColoring
 from kempe_covers.cli import main
 from kempe_covers.serialize import (
     dump_json,
@@ -108,6 +115,75 @@ def test_verify_switch_edges_not_a_cycle(tmp_path, capsys):
     dump_json(doc, out)
     assert main(["verify", "--input", K33, "--witness", str(out)]) == 2
     assert "cycle" in capsys.readouterr().err
+
+
+def test_verify_switch_edges_two_cycles(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    main(["witness", "--input", K33, "--from", "c1", "--to", "c2", "--out", str(out)])
+    doc = load_json(out)
+    witness, _ = witness_from_json(doc)
+    start = pullback_coloring(witness.cover, witness.start)
+    for pair in combinations(range(1, 4), 2):
+        cycles = bichromatic_cycles(witness.cover.source, start, *pair)
+        if len(cycles) >= 2:
+            break
+    first, second = cycles[:2]
+    doc["sequence"][0] = {"colors": list(pair), "edges": sorted(first.edges | second.edges)}
+    dump_json(doc, out)
+    assert main(["verify", "--input", K33, "--witness", str(out)]) == 2
+    assert "single cycle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("switch edge", "1"),
+        ("switch edge", 3.4),
+        ("vertex map", False),
+    ],
+)
+def test_verify_rejects_non_integer_witness_fields(tmp_path, capsys, field, value):
+    out = tmp_path / "w.json"
+    main(["witness", "--input", K33, "--from", "c1", "--to", "c2", "--out", str(out)])
+    doc = load_json(out)
+    # each value reads back under int() as the integer it replaces
+    if field == "switch edge":
+        edges = doc["sequence"][0]["edges"]
+        edges[edges.index(int(value))] = value
+    else:
+        assert doc["vertex_map"][0] == 0
+        doc["vertex_map"][0] = value
+    dump_json(doc, out)
+    capsys.readouterr()
+    assert main(["verify", "--input", K33, "--witness", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "must be an integer" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_high_degree_identity_witness_does_not_hang(tmp_path):
+    # beta(40) has about 2**40 digits; the degree check must not compute it
+    d = 40
+    instance = tmp_path / "parallel.json"
+    dump_json({
+        "format": "kempe-instance/1",
+        "vertices": 2,
+        "edges": [[0, 1]] * d,
+        "colorings": {"c1": list(range(1, d + 1))},
+    }, instance)
+    witness = tmp_path / "w.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(kempe_covers.__file__).parents[1]))
+    for argv in (
+        ["witness", "--input", str(instance), "--from", "c1", "--to", "c1", "--out", str(witness)],
+        ["verify", "--input", str(instance), "--witness", str(witness)],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "kempe_covers.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 def test_verify_instance_mismatch(tmp_path):

@@ -4,6 +4,8 @@ from kempe_covers import (
     BichromaticCycle,
     ColoringError,
     EdgeColoring,
+    IllegalColoringError,
+    Multigraph,
     StaleSwitchError,
     apply_sequence,
     bichromatic_cycles,
@@ -11,6 +13,7 @@ from kempe_covers import (
     is_legal,
     kempe_switch,
 )
+from kempe_covers.coloring import _cycle_decomposition
 
 from conftest import alternating_coloring, cube_dimension_coloring, make_cube, make_cycle
 
@@ -86,6 +89,22 @@ def test_canonical_walk_starts_at_smallest_dart(k33, k33_pair):
         for j in range(i + 1, 4):
             for cycle in bichromatic_cycles(k33, k33_pair[0], i, j):
                 assert cycle.darts[0] == (min(cycle.edges), 0)
+
+
+def test_cycle_decomposition_canonical_walks():
+    # two triangles, one with a reversed stored edge; vertex 3 is isolated
+    g = Multigraph.from_edges(7, [(0, 1), (4, 5), (2, 1), (5, 6), (0, 2), (6, 4)])
+    walks = _cycle_decomposition(g, [5, 2, 0, 3, 4, 1])
+    assert walks == [((0, 0), (2, 1), (4, 1)), ((1, 0), (3, 0), (5, 0))]
+
+
+@pytest.mark.parametrize("g", [
+    Multigraph.from_edges(3, [(0, 1), (1, 2)]),  # path: its ends meet one edge
+    Multigraph.from_edges(2, [(0, 1)] * 3),  # theta: both vertices meet three
+])
+def test_cycle_decomposition_rejects_non_two_regular(g):
+    with pytest.raises(IllegalColoringError):
+        _cycle_decomposition(g, g.edge_ids())
 
 
 def test_theta_switch_is_transposition(theta, theta_coloring):

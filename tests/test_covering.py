@@ -9,7 +9,7 @@ from kempe_covers import (
     color_class_subgraph,
     compose,
     copies_cover,
-    covering_degree,
+    disjoint_union,
     extend_subgraph_cover,
     is_legal,
     kempe_switch,
@@ -38,13 +38,13 @@ def double_cycle_cover(length):
 def test_identity_is_a_covering(k33):
     p = CoveringMap.identity(k33)
     assert verify_covering(p)
-    assert covering_degree(p) == 1
+    assert p.degree == 1
 
 
 def test_double_cycle_cover_verifies():
     p = double_cycle_cover(4)
     assert verify_covering(p)
-    assert covering_degree(p) == 2
+    assert p.degree == 2
 
 
 def test_parallel_edge_collapse_fails_local_bijection():
@@ -72,7 +72,18 @@ def test_nonconstant_fibers_rejected():
     three = make_cycle(3)
     bad = CoveringMap(six, three, [0, 1, 2, 0, 1, 0], {e: e % 3 for e in six.edge_ids()})
     with pytest.raises(CoveringError):
-        covering_degree(bad)
+        bad.degree
+
+
+def test_verify_covering_reports_nonconstant_fibers():
+    # locally bijective onto two triangles, but a hexagon covers one twice
+    base, _, _ = disjoint_union([make_cycle(3), make_cycle(3)])
+    source, _, _ = disjoint_union([make_cycle(6), make_cycle(3)])
+    vertex_map = [v % 3 for v in range(6)] + [3, 4, 5]
+    edge_map = {e: e % 3 if e < 6 else e - 3 for e in source.edge_ids()}
+    verdict = verify_covering(CoveringMap(source, base, vertex_map, edge_map))
+    assert not verdict
+    assert verdict.reason == "fiber sizes not constant: [1, 2]"
 
 
 def test_pullback_through_identity(k33, k33_pair):
@@ -142,7 +153,7 @@ def test_compose_identity_and_degrees(k33):
     assert compose(CoveringMap.identity(k33), p) == p
     q = copies_cover(p.source, 3)
     r = compose(p, q)
-    assert covering_degree(r) == 6
+    assert r.degree == 6
     with pytest.raises(CoveringError):
         compose(q, p)  # middle graphs do not match
 
@@ -159,7 +170,7 @@ def test_extend_from_color_class(k33, k33_pair):
     p = copies_cover(h, 2)
     r = extend_subgraph_cover(k33, h, p)
     assert verify_covering(r)
-    assert covering_degree(r) == 2
+    assert r.degree == 2
     # restriction to the subgraph cover is untouched
     assert r.vertex_map == p.vertex_map
     for e in p.source.edge_ids():
@@ -170,7 +181,7 @@ def test_extend_degree_one_adds_each_missing_edge_once(k33, k33_pair):
     c1, _ = k33_pair
     h = color_class_subgraph(k33, c1, {1, 2})
     r = extend_subgraph_cover(k33, h, CoveringMap.identity(h))
-    assert covering_degree(r) == 1
+    assert r.degree == 1
     assert r.source.edge_count == k33.edge_count
 
 

@@ -11,12 +11,16 @@ from kempe_covers import (
     RegularityError,
     beta,
     bichromatic_cycles,
+    compose,
     connected_components,
+    copies_cover,
     disjoint_copies,
     equivalent_without_cover,
     is_legal,
     kempe_cover_witness,
     kempe_switch,
+    lift_sequence,
+    pullback_coloring,
     random_colored_instance,
     verify_witness,
 )
@@ -143,6 +147,18 @@ def test_witness_on_wrong_graph_fails(k33, k33_pair):
     assert not verify_witness(moved)
 
 
+def test_over_degree_witness_rejected(k33, k33_pair):
+    c1, c2 = k33_pair
+    w = kempe_cover_witness(k33, c1, c2)
+    projection = copies_cover(w.cover.source, 2)
+    switches = lift_sequence(projection, pullback_coloring(w.cover, c1), w.switches)
+    padded = EquivalenceWitness(k33, c1, c2, compose(w.cover, projection), switches)
+    assert padded.cover.degree == 4 > beta(3)
+    verdict = verify_witness(padded)
+    assert not verdict
+    assert "exceeds beta(3) = 2" in verdict.reason
+
+
 def test_randomized_soundness_d3():
     for seed in range(40):
         g, c1, c2 = random_colored_instance(seed, 3, 8)
@@ -172,7 +188,9 @@ def test_oracle_path_yields_identity_witness(theta, theta_coloring):
 def blind_flip(c, cycle):
     """The coloring a replay would reach by flipping ``cycle`` without checking it."""
     lo, hi = cycle.colors
-    return c.recolored({e: lo if c[e] == hi else hi for e in cycle.edges})
+    colors = dict(c.items())
+    colors.update({e: lo if c[e] == hi else hi for e in cycle.edges})
+    return EdgeColoring(c.degree, colors)
 
 
 def rejected_at_position(g, c, bad):

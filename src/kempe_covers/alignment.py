@@ -123,10 +123,10 @@ def alignment_data(
     orientation: Orientation | None = None,
 ) -> AlignmentData:
     """Anchor edges, vertex shifts, and edge offsets for the alignment cover."""
-    d = common_degree(g, c1, c2)
+    split = split_color_d(g, c1, c2)
+    d = split.degree
     if d < 2:
         raise RegularityError("alignment needs degree at least 2 (no residues mod 0)")
-    split = split_color_d(g, c1, c2)
     modulus = d - 1
 
     anchor: dict[VertexId, EdgeId] = {}
@@ -248,10 +248,10 @@ def align_color(
     makes the top-color class agree with the c2 pull-back, edge for edge.
     """
     p, shifted = build_alignment_cover(g, c1, c2, orientation)
-    split = split_color_d(g, c1, c2)
     d = c1.degree
+    moving = c1.color_class(d) ^ c2.color_class(d)  # split_color_d ran in the cover build
 
-    member = [e for e in p.source.edge_ids() if p.edge_image(e) in split.moving]
+    member = [e for e in p.source.edge_ids() if p.edge_image(e) in moving]
     switches = []
     for walk in _cycle_decomposition(p.source, member):
         cycle_colors = sorted({shifted[f] for f, _ in walk})

@@ -97,26 +97,19 @@ SwitchSequence = tuple[BichromaticCycle, ...]
 
 
 def _check_total(g: Multigraph, c: EdgeColoring) -> None:
-    carrier = set(g.edge_ids())
-    colored = set(e for e, _ in c.items())
+    carrier, colored = g._edges.keys(), c._colors.keys()
     if carrier != colored:
-        missing = sorted(carrier - colored)[:4]
-        extra = sorted(colored - carrier)[:4]
-        raise ColoringError(
-            f"coloring does not match carrier (missing={missing}, foreign={extra})"
-        )
+        missing, extra = sorted(carrier - colored)[:4], sorted(colored - carrier)[:4]
+        raise ColoringError(f"coloring does not match carrier (missing={missing}, foreign={extra})")
 
 
 def is_legal(g: Multigraph, c: EdgeColoring) -> bool:
     """True iff no two adjacent edges of ``g`` share a color under ``c``."""
     _check_total(g, c)
-    for v in g.vertices():
-        seen = set()
-        for e, _ in g.darts_at(v):
-            col = c[e]
-            if col in seen:
-                return False
-            seen.add(col)
+    colors = c._colors
+    for darts in g._incidence:
+        if len({colors[e] for e, _ in darts}) != len(darts):
+            return False
     return True
 
 

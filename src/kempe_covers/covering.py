@@ -25,6 +25,7 @@ from .coloring import (
     SwitchSequence,
     WorkingColoring,
     _cycle_decomposition,
+    _transpose,
     _validate_switch,
     is_legal,
 )
@@ -92,8 +93,8 @@ class CoveringMap:
         """Common fiber size; raises if fibers are not constant."""
         if self._degree is None:
             sizes = [0] * self.target.vertex_count
-            for v in self.source.vertices():
-                sizes[self._vmap[v]] += 1
+            for image in self._vmap:
+                sizes[image] += 1
             if not sizes or len(set(sizes)) != 1:
                 raise CoveringError(f"fiber sizes not constant: {sorted(set(sizes))}")
             self._degree = sizes[0]
@@ -114,31 +115,34 @@ class CoveringMap:
 
 
 def verify_covering(p: CoveringMap) -> Verdict:
-    """Check totality, incidence, surjectivity, local bijection, constant fibers."""
-    src, tgt = p.source, p.target
-    if len(p.vertex_map) != src.vertex_count:
+    """Check totality, incidence, surjectivity, local bijection, constant fibers.
+
+    Images that keep incidence put v's edges over edges at vmap[v], so counts decide the rest.
+    """
+    src, tgt, vmap, emap = p.source, p.target, p._vmap, p._emap
+    if len(vmap) != src.vertex_count:
         return Verdict(False, "vertex map is not total on the source")
-    if set(p.edge_map) != set(src.edge_ids()):
+    if emap.keys() != src._edges.keys():
         return Verdict(False, "edge map does not match the source edge set")
-    for v in src.vertices():
-        if not tgt.has_vertex(p.vertex_image(v)):
+    n, tgt_edges = tgt.vertex_count, tgt._edges
+    for v, x in enumerate(vmap):
+        if not 0 <= x < n:
             return Verdict(False, f"vertex {v} maps outside the target")
-    for e in src.edge_ids():
-        img = p.edge_image(e)
-        if not tgt.has_edge(img):
+    for e, (u, w) in src._edges.items():
+        ends = tgt_edges.get(emap[e])
+        if ends is None:
             return Verdict(False, f"edge {e} maps outside the target")
-        u, w = src.endpoints(e)
-        if {p.vertex_image(u), p.vertex_image(w)} != set(tgt.endpoints(img)):
+        x, y = vmap[u], vmap[w]
+        if ends != (x, y) and ends != (y, x):
             return Verdict(False, f"edge {e} does not preserve incidence")
-    if {p.vertex_image(v) for v in src.vertices()} != set(tgt.vertices()):
+    if len(set(vmap)) != n:
         return Verdict(False, "vertex map is not surjective")
-    if {p.edge_image(e) for e in src.edge_ids()} != set(tgt.edge_ids()):
+    if len(set(emap.values())) != len(tgt_edges):
         return Verdict(False, "edge map is not surjective")
-    for v in src.vertices():
-        local = [p.edge_image(e) for e in src.edges_at(v)]
-        if len(set(local)) != len(local):
+    for v, darts in enumerate(src._incidence):
+        if len({emap[e] for e, _ in darts}) != len(darts):
             return Verdict(False, f"local bijection fails at source vertex {v} (collision)")
-        if set(local) != set(tgt.edges_at(p.vertex_image(v))):
+        if len(darts) != len(tgt._incidence[vmap[v]]):
             return Verdict(False, f"local bijection fails at source vertex {v}")
     try:
         p.degree
@@ -195,9 +199,9 @@ def lift_sequence(p: CoveringMap, c: EdgeColoring, sequence: Sequence[Bichromati
     fibers = _edge_fibers(p)
     base = WorkingColoring(p.target, c)
     out: list[BichromaticCycle] = []
-    for k, cycle in enumerate(sequence):
+    for cycle in sequence:
         out.extend(lift_switch(p, base, cycle, fibers))
-        base.switch(cycle, k)
+        _transpose(base._colors, cycle)  # lift_switch has validated it against base
     return tuple(out)
 
 

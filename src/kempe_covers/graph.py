@@ -120,12 +120,8 @@ def is_regular(g: Multigraph) -> int | None:
 
     The empty graph is vacuously regular for no particular d and returns None.
     """
-    if g.vertex_count == 0:
-        return None
-    degrees = {g.degree(v) for v in g.vertices()}
-    if len(degrees) == 1:
-        return degrees.pop()
-    return None
+    degrees = {len(darts) for darts in g._incidence}
+    return degrees.pop() if len(degrees) == 1 else None
 
 
 def connected_components(g: Multigraph) -> list[frozenset[VertexId]]:

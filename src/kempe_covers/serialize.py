@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 from .coloring import BichromaticCycle, EdgeColoring, WorkingColoring, _cycle_decomposition
 from .covering import CoveringMap
 from .equivalence import EquivalenceWitness
-from .errors import FormatError, IllegalColoringError, KempeCoversError, StaleSwitchError
+from .errors import CoveringError, FormatError, IllegalColoringError, KempeCoversError, StaleSwitchError
 from .graph import EdgeId, Multigraph, is_regular
 
 INSTANCE_FORMAT = "kempe-instance/1"
@@ -228,7 +228,14 @@ def witness_from_json(doc) -> tuple[EquivalenceWitness, dict | None]:
     if not isinstance(doc, dict) or doc.get("format") != WITNESS_FORMAT:
         raise FormatError(f"not a {WITNESS_FORMAT} document")
     base = _graph_from_json(doc.get("base", {}))
-    cover_graph = _graph_from_json(doc.get("cover", {}))
+    cover_doc = doc.get("cover", {})
+    edges = cover_doc.get("edges") if isinstance(cover_doc, dict) else None
+    if isinstance(edges, list):  # before allocating: a degree-m cover has m times the base's size
+        sheets = len(edges) // max(base.edge_count, 1)
+        vertices = _strict_int(cover_doc.get("vertices"), "cover vertex count")
+        if len(edges) != sheets * base.edge_count or vertices != sheets * base.vertex_count:
+            raise CoveringError(f"cover has {vertices} vertices and {len(edges)} edges, not m times the base's")
+    cover_graph = _graph_from_json(cover_doc)
     start = _coloring_from_json(doc.get("start", {}))
     goal = _coloring_from_json(doc.get("goal", {}))
     try:

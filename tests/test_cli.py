@@ -7,7 +7,14 @@ from pathlib import Path
 import pytest
 
 import kempe_covers
-from kempe_covers import bichromatic_cycles, bundled_instance_path, dot_export, pullback_coloring, EdgeColoring
+from kempe_covers import (
+    EdgeColoring,
+    Multigraph,
+    bichromatic_cycles,
+    bundled_instance_path,
+    dot_export,
+    pullback_coloring,
+)
 from kempe_covers.cli import main
 from kempe_covers.serialize import (
     dump_json,
@@ -161,6 +168,28 @@ def test_verify_rejects_non_integer_witness_fields(tmp_path, capsys, field, valu
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ") and "must be an integer" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_verify_rejects_oversized_cover_before_allocating(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "w.json"
+    main(["witness", "--input", K33, "--from", "c1", "--to", "c2", "--out", str(out)])
+    doc = load_json(out)
+    doc["cover"]["vertices"] = 500_000  # never larger: an unguarded parse allocates it
+    dump_json(doc, out)
+    built = []
+    original = Multigraph.__init__
+
+    def counted(self, vertex_count, edges):
+        built.append(vertex_count)
+        original(self, vertex_count, edges)
+
+    monkeypatch.setattr(Multigraph, "__init__", counted)
+    capsys.readouterr()
+    assert main(["verify", "--input", K33, "--witness", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: cover has 500000 vertices and 18 edges")
+    assert built and max(built) < 500_000
 
 
 def test_high_degree_identity_witness_does_not_hang(tmp_path):

@@ -1,26 +1,34 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kempe_covers import (
+    ColoringError,
     CoveringError,
     CoveringMap,
+    EdgeColoring,
+    KempeCoversError,
     Multigraph,
+    Verdict,
     apply_sequence,
     bichromatic_cycles,
+    build_alignment_cover,
     color_class_subgraph,
     compose,
     copies_cover,
     disjoint_union,
     extend_subgraph_cover,
     is_legal,
+    kempe_cover_witness,
     kempe_switch,
     lift_sequence,
     lift_switch,
     pullback_coloring,
+    random_colored_instance,
     spanning_subgraph,
     verify_covering,
 )
 
-from conftest import alternating_coloring, make_cycle, make_theta
+from conftest import alternating_coloring, make_cycle, make_k33, make_theta, K33_C1, K33_C2
 
 
 def double_cycle_cover(length):
@@ -201,3 +209,216 @@ def test_extend_rejects_nonconstant_fibers(k33, k33_pair):
     )
     with pytest.raises(CoveringError):
         extend_subgraph_cover(k33, h, broken)
+
+
+# -- verdicts pinned reason by reason ------------------------------------------
+
+
+def _k33_identity_parts():
+    k33 = make_k33()
+    return k33, list(k33.vertices()), {e: e for e in k33.edge_ids()}
+
+
+def _not_total():
+    k33, vmap, emap = _k33_identity_parts()
+    return CoveringMap(k33, k33, vmap[:-1], emap)
+
+
+def _edge_map_mismatch():
+    k33, vmap, emap = _k33_identity_parts()
+    del emap[8]
+    return CoveringMap(k33, k33, vmap, emap)
+
+
+def _vertex_outside():
+    k33, vmap, emap = _k33_identity_parts()
+    vmap[2] = 6
+    return CoveringMap(k33, k33, vmap, emap)
+
+
+def _edge_outside():
+    k33, vmap, emap = _k33_identity_parts()
+    emap[4] = 9
+    return CoveringMap(k33, k33, vmap, emap)
+
+
+def _incidence():
+    k33, vmap, emap = _k33_identity_parts()
+    emap[0] = 1  # edge 0 is (0, 3), edge 1 is (0, 4)
+    return CoveringMap(k33, k33, vmap, emap)
+
+
+def _vertex_not_surjective():
+    triangle = make_cycle(3)
+    with_isolated = Multigraph(4, triangle.edge_table())
+    return CoveringMap(triangle, with_isolated, [0, 1, 2], {e: e for e in triangle.edge_ids()})
+
+
+def _edge_not_surjective():
+    digon = Multigraph.from_edges(2, [(0, 1), (0, 1)])
+    return CoveringMap(digon, make_theta(), [0, 1], {0: 0, 1: 1})
+
+
+def _collision():
+    digon = Multigraph.from_edges(2, [(0, 1), (0, 1)])
+    return CoveringMap(make_theta(), digon, [0, 1], {0: 0, 1: 1, 2: 1})
+
+
+def _local_bijection():
+    # a digon and a single edge over the theta graph: onto, no collision,
+    # constant fibers, but each source vertex sees only part of its image's edges
+    source = Multigraph.from_edges(4, [(0, 1), (0, 1), (2, 3)])
+    return CoveringMap(source, make_theta(), [0, 1, 0, 1], {0: 0, 1: 1, 2: 2})
+
+
+@pytest.mark.parametrize(
+    "broken, reason",
+    [
+        (_not_total, "vertex map is not total on the source"),
+        (_edge_map_mismatch, "edge map does not match the source edge set"),
+        (_vertex_outside, "vertex 2 maps outside the target"),
+        (_edge_outside, "edge 4 maps outside the target"),
+        (_incidence, "edge 0 does not preserve incidence"),
+        (_vertex_not_surjective, "vertex map is not surjective"),
+        (_edge_not_surjective, "edge map is not surjective"),
+        (_collision, "local bijection fails at source vertex 0 (collision)"),
+        (_local_bijection, "local bijection fails at source vertex 0"),
+    ],
+)
+def test_verify_covering_reasons(broken, reason):
+    # the tenth reason, non-constant fibers, is pinned by
+    # test_verify_covering_reports_nonconstant_fibers
+    assert verify_covering(broken()) == Verdict(False, reason)
+
+
+# -- differential check against the multi-pass reference ------------------------
+
+
+def reference_verify_covering(p):
+    """The multi-pass verify_covering this module's fast path must agree with."""
+    src, tgt = p.source, p.target
+    if len(p.vertex_map) != src.vertex_count:
+        return Verdict(False, "vertex map is not total on the source")
+    if set(p.edge_map) != set(src.edge_ids()):
+        return Verdict(False, "edge map does not match the source edge set")
+    for v in src.vertices():
+        if not tgt.has_vertex(p.vertex_image(v)):
+            return Verdict(False, f"vertex {v} maps outside the target")
+    for e in src.edge_ids():
+        img = p.edge_image(e)
+        if not tgt.has_edge(img):
+            return Verdict(False, f"edge {e} maps outside the target")
+        u, w = src.endpoints(e)
+        if {p.vertex_image(u), p.vertex_image(w)} != set(tgt.endpoints(img)):
+            return Verdict(False, f"edge {e} does not preserve incidence")
+    if {p.vertex_image(v) for v in src.vertices()} != set(tgt.vertices()):
+        return Verdict(False, "vertex map is not surjective")
+    if {p.edge_image(e) for e in src.edge_ids()} != set(tgt.edge_ids()):
+        return Verdict(False, "edge map is not surjective")
+    for v in src.vertices():
+        local = [p.edge_image(e) for e in src.edges_at(v)]
+        if len(set(local)) != len(local):
+            return Verdict(False, f"local bijection fails at source vertex {v} (collision)")
+        if set(local) != set(tgt.edges_at(p.vertex_image(v))):
+            return Verdict(False, f"local bijection fails at source vertex {v}")
+    try:
+        p.degree
+    except CoveringError as exc:
+        return Verdict(False, str(exc))
+    return Verdict(True)
+
+
+def reference_is_legal(g, c):
+    """The multi-pass is_legal (with its totality check) the fast path must agree with."""
+    carrier = set(g.edge_ids())
+    colored = set(e for e, _ in c.items())
+    if carrier != colored:
+        missing = sorted(carrier - colored)[:4]
+        extra = sorted(colored - carrier)[:4]
+        raise ColoringError(
+            f"coloring does not match carrier (missing={missing}, foreign={extra})"
+        )
+    for v in g.vertices():
+        seen = set()
+        for e, _ in g.darts_at(v):
+            col = c[e]
+            if col in seen:
+                return False
+            seen.add(col)
+    return True
+
+
+def outcome(check, *args):
+    """A check's result, or the type and message of the error it raised."""
+    try:
+        return check(*args)
+    except KempeCoversError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def valid_covers():
+    """(cover, base coloring) pairs: copies, alignment and witness covers, and
+    one cover that stores every edge's endpoints in the opposite order."""
+    k33 = make_k33()
+    c1 = EdgeColoring(3, dict(enumerate(K33_C1)))
+    c2 = EdgeColoring(3, dict(enumerate(K33_C2)))
+    g4, d1, d2 = random_colored_instance(2, 4, 8)
+    flipped = Multigraph(6, {e: (w, u) for e, (u, w) in k33.edge_table().items()})
+    covers = [
+        (CoveringMap(flipped, k33, range(6), {e: e for e in k33.edge_ids()}), c2),
+        (copies_cover(k33, 3), c1),
+        (build_alignment_cover(k33, c1, c2)[0], c2),
+        (kempe_cover_witness(k33, c1, c2).cover, c1),
+        (build_alignment_cover(g4, d1, d2)[0], d1),
+        (kempe_cover_witness(g4, d1, d2).cover, d2),
+    ]
+    for p, _ in covers:
+        assert verify_covering(p)
+    return covers
+
+
+MUTATION = st.sampled_from(["none", "vertex", "edge", "parallel", "drop"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_verify_covering_matches_reference(valid_covers, data):
+    p, _ = data.draw(st.sampled_from(valid_covers))
+    vmap, emap = list(p.vertex_map), p.edge_map
+    kind = data.draw(MUTATION)
+    if kind == "vertex":
+        v = data.draw(st.sampled_from(range(len(vmap))))
+        vmap[v] = data.draw(st.integers(-1, p.target.vertex_count))
+    elif kind == "edge":
+        e = data.draw(st.sampled_from(sorted(emap)))
+        emap[e] = data.draw(st.sampled_from((-1, *p.target.edge_ids(), p.target.edge_count)))
+    elif kind == "parallel":  # keeps incidence, so the later checks get reached
+        e = data.draw(st.sampled_from(sorted(emap)))
+        ends = set(p.target.endpoints(emap[e]))
+        emap[e] = data.draw(
+            st.sampled_from([f for f in p.target.edge_ids() if set(p.target.endpoints(f)) == ends])
+        )
+    elif kind == "drop":
+        del emap[data.draw(st.sampled_from(sorted(emap)))]
+    fast = outcome(verify_covering, CoveringMap(p.source, p.target, vmap, emap))
+    slow = outcome(reference_verify_covering, CoveringMap(p.source, p.target, vmap, emap))
+    assert fast == slow
+    assert kind != "none" or fast == Verdict(True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_is_legal_matches_reference(valid_covers, data):
+    p, base = data.draw(st.sampled_from(valid_covers))
+    colors = dict(pullback_coloring(p, base).items())
+    kind = data.draw(st.sampled_from(["none", "recolor", "drop", "foreign"]))
+    if kind == "recolor":
+        e = data.draw(st.sampled_from(sorted(colors)))
+        colors[e] = data.draw(st.integers(1, base.degree))
+    elif kind == "drop":
+        del colors[data.draw(st.sampled_from(sorted(colors)))]
+    elif kind == "foreign":
+        colors[data.draw(st.sampled_from((-1, max(colors) + 1)))] = 1
+    c = EdgeColoring(base.degree, colors)
+    assert outcome(is_legal, p.source, c) == outcome(reference_is_legal, p.source, c)

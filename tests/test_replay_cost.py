@@ -13,6 +13,8 @@ from kempe_covers import (
     CoveringMap,
     EdgeColoring,
     EquivalenceWitness,
+    align_color,
+    alignment,
     coloring,
     copies_cover,
     covering,
@@ -39,12 +41,12 @@ def witnesses():
 
 
 def counter(monkeypatch, owners, name):
-    """Wrap ``name`` on every owner (same original) and count the calls."""
+    """Wrap ``name`` on every owner (same original) and record each call's arguments."""
     calls = []
     original = getattr(owners[0], name)
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for owner in owners:
@@ -91,3 +93,26 @@ def test_lift_sequence_reads_the_edge_map_a_constant_number_of_times(monkeypatch
         assert len(lifted) == 2 * len(sequence)
         counts.append(len(reads))
     assert counts[0] == counts[1] <= 1
+
+
+def test_lift_sequence_validates_each_base_switch_once(monkeypatch, witnesses):
+    w = witnesses[0]
+    projection = copies_cover(w.cover.source, 2)
+    start = pullback_coloring(w.cover, w.start)
+    validated = counter(monkeypatch, (coloring, covering), "_validate_switch")
+    lifts = counter(monkeypatch, (covering,), "lift_switch")
+    lift_sequence(projection, start, w.switches)
+    assert len(validated) == len(lifts) == len(w.switches)
+
+
+def test_align_color_checks_its_inputs_once(monkeypatch):
+    g, c1, c2 = random_colored_instance(1, 4, 20)
+    splits = counter(monkeypatch, (alignment,), "split_color_d")
+    degrees = counter(monkeypatch, (coloring, alignment), "common_degree")
+    legal = counter(monkeypatch, (coloring, covering), "is_legal")
+    result = align_color(g, c1, c2)
+    assert result.switches
+    assert len(splits) == len(degrees) == 1
+    # once per input coloring on the base; the cover's two checks stay
+    assert [c for graph, c in legal if graph is g] == [c1, c2]
+    assert len(legal) == 4

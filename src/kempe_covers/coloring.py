@@ -30,7 +30,7 @@ class EdgeColoring:
                 raise ColoringError(f"edge {e}: color {c} outside 1..{degree}")
         self._degree = degree
         self._colors = dict(colors)
-        self._key = (degree, tuple(sorted(self._colors.items())))
+        self._key = None  # sorted on first comparison or hash; most colorings get neither
 
     @property
     def degree(self) -> int:
@@ -59,13 +59,18 @@ class EdgeColoring:
             {e: self._colors[e] for e in edges},
         )
 
+    def _sorted_key(self) -> tuple:
+        if self._key is None:
+            self._key = (self._degree, tuple(sorted(self._colors.items())))
+        return self._key
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeColoring):
             return NotImplemented
-        return self._key == other._key
+        return self._sorted_key() == other._sorted_key()
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self._sorted_key())
 
     def __repr__(self) -> str:
         return f"EdgeColoring(degree={self._degree}, edges={len(self._colors)})"
@@ -148,10 +153,10 @@ def _cycle_decomposition(g: Multigraph, edges: Iterable[EdgeId]) -> list[tuple[D
     Each walk starts at slot 0 of its smallest edge id, and the walks are
     ordered by that id. Raises unless every vertex the edges touch meets
     exactly two of them; every such vertex is reached as the end of a dart,
-    so checking there checks the whole support.
+    so checking there checks the whole support. Every edge must be in ``g``.
     """
     member = set(edges)
-    endpoints, darts_at = g.endpoints, g.darts_at
+    table, incidence = g._edges, g._incidence
     walks = []
     used: set[EdgeId] = set()
     for first in sorted(member):
@@ -162,7 +167,7 @@ def _cycle_decomposition(g: Multigraph, edges: Iterable[EdgeId]) -> list[tuple[D
         e, slot = start
         while True:
             nxt = None
-            for dart in darts_at(endpoints(e)[1 - slot]):  # each leaves the arrival vertex
+            for dart in incidence[table[e][1 - slot]]:  # each leaves the arrival vertex
                 if dart[0] != e and dart[0] in member:
                     if nxt is not None:  # a third member edge at this vertex
                         nxt = None

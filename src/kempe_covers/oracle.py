@@ -14,15 +14,17 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .coloring import (
+    BichromaticCycle,
+    Color,
     EdgeColoring,
     SwitchSequence,
-    _transpose,
+    _cycle_decomposition,
     bichromatic_cycles,
     common_degree,
     kempe_switch,
 )
 from .errors import EnumerationLimitError, GraphStructureError, RegularityError
-from .graph import Multigraph, is_regular
+from .graph import EdgeId, Multigraph, is_regular
 
 DEFAULT_MAX_EDGES = 30
 #: above this edge count the instance generator stops sampling the second
@@ -58,12 +60,8 @@ def _enumeration_order(g: Multigraph) -> list[int]:
     return order
 
 
-def enumerate_legal_colorings(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> list[EdgeColoring]:
-    """All legal colorings, in increasing edge-id-lexicographic order.
-
-    Backtracks over edges with per-vertex used-color sets. Refuses graphs
-    with more than ``max_edges`` edges instead of hanging.
-    """
+def _color_vectors(g: Multigraph, max_edges: int) -> tuple[int, list[tuple[Color, ...]]]:
+    """The degree and every legal coloring as a color tuple in edge-id order, sorted."""
     d = is_regular(g)
     if d is None:
         raise RegularityError("enumeration needs a regular graph")
@@ -71,47 +69,73 @@ def enumerate_legal_colorings(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES)
         raise EnumerationLimitError(
             f"{g.edge_count} edges exceeds the enumeration bound {max_edges}"
         )
-    order = _enumeration_order(g)
-    used = [set() for _ in range(g.vertex_count)]
-    assignment: dict[int, int] = {}
-    found: list[EdgeColoring] = []
+    position = {e: p for p, e in enumerate(g._edges)}
+    steps = [(position[e], *g._edges[e]) for e in _enumeration_order(g)]
+    bits = [(color, 1 << color) for color in range(1, d + 1)]
+    used = [0] * g.vertex_count
+    assignment = [0] * g.edge_count
+    found: list[tuple[Color, ...]] = []
 
     def backtrack(k: int) -> None:
-        if k == len(order):
-            found.append(EdgeColoring(d, dict(assignment)))
+        if k == len(steps):
+            found.append(tuple(assignment))
             return
-        e = order[k]
-        u, v = g.endpoints(e)
-        for color in range(1, d + 1):
-            if color in used[u] or color in used[v]:
+        p, u, v = steps[k]
+        for color, bit in bits:
+            if (used[u] | used[v]) & bit:
                 continue
-            assignment[e] = color
-            used[u].add(color)
-            used[v].add(color)
+            assignment[p] = color
+            used[u] |= bit
+            used[v] |= bit
             backtrack(k + 1)
-            del assignment[e]
-            used[u].discard(color)
-            used[v].discard(color)
+            used[u] ^= bit
+            used[v] ^= bit
 
     backtrack(0)
+    found.sort()
+    return d, found
+
+
+def enumerate_legal_colorings(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> list[EdgeColoring]:
+    """All legal colorings, in increasing edge-id-lexicographic order.
+
+    Backtracks over edges with per-vertex used-color bitmasks. Refuses graphs
+    with more than ``max_edges`` edges instead of hanging.
+    """
+    d, vectors = _color_vectors(g, max_edges)
     ids = g.edge_ids()
-    found.sort(key=lambda c: tuple(c[e] for e in ids))
-    return found
+    return [EdgeColoring(d, dict(zip(ids, vector))) for vector in vectors]
 
 
-def _switch_neighbors(g: Multigraph, c: EdgeColoring):
-    """All (switch, resulting coloring) pairs one Kempe switch away."""
-    for i, j in combinations(range(1, c.degree + 1), 2):
-        for cycle in bichromatic_cycles(g, c, i, j):
-            colors = dict(c.items())
-            _transpose(colors, cycle)
-            yield cycle, EdgeColoring(c.degree, colors)
+def _switch_neighbors(g: Multigraph, colors: tuple[Color, ...], degree: int, position: dict[EdgeId, int]):
+    """Every (color pair, closed walk, switched tuple) one Kempe switch away.
+
+    ``colors`` lists one color per edge in edge-id order and ``position``
+    maps an edge id to its index there. The walks are flipped unchecked.
+    """
+    for pair in combinations(range(1, degree + 1), 2):
+        lo, hi = pair
+        member = [e for e, p in position.items() if colors[p] == lo or colors[p] == hi]
+        for walk in _cycle_decomposition(g, member):
+            flipped = list(colors)
+            for e, _ in walk:
+                p = position[e]
+                flipped[p] = lo + hi - flipped[p]
+            yield pair, walk, tuple(flipped)
+
+
+def _vector(c: EdgeColoring, ids: tuple[EdgeId, ...]) -> tuple[Color, ...]:
+    """The colors of a total coloring, listed in the order of ``ids``."""
+    return tuple(map(c._colors.__getitem__, ids))
 
 
 def kempe_class_partition(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> ColoringCensus:
     """Partition all legal colorings into Kempe classes by BFS closure."""
     colorings = enumerate_legal_colorings(g, max_edges)
-    index_of = {c: k for k, c in enumerate(colorings)}
+    ids = g.edge_ids()
+    position = {e: p for p, e in enumerate(ids)}
+    vectors = [_vector(c, ids) for c in colorings]
+    index_of = {vector: k for k, vector in enumerate(vectors)}
     paths: dict[int, SwitchSequence] = {}
     classes: list[tuple[int, ...]] = []
     visited = [False] * len(colorings)
@@ -125,11 +149,12 @@ def kempe_class_partition(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> 
         while frontier:
             nxt = []
             for idx in frontier:
-                for cycle, neighbor in _switch_neighbors(g, colorings[idx]):
+                switches = _switch_neighbors(g, vectors[idx], colorings[idx].degree, position)
+                for pair, walk, neighbor in switches:
                     n_idx = index_of[neighbor]
                     if not visited[n_idx]:
                         visited[n_idx] = True
-                        paths[n_idx] = paths[idx] + (cycle,)
+                        paths[n_idx] = paths[idx] + (BichromaticCycle(pair, walk),)
                         members.append(n_idx)
                         nxt.append(n_idx)
             frontier = nxt
@@ -154,23 +179,26 @@ def equivalent_without_cover(
     Returns None when the colorings lie in different Kempe classes (the case
     that forces passing to a cover).
     """
-    common_degree(g, c1, c2)
+    d = common_degree(g, c1, c2)
     if g.edge_count > max_edges:
         raise EnumerationLimitError(
             f"{g.edge_count} edges exceeds the enumeration bound {max_edges}"
         )
-    if c1 == c2:
+    ids = g.edge_ids()
+    start, goal = _vector(c1, ids), _vector(c2, ids)
+    if start == goal:
         return ()
-    seen = {c1: ()}
-    frontier = [c1]
+    position = {e: p for p, e in enumerate(ids)}
+    seen = {start: ()}
+    frontier = [start]
     while frontier:
         nxt = []
         for current in frontier:
-            for cycle, neighbor in _switch_neighbors(g, current):
+            for pair, walk, neighbor in _switch_neighbors(g, current, d, position):
                 if neighbor in seen:
                     continue
-                seen[neighbor] = seen[current] + (cycle,)
-                if neighbor == c2:
+                seen[neighbor] = seen[current] + (BichromaticCycle(pair, walk),)
+                if neighbor == goal:
                     return seen[neighbor]
                 nxt.append(neighbor)
         frontier = nxt
@@ -204,8 +232,8 @@ def random_colored_instance(
     c1 = EdgeColoring(d, {e: e // half + 1 for e in g.edge_ids()})
 
     if g.edge_count <= SAMPLING_MAX_EDGES:
-        legal = enumerate_legal_colorings(g)
-        c2 = legal[rng.randrange(len(legal))]
+        _, legal = _color_vectors(g, DEFAULT_MAX_EDGES)
+        c2 = EdgeColoring(d, dict(zip(g.edge_ids(), legal[rng.randrange(len(legal))])))
     else:
         shuffled = list(range(1, d + 1))
         rng.shuffle(shuffled)

@@ -16,7 +16,14 @@ from typing import Iterable, Mapping
 from .coloring import BichromaticCycle, EdgeColoring, WorkingColoring, _cycle_decomposition
 from .covering import CoveringMap
 from .equivalence import EquivalenceWitness
-from .errors import CoveringError, FormatError, IllegalColoringError, KempeCoversError, StaleSwitchError
+from .errors import (
+    CoveringError,
+    FormatError,
+    IllegalColoringError,
+    KempeCoversError,
+    RegularityError,
+    StaleSwitchError,
+)
 from .graph import EdgeId, Multigraph, is_regular
 
 INSTANCE_FORMAT = "kempe-instance/1"
@@ -227,7 +234,15 @@ def witness_from_json(doc) -> tuple[EquivalenceWitness, dict | None]:
     """Parse a witness document; returns the witness and its optional names block."""
     if not isinstance(doc, dict) or doc.get("format") != WITNESS_FORMAT:
         raise FormatError(f"not a {WITNESS_FORMAT} document")
-    base = _graph_from_json(doc.get("base", {}))
+    base_doc = doc.get("base", {})
+    edges = base_doc.get("edges") if isinstance(base_doc, dict) else None
+    if isinstance(edges, list):  # before allocating: a regular base of degree d >= 1 has d|V| = 2|E|
+        vertices = _strict_int(base_doc.get("vertices"), "base vertex count")
+        if vertices > 2 * len(edges):
+            raise RegularityError(
+                f"base has {vertices} vertices and {len(edges)} edges, more than a regular base can have"
+            )
+    base = _graph_from_json(base_doc)
     cover_doc = doc.get("cover", {})
     edges = cover_doc.get("edges") if isinstance(cover_doc, dict) else None
     if isinstance(edges, list):  # before allocating: a degree-m cover has m times the base's size

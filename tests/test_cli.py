@@ -170,11 +170,15 @@ def test_verify_rejects_non_integer_witness_fields(tmp_path, capsys, field, valu
     assert "Traceback" not in captured.err
 
 
-def test_verify_rejects_oversized_cover_before_allocating(tmp_path, capsys, monkeypatch):
+def verify_with_claimed_vertices(tmp_path, capsys, monkeypatch, block):
+    """Verify a k33 witness whose ``block`` claims 500,000 vertices.
+
+    Returns the exit code, stderr and the vertex count of every Multigraph built.
+    """
     out = tmp_path / "w.json"
     main(["witness", "--input", K33, "--from", "c1", "--to", "c2", "--out", str(out)])
     doc = load_json(out)
-    doc["cover"]["vertices"] = 500_000  # never larger: an unguarded parse allocates it
+    doc[block]["vertices"] = 500_000  # never larger: an unguarded parse allocates it
     dump_json(doc, out)
     built = []
     original = Multigraph.__init__
@@ -185,11 +189,24 @@ def test_verify_rejects_oversized_cover_before_allocating(tmp_path, capsys, monk
 
     monkeypatch.setattr(Multigraph, "__init__", counted)
     capsys.readouterr()
-    assert main(["verify", "--input", K33, "--witness", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("error: cover has 500000 vertices and 18 edges")
+    code = main(["verify", "--input", K33, "--witness", str(out)])
+    return code, capsys.readouterr().err, built
+
+
+def test_verify_rejects_oversized_cover_before_allocating(tmp_path, capsys, monkeypatch):
+    code, err, built = verify_with_claimed_vertices(tmp_path, capsys, monkeypatch, "cover")
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cover has 500000 vertices and 18 edges")
     assert built and max(built) < 500_000
+
+
+def test_verify_rejects_oversized_base_before_allocating(tmp_path, capsys, monkeypatch):
+    code, err, built = verify_with_claimed_vertices(tmp_path, capsys, monkeypatch, "base")
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: base has 500000 vertices and 9 edges")
+    assert max(built, default=0) < 500_000
 
 
 def test_high_degree_identity_witness_does_not_hang(tmp_path):

@@ -1,18 +1,28 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kempe_covers import (
     EdgeColoring,
     EnumerationLimitError,
     Multigraph,
+    RegularityError,
     apply_sequence,
+    bichromatic_cycles,
+    color_class_subgraph,
+    common_degree,
     enumerate_legal_colorings,
     equivalent_without_cover,
     is_legal,
+    is_regular,
     kempe_class_partition,
     random_colored_instance,
 )
+from kempe_covers.coloring import _transpose
+from kempe_covers.oracle import DEFAULT_MAX_EDGES, _enumeration_order
 
-from conftest import make_k33, make_theta
+from conftest import make_cube, make_k33, make_theta
 
 
 def make_k4():
@@ -146,3 +156,145 @@ def test_large_instance_uses_walk_fallback():
     g, c1, c2 = random_colored_instance(9, 3, 18)
     assert g.edge_count == 27
     assert is_legal(g, c1) and is_legal(g, c2)
+
+
+# -- reference oracle ---------------------------------------------------------
+#
+# The oracle as it stood when every coloring it touched was an EdgeColoring:
+# used-color sets in the backtrack, a sort by key function, and a fresh
+# EdgeColoring per switch neighbour from bichromatic_cycles. The package's
+# oracle must return exactly what these return.
+
+
+def reference_enumerate(g, max_edges=DEFAULT_MAX_EDGES):
+    d = is_regular(g)
+    if d is None:
+        raise RegularityError("enumeration needs a regular graph")
+    if g.edge_count > max_edges:
+        raise EnumerationLimitError(f"{g.edge_count} edges exceeds the enumeration bound {max_edges}")
+    order = _enumeration_order(g)
+    used = [set() for _ in range(g.vertex_count)]
+    assignment = {}
+    found = []
+
+    def backtrack(k):
+        if k == len(order):
+            found.append(EdgeColoring(d, dict(assignment)))
+            return
+        e = order[k]
+        u, v = g.endpoints(e)
+        for color in range(1, d + 1):
+            if color in used[u] or color in used[v]:
+                continue
+            assignment[e] = color
+            used[u].add(color)
+            used[v].add(color)
+            backtrack(k + 1)
+            del assignment[e]
+            used[u].discard(color)
+            used[v].discard(color)
+
+    backtrack(0)
+    ids = g.edge_ids()
+    found.sort(key=lambda c: tuple(c[e] for e in ids))
+    return found
+
+
+def reference_neighbors(g, c):
+    for i, j in combinations(range(1, c.degree + 1), 2):
+        for cycle in bichromatic_cycles(g, c, i, j):
+            colors = dict(c.items())
+            _transpose(colors, cycle)
+            yield cycle, EdgeColoring(c.degree, colors)
+
+
+def reference_partition(g):
+    colorings = reference_enumerate(g)
+    index_of = {c: k for k, c in enumerate(colorings)}
+    paths, classes = {}, []
+    visited = [False] * len(colorings)
+    for root in range(len(colorings)):
+        if visited[root]:
+            continue
+        visited[root] = True
+        paths[root] = ()
+        members, frontier = [root], [root]
+        while frontier:
+            nxt = []
+            for idx in frontier:
+                for cycle, neighbor in reference_neighbors(g, colorings[idx]):
+                    n_idx = index_of[neighbor]
+                    if not visited[n_idx]:
+                        visited[n_idx] = True
+                        paths[n_idx] = paths[idx] + (cycle,)
+                        members.append(n_idx)
+                        nxt.append(n_idx)
+            frontier = nxt
+        classes.append(tuple(sorted(members)))
+    return colorings, classes, [cls[0] for cls in classes], paths
+
+
+def reference_query(g, c1, c2):
+    common_degree(g, c1, c2)
+    if c1 == c2:
+        return ()
+    seen = {c1: ()}
+    frontier = [c1]
+    while frontier:
+        nxt = []
+        for current in frontier:
+            for cycle, neighbor in reference_neighbors(g, current):
+                if neighbor in seen:
+                    continue
+                seen[neighbor] = seen[current] + (cycle,)
+                if neighbor == c2:
+                    return seen[neighbor]
+                nxt.append(neighbor)
+        frontier = nxt
+    return None
+
+
+def assert_matches_reference(g):
+    census = kempe_class_partition(g)
+    colorings, classes, representatives, paths = reference_partition(g)
+    assert enumerate_legal_colorings(g) == colorings
+    assert list(census.colorings) == colorings
+    assert list(census.classes) == classes
+    assert list(census.representatives) == representatives
+    assert census.paths == paths  # BichromaticCycle equality compares the darts
+    # a representative to its farthest member, and across two classes
+    largest = max(classes, key=len)
+    rep, member = colorings[largest[0]], colorings[max(largest, key=lambda i: len(paths[i]))]
+    queries = [(rep, member), (member, rep)]
+    if len(classes) > 1:
+        queries.append((colorings[classes[-1][-1]], rep))
+    for a, b in queries:
+        assert equivalent_without_cover(g, a, b) == reference_query(g, a, b)
+    return census
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([(3, 8), (3, 12), (4, 8), (5, 4)]))
+def test_oracle_matches_reference_on_random_bases(seed, shape):
+    g, _, _ = random_colored_instance(seed, *shape)
+    # a few d=5 n=4 bases have 14,400 colorings: seconds each on the reference
+    assume(len(reference_enumerate(g)) <= 1500)
+    assert_matches_reference(g)
+
+
+def gapped_base():
+    g, _, c2 = random_colored_instance(3, 4, 8)
+    return color_class_subgraph(g, c2, range(1, 4))
+
+
+@pytest.mark.parametrize("make", [make_k33, make_theta, make_k4, make_cube, gapped_base])
+def test_oracle_matches_reference_on_fixed_bases(make):
+    g = make()
+    census = assert_matches_reference(g)
+    assert census.colorings
+
+
+def test_gapped_base_has_edge_ids_that_are_not_positions():
+    g = gapped_base()
+    assert is_regular(g) == 3
+    assert g.edge_ids() != tuple(range(g.edge_count))

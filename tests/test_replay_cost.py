@@ -5,6 +5,9 @@ Each test counts calls to a known-expensive operation on a d=4 witness with
 requires the counts to match: the cost must not grow with the switch count.
 The appended switches repeat the last switch an even number of times, which
 flips one component back and forth and leaves the verdict unchanged.
+The oracle tests count the `EdgeColoring`s and `bichromatic_cycles` calls
+of one census and two queries, which must not grow with the switches
+the breadth-first search tries.
 """
 
 import pytest
@@ -19,8 +22,11 @@ from kempe_covers import (
     copies_cover,
     covering,
     equivalence,
+    equivalent_without_cover,
+    kempe_class_partition,
     kempe_cover_witness,
     lift_sequence,
+    oracle,
     pullback_coloring,
     random_colored_instance,
     verify_covering,
@@ -116,3 +122,29 @@ def test_align_color_checks_its_inputs_once(monkeypatch):
     # once per input coloring on the base; the cover's two checks stay
     assert [c for graph, c in legal if graph is g] == [c1, c2]
     assert len(legal) == 4
+
+
+@pytest.fixture(scope="module")
+def census():
+    census = kempe_class_partition(random_colored_instance(4, 4, 8)[0])
+    assert len(census.classes) == 2
+    return census
+
+
+def test_kempe_class_partition_builds_one_coloring_per_enumerated_coloring(monkeypatch):
+    g = random_colored_instance(4, 4, 8)[0]
+    built = counter(monkeypatch, (EdgeColoring,), "__init__")
+    cycles = counter(monkeypatch, (coloring, oracle), "bichromatic_cycles")
+    census = kempe_class_partition(g)
+    assert len(built) == len(census.colorings) == 384
+    assert cycles == []
+
+
+def test_equivalent_without_cover_builds_no_coloring(monkeypatch, census):
+    g, start = census.graph, census.colorings[0]
+    member = census.classes[0][-1]
+    built = counter(monkeypatch, (EdgeColoring,), "__init__")
+    cycles = counter(monkeypatch, (coloring, oracle), "bichromatic_cycles")
+    assert equivalent_without_cover(g, start, census.colorings[member]) == census.paths[member]
+    assert equivalent_without_cover(g, start, census.colorings[census.representatives[1]]) is None
+    assert built == [] and cycles == []

@@ -40,9 +40,8 @@ from .coloring import (
     _cycle_decomposition,
     apply_sequence,
     common_degree,
-    require_legal,
 )
-from .covering import CoveringMap, pullback_coloring, require_covering
+from .covering import CoveringMap, pullback_coloring
 from .errors import ColoringError, GraphStructureError, RegularityError
 from .graph import EdgeId, Multigraph, VertexId
 
@@ -91,7 +90,11 @@ def _to_color(residue: Residue, modulus: int) -> int:
 
 
 def split_color_d(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> ColorDSplit:
-    """Split the two top-color classes into shared edges and moving cycles."""
+    """Split the two top-color classes into shared edges and moving cycles.
+
+    Validates the inputs; the structure then holds because both classes are
+    perfect matchings.
+    """
     d = common_degree(g, c1, c2)
     class1 = c1.color_class(d)
     class2 = c2.color_class(d)
@@ -100,14 +103,6 @@ def split_color_d(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> ColorDSp
     shared_vertices = set()
     for e in shared:
         shared_vertices.update(g.endpoints(e))
-    # structural invariants (hold for any pair of legal colorings)
-    for v in g.vertices():
-        incident_moving = [e for e in g.edges_at(v) if e in moving]
-        if v in shared_vertices:
-            if incident_moving:
-                raise ColoringError(f"vertex {v} meets both a shared and a moving edge")
-        elif len(incident_moving) != 2:
-            raise ColoringError(f"vertex {v} meets {len(incident_moving)} moving edges, not 2")
     return ColorDSplit(d, frozenset(shared), frozenset(moving), frozenset(shared_vertices))
 
 
@@ -171,7 +166,9 @@ def build_alignment_cover(
 
     Cover vertex ``v*(d-1) + i`` is vertex v on sheet i. Copies of an edge
     are keyed by the sheet at the smaller-id endpoint, so the output is the
-    same graph, map, and coloring for every orientation choice.
+    same graph, map, and coloring for every orientation choice. The inputs
+    are validated; the cover and the shifted coloring are legal by
+    construction and are not re-checked.
     """
     data = alignment_data(g, c1, c2, orientation)
     d = c1.degree
@@ -214,10 +211,7 @@ def build_alignment_cover(
         tuple(v // modulus for v in cover_graph.vertices()),
         emap,
     )
-    require_covering(p)
-    shifted = EdgeColoring(d, colors)
-    require_legal(cover_graph, shifted)
-    return p, shifted
+    return p, EdgeColoring(d, colors)
 
 
 @dataclass(frozen=True)

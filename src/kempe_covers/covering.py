@@ -6,7 +6,8 @@ edges there and the edges at the image vertex. Covers of d-regular graphs
 are d-regular, and a legal base coloring pulls back to a legal cover
 coloring. This module also lifts switches and whole switch sequences through
 covers, composes covers, and extends a cover of a spanning subgraph to a
-cover of the full graph.
+cover of the full graph. These trust their input coverings and do not
+re-check what they build; :func:`verify_covering` checks maps from outside.
 
 Fiber sizes are required to be constant across all base vertices, even for
 disconnected bases; the equivalence construction normalizes every
@@ -27,7 +28,6 @@ from .coloring import (
     _cycle_decomposition,
     _transpose,
     _validate_switch,
-    is_legal,
 )
 from .errors import CoveringError
 from .graph import EdgeId, Multigraph, VertexId, disjoint_copies
@@ -151,19 +151,12 @@ def verify_covering(p: CoveringMap) -> Verdict:
     return Verdict(True)
 
 
-def require_covering(p: CoveringMap) -> CoveringMap:
-    verdict = verify_covering(p)
-    if not verdict:
-        raise CoveringError(verdict.reason)
-    return p
-
-
 def pullback_coloring(p: CoveringMap, c: EdgeColoring) -> EdgeColoring:
-    """Pull a coloring of the target back through ``p`` (compose with the edge map)."""
-    pulled = EdgeColoring(c.degree, {e: c[p.edge_image(e)] for e in p.source.edge_ids()})
-    if not is_legal(p.source, pulled):
-        raise CoveringError("pull-back of a legal coloring came out illegal; p is not a covering")
-    return pulled
+    """Pull ``c`` back through the covering ``p``; a legal ``c`` pulls back legal.
+
+    ``p`` is not re-checked; run :func:`verify_covering` on untrusted maps.
+    """
+    return EdgeColoring(c.degree, {e: c[p.edge_image(e)] for e in p.source.edge_ids()})
 
 
 def _edge_fibers(p: CoveringMap) -> dict[EdgeId, list[EdgeId]]:
@@ -206,39 +199,41 @@ def lift_sequence(p: CoveringMap, c: EdgeColoring, sequence: Sequence[Bichromati
 
 
 def compose(p: CoveringMap, q: CoveringMap) -> CoveringMap:
-    """The covering ``p`` after ``q`` (q's target must be p's source)."""
+    """The covering ``p`` after ``q`` (q's target must be p's source).
+
+    ``p`` and ``q`` must be coverings; they are not re-checked.
+    """
     if q.target != p.source:
         raise CoveringError("cannot compose: middle graphs differ")
-    r = CoveringMap(
+    return CoveringMap(
         q.source,
         p.target,
         tuple(p.vertex_image(q.vertex_image(v)) for v in q.source.vertices()),
         {e: p.edge_image(q.edge_image(e)) for e in q.source.edge_ids()},
     )
-    return require_covering(r)
 
 
 def copies_cover(g: Multigraph, m: int) -> CoveringMap:
-    """The projection of ``m`` disjoint copies of ``g`` onto ``g``."""
+    """The projection of ``m`` disjoint copies of ``g`` onto ``g``: a covering of degree ``m``."""
     union, vertex_origin, edge_origin = disjoint_copies(g, m)
-    p = CoveringMap(
+    return CoveringMap(
         union,
         g,
         tuple(vertex_origin[v][0] for v in union.vertices()),
         {e: edge_origin[e][0] for e in union.edge_ids()},
     )
-    return require_covering(p)
 
 
 def extend_subgraph_cover(g: Multigraph, h: Multigraph, p: CoveringMap) -> CoveringMap:
     """Extend a constant-fiber cover of a spanning subgraph to a cover of ``g``.
 
     ``h`` must be a spanning subgraph of ``g`` and ``p`` a covering of ``h``
-    with fiber size ``m`` at every vertex. Each edge of ``g`` missing from
-    ``h`` lifts to ``m`` new edges wired between equal fiber labels, where
-    label k at a vertex means the k-th smallest source vertex over it. The
-    result restricts to ``p`` on the source of ``p`` (ids untouched) and has
-    the same degree ``m``.
+    with fiber size ``m`` at every vertex; ``p`` is not re-checked (run
+    :func:`verify_covering` on untrusted maps). Each edge of ``g`` missing
+    from ``h`` lifts to ``m`` new edges wired between equal fiber labels,
+    where label k at a vertex means the k-th smallest source vertex over it,
+    so every cover vertex gets exactly one lift of it. The result restricts
+    to ``p`` on the source of ``p`` (ids untouched) and has the same degree.
     """
     if h.vertex_count != g.vertex_count:
         raise CoveringError("subgraph is not spanning: vertex sets differ")
@@ -247,7 +242,6 @@ def extend_subgraph_cover(g: Multigraph, h: Multigraph, p: CoveringMap) -> Cover
             raise CoveringError(f"edge {e} of the subgraph is not an edge of the full graph")
     if p.target != h:
         raise CoveringError("cover does not map onto the given subgraph")
-    require_covering(p)
     m = p.degree  # raises on non-constant fibers
 
     fibers: list[list[VertexId]] = [[] for _ in g.vertices()]
@@ -264,4 +258,4 @@ def extend_subgraph_cover(g: Multigraph, h: Multigraph, p: CoveringMap) -> Cover
             emap[next_id] = e
             next_id += 1
     extended = Multigraph(p.source.vertex_count, pairs)
-    return require_covering(CoveringMap(extended, g, p.vertex_map, emap))
+    return CoveringMap(extended, g, p.vertex_map, emap)

@@ -48,10 +48,9 @@ from .covering import (
     extend_subgraph_cover,
     lift_sequence,
     pullback_coloring,
-    require_covering,
     verify_covering,
 )
-from .errors import ColoringError, CoveringError, GraphStructureError, KempeCoversError
+from .errors import CoveringError, GraphStructureError, KempeCoversError
 from .graph import (
     EdgeId,
     Multigraph,
@@ -98,10 +97,11 @@ class EquivalenceWitness:
 def verify_witness(w: EquivalenceWitness) -> Verdict:
     """Machine-check a witness: cover axioms, replay equality, degree bound.
 
-    The replay starts from the start pull-back, which :func:`pullback_coloring`
-    proves legal, and validates every switch as a whole alternating two-color
-    component before flipping it, so each intermediate coloring is legal too.
-    The end state must equal the goal pull-back edge for edge.
+    The start pull-back is legal: :func:`verify_covering` gives a local
+    bijection on edges, and the start coloring is legal on the base. Every
+    switch is validated as a whole alternating two-color component before it
+    is flipped, so each intermediate coloring is legal too. The end state
+    must equal the goal pull-back edge for edge.
     """
     try:
         if w.cover.target != w.graph:
@@ -165,34 +165,27 @@ def _base_two_witness(
     """d = 2: switch exactly the cycles on which the colorings differ."""
     switches = []
     for cycle in bichromatic_cycles(g, c1, 1, 2):
-        agree = [c1[e] == c2[e] for e in sorted(cycle.edges)]
-        if all(agree):
-            continue
-        if any(agree):
-            raise ColoringError("legal 2-colorings of a cycle must agree fully or swap fully")
-        switches.append(cycle)
+        first = cycle.darts[0][0]  # both colorings alternate around the cycle
+        if c1[first] != c2[first]:
+            switches.append(cycle)
     return CoveringMap.identity(g), tuple(switches)
 
 
 def _aligned_witness(
-    g: Multigraph, c1: EdgeColoring, c2: EdgeColoring
+    g: Multigraph, c1: EdgeColoring, c2: EdgeColoring, d: int
 ) -> tuple[CoveringMap, SwitchSequence]:
-    """Equal top-color classes: recurse on the spanning (d-1)-regular subgraph.
+    """Equal top-color classes (the caller checks): recurse on the (d-1)-regular rest.
 
     The sub-witness cover extends to the full graph by lifting each
     top-colored edge along equal fiber labels, and its switch sequence is
     reused verbatim (no switch touches the top color). Result degree is
     exactly beta(d-1).
     """
-    d = common_degree(g, c1, c2)
-    top = c1.color_class(d)
-    if top != c2.color_class(d):
-        raise ColoringError("aligned recursion needs equal top-color classes")
-    rest = sorted(set(g.edge_ids()) - top)
+    rest = sorted(set(g.edge_ids()) - c1.color_class(d))
     h = spanning_subgraph(g, rest)
-    sub = kempe_cover_witness(h, c1.restricted(rest, d - 1), c2.restricted(rest, d - 1))
-    extended = extend_subgraph_cover(g, h, sub.cover)
-    return _pad_to_degree(extended, sub.switches, c1, beta(d - 1))
+    cover, switches = _witness(h, c1.restricted(rest, d - 1), c2.restricted(rest, d - 1), d - 1)
+    extended = extend_subgraph_cover(g, h, cover)
+    return _pad_to_degree(extended, switches, c1, beta(d - 1))
 
 
 def _misaligned_witness(
@@ -204,10 +197,10 @@ def _misaligned_witness(
     c1_up = pullback_coloring(p, c1)
     c2_up = pullback_coloring(p, c2)
 
-    r1, s1 = _aligned_witness(p.source, c1_up, ar.start_coloring)
+    r1, s1 = _aligned_witness(p.source, c1_up, ar.start_coloring, d)
     aligned_up = pullback_coloring(r1, ar.aligned_coloring)
     c2_up_up = pullback_coloring(r1, c2_up)
-    r2, s2 = _aligned_witness(r1.source, aligned_up, c2_up_up)
+    r2, s2 = _aligned_witness(r1.source, aligned_up, c2_up_up, d)
 
     r12 = compose(r1, r2)
     cover = compose(p, r12)
@@ -244,8 +237,8 @@ def _per_component_witness(
         sub, vback, eback = _induced_component(g, comp)
         sub_c1 = EdgeColoring(d, {e: c1[eback[e]] for e in sub.edge_ids()})
         sub_c2 = EdgeColoring(d, {e: c2[eback[e]] for e in sub.edge_ids()})
-        w = kempe_cover_witness(sub, sub_c1, sub_c2)
-        cover, switches = _pad_to_degree(w.cover, w.switches, sub_c1, target)
+        cover, switches = _witness(sub, sub_c1, sub_c2, d)
+        cover, switches = _pad_to_degree(cover, switches, sub_c1, target)
         parts.append((cover, switches, vback, eback))
 
     union, vmaps, emaps = disjoint_union([cover.source for cover, _, _, _ in parts])
@@ -261,30 +254,34 @@ def _per_component_witness(
             all_switches.append(
                 BichromaticCycle(cyc.colors, tuple((emaps[idx][e], slot) for e, slot in cyc.darts))
             )
-    combined = require_covering(CoveringMap(union, g, vertex_map, edge_map))
-    return combined, tuple(all_switches)
+    return CoveringMap(union, g, vertex_map, edge_map), tuple(all_switches)
 
 
 def kempe_cover_witness(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> EquivalenceWitness:
-    """Build a verified witness that the two pull-backs are Kempe equivalent.
+    """A witness, accepted by :func:`verify_witness`, that the pull-backs are Kempe equivalent.
 
+    The inputs are checked once, here; the result is not re-verified (the
+    CLI ``witness`` command runs :func:`verify_witness` before it writes).
     The covering degree is exactly beta(d), except for literally identical
     inputs where the identity cover (degree 1) is returned.
     """
     d = common_degree(g, c1, c2)
+    cover, switches = _witness(g, c1, c2, d)
+    return EquivalenceWitness(g, c1, c2, cover, switches)
+
+
+def _witness(
+    g: Multigraph, c1: EdgeColoring, c2: EdgeColoring, d: int
+) -> tuple[CoveringMap, SwitchSequence]:
+    """The recursion: ``g`` is d-regular and ``c1``, ``c2`` are legal; nothing is re-checked."""
     if c1 == c2:
-        return EquivalenceWitness(g, c1, c2, CoveringMap.identity(g), ())
+        return CoveringMap.identity(g), ()
     # d = 1 forces c1 == c2 (the only color is 1), so d >= 2 from here on.
     if d == 2:
-        cover, switches = _base_two_witness(g, c1, c2)
-        return EquivalenceWitness(g, c1, c2, cover, switches)
-
-    components = connected_components(g)
-    if len(components) > 1:
-        cover, switches = _per_component_witness(g, c1, c2, d)
-    elif c1.color_class(d) == c2.color_class(d):
-        raw_cover, raw_switches = _aligned_witness(g, c1, c2)
-        cover, switches = _pad_to_degree(raw_cover, raw_switches, c1, beta(d))
-    else:
-        cover, switches = _misaligned_witness(g, c1, c2, d)
-    return EquivalenceWitness(g, c1, c2, cover, switches)
+        return _base_two_witness(g, c1, c2)
+    if len(connected_components(g)) > 1:
+        return _per_component_witness(g, c1, c2, d)
+    if c1.color_class(d) == c2.color_class(d):
+        cover, switches = _aligned_witness(g, c1, c2, d)
+        return _pad_to_degree(cover, switches, c1, beta(d))
+    return _misaligned_witness(g, c1, c2, d)

@@ -27,6 +27,8 @@ from .errors import EnumerationLimitError, GraphStructureError, RegularityError
 from .graph import EdgeId, Multigraph, is_regular
 
 DEFAULT_MAX_EDGES = 30
+#: enumeration and path search stop beyond this many colorings (seconds of work)
+MAX_COLORINGS = 400_000
 #: above this edge count the instance generator stops sampling the second
 #: coloring uniformly and falls back to a color permutation plus switch walk
 SAMPLING_MAX_EDGES = 24
@@ -78,6 +80,8 @@ def _color_vectors(g: Multigraph, max_edges: int) -> tuple[int, list[tuple[Color
 
     def backtrack(k: int) -> None:
         if k == len(steps):
+            if len(found) == MAX_COLORINGS:
+                raise EnumerationLimitError(f"more than {MAX_COLORINGS} legal colorings")
             found.append(tuple(assignment))
             return
         p, u, v = steps[k]
@@ -100,7 +104,7 @@ def enumerate_legal_colorings(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES)
     """All legal colorings, in increasing edge-id-lexicographic order.
 
     Backtracks over edges with per-vertex used-color bitmasks. Refuses graphs
-    with more than ``max_edges`` edges instead of hanging.
+    with more than ``max_edges`` edges or ``MAX_COLORINGS`` colorings.
     """
     d, vectors = _color_vectors(g, max_edges)
     ids = g.edge_ids()
@@ -177,7 +181,7 @@ def equivalent_without_cover(
     """A shortest switch sequence from c1 to c2 on the graph itself, if any.
 
     Returns None when the colorings lie in different Kempe classes (the case
-    that forces passing to a cover).
+    that forces passing to a cover). Stops beyond ``MAX_COLORINGS`` colorings.
     """
     d = common_degree(g, c1, c2)
     if g.edge_count > max_edges:
@@ -200,6 +204,8 @@ def equivalent_without_cover(
                 seen[neighbor] = seen[current] + (BichromaticCycle(pair, walk),)
                 if neighbor == goal:
                     return seen[neighbor]
+                if len(seen) > MAX_COLORINGS:
+                    raise EnumerationLimitError(f"more than {MAX_COLORINGS} colorings searched")
                 nxt.append(neighbor)
         frontier = nxt
     return None
@@ -231,8 +237,13 @@ def random_colored_instance(
     half = n // 2
     c1 = EdgeColoring(d, {e: e // half + 1 for e in g.edge_ids()})
 
+    legal = None
     if g.edge_count <= SAMPLING_MAX_EDGES:
-        _, legal = _color_vectors(g, DEFAULT_MAX_EDGES)
+        try:
+            _, legal = _color_vectors(g, DEFAULT_MAX_EDGES)
+        except EnumerationLimitError:  # too many colorings to sample from
+            pass
+    if legal is not None:
         c2 = EdgeColoring(d, dict(zip(g.edge_ids(), legal[rng.randrange(len(legal))])))
     else:
         shuffled = list(range(1, d + 1))

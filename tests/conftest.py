@@ -1,6 +1,9 @@
+import sys
+from collections import Counter
+
 import pytest
 
-from kempe_covers import EdgeColoring, Multigraph
+from kempe_covers import EdgeColoring, Multigraph, alignment, covering, is_legal, verify_covering
 
 
 def pytest_runtest_logreport(report):
@@ -82,3 +85,58 @@ def petersen():
 @pytest.fixture
 def cube():
     return make_cube()
+
+
+def _checking_covers(fn, checked):
+    def wrapped(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        p, *colorings = result if isinstance(result, tuple) else (result,)
+        verdict = verify_covering(p)
+        assert verdict, f"{fn.__name__} built a map that is not a covering: {verdict.reason}"
+        assert all(is_legal(p.source, c) for c in colorings), f"{fn.__name__} built an illegal coloring"
+        checked[fn.__name__] += 1
+        return result
+
+    return wrapped
+
+
+def _checking_pullbacks(fn, checked):
+    def wrapped(p, c):
+        pulled = fn(p, c)
+        assert is_legal(p.source, pulled), "a pull-back came out illegal"
+        checked[fn.__name__] += 1
+        return pulled
+
+    return wrapped
+
+
+@pytest.fixture(scope="module")
+def checked_layers():
+    """Re-prove what the construction trusts, for every test in the module.
+
+    The library proves its inputs once and builds every later cover and
+    coloring from lemmas, without checking them again. While this fixture
+    is active, every cover that ``compose``, ``copies_cover``,
+    ``extend_subgraph_cover`` and ``build_alignment_cover`` return must pass
+    ``verify_covering`` (and the shifted coloring ``is_legal``), and every
+    ``pullback_coloring`` result must be legal. Each function is replaced in
+    every ``kempe_covers`` namespace that binds it, so calls between layers
+    are checked too. Yields the number of checked results per function.
+    """
+    checked = Counter()
+    wrappers = {
+        covering.compose: _checking_covers,
+        covering.copies_cover: _checking_covers,
+        covering.extend_subgraph_cover: _checking_covers,
+        alignment.build_alignment_cover: _checking_covers,
+        covering.pullback_coloring: _checking_pullbacks,
+    }
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "kempe_covers"]
+    with pytest.MonkeyPatch.context() as mp:
+        for original, wrap in wrappers.items():
+            wrapper = wrap(original, checked)
+            for module in modules:
+                for attr, value in vars(module).copy().items():
+                    if value is original:
+                        mp.setattr(module, attr, wrapper)
+        yield checked

@@ -253,6 +253,17 @@ def test_classes_petersen(capsys):
     assert "0 colorings" in capsys.readouterr().out
 
 
+def test_classes_stops_at_the_coloring_bound(tmp_path, capsys, monkeypatch):
+    # 12 parallel edges pass the 30-edge bound but have 12! legal colorings
+    monkeypatch.setattr(kempe_covers.oracle, "MAX_COLORINGS", 1000)
+    path = tmp_path / "theta12.json"
+    dump_json(instance_to_json(Multigraph.from_edges(2, [(0, 1)] * 12), {}), path)
+    assert main(["classes", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: more than 1000 legal colorings"]
+
+
 def test_gen_roundtrip(tmp_path, capsys):
     out = tmp_path / "inst.json"
     assert main(["gen", "--seed", "42", "--degree", "3", "--vertices", "8",

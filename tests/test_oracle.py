@@ -17,6 +17,7 @@ from kempe_covers import (
     is_legal,
     is_regular,
     kempe_class_partition,
+    oracle,
     random_colored_instance,
 )
 from kempe_covers.coloring import _transpose
@@ -149,6 +150,31 @@ def test_random_instance_rejects_bad_parameters():
         random_colored_instance(0, 3, 7)
     with pytest.raises(GraphStructureError):
         random_colored_instance(0, 0, 8)
+
+
+def test_enumeration_and_search_stop_at_the_coloring_bound(monkeypatch, theta, k33, k33_pair):
+    monkeypatch.setattr(oracle, "MAX_COLORINGS", 5)
+    with pytest.raises(EnumerationLimitError, match="more than 5 legal colorings"):
+        enumerate_legal_colorings(theta)  # six colorings
+    with pytest.raises(EnumerationLimitError):
+        kempe_class_partition(theta)
+    # the search from c1 sees its whole class of six before it gives up
+    with pytest.raises(EnumerationLimitError, match="more than 5 colorings searched"):
+        equivalent_without_cover(k33, *k33_pair)
+    monkeypatch.setattr(oracle, "MAX_COLORINGS", 6)
+    assert len(enumerate_legal_colorings(theta)) == 6
+    assert equivalent_without_cover(k33, *k33_pair) is None
+
+
+def test_instance_beyond_the_coloring_bound_uses_walk_fallback(monkeypatch):
+    # d=6 n=8: 24 edges, within the sampling cap, but far more colorings than the bound
+    monkeypatch.setattr(oracle, "MAX_COLORINGS", 1000)
+    for seed in range(3):
+        g, c1, c2 = random_colored_instance(seed, 6, 8)
+        assert g.edge_count == 24 and is_legal(g, c1) and is_legal(g, c2)
+        assert (g, c1, c2) == random_colored_instance(seed, 6, 8)
+        with pytest.raises(EnumerationLimitError):
+            enumerate_legal_colorings(g)
 
 
 def test_large_instance_uses_walk_fallback():

@@ -1,5 +1,10 @@
-"""Property-based checks over seeded random instances."""
+"""Property-based checks over seeded random instances.
 
+Every test here runs under ``checked_layers``, which re-proves each cover
+and pull-back that the construction builds without checking.
+"""
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from kempe_covers import (
@@ -32,6 +37,17 @@ SHAPES3 = st.sampled_from([(3, 6), (3, 8), (3, 10)])
 SHAPES = st.sampled_from([(2, 6), (2, 8), (3, 6), (3, 8), (4, 6)])
 
 RELAXED = settings(max_examples=60, deadline=None)
+
+pytestmark = pytest.mark.usefixtures("checked_layers")
+
+
+def test_checked_layers_see_every_construction(checked_layers):
+    before = dict(checked_layers)
+    w = kempe_cover_witness(*random_colored_instance(2, 4, 8))
+    assert verify_witness(w)
+    for name in ("compose", "copies_cover", "extend_subgraph_cover", "build_alignment_cover",
+                 "pullback_coloring"):
+        assert checked_layers[name] > before.get(name, 0), name
 
 
 @RELAXED

@@ -5,9 +5,11 @@ Each test counts calls to a known-expensive operation on a d=4 witness with
 requires the counts to match: the cost must not grow with the switch count.
 The appended switches repeat the last switch an even number of times, which
 flips one component back and forth and leaves the verdict unchanged.
-The oracle tests count the `EdgeColoring`s and `bichromatic_cycles` calls
-of one census and two queries, which must not grow with the switches
-the breadth-first search tries.
+The construction tests count the input and cover checks of one alignment
+and one witness build: each input is proven once, and no derived cover is
+proven again. The oracle tests count the `EdgeColoring`s and
+`bichromatic_cycles` calls of one census and two queries, which must not
+grow with the switches the breadth-first search tries.
 """
 
 import pytest
@@ -61,7 +63,7 @@ def counter(monkeypatch, owners, name):
 
 
 def test_verify_witness_cost_is_independent_of_switch_count(monkeypatch, witnesses):
-    legal = counter(monkeypatch, (coloring, covering, equivalence), "is_legal")
+    legal = counter(monkeypatch, (coloring, equivalence), "is_legal")
     built = counter(monkeypatch, (EdgeColoring,), "__init__")
     counts = []
     for w in witnesses:
@@ -115,13 +117,23 @@ def test_align_color_checks_its_inputs_once(monkeypatch):
     g, c1, c2 = random_colored_instance(1, 4, 20)
     splits = counter(monkeypatch, (alignment,), "split_color_d")
     degrees = counter(monkeypatch, (coloring, alignment), "common_degree")
-    legal = counter(monkeypatch, (coloring, covering), "is_legal")
+    legal = counter(monkeypatch, (coloring,), "is_legal")
     result = align_color(g, c1, c2)
     assert result.switches
     assert len(splits) == len(degrees) == 1
-    # once per input coloring on the base; the cover's two checks stay
+    # once per input coloring on the base; the cover is legal by construction
     assert [c for graph, c in legal if graph is g] == [c1, c2]
-    assert len(legal) == 4
+    assert len(legal) == 2
+
+
+def test_kempe_cover_witness_proves_its_inputs_once(monkeypatch):
+    g, c1, c2 = random_colored_instance(1, 5, 6)
+    covers = counter(monkeypatch, (covering, equivalence), "verify_covering")
+    degrees = counter(monkeypatch, (equivalence,), "common_degree")
+    w = kempe_cover_witness(g, c1, c2)
+    assert w.cover.degree == 576 and len(w.switches) == 5088
+    assert covers == []
+    assert degrees == [(g, c1, c2)]
 
 
 @pytest.fixture(scope="module")

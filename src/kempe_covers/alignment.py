@@ -95,7 +95,11 @@ def split_color_d(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> ColorDSp
     Validates the inputs; the structure then holds because both classes are
     perfect matchings.
     """
-    d = common_degree(g, c1, c2)
+    return _split_color_d(g, c1, c2, common_degree(g, c1, c2))
+
+
+def _split_color_d(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring, d: int) -> ColorDSplit:
+    """:func:`split_color_d` on inputs the caller has proved: ``g`` d-regular, both legal."""
     class1 = c1.color_class(d)
     class2 = c2.color_class(d)
     shared = class1 & class2
@@ -118,7 +122,17 @@ def alignment_data(
     orientation: Orientation | None = None,
 ) -> AlignmentData:
     """Anchor edges, vertex shifts, and edge offsets for the alignment cover."""
-    split = split_color_d(g, c1, c2)
+    return _alignment_data(g, c1, c2, split_color_d(g, c1, c2), orientation)
+
+
+def _alignment_data(
+    g: Multigraph,
+    c1: EdgeColoring,
+    c2: EdgeColoring,
+    split: ColorDSplit,
+    orientation: Orientation | None,
+) -> AlignmentData:
+    """:func:`alignment_data` from a split of proved inputs; a given orientation is still checked."""
     d = split.degree
     if d < 2:
         raise RegularityError("alignment needs degree at least 2 (no residues mod 0)")
@@ -170,7 +184,13 @@ def build_alignment_cover(
     are validated; the cover and the shifted coloring are legal by
     construction and are not re-checked.
     """
-    data = alignment_data(g, c1, c2, orientation)
+    return _build_alignment_cover(g, c1, alignment_data(g, c1, c2, orientation))
+
+
+def _build_alignment_cover(
+    g: Multigraph, c1: EdgeColoring, data: AlignmentData
+) -> tuple[CoveringMap, EdgeColoring]:
+    """:func:`build_alignment_cover` from the data of proved inputs."""
     d = c1.degree
     modulus = data.modulus
 
@@ -241,11 +261,20 @@ def align_color(
     shifted coloring (one per sheet per moving cycle); switching them all
     makes the top-color class agree with the c2 pull-back, edge for edge.
     """
-    p, shifted = build_alignment_cover(g, c1, c2, orientation)
-    d = c1.degree
-    moving = c1.color_class(d) ^ c2.color_class(d)  # split_color_d ran in the cover build
+    return _align_color(g, c1, c2, split_color_d(g, c1, c2), orientation)
 
-    member = [e for e in p.source.edge_ids() if p.edge_image(e) in moving]
+
+def _align_color(
+    g: Multigraph,
+    c1: EdgeColoring,
+    c2: EdgeColoring,
+    split: ColorDSplit,
+    orientation: Orientation | None = None,
+) -> AlignColorResult:
+    """:func:`align_color` from the split of proved inputs; the recursion enters here."""
+    p, shifted = _build_alignment_cover(g, c1, _alignment_data(g, c1, c2, split, orientation))
+    d = split.degree
+    member = [e for e in p.source.edge_ids() if p.edge_image(e) in split.moving]
     switches = []
     for walk in _cycle_decomposition(p.source, member):
         cycle_colors = sorted({shifted[f] for f, _ in walk})

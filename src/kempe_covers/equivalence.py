@@ -8,6 +8,10 @@ beta(d) = (d-1) * beta(d-1)^2. The construction is a recursion on d:
 * d <= 2: no cover is needed. A 2-regular graph is a union of even cycles,
   each a single bi-chromatic cycle; switching the cycles where the two
   colorings differ transforms one into the other.
+* disconnected: witness every connected component on its own and take the
+  disjoint union. Identical components (the same relabelled edges and the
+  same colors on them) are solved once per split; their padded cover and
+  switches are shared between the parts, which only read them.
 * top-color classes already equal: drop the top color. The remaining edges
   form a spanning (d-1)-regular subgraph carrying both colorings; recurse
   there, extend the resulting cover to the full graph (the top-color edges
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alignment import align_color
+from .alignment import _align_color, _split_color_d
 from .coloring import (
     BichromaticCycle,
     EdgeColoring,
@@ -192,7 +196,7 @@ def _misaligned_witness(
     g: Multigraph, c1: EdgeColoring, c2: EdgeColoring, d: int
 ) -> tuple[CoveringMap, SwitchSequence]:
     """Align the top color, then run the aligned recursion on both sides."""
-    ar = align_color(g, c1, c2)
+    ar = _align_color(g, c1, c2, _split_color_d(g, c1, c2, d))
     p = ar.cover
     c1_up = pullback_coloring(p, c1)
     c2_up = pullback_coloring(p, c2)
@@ -214,32 +218,44 @@ def _misaligned_witness(
 
 def _induced_component(
     g: Multigraph, vertices: frozenset[VertexId]
-) -> tuple[Multigraph, tuple[VertexId, ...], dict[EdgeId, EdgeId]]:
-    """Component as a fresh dense graph plus maps back into ``g``."""
+) -> tuple[tuple[tuple[VertexId, VertexId], ...], tuple[VertexId, ...], tuple[EdgeId, ...]]:
+    """Component relabelled densely: its edge pairs, plus vertex and edge ids back in ``g``."""
     ordered = sorted(vertices)
     to_sub = {v: k for k, v in enumerate(ordered)}
-    edge_ids = [e for e in g.edge_ids() if g.endpoints(e)[0] in vertices]
+    edge_ids = tuple(e for e in g.edge_ids() if g.endpoints(e)[0] in vertices)
     pairs = []
     for e in edge_ids:
         u, w = g.endpoints(e)
         pairs.append((to_sub[u], to_sub[w]))
-    sub = Multigraph.from_edges(len(ordered), pairs)
-    return sub, tuple(ordered), dict(enumerate(edge_ids))
+    return tuple(pairs), tuple(ordered), edge_ids
 
 
 def _per_component_witness(
     g: Multigraph, c1: EdgeColoring, c2: EdgeColoring, d: int
 ) -> tuple[CoveringMap, SwitchSequence]:
-    """Witness each component separately, pad to beta(d), take the union."""
+    """Witness each component separately, pad to beta(d), take the union.
+
+    Identical components are solved once per call: two components with the
+    same relabelled edge pairs and the same colors on them get the same
+    padded witness, so the first one's is reused for the rest. The key holds
+    the edge ids (dense, in pair order), because the witness carries them.
+    A reused pair is shared between parts and only read.
+    """
     target = beta(d)
+    solved: dict[tuple, tuple[CoveringMap, SwitchSequence]] = {}
     parts = []
     for comp in connected_components(g):
-        sub, vback, eback = _induced_component(g, comp)
-        sub_c1 = EdgeColoring(d, {e: c1[eback[e]] for e in sub.edge_ids()})
-        sub_c2 = EdgeColoring(d, {e: c2[eback[e]] for e in sub.edge_ids()})
-        cover, switches = _witness(sub, sub_c1, sub_c2, d)
-        cover, switches = _pad_to_degree(cover, switches, sub_c1, target)
-        parts.append((cover, switches, vback, eback))
+        pairs, vback, eback = _induced_component(g, comp)
+        colors1 = tuple(c1[e] for e in eback)
+        colors2 = tuple(c2[e] for e in eback)
+        key = (len(vback), pairs, colors1, colors2)
+        if key not in solved:
+            sub = Multigraph.from_edges(len(vback), pairs)
+            sub_c1 = EdgeColoring(d, dict(enumerate(colors1)))
+            sub_c2 = EdgeColoring(d, dict(enumerate(colors2)))
+            cover, switches = _witness(sub, sub_c1, sub_c2, d)
+            solved[key] = _pad_to_degree(cover, switches, sub_c1, target)
+        parts.append((*solved[key], vback, eback))
 
     union, vmaps, emaps = disjoint_union([cover.source for cover, _, _, _ in parts])
     vertex_map = [0] * union.vertex_count

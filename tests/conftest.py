@@ -117,18 +117,20 @@ def checked_layers():
     The library proves its inputs once and builds every later cover and
     coloring from lemmas, without checking them again. While this fixture
     is active, every cover that ``compose``, ``copies_cover``,
-    ``extend_subgraph_cover`` and ``build_alignment_cover`` return must pass
+    ``extend_subgraph_cover`` and ``_build_alignment_cover`` return must pass
     ``verify_covering`` (and the shifted coloring ``is_legal``), and every
     ``pullback_coloring`` result must be legal. Each function is replaced in
     every ``kempe_covers`` namespace that binds it, so calls between layers
-    are checked too. Yields the number of checked results per function.
+    are checked too. ``_build_alignment_cover`` is the builder behind both
+    the public ``build_alignment_cover`` and the recursion's private
+    alignment entry. Yields the number of checked results per function.
     """
     checked = Counter()
     wrappers = {
         covering.compose: _checking_covers,
         covering.copies_cover: _checking_covers,
         covering.extend_subgraph_cover: _checking_covers,
-        alignment.build_alignment_cover: _checking_covers,
+        alignment._build_alignment_cover: _checking_covers,
         covering.pullback_coloring: _checking_pullbacks,
     }
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "kempe_covers"]

@@ -15,6 +15,7 @@ from kempe_covers import (
     connected_components,
     copies_cover,
     disjoint_copies,
+    equivalence,
     equivalent_without_cover,
     is_legal,
     kempe_cover_witness,
@@ -95,6 +96,50 @@ def test_disconnected_input_single_cover(k33, k33_pair):
     w = kempe_cover_witness(g, c1, c2)
     assert w.cover.degree == beta(3)
     assert verify_witness(w)
+
+
+def k33_copies(pairs):
+    """Disjoint K3,3 copies; copy k is colored from ``pairs[k][0]`` to ``pairs[k][1]``."""
+    g, _, edge_origin = disjoint_copies(make_k33(), len(pairs))
+    start = EdgeColoring(3, {e: pairs[k][0][old] for e, (old, k) in edge_origin.items()})
+    goal = EdgeColoring(3, {e: pairs[k][1][old] for e, (old, k) in edge_origin.items()})
+    return g, start, goal
+
+
+def component_calls(monkeypatch, component):
+    """Record the (start, goal) of every recursion call on ``component``."""
+    calls = []
+    original = equivalence._witness
+
+    def counted(g, c1, c2, d):
+        if g == component:
+            calls.append((c1, c2))
+        return original(g, c1, c2, d)
+
+    monkeypatch.setattr(equivalence, "_witness", counted)
+    return calls
+
+
+def test_identical_components_are_built_once(monkeypatch, k33, k33_pair):
+    single = kempe_cover_witness(k33, *k33_pair)
+    calls = component_calls(monkeypatch, k33)
+    w = kempe_cover_witness(*k33_copies([k33_pair] * 3))
+    assert calls == [k33_pair]
+    assert w.cover.degree == beta(3)
+    assert len(w.switches) == 3 * len(single.switches)
+    verdict = verify_witness(w)
+    assert verdict, verdict.reason
+
+
+def test_components_that_differ_only_in_coloring_are_built_apart(monkeypatch, k33, k33_pair):
+    c1, c2 = k33_pair
+    forward, backward, still = (c1, c2), (c2, c1), (c1, c1)
+    calls = component_calls(monkeypatch, k33)
+    w = kempe_cover_witness(*k33_copies([forward, backward, still, forward, backward]))
+    assert calls == [forward, backward, still]
+    assert w.cover.degree == beta(3)
+    verdict = verify_witness(w)
+    assert verdict, verdict.reason
 
 
 def test_witness_rejects_illegal_coloring():

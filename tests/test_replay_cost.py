@@ -7,10 +7,13 @@ The appended switches repeat the last switch an even number of times, which
 flips one component back and forth and leaves the verdict unchanged.
 The construction tests count the input and cover checks of one alignment
 and one witness build: each input is proven once, and no derived cover is
-proven again. The oracle tests count the `EdgeColoring`s and
+proven again. They also count the recursion's calls, so that identical
+components stay built once. The oracle tests count the `EdgeColoring`s and
 `bichromatic_cycles` calls of one census and two queries, which must not
 grow with the switches the breadth-first search tries.
 """
+
+import sys
 
 import pytest
 
@@ -60,6 +63,15 @@ def counter(monkeypatch, owners, name):
     for owner in owners:
         monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def bindings(name):
+    """Every ``kempe_covers`` module that binds ``coloring.<name>``."""
+    fn = getattr(coloring, name)
+    return tuple(
+        module for key, module in sys.modules.items()
+        if key.split(".")[0] == "kempe_covers" and getattr(module, name, None) is fn
+    )
 
 
 def test_verify_witness_cost_is_independent_of_switch_count(monkeypatch, witnesses):
@@ -129,11 +141,22 @@ def test_align_color_checks_its_inputs_once(monkeypatch):
 def test_kempe_cover_witness_proves_its_inputs_once(monkeypatch):
     g, c1, c2 = random_colored_instance(1, 5, 6)
     covers = counter(monkeypatch, (covering, equivalence), "verify_covering")
-    degrees = counter(monkeypatch, (equivalence,), "common_degree")
+    degrees = counter(monkeypatch, bindings("common_degree"), "common_degree")
+    legal = counter(monkeypatch, bindings("is_legal"), "is_legal")
     w = kempe_cover_witness(g, c1, c2)
     assert w.cover.degree == 576 and len(w.switches) == 5088
     assert covers == []
     assert degrees == [(g, c1, c2)]
+    # the recursion aligns through a private entry that re-proves nothing
+    assert [(graph is g, c) for graph, c in legal] == [(True, c1), (True, c2)]
+
+
+def test_kempe_cover_witness_builds_each_distinct_component_once(monkeypatch):
+    g, c1, c2 = random_colored_instance(1, 5, 6)
+    calls = counter(monkeypatch, (equivalence,), "_witness")
+    w = kempe_cover_witness(g, c1, c2)
+    assert w.cover.degree == 576 and len(w.switches) == 5088
+    assert len(calls) == 95  # the top-level call included; 270 without reuse
 
 
 @pytest.fixture(scope="module")

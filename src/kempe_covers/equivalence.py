@@ -231,9 +231,13 @@ def _induced_component(
 
 
 def _per_component_witness(
-    g: Multigraph, c1: EdgeColoring, c2: EdgeColoring, d: int
+    g: Multigraph,
+    c1: EdgeColoring,
+    c2: EdgeColoring,
+    d: int,
+    components: list[frozenset[VertexId]],
 ) -> tuple[CoveringMap, SwitchSequence]:
-    """Witness each component separately, pad to beta(d), take the union.
+    """Witness each of the ``components`` of ``g`` on its own, pad to beta(d), take the union.
 
     Identical components are solved once per call: two components with the
     same relabelled edge pairs and the same colors on them get the same
@@ -244,7 +248,7 @@ def _per_component_witness(
     target = beta(d)
     solved: dict[tuple, tuple[CoveringMap, SwitchSequence]] = {}
     parts = []
-    for comp in connected_components(g):
+    for comp in components:
         pairs, vback, eback = _induced_component(g, comp)
         colors1 = tuple(c1[e] for e in eback)
         colors2 = tuple(c2[e] for e in eback)
@@ -295,8 +299,9 @@ def _witness(
     # d = 1 forces c1 == c2 (the only color is 1), so d >= 2 from here on.
     if d == 2:
         return _base_two_witness(g, c1, c2)
-    if len(connected_components(g)) > 1:
-        return _per_component_witness(g, c1, c2, d)
+    components = connected_components(g)
+    if len(components) > 1:
+        return _per_component_witness(g, c1, c2, d, components)
     if c1.color_class(d) == c2.color_class(d):
         cover, switches = _aligned_witness(g, c1, c2, d)
         return _pad_to_degree(cover, switches, c1, beta(d))

@@ -12,19 +12,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Iterable
 
 from .coloring import (
     BichromaticCycle,
     Color,
     EdgeColoring,
     SwitchSequence,
-    _cycle_decomposition,
     bichromatic_cycles,
     common_degree,
     kempe_switch,
 )
 from .errors import EnumerationLimitError, GraphStructureError, RegularityError
-from .graph import EdgeId, Multigraph, is_regular
+from .graph import Multigraph, is_regular
 
 DEFAULT_MAX_EDGES = 30
 #: enumeration and path search stop beyond this many colorings (seconds of work)
@@ -111,35 +111,78 @@ def enumerate_legal_colorings(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES)
     return [EdgeColoring(d, dict(zip(ids, vector))) for vector in vectors]
 
 
-def _switch_neighbors(g: Multigraph, colors: tuple[Color, ...], degree: int, position: dict[EdgeId, int]):
-    """Every (color pair, closed walk, switched tuple) one Kempe switch away.
+def _pack(colors: Iterable[Color], width: int) -> int:
+    """A coloring as one integer: the color at position p fills bits width*p onwards."""
+    return sum(color << (width * p) for p, color in enumerate(colors))
 
-    ``colors`` lists one color per edge in edge-id order and ``position``
-    maps an edge id to its index there. The walks are flipped unchecked.
+
+def _switch_walker(g: Multigraph, d: int):
+    """The Kempe-switch neighbours of a packed legal coloring of the d-regular ``g``.
+
+    Colorings are keyed by :func:`_pack` over edge-id order, with width
+    ``d.bit_length()``. The returned function yields, for every color pair
+    in order and every component of that pair in canonical order, the pair,
+    the component's dart list and a mask: the key XOR the mask is the
+    switched coloring, since ``c ^ (lo ^ hi)`` swaps ``lo`` and ``hi``.
+    Per coloring it fills one vertex-by-color table of edge positions; a
+    component is walked by alternating lookups in two of its rows, from its
+    smallest position at slot 0, so it comes out as ``_cycle_decomposition``
+    gives it. The table is total because every key fed in is a legal coloring.
     """
-    for pair in combinations(range(1, degree + 1), 2):
-        lo, hi = pair
-        member = [e for e, p in position.items() if colors[p] == lo or colors[p] == hi]
-        for walk in _cycle_decomposition(g, member):
-            flipped = list(colors)
-            for e, _ in walk:
-                p = position[e]
-                flipped[p] = lo + hi - flipped[p]
-            yield pair, walk, tuple(flipped)
+    ids = g.edge_ids()
+    width = d.bit_length()
+    field = (1 << width) - 1
+    ends = [g._edges[e] for e in ids]
+    tail = [u for u, _ in ends]
+    head = [v for _, v in ends]
+    cross = [u ^ v for u, v in ends]
+    unit = [1 << shift for shift in range(0, width * len(ids), width)]
+    darts = [((e, 0), (e, 1)) for e in ids]
+    pairs = [(pair, pair[0] ^ pair[1]) for pair in combinations(range(1, d + 1), 2)]
+    n = g.vertex_count
 
+    def neighbors(key: int):
+        rows = [[0] * n for _ in range(d + 1)]
+        spread = [0] * (d + 1)
+        rest = key
+        for p, bit in enumerate(unit):
+            color = rest & field
+            rest >>= width
+            row = rows[color]
+            row[tail[p]] = p
+            row[head[p]] = p
+            spread[color] |= bit
+        for pair, flip in pairs:
+            lo, hi = pair
+            todo = spread[lo] | spread[hi]
+            while todo:
+                covered = todo & -todo
+                first = (covered.bit_length() - 1) // width
+                here, there = (rows[hi], rows[lo]) if spread[lo] & covered else (rows[lo], rows[hi])
+                walk = [darts[first][0]]
+                x = head[first]
+                p = here[x]
+                while p != first:
+                    walk.append(darts[p][tail[p] != x])
+                    covered |= unit[p]
+                    x ^= cross[p]
+                    here, there = there, here
+                    p = here[x]
+                todo ^= covered
+                yield pair, walk, flip * covered
 
-def _vector(c: EdgeColoring, ids: tuple[EdgeId, ...]) -> tuple[Color, ...]:
-    """The colors of a total coloring, listed in the order of ``ids``."""
-    return tuple(map(c._colors.__getitem__, ids))
+    return neighbors
 
 
 def kempe_class_partition(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> ColoringCensus:
     """Partition all legal colorings into Kempe classes by BFS closure."""
-    colorings = enumerate_legal_colorings(g, max_edges)
+    d, vectors = _color_vectors(g, max_edges)
     ids = g.edge_ids()
-    position = {e: p for p, e in enumerate(ids)}
-    vectors = [_vector(c, ids) for c in colorings]
-    index_of = {vector: k for k, vector in enumerate(vectors)}
+    colorings = [EdgeColoring(d, dict(zip(ids, vector))) for vector in vectors]
+    width = d.bit_length()
+    keys = [_pack(vector, width) for vector in vectors]
+    index_of = {key: k for k, key in enumerate(keys)}
+    neighbors = _switch_walker(g, d)
     paths: dict[int, SwitchSequence] = {}
     classes: list[tuple[int, ...]] = []
     visited = [False] * len(colorings)
@@ -153,12 +196,12 @@ def kempe_class_partition(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> 
         while frontier:
             nxt = []
             for idx in frontier:
-                switches = _switch_neighbors(g, vectors[idx], colorings[idx].degree, position)
-                for pair, walk, neighbor in switches:
-                    n_idx = index_of[neighbor]
+                key = keys[idx]
+                for pair, walk, mask in neighbors(key):
+                    n_idx = index_of[key ^ mask]
                     if not visited[n_idx]:
                         visited[n_idx] = True
-                        paths[n_idx] = paths[idx] + (BichromaticCycle(pair, walk),)
+                        paths[n_idx] = paths[idx] + (BichromaticCycle(pair, tuple(walk)),)
                         members.append(n_idx)
                         nxt.append(n_idx)
             frontier = nxt
@@ -188,23 +231,30 @@ def equivalent_without_cover(
         raise EnumerationLimitError(
             f"{g.edge_count} edges exceeds the enumeration bound {max_edges}"
         )
-    ids = g.edge_ids()
-    start, goal = _vector(c1, ids), _vector(c2, ids)
+    ids, width = g.edge_ids(), d.bit_length()
+    start = _pack(map(c1._colors.__getitem__, ids), width)
+    goal = _pack(map(c2._colors.__getitem__, ids), width)
     if start == goal:
         return ()
-    position = {e: p for p, e in enumerate(ids)}
-    seen = {start: ()}
+    neighbors = _switch_walker(g, d)
+    # each reached key -> (the key it was reached from, the switch's pair and walk)
+    parent: dict[int, tuple | None] = {start: None}
     frontier = [start]
     while frontier:
         nxt = []
         for current in frontier:
-            for pair, walk, neighbor in _switch_neighbors(g, current, d, position):
-                if neighbor in seen:
+            for pair, walk, mask in neighbors(current):
+                neighbor = current ^ mask
+                if neighbor in parent:
                     continue
-                seen[neighbor] = seen[current] + (BichromaticCycle(pair, walk),)
+                parent[neighbor] = (current, pair, walk)
                 if neighbor == goal:
-                    return seen[neighbor]
-                if len(seen) > MAX_COLORINGS:
+                    path = []
+                    while neighbor != start:
+                        neighbor, pair, walk = parent[neighbor]
+                        path.append(BichromaticCycle(pair, tuple(walk)))
+                    return tuple(reversed(path))
+                if len(parent) > MAX_COLORINGS:
                     raise EnumerationLimitError(f"more than {MAX_COLORINGS} colorings searched")
                 nxt.append(neighbor)
         frontier = nxt

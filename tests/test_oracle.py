@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kempe_covers import (
+    BichromaticCycle,
     EdgeColoring,
     EnumerationLimitError,
     Multigraph,
@@ -17,11 +18,12 @@ from kempe_covers import (
     is_legal,
     is_regular,
     kempe_class_partition,
+    kempe_switch,
     oracle,
     random_colored_instance,
 )
 from kempe_covers.coloring import _transpose
-from kempe_covers.oracle import DEFAULT_MAX_EDGES, _enumeration_order
+from kempe_covers.oracle import DEFAULT_MAX_EDGES, _enumeration_order, _pack, _switch_walker
 
 from conftest import make_cube, make_k33, make_theta
 
@@ -324,3 +326,35 @@ def test_gapped_base_has_edge_ids_that_are_not_positions():
     g = gapped_base()
     assert is_regular(g) == 3
     assert g.edge_ids() != tuple(range(g.edge_count))
+
+
+# -- the packed-key switch walk beyond census sizes ----------------------------
+#
+# Up to 60 edges: cycles longer than a census base has, and keys wider than
+# 30 edges' worth of color fields.
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([(3, 24), (3, 40), (4, 16), (4, 30), (5, 12), (5, 24)]),
+    st.data(),
+)
+def test_switch_walker_matches_bichromatic_cycles(seed, shape, data):
+    d, n = shape
+    g, _, c2 = random_colored_instance(seed, d, n)
+    ids, width = g.edge_ids(), d.bit_length()
+
+    def key(c):
+        return _pack((c[e] for e in ids), width)
+
+    walked = list(_switch_walker(g, d)(key(c2)))
+    expected = [cycle for i, j in combinations(range(1, d + 1), 2)
+                for cycle in bichromatic_cycles(g, c2, i, j)]
+    assert [BichromaticCycle(pair, tuple(walk)) for pair, walk, _ in walked] == expected
+    for cycle, (_, _, mask) in zip(expected, walked):
+        assert key(c2) ^ mask == key(kempe_switch(g, c2, cycle))
+    goal = kempe_switch(g, c2, data.draw(st.sampled_from(expected)))
+    path = equivalent_without_cover(g, c2, goal, max_edges=60)
+    assert path is not None and len(path) <= 1
+    assert apply_sequence(g, c2, path) == goal

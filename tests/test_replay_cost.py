@@ -8,9 +8,11 @@ flips one component back and forth and leaves the verdict unchanged.
 The construction tests count the input and cover checks of one alignment
 and one witness build: each input is proven once, and no derived cover is
 proven again. They also count the recursion's calls, so that identical
-components stay built once. The oracle tests count the `EdgeColoring`s and
-`bichromatic_cycles` calls of one census and two queries, which must not
-grow with the switches the breadth-first search tries.
+components stay built once. The oracle tests count the `EdgeColoring`s,
+`BichromaticCycle`s, `bichromatic_cycles` calls and cycle decompositions of
+a census and its queries, which must not grow with the switches the
+breadth-first search tries: one cycle per coloring it reaches, or per step
+of the path it returns.
 """
 
 import sys
@@ -18,6 +20,7 @@ import sys
 import pytest
 
 from kempe_covers import (
+    BichromaticCycle,
     CoveringMap,
     EdgeColoring,
     EquivalenceWitness,
@@ -154,9 +157,12 @@ def test_kempe_cover_witness_proves_its_inputs_once(monkeypatch):
 def test_kempe_cover_witness_builds_each_distinct_component_once(monkeypatch):
     g, c1, c2 = random_colored_instance(1, 5, 6)
     calls = counter(monkeypatch, (equivalence,), "_witness")
+    scans = counter(monkeypatch, (equivalence,), "connected_components")
     w = kempe_cover_witness(g, c1, c2)
     assert w.cover.degree == 576 and len(w.switches) == 5088
     assert len(calls) == 95  # the top-level call included; 270 without reuse
+    # one scan per call that reaches the component test; 57 when the split re-scanned
+    assert len(scans) == 43
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +189,27 @@ def test_equivalent_without_cover_builds_no_coloring(monkeypatch, census):
     assert equivalent_without_cover(g, start, census.colorings[member]) == census.paths[member]
     assert equivalent_without_cover(g, start, census.colorings[census.representatives[1]]) is None
     assert built == [] and cycles == []
+
+
+def test_kempe_class_partition_builds_one_cycle_per_reached_coloring(monkeypatch):
+    g = random_colored_instance(1, 4, 8)[0]
+    decompositions = counter(monkeypatch, bindings("_cycle_decomposition"), "_cycle_decomposition")
+    cycles = counter(monkeypatch, (BichromaticCycle,), "__init__")
+    census = kempe_class_partition(g)
+    assert (len(census.colorings), len(census.classes)) == (192, 2)
+    assert decompositions == []
+    # each coloring but a class root is reached once, by one switch
+    assert len(cycles) == len(census.colorings) - len(census.classes) == 190
+
+
+def test_equivalent_without_cover_builds_only_the_returned_path(monkeypatch):
+    census = kempe_class_partition(random_colored_instance(1, 4, 8)[0])
+    members = census.classes[0]
+    member = max(members, key=lambda i: len(census.paths[i]))
+    start, goal = census.colorings[members[0]], census.colorings[member]
+    decompositions = counter(monkeypatch, bindings("_cycle_decomposition"), "_cycle_decomposition")
+    cycles = counter(monkeypatch, (BichromaticCycle,), "__init__")
+    path = equivalent_without_cover(census.graph, start, goal)
+    assert len(path) >= 2 and len(cycles) == len(path)
+    assert decompositions == []
+    assert path == census.paths[member]

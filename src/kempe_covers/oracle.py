@@ -1,6 +1,7 @@
 """Brute-force ground truth at desk scale.
 
-Exhaustively enumerates the legal edge colorings of a small graph,
+Exhaustively enumerates the legal edge colorings of a small graph, as
+ordered choices of disjoint perfect matchings for the color classes,
 partitions them into Kempe equivalence classes by breadth-first closure
 under single switches, and answers equivalence queries (with a shortest
 switch path) without passing to any cover. Also provides a seeded random
@@ -50,20 +51,47 @@ class ColoringCensus:
     paths: dict[int, SwitchSequence] = field(repr=False)
 
 
-def _enumeration_order(g: Multigraph) -> list[int]:
-    # vertex-local edge order prunes much earlier than raw id order
-    order = []
-    taken = set()
-    for v in g.vertices():
-        for e in g.edges_at(v):
-            if e not in taken:
-                taken.add(e)
-                order.append(e)
-    return order
+def _shifts(width: int, count: int) -> list[int]:
+    """Where each position's field starts in a :func:`_pack` key, position 0 first."""
+    return [width * p for p in range(count - 1, -1, -1)]
 
 
-def _color_vectors(g: Multigraph, max_edges: int) -> tuple[int, list[tuple[Color, ...]]]:
-    """The degree and every legal coloring as a color tuple in edge-id order, sorted."""
+def _pack(colors: Iterable[Color], width: int) -> int:
+    """A coloring as one integer: position 0 fills the most significant ``width`` bits."""
+    key = 0
+    for color in colors:
+        key = key << width | color
+    return key
+
+
+def _edge_colorings(g: Multigraph, d: int, keys: list[int]) -> list[EdgeColoring]:
+    """The colorings of ``g`` that :func:`_pack` keys with width ``d.bit_length()`` stand for."""
+    width = d.bit_length()
+    field = (1 << width) - 1
+    places = list(zip(g.edge_ids(), _shifts(width, g.edge_count)))
+    return [EdgeColoring(d, {e: key >> shift & field for e, shift in places}) for key in keys]
+
+
+class _TooManyMatchings(Exception):
+    """The perfect matchings of a base outnumber ``MAX_COLORINGS``."""
+
+
+def _coloring_keys(g: Multigraph, max_edges: int) -> tuple[int, list[int]]:
+    """The degree and every legal coloring as a :func:`_pack` key, sorted.
+
+    On a d-regular graph each color class of a legal coloring is a perfect
+    matching, so a coloring is an ordered choice of d pairwise disjoint
+    perfect matchings. The matchings are listed once, each as the sum of
+    its positions' field units; colors 1..d-1 pick disjoint ones, and color
+    d takes the edges left, which form a perfect matching. The key is the
+    sum of each color times its matching's units. Position 0 fills the most
+    significant field, so sorting the keys sorts the color tuples.
+
+    The list stops beyond ``MAX_COLORINGS`` matchings. The colorings are
+    then matched color by color instead, each color among the edges the
+    earlier ones left, so the search stops at coloring ``MAX_COLORINGS``
+    + 1 without listing every matching first.
+    """
     d = is_regular(g)
     if d is None:
         raise RegularityError("enumeration needs a regular graph")
@@ -71,49 +99,71 @@ def _color_vectors(g: Multigraph, max_edges: int) -> tuple[int, list[tuple[Color
         raise EnumerationLimitError(
             f"{g.edge_count} edges exceeds the enumeration bound {max_edges}"
         )
-    position = {e: p for p, e in enumerate(g._edges)}
-    steps = [(position[e], *g._edges[e]) for e in _enumeration_order(g)]
-    bits = [(color, 1 << color) for color in range(1, d + 1)]
-    used = [0] * g.vertex_count
-    assignment = [0] * g.edge_count
-    found: list[tuple[Color, ...]] = []
+    unit = [1 << shift for shift in _shifts(d.bit_length(), g.edge_count)]
+    partners: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
+    for bit, (u, v) in zip(unit, g._edges.values()):
+        partners[u].append((v, bit))
+        partners[v].append((u, bit))
+    everyone, every_edge = (1 << g.vertex_count) - 1, sum(unit)
+    keys: list[int] = []
+    matchings: list[int] = []
 
-    def backtrack(k: int) -> None:
-        if k == len(steps):
-            if len(found) == MAX_COLORINGS:
-                raise EnumerationLimitError(f"more than {MAX_COLORINGS} legal colorings")
-            found.append(tuple(assignment))
+    def match(free: int, left: int, units: int, complete) -> None:
+        # matches the lowest vertex in free along an edge in left; complete
+        # takes each perfect matching of the free vertices
+        if not free:
+            complete(units)
             return
-        p, u, v = steps[k]
-        for color, bit in bits:
-            if (used[u] | used[v]) & bit:
-                continue
-            assignment[p] = color
-            used[u] |= bit
-            used[v] |= bit
-            backtrack(k + 1)
-            used[u] ^= bit
-            used[v] ^= bit
+        low = free & -free
+        free ^= low
+        for w, bit in partners[low.bit_length() - 1]:
+            if bit & left and free >> w & 1:
+                match(free ^ 1 << w, left, units | bit, complete)
 
-    backtrack(0)
-    found.sort()
-    return d, found
+    def listed(units: int) -> None:
+        if len(matchings) == MAX_COLORINGS:
+            raise _TooManyMatchings
+        matchings.append(units)
+
+    def found(batch: list[int]) -> None:
+        keys.extend(batch)
+        if len(keys) > MAX_COLORINGS:
+            raise EnumerationLimitError(f"more than {MAX_COLORINGS} legal colorings")
+
+    def choose(c: int, candidates: list[int], key: int) -> None:
+        # colors below c are chosen; key colors every edge left with d, and
+        # taking matching M for color c lowers its edges by d - c
+        if c < d - 1:
+            for units in candidates:
+                choose(c + 1, [other for other in candidates if not other & units], key - (d - c) * units)
+            return
+        found([key - units for units in candidates] if c == d - 1 else [key])
+
+    def extend(c: int, left: int, key: int) -> None:
+        # as choose, with color c matched in left, the edges no earlier color took
+        if c < d:
+            match(everyone, left, 0, lambda units: extend(c + 1, left ^ units, key - (d - c) * units))
+        else:
+            found([key])
+
+    try:
+        match(everyone, every_edge, 0, listed)
+    except _TooManyMatchings:
+        extend(1, every_edge, d * every_edge)
+    else:
+        choose(1, matchings, d * every_edge)
+    keys.sort()
+    return d, keys
 
 
 def enumerate_legal_colorings(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> list[EdgeColoring]:
     """All legal colorings, in increasing edge-id-lexicographic order.
 
-    Backtracks over edges with per-vertex used-color bitmasks. Refuses graphs
+    Chooses disjoint perfect matchings as color classes. Refuses graphs
     with more than ``max_edges`` edges or ``MAX_COLORINGS`` colorings.
     """
-    d, vectors = _color_vectors(g, max_edges)
-    ids = g.edge_ids()
-    return [EdgeColoring(d, dict(zip(ids, vector))) for vector in vectors]
-
-
-def _pack(colors: Iterable[Color], width: int) -> int:
-    """A coloring as one integer: the color at position p fills bits width*p onwards."""
-    return sum(color << (width * p) for p, color in enumerate(colors))
+    d, keys = _coloring_keys(g, max_edges)
+    return _edge_colorings(g, d, keys)
 
 
 def _switch_walker(g: Multigraph, d: int):
@@ -136,7 +186,10 @@ def _switch_walker(g: Multigraph, d: int):
     tail = [u for u, _ in ends]
     head = [v for _, v in ends]
     cross = [u ^ v for u, v in ends]
-    unit = [1 << shift for shift in range(0, width * len(ids), width)]
+    unit = [1 << shift for shift in _shifts(width, len(ids))]
+    # fields are read from the least significant end: last position first
+    fill = list(enumerate(unit))[::-1]
+    last = len(ids) - 1
     darts = [((e, 0), (e, 1)) for e in ids]
     pairs = [(pair, pair[0] ^ pair[1]) for pair in combinations(range(1, d + 1), 2)]
     n = g.vertex_count
@@ -145,7 +198,7 @@ def _switch_walker(g: Multigraph, d: int):
         rows = [[0] * n for _ in range(d + 1)]
         spread = [0] * (d + 1)
         rest = key
-        for p, bit in enumerate(unit):
+        for p, bit in fill:
             color = rest & field
             rest >>= width
             row = rows[color]
@@ -156,8 +209,9 @@ def _switch_walker(g: Multigraph, d: int):
             lo, hi = pair
             todo = spread[lo] | spread[hi]
             while todo:
-                covered = todo & -todo
-                first = (covered.bit_length() - 1) // width
+                top = todo.bit_length() - 1
+                covered = 1 << top
+                first = last - top // width
                 here, there = (rows[hi], rows[lo]) if spread[lo] & covered else (rows[lo], rows[hi])
                 walk = [darts[first][0]]
                 x = head[first]
@@ -176,11 +230,8 @@ def _switch_walker(g: Multigraph, d: int):
 
 def kempe_class_partition(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> ColoringCensus:
     """Partition all legal colorings into Kempe classes by BFS closure."""
-    d, vectors = _color_vectors(g, max_edges)
-    ids = g.edge_ids()
-    colorings = [EdgeColoring(d, dict(zip(ids, vector))) for vector in vectors]
-    width = d.bit_length()
-    keys = [_pack(vector, width) for vector in vectors]
+    d, keys = _coloring_keys(g, max_edges)
+    colorings = _edge_colorings(g, d, keys)
     index_of = {key: k for k, key in enumerate(keys)}
     neighbors = _switch_walker(g, d)
     paths: dict[int, SwitchSequence] = {}
@@ -290,11 +341,11 @@ def random_colored_instance(
     legal = None
     if g.edge_count <= SAMPLING_MAX_EDGES:
         try:
-            _, legal = _color_vectors(g, DEFAULT_MAX_EDGES)
+            _, legal = _coloring_keys(g, DEFAULT_MAX_EDGES)
         except EnumerationLimitError:  # too many colorings to sample from
             pass
     if legal is not None:
-        c2 = EdgeColoring(d, dict(zip(g.edge_ids(), legal[rng.randrange(len(legal))])))
+        [c2] = _edge_colorings(g, d, [legal[rng.randrange(len(legal))]])
     else:
         shuffled = list(range(1, d + 1))
         rng.shuffle(shuffled)

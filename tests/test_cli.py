@@ -250,7 +250,17 @@ def test_classes_theta(capsys):
 
 def test_classes_petersen(capsys):
     assert main(["classes", "--input", PETERSEN]) == 0
-    assert "0 colorings" in capsys.readouterr().out
+    assert capsys.readouterr().out == "0 colorings, 0 classes\n"
+
+
+def test_classes_edgeless_graph_is_one_error_line(tmp_path, capsys):
+    # degree 0: the one empty coloring has no legal ambient degree
+    path = tmp_path / "edgeless.json"
+    dump_json(instance_to_json(Multigraph(4, {}), {}), path)
+    assert main(["classes", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: ambient degree must be >= 1, got 0"]
 
 
 def test_classes_stops_at_the_coloring_bound(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import sys
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from kempe_covers import (
     BichromaticCycle,
+    ColoringError,
     EdgeColoring,
     EnumerationLimitError,
     Multigraph,
@@ -21,9 +24,10 @@ from kempe_covers import (
     kempe_switch,
     oracle,
     random_colored_instance,
+    spanning_subgraph,
 )
 from kempe_covers.coloring import _transpose
-from kempe_covers.oracle import DEFAULT_MAX_EDGES, _enumeration_order, _pack, _switch_walker
+from kempe_covers.oracle import DEFAULT_MAX_EDGES, _coloring_keys, _edge_colorings, _pack, _switch_walker
 
 from conftest import make_cube, make_k33, make_theta
 
@@ -50,7 +54,14 @@ def test_enumeration_is_sorted_and_canonical(k33):
     assert vectors == sorted(vectors)
 
 
-def test_petersen_has_no_coloring(petersen):
+def test_petersen_has_no_coloring(petersen, monkeypatch):
+    # it has perfect matchings, the five spokes among them, but no 1-factorization
+    assert is_regular(spanning_subgraph(petersen, range(5, 10))) == 1
+    assert enumerate_legal_colorings(petersen) == []
+    # its six perfect matchings pass a bound of five; matched color by color
+    # instead, it still has no coloring
+    assert count_perfect_matchings(petersen) == 6
+    monkeypatch.setattr(oracle, "MAX_COLORINGS", 5)
     assert enumerate_legal_colorings(petersen) == []
 
 
@@ -194,6 +205,18 @@ def test_large_instance_uses_walk_fallback():
 # oracle must return exactly what these return.
 
 
+def _enumeration_order(g):
+    # vertex-local edge order prunes much earlier than raw id order
+    order = []
+    taken = set()
+    for v in g.vertices():
+        for e in g.edges_at(v):
+            if e not in taken:
+                taken.add(e)
+                order.append(e)
+    return order
+
+
 def reference_enumerate(g, max_edges=DEFAULT_MAX_EDGES):
     d = is_regular(g)
     if d is None:
@@ -301,8 +324,11 @@ def assert_matches_reference(g):
     return census
 
 
-@settings(max_examples=12, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([(3, 8), (3, 12), (4, 8), (5, 4)]))
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from([(1, 2), (1, 8), (2, 8), (2, 12), (3, 8), (3, 12), (4, 6), (4, 8), (5, 4)]),
+)
 def test_oracle_matches_reference_on_random_bases(seed, shape):
     g, _, _ = random_colored_instance(seed, *shape)
     # a few d=5 n=4 bases have 14,400 colorings: seconds each on the reference
@@ -310,12 +336,22 @@ def test_oracle_matches_reference_on_random_bases(seed, shape):
     assert_matches_reference(g)
 
 
+def make_parallel(k):
+    return Multigraph.from_edges(2, [(0, 1)] * k)
+
+
 def gapped_base():
     g, _, c2 = random_colored_instance(3, 4, 8)
     return color_class_subgraph(g, c2, range(1, 4))
 
 
-@pytest.mark.parametrize("make", [make_k33, make_theta, make_k4, make_cube, gapped_base])
+@pytest.mark.parametrize("make", [
+    make_k33, make_theta, make_k4, make_cube, gapped_base,
+    # multigraph thetas: k parallel edges have k! colorings
+    pytest.param(lambda: make_parallel(1), id="theta1"),
+    pytest.param(lambda: make_parallel(2), id="theta2"),
+    pytest.param(lambda: make_parallel(5), id="theta5"),
+])
 def test_oracle_matches_reference_on_fixed_bases(make):
     g = make()
     census = assert_matches_reference(g)
@@ -326,6 +362,123 @@ def test_gapped_base_has_edge_ids_that_are_not_positions():
     g = gapped_base()
     assert is_regular(g) == 3
     assert g.edge_ids() != tuple(range(g.edge_count))
+
+
+# -- the perfect-matching enumerator against the reference ---------------------
+#
+# The package lists colorings as ordered choices of disjoint perfect
+# matchings; the reference backtracks over edges. Both must give the same
+# colorings in the same order, and stop at the same bound.
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_enumeration_matches_reference_on_random_bases(seed):
+    # d=5 n=4 bases with up to 14,400 colorings, which the census property skips
+    g, _, _ = random_colored_instance(seed, 5, 4)
+    assert enumerate_legal_colorings(g) == reference_enumerate(g)
+
+
+def count_perfect_matchings(g):
+    def count(free):
+        if not free:
+            return 1
+        v = (free & -free).bit_length() - 1
+        ends = (g.endpoints(e) for e in g.edges_at(v))
+        return sum(count(free & ~(1 << a | 1 << b)) for a, b in ends if free >> (a ^ b ^ v) & 1)
+    return count((1 << g.vertex_count) - 1)
+
+
+@pytest.mark.parametrize(
+    "make, matchings",
+    [(make_k33, 6), pytest.param(lambda: make_parallel(5), 5, id="theta5"),
+     pytest.param(lambda: random_colored_instance(7, 4, 8)[0], 18, id="d4n8"),
+     # more perfect matchings than colorings: at the exact bound the
+     # matching list overflows and the colors are matched one by one
+     pytest.param(lambda: random_colored_instance(41, 3, 12)[0], 8, id="d3n12-8-matchings"),
+     pytest.param(lambda: random_colored_instance(75, 3, 12)[0], 13, id="d3n12-13-matchings")],
+)
+def test_coloring_bound_is_exact(monkeypatch, make, matchings):
+    g = make()
+    assert count_perfect_matchings(g) == matchings
+    expected = reference_enumerate(g)
+    total = len(expected)
+    monkeypatch.setattr(oracle, "MAX_COLORINGS", total)
+    assert enumerate_legal_colorings(g) == expected
+    monkeypatch.setattr(oracle, "MAX_COLORINGS", total - 1)
+    with pytest.raises(EnumerationLimitError, match=f"more than {total - 1} legal colorings"):
+        enumerate_legal_colorings(g)
+
+
+@contextmanager
+def counting_oracle_calls():
+    """Counts the Python calls made in the oracle module inside the block."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == oracle.__file__:
+            calls[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
+
+
+@pytest.mark.parametrize("d, bonds", [(2, 20), (3, 13)])
+def test_enumeration_work_stops_near_the_coloring_bound(monkeypatch, d, bonds):
+    # disjoint d-fold bonds: d ** bonds perfect matchings (a million or more)
+    # and d! ** bonds colorings; listing every matching first would take
+    # millions of calls before the bound of 1000 colorings is seen
+    g = Multigraph.from_edges(2 * bonds, [(2 * k, 2 * k + 1) for k in range(bonds) for _ in range(d)])
+    monkeypatch.setattr(oracle, "MAX_COLORINGS", 1000)
+    with counting_oracle_calls() as calls, pytest.raises(EnumerationLimitError, match="more than 1000 legal colorings"):
+        enumerate_legal_colorings(g, max_edges=g.edge_count)
+    assert calls[0] < 10_000
+
+
+def test_d6_generation_work_to_the_coloring_bound():
+    # 24 edges and far more colorings than MAX_COLORINGS: the enumeration
+    # runs to the bound before the generator falls back to a switch walk.
+    # About 0.7 million calls; an edge-by-edge backtrack made 6.3 million
+    with counting_oracle_calls() as calls:
+        random_colored_instance(2, 6, 8)
+    assert calls[0] < 1_500_000
+
+
+def test_edgeless_graph_has_degree_zero_and_no_coloring_object():
+    g = Multigraph(4, {})
+    assert is_regular(g) == 0
+    # the one empty coloring cannot be an EdgeColoring of degree 0
+    assert _coloring_keys(g, DEFAULT_MAX_EDGES) == (0, [0])
+    with pytest.raises(ColoringError):
+        enumerate_legal_colorings(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=300).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(
+        st.lists(st.integers(min_value=1, max_value=d), min_size=6, max_size=6), min_size=1, max_size=12))
+))
+def test_sorted_keys_decode_to_sorted_color_tuples(case):
+    d, vectors = case
+    g = make_parallel(6)
+    keys = sorted(_pack(vector, d.bit_length()) for vector in vectors)
+    decoded = [tuple(c[e] for e in g.edge_ids()) for c in _edge_colorings(g, d, keys)]
+    assert decoded == sorted(map(tuple, vectors))
+
+
+def test_query_on_a_theta_with_colors_beyond_one_byte():
+    # 256 parallel edges: colors up to 256 need 9-bit fields; the switch is
+    # on the last color pair, so every neighbour of the start gets packed
+    g = make_parallel(256)
+    c1 = EdgeColoring(256, {e: e + 1 for e in g.edge_ids()})
+    c2 = EdgeColoring(256, {e: {254: 256, 255: 255}.get(e, e + 1) for e in g.edge_ids()})
+    path = equivalent_without_cover(g, c1, c2, max_edges=256)
+    assert path == (BichromaticCycle((255, 256), ((254, 0), (255, 1))),)
+    assert apply_sequence(g, c1, path) == c2
 
 
 # -- the packed-key switch walk beyond census sizes ----------------------------

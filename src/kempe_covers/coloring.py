@@ -164,14 +164,14 @@ def _cycle_decomposition(g: Multigraph, edges: Iterable[EdgeId]) -> list[tuple[D
             continue
         start = (first, 0)
         darts = [start]
-        e, slot = start
+        e, v = first, table[first][1]  # v: the vertex the walk has arrived at
         while True:
             nxt = None
-            for dart in incidence[table[e][1 - slot]]:  # each leaves the arrival vertex
-                if dart[0] != e and dart[0] in member:
-                    if nxt is not None:  # a third member edge at this vertex
-                        nxt = None
-                        break
+            for dart in incidence[v]:
+                f = dart[0]
+                if f != e and f in member:
+                    if nxt is not None:  # a third member edge at v
+                        raise IllegalColoringError("edge set is not 2-regular on its support")
                     nxt = dart
             if nxt is None:
                 raise IllegalColoringError("edge set is not 2-regular on its support")
@@ -179,7 +179,8 @@ def _cycle_decomposition(g: Multigraph, edges: Iterable[EdgeId]) -> list[tuple[D
                 break
             darts.append(nxt)
             e, slot = nxt
-        used.update(f for f, _ in darts)
+            v = table[e][1 - slot]
+        used.update(dict(darts))  # the walk's edge ids
         walks.append(tuple(darts))
     return walks
 
@@ -201,44 +202,60 @@ def bichromatic_cycles(g: Multigraph, c: EdgeColoring, i: Color, j: Color) -> li
 def _validate_switch(
     g: Multigraph, c: EdgeColoring | WorkingColoring, cycle: BichromaticCycle, index=None
 ) -> None:
-    """Raise StaleSwitchError unless ``cycle`` is bi-chromatic for ``c``."""
+    """Raise StaleSwitchError unless ``cycle`` is a whole bi-chromatic component for ``c``.
+
+    One pass over the darts checks, for each dart in turn, that its edge is
+    in ``g``, that it starts where the previous dart ends, that its color is
+    one of the pair and that it differs from the previous dart's color; then
+    the walk must close, alternating across the closing edge. Such a walk
+    meets every vertex it visits in two distinct edges of the pair, so it is
+    a whole component iff each visited vertex has exactly two edges of the
+    pair. An edge the coloring does not cover raises ColoringError.
+    """
 
     def stale(msg):
         at = "" if index is None else f" (sequence position {index})"
         return StaleSwitchError(f"stale switch{at}: {msg}", index=index)
 
-    lo, hi = cycle.colors
+    lo, hi = pair = cycle.colors
     if not (1 <= lo < hi <= c.degree):
-        raise stale(f"color pair {cycle.colors} invalid for degree {c.degree}")
-    if not cycle.darts:
+        raise stale(f"color pair {pair} invalid for degree {c.degree}")
+    darts = cycle.darts
+    if not darts:
         raise stale("empty cycle")
-    edges = [e for e, _ in cycle.darts]
-    if len(set(edges)) != len(edges):
+    if len(dict(darts)) != len(darts):  # dict keeps one entry per edge id
         raise stale("repeated edge in walk")
-    # closed walk, colors alternating
-    prev_color = None
-    for k, (e, slot) in enumerate(cycle.darts):
-        if not g.has_edge(e):
-            raise stale(f"edge {e} not in graph")
-        col = c[e]
-        if col not in (lo, hi):
-            raise stale(f"edge {e} has color {col}, not in {cycle.colors}")
-        if col == prev_color:
-            raise stale(f"colors do not alternate at edge {e}")
-        prev_color = col
-        nxt_e, nxt_slot = cycle.darts[(k + 1) % len(cycle.darts)]
-        if g.endpoints(e)[1 - slot] != g.endpoints(nxt_e)[nxt_slot]:
-            raise stale(f"walk breaks between edges {e} and {nxt_e}")
-    if c[cycle.darts[-1][0]] == c[cycle.darts[0][0]] and len(cycle.darts) > 1:
-        raise stale("colors do not alternate around the closing edge")
-    # full component: at every visited vertex the {lo, hi}-edges are the
-    # cycle's own two edges, nothing more
-    cycle_edges = cycle.edges
-    for e, slot in cycle.darts:
-        v = g.endpoints(e)[slot]
-        local = [f for f, _ in g.darts_at(v) if c[f] in (lo, hi)]
-        if len(local) != 2 or any(f not in cycle_edges for f in local):
-            raise stale(f"cycle is not a full two-color component at vertex {v}")
+    table, incidence, colors = g._edges, g._incidence, c._colors
+    try:
+        prev = prev_color = arrival = None
+        for e, slot in darts:
+            ends = table.get(e)
+            if ends is None:
+                raise stale(f"edge {e} not in graph")
+            if prev is not None and ends[slot] != arrival:
+                raise stale(f"walk breaks between edges {prev} and {e}")
+            col = colors[e]
+            if col != lo and col != hi:
+                raise stale(f"edge {e} has color {col}, not in {pair}")
+            if col == prev_color:
+                raise stale(f"colors do not alternate at edge {e}")
+            prev, prev_color, arrival = e, col, ends[1 - slot]
+        first, first_slot = darts[0]
+        if table[first][first_slot] != arrival:
+            raise stale(f"walk breaks between edges {prev} and {first}")
+        if prev_color == colors[first] and len(darts) > 1:
+            raise stale("colors do not alternate around the closing edge")
+        for e, slot in darts:
+            v = table[e][slot]
+            count = 0
+            for f, _ in incidence[v]:
+                col = colors[f]
+                if col == lo or col == hi:
+                    count += 1
+            if count != 2:
+                raise stale(f"cycle is not a full two-color component at vertex {v}")
+    except KeyError as exc:
+        raise ColoringError(f"edge {exc.args[0]} is not colored") from None
 
 
 def _transpose(colors: dict[EdgeId, Color], cycle: BichromaticCycle) -> None:

@@ -126,12 +126,13 @@ def verify_witness(w: EquivalenceWitness) -> Verdict:
         goal = pullback_coloring(w.cover, w.goal)
         for k, cycle in enumerate(w.switches):
             current.switch(cycle, k)
-        for e in w.cover.source.edge_ids():
-            if current[e] != goal[e]:
-                return Verdict(
-                    False,
-                    f"replay mismatch at cover edge {e}: got {current[e]}, want {goal[e]}",
-                )
+        if current._colors != goal._colors:
+            for e in w.cover.source.edge_ids():
+                if current[e] != goal[e]:
+                    return Verdict(
+                        False,
+                        f"replay mismatch at cover edge {e}: got {current[e]}, want {goal[e]}",
+                    )
         # beta(d) has about 2**d digits: stop the recurrence once it reaches the degree
         if all(value < w.cover.degree for value in _betas(d)):
             return Verdict(False, f"covering degree {w.cover.degree} exceeds beta({d}) = {beta(d)}")

@@ -217,6 +217,8 @@ def switch_from_edges(g: Multigraph, colors: tuple[int, int], edges: Iterable[Ed
     edges = sorted(edges)
     if not edges:
         raise StaleSwitchError("switch with empty edge set")
+    if len(set(edges)) != len(edges):
+        raise StaleSwitchError("switch lists a repeated edge")
     for e in edges:
         if not g.has_edge(e):
             raise StaleSwitchError(f"switch references unknown edge {e}")

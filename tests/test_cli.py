@@ -124,6 +124,17 @@ def test_verify_switch_edges_not_a_cycle(tmp_path, capsys):
     assert "cycle" in capsys.readouterr().err
 
 
+def test_verify_switch_with_a_repeated_edge(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    main(["witness", "--input", K33, "--from", "c1", "--to", "c2", "--out", str(out)])
+    doc = load_json(out)
+    doc["sequence"][0]["edges"].append(doc["sequence"][0]["edges"][0])
+    dump_json(doc, out)
+    assert main(["verify", "--input", K33, "--witness", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "repeated edge" in err[0]
+
+
 def test_verify_switch_edges_two_cycles(tmp_path, capsys):
     out = tmp_path / "w.json"
     main(["witness", "--input", K33, "--from", "c1", "--to", "c2", "--out", str(out)])

@@ -1,4 +1,7 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kempe_covers import (
     BichromaticCycle,
@@ -7,15 +10,17 @@ from kempe_covers import (
     IllegalColoringError,
     Multigraph,
     StaleSwitchError,
+    UnknownEdgeError,
     apply_sequence,
     bichromatic_cycles,
     color_class_subgraph,
     is_legal,
     kempe_switch,
+    random_colored_instance,
 )
-from kempe_covers.coloring import _cycle_decomposition
+from kempe_covers.coloring import WorkingColoring, _cycle_decomposition, _validate_switch
 
-from conftest import alternating_coloring, cube_dimension_coloring, make_cube, make_cycle
+from conftest import K33_C1, alternating_coloring, cube_dimension_coloring, make_cube, make_cycle, make_k33
 
 
 def test_coloring_rejects_out_of_range():
@@ -177,3 +182,212 @@ def test_switch_preserves_other_classes_and_pair_class(k33, k33_pair):
     after = kempe_switch(k33, c1, cycle)
     assert after.color_class(3) == c1.color_class(3)
     assert after.color_class(1) | after.color_class(2) == c1.color_class(1) | c1.color_class(2)
+
+
+def test_closed_alternating_walk_with_a_third_pair_edge_is_not_a_component():
+    # the square 0-1-2-3 alternates colors 1 and 2 and closes, but the chord
+    # 0-2 also has color 1 (the coloring is illegal), so vertex 0 meets three
+    # edges of the pair and the square is only part of its component
+    g = Multigraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    c = EdgeColoring(3, {0: 1, 1: 2, 2: 1, 3: 2, 4: 1})
+    square = BichromaticCycle((1, 2), ((0, 0), (1, 0), (2, 0), (3, 0)))
+    with pytest.raises(StaleSwitchError, match="not a full two-color component at vertex 0"):
+        kempe_switch(g, c, square)
+    with pytest.raises(StaleSwitchError, match="not a full two-color component at vertex 0") as info:
+        apply_sequence(g, c, (square,))
+    assert info.value.index == 0
+
+
+# -- reference switch kernels -----------------------------------------------
+
+# The walk decomposition and the switch validator as they stood before each
+# became one pass over the raw tables: per-dart graph and coloring accessors,
+# and a list of the pair-colored edges at every visited vertex. The package's
+# kernels must give the same walks, and accept or reject every switch with
+# the same message, except that the reference reads the next dart's
+# endpoints before checking its edge: an unknown edge there raised
+# UnknownEdgeError, where the package names it as a stale switch.
+
+
+def reference_cycle_decomposition(g, edges):
+    member = set(edges)
+    table, incidence = g._edges, g._incidence
+    walks = []
+    used = set()
+    for first in sorted(member):
+        if first in used:
+            continue
+        start = (first, 0)
+        darts = [start]
+        e, slot = start
+        while True:
+            nxt = None
+            for dart in incidence[table[e][1 - slot]]:
+                if dart[0] != e and dart[0] in member:
+                    if nxt is not None:
+                        nxt = None
+                        break
+                    nxt = dart
+            if nxt is None:
+                raise IllegalColoringError("edge set is not 2-regular on its support")
+            if nxt == start:
+                break
+            darts.append(nxt)
+            e, slot = nxt
+        used.update(f for f, _ in darts)
+        walks.append(tuple(darts))
+    return walks
+
+
+def reference_validate_switch(g, c, cycle, index=None):
+    def stale(msg):
+        at = "" if index is None else f" (sequence position {index})"
+        return StaleSwitchError(f"stale switch{at}: {msg}", index=index)
+
+    lo, hi = cycle.colors
+    if not (1 <= lo < hi <= c.degree):
+        raise stale(f"color pair {cycle.colors} invalid for degree {c.degree}")
+    if not cycle.darts:
+        raise stale("empty cycle")
+    edges = [e for e, _ in cycle.darts]
+    if len(set(edges)) != len(edges):
+        raise stale("repeated edge in walk")
+    prev_color = None
+    for k, (e, slot) in enumerate(cycle.darts):
+        if not g.has_edge(e):
+            raise stale(f"edge {e} not in graph")
+        col = c[e]
+        if col not in (lo, hi):
+            raise stale(f"edge {e} has color {col}, not in {cycle.colors}")
+        if col == prev_color:
+            raise stale(f"colors do not alternate at edge {e}")
+        prev_color = col
+        nxt_e, nxt_slot = cycle.darts[(k + 1) % len(cycle.darts)]
+        if g.endpoints(e)[1 - slot] != g.endpoints(nxt_e)[nxt_slot]:
+            raise stale(f"walk breaks between edges {e} and {nxt_e}")
+    if c[cycle.darts[-1][0]] == c[cycle.darts[0][0]] and len(cycle.darts) > 1:
+        raise stale("colors do not alternate around the closing edge")
+    cycle_edges = cycle.edges
+    for e, slot in cycle.darts:
+        v = g.endpoints(e)[slot]
+        local = [f for f, _ in g.darts_at(v) if c[f] in (lo, hi)]
+        if len(local) != 2 or any(f not in cycle_edges for f in local):
+            raise stale(f"cycle is not a full two-color component at vertex {v}")
+
+
+TRIANGLE = Multigraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+K33_12 = ((0, 0), (3, 1), (5, 0), (8, 1), (7, 0), (1, 1))  # the (1, 2)-cycle of conftest's K33_C1
+
+
+@pytest.mark.parametrize("g, colors, pair, darts, message", [
+    (make_k33(), K33_C1, (1, 4), K33_12, r"color pair \(1, 4\) invalid for degree 3"),
+    (make_k33(), K33_C1, (1, 2), (), "empty cycle"),
+    (make_k33(), K33_C1, (1, 2), K33_12 + K33_12[:1], "repeated edge in walk"),
+    (TRIANGLE, (1, 1, 2), (1, 2), ((0, 0), (1, 0), (2, 0)), "colors do not alternate at edge 1"),
+    (TRIANGLE, (1, 2, 1), (1, 2), ((0, 0), (1, 0), (2, 0)), "colors do not alternate around the closing edge"),
+    (make_k33(), K33_C1[:8], (1, 2), K33_12, "edge 8 is not colored"),
+])
+def test_switch_checks_no_other_test_reaches(g, colors, pair, darts, message):
+    c = EdgeColoring(3, dict(enumerate(colors)))
+    cycle = BichromaticCycle(pair, darts)
+    error = ColoringError if "not colored" in message else StaleSwitchError
+    for validate in (_validate_switch, reference_validate_switch):
+        with pytest.raises(error, match=message):
+            validate(g, c, cycle)
+
+
+INSTANCES = st.tuples(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=3, max_value=5),
+    st.sampled_from([4, 6, 8]),
+)
+
+MUTATIONS = ("drop", "duplicate", "swap", "rotate", "flip", "foreign", "unknown", "pair", "recolor", "uncolor")
+
+
+def color_pair(draw, d):
+    return draw(st.lists(st.integers(min_value=1, max_value=d), min_size=2, max_size=2, unique=True))
+
+
+def mutated_switch(draw, g, c, cycle):
+    """One mutation of a valid switch; returns the coloring and the walk to check."""
+    darts, pair = list(cycle.darts), cycle.colors
+    d, k = c.degree, draw(st.integers(min_value=0, max_value=len(darts) - 1))
+    colors = dict(c.items())
+    kind = draw(st.sampled_from(MUTATIONS))
+    if kind == "drop":
+        del darts[k]
+    elif kind == "duplicate":
+        darts.insert(draw(st.integers(min_value=0, max_value=len(darts))), darts[k])
+    elif kind == "swap":
+        j = draw(st.integers(min_value=0, max_value=len(darts) - 1))
+        darts[k], darts[j] = darts[j], darts[k]
+    elif kind == "rotate":
+        darts = darts[k:] + darts[:k]
+    elif kind == "flip":
+        darts[k] = (darts[k][0], 1 - darts[k][1])
+    elif kind == "foreign":
+        darts[k] = (draw(st.sampled_from(g.edge_ids())), draw(st.integers(min_value=0, max_value=1)))
+    elif kind == "unknown":
+        darts[k] = (max(g.edge_ids()) + 1 + k, 0)
+    elif kind == "pair":
+        pair = tuple(draw(st.lists(st.integers(min_value=0, max_value=d + 1), min_size=2, max_size=2)))
+    elif kind == "recolor":
+        colors[draw(st.sampled_from(g.edge_ids()))] = draw(st.integers(min_value=1, max_value=d))
+    else:
+        colors.pop(draw(st.sampled_from(g.edge_ids())), None)
+    return EdgeColoring(d, colors), BichromaticCycle(pair, tuple(darts))
+
+
+def verdict(validate, g, c, cycle, index):
+    try:
+        validate(g, c, cycle, index)
+    except (StaleSwitchError, ColoringError, UnknownEdgeError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "index", None)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(INSTANCES, st.data())
+def test_validate_switch_matches_reference(instance, data):
+    g, c1, c2 = random_colored_instance(*instance)
+    c = data.draw(st.sampled_from([c1, c2]))
+    cycle = data.draw(st.sampled_from(bichromatic_cycles(g, c, *color_pair(data.draw, c.degree))))
+    if data.draw(st.booleans()):  # replay against an already switched coloring
+        other = data.draw(st.sampled_from(bichromatic_cycles(g, c, *color_pair(data.draw, c.degree))))
+        c = kempe_switch(g, c, other)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+        if cycle.darts:
+            c, cycle = mutated_switch(data.draw, g, c, cycle)
+    index = data.draw(st.none() | st.integers(min_value=0, max_value=99))
+    target = data.draw(st.sampled_from([c, WorkingColoring(g, c)]))
+    got = verdict(_validate_switch, g, target, cycle, index)
+    want = verdict(reference_validate_switch, g, target, cycle, index)
+    if want is not None and want[0] == "UnknownEdgeError":
+        # the reference tripped over the next dart's unknown edge
+        unknown = int(want[1].split()[-1])
+        at = "" if index is None else f" (sequence position {index})"
+        want = "StaleSwitchError", f"stale switch{at}: edge {unknown} not in graph", index
+    assert got == want
+
+
+def is_two_regular(g, edges):
+    meets = Counter(g.endpoints(e)[slot] for e in edges for slot in (0, 1))
+    return all(count == 2 for count in meets.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(INSTANCES, st.data())
+def test_cycle_decomposition_matches_reference(instance, data):
+    g, c1, _ = random_colored_instance(*instance)
+    i, j = color_pair(data.draw, c1.degree)
+    edges = {e for e in g.edge_ids() if c1[e] in (i, j)}
+    # a 2-regular union of two-color cycles, then a few edges toggled
+    toggled = data.draw(st.sets(st.sampled_from(g.edge_ids()), max_size=3))
+    edges ^= toggled
+    if is_two_regular(g, edges):
+        assert _cycle_decomposition(g, edges) == reference_cycle_decomposition(g, edges)
+    else:
+        for decompose in (_cycle_decomposition, reference_cycle_decomposition):
+            with pytest.raises(IllegalColoringError, match="not 2-regular"):
+                decompose(g, edges)

@@ -9,6 +9,7 @@ from kempe_covers import (
     IllegalColoringError,
     Multigraph,
     RegularityError,
+    StaleSwitchError,
     beta,
     bichromatic_cycles,
     compose,
@@ -265,3 +266,12 @@ def test_non_alternating_walk_rejected(k33, k33_pair):
     assert [c1[e] for e, _ in bad.darts] == [1, 1, 2, 2]
     assert not is_legal(k33, blind_flip(c1, bad))
     assert "walk breaks" in rejected_at_position(k33, c1, bad)
+
+
+def test_unknown_edge_in_walk_is_a_stale_switch(k33, k33_pair):
+    c1, _ = k33_pair
+    darts = bichromatic_cycles(k33, c1, 1, 2)[0].darts
+    bad = BichromaticCycle((1, 2), darts[:1] + ((999, 0),) + darts[2:])
+    with pytest.raises(StaleSwitchError, match="edge 999 not in graph"):
+        kempe_switch(k33, c1, bad)
+    assert "edge 999 not in graph" in rejected_at_position(k33, c1, bad)

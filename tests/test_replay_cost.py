@@ -12,9 +12,12 @@ components stay built once. The oracle tests count the `EdgeColoring`s,
 `BichromaticCycle`s, `bichromatic_cycles` calls and cycle decompositions of
 a census and its queries, which must not grow with the switches the
 breadth-first search tries: one cycle per coloring it reaches, or per step
-of the path it returns.
+of the path it returns. The replay test counts every Python call the
+package makes while it verifies a 5,088-switch witness, so that checking a
+switch stays a loop over its darts rather than a call per dart.
 """
 
+import os
 import sys
 
 import pytest
@@ -89,6 +92,27 @@ def test_verify_witness_cost_is_independent_of_switch_count(monkeypatch, witness
         counts.append((len(legal), len(built)))
     assert counts[0] == counts[1]
     assert max(counts[0]) < 10 < len(witnesses[0].switches)
+
+
+def test_verify_witness_makes_few_python_calls_per_switch():
+    w = kempe_cover_witness(*random_colored_instance(1, 5, 6))
+    assert len(w.switches) == 5088
+    package = os.path.dirname(coloring.__file__) + os.sep
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        verdict = verify_witness(w)
+    finally:
+        sys.setprofile(previous)
+    assert verdict, verdict.reason
+    # 541,595 when every dart went through the graph and coloring accessors
+    assert calls[0] < 150_000
 
 
 def test_verify_covering_does_not_scan_vertex_fibers(monkeypatch, witnesses):

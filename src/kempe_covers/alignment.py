@@ -276,11 +276,11 @@ def _align_color(
     d = split.degree
     member = [e for e in p.source.edge_ids() if p.edge_image(e) in split.moving]
     switches = []
-    for walk in _cycle_decomposition(p.source, member):
-        cycle_colors = sorted({shifted[f] for f, _ in walk})
+    for edges in _cycle_decomposition(p.source, member):
+        cycle_colors = sorted({shifted[f] for f in edges})
         if len(cycle_colors) != 2:
             raise ColoringError("lifted moving cycle is not bi-chromatic")
-        switches.append(BichromaticCycle((cycle_colors[0], cycle_colors[1]), walk))
+        switches.append(BichromaticCycle((cycle_colors[0], cycle_colors[1]), edges))
 
     aligned = apply_sequence(p.source, shifted, switches)
     if aligned.color_class(d) != pullback_coloring(p, c2).color_class(d):

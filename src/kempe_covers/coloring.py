@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ColoringError, IllegalColoringError, RegularityError, StaleSwitchError
-from .graph import Dart, EdgeId, Multigraph, is_regular, spanning_subgraph
+from .graph import EdgeId, Multigraph, is_regular, spanning_subgraph
 
 Color = int
 
@@ -78,23 +78,24 @@ class EdgeColoring:
 
 @dataclass(frozen=True)
 class BichromaticCycle:
-    """A component of the two-color subgraph, as a canonical closed dart walk.
+    """A component of the two-color subgraph: its color pair and its edge set.
 
-    ``colors`` is the ordered pair (i, j) with i < j. ``darts`` lists one dart
-    per edge; dart k exits the walk's k-th vertex, and the walk closes up. The
-    canonical form starts at the lexicographically smallest dart of the cycle
-    and is therefore unique per component.
+    ``colors`` is the ordered pair (i, j) with i < j, and ``edge_ids`` lists
+    the component's edges in increasing order. A component is fixed by its
+    edges, so they are the whole switch; :func:`_validate_switch` checks them
+    against a coloring before a flip. A sorted tuple takes a sixth of the
+    memory of a frozenset, and a witness holds thousands of switches.
     """
 
     colors: tuple[Color, Color]
-    darts: tuple[Dart, ...]
+    edge_ids: tuple[EdgeId, ...]
 
     @property
     def edges(self) -> frozenset[EdgeId]:
-        return frozenset(e for e, _ in self.darts)
+        return frozenset(self.edge_ids)
 
     def __len__(self) -> int:
-        return len(self.darts)
+        return len(self.edge_ids)
 
 
 #: A replayable ordered list of switches.
@@ -147,46 +148,44 @@ def color_class_subgraph(g: Multigraph, c: EdgeColoring, colors: Iterable[Color]
     return spanning_subgraph(g, (e for e in g.edge_ids() if c[e] in chosen))
 
 
-def _cycle_decomposition(g: Multigraph, edges: Iterable[EdgeId]) -> list[tuple[Dart, ...]]:
-    """The closed walks that make up an edge set, in canonical form.
+def _cycle_decomposition(g: Multigraph, edges: Iterable[EdgeId]) -> list[tuple[EdgeId, ...]]:
+    """The sorted edge ids of each cycle that makes up an edge set, ordered by smallest id.
 
-    Each walk starts at slot 0 of its smallest edge id, and the walks are
-    ordered by that id. Raises unless every vertex the edges touch meets
-    exactly two of them; every such vertex is reached as the end of a dart,
-    so checking there checks the whole support. Every edge must be in ``g``.
+    Raises unless every vertex the edges touch meets exactly two of them;
+    each cycle is walked from its smallest edge, and every vertex it touches
+    is reached as the end of a step, so checking there checks the whole
+    support. Every edge must be in ``g``.
     """
     member = set(edges)
     table, incidence = g._edges, g._incidence
-    walks = []
+    cycles = []
     used: set[EdgeId] = set()
     for first in sorted(member):
         if first in used:
             continue
-        start = (first, 0)
-        darts = [start]
+        cycle = [first]
         e, v = first, table[first][1]  # v: the vertex the walk has arrived at
         while True:
             nxt = None
-            for dart in incidence[v]:
-                f = dart[0]
+            for f, slot in incidence[v]:
                 if f != e and f in member:
                     if nxt is not None:  # a third member edge at v
                         raise IllegalColoringError("edge set is not 2-regular on its support")
-                    nxt = dart
+                    nxt, nxt_slot = f, slot
             if nxt is None:
                 raise IllegalColoringError("edge set is not 2-regular on its support")
-            if nxt == start:
+            if nxt == first:
                 break
-            darts.append(nxt)
-            e, slot = nxt
-            v = table[e][1 - slot]
-        used.update(dict(darts))  # the walk's edge ids
-        walks.append(tuple(darts))
-    return walks
+            cycle.append(nxt)
+            e, v = nxt, table[nxt][1 - nxt_slot]
+        used.update(cycle)
+        cycle.sort()
+        cycles.append(tuple(cycle))
+    return cycles
 
 
 def bichromatic_cycles(g: Multigraph, c: EdgeColoring, i: Color, j: Color) -> list[BichromaticCycle]:
-    """The components of the {i, j}-colored subgraph, canonicalized and sorted.
+    """The components of the {i, j}-colored subgraph, ordered by smallest edge id.
 
     Requires a legal coloring; raises if the two-color subgraph fails to be
     2-regular on its support (which would mean the coloring was not legal).
@@ -196,7 +195,7 @@ def bichromatic_cycles(g: Multigraph, c: EdgeColoring, i: Color, j: Color) -> li
     lo, hi = min(i, j), max(i, j)
     _check_total(g, c)
     member = [e for e in g.edge_ids() if c[e] in (lo, hi)]
-    return [BichromaticCycle((lo, hi), walk) for walk in _cycle_decomposition(g, member)]
+    return [BichromaticCycle((lo, hi), edges) for edges in _cycle_decomposition(g, member)]
 
 
 def _validate_switch(
@@ -204,13 +203,15 @@ def _validate_switch(
 ) -> None:
     """Raise StaleSwitchError unless ``cycle`` is a whole bi-chromatic component for ``c``.
 
-    One pass over the darts checks, for each dart in turn, that its edge is
-    in ``g``, that it starts where the previous dart ends, that its color is
-    one of the pair and that it differs from the previous dart's color; then
-    the walk must close, alternating across the closing edge. Such a walk
-    meets every vertex it visits in two distinct edges of the pair, so it is
-    a whole component iff each visited vertex has exactly two edges of the
-    pair. An edge the coloring does not cover raises ColoringError.
+    One walk follows the component of the set's smallest edge in ``c``. At
+    each vertex it reaches it requires exactly two edges of the pair, of
+    different colors, and steps on along the one it did not arrive by, until
+    it is back at the first edge. So the component is an alternating cycle
+    and the walk meets each of its edges once. Every edge it meets must be in
+    the set, and it must meet as many edges as the set holds: then the set is
+    the component. A rejection names the smallest listed edge that is unknown
+    or off the pair, if there is one. An edge the coloring does not cover
+    raises ColoringError.
     """
 
     def stale(msg):
@@ -220,40 +221,45 @@ def _validate_switch(
     lo, hi = pair = cycle.colors
     if not (1 <= lo < hi <= c.degree):
         raise stale(f"color pair {pair} invalid for degree {c.degree}")
-    darts = cycle.darts
-    if not darts:
+    if not cycle.edge_ids:
         raise stale("empty cycle")
-    if len(dict(darts)) != len(darts):  # dict keeps one entry per edge id
-        raise stale("repeated edge in walk")
+    edges = set(cycle.edge_ids)
+    if len(edges) != len(cycle.edge_ids):
+        raise stale("repeated edge in switch")
     table, incidence, colors = g._edges, g._incidence, c._colors
+
+    def misfit():  # the smallest edge of the set that is unknown or off the pair
+        for e in sorted(edges):
+            if e not in table:
+                return stale(f"edge {e} not in graph")
+            if colors[e] != lo and colors[e] != hi:
+                return stale(f"edge {e} has color {colors[e]}, not in {pair}")
+        return None
+
+    first = min(cycle.edge_ids)
     try:
-        prev = prev_color = arrival = None
-        for e, slot in darts:
-            ends = table.get(e)
-            if ends is None:
-                raise stale(f"edge {e} not in graph")
-            if prev is not None and ends[slot] != arrival:
-                raise stale(f"walk breaks between edges {prev} and {e}")
-            col = colors[e]
-            if col != lo and col != hi:
-                raise stale(f"edge {e} has color {col}, not in {pair}")
-            if col == prev_color:
-                raise stale(f"colors do not alternate at edge {e}")
-            prev, prev_color, arrival = e, col, ends[1 - slot]
-        first, first_slot = darts[0]
-        if table[first][first_slot] != arrival:
-            raise stale(f"walk breaks between edges {prev} and {first}")
-        if prev_color == colors[first] and len(darts) > 1:
-            raise stale("colors do not alternate around the closing edge")
-        for e, slot in darts:
-            v = table[e][slot]
+        if first not in table or (colors[first] != lo and colors[first] != hi):
+            raise misfit()
+        e, col, v, met = first, colors[first], table[first][1], 1
+        while True:
             count = 0
-            for f, _ in incidence[v]:
-                col = colors[f]
-                if col == lo or col == hi:
+            for f, slot in incidence[v]:
+                f_col = colors[f]
+                if f_col == lo or f_col == hi:
                     count += 1
+                    if f != e:
+                        nxt, nxt_slot, nxt_col = f, slot, f_col
             if count != 2:
                 raise stale(f"cycle is not a full two-color component at vertex {v}")
+            if nxt_col == col:
+                raise stale(f"colors do not alternate at edge {nxt}")
+            if nxt == first:
+                break
+            if nxt not in edges:
+                raise misfit() or stale(f"cycle is not a full two-color component: it misses edge {nxt}")
+            e, col, v, met = nxt, nxt_col, table[nxt][1 - nxt_slot], met + 1
+        if met != len(edges):
+            raise misfit() or stale(f"edge set is not a single cycle: edges lie off the cycle of edge {first}")
     except KeyError as exc:
         raise ColoringError(f"edge {exc.args[0]} is not colored") from None
 
@@ -261,7 +267,7 @@ def _validate_switch(
 def _transpose(colors: dict[EdgeId, Color], cycle: BichromaticCycle) -> None:
     """Swap the cycle's two colors along it, in place and without checking."""
     lo, hi = cycle.colors
-    for e, _ in cycle.darts:
+    for e in cycle.edge_ids:
         colors[e] = hi if colors[e] == lo else lo
 
 

@@ -183,8 +183,8 @@ def lift_switch(
     _validate_switch(p.target, c, cycle)
     if fibers is None:
         fibers = _edge_fibers(p)
-    member = [f for e, _ in cycle.darts for f in fibers.get(e, ())]
-    return [BichromaticCycle(cycle.colors, walk) for walk in _cycle_decomposition(p.source, member)]
+    member = [f for e in cycle.edge_ids for f in fibers.get(e, ())]
+    return [BichromaticCycle(cycle.colors, edges) for edges in _cycle_decomposition(p.source, member)]
 
 
 def lift_sequence(p: CoveringMap, c: EdgeColoring, sequence: Sequence[BichromaticCycle]) -> SwitchSequence:

@@ -170,7 +170,7 @@ def _base_two_witness(
     """d = 2: switch exactly the cycles on which the colorings differ."""
     switches = []
     for cycle in bichromatic_cycles(g, c1, 1, 2):
-        first = cycle.darts[0][0]  # both colorings alternate around the cycle
+        first = cycle.edge_ids[0]  # both colorings alternate around the cycle
         if c1[first] != c2[first]:
             switches.append(cycle)
     return CoveringMap.identity(g), tuple(switches)
@@ -271,10 +271,10 @@ def _per_component_witness(
             vertex_map[new_v] = vback[cover.vertex_image(old_v)]
         for old_e, new_e in emaps[idx].items():
             edge_map[new_e] = eback[cover.edge_image(old_e)]
+        emap = emaps[idx]
         for cyc in switches:
-            all_switches.append(
-                BichromaticCycle(cyc.colors, tuple((emaps[idx][e], slot) for e, slot in cyc.darts))
-            )
+            edges = tuple(sorted([emap[e] for e in cyc.edge_ids]))
+            all_switches.append(BichromaticCycle(cyc.colors, edges))
     return CoveringMap(union, g, vertex_map, edge_map), tuple(all_switches)
 
 

@@ -170,14 +170,16 @@ def _switch_walker(g: Multigraph, d: int):
     """The Kempe-switch neighbours of a packed legal coloring of the d-regular ``g``.
 
     Colorings are keyed by :func:`_pack` over edge-id order, with width
-    ``d.bit_length()``. The returned function yields, for every color pair
-    in order and every component of that pair in canonical order, the pair,
-    the component's dart list and a mask: the key XOR the mask is the
-    switched coloring, since ``c ^ (lo ^ hi)`` swaps ``lo`` and ``hi``.
-    Per coloring it fills one vertex-by-color table of edge positions; a
-    component is walked by alternating lookups in two of its rows, from its
-    smallest position at slot 0, so it comes out as ``_cycle_decomposition``
-    gives it. The table is total because every key fed in is a legal coloring.
+    ``d.bit_length()``. Returns two functions. ``neighbors(key)`` yields, for
+    every color pair in order and every component of that pair in order of
+    its smallest edge, the pair, ``covered`` and a mask: ``covered`` holds 1
+    in the field of each of the component's edges, and the key XOR the mask
+    is the switched coloring, since ``c ^ (lo ^ hi)`` swaps ``lo`` and
+    ``hi``. ``cycle(pair, covered)`` builds the switch, so only a switch the
+    search keeps pays for its edge ids. Per coloring ``neighbors`` fills one
+    vertex-by-color table of edge positions; a component is walked by
+    alternating lookups in two of its rows. The table is total because
+    every key fed in is a legal coloring.
     """
     ids = g.edge_ids()
     width = d.bit_length()
@@ -190,7 +192,6 @@ def _switch_walker(g: Multigraph, d: int):
     # fields are read from the least significant end: last position first
     fill = list(enumerate(unit))[::-1]
     last = len(ids) - 1
-    darts = [((e, 0), (e, 1)) for e in ids]
     pairs = [(pair, pair[0] ^ pair[1]) for pair in combinations(range(1, d + 1), 2)]
     n = g.vertex_count
 
@@ -213,19 +214,20 @@ def _switch_walker(g: Multigraph, d: int):
                 covered = 1 << top
                 first = last - top // width
                 here, there = (rows[hi], rows[lo]) if spread[lo] & covered else (rows[lo], rows[hi])
-                walk = [darts[first][0]]
                 x = head[first]
                 p = here[x]
                 while p != first:
-                    walk.append(darts[p][tail[p] != x])
                     covered |= unit[p]
                     x ^= cross[p]
                     here, there = there, here
                     p = here[x]
                 todo ^= covered
-                yield pair, walk, flip * covered
+                yield pair, covered, flip * covered
 
-    return neighbors
+    def cycle(pair, covered: int) -> BichromaticCycle:
+        return BichromaticCycle(pair, tuple([e for e, bit in zip(ids, unit) if covered & bit]))
+
+    return neighbors, cycle
 
 
 def kempe_class_partition(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> ColoringCensus:
@@ -233,7 +235,7 @@ def kempe_class_partition(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> 
     d, keys = _coloring_keys(g, max_edges)
     colorings = _edge_colorings(g, d, keys)
     index_of = {key: k for k, key in enumerate(keys)}
-    neighbors = _switch_walker(g, d)
+    neighbors, cycle = _switch_walker(g, d)
     paths: dict[int, SwitchSequence] = {}
     classes: list[tuple[int, ...]] = []
     visited = [False] * len(colorings)
@@ -248,11 +250,11 @@ def kempe_class_partition(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> 
             nxt = []
             for idx in frontier:
                 key = keys[idx]
-                for pair, walk, mask in neighbors(key):
+                for pair, covered, mask in neighbors(key):
                     n_idx = index_of[key ^ mask]
                     if not visited[n_idx]:
                         visited[n_idx] = True
-                        paths[n_idx] = paths[idx] + (BichromaticCycle(pair, tuple(walk)),)
+                        paths[n_idx] = paths[idx] + (cycle(pair, covered),)
                         members.append(n_idx)
                         nxt.append(n_idx)
             frontier = nxt
@@ -287,23 +289,23 @@ def equivalent_without_cover(
     goal = _pack(map(c2._colors.__getitem__, ids), width)
     if start == goal:
         return ()
-    neighbors = _switch_walker(g, d)
-    # each reached key -> (the key it was reached from, the switch's pair and walk)
+    neighbors, cycle = _switch_walker(g, d)
+    # each reached key -> (the key it was reached from, the switch's pair and covered fields)
     parent: dict[int, tuple | None] = {start: None}
     frontier = [start]
     while frontier:
         nxt = []
         for current in frontier:
-            for pair, walk, mask in neighbors(current):
+            for pair, covered, mask in neighbors(current):
                 neighbor = current ^ mask
                 if neighbor in parent:
                     continue
-                parent[neighbor] = (current, pair, walk)
+                parent[neighbor] = (current, pair, covered)
                 if neighbor == goal:
                     path = []
                     while neighbor != start:
-                        neighbor, pair, walk = parent[neighbor]
-                        path.append(BichromaticCycle(pair, tuple(walk)))
+                        neighbor, pair, covered = parent[neighbor]
+                        path.append(cycle(pair, covered))
                     return tuple(reversed(path))
                 if len(parent) > MAX_COLORINGS:
                     raise EnumerationLimitError(f"more than {MAX_COLORINGS} colorings searched")

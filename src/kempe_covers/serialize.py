@@ -11,15 +11,16 @@ cycle; it is never re-imported.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .coloring import BichromaticCycle, EdgeColoring, WorkingColoring, _cycle_decomposition
+from .coloring import BichromaticCycle, EdgeColoring, WorkingColoring
 from .covering import CoveringMap
 from .equivalence import EquivalenceWitness
 from .errors import (
     CoveringError,
     FormatError,
-    IllegalColoringError,
     KempeCoversError,
     RegularityError,
     StaleSwitchError,
@@ -61,7 +62,7 @@ def dot_export(
 ) -> str:
     """Deterministic DOT text for a colored graph; highlighted edges are bold."""
     if isinstance(highlight, BichromaticCycle):
-        bold = set(highlight.edges)
+        bold = set(highlight.edge_ids)
     elif highlight is None:
         bold = set()
     else:
@@ -112,6 +113,14 @@ def _strict_int(value, what: str) -> int:
         return int(value)
     shown = json.dumps(value, default=repr)
     raise FormatError(f"{what} must be an integer, got {shown[:40]}")
+
+
+def _strict_int_lists(lists, what: str) -> list[list[int]]:
+    """Lists of JSON integers, as :func:`_strict_int` takes them, type-checked in one bulk pass."""
+    lists = list(map(list, lists))
+    if set(map(type, chain.from_iterable(lists))) <= {int}:
+        return lists
+    return [[_strict_int(v, what) for v in values] for values in lists]
 
 
 def instance_from_json(doc) -> tuple[Multigraph, dict[str, EdgeColoring]]:
@@ -168,10 +177,7 @@ def _graph_to_json(g: Multigraph) -> dict:
 
 def _graph_from_json(doc) -> Multigraph:
     try:
-        pairs = {
-            _strict_int(e, "edge id"): (_strict_int(u, "endpoint"), _strict_int(v, "endpoint"))
-            for e, u, v in doc["edges"]
-        }
+        pairs = {e: (u, v) for e, u, v in _strict_int_lists(doc["edges"], "graph edge entry")}
         return Multigraph(_strict_int(doc["vertices"], "vertex count"), pairs)
     except (KeyError, TypeError, ValueError, KempeCoversError) as exc:
         raise FormatError(f"malformed graph block: {exc}") from exc
@@ -183,7 +189,7 @@ def _coloring_to_json(c: EdgeColoring) -> dict:
 
 def _coloring_from_json(doc) -> EdgeColoring:
     try:
-        colors = {_strict_int(e, "edge id"): _strict_int(col, "color") for e, col in doc["colors"]}
+        colors = dict(_strict_int_lists(doc["colors"], "coloring entry"))
         return EdgeColoring(_strict_int(doc["degree"], "degree"), colors)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed coloring block: {exc}") from exc
@@ -200,36 +206,12 @@ def witness_to_json(w: EquivalenceWitness, names: tuple[str, str] | None = None)
         "vertex_map": list(w.cover.vertex_map),
         "edge_map": sorted([e, img] for e, img in w.cover.edge_map.items()),
         "sequence": [
-            {"colors": list(cyc.colors), "edges": sorted(cyc.edges)} for cyc in w.switches
+            {"colors": list(cyc.colors), "edges": list(cyc.edge_ids)} for cyc in w.switches
         ],
     }
     if names is not None:
         doc["names"] = {"from": names[0], "to": names[1]}
     return doc
-
-
-def switch_from_edges(g: Multigraph, colors: tuple[int, int], edges: Iterable[EdgeId]) -> BichromaticCycle:
-    """Rebuild the canonical closed walk of a switch from its edge set.
-
-    Broken cycle structure is a content violation (tampering), not a parse
-    error, so it raises StaleSwitchError.
-    """
-    edges = sorted(edges)
-    if not edges:
-        raise StaleSwitchError("switch with empty edge set")
-    if len(set(edges)) != len(edges):
-        raise StaleSwitchError("switch lists a repeated edge")
-    for e in edges:
-        if not g.has_edge(e):
-            raise StaleSwitchError(f"switch references unknown edge {e}")
-    try:
-        walks = _cycle_decomposition(g, edges)
-    except IllegalColoringError as exc:
-        raise StaleSwitchError(f"switch edges do not form a cycle: {exc}") from exc
-    if len(walks) != 1:
-        raise StaleSwitchError("switch edges do not form a single cycle")
-    lo, hi = sorted(colors)
-    return BichromaticCycle((lo, hi), walks[0])
 
 
 def witness_from_json(doc) -> tuple[EquivalenceWitness, dict | None]:
@@ -256,24 +238,31 @@ def witness_from_json(doc) -> tuple[EquivalenceWitness, dict | None]:
     start = _coloring_from_json(doc.get("start", {}))
     goal = _coloring_from_json(doc.get("goal", {}))
     try:
-        vertex_map = [_strict_int(v, "vertex map entry") for v in doc["vertex_map"]]
-        edge_map = {_strict_int(e, "edge id"): _strict_int(img, "edge image") for e, img in doc["edge_map"]}
-        raw_sequence = list(doc.get("sequence", []))
+        [vertex_map] = _strict_int_lists([doc["vertex_map"]], "vertex map entry")
+        edge_map = dict(_strict_int_lists(doc["edge_map"], "edge map entry"))
+        entries = list(doc.get("sequence", []))
+        pairs = _strict_int_lists(map(itemgetter("colors"), entries), "switch color")
+        edge_lists = _strict_int_lists(map(itemgetter("edges"), entries), "switch edge id")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed witness: {exc}") from exc
+    names = doc.get("names")
+    if "names" in doc and not (
+        isinstance(names, dict) and isinstance(names.get("from"), str) and isinstance(names.get("to"), str)
+    ):
+        raise FormatError("names block must be an object with string 'from' and 'to' entries")
     cover = CoveringMap(cover_graph, base, vertex_map, edge_map)
+    # The replay checks that each edge set is one whole two-color component,
+    # and names the sequence position of a switch that is not.
     switches = []
-    for entry in raw_sequence:
-        try:
-            colors = tuple(_strict_int(c, "switch color") for c in entry["colors"])
-            edges = [_strict_int(e, "switch edge id") for e in entry["edges"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"malformed switch entry: {exc}") from exc
-        if len(colors) != 2:
+    for k, (pair, edges) in enumerate(zip(pairs, edge_lists)):
+        if len(pair) != 2:
             raise FormatError("switch needs exactly two colors")
-        switches.append(switch_from_edges(cover_graph, colors, edges))
+        if len(set(edges)) != len(edges):
+            raise StaleSwitchError(f"switch at sequence position {k} lists a repeated edge", index=k)
+        edges.sort()
+        switches.append(BichromaticCycle((min(pair), max(pair)), tuple(edges)))
     witness = EquivalenceWitness(base, start, goal, cover, tuple(switches))
-    return witness, doc.get("names")
+    return witness, names
 
 
 # -- files ------------------------------------------------------------------

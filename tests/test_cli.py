@@ -10,6 +10,7 @@ import kempe_covers
 from kempe_covers import (
     EdgeColoring,
     Multigraph,
+    apply_sequence,
     bichromatic_cycles,
     bundled_instance_path,
     dot_export,
@@ -179,6 +180,65 @@ def test_verify_rejects_non_integer_witness_fields(tmp_path, capsys, field, valu
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ") and "must be an integer" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_verify_accepts_integral_floats_in_switch_edges(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    main(["witness", "--input", K33, "--from", "c1", "--to", "c2", "--out", str(out)])
+    doc = load_json(out)
+    doc["sequence"][0]["edges"] = [float(e) for e in doc["sequence"][0]["edges"]]
+    dump_json(doc, out)
+    assert main(["verify", "--input", K33, "--witness", str(out)]) == 0
+
+
+@pytest.mark.parametrize("names", [["c1", "c2"], "c1", {"from": ["c1"], "to": "c2"}])
+def test_verify_rejects_a_malformed_names_block(tmp_path, capsys, names):
+    out = tmp_path / "w.json"
+    main(["witness", "--input", K33, "--from", "c1", "--to", "c2", "--out", str(out)])
+    doc = load_json(out)
+    doc["names"] = names
+    dump_json(doc, out)
+    capsys.readouterr()
+    assert main(["verify", "--input", K33, "--witness", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "names block" in captured.err
+
+
+def d4_instance(tmp_path):
+    g, c1, c2 = kempe_covers.random_colored_instance(2, 4, 8)
+    path = tmp_path / "d4.json"
+    dump_json(instance_to_json(g, {"c1": c1, "c2": c2}), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("tamper", ["drop", "unknown", "other component"])
+@pytest.mark.parametrize("instance", ["k33", "d4"])
+def test_verify_names_the_position_of_a_tampered_switch(tmp_path, capsys, instance, tamper):
+    path = K33 if instance == "k33" else d4_instance(tmp_path)
+    out = tmp_path / "w.json"
+    main(["witness", "--input", path, "--from", "c1", "--to", "c2", "--out", str(out)])
+    doc = load_json(out)
+    witness, _ = witness_from_json(doc)
+    k = len(witness.switches) // 2
+    switch = doc["sequence"][k]
+    if tamper == "drop":
+        switch["edges"].pop()
+    elif tamper == "unknown":
+        switch["edges"].append(10**6)
+    else:
+        # an edge of another component of the same pair, as the replay finds them
+        cover = witness.cover.source
+        current = apply_sequence(cover, pullback_coloring(witness.cover, witness.start), witness.switches[:k])
+        others = [cycle for cycle in bichromatic_cycles(cover, current, *switch["colors"])
+                  if cycle != witness.switches[k]]
+        switch["edges"] = sorted(switch["edges"] + [others[0].edge_ids[-1]])
+    dump_json(doc, out)
+    capsys.readouterr()
+    assert main(["verify", "--input", path, "--witness", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"sequence position {k}" in err[0]
 
 
 def verify_with_claimed_vertices(tmp_path, capsys, monkeypatch, block):

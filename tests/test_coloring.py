@@ -10,7 +10,6 @@ from kempe_covers import (
     IllegalColoringError,
     Multigraph,
     StaleSwitchError,
-    UnknownEdgeError,
     apply_sequence,
     bichromatic_cycles,
     color_class_subgraph,
@@ -89,18 +88,20 @@ def test_bichromatic_rejects_equal_colors(k33, k33_pair):
         bichromatic_cycles(k33, k33_pair[0], 2, 2)
 
 
-def test_canonical_walk_starts_at_smallest_dart(k33, k33_pair):
-    for i in range(1, 4):
-        for j in range(i + 1, 4):
-            for cycle in bichromatic_cycles(k33, k33_pair[0], i, j):
-                assert cycle.darts[0] == (min(cycle.edges), 0)
+def test_cycles_come_in_order_of_smallest_edge(k33, k33_pair):
+    cube = make_cube()
+    for g, c in ((k33, k33_pair[0]), (cube, cube_dimension_coloring())):
+        for i in range(1, 4):
+            for j in range(i + 1, 4):
+                firsts = [min(cycle.edges) for cycle in bichromatic_cycles(g, c, i, j)]
+                assert firsts == sorted(firsts)
 
 
 def test_cycle_decomposition_canonical_walks():
     # two triangles, one with a reversed stored edge; vertex 3 is isolated
     g = Multigraph.from_edges(7, [(0, 1), (4, 5), (2, 1), (5, 6), (0, 2), (6, 4)])
-    walks = _cycle_decomposition(g, [5, 2, 0, 3, 4, 1])
-    assert walks == [((0, 0), (2, 1), (4, 1)), ((1, 0), (3, 0), (5, 0))]
+    cycles = _cycle_decomposition(g, [5, 2, 0, 3, 4, 1])
+    assert cycles == [(0, 2, 4), (1, 3, 5)]
 
 
 @pytest.mark.parametrize("g", [
@@ -146,7 +147,7 @@ def test_stale_switch_rejected(k33, k33_pair):
 def test_fabricated_partial_cycle_rejected(k33, k33_pair):
     c1, _ = k33_pair
     full = bichromatic_cycles(k33, c1, 1, 2)[0]
-    partial = BichromaticCycle(full.colors, full.darts[:2])
+    partial = BichromaticCycle(full.colors, full.edge_ids[:2])
     with pytest.raises(StaleSwitchError):
         kempe_switch(k33, c1, partial)
 
@@ -186,27 +187,28 @@ def test_switch_preserves_other_classes_and_pair_class(k33, k33_pair):
 
 def test_closed_alternating_walk_with_a_third_pair_edge_is_not_a_component():
     # the square 0-1-2-3 alternates colors 1 and 2 and closes, but the chord
-    # 0-2 also has color 1 (the coloring is illegal), so vertex 0 meets three
-    # edges of the pair and the square is only part of its component
+    # 0-2 also has color 1 (the coloring is illegal), so vertices 0 and 2 meet
+    # three edges of the pair and the square is only part of its component;
+    # the walk from edge 0 (0-1) reaches vertex 2 first
     g = Multigraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     c = EdgeColoring(3, {0: 1, 1: 2, 2: 1, 3: 2, 4: 1})
-    square = BichromaticCycle((1, 2), ((0, 0), (1, 0), (2, 0), (3, 0)))
-    with pytest.raises(StaleSwitchError, match="not a full two-color component at vertex 0"):
+    square = BichromaticCycle((1, 2), (0, 1, 2, 3))
+    with pytest.raises(StaleSwitchError, match="not a full two-color component at vertex 2"):
         kempe_switch(g, c, square)
-    with pytest.raises(StaleSwitchError, match="not a full two-color component at vertex 0") as info:
+    with pytest.raises(StaleSwitchError, match="not a full two-color component at vertex 2") as info:
         apply_sequence(g, c, (square,))
     assert info.value.index == 0
 
 
 # -- reference switch kernels -----------------------------------------------
 
-# The walk decomposition and the switch validator as they stood before each
-# became one pass over the raw tables: per-dart graph and coloring accessors,
-# and a list of the pair-colored edges at every visited vertex. The package's
-# kernels must give the same walks, and accept or reject every switch with
-# the same message, except that the reference reads the next dart's
-# endpoints before checking its edge: an unknown edge there raised
-# UnknownEdgeError, where the package names it as a stale switch.
+# The walk decomposition as it stood when it still returned dart walks, and a
+# naive switch check: the edge set must be the whole connected component of
+# its smallest edge in the subgraph of the pair's colors, found by a search
+# that reads the colors at every vertex it reaches, and that component must
+# alternate (each of its vertices meets one edge of each color of the pair).
+# The package's kernels must give the same cycles, and accept exactly the
+# switches the reference accepts.
 
 
 def reference_cycle_decomposition(g, edges):
@@ -247,53 +249,54 @@ def reference_validate_switch(g, c, cycle, index=None):
     lo, hi = cycle.colors
     if not (1 <= lo < hi <= c.degree):
         raise stale(f"color pair {cycle.colors} invalid for degree {c.degree}")
-    if not cycle.darts:
+    if not cycle.edge_ids:
         raise stale("empty cycle")
-    edges = [e for e, _ in cycle.darts]
-    if len(set(edges)) != len(edges):
-        raise stale("repeated edge in walk")
-    prev_color = None
-    for k, (e, slot) in enumerate(cycle.darts):
-        if not g.has_edge(e):
-            raise stale(f"edge {e} not in graph")
-        col = c[e]
-        if col not in (lo, hi):
-            raise stale(f"edge {e} has color {col}, not in {cycle.colors}")
-        if col == prev_color:
-            raise stale(f"colors do not alternate at edge {e}")
-        prev_color = col
-        nxt_e, nxt_slot = cycle.darts[(k + 1) % len(cycle.darts)]
-        if g.endpoints(e)[1 - slot] != g.endpoints(nxt_e)[nxt_slot]:
-            raise stale(f"walk breaks between edges {e} and {nxt_e}")
-    if c[cycle.darts[-1][0]] == c[cycle.darts[0][0]] and len(cycle.darts) > 1:
-        raise stale("colors do not alternate around the closing edge")
-    cycle_edges = cycle.edges
-    for e, slot in cycle.darts:
-        v = g.endpoints(e)[slot]
+    if len(cycle.edges) != len(cycle.edge_ids):
+        raise stale("repeated edge")
+    if not all(g.has_edge(e) for e in cycle.edges):
+        raise stale("unknown edge")
+    if not all(c[e] in (lo, hi) for e in cycle.edges):
+        raise stale("edge off the pair")
+    component, reached = set(), set()
+    frontier = list(g.endpoints(min(cycle.edges)))
+    while frontier:
+        v = frontier.pop()
+        if v in reached:
+            continue
+        reached.add(v)
         local = [f for f, _ in g.darts_at(v) if c[f] in (lo, hi)]
-        if len(local) != 2 or any(f not in cycle_edges for f in local):
-            raise stale(f"cycle is not a full two-color component at vertex {v}")
+        if sorted(c[f] for f in local) != [lo, hi]:
+            raise stale(f"component does not alternate at vertex {v}")
+        component.update(local)
+        frontier.extend(w for f in local for w in g.endpoints(f))
+    if component != cycle.edges:
+        raise stale("edge set is not the component of its smallest edge")
 
 
 TRIANGLE = Multigraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+SQUARES = Multigraph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
 K33_12 = ((0, 0), (3, 1), (5, 0), (8, 1), (7, 0), (1, 1))  # the (1, 2)-cycle of conftest's K33_C1
 
 
+# Each case draws its switch as a closed dart walk; the switch lists its edges.
 @pytest.mark.parametrize("g, colors, pair, darts, message", [
     (make_k33(), K33_C1, (1, 4), K33_12, r"color pair \(1, 4\) invalid for degree 3"),
     (make_k33(), K33_C1, (1, 2), (), "empty cycle"),
-    (make_k33(), K33_C1, (1, 2), K33_12 + K33_12[:1], "repeated edge in walk"),
+    (make_k33(), K33_C1, (1, 2), K33_12 + K33_12[:1], "repeated edge in switch"),
     (TRIANGLE, (1, 1, 2), (1, 2), ((0, 0), (1, 0), (2, 0)), "colors do not alternate at edge 1"),
-    (TRIANGLE, (1, 2, 1), (1, 2), ((0, 0), (1, 0), (2, 0)), "colors do not alternate around the closing edge"),
+    (TRIANGLE, (1, 2, 1), (1, 2), ((0, 0), (1, 0), (2, 0)), "colors do not alternate at edge 0"),
     (make_k33(), K33_C1[:8], (1, 2), K33_12, "edge 8 is not colored"),
+    (make_k33(), K33_C1, (1, 2), K33_12[1:], "misses edge 0"),
+    (SQUARES, (1, 2) * 4, (1, 2), ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0)), "edges lie off the cycle of edge 0"),
 ])
 def test_switch_checks_no_other_test_reaches(g, colors, pair, darts, message):
     c = EdgeColoring(3, dict(enumerate(colors)))
-    cycle = BichromaticCycle(pair, darts)
+    cycle = BichromaticCycle(pair, tuple(sorted(e for e, _ in darts)))
     error = ColoringError if "not colored" in message else StaleSwitchError
-    for validate in (_validate_switch, reference_validate_switch):
-        with pytest.raises(error, match=message):
-            validate(g, c, cycle)
+    with pytest.raises(error, match=message):
+        _validate_switch(g, c, cycle)
+    with pytest.raises(error):
+        reference_validate_switch(g, c, cycle)
 
 
 INSTANCES = st.tuples(
@@ -302,7 +305,9 @@ INSTANCES = st.tuples(
     st.sampled_from([4, 6, 8]),
 )
 
-MUTATIONS = ("drop", "duplicate", "swap", "rotate", "flip", "foreign", "unknown", "pair", "recolor", "uncolor")
+MUTATIONS = (
+    "drop", "repeat", "adjacent", "second", "foreign", "unknown", "empty", "pair", "flip", "recolor", "uncolor",
+)
 
 
 def color_pair(draw, d):
@@ -310,40 +315,58 @@ def color_pair(draw, d):
 
 
 def mutated_switch(draw, g, c, cycle):
-    """One mutation of a valid switch; returns the coloring and the walk to check."""
-    darts, pair = list(cycle.darts), cycle.colors
-    d, k = c.degree, draw(st.integers(min_value=0, max_value=len(darts) - 1))
+    """One mutation of a switch's edge set or of the coloring; returns both to check."""
+    edges, pair = set(cycle.edges), cycle.colors
+    d = c.degree
     colors = dict(c.items())
+    touched = {w for e in edges if g.has_edge(e) for w in g.endpoints(e)}
+    outside = [e for e in g.edge_ids() if e not in edges]
     kind = draw(st.sampled_from(MUTATIONS))
-    if kind == "drop":
-        del darts[k]
-    elif kind == "duplicate":
-        darts.insert(draw(st.integers(min_value=0, max_value=len(darts))), darts[k])
-    elif kind == "swap":
-        j = draw(st.integers(min_value=0, max_value=len(darts) - 1))
-        darts[k], darts[j] = darts[j], darts[k]
-    elif kind == "rotate":
-        darts = darts[k:] + darts[:k]
-    elif kind == "flip":
-        darts[k] = (darts[k][0], 1 - darts[k][1])
+    if kind == "drop" and edges:
+        edges.remove(draw(st.sampled_from(sorted(edges))))
+    elif kind == "repeat" and edges:
+        return c, BichromaticCycle(pair, tuple(sorted([*cycle.edge_ids, draw(st.sampled_from(sorted(edges)))])))
+    elif kind == "adjacent":
+        # recolor an edge next to the set into the pair, and maybe add it
+        near = [e for e in outside if touched & set(g.endpoints(e))]
+        if near:
+            e = draw(st.sampled_from(near))
+            colors[e] = draw(st.sampled_from(pair))
+            if draw(st.booleans()):
+                edges.add(e)
+    elif kind == "second":
+        try:
+            others = [cyc.edges for cyc in bichromatic_cycles(g, c, *pair) if cyc.edges != cycle.edges]
+        except ColoringError:  # an invalid pair, or a coloring no longer total or legal
+            others = []
+        if others:
+            edges |= draw(st.sampled_from(others))
     elif kind == "foreign":
-        darts[k] = (draw(st.sampled_from(g.edge_ids())), draw(st.integers(min_value=0, max_value=1)))
+        off = [e for e in outside if colors.get(e) not in pair]
+        if off:
+            edges.add(draw(st.sampled_from(off)))
     elif kind == "unknown":
-        darts[k] = (max(g.edge_ids()) + 1 + k, 0)
+        edges.add(max(g.edge_ids()) + 1 + draw(st.integers(min_value=0, max_value=3)))
+    elif kind == "empty":
+        edges.clear()
     elif kind == "pair":
         pair = tuple(draw(st.lists(st.integers(min_value=0, max_value=d + 1), min_size=2, max_size=2)))
+    elif kind == "flip" and edges:
+        # give one edge of the set the pair's other color
+        e = draw(st.sampled_from(sorted(edges)))
+        colors[e] = pair[1] if colors.get(e) == pair[0] else pair[0]
     elif kind == "recolor":
         colors[draw(st.sampled_from(g.edge_ids()))] = draw(st.integers(min_value=1, max_value=d))
-    else:
+    elif kind == "uncolor":
         colors.pop(draw(st.sampled_from(g.edge_ids())), None)
-    return EdgeColoring(d, colors), BichromaticCycle(pair, tuple(darts))
+    return EdgeColoring(d, colors), BichromaticCycle(pair, tuple(sorted(edges)))
 
 
 def verdict(validate, g, c, cycle, index):
     try:
         validate(g, c, cycle, index)
-    except (StaleSwitchError, ColoringError, UnknownEdgeError) as exc:
-        return type(exc).__name__, str(exc), getattr(exc, "index", None)
+    except (StaleSwitchError, ColoringError) as exc:
+        return type(exc).__name__, getattr(exc, "index", None)
     return None
 
 
@@ -357,18 +380,18 @@ def test_validate_switch_matches_reference(instance, data):
         other = data.draw(st.sampled_from(bichromatic_cycles(g, c, *color_pair(data.draw, c.degree))))
         c = kempe_switch(g, c, other)
     for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
-        if cycle.darts:
-            c, cycle = mutated_switch(data.draw, g, c, cycle)
+        c, cycle = mutated_switch(data.draw, g, c, cycle)
     index = data.draw(st.none() | st.integers(min_value=0, max_value=99))
     target = data.draw(st.sampled_from([c, WorkingColoring(g, c)]))
     got = verdict(_validate_switch, g, target, cycle, index)
     want = verdict(reference_validate_switch, g, target, cycle, index)
-    if want is not None and want[0] == "UnknownEdgeError":
-        # the reference tripped over the next dart's unknown edge
-        unknown = int(want[1].split()[-1])
-        at = "" if index is None else f" (sequence position {index})"
-        want = "StaleSwitchError", f"stale switch{at}: edge {unknown} not in graph", index
-    assert got == want
+    # both accept, or both reject; a stale switch names its position, and
+    # only a coloring that leaves an edge uncolored may raise ColoringError
+    assert (got is None) == (want is None)
+    if got is not None:
+        total = all(e in c for e in g.edge_ids())
+        for name, at in (got, want):
+            assert (name, at) == ("StaleSwitchError", index) or (name == "ColoringError" and not total)
 
 
 def is_two_regular(g, edges):
@@ -386,7 +409,8 @@ def test_cycle_decomposition_matches_reference(instance, data):
     toggled = data.draw(st.sets(st.sampled_from(g.edge_ids()), max_size=3))
     edges ^= toggled
     if is_two_regular(g, edges):
-        assert _cycle_decomposition(g, edges) == reference_cycle_decomposition(g, edges)
+        walks = reference_cycle_decomposition(g, edges)
+        assert _cycle_decomposition(g, edges) == [tuple(sorted(e for e, _ in walk)) for walk in walks]
     else:
         for decompose in (_cycle_decomposition, reference_cycle_decomposition):
             with pytest.raises(IllegalColoringError, match="not 2-regular"):

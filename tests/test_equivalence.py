@@ -252,26 +252,27 @@ def rejected_at_position(g, c, bad):
 def test_closed_walk_with_foreign_color_rejected(k33, k33_pair):
     c1, _ = k33_pair
     # 0 -> 3 -> 1 -> 4 -> 0 is a closed walk colored 1, 2, 3, 2
-    bad = BichromaticCycle((1, 2), ((0, 0), (3, 1), (4, 0), (1, 1)))
-    assert [c1[e] for e, _ in bad.darts] == [1, 2, 3, 2]
+    bad = BichromaticCycle((1, 2), (0, 1, 3, 4))
+    assert sorted(c1[e] for e in bad.edges) == [1, 2, 2, 3]
     assert not is_legal(k33, blind_flip(c1, bad))
     assert "not in (1, 2)" in rejected_at_position(k33, c1, bad)
 
 
 def test_non_alternating_walk_rejected(k33, k33_pair):
     c1, _ = k33_pair
-    # edges colored 1, 1, 2, 2: under a legal coloring two consecutive edges
-    # of one color cannot meet, so the walk breaks before it could alternate
-    bad = BichromaticCycle((1, 2), ((0, 0), (5, 0), (1, 1), (3, 1)))
-    assert [c1[e] for e, _ in bad.darts] == [1, 1, 2, 2]
+    # edges colored 1, 1, 2, 2: under a legal coloring two edges of one color
+    # cannot meet, so the set is no cycle; the walk from edge 0 along the
+    # (1, 2)-component leaves the set at edge 8
+    bad = BichromaticCycle((1, 2), (0, 1, 3, 5))
+    assert sorted(c1[e] for e in bad.edges) == [1, 1, 2, 2]
     assert not is_legal(k33, blind_flip(c1, bad))
-    assert "walk breaks" in rejected_at_position(k33, c1, bad)
+    assert "misses edge 8" in rejected_at_position(k33, c1, bad)
 
 
 def test_unknown_edge_in_walk_is_a_stale_switch(k33, k33_pair):
     c1, _ = k33_pair
-    darts = bichromatic_cycles(k33, c1, 1, 2)[0].darts
-    bad = BichromaticCycle((1, 2), darts[:1] + ((999, 0),) + darts[2:])
+    edges = bichromatic_cycles(k33, c1, 1, 2)[0].edges
+    bad = BichromaticCycle((1, 2), tuple(sorted(edges - {3} | {999})))
     with pytest.raises(StaleSwitchError, match="edge 999 not in graph"):
         kempe_switch(k33, c1, bad)
     assert "edge 999 not in graph" in rejected_at_position(k33, c1, bad)

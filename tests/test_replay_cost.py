@@ -14,9 +14,12 @@ a census and its queries, which must not grow with the switches the
 breadth-first search tries: one cycle per coloring it reaches, or per step
 of the path it returns. The replay test counts every Python call the
 package makes while it verifies a 5,088-switch witness, so that checking a
-switch stays a loop over its darts rather than a call per dart.
+switch stays one loop over its cycle rather than a call per edge. The
+parse test counts the calls that read the same witness back from JSON: no
+switch is rebuilt as a walk, and no integer is checked by a call of its own.
 """
 
+import json
 import os
 import sys
 
@@ -42,6 +45,8 @@ from kempe_covers import (
     random_colored_instance,
     verify_covering,
     verify_witness,
+    witness_from_json,
+    witness_to_json,
 )
 
 EXTRA = 60
@@ -94,9 +99,15 @@ def test_verify_witness_cost_is_independent_of_switch_count(monkeypatch, witness
     assert max(counts[0]) < 10 < len(witnesses[0].switches)
 
 
-def test_verify_witness_makes_few_python_calls_per_switch():
+@pytest.fixture(scope="module")
+def d5_witness():
     w = kempe_cover_witness(*random_colored_instance(1, 5, 6))
     assert len(w.switches) == 5088
+    return w
+
+
+def package_calls(fn, *args):
+    """``fn(*args)`` and the number of Python calls it makes into the package."""
     package = os.path.dirname(coloring.__file__) + os.sep
     calls = [0]
 
@@ -107,12 +118,28 @@ def test_verify_witness_makes_few_python_calls_per_switch():
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        verdict = verify_witness(w)
+        result = fn(*args)
     finally:
         sys.setprofile(previous)
+    return result, calls[0]
+
+
+def test_verify_witness_makes_few_python_calls_per_switch(d5_witness):
+    verdict, calls = package_calls(verify_witness, d5_witness)
     assert verdict, verdict.reason
     # 541,595 when every dart went through the graph and coloring accessors
-    assert calls[0] < 150_000
+    assert calls < 150_000
+
+
+def test_witness_from_json_rebuilds_no_walk_and_makes_no_call_per_switch(monkeypatch, d5_witness):
+    text = json.dumps(witness_to_json(d5_witness), sort_keys=True, separators=(",", ":"))
+    decompositions = counter(monkeypatch, bindings("_cycle_decomposition"), "_cycle_decomposition")
+    (parsed, _), calls = package_calls(witness_from_json, json.loads(text))
+    assert parsed == d5_witness
+    assert decompositions == []
+    # 139,910 when each switch was rebuilt as a dart walk and each integer
+    # was checked by its own call
+    assert calls < len(d5_witness.switches)
 
 
 def test_verify_covering_does_not_scan_vertex_fibers(monkeypatch, witnesses):

@@ -329,9 +329,10 @@ def mutated_switch(draw, g, c, cycle):
     elif kind == "adjacent":
         # recolor an edge next to the set into the pair, and maybe add it
         near = [e for e in outside if touched & set(g.endpoints(e))]
-        if near:
+        usable = [x for x in pair if 1 <= x <= d]  # an earlier "pair" mutation may leave 1..d
+        if near and usable:
             e = draw(st.sampled_from(near))
-            colors[e] = draw(st.sampled_from(pair))
+            colors[e] = draw(st.sampled_from(usable))
             if draw(st.booleans()):
                 edges.add(e)
     elif kind == "second":
@@ -354,7 +355,9 @@ def mutated_switch(draw, g, c, cycle):
     elif kind == "flip" and edges:
         # give one edge of the set the pair's other color
         e = draw(st.sampled_from(sorted(edges)))
-        colors[e] = pair[1] if colors.get(e) == pair[0] else pair[0]
+        other = pair[1] if colors.get(e) == pair[0] else pair[0]
+        if 1 <= other <= d:
+            colors[e] = other
     elif kind == "recolor":
         colors[draw(st.sampled_from(g.edge_ids()))] = draw(st.integers(min_value=1, max_value=d))
     elif kind == "uncolor":

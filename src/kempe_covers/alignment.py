@@ -81,14 +81,6 @@ class AlignmentData:
     orientation: dict[EdgeId, tuple[VertexId, VertexId]]
 
 
-def _to_residue(color: int, modulus: int) -> Residue:
-    return color % modulus
-
-
-def _to_color(residue: Residue, modulus: int) -> int:
-    return modulus if residue == 0 else residue
-
-
 def split_color_d(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> ColorDSplit:
     """Split the two top-color classes into shared edges and moving cycles.
 
@@ -104,15 +96,14 @@ def _split_color_d(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring, d: int) ->
     class2 = c2.color_class(d)
     shared = class1 & class2
     moving = (class1 | class2) - shared
-    shared_vertices = set()
-    for e in shared:
-        shared_vertices.update(g.endpoints(e))
+    table = g._edges
+    shared_vertices = {v for e in shared for v in table[e]}
     return ColorDSplit(d, frozenset(shared), frozenset(moving), frozenset(shared_vertices))
 
 
 def default_orientation(g: Multigraph) -> dict[EdgeId, tuple[VertexId, VertexId]]:
     """Each edge oriented from its smaller endpoint id to its larger."""
-    return {e: tuple(sorted(g.endpoints(e))) for e in g.edge_ids()}
+    return {e: (u, w) if u < w else (w, u) for e, (u, w) in g._edges.items()}
 
 
 def alignment_data(
@@ -138,35 +129,28 @@ def _alignment_data(
         raise RegularityError("alignment needs degree at least 2 (no residues mod 0)")
     modulus = d - 1
 
-    anchor: dict[VertexId, EdgeId] = {}
-    for e in c2.color_class(d):
-        for v in g.endpoints(e):
-            anchor[v] = e
-
+    table, colors1 = g._edges, c1._colors
+    anchor = {v: e for e in c2.color_class(d) for v in table[e]}
     shift = {
-        v: 0 if v in split.shared_vertices else _to_residue(c1[anchor[v]], modulus)
-        for v in g.vertices()
+        v: 0 if v in split.shared_vertices else colors1[anchor[v]] % modulus
+        for v in range(g.vertex_count)
     }
 
     if orientation is None:
         oriented = default_orientation(g)
     else:
         oriented = {}
-        for e in g.edge_ids():
+        for e, ends in table.items():
             if e not in orientation:
                 raise GraphStructureError(f"orientation missing edge {e}")
             origin, terminus = orientation[e]
-            if {origin, terminus} != set(g.endpoints(e)):
+            if {origin, terminus} != set(ends):
                 raise GraphStructureError(f"orientation of edge {e} does not match its endpoints")
             oriented[e] = (origin, terminus)
 
     offset = {}
-    for e in g.edge_ids():
-        if c1[e] == d:
-            offset[e] = 0
-        else:
-            origin, terminus = oriented[e]
-            offset[e] = (shift[origin] - shift[terminus]) % modulus
+    for e, (origin, terminus) in oriented.items():
+        offset[e] = 0 if colors1[e] == d else (shift[origin] - shift[terminus]) % modulus
     return AlignmentData(modulus, anchor, shift, offset, oriented)
 
 
@@ -193,42 +177,35 @@ def _build_alignment_cover(
     """:func:`build_alignment_cover` from the data of proved inputs."""
     d = c1.degree
     modulus = data.modulus
-
-    def sheet_vertex(v: VertexId, i: Residue) -> VertexId:
-        return v * modulus + i
-
     pairs: dict[EdgeId, tuple[VertexId, VertexId]] = {}
     emap: dict[EdgeId, EdgeId] = {}
     colors: dict[EdgeId, int] = {}
-    next_id = 0
-    for e in g.edge_ids():
-        u, w = g.endpoints(e)
-        ref = min(u, w)
+    for e, (u, w) in g._edges.items():
         origin, terminus = data.orientation[e]
-        for label in range(modulus):
+        offset, color = data.offset[e], c1._colors[e]
+        keyed_at_terminus = min(u, w) == terminus
+        lifts = range(len(pairs), len(pairs) + modulus)
+        for label, f in zip(range(modulus), lifts):
             # sheet of this copy at each endpoint: terminus carries the raw
             # index, origin carries index + offset; re-express both through
             # the sheet at the reference (smaller-id) endpoint
-            if ref == terminus:
-                at_terminus = label
+            at_terminus = label if keyed_at_terminus else (label - offset) % modulus
+            at_origin = (at_terminus + offset) % modulus
+            if u == terminus:
+                pairs[f] = (u * modulus + at_terminus, w * modulus + at_origin)
             else:
-                at_terminus = (label - data.offset[e]) % modulus
-            at_origin = (at_terminus + data.offset[e]) % modulus
-            sheet_of = {terminus: at_terminus, origin: at_origin}
-            pairs[next_id] = (sheet_vertex(u, sheet_of[u]), sheet_vertex(w, sheet_of[w]))
-            emap[next_id] = e
-            if c1[e] == d:
-                colors[next_id] = d
-            else:
-                residue = (at_terminus - data.shift[terminus] + _to_residue(c1[e], modulus)) % modulus
-                colors[next_id] = _to_color(residue, modulus)
-            next_id += 1
+                pairs[f] = (u * modulus + at_origin, w * modulus + at_terminus)
+            if color == d:
+                colors[f] = d
+            else:  # the residue as a color: 0 stands for the color modulus
+                colors[f] = (at_terminus - data.shift[terminus] + color) % modulus or modulus
+        emap.update(dict.fromkeys(lifts, e))
 
     cover_graph = Multigraph(g.vertex_count * modulus, pairs)
     p = CoveringMap(
         cover_graph,
         g,
-        tuple(v // modulus for v in cover_graph.vertices()),
+        [v // modulus for v in range(cover_graph.vertex_count)],
         emap,
     )
     return p, EdgeColoring(d, colors)
@@ -274,10 +251,10 @@ def _align_color(
     """:func:`align_color` from the split of proved inputs; the recursion enters here."""
     p, shifted = _build_alignment_cover(g, c1, _alignment_data(g, c1, c2, split, orientation))
     d = split.degree
-    member = [e for e in p.source.edge_ids() if p.edge_image(e) in split.moving]
+    member = [e for e, image in p._emap.items() if image in split.moving]
     switches = []
     for edges in _cycle_decomposition(p.source, member):
-        cycle_colors = sorted({shifted[f] for f in edges})
+        cycle_colors = sorted({shifted._colors[f] for f in edges})
         if len(cycle_colors) != 2:
             raise ColoringError("lifted moving cycle is not bi-chromatic")
         switches.append(BichromaticCycle((cycle_colors[0], cycle_colors[1]), edges))

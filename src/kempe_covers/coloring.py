@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ColoringError, IllegalColoringError, RegularityError, StaleSwitchError
-from .graph import EdgeId, Multigraph, is_regular, spanning_subgraph
+from .graph import EdgeId, Multigraph, VertexId, is_regular, spanning_subgraph
 
 Color = int
 
@@ -30,7 +30,7 @@ class EdgeColoring:
                 raise ColoringError(f"edge {e}: color {c} outside 1..{degree}")
         self._degree = degree
         self._colors = dict(colors)
-        self._key = None  # sorted on first comparison or hash; most colorings get neither
+        self._key = None  # sorted on first hash; most colorings get none
 
     @property
     def degree(self) -> int:
@@ -50,7 +50,7 @@ class EdgeColoring:
 
     def color_class(self, color: Color) -> frozenset[EdgeId]:
         """Edge set carrying the given color."""
-        return frozenset(e for e, c in self._colors.items() if c == color)
+        return frozenset([e for e, c in self._colors.items() if c == color])
 
     def restricted(self, edges: Iterable[EdgeId], degree: int | None = None) -> "EdgeColoring":
         """Restriction to an edge subset, optionally with a smaller ambient degree."""
@@ -59,18 +59,15 @@ class EdgeColoring:
             {e: self._colors[e] for e in edges},
         )
 
-    def _sorted_key(self) -> tuple:
-        if self._key is None:
-            self._key = (self._degree, tuple(sorted(self._colors.items())))
-        return self._key
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeColoring):
             return NotImplemented
-        return self._sorted_key() == other._sorted_key()
+        return self._degree == other._degree and self._colors == other._colors
 
     def __hash__(self):
-        return hash(self._sorted_key())
+        if self._key is None:
+            self._key = (self._degree, tuple(sorted(self._colors.items())))
+        return hash(self._key)
 
     def __repr__(self) -> str:
         return f"EdgeColoring(degree={self._degree}, edges={len(self._colors)})"
@@ -151,33 +148,44 @@ def color_class_subgraph(g: Multigraph, c: EdgeColoring, colors: Iterable[Color]
 def _cycle_decomposition(g: Multigraph, edges: Iterable[EdgeId]) -> list[tuple[EdgeId, ...]]:
     """The sorted edge ids of each cycle that makes up an edge set, ordered by smallest id.
 
-    Raises unless every vertex the edges touch meets exactly two of them;
-    each cycle is walked from its smallest edge, and every vertex it touches
-    is reached as the end of a step, so checking there checks the whole
-    support. Every edge must be in ``g``.
+    Raises unless every vertex the edges touch meets exactly two of them.
+    The walk reads only the edge table: each touched vertex indexes its
+    first and its last member edge, and each cycle is walked from its
+    smallest edge. Every edge must be in ``g``.
     """
-    member = set(edges)
-    table, incidence = g._edges, g._incidence
+    member = sorted(set(edges))
+    table = g._edges
+    one: dict[VertexId, EdgeId] = {}
+    two: dict[VertexId, EdgeId] = {}
+    for e in member:
+        u, w = table[e]
+        if u in one:
+            two[u] = e
+        else:
+            one[u] = e
+        if w in one:
+            two[w] = e
+        else:
+            one[w] = e
+    # the edges have 2 * len(member) ends: every touched vertex meets at least
+    # two when both indexes are equally large, and then exactly two when there
+    # are as many touched vertices as edges
+    if not len(one) == len(two) == len(member):
+        raise IllegalColoringError("edge set is not 2-regular on its support")
     cycles = []
     used: set[EdgeId] = set()
-    for first in sorted(member):
+    for first in member:
         if first in used:
             continue
         cycle = [first]
         e, v = first, table[first][1]  # v: the vertex the walk has arrived at
         while True:
-            nxt = None
-            for f, slot in incidence[v]:
-                if f != e and f in member:
-                    if nxt is not None:  # a third member edge at v
-                        raise IllegalColoringError("edge set is not 2-regular on its support")
-                    nxt, nxt_slot = f, slot
-            if nxt is None:
-                raise IllegalColoringError("edge set is not 2-regular on its support")
-            if nxt == first:
+            e = two[v] if one[v] == e else one[v]
+            if e == first:
                 break
-            cycle.append(nxt)
-            e, v = nxt, table[nxt][1 - nxt_slot]
+            cycle.append(e)
+            u, w = table[e]
+            v = w if u == v else u
         used.update(cycle)
         cycle.sort()
         cycles.append(tuple(cycle))
@@ -193,8 +201,10 @@ def bichromatic_cycles(g: Multigraph, c: EdgeColoring, i: Color, j: Color) -> li
     if i == j:
         raise ColoringError(f"need two distinct colors, got {i} twice")
     lo, hi = min(i, j), max(i, j)
+    if lo < 1 or hi > c.degree:
+        raise ColoringError(f"color pair ({i}, {j}) outside 1..{c.degree}")
     _check_total(g, c)
-    member = [e for e in g.edge_ids() if c[e] in (lo, hi)]
+    member = [e for e, col in c._colors.items() if col == lo or col == hi]
     return [BichromaticCycle((lo, hi), edges) for edges in _cycle_decomposition(g, member)]
 
 

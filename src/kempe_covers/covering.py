@@ -68,7 +68,7 @@ class CoveringMap:
 
     @classmethod
     def identity(cls, g: Multigraph) -> "CoveringMap":
-        return cls(g, g, tuple(g.vertices()), {e: e for e in g.edge_ids()})
+        return cls(g, g, range(g.vertex_count), dict(zip(g._edges, g._edges)))
 
     def vertex_image(self, v: VertexId) -> VertexId:
         return self._vmap[v]
@@ -124,7 +124,7 @@ def verify_covering(p: CoveringMap) -> Verdict:
         return Verdict(False, "vertex map is not total on the source")
     if emap.keys() != src._edges.keys():
         return Verdict(False, "edge map does not match the source edge set")
-    n, tgt_edges = tgt.vertex_count, tgt._edges
+    n, tgt_edges, tgt_incidence = tgt.vertex_count, tgt._edges, tgt._incidence
     for v, x in enumerate(vmap):
         if not 0 <= x < n:
             return Verdict(False, f"vertex {v} maps outside the target")
@@ -142,7 +142,7 @@ def verify_covering(p: CoveringMap) -> Verdict:
     for v, darts in enumerate(src._incidence):
         if len({emap[e] for e, _ in darts}) != len(darts):
             return Verdict(False, f"local bijection fails at source vertex {v} (collision)")
-        if len(darts) != len(tgt._incidence[vmap[v]]):
+        if len(darts) != len(tgt_incidence[vmap[v]]):
             return Verdict(False, f"local bijection fails at source vertex {v}")
     try:
         p.degree
@@ -156,14 +156,21 @@ def pullback_coloring(p: CoveringMap, c: EdgeColoring) -> EdgeColoring:
 
     ``p`` is not re-checked; run :func:`verify_covering` on untrusted maps.
     """
-    return EdgeColoring(c.degree, {e: c[p.edge_image(e)] for e in p.source.edge_ids()})
+    colors, emap = c._colors, p._emap
+    try:
+        return EdgeColoring(c.degree, {e: colors[emap[e]] for e in p.source._edges})
+    except KeyError:  # let c[...] raise its ColoringError for the first uncolored image
+        for e in p.source._edges:
+            c[emap[e]]
+        raise
 
 
 def _edge_fibers(p: CoveringMap) -> dict[EdgeId, list[EdgeId]]:
     """Target edge -> its source edges in increasing id order, in one pass."""
     fibers: dict[EdgeId, list[EdgeId]] = {}
-    for e, img in sorted(p._emap.items()):
-        fibers.setdefault(img, []).append(e)
+    emap = p._emap
+    for e in p.source._edges:
+        fibers.setdefault(emap[e], []).append(e)
     return fibers
 
 
@@ -205,23 +212,19 @@ def compose(p: CoveringMap, q: CoveringMap) -> CoveringMap:
     """
     if q.target != p.source:
         raise CoveringError("cannot compose: middle graphs differ")
+    p_vmap, p_emap, q_emap = p._vmap, p._emap, q._emap
     return CoveringMap(
         q.source,
         p.target,
-        tuple(p.vertex_image(q.vertex_image(v)) for v in q.source.vertices()),
-        {e: p.edge_image(q.edge_image(e)) for e in q.source.edge_ids()},
+        [p_vmap[x] for x in q._vmap],
+        {e: p_emap[q_emap[e]] for e in q.source._edges},
     )
 
 
 def copies_cover(g: Multigraph, m: int) -> CoveringMap:
     """The projection of ``m`` disjoint copies of ``g`` onto ``g``: a covering of degree ``m``."""
-    union, vertex_origin, edge_origin = disjoint_copies(g, m)
-    return CoveringMap(
-        union,
-        g,
-        tuple(vertex_origin[v][0] for v in union.vertices()),
-        {e: edge_origin[e][0] for e in union.edge_ids()},
-    )
+    union = disjoint_copies(g, m)[0]  # copy k follows copy k-1, each in g's own order
+    return CoveringMap(union, g, tuple(range(g.vertex_count)) * m, dict(zip(union._edges, tuple(g._edges) * m)))
 
 
 def extend_subgraph_cover(g: Multigraph, h: Multigraph, p: CoveringMap) -> CoveringMap:
@@ -237,25 +240,26 @@ def extend_subgraph_cover(g: Multigraph, h: Multigraph, p: CoveringMap) -> Cover
     """
     if h.vertex_count != g.vertex_count:
         raise CoveringError("subgraph is not spanning: vertex sets differ")
-    for e in h.edge_ids():
-        if not g.has_edge(e) or g.endpoints(e) != h.endpoints(e):
-            raise CoveringError(f"edge {e} of the subgraph is not an edge of the full graph")
+    g_edges, h_edges = g._edges, h._edges
+    if not h_edges.items() <= g_edges.items():
+        for e, ends in h_edges.items():
+            if g_edges.get(e) != ends:
+                raise CoveringError(f"edge {e} of the subgraph is not an edge of the full graph")
     if p.target != h:
         raise CoveringError("cover does not map onto the given subgraph")
     m = p.degree  # raises on non-constant fibers
 
-    fibers: list[list[VertexId]] = [[] for _ in g.vertices()]
-    for w, image in enumerate(p.vertex_map):
+    fibers: list[list[VertexId]] = [[] for _ in range(g.vertex_count)]
+    for w, image in enumerate(p._vmap):
         fibers[image].append(w)
-    pairs = p.source.edge_table()
-    emap = p.edge_map
+    pairs = dict(p.source._edges)
+    emap = dict(p._emap)
     next_id = max(pairs, default=-1) + 1
-    missing = [e for e in g.edge_ids() if not h.has_edge(e)]
-    for e in missing:
-        u, w = g.endpoints(e)
-        for k in range(m):
-            pairs[next_id] = (fibers[u][k], fibers[w][k])
-            emap[next_id] = e
-            next_id += 1
+    for e, (u, w) in g_edges.items():
+        if e not in h_edges:
+            lifts = range(next_id, next_id + m)
+            pairs.update(zip(lifts, zip(fibers[u], fibers[w])))
+            emap.update(dict.fromkeys(lifts, e))
+            next_id += m
     extended = Multigraph(p.source.vertex_count, pairs)
-    return CoveringMap(extended, g, p.vertex_map, emap)
+    return CoveringMap(extended, g, p._vmap, emap)

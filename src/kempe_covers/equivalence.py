@@ -186,7 +186,8 @@ def _aligned_witness(
     reused verbatim (no switch touches the top color). Result degree is
     exactly beta(d-1).
     """
-    rest = sorted(set(g.edge_ids()) - c1.color_class(d))
+    colors = c1._colors
+    rest = [e for e in g._edges if colors[e] != d]
     h = spanning_subgraph(g, rest)
     cover, switches = _witness(h, c1.restricted(rest, d - 1), c2.restricted(rest, d - 1), d - 1)
     extended = extend_subgraph_cover(g, h, cover)
@@ -223,12 +224,12 @@ def _induced_component(
     """Component relabelled densely: its edge pairs, plus vertex and edge ids back in ``g``."""
     ordered = sorted(vertices)
     to_sub = {v: k for k, v in enumerate(ordered)}
-    edge_ids = tuple(e for e in g.edge_ids() if g.endpoints(e)[0] in vertices)
-    pairs = []
-    for e in edge_ids:
-        u, w = g.endpoints(e)
-        pairs.append((to_sub[u], to_sub[w]))
-    return tuple(pairs), tuple(ordered), edge_ids
+    edge_ids, pairs = [], []
+    for e, (u, w) in g._edges.items():
+        if u in vertices:
+            edge_ids.append(e)
+            pairs.append((to_sub[u], to_sub[w]))
+    return tuple(pairs), tuple(ordered), tuple(edge_ids)
 
 
 def _per_component_witness(
@@ -251,8 +252,8 @@ def _per_component_witness(
     parts = []
     for comp in components:
         pairs, vback, eback = _induced_component(g, comp)
-        colors1 = tuple(c1[e] for e in eback)
-        colors2 = tuple(c2[e] for e in eback)
+        colors1 = tuple(map(c1._colors.__getitem__, eback))
+        colors2 = tuple(map(c2._colors.__getitem__, eback))
         key = (len(vback), pairs, colors1, colors2)
         if key not in solved:
             sub = Multigraph.from_edges(len(vback), pairs)
@@ -262,19 +263,19 @@ def _per_component_witness(
             solved[key] = _pad_to_degree(cover, switches, sub_c1, target)
         parts.append((*solved[key], vback, eback))
 
-    union, vmaps, emaps = disjoint_union([cover.source for cover, _, _, _ in parts])
-    vertex_map = [0] * union.vertex_count
+    union, _, emaps = disjoint_union([cover.source for cover, _, _, _ in parts])
+    vertex_map: list[VertexId] = []
     edge_map: dict[EdgeId, EdgeId] = {}
     all_switches: list[BichromaticCycle] = []
-    for idx, (cover, switches, vback, eback) in enumerate(parts):
-        for old_v, new_v in vmaps[idx].items():
-            vertex_map[new_v] = vback[cover.vertex_image(old_v)]
-        for old_e, new_e in emaps[idx].items():
-            edge_map[new_e] = eback[cover.edge_image(old_e)]
-        emap = emaps[idx]
+    for (cover, switches, vback, eback), emap in zip(parts, emaps):
+        # each part's vertices follow the previous parts' in the union, in order
+        vertex_map.extend([vback[x] for x in cover._vmap])
+        cover_emap = cover._emap
+        edge_map.update({new: eback[cover_emap[old]] for old, new in emap.items()})
+        # disjoint_union numbers a part's edges in increasing order, so the
+        # mapped ids of a sorted switch stay sorted
         for cyc in switches:
-            edges = tuple(sorted([emap[e] for e in cyc.edge_ids]))
-            all_switches.append(BichromaticCycle(cyc.colors, edges))
+            all_switches.append(BichromaticCycle(cyc.colors, tuple(map(emap.__getitem__, cyc.edge_ids))))
     return CoveringMap(union, g, vertex_map, edge_map), tuple(all_switches)
 
 

@@ -29,15 +29,14 @@ Dart = tuple[EdgeId, int]
 
 
 class Multigraph:
-    """Immutable loop-free multigraph with per-vertex dart lists."""
+    """Immutable loop-free multigraph; per-vertex dart lists are built on first walk."""
 
-    __slots__ = ("_n", "_edges", "_incidence")
+    __slots__ = ("_n", "_edges", "_darts")
 
     def __init__(self, vertex_count: int, edges: Mapping[EdgeId, tuple[VertexId, VertexId]]):
         if vertex_count < 0:
             raise GraphStructureError(f"negative vertex count {vertex_count}")
         table: dict[EdgeId, tuple[VertexId, VertexId]] = {}
-        incidence: list[list[Dart]] = [[] for _ in range(vertex_count)]
         for eid in sorted(edges):
             u, v = edges[eid]
             if not (0 <= u < vertex_count):
@@ -47,11 +46,20 @@ class Multigraph:
             if u == v:
                 raise LoopEdgeError(f"edge {eid} would be a loop at vertex {u}")
             table[eid] = (u, v)
-            incidence[u].append((eid, 0))
-            incidence[v].append((eid, 1))
         self._n = vertex_count
         self._edges = table
-        self._incidence = [tuple(darts) for darts in incidence]
+        self._darts: list[tuple[Dart, ...]] | None = None
+
+    @property
+    def _incidence(self) -> list[tuple[Dart, ...]]:
+        """Per-vertex dart lists in edge id order, built on first read: most graphs never walk."""
+        if self._darts is None:
+            incidence: list[list[Dart]] = [[] for _ in range(self._n)]
+            for eid, (u, v) in self._edges.items():
+                incidence[u].append((eid, 0))
+                incidence[v].append((eid, 1))
+            self._darts = [tuple(darts) for darts in incidence]
+        return self._darts
 
     @classmethod
     def from_edges(cls, vertex_count: int, pairs: Iterable[tuple[VertexId, VertexId]]) -> "Multigraph":
@@ -106,7 +114,7 @@ class Multigraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Multigraph):
             return NotImplemented
-        return self._n == other._n and self._edges == other._edges
+        return self is other or self._n == other._n and self._edges == other._edges
 
     def __hash__(self):  # pragma: no cover - graphs are not meant to be keys
         return hash((self._n, tuple(sorted(self._edges.items()))))
@@ -126,21 +134,22 @@ def is_regular(g: Multigraph) -> int | None:
 
 def connected_components(g: Multigraph) -> list[frozenset[VertexId]]:
     """Partition of the vertex set by reachability, ordered by smallest member."""
-    seen = [False] * g.vertex_count
+    table, incidence = g._edges, g._incidence
+    seen = [False] * g._n
     components = []
-    for start in g.vertices():
+    for start in range(g._n):
         if seen[start]:
             continue
         seen[start] = True
         stack = [start]
-        comp = {start}
+        comp = [start]
         while stack:
             v = stack.pop()
-            for e, slot in g.darts_at(v):
-                w = g.endpoints(e)[1 - slot]
+            for e, slot in incidence[v]:
+                w = table[e][1 - slot]
                 if not seen[w]:
                     seen[w] = True
-                    comp.add(w)
+                    comp.append(w)
                     stack.append(w)
         components.append(frozenset(comp))
     return components
@@ -151,33 +160,32 @@ def spanning_subgraph(g: Multigraph, edges: Iterable[EdgeId]) -> Multigraph:
 
     Edge ids and stored endpoint order are preserved.
     """
-    chosen = set(edges)
+    table = g._edges
+    chosen = sorted(set(edges))
     for e in chosen:
-        if not g.has_edge(e):
+        if e not in table:
             raise UnknownEdgeError(f"no edge {e}")
-    return Multigraph(g.vertex_count, {e: g.endpoints(e) for e in chosen})
+    return Multigraph(g._n, {e: table[e] for e in chosen})
 
 
 def disjoint_union(
     parts: Sequence[Multigraph],
 ) -> tuple[Multigraph, list[dict[VertexId, VertexId]], list[dict[EdgeId, EdgeId]]]:
-    """Disjoint union with per-part injection maps (old id -> new id)."""
+    """Disjoint union with per-part injection maps (old id -> new id).
+
+    Each part's edges are numbered in increasing order of their old ids, so
+    its injection keeps the order of any sorted edge list.
+    """
     vertex_maps: list[dict[VertexId, VertexId]] = []
     edge_maps: list[dict[EdgeId, EdgeId]] = []
     pairs: dict[EdgeId, tuple[VertexId, VertexId]] = {}
     v_off = 0
-    e_next = 0
     for part in parts:
-        vmap = {v: v + v_off for v in part.vertices()}
-        emap = {}
-        for e in part.edge_ids():
-            u, w = part.endpoints(e)
-            pairs[e_next] = (vmap[u], vmap[w])
-            emap[e] = e_next
-            e_next += 1
-        vertex_maps.append(vmap)
-        edge_maps.append(emap)
-        v_off += part.vertex_count
+        new_ids = range(len(pairs), len(pairs) + len(part._edges))
+        pairs.update(zip(new_ids, [(u + v_off, w + v_off) for u, w in part._edges.values()]))
+        vertex_maps.append({v: v + v_off for v in range(part._n)})
+        edge_maps.append(dict(zip(part._edges, new_ids)))
+        v_off += part._n
     return Multigraph(v_off, pairs), vertex_maps, edge_maps
 
 

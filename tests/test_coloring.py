@@ -12,14 +12,32 @@ from kempe_covers import (
     StaleSwitchError,
     apply_sequence,
     bichromatic_cycles,
+    bundled_instance_path,
     color_class_subgraph,
     is_legal,
     kempe_switch,
     random_colored_instance,
+    spanning_subgraph,
 )
 from kempe_covers.coloring import WorkingColoring, _cycle_decomposition, _validate_switch
+from kempe_covers.serialize import instance_from_json, load_json
 
 from conftest import K33_C1, alternating_coloring, cube_dimension_coloring, make_cube, make_cycle, make_k33
+
+
+COLOR_MAPS = st.dictionaries(st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=3), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=3, max_value=4), COLOR_MAPS, st.integers(min_value=3, max_value=4), COLOR_MAPS, st.booleans())
+def test_coloring_equality_is_degree_and_color_map(d1, colors1, d2, colors2, copy):
+    if copy:  # the same map inserted in another order
+        d2, colors2 = d1, dict(reversed(list(colors1.items())))
+    a, b = EdgeColoring(d1, colors1), EdgeColoring(d2, colors2)
+    same = (d1, sorted(colors1.items())) == (d2, sorted(colors2.items()))
+    assert (a == b) is same and (a != b) is not same
+    if same:
+        assert hash(a) == hash(b)
 
 
 def test_coloring_rejects_out_of_range():
@@ -86,6 +104,20 @@ def test_cube_pair_splits_into_two_squares():
 def test_bichromatic_rejects_equal_colors(k33, k33_pair):
     with pytest.raises(ColoringError):
         bichromatic_cycles(k33, k33_pair[0], 2, 2)
+
+
+@pytest.mark.parametrize("pair", [(1, 4), (0, 5)])
+def test_bichromatic_rejects_colors_outside_the_degree(pair):
+    # (1, 4) used to call the legal coloring illegal, and (0, 5) returned []
+    g, colorings = instance_from_json(load_json(bundled_instance_path("k33")))
+    c1 = colorings["c1"]
+    with pytest.raises(ColoringError, match=r"outside 1\.\.3") as info:
+        bichromatic_cycles(g, c1, *pair)
+    assert not isinstance(info.value, IllegalColoringError)
+    with pytest.raises(ColoringError, match="twice"):
+        bichromatic_cycles(g, c1, 2, 2)
+    [cycle] = bichromatic_cycles(g, c1, 1, 2)
+    assert cycle.colors == (1, 2) and len(cycle) == 6
 
 
 def test_cycles_come_in_order_of_smallest_edge(k33, k33_pair):
@@ -418,3 +450,90 @@ def test_cycle_decomposition_matches_reference(instance, data):
         for decompose in (_cycle_decomposition, reference_cycle_decomposition):
             with pytest.raises(IllegalColoringError, match="not 2-regular"):
                 decompose(g, edges)
+
+
+# The decomposition as it stood when it walked the per-vertex dart lists; the
+# package's version reads only the edge table and must agree with it.
+
+
+def dart_walk_cycle_decomposition(g, edges):
+    member = set(edges)
+    table, incidence = g._edges, g._incidence
+    cycles = []
+    used = set()
+    for first in sorted(member):
+        if first in used:
+            continue
+        cycle = [first]
+        e, v = first, table[first][1]
+        while True:
+            nxt = None
+            for f, slot in incidence[v]:
+                if f != e and f in member:
+                    if nxt is not None:
+                        raise IllegalColoringError("edge set is not 2-regular on its support")
+                    nxt, nxt_slot = f, slot
+            if nxt is None:
+                raise IllegalColoringError("edge set is not 2-regular on its support")
+            if nxt == first:
+                break
+            cycle.append(nxt)
+            e, v = nxt, table[nxt][1 - nxt_slot]
+        used.update(cycle)
+        cycle.sort()
+        cycles.append(tuple(cycle))
+    return cycles
+
+
+def decomposition(decompose, g, edges):
+    try:
+        return decompose(g, edges)
+    except IllegalColoringError:
+        return "illegal"
+
+
+@st.composite
+def gapped_multigraphs(draw):
+    """A multigraph with parallel edges, isolated vertices and gapped edge ids, plus planted cycles.
+
+    Each planted cycle is a tuple of edge ids; a cycle of length 2 is a
+    pair of parallel edges. Noise edges are added, and some of them are then
+    dropped through ``spanning_subgraph``, which leaves gaps in the ids.
+    """
+    n = draw(st.integers(min_value=1, max_value=9))
+    order = draw(st.permutations(range(n)))
+    lengths = draw(st.lists(st.integers(min_value=2, max_value=5), max_size=3))
+    pairs, planted, at = [], [], 0
+    for length in lengths:
+        if at + length > n:
+            break
+        ring = order[at:at + length]
+        at += length
+        planted.append(tuple(range(len(pairs), len(pairs) + length)))
+        pairs.extend((ring[k], ring[(k + 1) % length]) for k in range(length))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    noise = draw(st.lists(st.tuples(vertex, vertex).filter(lambda uv: uv[0] != uv[1]), max_size=10)) if n > 1 else []
+    g = Multigraph.from_edges(n, pairs + noise)
+    dropped = draw(st.sets(st.sampled_from(range(len(pairs), g.edge_count)))) if noise else set()
+    return spanning_subgraph(g, [e for e in g.edge_ids() if e not in dropped]), planted
+
+
+@settings(max_examples=300, deadline=None)
+@given(gapped_multigraphs(), INSTANCES, st.data())
+def test_table_decomposition_matches_dart_walk(multigraph, instance, data):
+    g, planted = multigraph
+    kept = g.edge_ids()
+    subsets = [data.draw(st.sets(st.sampled_from(kept))) if kept else set()]
+    subsets.append({e for cycle in planted if data.draw(st.booleans()) for e in cycle})
+    # unions of bichromatic cycles of a legal coloring, on a subgraph with gapped ids
+    h, c, _ = random_colored_instance(*instance)
+    cycles = bichromatic_cycles(h, c, *color_pair(data.draw, c.degree))
+    chosen = {e for cycle in cycles if data.draw(st.booleans()) for e in cycle.edge_ids}
+    extra = data.draw(st.sets(st.sampled_from(h.edge_ids()), max_size=4))
+    gapped = spanning_subgraph(h, chosen | extra)
+    cases = [(g, edges) for edges in subsets] + [(gapped, chosen), (gapped, chosen | extra)]
+    for graph, edges in cases:
+        got = decomposition(_cycle_decomposition, graph, edges)
+        assert got == decomposition(dart_walk_cycle_decomposition, graph, edges)
+        if got != "illegal":
+            assert sorted(e for cycle in got for e in cycle) == sorted(edges)

@@ -106,6 +106,12 @@ def test_pullback_through_double_cover():
     assert pulled == alternating_coloring(8)
 
 
+def test_pullback_names_the_first_uncolored_base_edge(k33):
+    partial = EdgeColoring(3, {e: col for e, col in enumerate(K33_C1) if e not in (4, 7)})
+    with pytest.raises(ColoringError, match="edge 4 is not colored"):
+        pullback_coloring(copies_cover(k33, 2), partial)
+
+
 def test_lift_switch_identity(k33, k33_pair):
     c1, _ = k33_pair
     gamma = bichromatic_cycles(k33, c1, 1, 2)[0]
@@ -196,6 +202,17 @@ def test_extend_degree_one_adds_each_missing_edge_once(k33, k33_pair):
 def test_extend_rejects_non_spanning(k33):
     h = Multigraph.from_edges(5, [])  # fewer vertices -> not spanning
     with pytest.raises(CoveringError):
+        extend_subgraph_cover(k33, h, CoveringMap.identity(h))
+
+
+@pytest.mark.parametrize("edges, wrong", [
+    ({0: (0, 3), 5: (2, 4)}, 5),  # edge 5 runs 1-5 in k33
+    ({0: (3, 0)}, 0),  # the stored endpoint order differs
+    ({0: (0, 3), 9: (1, 4)}, 9),  # k33 has no edge 9
+])
+def test_extend_rejects_a_subgraph_edge_missing_from_the_graph(k33, edges, wrong):
+    h = Multigraph(k33.vertex_count, edges)
+    with pytest.raises(CoveringError, match=f"edge {wrong} of the subgraph is not an edge"):
         extend_subgraph_cover(k33, h, CoveringMap.identity(h))
 
 

@@ -6,6 +6,7 @@ lifting or replay must reproduce them exactly. Regenerate a file only for a
 deliberate, recorded change of the emitted witnesses.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -53,3 +54,11 @@ def test_golden_file_verifies(filename):
     witness, _ = witness_from_json(load_json(GOLDEN / filename))
     verdict = verify_witness(witness)
     assert verdict, verdict.reason
+
+
+def test_deep_reference_witness_digest():
+    # the d=5 n=6 seed-1 witness is 491,996 canonical bytes, too large to keep as a file
+    text = canonical(kempe_cover_witness(*random_colored_instance(1, 5, 6)))
+    assert len(text) == 491_997  # with the trailing newline
+    digest = hashlib.sha256(text[:-1].encode()).hexdigest()
+    assert digest == "436359ed6c2b9879682019aaf3e00dcac87da5ee3099f632d2638f9329d5bfe1"

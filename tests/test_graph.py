@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kempe_covers import (
+    GraphStructureError,
     LoopEdgeError,
     Multigraph,
     UnknownEdgeError,
@@ -97,8 +99,6 @@ def test_disjoint_copies_counts_and_provenance():
 
 
 def test_disjoint_copies_rejects_zero():
-    from kempe_covers import GraphStructureError
-
     with pytest.raises(GraphStructureError):
         disjoint_copies(make_k33(), 0)
 
@@ -110,3 +110,67 @@ def test_disjoint_union_preserves_endpoint_order():
         for old in g.edge_ids():
             u, w = g.endpoints(old)
             assert union.endpoints(emaps[part][old]) == (vmaps[part][u], vmaps[part][w])
+
+
+@pytest.mark.parametrize("n, edges, error, message", [
+    (3, {0: (0, 1), 4: (2, 2)}, LoopEdgeError, "edge 4 would be a loop at vertex 2"),
+    (3, {0: (0, 1), 2: (1, 3)}, UnknownVertexError, "edge 2: vertex 3 not in graph"),
+    (3, {5: (-1, 1)}, UnknownVertexError, "edge 5: vertex -1 not in graph"),
+    (-1, {}, GraphStructureError, "negative vertex count -1"),
+])
+def test_construction_errors_raise_before_any_walk(monkeypatch, n, edges, error, message):
+    walks = []
+    original = Multigraph._incidence
+
+    def counted(self):
+        walks.append(self)
+        return original.fget(self)
+
+    monkeypatch.setattr(Multigraph, "_incidence", property(counted))
+    with pytest.raises(error, match=message):
+        Multigraph(n, edges)
+    assert walks == []
+
+
+def test_dart_lists_are_built_once_and_shared():
+    g = make_theta()
+    assert g._darts is None
+    first = g._incidence
+    assert g._incidence is first and g.darts_at(0) is first[0] is g.darts_at(0)
+
+
+@st.composite
+def multigraphs(draw):
+    """Parallel edges, isolated vertices, and gapped ids through ``spanning_subgraph``."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    if n < 2:
+        return Multigraph(n, {})
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda uv: uv[0] != uv[1]), max_size=14))
+    g = Multigraph.from_edges(n, pairs)
+    return spanning_subgraph(g, draw(st.sets(st.sampled_from(range(len(pairs))))) if pairs else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs())
+def test_walk_queries_match_the_edge_table(g):
+    table = g.edge_table()
+    darts = {v: [] for v in g.vertices()}
+    for e in sorted(table):
+        for slot, v in enumerate(table[e]):
+            darts[v].append((e, slot))
+    for v in g.vertices():
+        assert g.darts_at(v) == tuple(darts[v])
+        assert g.edges_at(v) == tuple(e for e, _ in darts[v])
+        assert g.degree(v) == len(darts[v])
+    degrees = {len(d) for d in darts.values()}
+    assert is_regular(g) == (degrees.pop() if len(degrees) == 1 else None)
+    # reference components: merge endpoint classes edge by edge
+    label = list(g.vertices())
+    for u, w in table.values():
+        old, new = label[u], label[w]
+        label = [new if x == old else x for x in label]
+    classes = {}
+    for v in g.vertices():
+        classes.setdefault(label[v], set()).add(v)
+    assert connected_components(g) == sorted(map(frozenset, classes.values()), key=min)

@@ -17,6 +17,9 @@ package makes while it verifies a 5,088-switch witness, so that checking a
 switch stays one loop over its cycle rather than a call per edge. The
 parse test counts the calls that read the same witness back from JSON: no
 switch is rebuilt as a walk, and no integer is checked by a call of its own.
+The build tests count the calls and the dart lists of the d=5 n=6 build:
+covers are composed, pulled back and split through their raw tables, and
+only graphs that are walked get per-vertex dart lists.
 """
 
 import json
@@ -30,6 +33,7 @@ from kempe_covers import (
     CoveringMap,
     EdgeColoring,
     EquivalenceWitness,
+    Multigraph,
     align_color,
     alignment,
     coloring,
@@ -129,6 +133,35 @@ def test_verify_witness_makes_few_python_calls_per_switch(d5_witness):
     assert verdict, verdict.reason
     # 541,595 when every dart went through the graph and coloring accessors
     assert calls < 150_000
+
+
+def test_kempe_cover_witness_makes_few_python_calls():
+    w, calls = package_calls(kempe_cover_witness, *random_colored_instance(1, 5, 6))
+    assert w.cover.degree == 576 and len(w.switches) == 5088
+    # 230,671 when covers were composed and pulled back through per-element
+    # accessors; 10,827 when this test was written
+    assert calls < 60_000
+
+
+def test_kempe_cover_witness_builds_dart_lists_only_for_walked_graphs(monkeypatch):
+    built, walked = [], []
+    init, incidence = Multigraph.__init__, Multigraph._incidence
+
+    def counted_init(self, vertex_count, edges):
+        init(self, vertex_count, edges)
+        built.append(len(self._edges))
+
+    def counted_incidence(self):
+        if self._darts is None:
+            walked.append(len(self._edges))
+        return incidence.fget(self)
+
+    monkeypatch.setattr(Multigraph, "__init__", counted_init)
+    monkeypatch.setattr(Multigraph, "_incidence", property(counted_incidence))
+    w = kempe_cover_witness(*random_colored_instance(1, 5, 6))
+    assert w.cover.degree == 576 and len(w.switches) == 5088
+    # 203 graphs with 32,058 edges; 99 of them, with 7,677 edges, are walked
+    assert sum(walked) <= 10_000 < 30_000 < sum(built)
 
 
 def test_witness_from_json_rebuilds_no_walk_and_makes_no_call_per_switch(monkeypatch, d5_witness):

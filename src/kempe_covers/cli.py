@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .coloring import WorkingColoring, is_legal
+from .coloring import is_legal, kempe_switch
 from .covering import pullback_coloring
 from .equivalence import kempe_cover_witness, verify_witness
 from .errors import FormatError, KempeCoversError
@@ -110,12 +110,12 @@ def _emit_dot_files(directory: Path, witness) -> None:
     (directory / "base_from.dot").write_text(dot_export(witness.graph, witness.start))
     (directory / "base_to.dot").write_text(dot_export(witness.graph, witness.goal))
     cover_graph = witness.cover.source
-    current = WorkingColoring(cover_graph, pullback_coloring(witness.cover, witness.start))
+    current = pullback_coloring(witness.cover, witness.start)
     (directory / "cover_from.dot").write_text(dot_export(cover_graph, current))
-    for k, cycle in enumerate(witness.switches):
+    for k, cycle in enumerate(witness.switches):  # the witness has been verified
         path = directory / f"cover_step_{k:03d}.dot"
         path.write_text(dot_export(cover_graph, current, highlight=cycle))
-        current.switch(cycle, k)
+        current = kempe_switch(cover_graph, current, cycle)
     (directory / "cover_to.dot").write_text(dot_export(cover_graph, current))
 
 

@@ -209,19 +209,19 @@ def bichromatic_cycles(g: Multigraph, c: EdgeColoring, i: Color, j: Color) -> li
 
 
 def _validate_switch(
-    g: Multigraph, c: EdgeColoring | WorkingColoring, cycle: BichromaticCycle, index=None
+    g: Multigraph, degree: int, colors: Mapping[EdgeId, Color], cycle: BichromaticCycle, index=None
 ) -> None:
-    """Raise StaleSwitchError unless ``cycle`` is a whole bi-chromatic component for ``c``.
+    """Raise StaleSwitchError unless ``cycle`` is a whole bi-chromatic component for ``colors``.
 
-    One walk follows the component of the set's smallest edge in ``c``. At
-    each vertex it reaches it requires exactly two edges of the pair, of
-    different colors, and steps on along the one it did not arrive by, until
-    it is back at the first edge. So the component is an alternating cycle
-    and the walk meets each of its edges once. Every edge it meets must be in
-    the set, and it must meet as many edges as the set holds: then the set is
-    the component. A rejection names the smallest listed edge that is unknown
-    or off the pair, if there is one. An edge the coloring does not cover
-    raises ColoringError.
+    ``colors`` maps edge ids to colors in ``1..degree``. One walk follows the
+    component of the set's smallest edge. At each vertex it reaches it
+    requires exactly two edges of the pair, of different colors, and steps on
+    along the one it did not arrive by, until it is back at the first edge.
+    So the component is an alternating cycle and the walk meets each of its
+    edges once. Every edge it meets must be in the set, and it must meet as
+    many edges as the set holds: then the set is the component. A rejection
+    names the smallest listed edge that is unknown or off the pair, if there
+    is one. An edge the coloring does not cover raises ColoringError.
     """
 
     def stale(msg):
@@ -229,14 +229,14 @@ def _validate_switch(
         return StaleSwitchError(f"stale switch{at}: {msg}", index=index)
 
     lo, hi = pair = cycle.colors
-    if not (1 <= lo < hi <= c.degree):
-        raise stale(f"color pair {pair} invalid for degree {c.degree}")
+    if not (1 <= lo < hi <= degree):
+        raise stale(f"color pair {pair} invalid for degree {degree}")
     if not cycle.edge_ids:
         raise stale("empty cycle")
     edges = set(cycle.edge_ids)
     if len(edges) != len(cycle.edge_ids):
         raise stale("repeated edge in switch")
-    table, incidence, colors = g._edges, g._incidence, c._colors
+    table, incidence = g._edges, g._incidence
 
     def misfit():  # the smallest edge of the set that is unknown or off the pair
         for e in sorted(edges):
@@ -274,54 +274,38 @@ def _validate_switch(
         raise ColoringError(f"edge {exc.args[0]} is not colored") from None
 
 
-def _transpose(colors: dict[EdgeId, Color], cycle: BichromaticCycle) -> None:
-    """Swap the cycle's two colors along it, in place and without checking."""
-    lo, hi = cycle.colors
-    for e in cycle.edge_ids:
-        colors[e] = hi if colors[e] == lo else lo
+def _replay(
+    g: Multigraph,
+    degree: int,
+    colors: dict[EdgeId, Color],
+    steps: Iterable[tuple[int | None, BichromaticCycle]],
+) -> None:
+    """Check each switch against ``colors`` and transpose it there, in order.
 
-
-class WorkingColoring:
-    """One mutable copy of a coloring that a switch sequence replays into.
-
-    :meth:`switch` runs the full :func:`_validate_switch` before it flips, so
-    every flip transposes a whole alternating two-color component. Such a
-    flip keeps a legal coloring legal, so a replay that starts legal stays
-    legal at every step without re-checking the graph.
+    ``steps`` pairs each switch with the sequence position that names it if
+    it is stale (None for a lone switch). Every switch passes the full
+    :func:`_validate_switch` before it flips, so every flip transposes a
+    whole alternating two-color component. Such a flip keeps a legal
+    coloring legal, so a replay that starts legal stays legal at every step
+    without re-checking the graph. Every replay in the package runs this
+    loop, and no other code flips an edge's color in place.
     """
-
-    __slots__ = ("graph", "degree", "_colors")
-
-    def __init__(self, g: Multigraph, c: EdgeColoring):
-        self.graph = g
-        self.degree = c.degree
-        self._colors = dict(c.items())
-
-    def __getitem__(self, e: EdgeId) -> Color:
-        try:
-            return self._colors[e]
-        except KeyError:
-            raise ColoringError(f"edge {e} is not colored") from None
-
-    def switch(self, cycle: BichromaticCycle, index: int | None = None) -> None:
-        """Validate ``cycle`` against the current colors, then transpose it."""
-        _validate_switch(self.graph, self, cycle, index)
-        _transpose(self._colors, cycle)
-
-    def coloring(self) -> EdgeColoring:
-        return EdgeColoring(self.degree, self._colors)
+    for index, cycle in steps:
+        _validate_switch(g, degree, colors, cycle, index)
+        lo, hi = cycle.colors
+        for e in cycle.edge_ids:
+            colors[e] = hi if colors[e] == lo else lo
 
 
 def kempe_switch(g: Multigraph, c: EdgeColoring, cycle: BichromaticCycle) -> EdgeColoring:
     """Transpose the cycle's two colors along it; all other edges unchanged."""
-    working = WorkingColoring(g, c)
-    working.switch(cycle)
-    return working.coloring()
+    colors = dict(c._colors)
+    _replay(g, c.degree, colors, [(None, cycle)])
+    return EdgeColoring(c.degree, colors)
 
 
 def apply_sequence(g: Multigraph, c: EdgeColoring, sequence: Sequence[BichromaticCycle]) -> EdgeColoring:
     """Left-to-right replay of switches; fails on the first stale switch."""
-    working = WorkingColoring(g, c)
-    for k, cycle in enumerate(sequence):
-        working.switch(cycle, k)
-    return working.coloring()
+    colors = dict(c._colors)
+    _replay(g, c.degree, colors, enumerate(sequence))
+    return EdgeColoring(c.degree, colors)

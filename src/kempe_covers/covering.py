@@ -24,9 +24,8 @@ from .coloring import (
     BichromaticCycle,
     EdgeColoring,
     SwitchSequence,
-    WorkingColoring,
     _cycle_decomposition,
-    _transpose,
+    _replay,
     _validate_switch,
 )
 from .errors import CoveringError
@@ -174,34 +173,36 @@ def _edge_fibers(p: CoveringMap) -> dict[EdgeId, list[EdgeId]]:
     return fibers
 
 
-def lift_switch(
-    p: CoveringMap,
-    c: EdgeColoring | WorkingColoring,
-    cycle: BichromaticCycle,
-    fibers: Mapping[EdgeId, Sequence[EdgeId]] | None = None,
+def _lift(
+    source: Multigraph, fibers: Mapping[EdgeId, Sequence[EdgeId]], cycle: BichromaticCycle
 ) -> list[BichromaticCycle]:
+    """The components of the cycle's preimage in ``source``, read through an edge-fiber index."""
+    member = [f for e in cycle.edge_ids for f in fibers.get(e, ())]
+    return [BichromaticCycle(cycle.colors, edges) for edges in _cycle_decomposition(source, member)]
+
+
+def lift_switch(p: CoveringMap, c: EdgeColoring, cycle: BichromaticCycle) -> list[BichromaticCycle]:
     """Components of the cycle's preimage, each bi-chromatic for the pulled-back coloring.
 
     Applying every returned switch to the pull-back equals pulling back the
     switched base coloring; the components are disjoint, so any order works.
-    ``fibers`` is ``p``'s edge-fiber index; callers that lift many switches
-    through one cover build it once and pass it in.
     """
-    _validate_switch(p.target, c, cycle)
-    if fibers is None:
-        fibers = _edge_fibers(p)
-    member = [f for e in cycle.edge_ids for f in fibers.get(e, ())]
-    return [BichromaticCycle(cycle.colors, edges) for edges in _cycle_decomposition(p.source, member)]
+    _validate_switch(p.target, c.degree, c._colors, cycle)
+    return _lift(p.source, _edge_fibers(p), cycle)
 
 
 def lift_sequence(p: CoveringMap, c: EdgeColoring, sequence: Sequence[BichromaticCycle]) -> SwitchSequence:
-    """Lift a replayable sequence switch by switch against the evolving base coloring."""
-    fibers = _edge_fibers(p)
-    base = WorkingColoring(p.target, c)
+    """Lift a replayable sequence switch by switch.
+
+    The base sequence is replayed once from ``c``, so a stale switch names
+    its sequence position; lifting reads only a switch's edges, so each is
+    then lifted through one edge-fiber index.
+    """
+    _replay(p.target, c.degree, dict(c._colors), enumerate(sequence))
+    source, fibers = p.source, _edge_fibers(p)
     out: list[BichromaticCycle] = []
     for cycle in sequence:
-        out.extend(lift_switch(p, base, cycle, fibers))
-        _transpose(base._colors, cycle)  # lift_switch has validated it against base
+        out.extend(_lift(source, fibers, cycle))
     return tuple(out)
 
 

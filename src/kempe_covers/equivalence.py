@@ -39,7 +39,7 @@ from .coloring import (
     BichromaticCycle,
     EdgeColoring,
     SwitchSequence,
-    WorkingColoring,
+    _replay,
     bichromatic_cycles,
     common_degree,
     is_legal,
@@ -122,11 +122,10 @@ def verify_witness(w: EquivalenceWitness) -> Verdict:
             return Verdict(False, "start coloring is not legal")
         if not is_legal(w.graph, w.goal):
             return Verdict(False, "goal coloring is not legal")
-        current = WorkingColoring(w.cover.source, pullback_coloring(w.cover, w.start))
+        current = dict(pullback_coloring(w.cover, w.start).items())
         goal = pullback_coloring(w.cover, w.goal)
-        for k, cycle in enumerate(w.switches):
-            current.switch(cycle, k)
-        if current._colors != goal._colors:
+        _replay(w.cover.source, d, current, enumerate(w.switches))
+        if current != goal._colors:
             for e in w.cover.source.edge_ids():
                 if current[e] != goal[e]:
                     return Verdict(

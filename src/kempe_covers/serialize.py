@@ -15,7 +15,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .coloring import BichromaticCycle, EdgeColoring, WorkingColoring
+from .coloring import BichromaticCycle, EdgeColoring
 from .covering import CoveringMap
 from .equivalence import EquivalenceWitness
 from .errors import (
@@ -57,7 +57,7 @@ def dot_color(color: int) -> str:
 
 def dot_export(
     g: Multigraph,
-    c: EdgeColoring | WorkingColoring,
+    c: EdgeColoring,
     highlight: BichromaticCycle | Iterable[EdgeId] | None = None,
 ) -> str:
     """Deterministic DOT text for a colored graph; highlighted edges are bold."""
@@ -229,11 +229,16 @@ def witness_from_json(doc) -> tuple[EquivalenceWitness, dict | None]:
     base = _graph_from_json(base_doc)
     cover_doc = doc.get("cover", {})
     edges = cover_doc.get("edges") if isinstance(cover_doc, dict) else None
-    if isinstance(edges, list):  # before allocating: a degree-m cover has m times the base's size
-        sheets = len(edges) // max(base.edge_count, 1)
-        vertices = _strict_int(cover_doc.get("vertices"), "cover vertex count")
-        if len(edges) != sheets * base.edge_count or vertices != sheets * base.vertex_count:
-            raise CoveringError(f"cover has {vertices} vertices and {len(edges)} edges, not m times the base's")
+    if not isinstance(edges, list):
+        raise FormatError("malformed graph block: cover edges must be a list")
+    # before allocating: a degree-m cover has m times the base's size, and m is the witness degree
+    sheets = len(edges) // max(base.edge_count, 1)
+    vertices = _strict_int(cover_doc.get("vertices"), "cover vertex count")
+    if len(edges) != sheets * base.edge_count or vertices != sheets * base.vertex_count:
+        raise CoveringError(f"cover has {vertices} vertices and {len(edges)} edges, not m times the base's")
+    degree = _strict_int(doc.get("degree"), "witness degree")
+    if degree != sheets:
+        raise CoveringError(f"witness degree {degree} differs from its cover's {sheets} sheets")
     cover_graph = _graph_from_json(cover_doc)
     start = _coloring_from_json(doc.get("start", {}))
     goal = _coloring_from_json(doc.get("goal", {}))

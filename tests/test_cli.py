@@ -14,6 +14,7 @@ from kempe_covers import (
     bichromatic_cycles,
     bundled_instance_path,
     dot_export,
+    kempe_cover_witness,
     pullback_coloring,
 )
 from kempe_covers.cli import main
@@ -97,6 +98,15 @@ def test_witness_emit_dot(tmp_path):
     names = sorted(p.name for p in dots.iterdir())
     assert "base_from.dot" in names and "cover_to.dot" in names
     assert any(n.startswith("cover_step_") for n in names)
+    g, colorings = instance_from_json(load_json(K33))
+    witness = kempe_cover_witness(g, colorings["c1"], colorings["c2"])
+    cover, first = witness.cover, witness.switches[0]
+    goal = pullback_coloring(cover, colorings["c2"])
+    assert (dots / "cover_to.dot").read_text() == dot_export(cover.source, goal)
+    step = (dots / "cover_step_000.dot").read_text()
+    start = pullback_coloring(cover, colorings["c1"])
+    assert step == dot_export(cover.source, start, highlight=first)
+    assert step.count("style=bold") == len(first)
 
 
 def test_verify_fresh_witness(tmp_path):
@@ -204,6 +214,26 @@ def test_verify_rejects_a_malformed_names_block(tmp_path, capsys, names):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ") and "names block" in captured.err
+
+
+@pytest.mark.parametrize("degree, code", [(99, 2), (None, 1), ("two", 1)], ids=["wrong", "missing", "string"])
+def test_verify_checks_the_witness_degree(tmp_path, capsys, degree, code):
+    out = tmp_path / "w.json"
+    main(["witness", "--input", K33, "--from", "c1", "--to", "c2", "--out", str(out)])
+    doc = load_json(out)
+    assert doc["degree"] == 2
+    if degree is None:
+        del doc["degree"]
+    else:
+        doc["degree"] = degree
+    dump_json(doc, out)
+    capsys.readouterr()
+    assert main(["verify", "--input", K33, "--witness", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "degree" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def d4_instance(tmp_path):

@@ -2,12 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kempe_covers import (
+    BichromaticCycle,
     ColoringError,
     CoveringError,
     CoveringMap,
     EdgeColoring,
     KempeCoversError,
     Multigraph,
+    StaleSwitchError,
     Verdict,
     apply_sequence,
     bichromatic_cycles,
@@ -156,6 +158,18 @@ def test_lift_sequence_round_trip(k33, k33_pair):
     left = apply_sequence(p.source, pullback_coloring(p, c1), lifted)
     right = pullback_coloring(p, apply_sequence(k33, c1, seq))
     assert left == right
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_lift_sequence_names_the_position_of_a_stale_base_switch(k33, k33_pair, k):
+    c1, _ = k33_pair
+    gamma1 = bichromatic_cycles(k33, c1, 1, 2)[0]
+    gamma2 = bichromatic_cycles(k33, kempe_switch(k33, c1, gamma1), 1, 3)[0]
+    # gamma2 is a whole component after gamma1 and after gamma2 itself; one edge short, it is stale
+    stale = BichromaticCycle(gamma2.colors, gamma2.edge_ids[:-1])
+    with pytest.raises(StaleSwitchError, match=f"sequence position {k}") as info:
+        lift_sequence(copies_cover(k33, 2), c1, (gamma1, gamma2)[:k] + (stale,))
+    assert info.value.index == k
 
 
 def test_lift_empty_sequence(k33, k33_pair):

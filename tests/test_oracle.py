@@ -26,7 +26,6 @@ from kempe_covers import (
     random_colored_instance,
     spanning_subgraph,
 )
-from kempe_covers.coloring import _transpose
 from kempe_covers.oracle import DEFAULT_MAX_EDGES, _coloring_keys, _edge_colorings, _pack, _switch_walker
 
 from conftest import make_cube, make_k33, make_theta
@@ -254,9 +253,7 @@ def reference_enumerate(g, max_edges=DEFAULT_MAX_EDGES):
 def reference_neighbors(g, c):
     for i, j in combinations(range(1, c.degree + 1), 2):
         for cycle in bichromatic_cycles(g, c, i, j):
-            colors = dict(c.items())
-            _transpose(colors, cycle)
-            yield cycle, EdgeColoring(c.degree, colors)
+            yield cycle, kempe_switch(g, c, cycle)
 
 
 def reference_partition(g):

@@ -208,70 +208,39 @@ def bichromatic_cycles(g: Multigraph, c: EdgeColoring, i: Color, j: Color) -> li
     return [BichromaticCycle((lo, hi), edges) for edges in _cycle_decomposition(g, member)]
 
 
-def _validate_switch(
-    g: Multigraph, degree: int, colors: Mapping[EdgeId, Color], cycle: BichromaticCycle, index=None
-) -> None:
-    """Raise StaleSwitchError unless ``cycle`` is a whole bi-chromatic component for ``colors``.
+def _stale(msg: str, index: int | None) -> StaleSwitchError:
+    at = "" if index is None else f" (sequence position {index})"
+    return StaleSwitchError(f"stale switch{at}: {msg}", index=index)
 
-    ``colors`` maps edge ids to colors in ``1..degree``. One walk follows the
-    component of the set's smallest edge. At each vertex it reaches it
-    requires exactly two edges of the pair, of different colors, and steps on
-    along the one it did not arrive by, until it is back at the first edge.
-    So the component is an alternating cycle and the walk meets each of its
-    edges once. Every edge it meets must be in the set, and it must meet as
-    many edges as the set holds: then the set is the component. A rejection
-    names the smallest listed edge that is unknown or off the pair, if there
-    is one. An edge the coloring does not cover raises ColoringError.
+
+def _misfit(table, colors, edges, pair, index) -> StaleSwitchError | None:
+    """The rejection of the smallest edge of the set that is unknown or off the pair, if any."""
+    for e in sorted(edges):
+        if e not in table:
+            return _stale(f"edge {e} not in graph", index)
+        if colors[e] not in pair:
+            return _stale(f"edge {e} has color {colors[e]}, not in {pair}", index)
+    return None
+
+
+def _scan_step(g: Multigraph, colors, pair, v: VertexId, e: EdgeId, col: Color, index):
+    """The walk's step at ``v`` read from its darts: the pair edge other than ``e``, and its color.
+
+    Raises unless ``v`` meets exactly two edges of the pair and they differ in color.
     """
-
-    def stale(msg):
-        at = "" if index is None else f" (sequence position {index})"
-        return StaleSwitchError(f"stale switch{at}: {msg}", index=index)
-
-    lo, hi = pair = cycle.colors
-    if not (1 <= lo < hi <= degree):
-        raise stale(f"color pair {pair} invalid for degree {degree}")
-    if not cycle.edge_ids:
-        raise stale("empty cycle")
-    edges = set(cycle.edge_ids)
-    if len(edges) != len(cycle.edge_ids):
-        raise stale("repeated edge in switch")
-    table, incidence = g._edges, g._incidence
-
-    def misfit():  # the smallest edge of the set that is unknown or off the pair
-        for e in sorted(edges):
-            if e not in table:
-                return stale(f"edge {e} not in graph")
-            if colors[e] != lo and colors[e] != hi:
-                return stale(f"edge {e} has color {colors[e]}, not in {pair}")
-        return None
-
-    first = min(cycle.edge_ids)
-    try:
-        if first not in table or (colors[first] != lo and colors[first] != hi):
-            raise misfit()
-        e, col, v, met = first, colors[first], table[first][1], 1
-        while True:
-            count = 0
-            for f, slot in incidence[v]:
-                f_col = colors[f]
-                if f_col == lo or f_col == hi:
-                    count += 1
-                    if f != e:
-                        nxt, nxt_slot, nxt_col = f, slot, f_col
-            if count != 2:
-                raise stale(f"cycle is not a full two-color component at vertex {v}")
-            if nxt_col == col:
-                raise stale(f"colors do not alternate at edge {nxt}")
-            if nxt == first:
-                break
-            if nxt not in edges:
-                raise misfit() or stale(f"cycle is not a full two-color component: it misses edge {nxt}")
-            e, col, v, met = nxt, nxt_col, table[nxt][1 - nxt_slot], met + 1
-        if met != len(edges):
-            raise misfit() or stale(f"edge set is not a single cycle: edges lie off the cycle of edge {first}")
-    except KeyError as exc:
-        raise ColoringError(f"edge {exc.args[0]} is not colored") from None
+    lo, hi = pair
+    count = 0
+    for f, _ in g._incidence[v]:
+        f_col = colors[f]
+        if f_col == lo or f_col == hi:
+            count += 1
+            if f != e:
+                nxt, nxt_col = f, f_col
+    if count != 2:
+        raise _stale(f"cycle is not a full two-color component at vertex {v}", index)
+    if nxt_col == col:
+        raise _stale(f"colors do not alternate at edge {nxt}", index)
+    return nxt, nxt_col
 
 
 def _replay(
@@ -282,19 +251,99 @@ def _replay(
 ) -> None:
     """Check each switch against ``colors`` and transpose it there, in order.
 
-    ``steps`` pairs each switch with the sequence position that names it if
-    it is stale (None for a lone switch). Every switch passes the full
-    :func:`_validate_switch` before it flips, so every flip transposes a
-    whole alternating two-color component. Such a flip keeps a legal
-    coloring legal, so a replay that starts legal stays legal at every step
-    without re-checking the graph. Every replay in the package runs this
-    loop, and no other code flips an edge's color in place.
+    ``colors`` maps edge ids to colors in ``1..degree``; ``steps`` pairs
+    each switch with the sequence position that names it if it is stale
+    (None for a lone switch). One walk follows the component of a switch's
+    smallest edge. At each vertex it reaches it requires exactly two edges
+    of the pair, of different colors, and steps on along the one it did not
+    arrive by, until it is back at the first edge. So the component is an
+    alternating cycle and the walk meets each of its edges once. Every edge
+    it meets must be in the switch, and it must meet as many edges as the
+    switch lists: then the switch is the component. A rejection names the
+    smallest listed edge that is unknown or off the pair, if there is one.
+    An edge the coloring does not cover raises ColoringError.
+
+    The walk reads a color table built once per replay from the edge table.
+    Slot (v, 0) is None when every edge at v is colored and no two share a
+    color; slot (v, c) then holds the edge of color c at v, or None. At such
+    a vertex the edge the walk arrives by is the one of its color, so the
+    step is the slot of the pair's other color. At any other vertex, or when
+    that slot is empty, the step is read from v's darts instead, which
+    raises this vertex's rejection if it has one. A flip swaps the pair's
+    two colors at each vertex of the switch, so slot (v, 0) never changes,
+    and it rewrites the pair's slots at both ends of every flipped edge.
+
+    A flip transposes a whole alternating two-color component, which keeps
+    a legal coloring legal, so a replay that starts legal stays legal at
+    every step without re-checking the graph. Every replay in the package
+    runs this loop, and no other code flips an edge's color in place.
     """
-    for index, cycle in steps:
-        _validate_switch(g, degree, colors, cycle, index)
-        lo, hi = cycle.colors
-        for e in cycle.edge_ids:
-            colors[e] = hi if colors[e] == lo else lo
+    table, width = g._edges, degree + 1
+    slots: list = [None] * (g._n * width)
+    for e, (u, w) in table.items():
+        col = colors.get(e, 0)  # an uncolored edge lands in slot 0
+        at = u * width + col
+        if slots[at] is None:
+            slots[at] = e
+        else:  # a second edge of this color
+            slots[at - col] = e
+        at = w * width + col
+        if slots[at] is None:
+            slots[at] = e
+        else:
+            slots[at - col] = e
+    try:
+        for index, cycle in steps:
+            lo, hi = pair = cycle.colors
+            if not (1 <= lo < hi <= degree):
+                raise _stale(f"color pair {pair} invalid for degree {degree}", index)
+            if not cycle.edge_ids:
+                raise _stale("empty cycle", index)
+            edges = set(cycle.edge_ids)
+            if len(edges) != len(cycle.edge_ids):
+                raise _stale("repeated edge in switch", index)
+            first = min(edges)
+            if first not in table or (colors[first] != lo and colors[first] != hi):
+                raise _misfit(table, colors, edges, pair, index)
+            both = lo + hi
+            e, col, v, met = first, colors[first], table[first][1], 1
+            while True:
+                at = v * width
+                nxt_col = both - col
+                nxt = slots[at + nxt_col]
+                if nxt is None or slots[at] is not None:
+                    nxt, nxt_col = _scan_step(g, colors, pair, v, e, col, index)
+                if nxt == first:
+                    break
+                if nxt not in edges:
+                    raise _misfit(table, colors, edges, pair, index) or _stale(
+                        f"cycle is not a full two-color component: it misses edge {nxt}", index
+                    )
+                u, w = table[nxt]
+                e, col, v, met = nxt, nxt_col, w if u == v else u, met + 1
+            if met != len(edges):
+                raise _misfit(table, colors, edges, pair, index) or _stale(
+                    f"edge set is not a single cycle: edges lie off the cycle of edge {first}", index
+                )
+            for e in cycle.edge_ids:
+                col = both - colors[e]
+                colors[e] = col
+                u, w = table[e]
+                slots[u * width + col] = e
+                slots[w * width + col] = e
+    except KeyError as exc:
+        raise ColoringError(f"edge {exc.args[0]} is not colored") from None
+
+
+def _validate_switch(
+    g: Multigraph, degree: int, colors: Mapping[EdgeId, Color], cycle: BichromaticCycle, index=None
+) -> None:
+    """Raise StaleSwitchError unless ``cycle`` is a whole bi-chromatic component for ``colors``.
+
+    A one-switch :func:`_replay` on a copy of ``colors``: the same walk and
+    the same rejections, and ``colors`` is left as it was.
+    """
+    _replay(g, degree, dict(colors), [(index, cycle)])
 
 
 def kempe_switch(g: Multigraph, c: EdgeColoring, cycle: BichromaticCycle) -> EdgeColoring:

@@ -116,18 +116,27 @@ class CoveringMap:
 def verify_covering(p: CoveringMap) -> Verdict:
     """Check totality, incidence, surjectivity, local bijection, constant fibers.
 
-    Images that keep incidence put v's edges over edges at vmap[v], so counts decide the rest.
+    Images that keep incidence put v's edges over edges at vmap[v]. The
+    local bijection is then read from the edge table. When the 2|E| pairs
+    (end vertex, image edge) are distinct, the images of v's edges are
+    distinct edges at vmap[v], so deg(v) <= deg(vmap[v]) at every source
+    vertex. Summed over the source, the left sides give 2|E_src| and, with
+    m sources over every target vertex, the right sides give 2m|E_tgt|. So
+    when |E_src| = m|E_tgt| as well, every inequality is an equality and
+    each vertex's edges map onto the edges at its image. Only a cover that
+    fails these counts is scanned vertex by vertex, to name the first
+    vertex where the bijection fails.
     """
     src, tgt, vmap, emap = p.source, p.target, p._vmap, p._emap
     if len(vmap) != src.vertex_count:
         return Verdict(False, "vertex map is not total on the source")
     if emap.keys() != src._edges.keys():
         return Verdict(False, "edge map does not match the source edge set")
-    n, tgt_edges, tgt_incidence = tgt.vertex_count, tgt._edges, tgt._incidence
+    n, src_edges, tgt_edges = tgt.vertex_count, src._edges, tgt._edges
     for v, x in enumerate(vmap):
         if not 0 <= x < n:
             return Verdict(False, f"vertex {v} maps outside the target")
-    for e, (u, w) in src._edges.items():
+    for e, (u, w) in src_edges.items():
         ends = tgt_edges.get(emap[e])
         if ends is None:
             return Verdict(False, f"edge {e} maps outside the target")
@@ -138,15 +147,24 @@ def verify_covering(p: CoveringMap) -> Verdict:
         return Verdict(False, "vertex map is not surjective")
     if len(set(emap.values())) != len(tgt_edges):
         return Verdict(False, "edge map is not surjective")
-    for v, darts in enumerate(src._incidence):
-        if len({emap[e] for e, _ in darts}) != len(darts):
-            return Verdict(False, f"local bijection fails at source vertex {v} (collision)")
-        if len(darts) != len(tgt_incidence[vmap[v]]):
-            return Verdict(False, f"local bijection fails at source vertex {v}")
+    images = [emap[e] for e in src_edges]
+    pairs = set(zip([u for u, _ in src_edges.values()], images))
+    pairs.update(zip([w for _, w in src_edges.values()], images))
     try:
-        p.degree
-    except CoveringError as exc:
-        return Verdict(False, str(exc))
+        counted = len(pairs) == 2 * len(src_edges) and len(src_edges) == p.degree * len(tgt_edges)
+    except CoveringError:
+        counted = False
+    if not counted:
+        tgt_incidence = tgt._incidence
+        for v, darts in enumerate(src._incidence):
+            if len({emap[e] for e, _ in darts}) != len(darts):
+                return Verdict(False, f"local bijection fails at source vertex {v} (collision)")
+            if len(darts) != len(tgt_incidence[vmap[v]]):
+                return Verdict(False, f"local bijection fails at source vertex {v}")
+        try:
+            p.degree
+        except CoveringError as exc:
+            return Verdict(False, str(exc))
     return Verdict(True)
 
 

@@ -4,8 +4,11 @@ Vertices are dense integers ``0..n-1``. Edges carry unique integer ids that
 are assigned densely at creation and *preserved* by spanning-subgraph
 construction, so derived graphs may have gaps in their edge id range. Every
 edge stores an ordered endpoint pair ``(u, v)``; the pairs ``(edge, 0)`` and
-``(edge, 1)`` are its two darts (half-edges). Darts make walks through
-parallel edges and 2-cycles unambiguous, which bi-chromatic cycles need.
+``(edge, 1)`` are its two darts (half-edges). Walks follow edge ids through
+the edge table, which keeps parallel edges and 2-cycles apart, so they need
+no darts. The per-vertex dart lists are built on first request, for the
+degree, legality and component scans, and for a switch check only at a
+vertex where the check fails.
 
 Graphs are immutable once constructed; :meth:`Multigraph.from_edges`
 builds one with dense edge ids from a list of endpoint pairs.

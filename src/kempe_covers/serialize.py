@@ -175,24 +175,40 @@ def _graph_to_json(g: Multigraph) -> dict:
     }
 
 
-def _graph_from_json(doc) -> Multigraph:
+def _require_unique(rows: list[list[int]], table: dict, block: str) -> None:
+    """Raise unless ``table``, read from ``rows`` keyed by their first entry, kept every row."""
+    if len(table) != len(rows):
+        seen = set()
+        for row in rows:
+            if row[0] in seen:
+                raise FormatError(f"{block} lists id {row[0]} twice")
+            seen.add(row[0])
+
+
+def _graph_from_json(doc, block: str) -> Multigraph:
     try:
-        pairs = {e: (u, v) for e, u, v in _strict_int_lists(doc["edges"], "graph edge entry")}
-        return Multigraph(_strict_int(doc["vertices"], "vertex count"), pairs)
+        rows = _strict_int_lists(doc["edges"], "graph edge entry")
+        pairs = {e: (u, v) for e, u, v in rows}
+        graph = Multigraph(_strict_int(doc["vertices"], "vertex count"), pairs)
     except (KeyError, TypeError, ValueError, KempeCoversError) as exc:
         raise FormatError(f"malformed graph block: {exc}") from exc
+    _require_unique(rows, pairs, f"{block}.edges")
+    return graph
 
 
 def _coloring_to_json(c: EdgeColoring) -> dict:
     return {"degree": c.degree, "colors": sorted([e, col] for e, col in c.items())}
 
 
-def _coloring_from_json(doc) -> EdgeColoring:
+def _coloring_from_json(doc, block: str) -> EdgeColoring:
     try:
-        colors = dict(_strict_int_lists(doc["colors"], "coloring entry"))
-        return EdgeColoring(_strict_int(doc["degree"], "degree"), colors)
+        rows = _strict_int_lists(doc["colors"], "coloring entry")
+        colors = dict(rows)
+        coloring = EdgeColoring(_strict_int(doc["degree"], "degree"), colors)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed coloring block: {exc}") from exc
+    _require_unique(rows, colors, f"{block}.colors")
+    return coloring
 
 
 def witness_to_json(w: EquivalenceWitness, names: tuple[str, str] | None = None) -> dict:
@@ -226,7 +242,7 @@ def witness_from_json(doc) -> tuple[EquivalenceWitness, dict | None]:
             raise RegularityError(
                 f"base has {vertices} vertices and {len(edges)} edges, more than a regular base can have"
             )
-    base = _graph_from_json(base_doc)
+    base = _graph_from_json(base_doc, "base")
     cover_doc = doc.get("cover", {})
     edges = cover_doc.get("edges") if isinstance(cover_doc, dict) else None
     if not isinstance(edges, list):
@@ -239,17 +255,19 @@ def witness_from_json(doc) -> tuple[EquivalenceWitness, dict | None]:
     degree = _strict_int(doc.get("degree"), "witness degree")
     if degree != sheets:
         raise CoveringError(f"witness degree {degree} differs from its cover's {sheets} sheets")
-    cover_graph = _graph_from_json(cover_doc)
-    start = _coloring_from_json(doc.get("start", {}))
-    goal = _coloring_from_json(doc.get("goal", {}))
+    cover_graph = _graph_from_json(cover_doc, "cover")
+    start = _coloring_from_json(doc.get("start", {}), "start")
+    goal = _coloring_from_json(doc.get("goal", {}), "goal")
     try:
         [vertex_map] = _strict_int_lists([doc["vertex_map"]], "vertex map entry")
-        edge_map = dict(_strict_int_lists(doc["edge_map"], "edge map entry"))
+        map_rows = _strict_int_lists(doc["edge_map"], "edge map entry")
+        edge_map = dict(map_rows)
         entries = list(doc.get("sequence", []))
         pairs = _strict_int_lists(map(itemgetter("colors"), entries), "switch color")
         edge_lists = _strict_int_lists(map(itemgetter("edges"), entries), "switch edge id")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed witness: {exc}") from exc
+    _require_unique(map_rows, edge_map, "edge_map")
     names = doc.get("names")
     if "names" in doc and not (
         isinstance(names, dict) and isinstance(names.get("from"), str) and isinstance(names.get("to"), str)

@@ -236,6 +236,26 @@ def test_verify_checks_the_witness_degree(tmp_path, capsys, degree, code):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("block", ["base.edges", "cover.edges", "edge_map", "start.colors", "goal.colors"])
+def test_verify_rejects_an_id_listed_twice(tmp_path, capsys, block):
+    out = tmp_path / "w.json"
+    main(["witness", "--input", K33, "--from", "c1", "--to", "c2", "--out", str(out)])
+    doc = load_json(out)
+    first, _, second = block.partition(".")
+    rows = doc[first][second] if second else doc[first]
+    if block == "cover.edges":  # keep the row count, which the cover-size guard checks first
+        rows[-1][0] = rows[0][0]
+    else:  # a conflicting row ahead of the real one, which a dict built in order lets win
+        key, *values = rows[0]
+        rows.insert(0, [key, *values[::-1]] if len(values) == 2 else [key, values[0] % 3 + 1])
+    dump_json(doc, out)
+    capsys.readouterr()
+    assert main(["verify", "--input", K33, "--witness", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {block} lists id {rows[0][0]} twice"]
+
+
 def d4_instance(tmp_path):
     g, c1, c2 = kempe_covers.random_colored_instance(2, 4, 8)
     path = tmp_path / "d4.json"

@@ -19,7 +19,7 @@ from kempe_covers import (
     random_colored_instance,
     spanning_subgraph,
 )
-from kempe_covers.coloring import _cycle_decomposition, _validate_switch
+from kempe_covers.coloring import _cycle_decomposition, _replay, _validate_switch
 from kempe_covers.serialize import instance_from_json, load_json
 
 from conftest import K33_C1, alternating_coloring, cube_dimension_coloring, make_cube, make_cycle, make_k33
@@ -426,6 +426,63 @@ def test_validate_switch_matches_reference(instance, data):
         total = all(e in c for e in g.edge_ids())
         for name, at in (got, want):
             assert (name, at) == ("StaleSwitchError", index) or (name == "ColoringError" and not total)
+
+
+def reference_replay(g, degree, colors, steps):
+    """The reference check of each switch, then a flip of its edges, in order."""
+    for index, cycle in steps:
+        reference_validate_switch(g, EdgeColoring(degree, colors), cycle, index)
+        lo, hi = cycle.colors
+        for e in cycle.edge_ids:
+            colors[e] = hi if colors[e] == lo else lo
+
+
+def replay_outcome(replay, g, c, switches):
+    """The end colors, or the error type, the position of the switch it stopped at and its index."""
+    colors, drawn = dict(c.items()), []
+
+    def steps():
+        for index, cycle in enumerate(switches):
+            drawn.append(index)
+            yield index, cycle
+
+    try:
+        replay(g, c.degree, colors, steps())
+    except (StaleSwitchError, ColoringError) as exc:
+        return type(exc).__name__, drawn[-1], getattr(exc, "index", None)
+    return colors
+
+
+@settings(max_examples=200, deadline=None)
+@given(INSTANCES, st.data())
+def test_replay_matches_reference_switch_by_switch(instance, data):
+    # real switches, each drawn from the legal coloring the previous ones
+    # reach, and now and then a mutated one; a mutation of the coloring is
+    # kept only for the first switch, where it mutates the start coloring
+    g, c1, c2 = random_colored_instance(*instance)
+    start = before = data.draw(st.sampled_from([c1, c2]))
+    switches = []
+    for k in range(data.draw(st.integers(min_value=1, max_value=8))):
+        cycle = data.draw(st.sampled_from(bichromatic_cycles(g, before, *color_pair(data.draw, before.degree))))
+        after = kempe_switch(g, before, cycle)
+        if data.draw(st.integers(min_value=0, max_value=3)) == 0:
+            mutated, cycle = mutated_switch(data.draw, g, before, cycle)
+            if k == 0:
+                start = mutated
+        switches.append(cycle)
+        before = after
+    got = replay_outcome(_replay, g, start, switches)
+    want = replay_outcome(reference_replay, g, start, switches)
+    # the same end colors, or a stop at the same switch; a stale switch
+    # names its position, and only a coloring that leaves an edge uncolored
+    # may raise ColoringError
+    if isinstance(want, dict):
+        assert got == want
+    else:
+        assert not isinstance(got, dict) and got[1] == want[1]
+        total = all(e in start for e in g.edge_ids())
+        for name, at, index in (got, want):
+            assert (name, index) == ("StaleSwitchError", at) or (name == "ColoringError" and not total)
 
 
 def is_two_regular(g, edges):

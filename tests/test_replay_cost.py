@@ -13,8 +13,9 @@ components stay built once. The oracle tests count the `EdgeColoring`s,
 a census and its queries, which must not grow with the switches the
 breadth-first search tries: one cycle per coloring it reaches, or per step
 of the path it returns. The replay test counts every Python call the
-package makes while it verifies a 5,088-switch witness, so that checking a
-switch stays one loop over its cycle rather than a call per edge. The
+package makes while it verifies a 5,088-switch witness, so that the replay
+and the cover check stay loops over tables, with no call per switch or per
+cover vertex; verifying it must list no darts for the cover. The
 parse test counts the calls that read the same witness back from JSON: no
 switch is rebuilt as a walk, and no integer is checked by a call of its own.
 The build tests count the calls and the dart lists of the d=5 n=6 build:
@@ -132,8 +133,27 @@ def test_verify_witness_makes_few_python_calls_per_switch(d5_witness):
     verdict, calls = package_calls(verify_witness, d5_witness)
     assert verdict, verdict.reason
     # 541,595 when every dart went through the graph and coloring accessors;
-    # 23,871 when each switch also went through a wrapper class and a flip helper
-    assert calls < 20_000
+    # 23,871 when each switch also went through a wrapper class and a flip
+    # helper; 13,694 when each switch was checked by a call of its own and
+    # the local bijection by a set per cover vertex
+    assert calls < 1_000 < len(d5_witness.switches)
+
+
+def test_verify_witness_builds_no_cover_dart_lists(monkeypatch, d5_witness):
+    parsed, _ = witness_from_json(witness_to_json(d5_witness))
+    walked = []
+    incidence = Multigraph._incidence
+
+    def counted_incidence(self):
+        if self._darts is None:
+            walked.append(self)
+        return incidence.fget(self)
+
+    monkeypatch.setattr(Multigraph, "_incidence", property(counted_incidence))
+    verdict = verify_witness(parsed)
+    assert verdict, verdict.reason
+    # the base is read for its regularity and the legality of both colorings
+    assert walked == [parsed.graph]
 
 
 def test_kempe_cover_witness_makes_few_python_calls():
@@ -207,10 +227,22 @@ def test_lift_sequence_validates_each_base_switch_once(monkeypatch, witnesses):
     w = witnesses[0]
     projection = copies_cover(w.cover.source, 2)
     start = pullback_coloring(w.cover, w.start)
-    validated = counter(monkeypatch, (coloring, covering), "_validate_switch")
+    replay, checked = coloring._replay, []
+
+    def counted_replay(g, degree, colors, steps):
+        def drawn():  # the replay checks each switch before it draws the next
+            for index, cycle in steps:
+                checked.append((g, index))
+                yield index, cycle
+
+        replay(g, degree, colors, drawn())
+
+    for module in bindings("_replay"):
+        monkeypatch.setattr(module, "_replay", counted_replay)
     lifts = counter(monkeypatch, (covering,), "_lift")
     lift_sequence(projection, start, w.switches)
-    assert len(validated) == len(lifts) == len(w.switches)
+    assert len(checked) == len(lifts) == len(w.switches)
+    assert checked == [(projection.target, k) for k in range(len(w.switches))]
 
 
 def test_align_color_checks_its_inputs_once(monkeypatch):

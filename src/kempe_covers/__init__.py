@@ -29,7 +29,6 @@ from .coloring import (
     common_degree,
     is_legal,
     kempe_switch,
-    require_legal,
 )
 from .covering import (
     CoveringMap,
@@ -38,7 +37,6 @@ from .covering import (
     copies_cover,
     extend_subgraph_cover,
     lift_sequence,
-    lift_switch,
     pullback_coloring,
     verify_covering,
 )
@@ -65,7 +63,6 @@ from .errors import (
 from .graph import (
     Multigraph,
     connected_components,
-    disjoint_copies,
     disjoint_union,
     is_regular,
     spanning_subgraph,
@@ -128,7 +125,6 @@ __all__ = [
     "connected_components",
     "copies_cover",
     "default_orientation",
-    "disjoint_copies",
     "disjoint_union",
     "dot_export",
     "enumerate_legal_colorings",
@@ -142,10 +138,8 @@ __all__ = [
     "kempe_cover_witness",
     "kempe_switch",
     "lift_sequence",
-    "lift_switch",
     "pullback_coloring",
     "random_colored_instance",
-    "require_legal",
     "spanning_subgraph",
     "split_color_d",
     "verify_covering",

@@ -20,7 +20,7 @@ Color = int
 class EdgeColoring:
     """Total map edge id -> color in ``{1..degree}``. Immutable and hashable."""
 
-    __slots__ = ("_degree", "_colors", "_key")
+    __slots__ = ("_degree", "_colors")
 
     def __init__(self, degree: int, colors: Mapping[EdgeId, Color]):
         if degree < 1:
@@ -30,7 +30,6 @@ class EdgeColoring:
                 raise ColoringError(f"edge {e}: color {c} outside 1..{degree}")
         self._degree = degree
         self._colors = dict(colors)
-        self._key = None  # sorted on first hash; most colorings get none
 
     @property
     def degree(self) -> int:
@@ -52,22 +51,13 @@ class EdgeColoring:
         """Edge set carrying the given color."""
         return frozenset([e for e, c in self._colors.items() if c == color])
 
-    def restricted(self, edges: Iterable[EdgeId], degree: int | None = None) -> "EdgeColoring":
-        """Restriction to an edge subset, optionally with a smaller ambient degree."""
-        return EdgeColoring(
-            degree if degree is not None else self._degree,
-            {e: self._colors[e] for e in edges},
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeColoring):
             return NotImplemented
         return self._degree == other._degree and self._colors == other._colors
 
     def __hash__(self):
-        if self._key is None:
-            self._key = (self._degree, tuple(sorted(self._colors.items())))
-        return hash(self._key)
+        return hash((self._degree, tuple(sorted(self._colors.items()))))
 
     def __repr__(self) -> str:
         return f"EdgeColoring(degree={self._degree}, edges={len(self._colors)})"
@@ -79,8 +69,8 @@ class BichromaticCycle:
 
     ``colors`` is the ordered pair (i, j) with i < j, and ``edge_ids`` lists
     the component's edges in increasing order. A component is fixed by its
-    edges, so they are the whole switch; :func:`_validate_switch` checks them
-    against a coloring before a flip. A sorted tuple takes a sixth of the
+    edges, so they are the whole switch; :func:`_replay` checks them against
+    a coloring before a flip. A sorted tuple takes a sixth of the
     memory of a frozenset, and a witness holds thousands of switches.
     """
 
@@ -116,11 +106,6 @@ def is_legal(g: Multigraph, c: EdgeColoring) -> bool:
     return True
 
 
-def require_legal(g: Multigraph, c: EdgeColoring) -> None:
-    if not is_legal(g, c):
-        raise IllegalColoringError("coloring is not legal on this graph")
-
-
 def common_degree(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> int:
     """Validate a regular carrier with two legal colorings of its degree; return d."""
     d = is_regular(g)
@@ -130,8 +115,8 @@ def common_degree(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> int:
         raise ColoringError(
             f"colorings have degrees {c1.degree}, {c2.degree}; graph is {d}-regular"
         )
-    require_legal(g, c1)
-    require_legal(g, c2)
+    if not (is_legal(g, c1) and is_legal(g, c2)):
+        raise IllegalColoringError("coloring is not legal on this graph")
     return d
 
 
@@ -333,17 +318,6 @@ def _replay(
                 slots[w * width + col] = e
     except KeyError as exc:
         raise ColoringError(f"edge {exc.args[0]} is not colored") from None
-
-
-def _validate_switch(
-    g: Multigraph, degree: int, colors: Mapping[EdgeId, Color], cycle: BichromaticCycle, index=None
-) -> None:
-    """Raise StaleSwitchError unless ``cycle`` is a whole bi-chromatic component for ``colors``.
-
-    A one-switch :func:`_replay` on a copy of ``colors``: the same walk and
-    the same rejections, and ``colors`` is left as it was.
-    """
-    _replay(g, degree, dict(colors), [(index, cycle)])
 
 
 def kempe_switch(g: Multigraph, c: EdgeColoring, cycle: BichromaticCycle) -> EdgeColoring:

@@ -4,10 +4,10 @@ A graph map ``p`` from a cover onto a base is a covering when it is
 surjective and restricts, at every cover vertex, to a bijection between the
 edges there and the edges at the image vertex. Covers of d-regular graphs
 are d-regular, and a legal base coloring pulls back to a legal cover
-coloring. This module also lifts switches and whole switch sequences through
-covers, composes covers, and extends a cover of a spanning subgraph to a
-cover of the full graph. These trust their input coverings and do not
-re-check what they build; :func:`verify_covering` checks maps from outside.
+coloring. This module also lifts switch sequences through covers, composes
+covers, and extends a cover of a spanning subgraph to a cover of the full
+graph. These trust their input coverings and do not re-check what they
+build; :func:`verify_covering` checks maps from outside.
 
 Fiber sizes are required to be constant across all base vertices, even for
 disconnected bases; the equivalence construction normalizes every
@@ -26,10 +26,9 @@ from .coloring import (
     SwitchSequence,
     _cycle_decomposition,
     _replay,
-    _validate_switch,
 )
-from .errors import CoveringError
-from .graph import EdgeId, Multigraph, VertexId, disjoint_copies
+from .errors import CoveringError, GraphStructureError
+from .graph import EdgeId, Multigraph, VertexId, disjoint_union
 
 
 @dataclass(frozen=True)
@@ -182,45 +181,23 @@ def pullback_coloring(p: CoveringMap, c: EdgeColoring) -> EdgeColoring:
         raise
 
 
-def _edge_fibers(p: CoveringMap) -> dict[EdgeId, list[EdgeId]]:
-    """Target edge -> its source edges in increasing id order, in one pass."""
-    fibers: dict[EdgeId, list[EdgeId]] = {}
-    emap = p._emap
-    for e in p.source._edges:
-        fibers.setdefault(emap[e], []).append(e)
-    return fibers
-
-
-def _lift(
-    source: Multigraph, fibers: Mapping[EdgeId, Sequence[EdgeId]], cycle: BichromaticCycle
-) -> list[BichromaticCycle]:
-    """The components of the cycle's preimage in ``source``, read through an edge-fiber index."""
-    member = [f for e in cycle.edge_ids for f in fibers.get(e, ())]
-    return [BichromaticCycle(cycle.colors, edges) for edges in _cycle_decomposition(source, member)]
-
-
-def lift_switch(p: CoveringMap, c: EdgeColoring, cycle: BichromaticCycle) -> list[BichromaticCycle]:
-    """Components of the cycle's preimage, each bi-chromatic for the pulled-back coloring.
-
-    Applying every returned switch to the pull-back equals pulling back the
-    switched base coloring; the components are disjoint, so any order works.
-    """
-    _validate_switch(p.target, c.degree, c._colors, cycle)
-    return _lift(p.source, _edge_fibers(p), cycle)
-
-
 def lift_sequence(p: CoveringMap, c: EdgeColoring, sequence: Sequence[BichromaticCycle]) -> SwitchSequence:
-    """Lift a replayable sequence switch by switch.
+    """Lift a replayable sequence switch by switch, each to the components of its preimage.
 
     The base sequence is replayed once from ``c``, so a stale switch names
-    its sequence position; lifting reads only a switch's edges, so each is
-    then lifted through one edge-fiber index.
+    its sequence position. The components of one switch are disjoint and
+    bi-chromatic for the pull-back, so flipping them all, in any order,
+    equals pulling back the flipped base coloring.
     """
     _replay(p.target, c.degree, dict(c._colors), enumerate(sequence))
-    source, fibers = p.source, _edge_fibers(p)
+    source, emap = p.source, p._emap
+    fibers: dict[EdgeId, list[EdgeId]] = {}
+    for e in source._edges:
+        fibers.setdefault(emap[e], []).append(e)
     out: list[BichromaticCycle] = []
     for cycle in sequence:
-        out.extend(_lift(source, fibers, cycle))
+        member = [f for e in cycle.edge_ids for f in fibers.get(e, ())]
+        out.extend(BichromaticCycle(cycle.colors, edges) for edges in _cycle_decomposition(source, member))
     return tuple(out)
 
 
@@ -241,8 +218,14 @@ def compose(p: CoveringMap, q: CoveringMap) -> CoveringMap:
 
 
 def copies_cover(g: Multigraph, m: int) -> CoveringMap:
-    """The projection of ``m`` disjoint copies of ``g`` onto ``g``: a covering of degree ``m``."""
-    union = disjoint_copies(g, m)[0]  # copy k follows copy k-1, each in g's own order
+    """The projection of ``m`` disjoint copies of ``g`` onto ``g``: a covering of degree ``m``.
+
+    Copy k follows copy k-1, each in g's own order, so copy k of the edge
+    of rank r in g has id k|E| + r.
+    """
+    if m < 1:
+        raise GraphStructureError(f"need at least one copy, got {m}")
+    union = disjoint_union([g] * m)[0]
     return CoveringMap(union, g, tuple(range(g.vertex_count)) * m, dict(zip(union._edges, tuple(g._edges) * m)))
 
 

@@ -188,7 +188,8 @@ def _aligned_witness(
     colors = c1._colors
     rest = [e for e in g._edges if colors[e] != d]
     h = spanning_subgraph(g, rest)
-    cover, switches = _witness(h, c1.restricted(rest, d - 1), c2.restricted(rest, d - 1), d - 1)
+    sub = [EdgeColoring(d - 1, {e: c._colors[e] for e in rest}) for c in (c1, c2)]
+    cover, switches = _witness(h, *sub, d - 1)
     extended = extend_subgraph_cover(g, h, cover)
     return _pad_to_degree(extended, switches, c1, beta(d - 1))
 
@@ -262,7 +263,7 @@ def _per_component_witness(
             solved[key] = _pad_to_degree(cover, switches, sub_c1, target)
         parts.append((*solved[key], vback, eback))
 
-    union, _, emaps = disjoint_union([cover.source for cover, _, _, _ in parts])
+    union, emaps = disjoint_union([cover.source for cover, _, _, _ in parts])
     vertex_map: list[VertexId] = []
     edge_map: dict[EdgeId, EdgeId] = {}
     all_switches: list[BichromaticCycle] = []

@@ -119,9 +119,6 @@ class Multigraph:
             return NotImplemented
         return self is other or self._n == other._n and self._edges == other._edges
 
-    def __hash__(self):  # pragma: no cover - graphs are not meant to be keys
-        return hash((self._n, tuple(sorted(self._edges.items()))))
-
     def __repr__(self) -> str:
         return f"Multigraph(vertices={self._n}, edges={len(self._edges)})"
 
@@ -129,10 +126,16 @@ class Multigraph:
 def is_regular(g: Multigraph) -> int | None:
     """The common degree when every vertex has it, else None.
 
-    The empty graph is vacuously regular for no particular d and returns None.
+    The empty graph is vacuously regular for no particular d and returns None;
+    an edgeless graph is 0-regular. The edge table decides first: n vertices
+    of degree d carry 2|E| = dn edge ends. The dart lists are read only when
+    n divides 2|E| > 0, so a vertex count beyond the edges allocates nothing.
     """
-    degrees = {len(darts) for darts in g._incidence}
-    return degrees.pop() if len(degrees) == 1 else None
+    n, ends = g._n, 2 * len(g._edges)
+    if n == 0 or ends % n:
+        return None
+    d = ends // n
+    return d if not d or all(len(darts) == d for darts in g._incidence) else None
 
 
 def connected_components(g: Multigraph) -> list[frozenset[VertexId]]:
@@ -171,34 +174,19 @@ def spanning_subgraph(g: Multigraph, edges: Iterable[EdgeId]) -> Multigraph:
     return Multigraph(g._n, {e: table[e] for e in chosen})
 
 
-def disjoint_union(
-    parts: Sequence[Multigraph],
-) -> tuple[Multigraph, list[dict[VertexId, VertexId]], list[dict[EdgeId, EdgeId]]]:
-    """Disjoint union with per-part injection maps (old id -> new id).
+def disjoint_union(parts: Sequence[Multigraph]) -> tuple[Multigraph, list[dict[EdgeId, EdgeId]]]:
+    """Disjoint union with per-part edge injections (old id -> new id).
 
-    Each part's edges are numbered in increasing order of their old ids, so
-    its injection keeps the order of any sorted edge list.
+    Each part's vertices follow the previous parts' in order, and its edges
+    are numbered in increasing order of their old ids, so its injection
+    keeps the order of any sorted edge list.
     """
-    vertex_maps: list[dict[VertexId, VertexId]] = []
     edge_maps: list[dict[EdgeId, EdgeId]] = []
     pairs: dict[EdgeId, tuple[VertexId, VertexId]] = {}
     v_off = 0
     for part in parts:
         new_ids = range(len(pairs), len(pairs) + len(part._edges))
         pairs.update(zip(new_ids, [(u + v_off, w + v_off) for u, w in part._edges.values()]))
-        vertex_maps.append({v: v + v_off for v in range(part._n)})
         edge_maps.append(dict(zip(part._edges, new_ids)))
         v_off += part._n
-    return Multigraph(v_off, pairs), vertex_maps, edge_maps
-
-
-def disjoint_copies(
-    g: Multigraph, m: int
-) -> tuple[Multigraph, dict[VertexId, tuple[VertexId, int]], dict[EdgeId, tuple[EdgeId, int]]]:
-    """``m`` disjoint copies of ``g``; provenance maps give (original id, copy index)."""
-    if m < 1:
-        raise GraphStructureError(f"need at least one copy, got {m}")
-    union, vmaps, emaps = disjoint_union([g] * m)
-    vertex_origin = {new: (old, k) for k, vmap in enumerate(vmaps) for old, new in vmap.items()}
-    edge_origin = {new: (old, k) for k, emap in enumerate(emaps) for old, new in emap.items()}
-    return union, vertex_origin, edge_origin
+    return Multigraph(v_off, pairs), edge_maps

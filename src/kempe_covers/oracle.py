@@ -99,6 +99,8 @@ def _coloring_keys(g: Multigraph, max_edges: int) -> tuple[int, list[int]]:
         raise EnumerationLimitError(
             f"{g.edge_count} edges exceeds the enumeration bound {max_edges}"
         )
+    if not g._edges:  # the empty coloring, before any table of the vertices
+        return d, [0]
     unit = [1 << shift for shift in _shifts(d.bit_length(), g.edge_count)]
     partners: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
     for bit, (u, v) in zip(unit, g._edges.values()):

@@ -1,10 +1,15 @@
+import contextlib
+import copy
+import io
 import os
 import subprocess
 import sys
+import types
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kempe_covers
 from kempe_covers import (
@@ -450,3 +455,96 @@ def test_check_rejects_non_integer_fields(tmp_path, capsys, field, value):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ") and "must be an integer" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command, edges, message", [
+    (["check", "--coloring", "c1"], [[0, 1]], "graph is not regular"),
+    (["classes"], [[0, 1]], "error: enumeration needs a regular graph"),
+    (["classes"], [], "error: ambient degree must be >= 1, got 0"),
+])
+def test_claimed_vertex_count_is_answered_from_the_edge_table(tmp_path, capsys, monkeypatch, command, edges, message):
+    path = tmp_path / "inflated.json"
+    colorings = {"c1": [1] * len(edges)}
+    dump_json({"format": "kempe-instance/1", "vertices": 10**6, "edges": edges, "colorings": colorings}, path)
+    walks = []
+    original = Multigraph._incidence
+
+    def counted(g):
+        walks.append(g)
+        return original.fget(g)
+
+    monkeypatch.setattr(Multigraph, "_incidence", property(counted))
+    assert main([command[0], "--input", str(path), *command[1:]]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert walks == []  # no list per claimed vertex
+
+
+def test_all_lists_every_public_binding():
+    bound = {
+        name for name, value in vars(kempe_covers).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(kempe_covers.__all__) == bound
+    assert len(kempe_covers.__all__) == len(bound)
+
+
+def json_slots(node) -> list:
+    """Every (container, key) pair inside a JSON value, depth first."""
+    slots = []
+    for key in list(node) if isinstance(node, dict) else range(len(node)):
+        slots.append((node, key))
+        if isinstance(node[key], (dict, list)):
+            slots.extend(json_slots(node[key]))
+    return slots
+
+
+#: replacement values; integers stay at or below 10**6 so that no parse allocates much
+FUZZ_VALUES = st.none() | st.booleans() | st.integers(min_value=0, max_value=9) | st.sampled_from(
+    [-1, 10**6, 1.5, "x", [], {}]
+)
+
+
+@st.composite
+def mutated_documents(draw, doc):
+    """``doc`` after 1-3 mutations: a value replaced, a key deleted, or a list row duplicated."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        slots = json_slots(doc)
+        kind = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if kind == "delete":
+            slots = [(parent, key) for parent, key in slots if isinstance(parent, dict)]
+        elif kind == "duplicate":
+            slots = [(parent, key) for parent, key in slots if isinstance(parent, list)]
+        if not slots:
+            continue
+        parent, key = draw(st.sampled_from(slots))
+        if kind == "replace":
+            parent[key] = copy.deepcopy(draw(FUZZ_VALUES))
+        elif kind == "delete":
+            del parent[key]
+        else:
+            parent.insert(key, copy.deepcopy(parent[key]))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_witness(tmp_path_factory):
+    """A directory for mutated witnesses, and the k33 witness document."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    out = directory / "k33.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["witness", "--input", K33, "--from", "c1", "--to", "c2", "--out", str(out)]) == 0
+    return directory, load_json(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verify_of_a_mutated_witness_exits_with_one_line(fuzz_witness, data):
+    directory, doc = fuzz_witness
+    path = directory / "mutated.json"
+    dump_json(data.draw(mutated_documents(doc)), path)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["verify", "--input", K33, "--witness", str(path)])
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1), err.getvalue()

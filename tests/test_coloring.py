@@ -19,7 +19,7 @@ from kempe_covers import (
     random_colored_instance,
     spanning_subgraph,
 )
-from kempe_covers.coloring import _cycle_decomposition, _replay, _validate_switch
+from kempe_covers.coloring import _cycle_decomposition, _replay
 from kempe_covers.serialize import instance_from_json, load_json
 
 from conftest import K33_C1, alternating_coloring, cube_dimension_coloring, make_cube, make_cycle, make_k33
@@ -326,7 +326,7 @@ def test_switch_checks_no_other_test_reaches(g, colors, pair, darts, message):
     cycle = BichromaticCycle(pair, tuple(sorted(e for e, _ in darts)))
     error = ColoringError if "not colored" in message else StaleSwitchError
     with pytest.raises(error, match=message):
-        _validate_switch(g, c.degree, dict(c.items()), cycle)
+        _replay(g, c.degree, dict(c.items()), [(None, cycle)])
     with pytest.raises(error):
         reference_validate_switch(g, c, cycle)
 
@@ -417,7 +417,7 @@ def test_validate_switch_matches_reference(instance, data):
     for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
         c, cycle = mutated_switch(data.draw, g, c, cycle)
     index = data.draw(st.none() | st.integers(min_value=0, max_value=99))
-    got = verdict(_validate_switch, g, c.degree, dict(c.items()), cycle, index)
+    got = verdict(_replay, g, c.degree, dict(c.items()), [(index, cycle)])
     want = verdict(reference_validate_switch, g, c, cycle, index)
     # both accept, or both reject; a stale switch names its position, and
     # only a coloring that leaves an edge uncolored may raise ColoringError

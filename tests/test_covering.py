@@ -7,6 +7,7 @@ from kempe_covers import (
     CoveringError,
     CoveringMap,
     EdgeColoring,
+    GraphStructureError,
     KempeCoversError,
     Multigraph,
     StaleSwitchError,
@@ -16,6 +17,7 @@ from kempe_covers import (
     build_alignment_cover,
     color_class_subgraph,
     compose,
+    connected_components,
     copies_cover,
     disjoint_union,
     extend_subgraph_cover,
@@ -23,7 +25,6 @@ from kempe_covers import (
     kempe_cover_witness,
     kempe_switch,
     lift_sequence,
-    lift_switch,
     pullback_coloring,
     random_colored_instance,
     spanning_subgraph,
@@ -87,8 +88,8 @@ def test_nonconstant_fibers_rejected():
 
 def test_verify_covering_reports_nonconstant_fibers():
     # locally bijective onto two triangles, but a hexagon covers one twice
-    base, _, _ = disjoint_union([make_cycle(3), make_cycle(3)])
-    source, _, _ = disjoint_union([make_cycle(6), make_cycle(3)])
+    base, _ = disjoint_union([make_cycle(3), make_cycle(3)])
+    source, _ = disjoint_union([make_cycle(6), make_cycle(3)])
     vertex_map = [v % 3 for v in range(6)] + [3, 4, 5]
     edge_map = {e: e % 3 if e < 6 else e - 3 for e in source.edge_ids()}
     verdict = verify_covering(CoveringMap(source, base, vertex_map, edge_map))
@@ -117,8 +118,8 @@ def test_pullback_names_the_first_uncolored_base_edge(k33):
 def test_lift_switch_identity(k33, k33_pair):
     c1, _ = k33_pair
     gamma = bichromatic_cycles(k33, c1, 1, 2)[0]
-    lifted = lift_switch(CoveringMap.identity(k33), c1, gamma)
-    assert lifted == [gamma]
+    lifted = lift_sequence(CoveringMap.identity(k33), c1, [gamma])
+    assert lifted == (gamma,)
 
 
 def test_lift_whole_base_cycle_connects():
@@ -126,7 +127,7 @@ def test_lift_whole_base_cycle_connects():
     p = double_cycle_cover(4)
     c = alternating_coloring(4)
     gamma = bichromatic_cycles(p.target, c, 1, 2)[0]
-    lifted = lift_switch(p, c, gamma)
+    lifted = lift_sequence(p, c, [gamma])
     assert len(lifted) == 1
     assert len(lifted[0]) == 8
 
@@ -135,7 +136,7 @@ def test_lift_partition_and_lengths(k33, k33_pair):
     c1, _ = k33_pair
     p = copies_cover(k33, 3)
     gamma = bichromatic_cycles(k33, c1, 2, 3)[0]
-    lifted = lift_switch(p, c1, gamma)
+    lifted = lift_sequence(p, c1, [gamma])
     preimage = {e for e in p.source.edge_ids() if p.edge_image(e) in gamma.edges}
     seen = set()
     for cyc in lifted:
@@ -174,6 +175,29 @@ def test_lift_sequence_names_the_position_of_a_stale_base_switch(k33, k33_pair, 
 
 def test_lift_empty_sequence(k33, k33_pair):
     assert lift_sequence(copies_cover(k33, 2), k33_pair[0], ()) == ()
+
+
+def test_copies_cover_counts_and_provenance():
+    k33 = make_k33()
+    doubled = copies_cover(k33, 2)
+    assert doubled.source.vertex_count == 12 and doubled.source.edge_count == 18
+    assert len(connected_components(doubled.source)) == 2
+    assert verify_covering(doubled) and doubled.degree == 2
+    # copy k of vertex v is k|V| + v; copy k of the edge of rank r is k|E| + r
+    gapped = spanning_subgraph(make_cycle(6), [0, 2, 3, 5])
+    tripled = copies_cover(gapped, 3)
+    assert tripled.vertex_map == tuple(range(6)) * 3
+    for e in tripled.source.edge_ids():
+        k, r = divmod(e, 4)
+        old = gapped.edge_ids()[r]
+        assert tripled.edge_image(e) == old
+        assert tripled.source.endpoints(e) == tuple(6 * k + v for v in gapped.endpoints(old))
+    assert copies_cover(k33, 1).source == k33
+
+
+def test_copies_cover_rejects_zero():
+    with pytest.raises(GraphStructureError, match="need at least one copy, got 0"):
+        copies_cover(make_k33(), 0)
 
 
 def test_compose_identity_and_degrees(k33):

@@ -15,7 +15,6 @@ from kempe_covers import (
     compose,
     connected_components,
     copies_cover,
-    disjoint_copies,
     equivalence,
     equivalent_without_cover,
     is_legal,
@@ -84,16 +83,11 @@ def test_aligned_input_still_degree_beta(k33, k33_pair):
 
 def test_disconnected_input_single_cover(k33, k33_pair):
     c1v, c2v = k33_pair
-    g, _, edge_origin = disjoint_copies(make_k33(), 2)
-    c1 = EdgeColoring(3, {e: c1v[edge_origin[e][0]] for e in g.edge_ids()})
+    p = copies_cover(make_k33(), 2)
+    g = p.source  # copy k of k33's edge e has id 9k + e
+    c1 = EdgeColoring(3, {e: c1v[p.edge_image(e)] for e in g.edge_ids()})
     # second copy differs, first copy identical
-    c2 = EdgeColoring(
-        3,
-        {
-            e: (c2v if edge_origin[e][1] == 1 else c1v)[edge_origin[e][0]]
-            for e in g.edge_ids()
-        },
-    )
+    c2 = EdgeColoring(3, {e: (c2v if e >= 9 else c1v)[p.edge_image(e)] for e in g.edge_ids()})
     w = kempe_cover_witness(g, c1, c2)
     assert w.cover.degree == beta(3)
     assert verify_witness(w)
@@ -101,9 +95,10 @@ def test_disconnected_input_single_cover(k33, k33_pair):
 
 def k33_copies(pairs):
     """Disjoint K3,3 copies; copy k is colored from ``pairs[k][0]`` to ``pairs[k][1]``."""
-    g, _, edge_origin = disjoint_copies(make_k33(), len(pairs))
-    start = EdgeColoring(3, {e: pairs[k][0][old] for e, (old, k) in edge_origin.items()})
-    goal = EdgeColoring(3, {e: pairs[k][1][old] for e, (old, k) in edge_origin.items()})
+    g = copies_cover(make_k33(), len(pairs)).source
+    # copy k of k33's edge e has id 9k + e
+    start = EdgeColoring(3, {e: pairs[e // 9][0][e % 9] for e in g.edge_ids()})
+    goal = EdgeColoring(3, {e: pairs[e // 9][1][e % 9] for e in g.edge_ids()})
     return g, start, goal
 
 

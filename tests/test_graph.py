@@ -8,7 +8,6 @@ from kempe_covers import (
     UnknownEdgeError,
     UnknownVertexError,
     connected_components,
-    disjoint_copies,
     disjoint_union,
     is_regular,
     spanning_subgraph,
@@ -50,6 +49,16 @@ def test_degree_and_regularity():
     assert is_regular(Multigraph(0, {})) is None
 
 
+def test_is_regular_reads_the_edge_table_before_any_dart_list():
+    # a claimed vertex count far beyond the edges is answered without a list per vertex
+    g = Multigraph(10**6, {0: (0, 1)})
+    assert is_regular(g) is None
+    assert g._darts is None
+    edgeless = Multigraph(10**6, {})
+    assert is_regular(edgeless) == 0
+    assert edgeless._darts is None
+
+
 def test_degree_sum_is_twice_edge_count():
     for g in (make_k33(), make_theta(), make_cycle(5)):
         assert sum(g.degree(v) for v in g.vertices()) == 2 * g.edge_count
@@ -57,7 +66,7 @@ def test_degree_sum_is_twice_edge_count():
 
 def test_connected_components():
     assert len(connected_components(make_k33())) == 1
-    two_cycles, _, _ = disjoint_copies(make_cycle(4), 2)
+    two_cycles, _ = disjoint_union([make_cycle(4)] * 2)
     assert len(connected_components(two_cycles)) == 2
     edgeless = Multigraph(5, {})
     comps = connected_components(edgeless)
@@ -83,33 +92,17 @@ def test_spanning_subgraph_color_class_is_matching(k33, k33_pair):
     assert all(matching.degree(v) == 1 for v in matching.vertices())
 
 
-def test_disjoint_copies_counts_and_provenance():
-    k33 = make_k33()
-    doubled, vertex_origin, edge_origin = disjoint_copies(k33, 2)
-    assert doubled.vertex_count == 12 and doubled.edge_count == 18
-    assert len(connected_components(doubled)) == 2
-    assert {vertex_origin[v] for v in doubled.vertices()} == {
-        (v, k) for v in range(6) for k in range(2)
-    }
-    tripled, _, eor = disjoint_copies(make_cycle(4), 3)
-    assert tripled.vertex_count == 12 and tripled.edge_count == 12
-    assert all(eor[e][1] in (0, 1, 2) for e in tripled.edge_ids())
-    single, _, _ = disjoint_copies(k33, 1)
-    assert single == k33
-
-
-def test_disjoint_copies_rejects_zero():
-    with pytest.raises(GraphStructureError):
-        disjoint_copies(make_k33(), 0)
-
-
 def test_disjoint_union_preserves_endpoint_order():
     g = Multigraph.from_edges(3, [(2, 0), (1, 2)])
-    union, vmaps, emaps = disjoint_union([g, g])
-    for part in range(2):
-        for old in g.edge_ids():
-            u, w = g.endpoints(old)
-            assert union.endpoints(emaps[part][old]) == (vmaps[part][u], vmaps[part][w])
+    parts = [g, spanning_subgraph(make_k33(), [1, 5]), g]
+    union, emaps = disjoint_union(parts)
+    offset = 0
+    for part, emap in zip(parts, emaps):
+        for old in part.edge_ids():
+            u, w = part.endpoints(old)
+            assert union.endpoints(emap[old]) == (u + offset, w + offset)
+        offset += part.vertex_count  # each part's vertices follow the previous parts'
+    assert union.vertex_count == offset
 
 
 @pytest.mark.parametrize("n, edges, error, message", [

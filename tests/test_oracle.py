@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from itertools import combinations
 
@@ -452,6 +453,17 @@ def test_edgeless_graph_has_degree_zero_and_no_coloring_object():
     assert _coloring_keys(g, DEFAULT_MAX_EDGES) == (0, [0])
     with pytest.raises(ColoringError):
         enumerate_legal_colorings(g)
+
+
+def test_edgeless_enumeration_builds_no_table_of_the_vertices():
+    g = Multigraph(10**6, {})
+    tracemalloc.start()
+    try:
+        assert _coloring_keys(g, DEFAULT_MAX_EDGES) == (0, [0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # a list per vertex would take tens of MB
 
 
 @settings(max_examples=40, deadline=None)

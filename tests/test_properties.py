@@ -24,7 +24,6 @@ from kempe_covers import (
     kempe_cover_witness,
     kempe_switch,
     lift_sequence,
-    lift_switch,
     pullback_coloring,
     random_colored_instance,
     split_color_d,
@@ -110,7 +109,7 @@ def test_lift_switch_partitions_preimage(seed, shape):
     g, c1, _ = random_colored_instance(seed, d, n)
     p, shifted = build_alignment_cover(g, c1, c1)
     for cycle in bichromatic_cycles(g, c1, 1, 2):
-        lifts = lift_switch(p, c1, cycle)
+        lifts = lift_sequence(p, c1, [cycle])
         preimage = {e for e in p.source.edge_ids() if p.edge_image(e) in cycle.edges}
         seen = set()
         for cyc in lifts:

@@ -239,7 +239,7 @@ def test_lift_sequence_validates_each_base_switch_once(monkeypatch, witnesses):
 
     for module in bindings("_replay"):
         monkeypatch.setattr(module, "_replay", counted_replay)
-    lifts = counter(monkeypatch, (covering,), "_lift")
+    lifts = counter(monkeypatch, (covering,), "_cycle_decomposition")
     lift_sequence(projection, start, w.switches)
     assert len(checked) == len(lifts) == len(w.switches)
     assert checked == [(projection.target, k) for k in range(len(w.switches))]

@@ -201,14 +201,16 @@ def _build_alignment_cover(
                 colors[f] = (at_terminus - data.shift[terminus] + color) % modulus or modulus
         emap.update(dict.fromkeys(lifts, e))
 
-    cover_graph = Multigraph(g.vertex_count * modulus, pairs)
+    # ids count up from 0; the copy of (u, w) joins sheets of u and of w != u
+    cover_graph = Multigraph._adopt(g.vertex_count * modulus, pairs)
     p = CoveringMap(
         cover_graph,
         g,
         [v // modulus for v in range(cover_graph.vertex_count)],
         emap,
     )
-    return p, EdgeColoring(d, colors)
+    # each color is d, or a residue mod d-1 read as a color in 1..d-1
+    return p, EdgeColoring._adopt(d, colors)
 
 
 @dataclass(frozen=True)

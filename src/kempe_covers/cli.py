@@ -77,10 +77,10 @@ def _cmd_check(args) -> int:
     c = _named_coloring(colorings, args.coloring)
     d = is_regular(g)
     if d is None:
-        print("graph is not regular", file=sys.stderr)
+        print("error: graph is not regular", file=sys.stderr)
         return 2
     if c.degree != d or not is_legal(g, c):
-        print(f"coloring {args.coloring!r} is not a legal {d}-edge-coloring", file=sys.stderr)
+        print(f"error: coloring {args.coloring!r} is not a legal {d}-edge-coloring", file=sys.stderr)
         return 2
     print(f"coloring {args.coloring!r} is legal on a {d}-regular graph "
           f"({g.vertex_count} vertices, {g.edge_count} edges)")
@@ -94,7 +94,7 @@ def _cmd_witness(args) -> int:
     witness = kempe_cover_witness(g, c1, c2)
     verdict = verify_witness(witness)
     if not verdict:
-        print(f"internal error: witness failed self-verification: {verdict.reason}", file=sys.stderr)
+        print(f"error: internal: witness failed self-verification: {verdict.reason}", file=sys.stderr)
         return 2
     print(f"covering degree {witness.cover.degree}, sequence length {len(witness.switches)}")
     if args.out:
@@ -123,18 +123,18 @@ def _cmd_verify(args) -> int:
     g, colorings = _load_instance(args.input)
     witness, names = witness_from_json(load_json(args.witness))
     if witness.graph != g:
-        print("witness base graph differs from the instance graph", file=sys.stderr)
+        print("error: witness base graph differs from the instance graph", file=sys.stderr)
         return 2
     if names:
         for key, coloring in (("from", witness.start), ("to", witness.goal)):
             name = names.get(key)
             if name not in colorings or colorings[name] != coloring:
-                print(f"witness {key!r} coloring does not match instance coloring {name!r}",
+                print(f"error: witness {key!r} coloring does not match instance coloring {name!r}",
                       file=sys.stderr)
                 return 2
     verdict = verify_witness(witness)
     if not verdict:
-        print(f"witness verification failed: {verdict.reason}", file=sys.stderr)
+        print(f"error: witness verification failed: {verdict.reason}", file=sys.stderr)
         return 2
     print(f"witness verified: degree {witness.cover.degree}, "
           f"{len(witness.switches)} switches")

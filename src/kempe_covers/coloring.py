@@ -4,6 +4,13 @@ A legal coloring of a d-regular graph assigns a color from ``{1..d}`` to
 every edge so that adjacent edges differ. For any two colors i != j the
 edges colored i or j form a disjoint union of cycles; switching the two
 colors along one such cycle (a Kempe switch) yields another legal coloring.
+
+The public :class:`EdgeColoring` constructor checks every color, because
+its table may come from outside. The private :meth:`EdgeColoring._adopt`
+takes as is the tables the package derives from checked colorings: switch
+and replay results, pull-backs, restrictions to the lower colors or to one
+component, and an alignment cover's shifted coloring. Each exchanges, copies
+or computes colors inside ``1..degree``, so a check would prove nothing new.
 """
 
 from __future__ import annotations
@@ -30,6 +37,15 @@ class EdgeColoring:
                 raise ColoringError(f"edge {e}: color {c} outside 1..{degree}")
         self._degree = degree
         self._colors = dict(colors)
+
+    @classmethod
+    def _adopt(cls, degree: int, colors: dict[EdgeId, Color]) -> "EdgeColoring":
+        """A coloring owning ``colors`` unchecked and uncopied: the caller
+        proves ``degree >= 1`` and every color lies in ``1..degree``."""
+        c = cls.__new__(cls)
+        c._degree = degree
+        c._colors = colors
+        return c
 
     @property
     def degree(self) -> int:
@@ -324,11 +340,13 @@ def kempe_switch(g: Multigraph, c: EdgeColoring, cycle: BichromaticCycle) -> Edg
     """Transpose the cycle's two colors along it; all other edges unchanged."""
     colors = dict(c._colors)
     _replay(g, c.degree, colors, [(None, cycle)])
-    return EdgeColoring(c.degree, colors)
+    # the replay only exchanges the two colors of a checked pair in 1..degree
+    return EdgeColoring._adopt(c.degree, colors)
 
 
 def apply_sequence(g: Multigraph, c: EdgeColoring, sequence: Sequence[BichromaticCycle]) -> EdgeColoring:
     """Left-to-right replay of switches; fails on the first stale switch."""
     colors = dict(c._colors)
     _replay(g, c.degree, colors, enumerate(sequence))
-    return EdgeColoring(c.degree, colors)
+    # the replay only exchanges the two colors of a checked pair in 1..degree
+    return EdgeColoring._adopt(c.degree, colors)

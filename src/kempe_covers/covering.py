@@ -174,7 +174,8 @@ def pullback_coloring(p: CoveringMap, c: EdgeColoring) -> EdgeColoring:
     """
     colors, emap = c._colors, p._emap
     try:
-        return EdgeColoring(c.degree, {e: colors[emap[e]] for e in p.source._edges})
+        # every color is one of c's, already in 1..degree
+        return EdgeColoring._adopt(c.degree, {e: colors[emap[e]] for e in p.source._edges})
     except KeyError:  # let c[...] raise its ColoringError for the first uncolored image
         for e in p.source._edges:
             c[emap[e]]
@@ -263,5 +264,7 @@ def extend_subgraph_cover(g: Multigraph, h: Multigraph, p: CoveringMap) -> Cover
             pairs.update(zip(lifts, zip(fibers[u], fibers[w])))
             emap.update(dict.fromkeys(lifts, e))
             next_id += m
-    extended = Multigraph(p.source.vertex_count, pairs)
+    # new ids follow the source's ascending ones; a lift joins the fibers of
+    # two distinct vertices of g, so its ends are distinct source vertices
+    extended = Multigraph._adopt(p.source.vertex_count, pairs)
     return CoveringMap(extended, g, p._vmap, emap)

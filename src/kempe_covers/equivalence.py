@@ -188,7 +188,8 @@ def _aligned_witness(
     colors = c1._colors
     rest = [e for e in g._edges if colors[e] != d]
     h = spanning_subgraph(g, rest)
-    sub = [EdgeColoring(d - 1, {e: c._colors[e] for e in rest}) for c in (c1, c2)]
+    # both colorings give the top color to the same edges, so rest misses it
+    sub = [EdgeColoring._adopt(d - 1, {e: c._colors[e] for e in rest}) for c in (c1, c2)]
     cover, switches = _witness(h, *sub, d - 1)
     extended = extend_subgraph_cover(g, h, cover)
     return _pad_to_degree(extended, switches, c1, beta(d - 1))
@@ -256,9 +257,11 @@ def _per_component_witness(
         colors2 = tuple(map(c2._colors.__getitem__, eback))
         key = (len(vback), pairs, colors1, colors2)
         if key not in solved:
-            sub = Multigraph.from_edges(len(vback), pairs)
-            sub_c1 = EdgeColoring(d, dict(enumerate(colors1)))
-            sub_c2 = EdgeColoring(d, dict(enumerate(colors2)))
+            # g's edges in id order, relabelled densely: ascending, in range, no loops
+            sub = Multigraph._adopt(len(vback), dict(enumerate(pairs)))
+            # the colors of c1 and c2 on those edges
+            sub_c1 = EdgeColoring._adopt(d, dict(enumerate(colors1)))
+            sub_c2 = EdgeColoring._adopt(d, dict(enumerate(colors2)))
             cover, switches = _witness(sub, sub_c1, sub_c2, d)
             solved[key] = _pad_to_degree(cover, switches, sub_c1, target)
         parts.append((*solved[key], vback, eback))

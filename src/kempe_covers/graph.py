@@ -11,7 +11,12 @@ degree, legality and component scans, and for a switch check only at a
 vertex where the check fails.
 
 Graphs are immutable once constructed; :meth:`Multigraph.from_edges`
-builds one with dense edge ids from a list of endpoint pairs.
+builds one with dense edge ids from a list of endpoint pairs. The public
+constructor sorts and checks its table, which may come from outside. The
+private :meth:`Multigraph._adopt` takes as is the tables the package derives
+from checked graphs: spanning subgraphs, disjoint unions, relabelled
+components, extended covers and alignment covers. Each builds ascending ids
+and endpoints from ranges it knows, so a check would prove nothing new.
 """
 
 from __future__ import annotations
@@ -52,6 +57,16 @@ class Multigraph:
         self._n = vertex_count
         self._edges = table
         self._darts: list[tuple[Dart, ...]] | None = None
+
+    @classmethod
+    def _adopt(cls, vertex_count: int, table: dict[EdgeId, tuple[VertexId, VertexId]]) -> "Multigraph":
+        """A graph owning ``table`` unchecked: the caller proves its ids ascend,
+        its endpoints lie in ``0..vertex_count-1`` and it has no loop."""
+        g = cls.__new__(cls)
+        g._n = vertex_count
+        g._edges = table
+        g._darts = None
+        return g
 
     @property
     def _incidence(self) -> list[tuple[Dart, ...]]:
@@ -171,7 +186,8 @@ def spanning_subgraph(g: Multigraph, edges: Iterable[EdgeId]) -> Multigraph:
     for e in chosen:
         if e not in table:
             raise UnknownEdgeError(f"no edge {e}")
-    return Multigraph(g._n, {e: table[e] for e in chosen})
+    # ascending ids of edges of g, so in range and loop-free
+    return Multigraph._adopt(g._n, {e: table[e] for e in chosen})
 
 
 def disjoint_union(parts: Sequence[Multigraph]) -> tuple[Multigraph, list[dict[EdgeId, EdgeId]]]:
@@ -189,4 +205,5 @@ def disjoint_union(parts: Sequence[Multigraph]) -> tuple[Multigraph, list[dict[E
         pairs.update(zip(new_ids, [(u + v_off, w + v_off) for u, w in part._edges.values()]))
         edge_maps.append(dict(zip(part._edges, new_ids)))
         v_off += part._n
-    return Multigraph(v_off, pairs), edge_maps
+    # ids count up from 0; each part's ends are shifted past the previous parts'
+    return Multigraph._adopt(v_off, pairs), edge_maps

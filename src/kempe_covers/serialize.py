@@ -171,7 +171,7 @@ def instance_from_json(doc) -> tuple[Multigraph, dict[str, EdgeColoring]]:
 def _graph_to_json(g: Multigraph) -> dict:
     return {
         "vertices": g.vertex_count,
-        "edges": [[e, *g.endpoints(e)] for e in g.edge_ids()],
+        "edges": [[e, u, w] for e, (u, w) in g._edges.items()],  # the table is in id order
     }
 
 
@@ -212,6 +212,7 @@ def _coloring_from_json(doc, block: str) -> EdgeColoring:
 
 
 def witness_to_json(w: EquivalenceWitness, names: tuple[str, str] | None = None) -> dict:
+    """Witness document; its ``edge_map`` rows are (id, image) tuples, which JSON writes as arrays."""
     doc = {
         "format": WITNESS_FORMAT,
         "degree": w.cover.degree,
@@ -220,7 +221,7 @@ def witness_to_json(w: EquivalenceWitness, names: tuple[str, str] | None = None)
         "goal": _coloring_to_json(w.goal),
         "cover": _graph_to_json(w.cover.source),
         "vertex_map": list(w.cover.vertex_map),
-        "edge_map": sorted([e, img] for e, img in w.cover.edge_map.items()),
+        "edge_map": sorted(w.cover._emap.items()),
         "sequence": [
             {"colors": list(cyc.colors), "edges": list(cyc.edge_ids)} for cyc in w.switches
         ],

@@ -458,7 +458,7 @@ def test_check_rejects_non_integer_fields(tmp_path, capsys, field, value):
 
 
 @pytest.mark.parametrize("command, edges, message", [
-    (["check", "--coloring", "c1"], [[0, 1]], "graph is not regular"),
+    (["check", "--coloring", "c1"], [[0, 1]], "error: graph is not regular"),
     (["classes"], [[0, 1]], "error: enumeration needs a regular graph"),
     (["classes"], [], "error: ambient degree must be >= 1, got 0"),
 ])
@@ -477,6 +477,70 @@ def test_claimed_vertex_count_is_answered_from_the_edge_table(tmp_path, capsys, 
     assert main([command[0], "--input", str(path), *command[1:]]) == 2
     assert capsys.readouterr().err.splitlines() == [message]
     assert walks == []  # no list per claimed vertex
+
+
+def check_three_vertices(tmp_path, edges, colors):
+    """``check`` argv for a 3-vertex instance whose coloring c1 gives ``colors`` to ``edges``."""
+    path = tmp_path / "instance.json"
+    dump_json({"format": "kempe-instance/1", "vertices": 3, "edges": edges, "colorings": {"c1": colors}}, path)
+    return ["check", "--input", str(path), "--coloring", "c1"]
+
+
+def verify_k33_witness(tmp_path, edit, instance=K33):
+    """``verify`` argv for the k33 witness after ``edit`` changed its document."""
+    out = tmp_path / "w.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["witness", "--input", K33, "--from", "c1", "--to", "c2", "--out", str(out)]) == 0
+    doc = load_json(out)
+    edit(doc)
+    dump_json(doc, out)
+    return ["verify", "--input", instance, "--witness", str(out)]
+
+
+def witness_failing_self_verification(tmp_path, monkeypatch):
+    monkeypatch.setattr(kempe_covers.cli, "verify_witness", lambda w: kempe_covers.Verdict(False, "forced"))
+    return ["witness", "--input", K33, "--from", "c1", "--to", "c2"]
+
+
+#: each content violation a command prints itself: argv from (tmp_path, monkeypatch), and the line's start
+CONTENT_VIOLATIONS = {
+    "not regular": (
+        lambda tmp, _: check_three_vertices(tmp, [[0, 1], [1, 2]], [1, 2]),
+        "error: graph is not regular",
+    ),
+    "illegal": (
+        lambda tmp, _: check_three_vertices(tmp, [[0, 1], [1, 2], [2, 0]], [1, 2, 1]),
+        "error: coloring 'c1' is not a legal 2-edge-coloring",
+    ),
+    "self-verification": (
+        witness_failing_self_verification,
+        "error: internal: witness failed self-verification: forced",
+    ),
+    "base differs": (
+        lambda tmp, _: verify_k33_witness(tmp, lambda doc: None, instance=THETA),
+        "error: witness base graph differs from the instance graph",
+    ),
+    "coloring differs": (
+        lambda tmp, _: verify_k33_witness(tmp, lambda doc: doc["names"].update({"from": "c2"})),
+        "error: witness 'from' coloring does not match instance coloring 'c2'",
+    ),
+    "replay fails": (
+        lambda tmp, _: verify_k33_witness(tmp, lambda doc: doc["sequence"].pop()),
+        "error: witness verification failed: replay mismatch at cover edge",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTENT_VIOLATIONS))
+def test_a_content_violation_is_one_error_line(tmp_path, capsys, monkeypatch, case):
+    argv, line = CONTENT_VIOLATIONS[case]
+    argv = argv(tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [err] = captured.err.splitlines()
+    assert err.startswith(line)
 
 
 def test_all_lists_every_public_binding():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from kempe_covers import (
@@ -271,3 +273,51 @@ def test_unknown_edge_in_walk_is_a_stale_switch(k33, k33_pair):
     with pytest.raises(StaleSwitchError, match="edge 999 not in graph"):
         kempe_switch(k33, c1, bad)
     assert "edge 999 not in graph" in rejected_at_position(k33, c1, bad)
+
+
+def calling_function() -> str:
+    """The name of the function that called the caller, past comprehension frames."""
+    frame = sys._getframe(2)
+    while frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
+@pytest.fixture
+def checked_adoption(monkeypatch):
+    """Make both private ``_adopt`` constructors run the public checks too.
+
+    Each adopted table must pass the validating constructor unchanged, in
+    the same key order. Returns the set of (kind, calling function) pairs.
+    """
+    sites = set()
+    adopt_graph, adopt_coloring = Multigraph._adopt, EdgeColoring._adopt
+
+    def checked_graph(vertex_count, table):
+        sites.add(("graph", calling_function()))
+        assert list(Multigraph(vertex_count, table)._edges.items()) == list(table.items())
+        return adopt_graph(vertex_count, table)
+
+    def checked_coloring(degree, colors):
+        sites.add(("coloring", calling_function()))
+        assert list(EdgeColoring(degree, colors).items()) == list(colors.items())
+        return adopt_coloring(degree, colors)
+
+    monkeypatch.setattr(Multigraph, "_adopt", staticmethod(checked_graph))
+    monkeypatch.setattr(EdgeColoring, "_adopt", staticmethod(checked_coloring))
+    return sites
+
+
+def test_every_adopted_table_passes_the_public_checks(checked_adoption):
+    # d=5 n=6 seed 1 is the reference; every one of these builds a disconnected cover
+    for seed, d, n in [(0, 3, 10), (1, 4, 12), (2, 4, 8), (1, 5, 6)]:
+        g, c1, c2 = random_colored_instance(seed, d, n)
+        w = kempe_cover_witness(g, c1, c2)
+        assert len(connected_components(w.cover.source)) > 1
+        assert verify_witness(w)
+    kempe_switch(g, c1, bichromatic_cycles(g, c1, 1, 2)[0])
+    graphs = {"spanning_subgraph", "disjoint_union", "extend_subgraph_cover", "_build_alignment_cover",
+              "_per_component_witness"}
+    colorings = {"pullback_coloring", "kempe_switch", "apply_sequence", "_aligned_witness",
+                 "_per_component_witness", "_build_alignment_cover"}
+    assert checked_adoption == {("graph", f) for f in graphs} | {("coloring", f) for f in colorings}

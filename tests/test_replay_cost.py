@@ -93,13 +93,15 @@ def bindings(name):
 def test_verify_witness_cost_is_independent_of_switch_count(monkeypatch, witnesses):
     legal = counter(monkeypatch, (coloring, equivalence), "is_legal")
     built = counter(monkeypatch, (EdgeColoring,), "__init__")
+    adopted = counter(monkeypatch, (EdgeColoring,), "_adopt")
     counts = []
     for w in witnesses:
         legal.clear()
         built.clear()
+        adopted.clear()
         verdict = verify_witness(w)
         assert verdict, verdict.reason
-        counts.append((len(legal), len(built)))
+        counts.append((len(legal), len(built) + len(adopted)))
     assert counts[0] == counts[1]
     assert max(counts[0]) < 10 < len(witnesses[0].switches)
 
@@ -166,11 +168,15 @@ def test_kempe_cover_witness_makes_few_python_calls():
 
 def test_kempe_cover_witness_builds_dart_lists_only_for_walked_graphs(monkeypatch):
     built, walked = [], []
-    init, incidence = Multigraph.__init__, Multigraph._incidence
+    init, adopt, incidence = Multigraph.__init__, Multigraph._adopt, Multigraph._incidence
 
     def counted_init(self, vertex_count, edges):
         init(self, vertex_count, edges)
         built.append(len(self._edges))
+
+    def counted_adopt(vertex_count, table):
+        built.append(len(table))
+        return adopt(vertex_count, table)
 
     def counted_incidence(self):
         if self._darts is None:
@@ -178,10 +184,12 @@ def test_kempe_cover_witness_builds_dart_lists_only_for_walked_graphs(monkeypatc
         return incidence.fget(self)
 
     monkeypatch.setattr(Multigraph, "__init__", counted_init)
+    monkeypatch.setattr(Multigraph, "_adopt", staticmethod(counted_adopt))
     monkeypatch.setattr(Multigraph, "_incidence", property(counted_incidence))
     w = kempe_cover_witness(*random_colored_instance(1, 5, 6))
     assert w.cover.degree == 576 and len(w.switches) == 5088
-    # 203 graphs with 32,058 edges; 99 of them, with 7,677 edges, are walked
+    # 203 graphs with 32,058 edges, every one adopted; 99 of them, with
+    # 7,677 edges, are walked
     assert sum(walked) <= 10_000 < 30_000 < sum(built)
 
 

@@ -84,10 +84,11 @@ class BichromaticCycle:
     """A component of the two-color subgraph: its color pair and its edge set.
 
     ``colors`` is the ordered pair (i, j) with i < j, and ``edge_ids`` lists
-    the component's edges in increasing order. A component is fixed by its
-    edges, so they are the whole switch; :func:`_replay` checks them against
-    a coloring before a flip. A sorted tuple takes a sixth of the
-    memory of a frozenset, and a witness holds thousands of switches.
+    the component's edges in increasing order (the parser sorts them). A
+    component is fixed by its edges, so they are the whole switch;
+    :func:`_replay` checks that they are distinct and form the component
+    before a flip. A sorted tuple takes a sixth of the memory of a
+    frozenset, and a witness holds thousands of switches.
     """
 
     colors: tuple[Color, Color]

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alignment import _align_color, _split_color_d
+from .alignment import ColorDSplit, _align_color, _split_color_d
 from .coloring import (
     BichromaticCycle,
     EdgeColoring,
@@ -42,7 +42,6 @@ from .coloring import (
     _replay,
     bichromatic_cycles,
     common_degree,
-    is_legal,
 )
 from .covering import (
     CoveringMap,
@@ -61,7 +60,6 @@ from .graph import (
     VertexId,
     connected_components,
     disjoint_union,
-    is_regular,
     spanning_subgraph,
 )
 
@@ -101,11 +99,13 @@ class EquivalenceWitness:
 def verify_witness(w: EquivalenceWitness) -> Verdict:
     """Machine-check a witness: cover axioms, replay equality, degree bound.
 
-    The start pull-back is legal: :func:`verify_covering` gives a local
-    bijection on edges, and the start coloring is legal on the base. Every
-    switch is validated as a whole alternating two-color component before it
-    is flipped, so each intermediate coloring is legal too. The end state
-    must equal the goal pull-back edge for edge.
+    :func:`common_degree` checks that the base is regular and that both
+    colorings are legal colorings of its degree; its message is the reason
+    of a rejection. The start pull-back is then legal:
+    :func:`verify_covering` gives a local bijection on edges. Every switch
+    is validated as a whole alternating two-color component of distinct
+    edges before it is flipped, so each intermediate coloring is legal too.
+    The end state must equal the goal pull-back edge for edge.
     """
     try:
         if w.cover.target != w.graph:
@@ -113,16 +113,9 @@ def verify_witness(w: EquivalenceWitness) -> Verdict:
         verdict = verify_covering(w.cover)
         if not verdict:
             return verdict
-        d = is_regular(w.graph)
-        if d is None:
-            return Verdict(False, "witness graph is not regular")
-        if w.start.degree != d or w.goal.degree != d:
-            return Verdict(False, "coloring degree does not match the graph")
-        if not is_legal(w.graph, w.start):
-            return Verdict(False, "start coloring is not legal")
-        if not is_legal(w.graph, w.goal):
-            return Verdict(False, "goal coloring is not legal")
-        current = dict(pullback_coloring(w.cover, w.start).items())
+        d = common_degree(w.graph, w.start, w.goal)
+        # the pull-back is built for this replay alone, so it flips in place
+        current = pullback_coloring(w.cover, w.start)._colors
         goal = pullback_coloring(w.cover, w.goal)
         _replay(w.cover.source, d, current, enumerate(w.switches))
         if current != goal._colors:
@@ -196,10 +189,11 @@ def _aligned_witness(
 
 
 def _misaligned_witness(
-    g: Multigraph, c1: EdgeColoring, c2: EdgeColoring, d: int
+    g: Multigraph, c1: EdgeColoring, c2: EdgeColoring, split: ColorDSplit
 ) -> tuple[CoveringMap, SwitchSequence]:
-    """Align the top color, then run the aligned recursion on both sides."""
-    ar = _align_color(g, c1, c2, _split_color_d(g, c1, c2, d))
+    """Align the top color along ``split``, then run the aligned recursion on both sides."""
+    d = split.degree
+    ar = _align_color(g, c1, c2, split)
     p = ar.cover
     c1_up = pullback_coloring(p, c1)
     c2_up = pullback_coloring(p, c2)
@@ -307,7 +301,8 @@ def _witness(
     components = connected_components(g)
     if len(components) > 1:
         return _per_component_witness(g, c1, c2, d, components)
-    if c1.color_class(d) == c2.color_class(d):
+    split = _split_color_d(g, c1, c2, d)
+    if not split.moving:  # the top-color classes are equal
         cover, switches = _aligned_witness(g, c1, c2, d)
         return _pad_to_degree(cover, switches, c1, beta(d))
-    return _misaligned_witness(g, c1, c2, d)
+    return _misaligned_witness(g, c1, c2, split)

@@ -23,7 +23,6 @@ from .errors import (
     FormatError,
     KempeCoversError,
     RegularityError,
-    StaleSwitchError,
 )
 from .graph import EdgeId, Multigraph, is_regular
 
@@ -275,14 +274,12 @@ def witness_from_json(doc) -> tuple[EquivalenceWitness, dict | None]:
     ):
         raise FormatError("names block must be an object with string 'from' and 'to' entries")
     cover = CoveringMap(cover_graph, base, vertex_map, edge_map)
-    # The replay checks that each edge set is one whole two-color component,
-    # and names the sequence position of a switch that is not.
+    # The replay checks that each edge set is one whole two-color component
+    # of distinct edges, and names the sequence position of a switch that is not.
     switches = []
-    for k, (pair, edges) in enumerate(zip(pairs, edge_lists)):
+    for pair, edges in zip(pairs, edge_lists):
         if len(pair) != 2:
             raise FormatError("switch needs exactly two colors")
-        if len(set(edges)) != len(edges):
-            raise StaleSwitchError(f"switch at sequence position {k} lists a repeated edge", index=k)
         edges.sort()
         switches.append(BichromaticCycle((min(pair), max(pair)), tuple(edges)))
     witness = EquivalenceWitness(base, start, goal, cover, tuple(switches))

@@ -5,7 +5,9 @@ import pytest
 from kempe_covers import (
     EdgeColoring,
     RegularityError,
+    StaleSwitchError,
     align_color,
+    alignment,
     alignment_data,
     apply_sequence,
     bichromatic_cycles,
@@ -196,3 +198,22 @@ def test_switch_order_does_not_matter(k33, k33_pair):
         apply_sequence(result.cover.source, result.start_coloring, reordered)
         == result.aligned_coloring
     )
+
+
+def test_a_broken_lift_is_rejected_by_the_replay(monkeypatch, k33, k33_pair):
+    """``_align_color`` trusts the lemma; a moving lift off its pair still fails the replay."""
+    c1, c2 = k33_pair
+    moving = split_color_d(k33, c1, c2).moving
+    build = alignment._build_alignment_cover
+
+    def recolored(g, c, data):
+        p, shifted = build(g, c, data)
+        colors = dict(shifted.items())
+        # a lift of a c2 top-color edge, colored 1 or 2; give it the other one
+        f = next(f for f, e in p.edge_map.items() if e in moving and colors[f] != 3)
+        colors[f] = 3 - colors[f]
+        return p, EdgeColoring(3, colors)
+
+    monkeypatch.setattr(alignment, "_build_alignment_cover", recolored)
+    with pytest.raises(StaleSwitchError, match="stale switch"):
+        alignment._align_color(k33, c1, c2, split_color_d(k33, c1, c2))

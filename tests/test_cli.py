@@ -21,6 +21,7 @@ from kempe_covers import (
     dot_export,
     kempe_cover_witness,
     pullback_coloring,
+    verify_witness,
 )
 from kempe_covers.cli import main
 from kempe_covers.serialize import (
@@ -149,6 +150,21 @@ def test_verify_switch_with_a_repeated_edge(tmp_path, capsys):
     assert main(["verify", "--input", K33, "--witness", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "repeated edge" in err[0]
+
+
+def test_a_repeated_edge_parses_and_fails_the_replay_at_its_position(tmp_path):
+    out = tmp_path / "w.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["witness", "--input", K33, "--from", "c1", "--to", "c2", "--out", str(out)])
+    doc = load_json(out)
+    k = len(doc["sequence"]) - 1
+    edges = doc["sequence"][k]["edges"]
+    edges.append(edges[0])
+    witness, _ = witness_from_json(doc)
+    assert len(witness.switches[k]) == len(edges)
+    verdict = verify_witness(witness)
+    assert not verdict
+    assert "repeated edge" in verdict.reason and f"sequence position {k}" in verdict.reason
 
 
 def test_verify_switch_edges_two_cycles(tmp_path, capsys):
@@ -612,3 +628,28 @@ def test_verify_of_a_mutated_witness_exits_with_one_line(fuzz_witness, data):
         code = main(["verify", "--input", K33, "--witness", str(path)])
     assert code in (0, 1, 2)
     assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_instance(tmp_path_factory):
+    """A path for mutated instances, and the k33 instance document."""
+    return tmp_path_factory.mktemp("fuzz-instance") / "mutated.json", load_json(K33)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_commands_on_a_mutated_instance_exit_with_one_line(fuzz_instance, data):
+    path, doc = fuzz_instance
+    dump_json(data.draw(mutated_documents(doc)), path)
+    for command in (
+        ["check", "--input", str(path), "--coloring", "c1"],
+        ["classes", "--input", str(path)],
+        ["witness", "--input", str(path), "--from", "c1", "--to", "c2"],
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(command)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2)
+        assert len(lines) == (0 if code == 0 else 1), err.getvalue()
+        assert all(line.startswith("error: ") for line in lines), err.getvalue()

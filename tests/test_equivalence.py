@@ -28,7 +28,7 @@ from kempe_covers import (
     verify_witness,
 )
 
-from conftest import alternating_coloring, make_cycle, make_k33, make_petersen
+from conftest import K33_C1, alternating_coloring, make_cycle, make_k33, make_petersen
 
 
 def test_beta_table():
@@ -200,6 +200,30 @@ def test_over_degree_witness_rejected(k33, k33_pair):
     verdict = verify_witness(padded)
     assert not verdict
     assert "exceeds beta(3) = 2" in verdict.reason
+
+
+def rejected_input(name):
+    """A witness graph and two colorings, each of which ``verify_witness`` must refuse."""
+    k33 = make_k33()
+    good = EdgeColoring(3, dict(enumerate(K33_C1)))
+    illegal = EdgeColoring(3, dict(enumerate((1, 1) + K33_C1[2:])))  # edges 0 and 1 meet at 0
+    if name == "illegal start":
+        return k33, illegal, good
+    if name == "illegal goal":
+        return k33, good, illegal
+    if name == "wrong degree":
+        return k33, EdgeColoring(4, dict(enumerate(K33_C1))), good
+    lollipop = Multigraph.from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
+    legal_colors = EdgeColoring(3, {0: 1, 1: 2, 2: 3, 3: 2})
+    return lollipop, legal_colors, legal_colors
+
+
+@pytest.mark.parametrize("name", ["illegal start", "illegal goal", "wrong degree", "non-regular base"])
+def test_verify_witness_rejects_bad_inputs(name):
+    g, start, goal = rejected_input(name)
+    verdict = verify_witness(EquivalenceWitness(g, start, goal, CoveringMap.identity(g), ()))
+    assert not verdict
+    assert verdict.reason
 
 
 def test_randomized_soundness_d3():

@@ -91,7 +91,7 @@ def bindings(name):
 
 
 def test_verify_witness_cost_is_independent_of_switch_count(monkeypatch, witnesses):
-    legal = counter(monkeypatch, (coloring, equivalence), "is_legal")
+    legal = counter(monkeypatch, bindings("is_legal"), "is_legal")
     built = counter(monkeypatch, (EdgeColoring,), "__init__")
     adopted = counter(monkeypatch, (EdgeColoring,), "_adopt")
     counts = []

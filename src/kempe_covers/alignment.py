@@ -106,14 +106,9 @@ def default_orientation(g: Multigraph) -> dict[EdgeId, tuple[VertexId, VertexId]
     return {e: (u, w) if u < w else (w, u) for e, (u, w) in g._edges.items()}
 
 
-def alignment_data(
-    g: Multigraph,
-    c1: EdgeColoring,
-    c2: EdgeColoring,
-    orientation: Orientation | None = None,
-) -> AlignmentData:
+def alignment_data(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> AlignmentData:
     """Anchor edges, vertex shifts, and edge offsets for the alignment cover."""
-    return _alignment_data(g, c1, c2, split_color_d(g, c1, c2), orientation)
+    return _alignment_data(g, c1, c2, split_color_d(g, c1, c2))
 
 
 def _alignment_data(
@@ -121,7 +116,7 @@ def _alignment_data(
     c1: EdgeColoring,
     c2: EdgeColoring,
     split: ColorDSplit,
-    orientation: Orientation | None,
+    orientation: Orientation | None = None,
 ) -> AlignmentData:
     """:func:`alignment_data` from a split of proved inputs; a given orientation is still checked."""
     d = split.degree
@@ -168,7 +163,8 @@ def build_alignment_cover(
     are validated; the cover and the shifted coloring are legal by
     construction and are not re-checked.
     """
-    return _build_alignment_cover(g, c1, alignment_data(g, c1, c2, orientation))
+    data = _alignment_data(g, c1, c2, split_color_d(g, c1, c2), orientation)
+    return _build_alignment_cover(g, c1, data)
 
 
 def _build_alignment_cover(
@@ -228,12 +224,7 @@ class AlignColorResult:
     aligned_coloring: EdgeColoring
 
 
-def align_color(
-    g: Multigraph,
-    c1: EdgeColoring,
-    c2: EdgeColoring,
-    orientation: Orientation | None = None,
-) -> AlignColorResult:
+def align_color(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> AlignColorResult:
     """Build the alignment cover and switch the lifted moving cycles.
 
     The moving edges' preimage decomposes into bi-chromatic cycles of the
@@ -242,23 +233,17 @@ def align_color(
     The inputs are checked; the result follows from the lemma in the module
     docstring and is not checked again.
     """
-    return _align_color(g, c1, c2, split_color_d(g, c1, c2), orientation)
+    return _align_color(g, c1, c2, split_color_d(g, c1, c2))
 
 
-def _align_color(
-    g: Multigraph,
-    c1: EdgeColoring,
-    c2: EdgeColoring,
-    split: ColorDSplit,
-    orientation: Orientation | None = None,
-) -> AlignColorResult:
+def _align_color(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring, split: ColorDSplit) -> AlignColorResult:
     """:func:`align_color` from the split of proved inputs; the recursion enters here.
 
     Each lifted moving cycle gets the pair (its smallest color, d), and the
     replay rejects one that is not a whole alternating component of that
     pair. That they align the top color follows from the lemma, unchecked.
     """
-    p, shifted = _build_alignment_cover(g, c1, _alignment_data(g, c1, c2, split, orientation))
+    p, shifted = _build_alignment_cover(g, c1, _alignment_data(g, c1, c2, split))
     d, colors = split.degree, shifted._colors
     member = [e for e, image in p._emap.items() if image in split.moving]
     switches = tuple(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ColoringError, IllegalColoringError, RegularityError, StaleSwitchError
-from .graph import EdgeId, Multigraph, VertexId, is_regular, spanning_subgraph
+from .graph import EdgeId, Multigraph, VertexId, _incident_edges, is_regular, spanning_subgraph
 
 Color = int
 
@@ -117,9 +117,13 @@ def is_legal(g: Multigraph, c: EdgeColoring) -> bool:
     """True iff no two adjacent edges of ``g`` share a color under ``c``."""
     _check_total(g, c)
     colors = c._colors
-    for darts in g._incidence:
-        if len({colors[e] for e, _ in darts}) != len(darts):
+    seen = [0] * g._n  # per vertex, a bit for each color met so far
+    for e, (u, w) in g._edges.items():
+        bit = 1 << colors[e]
+        if (seen[u] | seen[w]) & bit:
             return False
+        seen[u] |= bit
+        seen[w] |= bit
     return True
 
 
@@ -225,14 +229,14 @@ def _misfit(table, colors, edges, pair, index) -> StaleSwitchError | None:
     return None
 
 
-def _scan_step(g: Multigraph, colors, pair, v: VertexId, e: EdgeId, col: Color, index):
-    """The walk's step at ``v`` read from its darts: the pair edge other than ``e``, and its color.
+def _scan_step(edges_at_v, colors, pair, v: VertexId, e: EdgeId, col: Color, index):
+    """The walk's step at ``v`` read from the edges there: the pair edge other than ``e``, and its color.
 
     Raises unless ``v`` meets exactly two edges of the pair and they differ in color.
     """
     lo, hi = pair
     count = 0
-    for f, _ in g._incidence[v]:
+    for f in edges_at_v:
         f_col = colors[f]
         if f_col == lo or f_col == hi:
             count += 1
@@ -270,10 +274,12 @@ def _replay(
     color; slot (v, c) then holds the edge of color c at v, or None. At such
     a vertex the edge the walk arrives by is the one of its color, so the
     step is the slot of the pair's other color. At any other vertex, or when
-    that slot is empty, the step is read from v's darts instead, which
-    raises this vertex's rejection if it has one. A flip swaps the pair's
-    two colors at each vertex of the switch, so slot (v, 0) never changes,
-    and it rewrites the pair's slots at both ends of every flipped edge.
+    that slot is empty, the step is read from the edges at v instead, which
+    raises this vertex's rejection if it has one; the lists of the edges at
+    each vertex are built from the edge table once, on the first such step,
+    which a legal regular coloring never takes. A flip swaps the pair's two
+    colors at each vertex of the switch, so slot (v, 0) never changes, and
+    it rewrites the pair's slots at both ends of every flipped edge.
 
     A flip transposes a whole alternating two-color component, which keeps
     a legal coloring legal, so a replay that starts legal stays legal at
@@ -281,6 +287,7 @@ def _replay(
     runs this loop, and no other code flips an edge's color in place.
     """
     table, width = g._edges, degree + 1
+    edges_at = None
     slots: list = [None] * (g._n * width)
     for e, (u, w) in table.items():
         col = colors.get(e, 0)  # an uncolored edge lands in slot 0
@@ -314,7 +321,9 @@ def _replay(
                 nxt_col = both - col
                 nxt = slots[at + nxt_col]
                 if nxt is None or slots[at] is not None:
-                    nxt, nxt_col = _scan_step(g, colors, pair, v, e, col, index)
+                    if edges_at is None:
+                        edges_at = _incident_edges(g)
+                    nxt, nxt_col = _scan_step(edges_at[v], colors, pair, v, e, col, index)
                 if nxt == first:
                     break
                 if nxt not in edges:

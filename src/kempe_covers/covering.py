@@ -28,7 +28,7 @@ from .coloring import (
     _replay,
 )
 from .errors import CoveringError, GraphStructureError
-from .graph import EdgeId, Multigraph, VertexId, disjoint_union
+from .graph import EdgeId, Multigraph, VertexId, _degrees, _incident_edges, disjoint_union
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,6 @@ class CoveringMap:
     @classmethod
     def identity(cls, g: Multigraph) -> "CoveringMap":
         return cls(g, g, range(g.vertex_count), dict(zip(g._edges, g._edges)))
-
-    def vertex_image(self, v: VertexId) -> VertexId:
-        return self._vmap[v]
 
     def edge_image(self, e: EdgeId) -> EdgeId:
         return self._emap[e]
@@ -123,8 +120,8 @@ def verify_covering(p: CoveringMap) -> Verdict:
     m sources over every target vertex, the right sides give 2m|E_tgt|. So
     when |E_src| = m|E_tgt| as well, every inequality is an equality and
     each vertex's edges map onto the edges at its image. Only a cover that
-    fails these counts is scanned vertex by vertex, to name the first
-    vertex where the bijection fails.
+    fails these counts lists the edges at each source vertex, once, to name
+    the first vertex where the bijection fails.
     """
     src, tgt, vmap, emap = p.source, p.target, p._vmap, p._emap
     if len(vmap) != src.vertex_count:
@@ -154,11 +151,11 @@ def verify_covering(p: CoveringMap) -> Verdict:
     except CoveringError:
         counted = False
     if not counted:
-        tgt_incidence = tgt._incidence
-        for v, darts in enumerate(src._incidence):
-            if len({emap[e] for e, _ in darts}) != len(darts):
+        tgt_degree = _degrees(tgt)
+        for v, edges in enumerate(_incident_edges(src)):
+            if len({emap[e] for e in edges}) != len(edges):
                 return Verdict(False, f"local bijection fails at source vertex {v} (collision)")
-            if len(darts) != len(tgt_incidence[vmap[v]]):
+            if len(edges) != tgt_degree[vmap[v]]:
                 return Verdict(False, f"local bijection fails at source vertex {v}")
         try:
             p.degree

@@ -64,6 +64,11 @@ from .graph import (
 )
 
 
+#: Largest cover, in vertices, that :func:`kempe_cover_witness` builds, at about 1.5 kB
+#: each. The smallest cover of a d=6 instance, 2 * beta(6) = 3,317,760 vertices, is refused.
+MAX_COVER_VERTICES = 1_000_000
+
+
 def _betas(d: int):
     """beta(1), beta(2), ..., beta(d), lazily; the sequence never decreases."""
     value = 1
@@ -213,18 +218,22 @@ def _misaligned_witness(
     return cover, switches
 
 
-def _induced_component(
-    g: Multigraph, vertices: frozenset[VertexId]
-) -> tuple[tuple[tuple[VertexId, VertexId], ...], tuple[VertexId, ...], tuple[EdgeId, ...]]:
-    """Component relabelled densely: its edge pairs, plus vertex and edge ids back in ``g``."""
-    ordered = sorted(vertices)
-    to_sub = {v: k for k, v in enumerate(ordered)}
-    edge_ids, pairs = [], []
+def _induced_components(
+    g: Multigraph, components: list[frozenset[VertexId]]
+) -> list[tuple[tuple[tuple[VertexId, VertexId], ...], tuple[VertexId, ...], tuple[EdgeId, ...]]]:
+    """Each component relabelled densely: its edge pairs, plus vertex and edge ids back in ``g``.
+
+    One pass over g's edges, in id order, hands each edge to the component of its ends.
+    """
+    ordered = [tuple(sorted(comp)) for comp in components]
+    where = {v: (k, i) for k, vs in enumerate(ordered) for i, v in enumerate(vs)}
+    parts: list[tuple[list, list]] = [([], []) for _ in components]
     for e, (u, w) in g._edges.items():
-        if u in vertices:
-            edge_ids.append(e)
-            pairs.append((to_sub[u], to_sub[w]))
-    return tuple(pairs), tuple(ordered), tuple(edge_ids)
+        k, i = where[u]
+        pairs, edge_ids = parts[k]
+        pairs.append((i, where[w][1]))
+        edge_ids.append(e)
+    return [(tuple(pairs), vs, tuple(edge_ids)) for (pairs, edge_ids), vs in zip(parts, ordered)]
 
 
 def _per_component_witness(
@@ -245,8 +254,7 @@ def _per_component_witness(
     target = beta(d)
     solved: dict[tuple, tuple[CoveringMap, SwitchSequence]] = {}
     parts = []
-    for comp in components:
-        pairs, vback, eback = _induced_component(g, comp)
+    for pairs, vback, eback in _induced_components(g, components):
         colors1 = tuple(map(c1._colors.__getitem__, eback))
         colors2 = tuple(map(c2._colors.__getitem__, eback))
         key = (len(vback), pairs, colors1, colors2)
@@ -282,9 +290,15 @@ def kempe_cover_witness(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> Eq
     The inputs are checked once, here; the result is not re-verified (the
     CLI ``witness`` command runs :func:`verify_witness` before it writes).
     The covering degree is exactly beta(d), except for literally identical
-    inputs where the identity cover (degree 1) is returned.
+    inputs where the identity cover (degree 1) is returned. A cover beyond
+    :data:`MAX_COVER_VERTICES` vertices raises CoveringError before any build.
     """
     d = common_degree(g, c1, c2)
+    # beta(d) has about 2**d digits: stop the recurrence once the cover passes the bound
+    if c1 != c2 and any(g.vertex_count * value > MAX_COVER_VERTICES for value in _betas(d)):
+        raise CoveringError(
+            f"a cover of {g.vertex_count} x beta({d}) vertices exceeds the bound of {MAX_COVER_VERTICES:,}"
+        )
     cover, switches = _witness(g, c1, c2, d)
     return EquivalenceWitness(g, c1, c2, cover, switches)
 

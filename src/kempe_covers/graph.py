@@ -1,14 +1,13 @@
-"""Undirected loop-free multigraphs with dart-level incidence.
+"""Undirected loop-free multigraphs: a vertex count and an edge table.
 
 Vertices are dense integers ``0..n-1``. Edges carry unique integer ids that
 are assigned densely at creation and *preserved* by spanning-subgraph
 construction, so derived graphs may have gaps in their edge id range. Every
-edge stores an ordered endpoint pair ``(u, v)``; the pairs ``(edge, 0)`` and
-``(edge, 1)`` are its two darts (half-edges). Walks follow edge ids through
-the edge table, which keeps parallel edges and 2-cycles apart, so they need
-no darts. The per-vertex dart lists are built on first request, for the
-degree, legality and component scans, and for a switch check only at a
-vertex where the check fails.
+edge stores an ordered endpoint pair ``(u, v)``, and the table of these pairs
+is the whole graph. Walks follow edge ids through it, which keeps parallel
+edges and 2-cycles apart. The degree, legality and component scans read it
+in one pass each. Only a check that names a failing vertex lists the edges at
+each vertex, through :func:`_incident_edges`, once per call.
 
 Graphs are immutable once constructed; :meth:`Multigraph.from_edges`
 builds one with dense edge ids from a list of endpoint pairs. The public
@@ -32,14 +31,12 @@ from .errors import (
 
 VertexId = int
 EdgeId = int
-#: (edge id, endpoint slot); slot indexes the stored endpoint pair.
-Dart = tuple[EdgeId, int]
 
 
 class Multigraph:
-    """Immutable loop-free multigraph; per-vertex dart lists are built on first walk."""
+    """Immutable loop-free multigraph: its vertex count and its id -> endpoint-pair table."""
 
-    __slots__ = ("_n", "_edges", "_darts")
+    __slots__ = ("_n", "_edges")
 
     def __init__(self, vertex_count: int, edges: Mapping[EdgeId, tuple[VertexId, VertexId]]):
         if vertex_count < 0:
@@ -56,7 +53,6 @@ class Multigraph:
             table[eid] = (u, v)
         self._n = vertex_count
         self._edges = table
-        self._darts: list[tuple[Dart, ...]] | None = None
 
     @classmethod
     def _adopt(cls, vertex_count: int, table: dict[EdgeId, tuple[VertexId, VertexId]]) -> "Multigraph":
@@ -65,19 +61,7 @@ class Multigraph:
         g = cls.__new__(cls)
         g._n = vertex_count
         g._edges = table
-        g._darts = None
         return g
-
-    @property
-    def _incidence(self) -> list[tuple[Dart, ...]]:
-        """Per-vertex dart lists in edge id order, built on first read: most graphs never walk."""
-        if self._darts is None:
-            incidence: list[list[Dart]] = [[] for _ in range(self._n)]
-            for eid, (u, v) in self._edges.items():
-                incidence[u].append((eid, 0))
-                incidence[v].append((eid, 1))
-            self._darts = [tuple(darts) for darts in incidence]
-        return self._darts
 
     @classmethod
     def from_edges(cls, vertex_count: int, pairs: Iterable[tuple[VertexId, VertexId]]) -> "Multigraph":
@@ -101,33 +85,12 @@ class Multigraph:
         """Edge ids in increasing order."""
         return tuple(self._edges)
 
-    def has_vertex(self, v: VertexId) -> bool:
-        return 0 <= v < self._n
-
-    def has_edge(self, e: EdgeId) -> bool:
-        return e in self._edges
-
     def endpoints(self, e: EdgeId) -> tuple[VertexId, VertexId]:
         """Stored endpoint pair of ``e`` (creation order)."""
         try:
             return self._edges[e]
         except KeyError:
             raise UnknownEdgeError(f"no edge {e}") from None
-
-    def darts_at(self, v: VertexId) -> tuple[Dart, ...]:
-        if not self.has_vertex(v):
-            raise UnknownVertexError(f"no vertex {v}")
-        return self._incidence[v]
-
-    def edges_at(self, v: VertexId) -> tuple[EdgeId, ...]:
-        return tuple(e for e, _ in self.darts_at(v))
-
-    def degree(self, v: VertexId) -> int:
-        return len(self.darts_at(v))
-
-    def edge_table(self) -> dict[EdgeId, tuple[VertexId, VertexId]]:
-        """Copy of the id -> endpoint-pair table."""
-        return dict(self._edges)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Multigraph):
@@ -143,36 +106,52 @@ def is_regular(g: Multigraph) -> int | None:
 
     The empty graph is vacuously regular for no particular d and returns None;
     an edgeless graph is 0-regular. The edge table decides first: n vertices
-    of degree d carry 2|E| = dn edge ends. The dart lists are read only when
+    of degree d carry 2|E| = dn edge ends. The degrees are counted only when
     n divides 2|E| > 0, so a vertex count beyond the edges allocates nothing.
     """
     n, ends = g._n, 2 * len(g._edges)
     if n == 0 or ends % n:
         return None
     d = ends // n
-    return d if not d or all(len(darts) == d for darts in g._incidence) else None
+    return d if not d or _degrees(g).count(d) == n else None
+
+
+def _degrees(g: Multigraph) -> list[int]:
+    """The degree of each vertex, counted from the edge table."""
+    degree = [0] * g._n
+    for u, w in g._edges.values():
+        degree[u] += 1
+        degree[w] += 1
+    return degree
+
+
+def _incident_edges(g: Multigraph) -> list[list[EdgeId]]:
+    """The edges at each vertex, in increasing id order, read from the edge table."""
+    at: list[list[EdgeId]] = [[] for _ in range(g._n)]
+    for e, (u, w) in g._edges.items():
+        at[u].append(e)
+        at[w].append(e)
+    return at
 
 
 def connected_components(g: Multigraph) -> list[frozenset[VertexId]]:
     """Partition of the vertex set by reachability, ordered by smallest member."""
-    table, incidence = g._edges, g._incidence
+    neighbours: list[list[VertexId]] = [[] for _ in range(g._n)]
+    for u, w in g._edges.values():
+        neighbours[u].append(w)
+        neighbours[w].append(u)
     seen = [False] * g._n
     components = []
     for start in range(g._n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        comp = [start]
-        while stack:
-            v = stack.pop()
-            for e, slot in incidence[v]:
-                w = table[e][1 - slot]
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        components.append(frozenset(comp))
+        if not seen[start]:
+            seen[start] = True
+            comp = [start]
+            for v in comp:  # a breadth-first search: comp grows while it is read
+                for w in neighbours[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+            components.append(frozenset(comp))
     return components
 
 
@@ -181,13 +160,12 @@ def spanning_subgraph(g: Multigraph, edges: Iterable[EdgeId]) -> Multigraph:
 
     Edge ids and stored endpoint order are preserved.
     """
-    table = g._edges
-    chosen = sorted(set(edges))
-    for e in chosen:
-        if e not in table:
-            raise UnknownEdgeError(f"no edge {e}")
-    # ascending ids of edges of g, so in range and loop-free
-    return Multigraph._adopt(g._n, {e: table[e] for e in chosen})
+    table, chosen = g._edges, set(edges)
+    # g's table filtered in id order: ascending ids of edges of g, so in range and loop-free
+    sub = {e: ends for e, ends in table.items() if e in chosen}
+    if len(sub) != len(chosen):
+        raise UnknownEdgeError(f"no edge {min(chosen - table.keys())}")
+    return Multigraph._adopt(g._n, sub)
 
 
 def disjoint_union(parts: Sequence[Multigraph]) -> tuple[Multigraph, list[dict[EdgeId, EdgeId]]]:

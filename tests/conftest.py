@@ -54,6 +54,18 @@ def alternating_coloring(length: int) -> EdgeColoring:
     return EdgeColoring(2, {e: e % 2 + 1 for e in range(length)})
 
 
+def dart_lists(g: Multigraph) -> list[list[tuple[int, int]]]:
+    """Per-vertex (edge id, endpoint slot) lists in edge id order, built from the edge table.
+
+    The reference kernels walk these, so they stay independent of the package.
+    """
+    darts: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
+    for e, ends in g._edges.items():
+        for slot, v in enumerate(ends):
+            darts[v].append((e, slot))
+    return darts
+
+
 @pytest.fixture
 def k33():
     return make_k33()

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from itertools import combinations
 from pathlib import Path
@@ -119,6 +120,45 @@ def test_verify_fresh_witness(tmp_path):
     out = tmp_path / "w.json"
     main(["witness", "--input", K33, "--from", "c1", "--to", "c2", "--out", str(out)])
     assert main(["verify", "--input", K33, "--witness", str(out)]) == 0
+
+
+#: Every package function that ``verify`` runs on the golden k33 witness, as
+#: module.name (comprehensions left out, so Python 3.10 and 3.11 agree). A
+#: change that grows or shrinks the verify path edits this set on purpose.
+VERIFY_PATH = {
+    "cli._build_parser", "cli._cmd_verify", "cli._load_instance", "cli.main",
+    "coloring.__eq__", "coloring.__init__", "coloring._adopt", "coloring._check_total",
+    "coloring._replay", "coloring.common_degree", "coloring.degree", "coloring.is_legal",
+    "covering.__bool__", "covering.__init__", "covering.degree", "covering.pullback_coloring",
+    "covering.verify_covering",
+    "equivalence._betas", "equivalence.verify_witness",
+    "graph.__eq__", "graph.__init__", "graph._degrees", "graph.edge_count", "graph.from_edges",
+    "graph.is_regular", "graph.vertex_count",
+    "serialize._coloring_from_json", "serialize._graph_from_json", "serialize._require_unique",
+    "serialize._strict_int", "serialize._strict_int_lists", "serialize.instance_from_json",
+    "serialize.load_json", "serialize.witness_from_json",
+}
+
+
+def test_verify_runs_the_pinned_path(capsys):
+    package = os.path.dirname(kempe_covers.__file__) + os.sep
+    reached = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(package) and not code.co_name.startswith("<"):
+            reached.add(f"{os.path.basename(code.co_filename)[:-3]}.{code.co_name}")
+
+    witness = str(Path(__file__).parent / "golden" / "k33_c1_c2.json")
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        code = main(["verify", "--input", K33, "--witness", witness])
+    finally:
+        sys.setprofile(previous)
+    assert code == 0, capsys.readouterr().err
+    assert reached == VERIFY_PATH
+    assert "graph._incident_edges" not in reached
 
 
 def test_verify_tampered_sequence(tmp_path, capsys):
@@ -478,21 +518,32 @@ def test_check_rejects_non_integer_fields(tmp_path, capsys, field, value):
     (["classes"], [[0, 1]], "error: enumeration needs a regular graph"),
     (["classes"], [], "error: ambient degree must be >= 1, got 0"),
 ])
-def test_claimed_vertex_count_is_answered_from_the_edge_table(tmp_path, capsys, monkeypatch, command, edges, message):
+def test_claimed_vertex_count_is_answered_from_the_edge_table(tmp_path, capsys, command, edges, message):
     path = tmp_path / "inflated.json"
     colorings = {"c1": [1] * len(edges)}
     dump_json({"format": "kempe-instance/1", "vertices": 10**6, "edges": edges, "colorings": colorings}, path)
-    walks = []
-    original = Multigraph._incidence
-
-    def counted(g):
-        walks.append(g)
-        return original.fget(g)
-
-    monkeypatch.setattr(Multigraph, "_incidence", property(counted))
-    assert main([command[0], "--input", str(path), *command[1:]]) == 2
+    tracemalloc.start()
+    try:
+        assert main([command[0], "--input", str(path), *command[1:]]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert capsys.readouterr().err.splitlines() == [message]
-    assert walks == []  # no list per claimed vertex
+    assert peak < 100_000  # a list per claimed vertex would take 8 MB
+
+
+def test_witness_on_a_d6_instance_exits_before_any_build(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "g6.json")
+    assert main(["gen", "--seed", "2", "--degree", "6", "--vertices", "8", "--out", path]) == 0
+    capsys.readouterr()
+    adopted = []
+    monkeypatch.setattr(Multigraph, "_adopt", staticmethod(lambda *args: adopted.append(args)))
+    assert main(["witness", "--input", path, "--from", "c1", "--to", "c2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and adopted == []
+    assert captured.err.splitlines() == [
+        "error: a cover of 8 x beta(6) vertices exceeds the bound of 1,000,000"
+    ]
 
 
 def check_three_vertices(tmp_path, edges, colors):

@@ -15,6 +15,7 @@ from kempe_covers import (
     bundled_instance_path,
     color_class_subgraph,
     is_legal,
+    is_regular,
     kempe_switch,
     random_colored_instance,
     spanning_subgraph,
@@ -22,7 +23,15 @@ from kempe_covers import (
 from kempe_covers.coloring import _cycle_decomposition, _replay
 from kempe_covers.serialize import instance_from_json, load_json
 
-from conftest import K33_C1, alternating_coloring, cube_dimension_coloring, make_cube, make_cycle, make_k33
+from conftest import (
+    K33_C1,
+    alternating_coloring,
+    cube_dimension_coloring,
+    dart_lists,
+    make_cube,
+    make_cycle,
+    make_k33,
+)
 
 
 COLOR_MAPS = st.dictionaries(st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=3), max_size=4)
@@ -67,9 +76,9 @@ def test_color_class_subgraph(k33, k33_pair):
     assert color_class_subgraph(k33, c1, {1, 2, 3}) == k33
     matching = color_class_subgraph(k33, c1, {3})
     assert matching.edge_count == 3
-    assert all(matching.degree(v) == 1 for v in matching.vertices())
+    assert is_regular(matching) == 1
     two = color_class_subgraph(k33, c1, {1, 2})
-    assert all(two.degree(v) == 2 for v in two.vertices())
+    assert is_regular(two) == 2
     with pytest.raises(ColoringError):
         color_class_subgraph(k33, c1, {4})
 
@@ -245,7 +254,7 @@ def test_closed_alternating_walk_with_a_third_pair_edge_is_not_a_component():
 
 def reference_cycle_decomposition(g, edges):
     member = set(edges)
-    table, incidence = g._edges, g._incidence
+    table, incidence = g._edges, dart_lists(g)
     walks = []
     used = set()
     for first in sorted(member):
@@ -285,18 +294,18 @@ def reference_validate_switch(g, c, cycle, index=None):
         raise stale("empty cycle")
     if len(cycle.edges) != len(cycle.edge_ids):
         raise stale("repeated edge")
-    if not all(g.has_edge(e) for e in cycle.edges):
+    if not all(e in g._edges for e in cycle.edges):
         raise stale("unknown edge")
     if not all(c[e] in (lo, hi) for e in cycle.edges):
         raise stale("edge off the pair")
-    component, reached = set(), set()
+    component, reached, darts = set(), set(), dart_lists(g)
     frontier = list(g.endpoints(min(cycle.edges)))
     while frontier:
         v = frontier.pop()
         if v in reached:
             continue
         reached.add(v)
-        local = [f for f, _ in g.darts_at(v) if c[f] in (lo, hi)]
+        local = [f for f, _ in darts[v] if c[f] in (lo, hi)]
         if sorted(c[f] for f in local) != [lo, hi]:
             raise stale(f"component does not alternate at vertex {v}")
         component.update(local)
@@ -351,7 +360,7 @@ def mutated_switch(draw, g, c, cycle):
     edges, pair = set(cycle.edges), cycle.colors
     d = c.degree
     colors = dict(c.items())
-    touched = {w for e in edges if g.has_edge(e) for w in g.endpoints(e)}
+    touched = {w for e in edges if e in g._edges for w in g.endpoints(e)}
     outside = [e for e in g.edge_ids() if e not in edges]
     kind = draw(st.sampled_from(MUTATIONS))
     if kind == "drop" and edges:
@@ -514,7 +523,7 @@ def test_cycle_decomposition_matches_reference(instance, data):
 
 def dart_walk_cycle_decomposition(g, edges):
     member = set(edges)
-    table, incidence = g._edges, g._incidence
+    table, incidence = g._edges, dart_lists(g)
     cycles = []
     used = set()
     for first in sorted(member):

@@ -31,7 +31,7 @@ from kempe_covers import (
     verify_covering,
 )
 
-from conftest import alternating_coloring, make_cycle, make_k33, make_theta, K33_C1, K33_C2
+from conftest import alternating_coloring, dart_lists, make_cycle, make_k33, make_theta, K33_C1, K33_C2
 
 
 def double_cycle_cover(length):
@@ -260,7 +260,7 @@ def test_extend_rejects_nonconstant_fibers(k33, k33_pair):
     p = copies_cover(h, 2)
     # break fiber constancy by dropping one vertex pair onto another target
     broken = CoveringMap(
-        p.source, h, [p.vertex_image(v) for v in p.source.vertices()][:-1] + [0], p.edge_map
+        p.source, h, list(p.vertex_map)[:-1] + [0], p.edge_map
     )
     with pytest.raises(CoveringError):
         extend_subgraph_cover(k33, h, broken)
@@ -305,7 +305,7 @@ def _incidence():
 
 def _vertex_not_surjective():
     triangle = make_cycle(3)
-    with_isolated = Multigraph(4, triangle.edge_table())
+    with_isolated = Multigraph(4, dict(triangle._edges))
     return CoveringMap(triangle, with_isolated, [0, 1, 2], {e: e for e in triangle.edge_ids()})
 
 
@@ -351,30 +351,31 @@ def test_verify_covering_reasons(broken, reason):
 
 def reference_verify_covering(p):
     """The multi-pass verify_covering this module's fast path must agree with."""
-    src, tgt = p.source, p.target
-    if len(p.vertex_map) != src.vertex_count:
+    src, tgt, vmap = p.source, p.target, p.vertex_map
+    if len(vmap) != src.vertex_count:
         return Verdict(False, "vertex map is not total on the source")
     if set(p.edge_map) != set(src.edge_ids()):
         return Verdict(False, "edge map does not match the source edge set")
     for v in src.vertices():
-        if not tgt.has_vertex(p.vertex_image(v)):
+        if not 0 <= vmap[v] < tgt.vertex_count:
             return Verdict(False, f"vertex {v} maps outside the target")
     for e in src.edge_ids():
         img = p.edge_image(e)
-        if not tgt.has_edge(img):
+        if img not in tgt._edges:
             return Verdict(False, f"edge {e} maps outside the target")
         u, w = src.endpoints(e)
-        if {p.vertex_image(u), p.vertex_image(w)} != set(tgt.endpoints(img)):
+        if {vmap[u], vmap[w]} != set(tgt.endpoints(img)):
             return Verdict(False, f"edge {e} does not preserve incidence")
-    if {p.vertex_image(v) for v in src.vertices()} != set(tgt.vertices()):
+    if set(vmap) != set(tgt.vertices()):
         return Verdict(False, "vertex map is not surjective")
     if {p.edge_image(e) for e in src.edge_ids()} != set(tgt.edge_ids()):
         return Verdict(False, "edge map is not surjective")
+    src_darts, tgt_darts = dart_lists(src), dart_lists(tgt)
     for v in src.vertices():
-        local = [p.edge_image(e) for e in src.edges_at(v)]
+        local = [p.edge_image(e) for e, _ in src_darts[v]]
         if len(set(local)) != len(local):
             return Verdict(False, f"local bijection fails at source vertex {v} (collision)")
-        if set(local) != set(tgt.edges_at(p.vertex_image(v))):
+        if set(local) != {e for e, _ in tgt_darts[vmap[v]]}:
             return Verdict(False, f"local bijection fails at source vertex {v}")
     try:
         p.degree
@@ -393,9 +394,9 @@ def reference_is_legal(g, c):
         raise ColoringError(
             f"coloring does not match carrier (missing={missing}, foreign={extra})"
         )
-    for v in g.vertices():
+    for darts in dart_lists(g):
         seen = set()
-        for e, _ in g.darts_at(v):
+        for e, _ in darts:
             col = c[e]
             if col in seen:
                 return False
@@ -419,7 +420,7 @@ def valid_covers():
     c1 = EdgeColoring(3, dict(enumerate(K33_C1)))
     c2 = EdgeColoring(3, dict(enumerate(K33_C2)))
     g4, d1, d2 = random_colored_instance(2, 4, 8)
-    flipped = Multigraph(6, {e: (w, u) for e, (u, w) in k33.edge_table().items()})
+    flipped = Multigraph(6, {e: (w, u) for e, (u, w) in k33._edges.items()})
     covers = [
         (CoveringMap(flipped, k33, range(6), {e: e for e in k33.edge_ids()}), c2),
         (copies_cover(k33, 3), c1),

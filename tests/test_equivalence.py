@@ -4,6 +4,7 @@ import pytest
 
 from kempe_covers import (
     BichromaticCycle,
+    CoveringError,
     CoveringMap,
     EdgeColoring,
     EquivalenceWitness,
@@ -158,6 +159,20 @@ def test_witness_rejects_mismatched_degrees(k33, k33_pair):
     c1, _ = k33_pair
     with pytest.raises(Exception):
         kempe_cover_witness(k33, c1, EdgeColoring(4, {e: c1[e] for e in k33.edge_ids()}))
+
+
+@pytest.mark.parametrize("n", [8, 2])
+def test_witness_refuses_a_cover_beyond_the_bound(monkeypatch, n):
+    # 2 * beta(6) = 3,317,760 is the smallest d=6 cover; d=5 n=6 builds 3,456 vertices
+    assert 6 * beta(5) < equivalence.MAX_COVER_VERTICES < 2 * beta(6)
+    g, c1, c2 = random_colored_instance(2, 6, n)
+    adopted = []
+    monkeypatch.setattr(Multigraph, "_adopt", staticmethod(lambda *args: adopted.append(args)))
+    with pytest.raises(CoveringError, match=rf"a cover of {n} x beta\(6\) vertices exceeds the bound"):
+        kempe_cover_witness(g, c1, c2)
+    assert adopted == []
+    # identical colorings need only the identity cover
+    assert kempe_cover_witness(g, c1, c1).cover.degree == 1
 
 
 def test_deleted_switch_fails_replay(k33, k33_pair):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,8 +14,10 @@ from kempe_covers import (
     is_regular,
     spanning_subgraph,
 )
+from kempe_covers import graph
+from kempe_covers.graph import _incident_edges
 
-from conftest import make_cycle, make_k33, make_theta
+from conftest import dart_lists, make_cycle, make_k33, make_theta
 
 
 def test_builder_rejects_loops():
@@ -34,14 +38,13 @@ def test_parallel_edges_get_distinct_ids():
 
 def test_incidence_covers_each_edge_twice():
     g = make_theta()
-    all_darts = [dart for v in g.vertices() for dart in g.darts_at(v)]
-    assert len(all_darts) == 2 * g.edge_count
-    assert len(set(all_darts)) == len(all_darts)
+    assert _incident_edges(g) == [[0, 1, 2], [0, 1, 2]]
+    assert sorted(e for edges in _incident_edges(make_k33()) for e in edges) == sorted([*range(9)] * 2)
 
 
 def test_degree_and_regularity():
     k33 = make_k33()
-    assert all(k33.degree(v) == 3 for v in k33.vertices())
+    assert all(len(darts) == 3 for darts in dart_lists(k33))
     assert is_regular(k33) == 3
     assert is_regular(make_theta()) == 3
     path = Multigraph.from_edges(3, [(0, 1), (1, 2)])
@@ -50,18 +53,22 @@ def test_degree_and_regularity():
 
 
 def test_is_regular_reads_the_edge_table_before_any_dart_list():
-    # a claimed vertex count far beyond the edges is answered without a list per vertex
+    # a claimed vertex count far beyond the edges is answered without a count per vertex
     g = Multigraph(10**6, {0: (0, 1)})
-    assert is_regular(g) is None
-    assert g._darts is None
     edgeless = Multigraph(10**6, {})
-    assert is_regular(edgeless) == 0
-    assert edgeless._darts is None
+    tracemalloc.start()
+    try:
+        assert is_regular(g) is None
+        assert is_regular(edgeless) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000  # a count per vertex would take 8 MB
 
 
 def test_degree_sum_is_twice_edge_count():
     for g in (make_k33(), make_theta(), make_cycle(5)):
-        assert sum(g.degree(v) for v in g.vertices()) == 2 * g.edge_count
+        assert sum(map(len, _incident_edges(g))) == 2 * g.edge_count
 
 
 def test_connected_components():
@@ -89,7 +96,7 @@ def test_spanning_subgraph_color_class_is_matching(k33, k33_pair):
     c1, _ = k33_pair
     matching = spanning_subgraph(k33, [e for e in k33.edge_ids() if c1[e] == 3])
     assert matching.edge_count == 3
-    assert all(matching.degree(v) == 1 for v in matching.vertices())
+    assert is_regular(matching) == 1
 
 
 def test_disjoint_union_preserves_endpoint_order():
@@ -113,23 +120,10 @@ def test_disjoint_union_preserves_endpoint_order():
 ])
 def test_construction_errors_raise_before_any_walk(monkeypatch, n, edges, error, message):
     walks = []
-    original = Multigraph._incidence
-
-    def counted(self):
-        walks.append(self)
-        return original.fget(self)
-
-    monkeypatch.setattr(Multigraph, "_incidence", property(counted))
+    monkeypatch.setattr(graph, "_incident_edges", walks.append)
     with pytest.raises(error, match=message):
         Multigraph(n, edges)
     assert walks == []
-
-
-def test_dart_lists_are_built_once_and_shared():
-    g = make_theta()
-    assert g._darts is None
-    first = g._incidence
-    assert g._incidence is first and g.darts_at(0) is first[0] is g.darts_at(0)
 
 
 @st.composite
@@ -147,20 +141,13 @@ def multigraphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(multigraphs())
 def test_walk_queries_match_the_edge_table(g):
-    table = g.edge_table()
-    darts = {v: [] for v in g.vertices()}
-    for e in sorted(table):
-        for slot, v in enumerate(table[e]):
-            darts[v].append((e, slot))
-    for v in g.vertices():
-        assert g.darts_at(v) == tuple(darts[v])
-        assert g.edges_at(v) == tuple(e for e, _ in darts[v])
-        assert g.degree(v) == len(darts[v])
-    degrees = {len(d) for d in darts.values()}
+    darts = dart_lists(g)
+    assert _incident_edges(g) == [[e for e, _ in at] for at in darts]
+    degrees = {len(d) for d in darts}
     assert is_regular(g) == (degrees.pop() if len(degrees) == 1 else None)
     # reference components: merge endpoint classes edge by edge
     label = list(g.vertices())
-    for u, w in table.values():
+    for u, w in g._edges.values():
         old, new = label[u], label[w]
         label = [new if x == old else x for x in label]
     classes = {}

@@ -29,7 +29,7 @@ from kempe_covers import (
 )
 from kempe_covers.oracle import DEFAULT_MAX_EDGES, _coloring_keys, _edge_colorings, _pack, _switch_walker
 
-from conftest import make_cube, make_k33, make_theta
+from conftest import dart_lists, make_cube, make_k33, make_theta
 
 
 def make_k4():
@@ -152,7 +152,7 @@ def test_random_instances_are_legal():
 
 def test_random_two_regular_instances():
     g, c1, c2 = random_colored_instance(5, 2, 8)
-    assert all(g.degree(v) == 2 for v in g.vertices())
+    assert is_regular(g) == 2
     assert is_legal(g, c1) and is_legal(g, c2)
 
 
@@ -209,8 +209,8 @@ def _enumeration_order(g):
     # vertex-local edge order prunes much earlier than raw id order
     order = []
     taken = set()
-    for v in g.vertices():
-        for e in g.edges_at(v):
+    for darts in dart_lists(g):
+        for e, _ in darts:
             if e not in taken:
                 taken.add(e)
                 order.append(e)
@@ -378,11 +378,13 @@ def test_enumeration_matches_reference_on_random_bases(seed):
 
 
 def count_perfect_matchings(g):
+    darts = dart_lists(g)
+
     def count(free):
         if not free:
             return 1
         v = (free & -free).bit_length() - 1
-        ends = (g.endpoints(e) for e in g.edges_at(v))
+        ends = (g.endpoints(e) for e, _ in darts[v])
         return sum(count(free & ~(1 << a | 1 << b)) for a, b in ends if free >> (a ^ b ^ v) & 1)
     return count((1 << g.vertex_count) - 1)
 

@@ -21,6 +21,7 @@ from kempe_covers import (
     CoveringMap,
     equivalent_without_cover,
     is_legal,
+    is_regular,
     kempe_cover_witness,
     kempe_switch,
     lift_sequence,
@@ -72,7 +73,7 @@ def test_color_classes_are_matchings_and_cycles(seed, shape):
     g, c1, _ = random_colored_instance(seed, d, n)
     for k in range(1, d + 1):
         matching = color_class_subgraph(g, c1, {k})
-        assert all(matching.degree(v) == 1 for v in matching.vertices())
+        assert is_regular(matching) == 1
     for i in range(1, d + 1):
         for j in range(i + 1, d + 1):
             cycles = bichromatic_cycles(g, c1, i, j)

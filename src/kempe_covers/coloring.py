@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ColoringError, IllegalColoringError, RegularityError, StaleSwitchError
-from .graph import EdgeId, Multigraph, VertexId, _incident_edges, is_regular, spanning_subgraph
+from .graph import EdgeId, Multigraph, VertexId, is_regular, spanning_subgraph
 
 Color = int
 
@@ -201,8 +201,11 @@ def _cycle_decomposition(g: Multigraph, edges: Iterable[EdgeId]) -> list[tuple[E
 def bichromatic_cycles(g: Multigraph, c: EdgeColoring, i: Color, j: Color) -> list[BichromaticCycle]:
     """The components of the {i, j}-colored subgraph, ordered by smallest edge id.
 
-    Requires a legal coloring; raises if the two-color subgraph fails to be
-    2-regular on its support (which would mean the coloring was not legal).
+    Requires every vertex that meets an edge of color i or j to meet exactly
+    two such edges, as a legal coloring of a graph that is regular of its
+    degree does; otherwise raises IllegalColoringError, even for a legal
+    coloring (the path 0-1-2 colored 1, 2 ends its one component at
+    vertices that meet a single edge of the pair).
     """
     if i == j:
         raise ColoringError(f"need two distinct colors, got {i} twice")
@@ -229,26 +232,6 @@ def _misfit(table, colors, edges, pair, index) -> StaleSwitchError | None:
     return None
 
 
-def _scan_step(edges_at_v, colors, pair, v: VertexId, e: EdgeId, col: Color, index):
-    """The walk's step at ``v`` read from the edges there: the pair edge other than ``e``, and its color.
-
-    Raises unless ``v`` meets exactly two edges of the pair and they differ in color.
-    """
-    lo, hi = pair
-    count = 0
-    for f in edges_at_v:
-        f_col = colors[f]
-        if f_col == lo or f_col == hi:
-            count += 1
-            if f != e:
-                nxt, nxt_col = f, f_col
-    if count != 2:
-        raise _stale(f"cycle is not a full two-color component at vertex {v}", index)
-    if nxt_col == col:
-        raise _stale(f"colors do not alternate at edge {nxt}", index)
-    return nxt, nxt_col
-
-
 def _replay(
     g: Multigraph,
     degree: int,
@@ -259,95 +242,88 @@ def _replay(
 
     ``colors`` maps edge ids to colors in ``1..degree``; ``steps`` pairs
     each switch with the sequence position that names it if it is stale
-    (None for a lone switch). One walk follows the component of a switch's
-    smallest edge. At each vertex it reaches it requires exactly two edges
-    of the pair, of different colors, and steps on along the one it did not
-    arrive by, until it is back at the first edge. So the component is an
-    alternating cycle and the walk meets each of its edges once. Every edge
-    it meets must be in the switch, and it must meet as many edges as the
-    switch lists: then the switch is the component. A rejection names the
-    smallest listed edge that is unknown or off the pair, if there is one.
-    An edge the coloring does not cover raises ColoringError.
+    (None for a lone switch). A switch acts on a legal coloring of ``g``
+    with every edge colored: before the first switch is drawn, an edge the
+    coloring does not cover raises ColoringError and two edges of one color
+    at a vertex raise IllegalColoringError, so ``colors`` is left as it was.
 
-    The walk reads a color table built once per replay from the edge table.
-    Slot (v, 0) is None when every edge at v is colored and no two share a
-    color; slot (v, c) then holds the edge of color c at v, or None. At such
-    a vertex the edge the walk arrives by is the one of its color, so the
-    step is the slot of the pair's other color. At any other vertex, or when
-    that slot is empty, the step is read from the edges at v instead, which
-    raises this vertex's rejection if it has one; the lists of the edges at
-    each vertex are built from the edge table once, on the first such step,
-    which a legal regular coloring never takes. A flip swaps the pair's two
-    colors at each vertex of the switch, so slot (v, 0) never changes, and
-    it rewrites the pair's slots at both ends of every flipped edge.
+    One walk follows the component of a switch's smallest edge. At each
+    vertex it reaches it steps on along the pair edge it did not arrive by,
+    which has the other color, until it is back at the first edge; a vertex
+    with no such edge rejects the switch. So the component is an alternating
+    cycle and the walk meets each of its edges once. Every edge it meets must
+    be in the switch, and it must meet as many edges as the switch lists:
+    then the switch is the component. A rejection names the smallest listed
+    edge that is unknown or off the pair, if there is one.
 
-    A flip transposes a whole alternating two-color component, which keeps
-    a legal coloring legal, so a replay that starts legal stays legal at
-    every step without re-checking the graph. Every replay in the package
-    runs this loop, and no other code flips an edge's color in place.
+    The walk reads a color table filled once per replay from the edge table:
+    slot (v, c) holds the edge of color c at v, or None. The edge the walk
+    arrives by is the one of its color, so each step is the slot of the
+    pair's other color. A flip transposes a whole alternating two-color
+    component, which keeps a legal coloring legal, so a replay that starts
+    legal stays legal at every step without re-checking the graph; the flip
+    rewrites the pair's slots at both ends of every flipped edge. Every
+    replay in the package runs this loop, and no other code flips an edge's
+    color in place.
     """
     table, width = g._edges, degree + 1
-    edges_at = None
     slots: list = [None] * (g._n * width)
-    for e, (u, w) in table.items():
-        col = colors.get(e, 0)  # an uncolored edge lands in slot 0
-        at = u * width + col
-        if slots[at] is None:
-            slots[at] = e
-        else:  # a second edge of this color
-            slots[at - col] = e
-        at = w * width + col
-        if slots[at] is None:
-            slots[at] = e
-        else:
-            slots[at - col] = e
     try:
-        for index, cycle in steps:
-            lo, hi = pair = cycle.colors
-            if not (1 <= lo < hi <= degree):
-                raise _stale(f"color pair {pair} invalid for degree {degree}", index)
-            if not cycle.edge_ids:
-                raise _stale("empty cycle", index)
-            edges = set(cycle.edge_ids)
-            if len(edges) != len(cycle.edge_ids):
-                raise _stale("repeated edge in switch", index)
-            first = min(edges)
-            if first not in table or (colors[first] != lo and colors[first] != hi):
-                raise _misfit(table, colors, edges, pair, index)
-            both = lo + hi
-            e, col, v, met = first, colors[first], table[first][1], 1
-            while True:
-                at = v * width
-                nxt_col = both - col
-                nxt = slots[at + nxt_col]
-                if nxt is None or slots[at] is not None:
-                    if edges_at is None:
-                        edges_at = _incident_edges(g)
-                    nxt, nxt_col = _scan_step(edges_at[v], colors, pair, v, e, col, index)
-                if nxt == first:
-                    break
-                if nxt not in edges:
-                    raise _misfit(table, colors, edges, pair, index) or _stale(
-                        f"cycle is not a full two-color component: it misses edge {nxt}", index
+        for e, (u, w) in table.items():
+            col = colors[e]
+            for at in (u * width + col, w * width + col):
+                if slots[at] is not None:
+                    raise IllegalColoringError(
+                        f"colors do not make a legal coloring: edges {slots[at]} and {e} "
+                        f"both have color {col} at vertex {at // width}"
                     )
-                u, w = table[nxt]
-                e, col, v, met = nxt, nxt_col, w if u == v else u, met + 1
-            if met != len(edges):
-                raise _misfit(table, colors, edges, pair, index) or _stale(
-                    f"edge set is not a single cycle: edges lie off the cycle of edge {first}", index
-                )
-            for e in cycle.edge_ids:
-                col = both - colors[e]
-                colors[e] = col
-                u, w = table[e]
-                slots[u * width + col] = e
-                slots[w * width + col] = e
+                slots[at] = e
     except KeyError as exc:
         raise ColoringError(f"edge {exc.args[0]} is not colored") from None
+    for index, cycle in steps:
+        lo, hi = pair = cycle.colors
+        if not (1 <= lo < hi <= degree):
+            raise _stale(f"color pair {pair} invalid for degree {degree}", index)
+        if not cycle.edge_ids:
+            raise _stale("empty cycle", index)
+        edges = set(cycle.edge_ids)
+        if len(edges) != len(cycle.edge_ids):
+            raise _stale("repeated edge in switch", index)
+        first = min(edges)
+        if first not in table or (colors[first] != lo and colors[first] != hi):
+            raise _misfit(table, colors, edges, pair, index)
+        both = lo + hi
+        col, v, met = colors[first], table[first][1], 1
+        while True:
+            col = both - col
+            nxt = slots[v * width + col]
+            if nxt is None:
+                raise _stale(f"cycle is not a full two-color component at vertex {v}", index)
+            if nxt == first:
+                break
+            if nxt not in edges:
+                raise _misfit(table, colors, edges, pair, index) or _stale(
+                    f"cycle is not a full two-color component: it misses edge {nxt}", index
+                )
+            u, w = table[nxt]
+            v, met = w if u == v else u, met + 1
+        if met != len(edges):
+            raise _misfit(table, colors, edges, pair, index) or _stale(
+                f"edge set is not a single cycle: edges lie off the cycle of edge {first}", index
+            )
+        for e in cycle.edge_ids:
+            col = both - colors[e]
+            colors[e] = col
+            u, w = table[e]
+            slots[u * width + col] = e
+            slots[w * width + col] = e
 
 
 def kempe_switch(g: Multigraph, c: EdgeColoring, cycle: BichromaticCycle) -> EdgeColoring:
-    """Transpose the cycle's two colors along it; all other edges unchanged."""
+    """Transpose the cycle's two colors along it; all other edges unchanged.
+
+    ``c`` must color every edge of ``g`` legally; otherwise ColoringError.
+    """
     colors = dict(c._colors)
     _replay(g, c.degree, colors, [(None, cycle)])
     # the replay only exchanges the two colors of a checked pair in 1..degree
@@ -355,7 +331,11 @@ def kempe_switch(g: Multigraph, c: EdgeColoring, cycle: BichromaticCycle) -> Edg
 
 
 def apply_sequence(g: Multigraph, c: EdgeColoring, sequence: Sequence[BichromaticCycle]) -> EdgeColoring:
-    """Left-to-right replay of switches; fails on the first stale switch."""
+    """Left-to-right replay of switches; fails on the first stale switch.
+
+    ``c`` must color every edge of ``g`` legally; otherwise ColoringError
+    before the first switch.
+    """
     colors = dict(c._colors)
     _replay(g, c.degree, colors, enumerate(sequence))
     # the replay only exchanges the two colors of a checked pair in 1..degree

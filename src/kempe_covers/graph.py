@@ -6,8 +6,7 @@ construction, so derived graphs may have gaps in their edge id range. Every
 edge stores an ordered endpoint pair ``(u, v)``, and the table of these pairs
 is the whole graph. Walks follow edge ids through it, which keeps parallel
 edges and 2-cycles apart. The degree, legality and component scans read it
-in one pass each. Only a check that names a failing vertex lists the edges at
-each vertex, through :func:`_incident_edges`, once per call.
+in one pass each.
 
 Graphs are immutable once constructed; :meth:`Multigraph.from_edges`
 builds one with dense edge ids from a list of endpoint pairs. The public
@@ -123,15 +122,6 @@ def _degrees(g: Multigraph) -> list[int]:
         degree[u] += 1
         degree[w] += 1
     return degree
-
-
-def _incident_edges(g: Multigraph) -> list[list[EdgeId]]:
-    """The edges at each vertex, in increasing id order, read from the edge table."""
-    at: list[list[EdgeId]] = [[] for _ in range(g._n)]
-    for e, (u, w) in g._edges.items():
-        at[u].append(e)
-        at[w].append(e)
-    return at
 
 
 def connected_components(g: Multigraph) -> list[frozenset[VertexId]]:

@@ -291,7 +291,12 @@ def witness_from_json(doc) -> tuple[EquivalenceWitness, dict | None]:
 
 def load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise FormatError(f"{path}: JSON nested too deeply to parse") from None
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def dump_json(doc: dict, path) -> None:

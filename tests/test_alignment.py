@@ -4,8 +4,8 @@ import pytest
 
 from kempe_covers import (
     EdgeColoring,
+    IllegalColoringError,
     RegularityError,
-    StaleSwitchError,
     align_color,
     alignment,
     alignment_data,
@@ -201,7 +201,11 @@ def test_switch_order_does_not_matter(k33, k33_pair):
 
 
 def test_a_broken_lift_is_rejected_by_the_replay(monkeypatch, k33, k33_pair):
-    """``_align_color`` trusts the lemma; a moving lift off its pair still fails the replay."""
+    """``_align_color`` trusts the lemma; a lift recolored off its pair still fails the replay.
+
+    The recolored lift shares its new color with a neighbour, so the replay
+    refuses the shifted coloring before it reads a switch.
+    """
     c1, c2 = k33_pair
     moving = split_color_d(k33, c1, c2).moving
     build = alignment._build_alignment_cover
@@ -215,5 +219,5 @@ def test_a_broken_lift_is_rejected_by_the_replay(monkeypatch, k33, k33_pair):
         return p, EdgeColoring(3, colors)
 
     monkeypatch.setattr(alignment, "_build_alignment_cover", recolored)
-    with pytest.raises(StaleSwitchError, match="stale switch"):
+    with pytest.raises(IllegalColoringError, match="colors do not make a legal coloring"):
         alignment._align_color(k33, c1, c2, split_color_d(k33, c1, c2))

@@ -72,6 +72,31 @@ def test_check_malformed_json(tmp_path):
     assert main(["check", "--input", str(path), "--coloring", "c1"]) == 1
 
 
+GOLDEN_K33 = str(Path(__file__).parent / "golden" / "k33_c1_c2.json")
+UNREADABLE_DOCUMENTS = {
+    # the decoder recurses once per bracket
+    "nested": b"[" * 100_000 + b"]" * 100_000,
+    # a UTF-16 byte-order mark
+    "not utf-8": b"\xff\xfe" + "{}".encode("utf-16-le"),
+}
+
+
+@pytest.mark.parametrize("document", sorted(UNREADABLE_DOCUMENTS))
+@pytest.mark.parametrize("argv", [
+    ["check", "--input", "BAD", "--coloring", "c1"],
+    ["witness", "--input", "BAD", "--from", "c1", "--to", "c2"],
+    ["verify", "--input", "BAD", "--witness", GOLDEN_K33],
+    ["verify", "--input", K33, "--witness", "BAD"],
+    ["classes", "--input", "BAD"],
+], ids=["check", "witness", "verify-input", "verify-witness", "classes"])
+def test_an_unreadable_document_is_one_error_line(tmp_path, capsys, argv, document):
+    path = tmp_path / "bad.json"
+    path.write_bytes(UNREADABLE_DOCUMENTS[document])
+    assert main([str(path) if arg == "BAD" else arg for arg in argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+
+
 def test_witness_k33(tmp_path, capsys):
     out = tmp_path / "w.json"
     code = main(["witness", "--input", K33, "--from", "c1", "--to", "c2", "--out", str(out)])
@@ -149,16 +174,14 @@ def test_verify_runs_the_pinned_path(capsys):
         if event == "call" and code.co_filename.startswith(package) and not code.co_name.startswith("<"):
             reached.add(f"{os.path.basename(code.co_filename)[:-3]}.{code.co_name}")
 
-    witness = str(Path(__file__).parent / "golden" / "k33_c1_c2.json")
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        code = main(["verify", "--input", K33, "--witness", witness])
+        code = main(["verify", "--input", K33, "--witness", GOLDEN_K33])
     finally:
         sys.setprofile(previous)
     assert code == 0, capsys.readouterr().err
     assert reached == VERIFY_PATH
-    assert "graph._incident_edges" not in reached
 
 
 def test_verify_tampered_sequence(tmp_path, capsys):

@@ -14,9 +14,11 @@ from kempe_covers import (
     bichromatic_cycles,
     bundled_instance_path,
     color_class_subgraph,
+    copies_cover,
     is_legal,
     is_regular,
     kempe_switch,
+    lift_sequence,
     random_colored_instance,
     spanning_subgraph,
 )
@@ -228,17 +230,58 @@ def test_switch_preserves_other_classes_and_pair_class(k33, k33_pair):
 
 def test_closed_alternating_walk_with_a_third_pair_edge_is_not_a_component():
     # the square 0-1-2-3 alternates colors 1 and 2 and closes, but the chord
-    # 0-2 also has color 1 (the coloring is illegal), so vertices 0 and 2 meet
-    # three edges of the pair and the square is only part of its component;
-    # the walk from edge 0 (0-1) reaches vertex 2 first
+    # 0-2 also has color 1, so vertices 0 and 2 meet three edges of the pair
+    # and the square is only part of its component; a legal coloring has no
+    # such vertex, so the coloring is refused before the square is read
     g = Multigraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     c = EdgeColoring(3, {0: 1, 1: 2, 2: 1, 3: 2, 4: 1})
     square = BichromaticCycle((1, 2), (0, 1, 2, 3))
-    with pytest.raises(StaleSwitchError, match="not a full two-color component at vertex 2"):
+    illegal = "edges 0 and 4 both have color 1 at vertex 0"
+    with pytest.raises(IllegalColoringError, match=illegal):
         kempe_switch(g, c, square)
-    with pytest.raises(StaleSwitchError, match="not a full two-color component at vertex 2") as info:
+    with pytest.raises(IllegalColoringError, match=illegal):
         apply_sequence(g, c, (square,))
-    assert info.value.index == 0
+
+
+PROBE = Multigraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (0, 5)])
+SQUARES = Multigraph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
+
+
+# a 4-cycle colored 1, 2, 1, 2 whose vertex 0 also meets two edges of color 3,
+# and two squares colored 1, 2 with their last edge left uncolored
+@pytest.mark.parametrize("g, colors, error, message", [
+    (PROBE, {0: 1, 1: 2, 2: 1, 3: 2, 4: 3, 5: 3}, IllegalColoringError, "edges 4 and 5 both have color 3 at vertex 0"),
+    (SQUARES, {e: e % 2 + 1 for e in range(7)}, ColoringError, "edge 7 is not colored"),
+], ids=["illegal", "partial"])
+def test_switches_refuse_a_coloring_outside_their_domain(g, colors, error, message):
+    c = EdgeColoring(3, colors)
+    square = BichromaticCycle((1, 2), (0, 1, 2, 3))
+    with pytest.raises(error, match=message):
+        kempe_switch(g, c, square)
+    with pytest.raises(error, match=message):
+        apply_sequence(g, c, [square] * 4)
+    with pytest.raises(error, match=message):
+        lift_sequence(copies_cover(g, 2), c, [square])
+    table, drawn = dict(colors), []
+
+    def steps():
+        drawn.append(0)
+        yield 0, square
+
+    with pytest.raises(error, match=message):
+        _replay(g, 3, table, steps())
+    assert drawn == [] and table == colors
+
+
+def test_a_legal_coloring_of_a_path_is_rejected_at_its_end():
+    # legal, but vertex 2 meets one edge of the pair: the walk cannot step on
+    path = Multigraph.from_edges(3, [(0, 1), (1, 2)])
+    c = EdgeColoring(2, {0: 1, 1: 2})
+    assert is_legal(path, c)
+    with pytest.raises(StaleSwitchError, match="not a full two-color component at vertex 2"):
+        kempe_switch(path, c, BichromaticCycle((1, 2), (0, 1)))
+    with pytest.raises(ColoringError, match="not 2-regular on its support"):
+        bichromatic_cycles(path, c, 1, 2)
 
 
 # -- reference switch kernels -----------------------------------------------
@@ -314,8 +357,12 @@ def reference_validate_switch(g, c, cycle, index=None):
         raise stale("edge set is not the component of its smallest edge")
 
 
+def in_domain(g, c):
+    """Whether ``c`` colors every edge of ``g`` and legally: the colorings a switch acts on."""
+    return g._edges.keys() == c._colors.keys() and is_legal(g, c)
+
+
 TRIANGLE = Multigraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
-SQUARES = Multigraph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
 K33_12 = ((0, 0), (3, 1), (5, 0), (8, 1), (7, 0), (1, 1))  # the (1, 2)-cycle of conftest's K33_C1
 
 
@@ -324,8 +371,8 @@ K33_12 = ((0, 0), (3, 1), (5, 0), (8, 1), (7, 0), (1, 1))  # the (1, 2)-cycle of
     (make_k33(), K33_C1, (1, 4), K33_12, r"color pair \(1, 4\) invalid for degree 3"),
     (make_k33(), K33_C1, (1, 2), (), "empty cycle"),
     (make_k33(), K33_C1, (1, 2), K33_12 + K33_12[:1], "repeated edge in switch"),
-    (TRIANGLE, (1, 1, 2), (1, 2), ((0, 0), (1, 0), (2, 0)), "colors do not alternate at edge 1"),
-    (TRIANGLE, (1, 2, 1), (1, 2), ((0, 0), (1, 0), (2, 0)), "colors do not alternate at edge 0"),
+    (TRIANGLE, (1, 1, 2), (1, 2), ((0, 0), (1, 0), (2, 0)), "colors do not make a legal coloring"),
+    (TRIANGLE, (1, 2, 1), (1, 2), ((0, 0), (1, 0), (2, 0)), "colors do not make a legal coloring"),
     (make_k33(), K33_C1[:8], (1, 2), K33_12, "edge 8 is not colored"),
     (make_k33(), K33_C1, (1, 2), K33_12[1:], "misses edge 0"),
     (SQUARES, (1, 2) * 4, (1, 2), ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0)), "edges lie off the cycle of edge 0"),
@@ -333,10 +380,13 @@ K33_12 = ((0, 0), (3, 1), (5, 0), (8, 1), (7, 0), (1, 1))  # the (1, 2)-cycle of
 def test_switch_checks_no_other_test_reaches(g, colors, pair, darts, message):
     c = EdgeColoring(3, dict(enumerate(colors)))
     cycle = BichromaticCycle(pair, tuple(sorted(e for e, _ in darts)))
-    error = ColoringError if "not colored" in message else StaleSwitchError
-    with pytest.raises(error, match=message):
+    if not in_domain(g, c):  # refused before the switch is read
+        with pytest.raises(ColoringError, match=message):
+            _replay(g, c.degree, dict(c.items()), [(None, cycle)])
+        return
+    with pytest.raises(StaleSwitchError, match=message):
         _replay(g, c.degree, dict(c.items()), [(None, cycle)])
-    with pytest.raises(error):
+    with pytest.raises(StaleSwitchError):
         reference_validate_switch(g, c, cycle)
 
 
@@ -426,15 +476,18 @@ def test_validate_switch_matches_reference(instance, data):
     for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
         c, cycle = mutated_switch(data.draw, g, c, cycle)
     index = data.draw(st.none() | st.integers(min_value=0, max_value=99))
-    got = verdict(_replay, g, c.degree, dict(c.items()), [(index, cycle)])
+    colors = dict(c.items())
+    got = verdict(_replay, g, c.degree, colors, [(index, cycle)])
+    if not in_domain(g, c):
+        # a partial or illegal coloring is refused before the switch is read
+        assert got in {("ColoringError", None), ("IllegalColoringError", None)}
+        assert colors == dict(c.items())
+        return
+    # both accept, or both reject, and a stale switch names its position
     want = verdict(reference_validate_switch, g, c, cycle, index)
-    # both accept, or both reject; a stale switch names its position, and
-    # only a coloring that leaves an edge uncolored may raise ColoringError
     assert (got is None) == (want is None)
     if got is not None:
-        total = all(e in c for e in g.edge_ids())
-        for name, at in (got, want):
-            assert (name, at) == ("StaleSwitchError", index) or (name == "ColoringError" and not total)
+        assert got == want == ("StaleSwitchError", index)
 
 
 def reference_replay(g, degree, colors, steps):
@@ -447,7 +500,10 @@ def reference_replay(g, degree, colors, steps):
 
 
 def replay_outcome(replay, g, c, switches):
-    """The end colors, or the error type, the position of the switch it stopped at and its index."""
+    """The end colors, or the error type, the position of the switch it stopped at and its index.
+
+    The position is None when the replay stops before it draws a switch.
+    """
     colors, drawn = dict(c.items()), []
 
     def steps():
@@ -458,7 +514,7 @@ def replay_outcome(replay, g, c, switches):
     try:
         replay(g, c.degree, colors, steps())
     except (StaleSwitchError, ColoringError) as exc:
-        return type(exc).__name__, drawn[-1], getattr(exc, "index", None)
+        return type(exc).__name__, drawn[-1] if drawn else None, getattr(exc, "index", None)
     return colors
 
 
@@ -481,17 +537,19 @@ def test_replay_matches_reference_switch_by_switch(instance, data):
         switches.append(cycle)
         before = after
     got = replay_outcome(_replay, g, start, switches)
+    if not in_domain(g, start):
+        # a partial or illegal start is refused before the first switch is drawn
+        assert got in {("ColoringError", None, None), ("IllegalColoringError", None, None)}
+        return
+    # the same end colors, or a stop at the same switch, which a stale
+    # switch names
     want = replay_outcome(reference_replay, g, start, switches)
-    # the same end colors, or a stop at the same switch; a stale switch
-    # names its position, and only a coloring that leaves an edge uncolored
-    # may raise ColoringError
     if isinstance(want, dict):
         assert got == want
     else:
         assert not isinstance(got, dict) and got[1] == want[1]
-        total = all(e in start for e in g.edge_ids())
         for name, at, index in (got, want):
-            assert (name, index) == ("StaleSwitchError", at) or (name == "ColoringError" and not total)
+            assert (name, index) == ("StaleSwitchError", at)
 
 
 def is_two_regular(g, edges):

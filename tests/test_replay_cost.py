@@ -15,14 +15,14 @@ breadth-first search tries: one cycle per coloring it reaches, or per step
 of the path it returns. The replay test counts every Python call the
 package makes while it verifies a 5,088-switch witness, so that the replay
 and the cover check stay loops over tables, with no call per switch or per
-cover vertex; verifying it must list the edges at the vertices of no graph.
-The parse test counts the calls that read the same witness back from JSON:
-no switch is rebuilt as a walk, and no integer is checked by a call of its
-own. The build tests count the calls and the per-vertex edge lists of the
-d=5 n=6 build: covers are composed, pulled back and split through their raw
-tables, and no graph lists the edges at its vertices. Only a replay or a
-cover check that is about to name a failing vertex builds those lists, at
-most once per call.
+cover vertex; verifying it counts the degrees of the base only. The parse
+test counts the calls that read the same witness back from JSON: no switch
+is rebuilt as a walk, and no integer is checked by a call of its own. The
+build tests count the calls and the degree counts of the d=5 n=6 build:
+covers are composed, pulled back and split through their raw tables, and
+only the input graph has its degrees counted. A replay fills its per-vertex
+color table once, before it draws a switch, and a cover check that is about
+to name a failing vertex counts the degrees of each graph once.
 """
 
 import json
@@ -36,6 +36,7 @@ from kempe_covers import (
     CoveringMap,
     EdgeColoring,
     EquivalenceWitness,
+    IllegalColoringError,
     Multigraph,
     align_color,
     alignment,
@@ -45,6 +46,7 @@ from kempe_covers import (
     covering,
     equivalence,
     equivalent_without_cover,
+    graph,
     kempe_class_partition,
     kempe_cover_witness,
     lift_sequence,
@@ -84,9 +86,9 @@ def counter(monkeypatch, owners, name):
     return calls
 
 
-def bindings(name):
-    """Every ``kempe_covers`` module that binds ``coloring.<name>``."""
-    fn = getattr(coloring, name)
+def bindings(name, home=coloring):
+    """Every ``kempe_covers`` module that binds ``home.<name>``."""
+    fn = getattr(home, name)
     return tuple(
         module for key, module in sys.modules.items()
         if key.split(".")[0] == "kempe_covers" and getattr(module, name, None) is fn
@@ -146,12 +148,12 @@ def test_verify_witness_makes_few_python_calls_per_switch(d5_witness):
 
 def test_verify_witness_builds_no_cover_dart_lists(monkeypatch, d5_witness):
     parsed, _ = witness_from_json(witness_to_json(d5_witness))
-    lists = counter(monkeypatch, bindings("_incident_edges"), "_incident_edges")
+    degrees = counter(monkeypatch, bindings("_degrees", graph), "_degrees")
     verdict = verify_witness(parsed)
     assert verdict, verdict.reason
     # regularity, legality, the cover check and the replay read only tables;
-    # before, the base's dart lists were built for regularity and legality
-    assert lists == []
+    # only the base's degrees are counted, to prove it regular
+    assert degrees == [(parsed.graph,)]
 
 
 def test_kempe_cover_witness_makes_few_python_calls():
@@ -174,35 +176,42 @@ def test_kempe_cover_witness_builds_no_per_vertex_edge_lists(monkeypatch):
         built.append(len(table))
         return adopt(vertex_count, table)
 
+    g, c1, c2 = random_colored_instance(1, 5, 6)
     monkeypatch.setattr(Multigraph, "__init__", counted_init)
     monkeypatch.setattr(Multigraph, "_adopt", staticmethod(counted_adopt))
-    lists = counter(monkeypatch, bindings("_incident_edges"), "_incident_edges")
-    w = kempe_cover_witness(*random_colored_instance(1, 5, 6))
+    degrees = counter(monkeypatch, bindings("_degrees", graph), "_degrees")
+    w = kempe_cover_witness(g, c1, c2)
     assert w.cover.degree == 576 and len(w.switches) == 5088
     # 203 graphs with 32,058 edges, every one adopted; 99 of them, with
     # 7,677 edges, got dart lists when regularity, legality and components
     # were scanned through them
     assert sum(built) > 30_000
-    assert lists == []
+    assert degrees == [(g,)]
 
 
 def test_per_vertex_edge_lists_are_built_at_most_once_per_call(monkeypatch):
     # a 4-cycle colored 1, 2, 1, 2 whose vertex 0 also meets two edges of color 3:
-    # every walk of the (1, 2) cycle steps through vertex 0 by a scan
+    # filling the color table finds vertex 0 before any switch is drawn
     g = Multigraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (0, 5)])
     c = EdgeColoring(3, {0: 1, 1: 2, 2: 1, 3: 2, 4: 3, 5: 3})
     cycle = BichromaticCycle((1, 2), (0, 1, 2, 3))
-    lists = counter(monkeypatch, bindings("_incident_edges"), "_incident_edges")
-    scans = counter(monkeypatch, (coloring,), "_scan_step")
-    assert apply_sequence(g, c, [cycle] * 4) == c
-    assert len(scans) == 4 and len(lists) == 1
-    # a cover that fails the counts lists the edges at each source vertex once
-    lists.clear()
+    drawn = []
+
+    def sequence():
+        for k in range(4):
+            drawn.append(k)
+            yield cycle
+
+    with pytest.raises(IllegalColoringError, match="at vertex 0"):
+        apply_sequence(g, c, sequence())
+    assert drawn == []
+    # a cover that fails the counts counts the degrees of each graph once
+    degrees = counter(monkeypatch, bindings("_degrees", graph), "_degrees")
     source = Multigraph.from_edges(4, [(0, 1), (0, 1), (2, 3)])
     theta = Multigraph.from_edges(2, [(0, 1)] * 3)
     verdict = verify_covering(CoveringMap(source, theta, [0, 1, 0, 1], {0: 0, 1: 1, 2: 2}))
     assert verdict.reason == "local bijection fails at source vertex 0"
-    assert lists == [(source,)]
+    assert degrees == [(source,), (theta,)]
 
 
 def test_witness_from_json_rebuilds_no_walk_and_makes_no_call_per_switch(monkeypatch, d5_witness):

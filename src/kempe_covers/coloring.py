@@ -243,9 +243,10 @@ def _replay(
     ``colors`` maps edge ids to colors in ``1..degree``; ``steps`` pairs
     each switch with the sequence position that names it if it is stale
     (None for a lone switch). A switch acts on a legal coloring of ``g``
-    with every edge colored: before the first switch is drawn, an edge the
-    coloring does not cover raises ColoringError and two edges of one color
-    at a vertex raise IllegalColoringError, so ``colors`` is left as it was.
+    that colors exactly its edges: before the first switch is drawn, an
+    edge the coloring does not cover or a colored edge ``g`` does not have
+    raises ColoringError and two edges of one color at a vertex raise
+    IllegalColoringError, so ``colors`` is left as it was.
 
     One walk follows the component of a switch's smallest edge. At each
     vertex it reaches it steps on along the pair edge it did not arrive by,
@@ -280,6 +281,8 @@ def _replay(
                 slots[at] = e
     except KeyError as exc:
         raise ColoringError(f"edge {exc.args[0]} is not colored") from None
+    if len(colors) != len(table):  # every edge is colored, so some colored edge is foreign
+        raise ColoringError(f"edge {min(colors.keys() - table.keys())} is not in the graph")
     for index, cycle in steps:
         lo, hi = pair = cycle.colors
         if not (1 <= lo < hi <= degree):
@@ -322,7 +325,7 @@ def _replay(
 def kempe_switch(g: Multigraph, c: EdgeColoring, cycle: BichromaticCycle) -> EdgeColoring:
     """Transpose the cycle's two colors along it; all other edges unchanged.
 
-    ``c`` must color every edge of ``g`` legally; otherwise ColoringError.
+    ``c`` must color exactly the edges of ``g``, legally; otherwise ColoringError.
     """
     colors = dict(c._colors)
     _replay(g, c.degree, colors, [(None, cycle)])
@@ -333,7 +336,7 @@ def kempe_switch(g: Multigraph, c: EdgeColoring, cycle: BichromaticCycle) -> Edg
 def apply_sequence(g: Multigraph, c: EdgeColoring, sequence: Sequence[BichromaticCycle]) -> EdgeColoring:
     """Left-to-right replay of switches; fails on the first stale switch.
 
-    ``c`` must color every edge of ``g`` legally; otherwise ColoringError
+    ``c`` must color exactly the edges of ``g``, legally; otherwise ColoringError
     before the first switch.
     """
     colors = dict(c._colors)

@@ -248,11 +248,13 @@ SQUARES = Multigraph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 
 
 
 # a 4-cycle colored 1, 2, 1, 2 whose vertex 0 also meets two edges of color 3,
-# and two squares colored 1, 2 with their last edge left uncolored
+# two squares colored 1, 2 with their last edge left uncolored, and the two
+# squares legally colored plus a color for an edge they do not have
 @pytest.mark.parametrize("g, colors, error, message", [
     (PROBE, {0: 1, 1: 2, 2: 1, 3: 2, 4: 3, 5: 3}, IllegalColoringError, "edges 4 and 5 both have color 3 at vertex 0"),
     (SQUARES, {e: e % 2 + 1 for e in range(7)}, ColoringError, "edge 7 is not colored"),
-], ids=["illegal", "partial"])
+    (SQUARES, {e: e % 2 + 1 for e in range(9)}, ColoringError, "edge 8 is not in the graph"),
+], ids=["illegal", "partial", "foreign"])
 def test_switches_refuse_a_coloring_outside_their_domain(g, colors, error, message):
     c = EdgeColoring(3, colors)
     square = BichromaticCycle((1, 2), (0, 1, 2, 3))

@@ -16,7 +16,7 @@ from .covering import pullback_coloring
 from .equivalence import kempe_cover_witness, verify_witness
 from .errors import FormatError, KempeCoversError
 from .graph import is_regular
-from .oracle import kempe_class_partition, random_colored_instance
+from .oracle import DEFAULT_MAX_EDGES, kempe_class_partition, random_colored_instance
 from .serialize import (
     dot_export,
     dump_json,
@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cls = sub.add_parser("classes", help="enumerate colorings and Kempe classes")
     p_cls.add_argument("--input", required=True)
-    p_cls.add_argument("--max-edges", dest="max_edges", type=int, default=30)
+    p_cls.add_argument("--max-edges", dest="max_edges", type=int, default=DEFAULT_MAX_EDGES)
 
     p_gen = sub.add_parser("gen", help="generate a random colored instance")
     p_gen.add_argument("--seed", type=int, required=True)

@@ -57,9 +57,6 @@ class EdgeColoring:
         except KeyError:
             raise ColoringError(f"edge {e} is not colored") from None
 
-    def __contains__(self, e: EdgeId) -> bool:
-        return e in self._colors
-
     def items(self):
         return self._colors.items()
 
@@ -106,24 +103,13 @@ class BichromaticCycle:
 SwitchSequence = tuple[BichromaticCycle, ...]
 
 
-def _check_total(g: Multigraph, c: EdgeColoring) -> None:
-    carrier, colored = g._edges.keys(), c._colors.keys()
-    if carrier != colored:
-        missing, extra = sorted(carrier - colored)[:4], sorted(colored - carrier)[:4]
-        raise ColoringError(f"coloring does not match carrier (missing={missing}, foreign={extra})")
-
-
 def is_legal(g: Multigraph, c: EdgeColoring) -> bool:
-    """True iff no two adjacent edges of ``g`` share a color under ``c``."""
-    _check_total(g, c)
-    colors = c._colors
-    seen = [0] * g._n  # per vertex, a bit for each color met so far
-    for e, (u, w) in g._edges.items():
-        bit = 1 << colors[e]
-        if (seen[u] | seen[w]) & bit:
-            return False
-        seen[u] |= bit
-        seen[w] |= bit
+    """True iff no two adjacent edges of ``g`` share a color under ``c``, by the
+    domain check of :func:`_replay`: totality first (else ColoringError), then legality."""
+    try:
+        _replay(g, c.degree, c._colors, ())
+    except IllegalColoringError:
+        return False
     return True
 
 
@@ -142,12 +128,13 @@ def common_degree(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> int:
 
 
 def color_class_subgraph(g: Multigraph, c: EdgeColoring, colors: Iterable[Color]) -> Multigraph:
-    """Spanning subgraph on the edges whose color lies in ``colors``."""
+    """Spanning subgraph on the edges whose color lies in ``colors``, for a
+    ``c`` that passes the domain check of :func:`_replay`."""
     chosen = set(colors)
     for col in chosen:
         if not (1 <= col <= c.degree):
             raise ColoringError(f"color {col} outside 1..{c.degree}")
-    _check_total(g, c)
+    _replay(g, c.degree, c._colors, ())
     return spanning_subgraph(g, (e for e in g.edge_ids() if c[e] in chosen))
 
 
@@ -201,18 +188,17 @@ def _cycle_decomposition(g: Multigraph, edges: Iterable[EdgeId]) -> list[tuple[E
 def bichromatic_cycles(g: Multigraph, c: EdgeColoring, i: Color, j: Color) -> list[BichromaticCycle]:
     """The components of the {i, j}-colored subgraph, ordered by smallest edge id.
 
-    Requires every vertex that meets an edge of color i or j to meet exactly
-    two such edges, as a legal coloring of a graph that is regular of its
-    degree does; otherwise raises IllegalColoringError, even for a legal
-    coloring (the path 0-1-2 colored 1, 2 ends its one component at
-    vertices that meet a single edge of the pair).
+    ``c`` must pass the domain check of :func:`_replay`, which raises as a
+    switch on ``c`` does. Each vertex that meets color i or j must then meet
+    exactly two such edges, as in a regular graph of ``c``'s degree; else
+    IllegalColoringError, even for the legal path 0-1-2 colored 1, 2.
     """
     if i == j:
         raise ColoringError(f"need two distinct colors, got {i} twice")
     lo, hi = min(i, j), max(i, j)
     if lo < 1 or hi > c.degree:
         raise ColoringError(f"color pair ({i}, {j}) outside 1..{c.degree}")
-    _check_total(g, c)
+    _replay(g, c.degree, c._colors, ())
     member = [e for e, col in c._colors.items() if col == lo or col == hi]
     return [BichromaticCycle((lo, hi), edges) for edges in _cycle_decomposition(g, member)]
 
@@ -243,10 +229,12 @@ def _replay(
     ``colors`` maps edge ids to colors in ``1..degree``; ``steps`` pairs
     each switch with the sequence position that names it if it is stale
     (None for a lone switch). A switch acts on a legal coloring of ``g``
-    that colors exactly its edges: before the first switch is drawn, an
-    edge the coloring does not cover or a colored edge ``g`` does not have
-    raises ColoringError and two edges of one color at a vertex raise
-    IllegalColoringError, so ``colors`` is left as it was.
+    that colors exactly its edges. Before the first switch is drawn, the
+    package's one domain check raises ColoringError for the smallest edge
+    not colored, else the smallest colored edge ``g`` does not have, then
+    IllegalColoringError for two edges of one color at a vertex, leaving
+    ``colors`` as it was. With no steps it is that check alone, as run by
+    ``is_legal``, ``bichromatic_cycles`` and ``color_class_subgraph``.
 
     One walk follows the component of a switch's smallest edge. At each
     vertex it reaches it steps on along the pair edge it did not arrive by,
@@ -268,21 +256,22 @@ def _replay(
     color in place.
     """
     table, width = g._edges, degree + 1
-    slots: list = [None] * (g._n * width)
-    try:
-        for e, (u, w) in table.items():
-            col = colors[e]
-            for at in (u * width + col, w * width + col):
-                if slots[at] is not None:
-                    raise IllegalColoringError(
-                        f"colors do not make a legal coloring: edges {slots[at]} and {e} "
-                        f"both have color {col} at vertex {at // width}"
-                    )
-                slots[at] = e
-    except KeyError as exc:
-        raise ColoringError(f"edge {exc.args[0]} is not colored") from None
-    if len(colors) != len(table):  # every edge is colored, so some colored edge is foreign
+    if colors.keys() != table.keys():
+        missing = table.keys() - colors.keys()
+        if missing:
+            raise ColoringError(f"edge {min(missing)} is not colored")
         raise ColoringError(f"edge {min(colors.keys() - table.keys())} is not in the graph")
+    slots: list = [None] * (g._n * width)
+    for e, (u, w) in table.items():
+        col = colors[e]
+        at_u, at_w = u * width + col, w * width + col
+        if slots[at_u] is not None or slots[at_w] is not None:
+            at = at_u if slots[at_u] is not None else at_w
+            raise IllegalColoringError(
+                f"colors do not make a legal coloring: edges {slots[at]} and {e} "
+                f"both have color {col} at vertex {at // width}"
+            )
+        slots[at_u] = slots[at_w] = e
     for index, cycle in steps:
         lo, hi = pair = cycle.colors
         if not (1 <= lo < hi <= degree):

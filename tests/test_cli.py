@@ -24,7 +24,7 @@ from kempe_covers import (
     pullback_coloring,
     verify_witness,
 )
-from kempe_covers.cli import main
+from kempe_covers.cli import _build_parser, main
 from kempe_covers.serialize import (
     dump_json,
     instance_from_json,
@@ -152,8 +152,8 @@ def test_verify_fresh_witness(tmp_path):
 #: change that grows or shrinks the verify path edits this set on purpose.
 VERIFY_PATH = {
     "cli._build_parser", "cli._cmd_verify", "cli._load_instance", "cli.main",
-    "coloring.__eq__", "coloring.__init__", "coloring._adopt", "coloring._check_total",
-    "coloring._replay", "coloring.common_degree", "coloring.degree", "coloring.is_legal",
+    "coloring.__eq__", "coloring.__init__", "coloring._adopt", "coloring._replay",
+    "coloring.common_degree", "coloring.degree", "coloring.is_legal",
     "covering.__bool__", "covering.__init__", "covering.degree", "covering.pullback_coloring",
     "covering.verify_covering",
     "equivalence._betas", "equivalence.verify_witness",
@@ -477,6 +477,11 @@ def test_classes_stops_at_the_coloring_bound(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: more than 1000 legal colorings"]
+
+
+def test_classes_max_edges_defaults_to_the_oracle_bound():
+    args = _build_parser().parse_args(["classes", "--input", K33])
+    assert args.max_edges == kempe_covers.oracle.DEFAULT_MAX_EDGES
 
 
 def test_gen_roundtrip(tmp_path, capsys):

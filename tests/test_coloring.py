@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -273,6 +274,82 @@ def test_switches_refuse_a_coloring_outside_their_domain(g, colors, error, messa
     with pytest.raises(error, match=message):
         _replay(g, 3, table, steps())
     assert drawn == [] and table == colors
+
+
+# the PROBE coloring 1, 2, 1, 2, 3, 3; with edge 5 uncolored, also with edges
+# 0 and 1 both colored 1; and with a color for edge 6, which PROBE lacks:
+# totality is checked before legality
+@pytest.mark.parametrize("colors, error, message", [
+    ({0: 1, 1: 2, 2: 1, 3: 2, 4: 3, 5: 3}, IllegalColoringError,
+     "colors do not make a legal coloring: edges 4 and 5 both have color 3 at vertex 0"),
+    ({0: 1, 1: 2, 2: 1, 3: 2, 4: 3}, ColoringError, "edge 5 is not colored"),
+    ({0: 1, 1: 1, 2: 1, 3: 2, 4: 3}, ColoringError, "edge 5 is not colored"),
+    ({0: 1, 1: 2, 2: 1, 3: 2, 4: 3, 5: 3, 6: 1}, ColoringError, "edge 6 is not in the graph"),
+], ids=["illegal", "partial", "partial and illegal", "foreign"])
+def test_coloring_functions_share_one_domain_check(colors, error, message):
+    c = EdgeColoring(3, colors)
+    square = BichromaticCycle((1, 2), (0, 1, 2, 3))
+    calls = [
+        lambda: bichromatic_cycles(PROBE, c, 1, 2),
+        lambda: color_class_subgraph(PROBE, c, {1, 2}),
+        lambda: kempe_switch(PROBE, c, square),
+        lambda: apply_sequence(PROBE, c, [square]),
+    ]
+    if error is IllegalColoringError:
+        assert is_legal(PROBE, c) is False
+    else:
+        calls.append(lambda: is_legal(PROBE, c))
+    for call in calls:
+        with pytest.raises(error) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (error, message)
+
+
+def domain_outcome(call, *args):
+    """None if the call returns, else the type and message of the ColoringError it raised."""
+    try:
+        call(*args)
+    except ColoringError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=5),
+                 st.sampled_from([4, 6, 8])), st.data())
+def test_coloring_functions_agree_on_a_mutated_coloring(instance, data):
+    # one edge of a legal coloring recolored, one dropped, or a foreign one
+    # added; in a regular graph a recolored edge clashes at both its ends
+    # unless it keeps its color, so the pairs that miss both of its colors
+    # still have 2-regular support
+    g, c1, c2 = random_colored_instance(*instance)
+    c = data.draw(st.sampled_from([c1, c2]))
+    d = c.degree
+    cycle = data.draw(st.sampled_from(bichromatic_cycles(g, c, *color_pair(data.draw, d))))
+    colors = dict(c.items())
+    kind = data.draw(st.sampled_from(["recolor", "drop", "foreign"]))
+    if kind == "recolor":
+        colors[data.draw(st.sampled_from(g.edge_ids()))] = data.draw(st.integers(min_value=1, max_value=d))
+    elif kind == "drop":
+        del colors[data.draw(st.sampled_from(g.edge_ids()))]
+    else:
+        colors[data.draw(st.sampled_from([-1, g.edge_count]))] = data.draw(st.integers(min_value=1, max_value=d))
+    mutated = EdgeColoring(d, colors)
+    outcomes = {
+        domain_outcome(kempe_switch, g, mutated, cycle),
+        domain_outcome(apply_sequence, g, mutated, [cycle]),
+        domain_outcome(color_class_subgraph, g, mutated, range(1, d + 1)),
+    }
+    outcomes.update(domain_outcome(bichromatic_cycles, g, mutated, i, j)
+                    for i, j in combinations(range(1, d + 1), 2))
+    [got] = outcomes  # every function accepts, or all raise one error
+    legal = domain_outcome(is_legal, g, mutated)
+    if legal is not None:  # not total: is_legal raises that error too
+        assert got == legal
+    elif is_legal(g, mutated):
+        assert got is None and mutated == c
+    else:
+        assert got is not None and got[0] is IllegalColoringError
 
 
 def test_a_legal_coloring_of_a_path_is_rejected_at_its_end():

@@ -25,7 +25,6 @@ from .coloring import (
     SwitchSequence,
     apply_sequence,
     bichromatic_cycles,
-    color_class_subgraph,
     common_degree,
     is_legal,
     kempe_switch,
@@ -119,7 +118,6 @@ __all__ = [
     "bichromatic_cycles",
     "build_alignment_cover",
     "bundled_instance_path",
-    "color_class_subgraph",
     "common_degree",
     "compose",
     "connected_components",

@@ -11,10 +11,10 @@ import json
 import sys
 from pathlib import Path
 
-from .coloring import is_legal, kempe_switch
+from .coloring import common_degree, kempe_switch
 from .covering import pullback_coloring
 from .equivalence import kempe_cover_witness, verify_witness
-from .errors import FormatError, KempeCoversError
+from .errors import ColoringError, FormatError, KempeCoversError
 from .graph import is_regular
 from .oracle import DEFAULT_MAX_EDGES, kempe_class_partition, random_colored_instance
 from .serialize import (
@@ -75,12 +75,11 @@ def _named_coloring(colorings, name):
 def _cmd_check(args) -> int:
     g, colorings = _load_instance(args.input)
     c = _named_coloring(colorings, args.coloring)
-    d = is_regular(g)
-    if d is None:
-        print("error: graph is not regular", file=sys.stderr)
-        return 2
-    if c.degree != d or not is_legal(g, c):
-        print(f"error: coloring {args.coloring!r} is not a legal {d}-edge-coloring", file=sys.stderr)
+    try:
+        d = common_degree(g, c)
+    except ColoringError as exc:
+        print(f"error: coloring {args.coloring!r} is not a legal {is_regular(g)}-edge-coloring: {exc}",
+              file=sys.stderr)
         return 2
     print(f"coloring {args.coloring!r} is legal on a {d}-regular graph "
           f"({g.vertex_count} vertices, {g.edge_count} edges)")

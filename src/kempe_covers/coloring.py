@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ColoringError, IllegalColoringError, RegularityError, StaleSwitchError
-from .graph import EdgeId, Multigraph, VertexId, is_regular, spanning_subgraph
+from .graph import EdgeId, Multigraph, VertexId, is_regular
 
 Color = int
 
@@ -105,7 +105,8 @@ SwitchSequence = tuple[BichromaticCycle, ...]
 
 def is_legal(g: Multigraph, c: EdgeColoring) -> bool:
     """True iff no two adjacent edges of ``g`` share a color under ``c``, by the
-    domain check of :func:`_replay`: totality first (else ColoringError), then legality."""
+    domain check of :func:`_replay`: totality first (else ColoringError), then legality.
+    That check fills ``n * (degree + 1)`` slots, for ``c``'s ambient degree."""
     try:
         _replay(g, c.degree, c._colors, ())
     except IllegalColoringError:
@@ -113,29 +114,20 @@ def is_legal(g: Multigraph, c: EdgeColoring) -> bool:
     return True
 
 
-def common_degree(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> int:
-    """Validate a regular carrier with two legal colorings of its degree; return d."""
+def common_degree(g: Multigraph, *colorings: EdgeColoring) -> int:
+    """Validate a regular carrier with legal colorings of its degree; return d.
+
+    Degrees are compared before any table is filled; then each coloring gets
+    one domain check of :func:`_replay`, whose error names the faulty edges."""
     d = is_regular(g)
     if d is None:
         raise RegularityError("graph is not regular")
-    if c1.degree != d or c2.degree != d:
-        raise ColoringError(
-            f"colorings have degrees {c1.degree}, {c2.degree}; graph is {d}-regular"
-        )
-    if not (is_legal(g, c1) and is_legal(g, c2)):
-        raise IllegalColoringError("coloring is not legal on this graph")
+    if any(c.degree != d for c in colorings):
+        degrees = ", ".join(str(c.degree) for c in colorings)
+        raise ColoringError(f"colorings have degrees {degrees}; graph is {d}-regular")
+    for c in colorings:
+        _replay(g, d, c._colors, ())
     return d
-
-
-def color_class_subgraph(g: Multigraph, c: EdgeColoring, colors: Iterable[Color]) -> Multigraph:
-    """Spanning subgraph on the edges whose color lies in ``colors``, for a
-    ``c`` that passes the domain check of :func:`_replay`."""
-    chosen = set(colors)
-    for col in chosen:
-        if not (1 <= col <= c.degree):
-            raise ColoringError(f"color {col} outside 1..{c.degree}")
-    _replay(g, c.degree, c._colors, ())
-    return spanning_subgraph(g, (e for e in g.edge_ids() if c[e] in chosen))
 
 
 def _cycle_decomposition(g: Multigraph, edges: Iterable[EdgeId]) -> list[tuple[EdgeId, ...]]:
@@ -234,7 +226,7 @@ def _replay(
     not colored, else the smallest colored edge ``g`` does not have, then
     IllegalColoringError for two edges of one color at a vertex, leaving
     ``colors`` as it was. With no steps it is that check alone, as run by
-    ``is_legal``, ``bichromatic_cycles`` and ``color_class_subgraph``.
+    ``common_degree``, ``is_legal`` and ``bichromatic_cycles``.
 
     One walk follows the component of a switch's smallest edge. At each
     vertex it reaches it steps on along the pair edge it did not arrive by,

@@ -39,8 +39,8 @@ from .coloring import (
     BichromaticCycle,
     EdgeColoring,
     SwitchSequence,
+    _cycle_decomposition,
     _replay,
-    bichromatic_cycles,
     common_degree,
 )
 from .covering import (
@@ -164,12 +164,14 @@ def _pad_to_degree(
 def _base_two_witness(
     g: Multigraph, c1: EdgeColoring, c2: EdgeColoring
 ) -> tuple[CoveringMap, SwitchSequence]:
-    """d = 2: switch exactly the cycles on which the colorings differ."""
+    """d = 2: switch exactly the cycles on which the colorings differ.
+
+    Every edge has color 1 or 2, so the cycles of ``g`` are its {1, 2} components."""
     switches = []
-    for cycle in bichromatic_cycles(g, c1, 1, 2):
-        first = cycle.edge_ids[0]  # both colorings alternate around the cycle
-        if c1[first] != c2[first]:
-            switches.append(cycle)
+    for edges in _cycle_decomposition(g, g._edges):
+        first = edges[0]  # both colorings alternate around the cycle
+        if c1._colors[first] != c2._colors[first]:
+            switches.append(BichromaticCycle((1, 2), edges))
     return CoveringMap.identity(g), tuple(switches)
 
 

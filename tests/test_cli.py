@@ -153,7 +153,7 @@ def test_verify_fresh_witness(tmp_path):
 VERIFY_PATH = {
     "cli._build_parser", "cli._cmd_verify", "cli._load_instance", "cli.main",
     "coloring.__eq__", "coloring.__init__", "coloring._adopt", "coloring._replay",
-    "coloring.common_degree", "coloring.degree", "coloring.is_legal",
+    "coloring.common_degree", "coloring.degree",
     "covering.__bool__", "covering.__init__", "covering.degree", "covering.pullback_coloring",
     "covering.verify_covering",
     "equivalence._betas", "equivalence.verify_witness",
@@ -182,6 +182,43 @@ def test_verify_runs_the_pinned_path(capsys):
         sys.setprofile(previous)
     assert code == 0, capsys.readouterr().err
     assert reached == VERIFY_PATH
+
+
+def illegal_k33(tmp_path):
+    """k33 with ``c1[1] = c1[0]``: edges 0 and 1 meet at vertex 0 and both get color 1."""
+    doc = load_json(K33)
+    doc["colorings"]["c1"][1] = doc["colorings"]["c1"][0]
+    path = tmp_path / "k33-illegal.json"
+    dump_json(doc, path)
+    return str(path)
+
+
+def witness_from_illegal_k33(tmp_path):
+    """The golden k33 witness with its start coloring that of :func:`illegal_k33`."""
+    doc = load_json(GOLDEN_K33)
+    start = doc["start"]["colors"]
+    start[1][1] = start[0][1]
+    path = tmp_path / "illegal-start.json"
+    dump_json(doc, path)
+    return str(path)
+
+
+CLASH = "colors do not make a legal coloring: edges 0 and 1 both have color 1 at vertex 0"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (lambda tmp, k33: ["check", "--input", k33, "--coloring", "c1"],
+     f"error: coloring 'c1' is not a legal 3-edge-coloring: {CLASH}"),
+    (lambda tmp, k33: ["witness", "--input", k33, "--from", "c1", "--to", "c2"],
+     f"error: {CLASH}"),
+    (lambda tmp, k33: ["verify", "--input", k33, "--witness", witness_from_illegal_k33(tmp)],
+     f"error: witness verification failed: {CLASH}"),
+], ids=["check", "witness", "verify"])
+def test_an_illegal_coloring_is_refused_with_its_clash(tmp_path, capsys, argv, line):
+    assert main(argv(tmp_path, illegal_k33(tmp_path))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
 
 
 def test_verify_tampered_sequence(tmp_path, capsys):
@@ -558,6 +595,26 @@ def test_claimed_vertex_count_is_answered_from_the_edge_table(tmp_path, capsys, 
         tracemalloc.stop()
     assert capsys.readouterr().err.splitlines() == [message]
     assert peak < 100_000  # a list per claimed vertex would take 8 MB
+
+
+@pytest.mark.parametrize("command, code", [
+    (["check", "--coloring", "c1"], 2),
+    (["witness", "--from", "c1", "--to", "c2"], 2),
+    (["classes"], 0),
+], ids=["check", "witness", "classes"])
+def test_an_ambient_degree_is_compared_before_any_table_is_filled(tmp_path, capsys, command, code):
+    doc = load_json(K33)
+    doc["degree"] = 10**12
+    path = tmp_path / "huge-degree.json"
+    dump_json(doc, path)
+    tracemalloc.start()
+    try:
+        assert main([command[0], "--input", str(path), *command[1:]]) == code
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(capsys.readouterr().err.splitlines()) == (1 if code else 0)
+    assert peak < 16 * 2**20  # a color table of 6 * (10**12 + 1) slots would take 48 TB
 
 
 def test_witness_on_a_d6_instance_exits_before_any_build(tmp_path, capsys, monkeypatch):

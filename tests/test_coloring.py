@@ -14,10 +14,8 @@ from kempe_covers import (
     apply_sequence,
     bichromatic_cycles,
     bundled_instance_path,
-    color_class_subgraph,
     copies_cover,
     is_legal,
-    is_regular,
     kempe_switch,
     lift_sequence,
     random_colored_instance,
@@ -72,18 +70,6 @@ def test_is_legal(k33, k33_pair):
 def test_is_legal_rejects_partial(k33):
     with pytest.raises(ColoringError):
         is_legal(k33, EdgeColoring(3, {0: 1}))
-
-
-def test_color_class_subgraph(k33, k33_pair):
-    c1, _ = k33_pair
-    assert color_class_subgraph(k33, c1, {1, 2, 3}) == k33
-    matching = color_class_subgraph(k33, c1, {3})
-    assert matching.edge_count == 3
-    assert is_regular(matching) == 1
-    two = color_class_subgraph(k33, c1, {1, 2})
-    assert is_regular(two) == 2
-    with pytest.raises(ColoringError):
-        color_class_subgraph(k33, c1, {4})
 
 
 def test_theta_two_cycle(theta, theta_coloring):
@@ -291,7 +277,6 @@ def test_coloring_functions_share_one_domain_check(colors, error, message):
     square = BichromaticCycle((1, 2), (0, 1, 2, 3))
     calls = [
         lambda: bichromatic_cycles(PROBE, c, 1, 2),
-        lambda: color_class_subgraph(PROBE, c, {1, 2}),
         lambda: kempe_switch(PROBE, c, square),
         lambda: apply_sequence(PROBE, c, [square]),
     ]
@@ -338,7 +323,6 @@ def test_coloring_functions_agree_on_a_mutated_coloring(instance, data):
     outcomes = {
         domain_outcome(kempe_switch, g, mutated, cycle),
         domain_outcome(apply_sequence, g, mutated, [cycle]),
-        domain_outcome(color_class_subgraph, g, mutated, range(1, d + 1)),
     }
     outcomes.update(domain_outcome(bichromatic_cycles, g, mutated, i, j)
                     for i, j in combinations(range(1, d + 1), 2))

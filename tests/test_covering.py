@@ -15,7 +15,6 @@ from kempe_covers import (
     apply_sequence,
     bichromatic_cycles,
     build_alignment_cover,
-    color_class_subgraph,
     compose,
     connected_components,
     copies_cover,
@@ -218,7 +217,7 @@ def test_extend_subgraph_cover_full_graph(k33, k33_pair):
 
 def test_extend_from_color_class(k33, k33_pair):
     c1, _ = k33_pair
-    h = color_class_subgraph(k33, c1, {1, 2})
+    h = spanning_subgraph(k33, c1.color_class(1) | c1.color_class(2))
     p = copies_cover(h, 2)
     r = extend_subgraph_cover(k33, h, p)
     assert verify_covering(r)
@@ -231,7 +230,7 @@ def test_extend_from_color_class(k33, k33_pair):
 
 def test_extend_degree_one_adds_each_missing_edge_once(k33, k33_pair):
     c1, _ = k33_pair
-    h = color_class_subgraph(k33, c1, {1, 2})
+    h = spanning_subgraph(k33, c1.color_class(1) | c1.color_class(2))
     r = extend_subgraph_cover(k33, h, CoveringMap.identity(h))
     assert r.degree == 1
     assert r.source.edge_count == k33.edge_count
@@ -256,7 +255,7 @@ def test_extend_rejects_a_subgraph_edge_missing_from_the_graph(k33, edges, wrong
 
 def test_extend_rejects_nonconstant_fibers(k33, k33_pair):
     c1, _ = k33_pair
-    h = color_class_subgraph(k33, c1, {1, 2})
+    h = spanning_subgraph(k33, c1.color_class(1) | c1.color_class(2))
     p = copies_cover(h, 2)
     # break fiber constancy by dropping one vertex pair onto another target
     broken = CoveringMap(

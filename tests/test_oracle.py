@@ -15,7 +15,6 @@ from kempe_covers import (
     RegularityError,
     apply_sequence,
     bichromatic_cycles,
-    color_class_subgraph,
     common_degree,
     enumerate_legal_colorings,
     equivalent_without_cover,
@@ -340,7 +339,7 @@ def make_parallel(k):
 
 def gapped_base():
     g, _, c2 = random_colored_instance(3, 4, 8)
-    return color_class_subgraph(g, c2, range(1, 4))
+    return spanning_subgraph(g, [e for e, col in c2.items() if col < 4])
 
 
 @pytest.mark.parametrize("make", [

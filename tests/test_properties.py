@@ -15,7 +15,6 @@ from kempe_covers import (
     beta,
     bichromatic_cycles,
     build_alignment_cover,
-    color_class_subgraph,
     compose,
     copies_cover,
     CoveringMap,
@@ -27,6 +26,7 @@ from kempe_covers import (
     lift_sequence,
     pullback_coloring,
     random_colored_instance,
+    spanning_subgraph,
     split_color_d,
     verify_covering,
     verify_witness,
@@ -72,7 +72,7 @@ def test_color_classes_are_matchings_and_cycles(seed, shape):
     d, n = shape
     g, c1, _ = random_colored_instance(seed, d, n)
     for k in range(1, d + 1):
-        matching = color_class_subgraph(g, c1, {k})
+        matching = spanning_subgraph(g, c1.color_class(k))
         assert is_regular(matching) == 1
     for i in range(1, d + 1):
         for j in range(i + 1, d + 1):

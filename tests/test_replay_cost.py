@@ -95,18 +95,23 @@ def bindings(name, home=coloring):
     )
 
 
+def domain_checks(replays):
+    """The graph and colors of each recorded ``_replay`` call with no steps: a domain check alone."""
+    return [(graph, colors) for graph, _, colors, steps in replays if steps == ()]
+
+
 def test_verify_witness_cost_is_independent_of_switch_count(monkeypatch, witnesses):
-    legal = counter(monkeypatch, bindings("is_legal"), "is_legal")
+    replays = counter(monkeypatch, bindings("_replay"), "_replay")
     built = counter(monkeypatch, (EdgeColoring,), "__init__")
     adopted = counter(monkeypatch, (EdgeColoring,), "_adopt")
     counts = []
     for w in witnesses:
-        legal.clear()
+        replays.clear()
         built.clear()
         adopted.clear()
         verdict = verify_witness(w)
         assert verdict, verdict.reason
-        counts.append((len(legal), len(built) + len(adopted)))
+        counts.append((len(replays), len(built) + len(adopted)))
     assert counts[0] == counts[1]
     assert max(counts[0]) < 10 < len(witnesses[0].switches)
 
@@ -278,26 +283,26 @@ def test_align_color_checks_its_inputs_once(monkeypatch):
     g, c1, c2 = random_colored_instance(1, 4, 20)
     splits = counter(monkeypatch, (alignment,), "split_color_d")
     degrees = counter(monkeypatch, (coloring, alignment), "common_degree")
-    legal = counter(monkeypatch, (coloring,), "is_legal")
+    replays = counter(monkeypatch, bindings("_replay"), "_replay")
     result = align_color(g, c1, c2)
     assert result.switches
     assert len(splits) == len(degrees) == 1
     # once per input coloring on the base; the cover is legal by construction
-    assert [c for graph, c in legal if graph is g] == [c1, c2]
-    assert len(legal) == 2
+    assert domain_checks(replays) == [(g, c1._colors), (g, c2._colors)]
 
 
 def test_kempe_cover_witness_proves_its_inputs_once(monkeypatch):
     g, c1, c2 = random_colored_instance(1, 5, 6)
     covers = counter(monkeypatch, (covering, equivalence), "verify_covering")
     degrees = counter(monkeypatch, bindings("common_degree"), "common_degree")
-    legal = counter(monkeypatch, bindings("is_legal"), "is_legal")
+    replays = counter(monkeypatch, bindings("_replay"), "_replay")
     w = kempe_cover_witness(g, c1, c2)
     assert w.cover.degree == 576 and len(w.switches) == 5088
     assert covers == []
     assert degrees == [(g, c1, c2)]
-    # the recursion aligns through a private entry that re-proves nothing
-    assert [(graph is g, c) for graph, c in legal] == [(True, c1), (True, c2)]
+    # the recursion, its d=2 base included, re-proves nothing: 45 checks when
+    # the base took its cycles from bichromatic_cycles
+    assert domain_checks(replays) == [(g, c1._colors), (g, c2._colors)]
 
 
 def test_kempe_cover_witness_builds_each_distinct_component_once(monkeypatch):

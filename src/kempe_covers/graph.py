@@ -10,8 +10,11 @@ in one pass each.
 
 Graphs are immutable once constructed; :meth:`Multigraph.from_edges`
 builds one with dense edge ids from a list of endpoint pairs. The public
-constructor sorts and checks its table, which may come from outside. The
-private :meth:`Multigraph._adopt` takes as is the tables the package derives
+constructor checks a table that may come from outside: it keeps a copy,
+re-keyed in id order only when the ids do not already ascend, and one pass
+checks each edge's endpoints in id order, rebuilding only a pair that is
+not a tuple.
+The private :meth:`Multigraph._adopt` takes as is the tables the package derives
 from checked graphs: spanning subgraphs, disjoint unions, relabelled
 components, extended covers and alignment covers. Each builds ascending ids
 and endpoints from ranges it knows, so a check would prove nothing new.
@@ -40,16 +43,18 @@ class Multigraph:
     def __init__(self, vertex_count: int, edges: Mapping[EdgeId, tuple[VertexId, VertexId]]):
         if vertex_count < 0:
             raise GraphStructureError(f"negative vertex count {vertex_count}")
-        table: dict[EdgeId, tuple[VertexId, VertexId]] = {}
-        for eid in sorted(edges):
-            u, v = edges[eid]
+        ids = sorted(edges)
+        table = dict(edges) if ids == list(edges) else {e: edges[e] for e in ids}
+        for eid, ends in table.items():
+            u, v = ends
             if not (0 <= u < vertex_count):
                 raise UnknownVertexError(f"edge {eid}: vertex {u} not in graph")
             if not (0 <= v < vertex_count):
                 raise UnknownVertexError(f"edge {eid}: vertex {v} not in graph")
             if u == v:
                 raise LoopEdgeError(f"edge {eid} would be a loop at vertex {u}")
-            table[eid] = (u, v)
+            if type(ends) is not tuple:
+                table[eid] = (u, v)
         self._n = vertex_count
         self._edges = table
 

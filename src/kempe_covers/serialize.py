@@ -4,8 +4,10 @@ Instances are small human-diffable JSON files: an edge list (edge id =
 list index) and named colorings (color list indexed by edge id). Witness
 documents embed the full cover graph with explicit edge ids, because covers
 built by subgraph extension legitimately carry non-dense ids and round-trips
-must be exact. DOT output renders a colored graph with an optional bold
-cycle; it is never re-imported.
+must be exact. The witness parser reads each block once: one bulk pass
+type-checks the document's own rows, which are copied only when one holds
+a non-integer, and each table is built from them once. DOT output renders
+a colored graph with an optional bold cycle; it is never re-imported.
 """
 
 from __future__ import annotations
@@ -114,12 +116,12 @@ def _strict_int(value, what: str) -> int:
     raise FormatError(f"{what} must be an integer, got {shown[:40]}")
 
 
-def _strict_int_lists(lists, what: str) -> list[list[int]]:
-    """Lists of JSON integers, as :func:`_strict_int` takes them, type-checked in one bulk pass."""
-    lists = list(map(list, lists))
-    if set(map(type, chain.from_iterable(lists))) <= {int}:
-        return lists
-    return [[_strict_int(v, what) for v in values] for values in lists]
+def _strict_int_lists(rows: list, what: str) -> list:
+    """Rows of JSON integers, as :func:`_strict_int` takes them: type-checked
+    in one bulk pass, and returned as they are unless a value is not an int."""
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows
+    return [[_strict_int(v, what) for v in values] for values in rows]
 
 
 def instance_from_json(doc) -> tuple[Multigraph, dict[str, EdgeColoring]]:
@@ -263,8 +265,9 @@ def witness_from_json(doc) -> tuple[EquivalenceWitness, dict | None]:
         map_rows = _strict_int_lists(doc["edge_map"], "edge map entry")
         edge_map = dict(map_rows)
         entries = list(doc.get("sequence", []))
-        pairs = _strict_int_lists(map(itemgetter("colors"), entries), "switch color")
-        edge_lists = _strict_int_lists(map(itemgetter("edges"), entries), "switch edge id")
+        # iter() tries each row as it is looked up, so the first bad entry raises, whatever its fault
+        pairs = _strict_int_lists(list(filter(iter, map(itemgetter("colors"), entries))), "switch color")
+        edge_lists = _strict_int_lists(list(filter(iter, map(itemgetter("edges"), entries))), "switch edge id")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed witness: {exc}") from exc
     _require_unique(map_rows, edge_map, "edge_map")
@@ -274,14 +277,14 @@ def witness_from_json(doc) -> tuple[EquivalenceWitness, dict | None]:
     ):
         raise FormatError("names block must be an object with string 'from' and 'to' entries")
     cover = CoveringMap(cover_graph, base, vertex_map, edge_map)
+    if set(map(len, pairs)) - {2}:
+        raise FormatError("switch needs exactly two colors")
     # The replay checks that each edge set is one whole two-color component
     # of distinct edges, and names the sequence position of a switch that is not.
-    switches = []
-    for pair, edges in zip(pairs, edge_lists):
-        if len(pair) != 2:
-            raise FormatError("switch needs exactly two colors")
-        edges.sort()
-        switches.append(BichromaticCycle((min(pair), max(pair)), tuple(edges)))
+    switches = [
+        BichromaticCycle((a, b) if a < b else (b, a), tuple(sorted(edges)))
+        for (a, b), edges in zip(pairs, edge_lists)
+    ]
     witness = EquivalenceWitness(base, start, goal, cover, tuple(switches))
     return witness, names
 

@@ -1,7 +1,9 @@
+import copy
 import sys
 from collections import Counter
 
 import pytest
+from hypothesis import strategies as st
 
 from kempe_covers import EdgeColoring, Multigraph, alignment, covering, is_legal, verify_covering
 
@@ -154,3 +156,42 @@ def checked_layers():
                     if value is original:
                         mp.setattr(module, attr, wrapper)
         yield checked
+
+
+def json_slots(node) -> list:
+    """Every (container, key) pair inside a JSON value, depth first."""
+    slots = []
+    for key in list(node) if isinstance(node, dict) else range(len(node)):
+        slots.append((node, key))
+        if isinstance(node[key], (dict, list)):
+            slots.extend(json_slots(node[key]))
+    return slots
+
+
+#: replacement values; integers stay at or below 10**6 so that no parse allocates much
+FUZZ_VALUES = st.none() | st.booleans() | st.integers(min_value=0, max_value=9) | st.sampled_from(
+    [-1, 10**6, 1.5, "x", [], {}]
+)
+
+
+@st.composite
+def mutated_documents(draw, doc, values=FUZZ_VALUES):
+    """``doc`` after 1-3 mutations: a value replaced by one of ``values``, a key deleted, or a list row duplicated."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        slots = json_slots(doc)
+        kind = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if kind == "delete":
+            slots = [(parent, key) for parent, key in slots if isinstance(parent, dict)]
+        elif kind == "duplicate":
+            slots = [(parent, key) for parent, key in slots if isinstance(parent, list)]
+        if not slots:
+            continue
+        parent, key = draw(st.sampled_from(slots))
+        if kind == "replace":
+            parent[key] = copy.deepcopy(draw(values))
+        elif kind == "delete":
+            del parent[key]
+        else:
+            parent.insert(key, copy.deepcopy(parent[key]))
+    return doc

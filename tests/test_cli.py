@@ -33,7 +33,7 @@ from kempe_covers.serialize import (
     witness_from_json,
 )
 
-from conftest import make_k33
+from conftest import make_k33, mutated_documents
 
 K33 = str(bundled_instance_path("k33"))
 THETA = str(bundled_instance_path("theta"))
@@ -704,45 +704,6 @@ def test_all_lists_every_public_binding():
     assert len(kempe_covers.__all__) == len(bound)
 
 
-def json_slots(node) -> list:
-    """Every (container, key) pair inside a JSON value, depth first."""
-    slots = []
-    for key in list(node) if isinstance(node, dict) else range(len(node)):
-        slots.append((node, key))
-        if isinstance(node[key], (dict, list)):
-            slots.extend(json_slots(node[key]))
-    return slots
-
-
-#: replacement values; integers stay at or below 10**6 so that no parse allocates much
-FUZZ_VALUES = st.none() | st.booleans() | st.integers(min_value=0, max_value=9) | st.sampled_from(
-    [-1, 10**6, 1.5, "x", [], {}]
-)
-
-
-@st.composite
-def mutated_documents(draw, doc):
-    """``doc`` after 1-3 mutations: a value replaced, a key deleted, or a list row duplicated."""
-    doc = copy.deepcopy(doc)
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        slots = json_slots(doc)
-        kind = draw(st.sampled_from(["replace", "delete", "duplicate"]))
-        if kind == "delete":
-            slots = [(parent, key) for parent, key in slots if isinstance(parent, dict)]
-        elif kind == "duplicate":
-            slots = [(parent, key) for parent, key in slots if isinstance(parent, list)]
-        if not slots:
-            continue
-        parent, key = draw(st.sampled_from(slots))
-        if kind == "replace":
-            parent[key] = copy.deepcopy(draw(FUZZ_VALUES))
-        elif kind == "delete":
-            del parent[key]
-        else:
-            parent.insert(key, copy.deepcopy(parent[key]))
-    return doc
-
-
 @pytest.fixture(scope="module")
 def fuzz_witness(tmp_path_factory):
     """A directory for mutated witnesses, and the k33 witness document."""
@@ -764,6 +725,48 @@ def test_verify_of_a_mutated_witness_exits_with_one_line(fuzz_witness, data):
         code = main(["verify", "--input", K33, "--witness", str(path)])
     assert code in (0, 1, 2)
     assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1), err.getvalue()
+
+
+#: the integer rows of each witness block; the parser checks each block's types in one pass
+INTEGER_ROWS = {
+    "base.edges": lambda doc: doc["base"]["edges"],
+    "cover.edges": lambda doc: doc["cover"]["edges"],
+    "start.colors": lambda doc: doc["start"]["colors"],
+    "goal.colors": lambda doc: doc["goal"]["colors"],
+    "vertex_map": lambda doc: [doc["vertex_map"]],
+    "edge_map": lambda doc: doc["edge_map"],
+    "switch colors": lambda doc: [entry["colors"] for entry in doc["sequence"]],
+    "switch edges": lambda doc: [entry["edges"] for entry in doc["sequence"]],
+}
+
+
+def verify_with_one_integer_as(fuzz_witness, block, kind):
+    """Exit code and stderr lines of ``verify`` once the block's first 0 or 1 is ``kind(value)``."""
+    directory, doc = fuzz_witness
+    doc = copy.deepcopy(doc)
+    row = next(row for row in INTEGER_ROWS[block](doc) if {0, 1} & set(row))
+    k = next(k for k, value in enumerate(row) if value in (0, 1))
+    row[k] = kind(row[k])
+    path = directory / "one-integer.json"
+    dump_json(doc, path)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["verify", "--input", K33, "--witness", str(path)])
+    return code, err.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("block", sorted(INTEGER_ROWS))
+def test_verify_accepts_integral_floats_in_every_block(fuzz_witness, block):
+    assert verify_with_one_integer_as(fuzz_witness, block, float) == (0, [])
+
+
+@pytest.mark.parametrize("kind", [bool, str], ids=["bool", "string"])
+@pytest.mark.parametrize("block", sorted(INTEGER_ROWS))
+def test_verify_rejects_bools_and_strings_in_every_block(fuzz_witness, block, kind):
+    code, lines = verify_with_one_integer_as(fuzz_witness, block, kind)
+    assert code == 1
+    [line] = lines
+    assert line.startswith("error: ") and "must be an integer" in line, line
 
 
 @pytest.fixture(scope="module")

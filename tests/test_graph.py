@@ -126,6 +126,13 @@ def test_construction_errors_raise_before_any_walk(monkeypatch, n, edges, error,
     assert walks == []
 
 
+@pytest.mark.parametrize("edges", [{0: (1, 2), 2: (0, 1)}, {2: [0, 1], 0: [1, 2]}], ids=["ascending", "unsorted"])
+def test_constructor_keeps_its_own_table_in_id_order_with_tuple_pairs(edges):
+    g = Multigraph(3, edges)
+    edges[1] = (0, 2)
+    assert list(g._edges.items()) == [(0, (1, 2)), (2, (0, 1))]
+
+
 @st.composite
 def multigraphs(draw):
     """Parallel edges, isolated vertices, and gapped ids through ``spanning_subgraph``."""

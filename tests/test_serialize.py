@@ -1,0 +1,240 @@
+"""The witness parser against a frozen reference, and the parser's hands off its input.
+
+The reference below is ``witness_from_json`` as it stood when every block
+was copied row by row before its integer check, the switch loop sorted
+those copies in place, and ``Multigraph`` rebuilt its table edge by edge.
+The package's parser must return exactly what it returns: an equal witness
+whose graph tables keep the same id order, or an exception of the same
+class with the same message.
+"""
+
+import copy
+import json
+from itertools import chain
+from operator import itemgetter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kempe_covers import (
+    BichromaticCycle,
+    CoveringMap,
+    EdgeColoring,
+    EquivalenceWitness,
+    Multigraph,
+    kempe_cover_witness,
+    random_colored_instance,
+)
+from kempe_covers.errors import (
+    CoveringError,
+    FormatError,
+    GraphStructureError,
+    KempeCoversError,
+    LoopEdgeError,
+    RegularityError,
+    UnknownVertexError,
+)
+from kempe_covers.serialize import WITNESS_FORMAT, witness_from_json, witness_to_json
+
+from conftest import FUZZ_VALUES, K33_C1, K33_C2, make_k33, mutated_documents
+
+# -- the frozen reference -----------------------------------------------------
+
+
+def reference_graph(vertex_count, edges):
+    """``Multigraph(vertex_count, edges)`` by the per-edge rebuild."""
+    if vertex_count < 0:
+        raise GraphStructureError(f"negative vertex count {vertex_count}")
+    table = {}
+    for eid in sorted(edges):
+        u, v = edges[eid]
+        if not (0 <= u < vertex_count):
+            raise UnknownVertexError(f"edge {eid}: vertex {u} not in graph")
+        if not (0 <= v < vertex_count):
+            raise UnknownVertexError(f"edge {eid}: vertex {v} not in graph")
+        if u == v:
+            raise LoopEdgeError(f"edge {eid} would be a loop at vertex {u}")
+        table[eid] = (u, v)
+    return Multigraph._adopt(vertex_count, table)
+
+
+def reference_strict_int(value, what):
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    shown = json.dumps(value, default=repr)
+    raise FormatError(f"{what} must be an integer, got {shown[:40]}")
+
+
+def reference_strict_int_lists(lists, what):
+    lists = list(map(list, lists))
+    if set(map(type, chain.from_iterable(lists))) <= {int}:
+        return lists
+    return [[reference_strict_int(v, what) for v in values] for values in lists]
+
+
+def reference_require_unique(rows, table, block):
+    if len(table) != len(rows):
+        seen = set()
+        for row in rows:
+            if row[0] in seen:
+                raise FormatError(f"{block} lists id {row[0]} twice")
+            seen.add(row[0])
+
+
+def reference_graph_from_json(doc, block):
+    try:
+        rows = reference_strict_int_lists(doc["edges"], "graph edge entry")
+        pairs = {e: (u, v) for e, u, v in rows}
+        graph = reference_graph(reference_strict_int(doc["vertices"], "vertex count"), pairs)
+    except (KeyError, TypeError, ValueError, KempeCoversError) as exc:
+        raise FormatError(f"malformed graph block: {exc}") from exc
+    reference_require_unique(rows, pairs, f"{block}.edges")
+    return graph
+
+
+def reference_coloring_from_json(doc, block):
+    try:
+        rows = reference_strict_int_lists(doc["colors"], "coloring entry")
+        colors = dict(rows)
+        coloring = EdgeColoring(reference_strict_int(doc["degree"], "degree"), colors)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed coloring block: {exc}") from exc
+    reference_require_unique(rows, colors, f"{block}.colors")
+    return coloring
+
+
+def reference_witness_from_json(doc):
+    if not isinstance(doc, dict) or doc.get("format") != WITNESS_FORMAT:
+        raise FormatError(f"not a {WITNESS_FORMAT} document")
+    base_doc = doc.get("base", {})
+    edges = base_doc.get("edges") if isinstance(base_doc, dict) else None
+    if isinstance(edges, list):
+        vertices = reference_strict_int(base_doc.get("vertices"), "base vertex count")
+        if vertices > 2 * len(edges):
+            raise RegularityError(
+                f"base has {vertices} vertices and {len(edges)} edges, more than a regular base can have"
+            )
+    base = reference_graph_from_json(base_doc, "base")
+    cover_doc = doc.get("cover", {})
+    edges = cover_doc.get("edges") if isinstance(cover_doc, dict) else None
+    if not isinstance(edges, list):
+        raise FormatError("malformed graph block: cover edges must be a list")
+    sheets = len(edges) // max(base.edge_count, 1)
+    vertices = reference_strict_int(cover_doc.get("vertices"), "cover vertex count")
+    if len(edges) != sheets * base.edge_count or vertices != sheets * base.vertex_count:
+        raise CoveringError(f"cover has {vertices} vertices and {len(edges)} edges, not m times the base's")
+    degree = reference_strict_int(doc.get("degree"), "witness degree")
+    if degree != sheets:
+        raise CoveringError(f"witness degree {degree} differs from its cover's {sheets} sheets")
+    cover_graph = reference_graph_from_json(cover_doc, "cover")
+    start = reference_coloring_from_json(doc.get("start", {}), "start")
+    goal = reference_coloring_from_json(doc.get("goal", {}), "goal")
+    try:
+        [vertex_map] = reference_strict_int_lists([doc["vertex_map"]], "vertex map entry")
+        map_rows = reference_strict_int_lists(doc["edge_map"], "edge map entry")
+        edge_map = dict(map_rows)
+        entries = list(doc.get("sequence", []))
+        pairs = reference_strict_int_lists(map(itemgetter("colors"), entries), "switch color")
+        edge_lists = reference_strict_int_lists(map(itemgetter("edges"), entries), "switch edge id")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed witness: {exc}") from exc
+    reference_require_unique(map_rows, edge_map, "edge_map")
+    names = doc.get("names")
+    if "names" in doc and not (
+        isinstance(names, dict) and isinstance(names.get("from"), str) and isinstance(names.get("to"), str)
+    ):
+        raise FormatError("names block must be an object with string 'from' and 'to' entries")
+    cover = CoveringMap(cover_graph, base, vertex_map, edge_map)
+    switches = []
+    for pair, edges in zip(pairs, edge_lists):
+        if len(pair) != 2:
+            raise FormatError("switch needs exactly two colors")
+        edges.sort()
+        switches.append(BichromaticCycle((min(pair), max(pair)), tuple(edges)))
+    witness = EquivalenceWitness(base, start, goal, cover, tuple(switches))
+    return witness, names
+
+
+# -- documents ------------------------------------------------------------------
+
+
+def k33_document():
+    g = make_k33()
+    w = kempe_cover_witness(g, EdgeColoring(3, dict(enumerate(K33_C1))), EdgeColoring(3, dict(enumerate(K33_C2))))
+    return witness_to_json(w, ("c1", "c2"))
+
+
+def d4_document():
+    return witness_to_json(kempe_cover_witness(*random_colored_instance(1, 4, 8)), ("c1", "c2"))
+
+
+@pytest.fixture(scope="module")
+def documents():
+    """Round-tripped through JSON text, as a verifier reads them."""
+    return {name: json.loads(json.dumps(make())) for name, make in [("k33", k33_document), ("d4", d4_document)]}
+
+
+def outcome(parse, doc):
+    """The parsed witness with its names and its graph tables in order, or the raised class and message."""
+    try:
+        w, names = parse(doc)
+    except Exception as exc:  # the reference fixes the class as well as the message
+        return type(exc), str(exc)
+    return w, names, list(w.graph._edges.items()), list(w.cover.source._edges.items())
+
+
+#: replacement values, plus integral floats, which the parser takes as the integers they equal
+PARSER_VALUES = FUZZ_VALUES | st.integers(min_value=0, max_value=9).map(float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parser_matches_the_reference_on_a_mutated_witness(documents, data):
+    doc = data.draw(mutated_documents(documents[data.draw(st.sampled_from(sorted(documents)))], PARSER_VALUES))
+    untouched = copy.deepcopy(doc)
+    assert outcome(witness_from_json, doc) == outcome(reference_witness_from_json, copy.deepcopy(doc))
+    assert doc == untouched
+
+
+@pytest.mark.parametrize("name", ["k33", "d4"])
+def test_parser_leaves_an_unsorted_document_alone(documents, name):
+    canonical = documents[name]
+    doc = copy.deepcopy(canonical)
+    doc["cover"]["edges"].reverse()
+    for entry in doc["sequence"]:
+        entry["edges"].reverse()
+        entry["colors"].reverse()
+    assert any(len(entry["edges"]) > 1 for entry in doc["sequence"])
+    untouched = copy.deepcopy(doc)
+    parsed = outcome(witness_from_json, doc)
+    assert doc == untouched
+    assert parsed == outcome(witness_from_json, canonical) == outcome(reference_witness_from_json, doc)
+    assert [e for e, _ in parsed[3]] == sorted(e for e, _, _ in canonical["cover"]["edges"])
+
+
+def two_faults(doc, name):
+    """``doc`` with two faults, the first of them the one each parser must name."""
+    sequence, rows = doc["sequence"], doc["cover"]["edges"]
+    if name == "switch colors":  # not iterable, then missing
+        sequence[0]["colors"] = 5
+        del sequence[1]["colors"]
+    elif name == "switch edges":  # not iterable, then missing
+        sequence[0]["edges"] = None
+        del sequence[1]["edges"]
+    else:  # rows out of id order: a vertex out of range, then at a larger id a loop
+        rows.reverse()
+        rows[-3][1] = doc["cover"]["vertices"]
+        rows[-5][2] = rows[-5][1]
+    return doc
+
+
+@pytest.mark.parametrize("name, message", [
+    ("switch colors", "malformed witness: 'int' object is not iterable"),
+    ("switch edges", "malformed witness: 'NoneType' object is not iterable"),
+    ("cover rows", "malformed graph block: edge 2: vertex 96 not in graph"),
+])
+def test_parser_names_the_first_of_two_faults_as_the_reference_does(documents, name, message):
+    doc = two_faults(copy.deepcopy(documents["d4"]), name)
+    assert outcome(witness_from_json, doc) == outcome(reference_witness_from_json, doc) == (FormatError, message)

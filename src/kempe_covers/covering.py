@@ -7,7 +7,10 @@ are d-regular, and a legal base coloring pulls back to a legal cover
 coloring. This module also lifts switch sequences through covers, composes
 covers, and extends a cover of a spanning subgraph to a cover of the full
 graph. These trust their input coverings and do not re-check what they
-build; :func:`verify_covering` checks maps from outside.
+build; :func:`verify_covering` checks maps from outside. Its incidence half
+(totality, ranges, incidence) is also the first step of
+``equivalence.verify_witness``, which gets the rest of the axioms from
+constant fibers, an edge count and the legality of a pulled-back coloring.
 
 Fiber sizes are required to be constant across all base vertices, even for
 disconnected bases; the equivalence construction normalizes every
@@ -86,13 +89,15 @@ class CoveringMap:
 
     @property
     def degree(self) -> int:
-        """Common fiber size; raises if fibers are not constant."""
+        """Common fiber size; raises if fibers are not constant or are empty."""
         if self._degree is None:
             sizes = [0] * self.target.vertex_count
             for image in self._vmap:
                 sizes[image] += 1
             if not sizes or len(set(sizes)) != 1:
                 raise CoveringError(f"fiber sizes not constant: {sorted(set(sizes))}")
+            if not sizes[0]:
+                raise CoveringError("fibers are empty: no source vertex maps onto the target")
             self._degree = sizes[0]
         return self._degree
 
@@ -110,6 +115,27 @@ class CoveringMap:
         return f"CoveringMap({self.source!r} -> {self.target!r})"
 
 
+def _verify_incidence(p: CoveringMap) -> Verdict:
+    """The first half of :func:`verify_covering`: totality, vertex ranges and incidence."""
+    src, tgt, vmap, emap = p.source, p.target, p._vmap, p._emap
+    if len(vmap) != src.vertex_count:
+        return Verdict(False, "vertex map is not total on the source")
+    if emap.keys() != src._edges.keys():
+        return Verdict(False, "edge map does not match the source edge set")
+    n, tgt_edges = tgt.vertex_count, tgt._edges
+    for v, x in enumerate(vmap):
+        if not 0 <= x < n:
+            return Verdict(False, f"vertex {v} maps outside the target")
+    for e, (u, w) in src._edges.items():
+        ends = tgt_edges.get(emap[e])
+        if ends is None:
+            return Verdict(False, f"edge {e} maps outside the target")
+        x, y = vmap[u], vmap[w]
+        if ends != (x, y) and ends != (y, x):
+            return Verdict(False, f"edge {e} does not preserve incidence")
+    return Verdict(True)
+
+
 def verify_covering(p: CoveringMap) -> Verdict:
     """Check totality, incidence, surjectivity, local bijection, constant fibers.
 
@@ -125,23 +151,12 @@ def verify_covering(p: CoveringMap) -> Verdict:
     each source vertex counted, to name the first source vertex where two
     edges share an image or the degree differs from its image's.
     """
+    verdict = _verify_incidence(p)
+    if not verdict:
+        return verdict
     src, tgt, vmap, emap = p.source, p.target, p._vmap, p._emap
-    if len(vmap) != src.vertex_count:
-        return Verdict(False, "vertex map is not total on the source")
-    if emap.keys() != src._edges.keys():
-        return Verdict(False, "edge map does not match the source edge set")
-    n, src_edges, tgt_edges = tgt.vertex_count, src._edges, tgt._edges
-    for v, x in enumerate(vmap):
-        if not 0 <= x < n:
-            return Verdict(False, f"vertex {v} maps outside the target")
-    for e, (u, w) in src_edges.items():
-        ends = tgt_edges.get(emap[e])
-        if ends is None:
-            return Verdict(False, f"edge {e} maps outside the target")
-        x, y = vmap[u], vmap[w]
-        if ends != (x, y) and ends != (y, x):
-            return Verdict(False, f"edge {e} does not preserve incidence")
-    if len(set(vmap)) != n:
+    src_edges, tgt_edges = src._edges, tgt._edges
+    if len(set(vmap)) != tgt.vertex_count:
         return Verdict(False, "vertex map is not surjective")
     if len(set(emap.values())) != len(tgt_edges):
         return Verdict(False, "edge map is not surjective")

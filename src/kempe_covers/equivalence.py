@@ -46,14 +46,14 @@ from .coloring import (
 from .covering import (
     CoveringMap,
     Verdict,
+    _verify_incidence,
     compose,
     copies_cover,
     extend_subgraph_cover,
     lift_sequence,
     pullback_coloring,
-    verify_covering,
 )
-from .errors import CoveringError, GraphStructureError, KempeCoversError
+from .errors import CoveringError, GraphStructureError, IllegalColoringError, KempeCoversError
 from .graph import (
     EdgeId,
     Multigraph,
@@ -104,25 +104,45 @@ class EquivalenceWitness:
 def verify_witness(w: EquivalenceWitness) -> Verdict:
     """Machine-check a witness: cover axioms, replay equality, degree bound.
 
-    :func:`common_degree` checks that the base is regular and that both
-    colorings are legal colorings of its degree; its message is the reason
-    of a rejection. The start pull-back is then legal:
-    :func:`verify_covering` gives a local bijection on edges. Every switch
-    is validated as a whole alternating two-color component of distinct
-    edges before it is flipped, so each intermediate coloring is legal too.
-    The end state must equal the goal pull-back edge for edge.
+    The cover must map onto the witness graph with total maps that keep
+    incidence, constant fibers of some size m >= 1 and m|E| edges.
+    :func:`common_degree` then checks that the base is d-regular and that
+    both colorings are legal colorings of degree d; its message is the
+    reason of a rejection. The replay's domain check fills its color table
+    from the start pull-back, and that fill proves the rest of the covering
+    axioms. Each edge at a cover vertex v maps to an edge at p(v) of the
+    same color, and the legal start coloring gives the edges at p(v)
+    distinct colors. So the fill, which finds no two edges of one color at
+    v, shows that the images of v's edges are distinct: deg(v) <= d. Summed
+    over the cover, 2|E_cover| <= d * m|V| = 2m|E| = 2|E_cover|, so every
+    inequality is an equality and each vertex's edges map one to one onto
+    the edges at its image. Every fiber is non-empty, so every base vertex,
+    and through the bijection at a vertex over it every base edge, has a
+    preimage. Since the base colorings are legal, a clash in the fill is a
+    cover fault, and its reason says that the local bijection fails.
+
+    Every switch is validated as a whole alternating two-color component of
+    distinct edges before it is flipped, so each intermediate coloring is
+    legal too. The end state must equal the goal pull-back edge for edge.
     """
     try:
         if w.cover.target != w.graph:
             return Verdict(False, "cover does not map onto the witness graph")
-        verdict = verify_covering(w.cover)
+        verdict = _verify_incidence(w.cover)
         if not verdict:
             return verdict
+        m = w.cover.degree  # raises unless the fibers have one size m >= 1
+        edges = len(w.cover.source._edges)
+        if edges != m * len(w.graph._edges):
+            return Verdict(False, f"cover edge count {edges} is not {m} x {len(w.graph._edges)}")
         d = common_degree(w.graph, w.start, w.goal)
         # the pull-back is built for this replay alone, so it flips in place
         current = pullback_coloring(w.cover, w.start)._colors
         goal = pullback_coloring(w.cover, w.goal)
-        _replay(w.cover.source, d, current, enumerate(w.switches))
+        try:
+            _replay(w.cover.source, d, current, enumerate(w.switches))
+        except IllegalColoringError as exc:  # only the fill raises it, and the base colorings are legal
+            return Verdict(False, f"local bijection fails: {exc}")
         if current != goal._colors:
             for e in w.cover.source.edge_ids():
                 if current[e] != goal[e]:
@@ -131,8 +151,8 @@ def verify_witness(w: EquivalenceWitness) -> Verdict:
                         f"replay mismatch at cover edge {e}: got {current[e]}, want {goal[e]}",
                     )
         # beta(d) has about 2**d digits: stop the recurrence once it reaches the degree
-        if all(value < w.cover.degree for value in _betas(d)):
-            return Verdict(False, f"covering degree {w.cover.degree} exceeds beta({d}) = {beta(d)}")
+        if all(value < m for value in _betas(d)):
+            return Verdict(False, f"covering degree {m} exceeds beta({d}) = {beta(d)}")
         return Verdict(True)
     except KempeCoversError as exc:
         return Verdict(False, str(exc))

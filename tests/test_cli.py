@@ -73,6 +73,7 @@ def test_check_malformed_json(tmp_path):
 
 
 GOLDEN_K33 = str(Path(__file__).parent / "golden" / "k33_c1_c2.json")
+GOLDEN_THETA = str(Path(__file__).parent / "golden" / "theta_c1_c2.json")
 UNREADABLE_DOCUMENTS = {
     # the decoder recurses once per bracket
     "nested": b"[" * 100_000 + b"]" * 100_000,
@@ -154,8 +155,8 @@ VERIFY_PATH = {
     "cli._build_parser", "cli._cmd_verify", "cli._load_instance", "cli.main",
     "coloring.__eq__", "coloring.__init__", "coloring._adopt", "coloring._replay",
     "coloring.common_degree", "coloring.degree",
-    "covering.__bool__", "covering.__init__", "covering.degree", "covering.pullback_coloring",
-    "covering.verify_covering",
+    "covering.__bool__", "covering.__init__", "covering._verify_incidence", "covering.degree",
+    "covering.pullback_coloring",
     "equivalence._betas", "equivalence.verify_witness",
     "graph.__eq__", "graph.__init__", "graph._degrees", "graph.edge_count", "graph.from_edges",
     "graph.is_regular", "graph.vertex_count",
@@ -229,6 +230,30 @@ def test_verify_tampered_sequence(tmp_path, capsys):
     dump_json(doc, out)
     assert main(["verify", "--input", K33, "--witness", str(out)]) == 2
     assert "mismatch" in capsys.readouterr().err
+
+
+def theta_witness_with(tmp_path, **blocks):
+    """The golden theta witness with the given top-level blocks replaced."""
+    doc = load_json(GOLDEN_THETA)
+    doc.update(blocks)
+    path = tmp_path / "theta-tampered.json"
+    dump_json(doc, path)
+    return str(path)
+
+
+@pytest.mark.parametrize("blocks, reason", [
+    # theta's three edges are parallel twins: incidence holds, and cover
+    # vertex 0 gets two edges over base edge 1
+    ({"edge_map": [[0, 1], [1, 1], [2, 2], [3, 0], [4, 1], [5, 2]]},
+     "local bijection fails: colors do not make a legal coloring: edges 0 and 1 both have color 2 at vertex 0"),
+    ({"degree": 0, "cover": {"vertices": 0, "edges": []}, "vertex_map": [], "edge_map": [], "sequence": []},
+     "fibers are empty: no source vertex maps onto the target"),
+], ids=["parallel-twin", "empty-cover"])
+def test_verify_rejects_a_cover_that_keeps_incidence_but_is_no_covering(tmp_path, capsys, blocks, reason):
+    assert main(["verify", "--input", THETA, "--witness", theta_witness_with(tmp_path, **blocks)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: witness verification failed: {reason}"]
 
 
 def test_verify_switch_edges_not_a_cycle(tmp_path, capsys):

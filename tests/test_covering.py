@@ -85,6 +85,14 @@ def test_nonconstant_fibers_rejected():
         bad.degree
 
 
+def test_degree_refuses_empty_fibers():
+    # every fiber over the theta graph has size 0: constant, but no covering
+    empty = CoveringMap(Multigraph(0, {}), make_theta(), [], {})
+    with pytest.raises(CoveringError, match="^fibers are empty: no source vertex maps onto the target$"):
+        empty.degree
+    assert verify_covering(empty) == Verdict(False, "vertex map is not surjective")
+
+
 def test_verify_covering_reports_nonconstant_fibers():
     # locally bijective onto two triangles, but a hexagon covers one twice
     base, _ = disjoint_union([make_cycle(3), make_cycle(3)])

@@ -1,6 +1,7 @@
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kempe_covers import (
     BichromaticCycle,
@@ -10,11 +11,14 @@ from kempe_covers import (
     EquivalenceWitness,
     GraphStructureError,
     IllegalColoringError,
+    KempeCoversError,
     Multigraph,
     RegularityError,
     StaleSwitchError,
+    Verdict,
     beta,
     bichromatic_cycles,
+    common_degree,
     compose,
     connected_components,
     copies_cover,
@@ -26,10 +30,12 @@ from kempe_covers import (
     lift_sequence,
     pullback_coloring,
     random_colored_instance,
+    verify_covering,
     verify_witness,
 )
+from kempe_covers.coloring import _replay
 
-from conftest import K33_C1, alternating_coloring, make_cycle, make_k33, make_petersen
+from conftest import K33_C1, K33_C2, alternating_coloring, make_cycle, make_k33, make_petersen
 
 
 def test_beta_table():
@@ -360,3 +366,118 @@ def test_every_adopted_table_passes_the_public_checks(checked_adoption):
     colorings = {"pullback_coloring", "kempe_switch", "apply_sequence", "_aligned_witness",
                  "_per_component_witness", "_build_alignment_cover"}
     assert checked_adoption == {("graph", f) for f in graphs} | {("coloring", f) for f in colorings}
+
+
+# -- the cover proof: incidence, constant fibers, an edge count and the fill ----
+
+
+THETA_GOAL = EdgeColoring(3, {0: 2, 1: 1, 2: 3})
+
+
+def with_cover(w, source, vertex_map, edge_map):
+    """``w`` with its cover replaced by the given maps from ``source`` onto ``w.graph``."""
+    return EquivalenceWitness(
+        w.graph, w.start, w.goal, CoveringMap(source, w.graph, vertex_map, edge_map), w.switches
+    )
+
+
+def test_a_parallel_twin_image_fails_the_local_bijection(theta, theta_coloring):
+    w = kempe_cover_witness(theta, theta_coloring, THETA_GOAL)
+    edge_map = w.cover.edge_map
+    assert edge_map[0] == 0
+    edge_map[0] = 1  # a parallel twin: incidence holds, cover vertex 0 has two edges over edge 1
+    verdict = verify_witness(with_cover(w, w.cover.source, w.cover.vertex_map, edge_map))
+    assert verdict == Verdict(
+        False, "local bijection fails: colors do not make a legal coloring: "
+        "edges 0 and 1 both have color 2 at vertex 0"
+    )
+
+
+def test_a_cover_with_too_few_edges_is_rejected(theta, theta_coloring):
+    # one sheet that carries one of the three edges: incidence holds, the
+    # fibers have size 1 and the pull-back has no clash, but edges 1 and 2
+    # have no lift
+    short = CoveringMap(Multigraph.from_edges(2, [(0, 1)]), theta, [0, 1], {0: 0})
+    w = EquivalenceWitness(theta, theta_coloring, theta_coloring, short, ())
+    assert verify_witness(w) == Verdict(False, "cover edge count 1 is not 1 x 3")
+    assert not verify_covering(short)
+
+
+def test_an_empty_cover_is_rejected(theta, theta_coloring):
+    empty = CoveringMap(Multigraph(0, {}), theta, [], {})
+    # the pull-backs of both colorings are empty, so the replay alone would accept
+    w = EquivalenceWitness(theta, theta_coloring, THETA_GOAL, empty, ())
+    assert verify_witness(w) == Verdict(False, "fibers are empty: no source vertex maps onto the target")
+
+
+def parent_verify_witness(w):
+    """``verify_witness`` as it was while it ran the whole of ``verify_covering``, kept to compare verdicts."""
+    try:
+        if w.cover.target != w.graph:
+            return Verdict(False, "cover does not map onto the witness graph")
+        verdict = verify_covering(w.cover)
+        if not verdict:
+            return verdict
+        d = common_degree(w.graph, w.start, w.goal)
+        current = pullback_coloring(w.cover, w.start)._colors
+        goal = pullback_coloring(w.cover, w.goal)
+        _replay(w.cover.source, d, current, enumerate(w.switches))
+        if current != goal._colors:
+            for e in w.cover.source.edge_ids():
+                if current[e] != goal[e]:
+                    return Verdict(
+                        False,
+                        f"replay mismatch at cover edge {e}: got {current[e]}, want {goal[e]}",
+                    )
+        if all(value < w.cover.degree for value in equivalence._betas(d)):
+            return Verdict(False, f"covering degree {w.cover.degree} exceeds beta({d}) = {beta(d)}")
+        return Verdict(True)
+    except KempeCoversError as exc:
+        return Verdict(False, str(exc))
+
+
+@pytest.fixture(scope="module")
+def proof_witnesses():
+    k33 = make_k33()
+    c1, c2 = (EdgeColoring(3, dict(enumerate(colors))) for colors in (K33_C1, K33_C2))
+    return kempe_cover_witness(k33, c1, c2), kempe_cover_witness(*random_colored_instance(1, 4, 8))
+
+
+@st.composite
+def mutated_cover_rows(draw, w):
+    """``w`` after 1-2 changes to rows of its ``vertex_map``, ``edge_map`` and ``cover.edges``.
+
+    Some keep incidence, so that the counts and the fill get reached: an
+    image moved to a parallel twin, and a cover edge whose ends move within
+    their fibers.
+    """
+    base, source = w.graph, w.cover.source
+    vertex_map, edge_map, edges = list(w.cover.vertex_map), w.cover.edge_map, dict(source._edges)
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["vertex", "image", "twin", "ends", "drop"]))
+        e = draw(st.sampled_from(sorted(edges)))
+        if kind == "vertex":
+            vertex_map[draw(st.sampled_from(range(len(vertex_map))))] = draw(st.integers(-1, base.vertex_count))
+        elif kind == "image":
+            edge_map[e] = draw(st.integers(-1, base.edge_count))
+        elif kind == "twin" and edge_map[e] in base._edges:
+            ends = set(base._edges[edge_map[e]])
+            edge_map[e] = draw(st.sampled_from([f for f, uw in base._edges.items() if set(uw) == ends]))
+        elif kind == "ends":
+            moved = tuple(
+                draw(st.sampled_from([x for x, image in enumerate(vertex_map) if image == vertex_map[v]]))
+                for v in edges[e]
+            )
+            if moved[0] != moved[1]:
+                edges[e] = moved
+        elif kind == "drop" and len(edges) > 1:  # a cover edge and its edge_map row
+            del edges[e], edge_map[e]
+    return with_cover(w, Multigraph(source.vertex_count, edges), vertex_map, edge_map)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_verify_witness_accepts_exactly_what_the_whole_cover_check_accepts(proof_witnesses, data):
+    w = data.draw(st.sampled_from(proof_witnesses))
+    mutant = data.draw(mutated_cover_rows(w))
+    assert bool(verify_witness(mutant)) == bool(parent_verify_witness(mutant))

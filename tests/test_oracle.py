@@ -16,13 +16,16 @@ from kempe_covers import (
     apply_sequence,
     bichromatic_cycles,
     common_degree,
+    disjoint_union,
     enumerate_legal_colorings,
     equivalent_without_cover,
     is_legal,
     is_regular,
     kempe_class_partition,
+    kempe_cover_witness,
     kempe_switch,
     oracle,
+    pullback_coloring,
     random_colored_instance,
     spanning_subgraph,
 )
@@ -522,3 +525,54 @@ def test_switch_walker_matches_bichromatic_cycles(seed, shape, data):
     path = equivalent_without_cover(g, c2, goal, max_edges=60)
     assert path is not None and len(path) <= 1
     assert apply_sequence(g, c2, path) == goal
+
+
+# -- the theorem on small covers, checked by the oracle's own walker -----------
+#
+# Every witness claim elsewhere goes through the replay, the code under test.
+# The packed-key walker shares nothing with it. Only d = 3 fits the oracle:
+# a d=3 witness cover has beta(3) = 2 times the base's edges, so bases of at
+# most 15 edges stay within DEFAULT_MAX_EDGES = 30, while beta(4) = 12 puts
+# every d=4 cover past it.
+
+
+@pytest.fixture(scope="module")
+def two_class_censuses():
+    """Censuses of small cubic bases, each with at least two Kempe classes."""
+    bases = [make_k33(), disjoint_union([make_k33(), make_theta()])[0]]
+    bases += [random_colored_instance(seed, 3, n)[0] for seed, n in [(17, 8), (22, 8), (2, 10), (9, 10)]]
+    censuses = [kempe_class_partition(g) for g in bases]
+    assert all(len(census.classes) >= 2 for census in censuses)
+    assert all(2 * g.edge_count <= DEFAULT_MAX_EDGES for g in bases)
+    return censuses
+
+
+def walk_in_the_oracle_graph(g, start, switches):
+    """The packed coloring reached from ``start`` along ``switches``, each checked
+    to be one edge of the oracle's Kempe graph on ``g``: a whole two-color component."""
+    d = start.degree
+    neighbors, cycle = _switch_walker(g, d)
+    key = _pack(map(start._colors.__getitem__, g.edge_ids()), d.bit_length())
+    for k, switch in enumerate(switches):
+        moves = {cycle(pair, covered): mask for pair, covered, mask in neighbors(key)}
+        assert switch in moves, f"witness switch {k} is not one switch of the oracle's Kempe graph"
+        key ^= moves[switch]
+    return key
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_the_oracle_confirms_each_witness_on_its_cover(two_class_censuses, data):
+    census = data.draw(st.sampled_from(two_class_censuses))
+    g = census.graph
+    first, second = data.draw(st.lists(st.sampled_from(census.classes), min_size=2, max_size=2, unique=True))
+    c1 = census.colorings[data.draw(st.sampled_from(first))]
+    c2 = census.colorings[data.draw(st.sampled_from(second))]
+    assert equivalent_without_cover(g, c1, c2) is None
+    w = kempe_cover_witness(g, c1, c2)
+    cover = w.cover.source
+    start, goal = pullback_coloring(w.cover, c1), pullback_coloring(w.cover, c2)
+    path = equivalent_without_cover(cover, start, goal)
+    assert path is not None and len(path) <= len(w.switches)
+    end = walk_in_the_oracle_graph(cover, start, w.switches)
+    assert end == _pack(map(goal._colors.__getitem__, cover.edge_ids()), start.degree.bit_length())

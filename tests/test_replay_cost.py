@@ -293,12 +293,13 @@ def test_align_color_checks_its_inputs_once(monkeypatch):
 
 def test_kempe_cover_witness_proves_its_inputs_once(monkeypatch):
     g, c1, c2 = random_colored_instance(1, 5, 6)
-    covers = counter(monkeypatch, (covering, equivalence), "verify_covering")
+    covers = [counter(monkeypatch, bindings(name, covering), name)
+              for name in ("verify_covering", "_verify_incidence")]
     degrees = counter(monkeypatch, bindings("common_degree"), "common_degree")
     replays = counter(monkeypatch, bindings("_replay"), "_replay")
     w = kempe_cover_witness(g, c1, c2)
     assert w.cover.degree == 576 and len(w.switches) == 5088
-    assert covers == []
+    assert covers == [[], []]
     assert degrees == [(g, c1, c2)]
     # the recursion, its d=2 base included, re-proves nothing: 45 checks when
     # the base took its cycles from bichromatic_cycles

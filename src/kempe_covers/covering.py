@@ -15,7 +15,8 @@ constant fibers, an edge count and the legality of a pulled-back coloring.
 Fiber sizes are required to be constant across all base vertices, even for
 disconnected bases; the equivalence construction normalizes every
 intermediate cover to a uniform degree, so nothing more general is needed
-and composition stays well-defined.
+and composition stays well-defined. ``CoveringMap.degree`` checks that every
+vertex image lies in the target before it counts the fibers.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ class CoveringMap:
     """Vertex and edge maps from a source graph onto a target graph.
 
     Construction does not validate; run :func:`verify_covering` explicitly
-    (tests need to build broken maps on purpose). ``degree`` validates.
+    (tests need to build broken maps on purpose). ``degree`` checks the
+    vertex map alone: every image in the target, fibers of one size m >= 1.
     """
 
     __slots__ = ("source", "target", "_vmap", "_emap", "_degree")
@@ -89,14 +91,17 @@ class CoveringMap:
 
     @property
     def degree(self) -> int:
-        """Common fiber size; raises if fibers are not constant or are empty."""
+        """Common fiber size; raises on an image outside the target, or on fibers not constant or empty."""
         if self._degree is None:
-            sizes = [0] * self.target.vertex_count
-            for image in self._vmap:
+            n = self.target.vertex_count
+            sizes = [0] * n
+            for v, image in enumerate(self._vmap):
+                if not 0 <= image < n:
+                    raise CoveringError(f"vertex {v} maps outside the target")
                 sizes[image] += 1
-            if not sizes or len(set(sizes)) != 1:
+            if len(set(sizes)) > 1:
                 raise CoveringError(f"fiber sizes not constant: {sorted(set(sizes))}")
-            if not sizes[0]:
+            if not any(sizes):
                 raise CoveringError("fibers are empty: no source vertex maps onto the target")
             self._degree = sizes[0]
         return self._degree
@@ -139,17 +144,11 @@ def _verify_incidence(p: CoveringMap) -> Verdict:
 def verify_covering(p: CoveringMap) -> Verdict:
     """Check totality, incidence, surjectivity, local bijection, constant fibers.
 
-    Images that keep incidence put v's edges over edges at vmap[v]. The
-    local bijection is then read from the edge table. When the 2|E| pairs
-    (end vertex, image edge) are distinct, the images of v's edges are
-    distinct edges at vmap[v], so deg(v) <= deg(vmap[v]) at every source
-    vertex. Summed over the source, the left sides give 2|E_src| and, with
-    m sources over every target vertex, the right sides give 2m|E_tgt|. So
-    when |E_src| = m|E_tgt| as well, every inequality is an equality and
-    each vertex's edges map onto the edges at its image. Only when the
-    counts fail are the degrees of both graphs and the distinct pairs at
-    each source vertex counted, to name the first source vertex where two
-    edges share an image or the degree differs from its image's.
+    Images that keep incidence put v's edges over edges at vmap[v]. So v's
+    edges map one to one onto the edges at vmap[v] exactly when the
+    (end vertex, image edge) pairs at v are deg(v) distinct ones and
+    deg(v) = deg(vmap[v]). The first source vertex where two edges share
+    an image or the degrees differ is named.
     """
     verdict = _verify_incidence(p)
     if not verdict:
@@ -163,23 +162,18 @@ def verify_covering(p: CoveringMap) -> Verdict:
     images = [emap[e] for e in src_edges]
     pairs = set(zip([u for u, _ in src_edges.values()], images))
     pairs.update(zip([w for _, w in src_edges.values()], images))
+    distinct, degree, tgt_degree = [0] * len(vmap), _degrees(src), _degrees(tgt)
+    for v, _ in pairs:
+        distinct[v] += 1
+    for v, x in enumerate(vmap):
+        if distinct[v] != degree[v]:
+            return Verdict(False, f"local bijection fails at source vertex {v} (collision)")
+        if degree[v] != tgt_degree[x]:
+            return Verdict(False, f"local bijection fails at source vertex {v}")
     try:
-        counted = len(pairs) == 2 * len(src_edges) and len(src_edges) == p.degree * len(tgt_edges)
-    except CoveringError:
-        counted = False
-    if not counted:
-        distinct, degree, tgt_degree = [0] * len(vmap), _degrees(src), _degrees(tgt)
-        for v, _ in pairs:
-            distinct[v] += 1
-        for v, x in enumerate(vmap):
-            if distinct[v] != degree[v]:
-                return Verdict(False, f"local bijection fails at source vertex {v} (collision)")
-            if degree[v] != tgt_degree[x]:
-                return Verdict(False, f"local bijection fails at source vertex {v}")
-        try:
-            p.degree
-        except CoveringError as exc:
-            return Verdict(False, str(exc))
+        p.degree
+    except CoveringError as exc:
+        return Verdict(False, str(exc))
     return Verdict(True)
 
 

@@ -93,15 +93,29 @@ def test_degree_refuses_empty_fibers():
     assert verify_covering(empty) == Verdict(False, "vertex map is not surjective")
 
 
-def test_verify_covering_reports_nonconstant_fibers():
-    # locally bijective onto two triangles, but a hexagon covers one twice
-    base, _ = disjoint_union([make_cycle(3), make_cycle(3)])
-    source, _ = disjoint_union([make_cycle(6), make_cycle(3)])
-    vertex_map = [v % 3 for v in range(6)] + [3, 4, 5]
-    edge_map = {e: e % 3 if e < 6 else e - 3 for e in source.edge_ids()}
-    verdict = verify_covering(CoveringMap(source, base, vertex_map, edge_map))
-    assert not verdict
-    assert verdict.reason == "fiber sizes not constant: [1, 2]"
+@pytest.mark.parametrize("image", [-1, 5])
+def test_degree_refuses_an_image_outside_the_target(image):
+    edge = Multigraph.from_edges(2, [(0, 1)])
+    with pytest.raises(CoveringError, match="^vertex 1 maps outside the target$"):
+        CoveringMap(edge, edge, [0, image], {0: 0}).degree
+
+
+def test_degree_refuses_an_empty_target():
+    empty = Multigraph(0, {})
+    reason = "fibers are empty: no source vertex maps onto the target"
+    with pytest.raises(CoveringError, match=f"^{reason}$"):
+        CoveringMap(empty, empty, [], {}).degree
+    assert verify_covering(CoveringMap(empty, empty, [], {})) == Verdict(False, reason)
+
+
+@pytest.mark.parametrize("image", [-1, 6])
+def test_extend_refuses_an_image_outside_the_target(k33, k33_pair, image):
+    h = spanning_subgraph(k33, k33_pair[0].color_class(1))
+    vmap = list(range(6))
+    vmap[5] = image
+    broken = CoveringMap(h, h, vmap, {e: e for e in h.edge_ids()})
+    with pytest.raises(CoveringError, match="^vertex 5 maps outside the target$"):
+        extend_subgraph_cover(k33, h, broken)
 
 
 def test_pullback_through_identity(k33, k33_pair):
@@ -333,6 +347,15 @@ def _local_bijection():
     return CoveringMap(source, make_theta(), [0, 1, 0, 1], {0: 0, 1: 1, 2: 2})
 
 
+def _nonconstant_fibers():
+    # locally bijective onto two triangles, but a hexagon covers one twice
+    base, _ = disjoint_union([make_cycle(3), make_cycle(3)])
+    source, _ = disjoint_union([make_cycle(6), make_cycle(3)])
+    vertex_map = [v % 3 for v in range(6)] + [3, 4, 5]
+    edge_map = {e: e % 3 if e < 6 else e - 3 for e in source.edge_ids()}
+    return CoveringMap(source, base, vertex_map, edge_map)
+
+
 @pytest.mark.parametrize(
     "broken, reason",
     [
@@ -345,11 +368,10 @@ def _local_bijection():
         (_edge_not_surjective, "edge map is not surjective"),
         (_collision, "local bijection fails at source vertex 0 (collision)"),
         (_local_bijection, "local bijection fails at source vertex 0"),
+        (_nonconstant_fibers, "fiber sizes not constant: [1, 2]"),
     ],
 )
 def test_verify_covering_reasons(broken, reason):
-    # the tenth reason, non-constant fibers, is pinned by
-    # test_verify_covering_reports_nonconstant_fibers
     assert verify_covering(broken()) == Verdict(False, reason)
 
 
@@ -357,7 +379,7 @@ def test_verify_covering_reasons(broken, reason):
 
 
 def reference_verify_covering(p):
-    """The multi-pass verify_covering this module's fast path must agree with."""
+    """The multi-pass verify_covering this module's one-pass check must agree with."""
     src, tgt, vmap = p.source, p.target, p.vertex_map
     if len(vmap) != src.vertex_count:
         return Verdict(False, "vertex map is not total on the source")

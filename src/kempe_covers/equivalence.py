@@ -10,8 +10,8 @@ beta(d) = (d-1) * beta(d-1)^2. The construction is a recursion on d:
   colorings differ transforms one into the other.
 * disconnected: witness every connected component on its own and take the
   disjoint union. Identical components (the same relabelled edges and the
-  same colors on them) are solved once per split; their padded cover and
-  switches are shared between the parts, which only read them.
+  same colors on them) are solved once per split; their cover and switches
+  are shared between the parts, which only read them.
 * top-color classes already equal: drop the top color. The remaining edges
   form a spanning (d-1)-regular subgraph carrying both colorings; recurse
   there, extend the resulting cover to the full graph (the top-color edges
@@ -23,11 +23,11 @@ beta(d) = (d-1) * beta(d-1)^2. The construction is a recursion on d:
   the degrees to (d-1) * beta(d-1)^2 exactly.
 
 Every result is normalized to degree exactly beta(d) by padding with
-disjoint copies (the switch sequence lifts through the copy projection),
-except the trivial short-circuit for identical inputs, which keeps the
-identity cover. Padding keeps fibers constant across disconnected
-intermediate subgraphs, which is what lets cover extension stay in the
-constant-fiber case throughout.
+disjoint copies, except the trivial short-circuit for identical inputs,
+which keeps the identity cover. Padding is a disjoint union of copies
+that renumbers each switch onto every copy, with no replay. It keeps
+fibers constant across disconnected intermediate subgraphs, which is what
+lets cover extension stay in the constant-fiber case throughout.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .covering import (
     Verdict,
     _verify_incidence,
     compose,
-    copies_cover,
     extend_subgraph_cover,
     lift_sequence,
     pullback_coloring,
@@ -158,29 +157,6 @@ def verify_witness(w: EquivalenceWitness) -> Verdict:
         return Verdict(False, str(exc))
 
 
-def _pad_to_degree(
-    cover: CoveringMap,
-    switches: SwitchSequence,
-    start: EdgeColoring,
-    target_degree: int,
-) -> tuple[CoveringMap, SwitchSequence]:
-    """Pad a witness cover with disjoint copies up to an exact degree.
-
-    ``start`` is the base coloring the switches replay from; the sequence is
-    lifted through the copy projection so it replays on every copy.
-    """
-    factor, remainder = divmod(target_degree, cover.degree)
-    if remainder:
-        raise CoveringError(
-            f"cannot normalize degree {cover.degree} to {target_degree}: not a divisor"
-        )
-    if factor == 1:
-        return cover, tuple(switches)
-    projection = copies_cover(cover.source, factor)
-    lifted = lift_sequence(projection, pullback_coloring(cover, start), switches)
-    return compose(cover, projection), lifted
-
-
 def _base_two_witness(
     g: Multigraph, c1: EdgeColoring, c2: EdgeColoring
 ) -> tuple[CoveringMap, SwitchSequence]:
@@ -203,7 +179,15 @@ def _aligned_witness(
     The sub-witness cover extends to the full graph by lifting each
     top-colored edge along equal fiber labels, and its switch sequence is
     reused verbatim (no switch touches the top color). Result degree is
-    exactly beta(d-1).
+    exactly beta(d-1), with no pad. On unequal inputs :func:`_witness` has
+    degree exactly beta(k): the d=2 identity is degree 1 = beta(2), two
+    cases take copies up to beta(k), the third composes (k-1)*beta(k-1)^2.
+    And the colorings of the rest always differ. In :func:`_witness`,
+    c1 != c2 with equal top classes. In :func:`_misaligned_witness`'s first
+    call, the d-1 lifts of an edge with c1 != d take every shifted color.
+    In its second, every vertex meets at most two edges top-colored in c1
+    or c2, so at d >= 3 some edge is neither; its lifts miss the moving
+    preimage and keep all d-1 shifted colors, which the surjective r1 keeps.
     """
     colors = c1._colors
     rest = [e for e in g._edges if colors[e] != d]
@@ -211,8 +195,7 @@ def _aligned_witness(
     # both colorings give the top color to the same edges, so rest misses it
     sub = [EdgeColoring._adopt(d - 1, {e: c._colors[e] for e in rest}) for c in (c1, c2)]
     cover, switches = _witness(h, *sub, d - 1)
-    extended = extend_subgraph_cover(g, h, cover)
-    return _pad_to_degree(extended, switches, c1, beta(d - 1))
+    return extend_subgraph_cover(g, h, cover), switches
 
 
 def _misaligned_witness(
@@ -265,15 +248,14 @@ def _per_component_witness(
     d: int,
     components: list[frozenset[VertexId]],
 ) -> tuple[CoveringMap, SwitchSequence]:
-    """Witness each of the ``components`` of ``g`` on its own, pad to beta(d), take the union.
+    """Witness each of the ``components`` of ``g`` on its own, take the union of copies at beta(d).
 
     Identical components are solved once per call: two components with the
     same relabelled edge pairs and the same colors on them get the same
-    padded witness, so the first one's is reused for the rest. The key holds
+    witness, so the first one's is reused for the rest. The key holds
     the edge ids (dense, in pair order), because the witness carries them.
     A reused pair is shared between parts and only read.
     """
-    target = beta(d)
     solved: dict[tuple, tuple[CoveringMap, SwitchSequence]] = {}
     parts = []
     for pairs, vback, eback in _induced_components(g, components):
@@ -286,24 +268,36 @@ def _per_component_witness(
             # the colors of c1 and c2 on those edges
             sub_c1 = EdgeColoring._adopt(d, dict(enumerate(colors1)))
             sub_c2 = EdgeColoring._adopt(d, dict(enumerate(colors2)))
-            cover, switches = _witness(sub, sub_c1, sub_c2, d)
-            solved[key] = _pad_to_degree(cover, switches, sub_c1, target)
+            solved[key] = _witness(sub, sub_c1, sub_c2, d)
         parts.append((*solved[key], vback, eback))
+    return _union_witness(g, parts, beta(d))
 
-    union, emaps = disjoint_union([cover.source for cover, _, _, _ in parts])
+
+def _union_witness(g: Multigraph, parts: list[tuple], degree: int) -> tuple[CoveringMap, SwitchSequence]:
+    """The disjoint union of ``degree // cover.degree`` copies of each part's witness: a cover of ``g``.
+
+    A part ``(cover, switches, vback, eback)`` is a witness whose vertex and
+    edge ids map into ``g`` through ``vback`` and ``eback``. Copies follow
+    one another, part by part, and each switch goes onto every copy of its
+    part before the next: the order in which :func:`lift_sequence` lifts a
+    sequence through the projection of the copies, here with no replay.
+    """
+    copies = [degree // cover.degree for cover, _, _, _ in parts]
+    union, emaps = disjoint_union([cover.source for (cover, *_), m in zip(parts, copies) for _ in range(m)])
     vertex_map: list[VertexId] = []
-    edge_map: dict[EdgeId, EdgeId] = {}
+    edge_images: list[EdgeId] = []
     all_switches: list[BichromaticCycle] = []
-    for (cover, switches, vback, eback), emap in zip(parts, emaps):
-        # each part's vertices follow the previous parts' in the union, in order
-        vertex_map.extend([vback[x] for x in cover._vmap])
-        cover_emap = cover._emap
-        edge_map.update({new: eback[cover_emap[old]] for old, new in emap.items()})
-        # disjoint_union numbers a part's edges in increasing order, so the
-        # mapped ids of a sorted switch stay sorted
+    at = 0
+    for (cover, switches, vback, eback), m in zip(parts, copies):
+        vertex_map += [vback[x] for x in cover._vmap] * m
+        edge_images += [eback[cover._emap[e]] for e in cover.source._edges] * m
+        part_emaps, at = emaps[at:at + m], at + m
+        # disjoint_union numbers a copy's edges in increasing order, so a sorted switch stays sorted
         for cyc in switches:
-            all_switches.append(BichromaticCycle(cyc.colors, tuple(map(emap.__getitem__, cyc.edge_ids))))
-    return CoveringMap(union, g, vertex_map, edge_map), tuple(all_switches)
+            for emap in part_emaps:
+                all_switches.append(BichromaticCycle(cyc.colors, tuple(map(emap.__getitem__, cyc.edge_ids))))
+    # the union numbers its edges 0, 1, ... copy after copy
+    return CoveringMap(union, g, vertex_map, dict(enumerate(edge_images))), tuple(all_switches)
 
 
 def kempe_cover_witness(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> EquivalenceWitness:
@@ -340,5 +334,5 @@ def _witness(
     split = _split_color_d(g, c1, c2, d)
     if not split.moving:  # the top-color classes are equal
         cover, switches = _aligned_witness(g, c1, c2, d)
-        return _pad_to_degree(cover, switches, c1, beta(d))
+        return _union_witness(g, [(cover, switches, range(g.vertex_count), range(max(g._edges) + 1))], beta(d))
     return _misaligned_witness(g, c1, c2, split)

@@ -90,7 +90,8 @@ def _coloring_keys(g: Multigraph, max_edges: int) -> tuple[int, list[int]]:
     The list stops beyond ``MAX_COLORINGS`` matchings. The colorings are
     then matched color by color instead, each color among the edges the
     earlier ones left, so the search stops at coloring ``MAX_COLORINGS``
-    + 1 without listing every matching first.
+    + 1 without listing every matching first. A base whose search passes
+    the recursion limit (an even cycle on 2,000 vertices) is refused too.
     """
     d = is_regular(g)
     if d is None:
@@ -149,11 +150,14 @@ def _coloring_keys(g: Multigraph, max_edges: int) -> tuple[int, list[int]]:
             found([key])
 
     try:
-        match(everyone, every_edge, 0, listed)
-    except _TooManyMatchings:
-        extend(1, every_edge, d * every_edge)
-    else:
-        choose(1, matchings, d * every_edge)
+        try:
+            match(everyone, every_edge, 0, listed)
+        except _TooManyMatchings:
+            extend(1, every_edge, d * every_edge)
+        else:
+            choose(1, matchings, d * every_edge)
+    except RecursionError:  # the search nests one call per matched pair
+        raise EnumerationLimitError(f"{g.vertex_count} vertices nest the matching search too deep") from None
     keys.sort()
     return d, keys
 

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import strategies as st
 
-from kempe_covers import EdgeColoring, Multigraph, alignment, covering, is_legal, verify_covering
+from kempe_covers import EdgeColoring, Multigraph, alignment, covering, equivalence, is_legal, verify_covering
 
 
 def pytest_runtest_logreport(report):
@@ -104,9 +104,11 @@ def cube():
 def _checking_covers(fn, checked):
     def wrapped(*args, **kwargs):
         result = fn(*args, **kwargs)
-        p, *colorings = result if isinstance(result, tuple) else (result,)
+        p, *rest = result if isinstance(result, tuple) else (result,)
         verdict = verify_covering(p)
         assert verdict, f"{fn.__name__} built a map that is not a covering: {verdict.reason}"
+        # a coloring built with the cover must be legal; a switch sequence is left to verify_witness
+        colorings = [c for c in rest if isinstance(c, EdgeColoring)]
         assert all(is_legal(p.source, c) for c in colorings), f"{fn.__name__} built an illegal coloring"
         checked[fn.__name__] += 1
         return result
@@ -131,18 +133,20 @@ def checked_layers():
     The library proves its inputs once and builds every later cover and
     coloring from lemmas, without checking them again. While this fixture
     is active, every cover that ``compose``, ``copies_cover``,
-    ``extend_subgraph_cover`` and ``_build_alignment_cover`` return must pass
-    ``verify_covering`` (and the shifted coloring ``is_legal``), and every
-    ``pullback_coloring`` result must be legal. Each function is replaced in
-    every ``kempe_covers`` namespace that binds it, so calls between layers
-    are checked too. ``_build_alignment_cover`` is the builder behind both
-    the public ``build_alignment_cover`` and the recursion's private
-    alignment entry. Yields the number of checked results per function.
+    ``extend_subgraph_cover``, ``_build_alignment_cover`` and the padding
+    union ``_union_witness`` return must pass ``verify_covering`` (and the
+    shifted coloring ``is_legal``), and every ``pullback_coloring`` result
+    must be legal. Each function is replaced in every ``kempe_covers``
+    namespace that binds it, so calls between layers are checked too.
+    ``_build_alignment_cover`` is the builder behind both the public
+    ``build_alignment_cover`` and the recursion's private alignment entry.
+    Yields the number of checked results per function.
     """
     checked = Counter()
     wrappers = {
         covering.compose: _checking_covers,
         covering.copies_cover: _checking_covers,
+        equivalence._union_witness: _checking_covers,
         covering.extend_subgraph_cover: _checking_covers,
         alignment._build_alignment_cover: _checking_covers,
         covering.pullback_coloring: _checking_pullbacks,

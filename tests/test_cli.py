@@ -33,7 +33,7 @@ from kempe_covers.serialize import (
     witness_from_json,
 )
 
-from conftest import make_k33, mutated_documents
+from conftest import make_cycle, make_k33, mutated_documents
 
 K33 = str(bundled_instance_path("k33"))
 THETA = str(bundled_instance_path("theta"))
@@ -539,6 +539,16 @@ def test_classes_stops_at_the_coloring_bound(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: more than 1000 legal colorings"]
+
+
+def test_classes_refuses_a_cycle_too_long_for_the_matching_search(tmp_path, capsys):
+    # 2,400 edges pass --max-edges 5000, but the search would recurse 1,200 calls deep
+    path = tmp_path / "cycle.json"
+    dump_json(instance_to_json(make_cycle(2400), {}), path)
+    assert main(["classes", "--input", str(path), "--max-edges", "5000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: 2400 vertices nest the matching search too deep"]
 
 
 def test_classes_max_edges_defaults_to_the_oracle_bound():

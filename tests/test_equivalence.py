@@ -223,6 +223,30 @@ def test_over_degree_witness_rejected(k33, k33_pair):
     assert "exceeds beta(3) = 2" in verdict.reason
 
 
+def reference_pad_to_degree(cover, switches, start, target_degree):
+    """Padding as a lift, frozen: project copies of the cover, lift the switches by a replay, compose."""
+    projection = copies_cover(cover.source, target_degree // cover.degree)
+    lifted = lift_sequence(projection, pullback_coloring(cover, start), switches)
+    return compose(cover, projection), lifted
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([(3, 4), (3, 6), (3, 8), (4, 6)]),
+    st.integers(min_value=2, max_value=3),
+)
+def test_union_of_copies_pads_as_the_lift_through_the_copies(seed, shape, factor):
+    g, c1, c2 = random_colored_instance(seed, *shape)
+    w = kempe_cover_witness(g, c1, c2)
+    target = factor * w.cover.degree
+    part = (w.cover, w.switches, range(g.vertex_count), range(max(g._edges) + 1))
+    cover, switches = equivalence._union_witness(g, [part], target)
+    expected_cover, expected_switches = reference_pad_to_degree(w.cover, w.switches, c1, target)
+    assert cover == expected_cover and cover.degree == target
+    assert switches == expected_switches
+
+
 def rejected_input(name):
     """A witness graph and two colorings, each of which ``verify_witness`` must refuse."""
     k33 = make_k33()

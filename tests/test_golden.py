@@ -36,10 +36,17 @@ def random_d4():
     return kempe_cover_witness(*random_colored_instance(2, 4, 8)), None
 
 
+def random_d3():
+    # an aligned d=3 witness padded to two copies: its switches alternate
+    # between the copies, each switch on both before the next
+    return kempe_cover_witness(*random_colored_instance(5, 3, 4)), None
+
+
 CASES = {
     "k33_c1_c2.json": lambda: bundled("k33"),
     "theta_c1_c2.json": lambda: bundled("theta"),
     "random_d4_n8_seed2.json": random_d4,
+    "random_d3_n4_seed5.json": random_d3,
 }
 
 

@@ -31,7 +31,7 @@ from kempe_covers import (
 )
 from kempe_covers.oracle import DEFAULT_MAX_EDGES, _coloring_keys, _edge_colorings, _pack, _switch_walker
 
-from conftest import dart_lists, make_cube, make_k33, make_theta
+from conftest import dart_lists, make_cube, make_cycle, make_k33, make_theta
 
 
 def make_k4():
@@ -72,6 +72,15 @@ def test_enumeration_refuses_large_graphs():
     with pytest.raises(EnumerationLimitError):
         enumerate_legal_colorings(big)
     assert len(enumerate_legal_colorings(big, max_edges=32)) == 2
+
+
+def test_enumeration_refuses_a_base_too_deep_for_the_matching_search():
+    # the search recurses once per matched pair: an even cycle answers at 200
+    # vertices, and 1,200 pairs pass the interpreter's default limit of 1,000 calls
+    census = kempe_class_partition(make_cycle(200), max_edges=200)
+    assert (len(census.colorings), len(census.classes)) == (2, 1)
+    with pytest.raises(EnumerationLimitError, match="^2400 vertices nest the matching search too deep$"):
+        kempe_class_partition(make_cycle(2400), max_edges=5000)
 
 
 def test_theta_single_class_of_six(theta):

@@ -45,7 +45,7 @@ def test_checked_layers_see_every_construction(checked_layers):
     before = dict(checked_layers)
     w = kempe_cover_witness(*random_colored_instance(2, 4, 8))
     assert verify_witness(w)
-    for name in ("compose", "copies_cover", "extend_subgraph_cover", "_build_alignment_cover",
+    for name in ("compose", "_union_witness", "extend_subgraph_cover", "_build_alignment_cover",
                  "pullback_coloring"):
         assert checked_layers[name] > before.get(name, 0), name
 

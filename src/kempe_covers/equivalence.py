@@ -163,11 +163,9 @@ def _base_two_witness(
     """d = 2: switch exactly the cycles on which the colorings differ.
 
     Every edge has color 1 or 2, so the cycles of ``g`` are its {1, 2} components."""
-    switches = []
-    for edges in _cycle_decomposition(g, g._edges):
-        first = edges[0]  # both colorings alternate around the cycle
-        if c1._colors[first] != c2._colors[first]:
-            switches.append(BichromaticCycle((1, 2), edges))
+    # both colorings alternate around each cycle, so they differ on all of it or on none
+    differ = [e for e in g._edges if c1._colors[e] != c2._colors[e]]
+    switches = [BichromaticCycle((1, 2), edges) for edges in _cycle_decomposition(g, differ)]
     return CoveringMap.identity(g), tuple(switches)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable
 
 from .coloring import (
@@ -72,10 +72,6 @@ def _edge_colorings(g: Multigraph, d: int, keys: list[int]) -> list[EdgeColoring
     return [EdgeColoring(d, {e: key >> shift & field for e, shift in places}) for key in keys]
 
 
-class _TooManyMatchings(Exception):
-    """The perfect matchings of a base outnumber ``MAX_COLORINGS``."""
-
-
 def _coloring_keys(g: Multigraph, max_edges: int) -> tuple[int, list[int]]:
     """The degree and every legal coloring as a :func:`_pack` key, sorted.
 
@@ -90,8 +86,8 @@ def _coloring_keys(g: Multigraph, max_edges: int) -> tuple[int, list[int]]:
     The list stops beyond ``MAX_COLORINGS`` matchings. The colorings are
     then matched color by color instead, each color among the edges the
     earlier ones left, so the search stops at coloring ``MAX_COLORINGS``
-    + 1 without listing every matching first. A base whose search passes
-    the recursion limit (an even cycle on 2,000 vertices) is refused too.
+    + 1 without listing every matching first. The matching search keeps
+    its own stack, of at most 1 + (d-1)·n/2 entries on n vertices.
     """
     d = is_regular(g)
     if d is None:
@@ -109,24 +105,21 @@ def _coloring_keys(g: Multigraph, max_edges: int) -> tuple[int, list[int]]:
         partners[v].append((u, bit))
     everyone, every_edge = (1 << g.vertex_count) - 1, sum(unit)
     keys: list[int] = []
-    matchings: list[int] = []
 
-    def match(free: int, left: int, units: int, complete) -> None:
-        # matches the lowest vertex in free along an edge in left; complete
-        # takes each perfect matching of the free vertices
-        if not free:
-            complete(units)
-            return
-        low = free & -free
-        free ^= low
-        for w, bit in partners[low.bit_length() - 1]:
-            if bit & left and free >> w & 1:
-                match(free ^ 1 << w, left, units | bit, complete)
-
-    def listed(units: int) -> None:
-        if len(matchings) == MAX_COLORINGS:
-            raise _TooManyMatchings
-        matchings.append(units)
+    def matchings(left: int):
+        # each perfect matching within the edges in left, depth first: the
+        # lowest free vertex takes its partners in id order
+        stack = [(everyone, 0)]
+        while stack:
+            free, units = stack.pop()
+            if not free:
+                yield units
+                continue
+            low = free & -free
+            free ^= low
+            for w, bit in reversed(partners[low.bit_length() - 1]):
+                if bit & left and free >> w & 1:
+                    stack.append((free ^ 1 << w, units | bit))
 
     def found(batch: list[int]) -> None:
         keys.extend(batch)
@@ -145,19 +138,16 @@ def _coloring_keys(g: Multigraph, max_edges: int) -> tuple[int, list[int]]:
     def extend(c: int, left: int, key: int) -> None:
         # as choose, with color c matched in left, the edges no earlier color took
         if c < d:
-            match(everyone, left, 0, lambda units: extend(c + 1, left ^ units, key - (d - c) * units))
+            for units in matchings(left):
+                extend(c + 1, left ^ units, key - (d - c) * units)
         else:
             found([key])
 
-    try:
-        try:
-            match(everyone, every_edge, 0, listed)
-        except _TooManyMatchings:
-            extend(1, every_edge, d * every_edge)
-        else:
-            choose(1, matchings, d * every_edge)
-    except RecursionError:  # the search nests one call per matched pair
-        raise EnumerationLimitError(f"{g.vertex_count} vertices nest the matching search too deep") from None
+    pool = list(islice(matchings(every_edge), MAX_COLORINGS + 1))
+    if len(pool) > MAX_COLORINGS:
+        extend(1, every_edge, d * every_edge)
+    else:
+        choose(1, pool, d * every_edge)
     keys.sort()
     return d, keys
 

@@ -74,13 +74,22 @@ def test_enumeration_refuses_large_graphs():
     assert len(enumerate_legal_colorings(big, max_edges=32)) == 2
 
 
-def test_enumeration_refuses_a_base_too_deep_for_the_matching_search():
-    # the search recurses once per matched pair: an even cycle answers at 200
-    # vertices, and 1,200 pairs pass the interpreter's default limit of 1,000 calls
-    census = kempe_class_partition(make_cycle(200), max_edges=200)
+def test_enumeration_answers_a_cycle_of_2400_vertices():
+    # 1,200 matched pairs: a search recursing once per pair would pass the
+    # interpreter's default limit of 1,000 calls
+    census = kempe_class_partition(make_cycle(2400), max_edges=5000)
     assert (len(census.colorings), len(census.classes)) == (2, 1)
-    with pytest.raises(EnumerationLimitError, match="^2400 vertices nest the matching search too deep$"):
-        kempe_class_partition(make_cycle(2400), max_edges=5000)
+
+
+def test_enumeration_answer_does_not_depend_on_call_depth():
+    # 850 caller frames leave fewer than the 200 that a search recursing once
+    # per matched pair of this cycle would need
+    def nested(depth):
+        return nested(depth - 1) if depth else kempe_class_partition(make_cycle(400), max_edges=400)
+
+    for depth in (0, 850):
+        census = nested(depth)
+        assert (len(census.colorings), len(census.classes)) == (2, 1)
 
 
 def test_theta_single_class_of_six(theta):

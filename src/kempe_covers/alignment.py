@@ -9,23 +9,24 @@ two moving edges.
 
 The alignment cover has d-1 sheets indexed by residues modulo d-1. Write
 ``shift(v)`` for the residue of c1's color on the unique c2-d-edge at v
-(zero at shared vertices) and give every edge an offset
-``offset(e) = shift(origin) - shift(terminus)`` (zero on d-edges of c1),
-for an arbitrary per-edge orientation. The copy of edge e on sheet i runs
-from (terminus, i) to (origin, i + offset(e)), and it is colored d when
-c1(e) = d and ``i - shift(terminus) + c1(e)`` (in residues) otherwise. The
-offsets cancel around moving cycles, so each moving cycle lifts to d-1
-disjoint cycles, one per sheet, and the sheet-i lift is bi-chromatic for
-the cover coloring with pair (color(i), d). Switching all of them yields a
-coloring whose color-d class equals the c2 pull-back's, which is the whole
-point: one color has been aligned at the price of a degree-(d-1) cover.
+(zero at shared vertices). Copy k of an edge e with endpoints u < w runs
+from (u, k) to (w, k + shift(w) - shift(u)), or to (w, k) when c1(e) = d;
+it is colored d when c1(e) = d and ``k - shift(u) + c1(e)`` (a residue, 0
+read as d-1) otherwise. Both ends of a moving edge have one shift, so each
+moving cycle lifts to d-1 disjoint cycles, one per sheet, and the sheet-k
+lift is bi-chromatic for the cover coloring with pair (k, d), k = 0 read
+as d-1. Switching all of them yields a coloring whose color-d class equals
+the c2 pull-back's, which is the whole point: one color has been aligned
+at the price of a degree-(d-1) cover.
 
-Although the offsets depend on the chosen orientation, the constructed
-cover and coloring do not: reversing an edge negates its offset, which
-relabels the sheets of its copies but leaves every (endpoint-sheet,
-endpoint-sheet, color) triple untouched. Copies are therefore keyed by the
-sheet at the edge's smaller-id endpoint, making the output literally equal
-for any two orientation choices.
+These are the sheets of a cyclic-shift voltage for any per-edge
+orientation. Give each edge the offset ``shift(origin) - shift(terminus)``
+(zero on d-edges of c1) and run its copy on sheet i from (terminus, i) to
+(origin, i + offset), colored ``i - shift(terminus) + c1(e)``. Reversing
+an edge negates its offset, which relabels the sheets of its copies but
+leaves every (endpoint-sheet, endpoint-sheet, color) triple untouched. So
+every orientation gives the copies above, numbered by their sheet at the
+smaller endpoint, and the cover is built from the shifts alone.
 """
 
 from __future__ import annotations
@@ -71,7 +72,9 @@ class AlignmentData:
 
     ``anchor[v]`` is the unique c2-top-color edge at v; ``shift[v]`` its
     c1-color as a residue (0 at shared vertices); ``offset[e]`` the sheet
-    displacement across e for the stored orientation. ``modulus`` is d-1.
+    displacement across e for the stored orientation, the default one.
+    ``modulus`` is d-1. The cover is built from ``shift`` alone: any
+    orientation's offsets give the same sheets (see the module docstring).
     """
 
     modulus: int
@@ -107,46 +110,31 @@ def default_orientation(g: Multigraph) -> dict[EdgeId, tuple[VertexId, VertexId]
 
 
 def alignment_data(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> AlignmentData:
-    """Anchor edges, vertex shifts, and edge offsets for the alignment cover."""
-    return _alignment_data(g, c1, c2, split_color_d(g, c1, c2))
+    """Anchor edges, vertex shifts, and the default orientation's edge offsets."""
+    d = common_degree(g, c1, c2)
+    shift = _shifts(g, c1, c2, d)
+    table, colors1, modulus = g._edges, c1._colors, d - 1
+    anchor = {v: e for e in c2.color_class(d) for v in table[e]}
+    oriented = default_orientation(g)
+    offset = {
+        e: 0 if colors1[e] == d else (shift[origin] - shift[terminus]) % modulus
+        for e, (origin, terminus) in oriented.items()
+    }
+    return AlignmentData(modulus, anchor, dict(enumerate(shift)), offset, oriented)
 
 
-def _alignment_data(
-    g: Multigraph,
-    c1: EdgeColoring,
-    c2: EdgeColoring,
-    split: ColorDSplit,
-    orientation: Orientation | None = None,
-) -> AlignmentData:
-    """:func:`alignment_data` from a split of proved inputs; a given orientation is still checked."""
-    d = split.degree
+def _shifts(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring, d: int) -> list[Residue]:
+    """The shift of each vertex of ``g``, from proved inputs: the residue of
+    c1's color on the c2-top-color edge at v, 0 where that edge is shared."""
     if d < 2:
         raise RegularityError("alignment needs degree at least 2 (no residues mod 0)")
-    modulus = d - 1
-
     table, colors1 = g._edges, c1._colors
-    anchor = {v: e for e in c2.color_class(d) for v in table[e]}
-    shift = {
-        v: 0 if v in split.shared_vertices else colors1[anchor[v]] % modulus
-        for v in range(g.vertex_count)
-    }
-
-    if orientation is None:
-        oriented = default_orientation(g)
-    else:
-        oriented = {}
-        for e, ends in table.items():
-            if e not in orientation:
-                raise GraphStructureError(f"orientation missing edge {e}")
-            origin, terminus = orientation[e]
-            if {origin, terminus} != set(ends):
-                raise GraphStructureError(f"orientation of edge {e} does not match its endpoints")
-            oriented[e] = (origin, terminus)
-
-    offset = {}
-    for e, (origin, terminus) in oriented.items():
-        offset[e] = 0 if colors1[e] == d else (shift[origin] - shift[terminus]) % modulus
-    return AlignmentData(modulus, anchor, shift, offset, oriented)
+    shift = [0] * g.vertex_count
+    for e in c2.color_class(d):
+        if colors1[e] != d:
+            u, w = table[e]
+            shift[u] = shift[w] = colors1[e] % (d - 1)
+    return shift
 
 
 def build_alignment_cover(
@@ -157,54 +145,52 @@ def build_alignment_cover(
 ) -> tuple[CoveringMap, EdgeColoring]:
     """The degree-(d-1) cover and its shifted coloring.
 
-    Cover vertex ``v*(d-1) + i`` is vertex v on sheet i. Copies of an edge
-    are keyed by the sheet at the smaller-id endpoint, so the output is the
-    same graph, map, and coloring for every orientation choice. The inputs
-    are validated; the cover and the shifted coloring are legal by
-    construction and are not re-checked.
+    Cover vertex ``v*(d-1) + k`` is vertex v on sheet k, and cover edge
+    ``r*(d-1) + k`` is copy k of the base edge of rank r, on the sheets of
+    the module docstring. A given ``orientation`` must pair each edge's two
+    endpoints; its offsets give these same sheets, so the output is one
+    graph, map and coloring for every orientation. The inputs are
+    validated; the cover and the shifted coloring are legal by construction
+    and are not re-checked.
     """
-    data = _alignment_data(g, c1, c2, split_color_d(g, c1, c2), orientation)
-    return _build_alignment_cover(g, c1, data)
+    shift = _shifts(g, c1, c2, common_degree(g, c1, c2))
+    if orientation is not None:
+        for e, ends in g._edges.items():
+            if e not in orientation:
+                raise GraphStructureError(f"orientation missing edge {e}")
+            try:
+                origin, terminus = orientation[e]
+                matches = {origin, terminus} == set(ends)
+            except (TypeError, ValueError):  # not a pair of vertex ids
+                matches = False
+            if not matches:
+                raise GraphStructureError(f"orientation of edge {e} does not match its endpoints")
+    return _build_alignment_cover(g, c1, shift)
 
 
 def _build_alignment_cover(
-    g: Multigraph, c1: EdgeColoring, data: AlignmentData
+    g: Multigraph, c1: EdgeColoring, shift: list[Residue]
 ) -> tuple[CoveringMap, EdgeColoring]:
-    """:func:`build_alignment_cover` from the data of proved inputs."""
-    d = c1.degree
-    modulus = data.modulus
+    """:func:`build_alignment_cover` from the vertex shifts of proved inputs."""
+    d, modulus = c1.degree, c1.degree - 1
     pairs: dict[EdgeId, tuple[VertexId, VertexId]] = {}
     emap: dict[EdgeId, EdgeId] = {}
     colors: dict[EdgeId, int] = {}
-    for e, (u, w) in g._edges.items():
-        origin, terminus = data.orientation[e]
-        offset, color = data.offset[e], c1._colors[e]
-        keyed_at_terminus = min(u, w) == terminus
-        lifts = range(len(pairs), len(pairs) + modulus)
-        for label, f in zip(range(modulus), lifts):
-            # sheet of this copy at each endpoint: terminus carries the raw
-            # index, origin carries index + offset; re-express both through
-            # the sheet at the reference (smaller-id) endpoint
-            at_terminus = label if keyed_at_terminus else (label - offset) % modulus
-            at_origin = (at_terminus + offset) % modulus
-            if u == terminus:
-                pairs[f] = (u * modulus + at_terminus, w * modulus + at_origin)
-            else:
-                pairs[f] = (u * modulus + at_origin, w * modulus + at_terminus)
-            if color == d:
-                colors[f] = d
-            else:  # the residue as a color: 0 stands for the color modulus
-                colors[f] = (at_terminus - data.shift[terminus] + color) % modulus or modulus
+    for rank, (e, (u, w)) in enumerate(g._edges.items()):
+        color = c1._colors[e]
+        low = shift[min(u, w)]
+        # each end's sheet, less k; the smaller endpoint's is 0
+        at_u, at_w = (0, 0) if color == d else (shift[u] - low, shift[w] - low)
+        lifts = range(rank * modulus, (rank + 1) * modulus)
+        for k, f in enumerate(lifts):
+            pairs[f] = (u * modulus + (k + at_u) % modulus, w * modulus + (k + at_w) % modulus)
+            # the residue as a color: 0 stands for the color modulus
+            colors[f] = d if color == d else (k - low + color) % modulus or modulus
         emap.update(dict.fromkeys(lifts, e))
 
     # ids count up from 0; the copy of (u, w) joins sheets of u and of w != u
     cover_graph = Multigraph._adopt(g.vertex_count * modulus, pairs)
-    p = CoveringMap(
-        cover_graph,
-        g,
-        [v // modulus for v in range(cover_graph.vertex_count)],
-        emap,
-    )
+    p = CoveringMap(cover_graph, g, [v // modulus for v in range(cover_graph.vertex_count)], emap)
     # each color is d, or a residue mod d-1 read as a color in 1..d-1
     return p, EdgeColoring._adopt(d, colors)
 
@@ -239,15 +225,20 @@ def align_color(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> AlignColor
 def _align_color(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring, split: ColorDSplit) -> AlignColorResult:
     """:func:`align_color` from the split of proved inputs; the recursion enters here.
 
-    Each lifted moving cycle gets the pair (its smallest color, d), and the
-    replay rejects one that is not a whole alternating component of that
-    pair. That they align the top color follows from the lemma, unchecked.
+    Both ends of a moving edge sit on one sheet, so each moving cycle of the
+    base lifts to its d-1 sheet copies, and the lemma gives the copy on
+    sheet k the pair (k, d), k = 0 read as d-1. The switches go in base
+    cycle order, then by sheet: the cover's smallest-id order. The replay
+    rejects one that is not a whole alternating component of its pair.
+    That they align the top color follows from the lemma, unchecked.
     """
-    p, shifted = _build_alignment_cover(g, c1, _alignment_data(g, c1, c2, split))
-    d, colors = split.degree, shifted._colors
-    member = [e for e, image in p._emap.items() if image in split.moving]
+    d = split.degree
+    modulus = d - 1
+    p, shifted = _build_alignment_cover(g, c1, _shifts(g, c1, c2, d))
+    rank = {e: r for r, e in enumerate(g._edges)}
     switches = tuple(
-        BichromaticCycle((min(map(colors.__getitem__, edges)), d), edges)
-        for edges in _cycle_decomposition(p.source, member)
+        BichromaticCycle((k or modulus, d), tuple(rank[e] * modulus + k for e in cycle))
+        for cycle in _cycle_decomposition(g, split.moving)
+        for k in range(modulus)
     )
     return AlignColorResult(p, shifted, switches, apply_sequence(p.source, shifted, switches))

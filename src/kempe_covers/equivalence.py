@@ -63,8 +63,9 @@ from .graph import (
 )
 
 
-#: Largest cover, in vertices, that :func:`kempe_cover_witness` builds, at about 1.5 kB
-#: each. The smallest cover of a d=6 instance, 2 * beta(6) = 3,317,760 vertices, is refused.
+#: Largest cover, in vertices, that :func:`kempe_cover_witness` builds. Builds of up to
+#: 240,000 cover vertices grew RSS by 1.3-2.2 kB per cover vertex; none at the bound has been
+#: measured. The smallest cover of a d=6 instance, 2 * beta(6) = 3,317,760 vertices, is refused.
 MAX_COVER_VERTICES = 1_000_000
 
 

@@ -1,10 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kempe_covers import (
+    BichromaticCycle,
+    CoveringMap,
     EdgeColoring,
+    GraphStructureError,
     IllegalColoringError,
+    Multigraph,
     RegularityError,
     align_color,
     alignment,
@@ -14,13 +19,16 @@ from kempe_covers import (
     build_alignment_cover,
     default_orientation,
     is_legal,
+    kempe_switch,
     pullback_coloring,
     random_colored_instance,
+    spanning_subgraph,
     split_color_d,
     verify_covering,
 )
+from kempe_covers.coloring import _cycle_decomposition
 
-from conftest import cube_dimension_coloring, make_cube, make_cycle
+from conftest import cube_dimension_coloring, make_cube, make_cycle, make_k33
 
 
 def rotated_cube_coloring():
@@ -125,6 +133,103 @@ def test_orientation_independence_literal_equality():
             assert p.source == p0.source
             assert p == p0
             assert s == s0
+
+
+def k33_orientation_with(entry):
+    """k33's default orientation with edge 0's entry replaced, or dropped when ``entry`` is None."""
+    orientation = default_orientation(make_k33())
+    del orientation[0]
+    return orientation if entry is None else {0: entry, **orientation}
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (None, "orientation missing edge 0"),
+        ((0, 4), "orientation of edge 0 does not match its endpoints"),
+        ((0, 3, 0), "orientation of edge 0 does not match its endpoints"),
+        (5, "orientation of edge 0 does not match its endpoints"),
+    ],
+    ids=["missing", "wrong endpoints", "triple", "int"],
+)
+def test_build_alignment_cover_refuses_a_bad_orientation(k33, k33_pair, entry, message):
+    c1, c2 = k33_pair
+    assert k33.endpoints(0) == (0, 3)
+    with pytest.raises(GraphStructureError, match=message):
+        build_alignment_cover(k33, c1, c2, orientation=k33_orientation_with(entry))
+
+
+def reference_alignment(g, c1, c2, orientation):
+    """The offset-keyed alignment cover and its cover-side switches, frozen as the reference.
+
+    Each copy of an edge is placed through the orientation's offset and
+    re-keyed by its sheet at the smaller endpoint. The switches decompose
+    the cover's preimage of the moving edges, each with its smallest color.
+    """
+    d = c1.degree
+    modulus = d - 1
+    split = split_color_d(g, c1, c2)
+    anchor = {v: e for e in c2.color_class(d) for v in g.endpoints(e)}
+    shift = {v: 0 if v in split.shared_vertices else c1[anchor[v]] % modulus for v in g.vertices()}
+    pairs, emap, colors = {}, {}, {}
+    for e in g.edge_ids():
+        u, w = g.endpoints(e)
+        origin, terminus = orientation[e]
+        offset = 0 if c1[e] == d else (shift[origin] - shift[terminus]) % modulus
+        for label in range(modulus):
+            f = len(pairs)
+            at_terminus = label if min(u, w) == terminus else (label - offset) % modulus
+            at_origin = (at_terminus + offset) % modulus
+            if u == terminus:
+                pairs[f] = (u * modulus + at_terminus, w * modulus + at_origin)
+            else:
+                pairs[f] = (u * modulus + at_origin, w * modulus + at_terminus)
+            colors[f] = d if c1[e] == d else (at_terminus - shift[terminus] + c1[e]) % modulus or modulus
+            emap[f] = e
+    cover = Multigraph(g.vertex_count * modulus, pairs)
+    p = CoveringMap(cover, g, [v // modulus for v in cover.vertices()], emap)
+    shifted = EdgeColoring(d, colors)
+    member = [f for f, e in emap.items() if e in split.moving]
+    switches = tuple(
+        BichromaticCycle((min(shifted[f] for f in edges), d), edges)
+        for edges in _cycle_decomposition(cover, member)
+    )
+    return p, shifted, switches
+
+
+def sparse_instance(seed, d, n):
+    """A d-regular spanning subgraph with scattered edge ids, and two legal colorings of it.
+
+    The subgraph drops the class of edge 0 in the second coloring of a
+    (d+1)-regular instance, so its ids do not start at 0. Its second
+    coloring is its first after Kempe switches, each on a cycle of the top
+    color and another.
+    """
+    g, _, c = random_colored_instance(seed, d + 1, n)
+    dropped = c[0]
+    h = spanning_subgraph(g, [e for e in g.edge_ids() if c[e] != dropped])
+    start = goal = EdgeColoring(d, {e: c[e] - (c[e] > dropped) for e in h.edge_ids()})
+    rng = random.Random(seed)
+    for _ in range(3):
+        cycles = bichromatic_cycles(h, goal, rng.randrange(1, d), d)
+        goal = kempe_switch(h, goal, rng.choice(cycles))
+    return h, start, goal
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([3, 4, 5]), st.booleans())
+def test_alignment_matches_the_offset_keyed_reference(seed, d, sparse):
+    g, c1, c2 = sparse_instance(seed, d, 6) if sparse else random_colored_instance(seed, d, 8)
+    assert (g.edge_ids()[-1] >= g.edge_count) == sparse
+    rng = random.Random(seed)
+    orientation = {
+        e: pair if rng.random() < 0.5 else pair[::-1] for e, pair in default_orientation(g).items()
+    }
+    p, shifted, switches = reference_alignment(g, c1, c2, orientation)
+    cover, start = build_alignment_cover(g, c1, c2, orientation=orientation)
+    assert cover == p and start == shifted
+    assert list(cover.source._edges.items()) == list(p.source._edges.items())
+    assert align_color(g, c1, c2).switches == switches
 
 
 def test_moving_edge_copies_colored_by_their_sheet():

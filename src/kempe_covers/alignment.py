@@ -32,7 +32,7 @@ smaller endpoint, and the cover is built from the shifts alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Iterable, Mapping
 
 from .coloring import (
     BichromaticCycle,
@@ -90,18 +90,11 @@ def split_color_d(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> ColorDSp
     Validates the inputs; the structure then holds because both classes are
     perfect matchings.
     """
-    return _split_color_d(g, c1, c2, common_degree(g, c1, c2))
-
-
-def _split_color_d(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring, d: int) -> ColorDSplit:
-    """:func:`split_color_d` on inputs the caller has proved: ``g`` d-regular, both legal."""
-    class1 = c1.color_class(d)
-    class2 = c2.color_class(d)
+    d = common_degree(g, c1, c2)
+    class1, class2 = c1.color_class(d), c2.color_class(d)
     shared = class1 & class2
-    moving = (class1 | class2) - shared
-    table = g._edges
-    shared_vertices = {v for e in shared for v in table[e]}
-    return ColorDSplit(d, frozenset(shared), frozenset(moving), frozenset(shared_vertices))
+    shared_vertices = frozenset([v for e in shared for v in g._edges[e]])
+    return ColorDSplit(d, shared, class1 ^ class2, shared_vertices)
 
 
 def default_orientation(g: Multigraph) -> dict[EdgeId, tuple[VertexId, VertexId]]:
@@ -111,8 +104,9 @@ def default_orientation(g: Multigraph) -> dict[EdgeId, tuple[VertexId, VertexId]
 
 def alignment_data(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> AlignmentData:
     """Anchor edges, vertex shifts, and the default orientation's edge offsets."""
-    d = common_degree(g, c1, c2)
-    shift = _shifts(g, c1, c2, d)
+    split = split_color_d(g, c1, c2)
+    d = split.degree
+    shift = _shifts(g, c1, split.moving, d)
     table, colors1, modulus = g._edges, c1._colors, d - 1
     anchor = {v: e for e in c2.color_class(d) for v in table[e]}
     oriented = default_orientation(g)
@@ -123,14 +117,15 @@ def alignment_data(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> Alignme
     return AlignmentData(modulus, anchor, dict(enumerate(shift)), offset, oriented)
 
 
-def _shifts(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring, d: int) -> list[Residue]:
-    """The shift of each vertex of ``g``, from proved inputs: the residue of
-    c1's color on the c2-top-color edge at v, 0 where that edge is shared."""
+def _shifts(g: Multigraph, c1: EdgeColoring, moving: Iterable[EdgeId], d: int) -> list[Residue]:
+    """The shift of each vertex of ``g`` from proved inputs and their ``moving`` edges:
+    the residue of c1's color on the c2-top-color edge at v, 0 where that edge is
+    shared. Elsewhere that edge is the moving edge at v that c1 does not color d."""
     if d < 2:
         raise RegularityError("alignment needs degree at least 2 (no residues mod 0)")
     table, colors1 = g._edges, c1._colors
     shift = [0] * g.vertex_count
-    for e in c2.color_class(d):
+    for e in moving:
         if colors1[e] != d:
             u, w = table[e]
             shift[u] = shift[w] = colors1[e] % (d - 1)
@@ -153,7 +148,8 @@ def build_alignment_cover(
     validated; the cover and the shifted coloring are legal by construction
     and are not re-checked.
     """
-    shift = _shifts(g, c1, c2, common_degree(g, c1, c2))
+    split = split_color_d(g, c1, c2)
+    shift = _shifts(g, c1, split.moving, split.degree)
     if orientation is not None:
         for e, ends in g._edges.items():
             if e not in orientation:
@@ -219,11 +215,11 @@ def align_color(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> AlignColor
     The inputs are checked; the result follows from the lemma in the module
     docstring and is not checked again.
     """
-    return _align_color(g, c1, c2, split_color_d(g, c1, c2))
+    return _align_color(g, c1, split_color_d(g, c1, c2).moving)
 
 
-def _align_color(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring, split: ColorDSplit) -> AlignColorResult:
-    """:func:`align_color` from the split of proved inputs; the recursion enters here.
+def _align_color(g: Multigraph, c1: EdgeColoring, moving: Collection[EdgeId]) -> AlignColorResult:
+    """:func:`align_color` from proved inputs and their ``moving`` edges; the recursion enters here.
 
     Both ends of a moving edge sit on one sheet, so each moving cycle of the
     base lifts to its d-1 sheet copies, and the lemma gives the copy on
@@ -232,13 +228,13 @@ def _align_color(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring, split: Color
     rejects one that is not a whole alternating component of its pair.
     That they align the top color follows from the lemma, unchecked.
     """
-    d = split.degree
+    d = c1.degree
     modulus = d - 1
-    p, shifted = _build_alignment_cover(g, c1, _shifts(g, c1, c2, d))
+    p, shifted = _build_alignment_cover(g, c1, _shifts(g, c1, moving, d))
     rank = {e: r for r, e in enumerate(g._edges)}
     switches = tuple(
         BichromaticCycle((k or modulus, d), tuple(rank[e] * modulus + k for e in cycle))
-        for cycle in _cycle_decomposition(g, split.moving)
+        for cycle in _cycle_decomposition(g, moving)
         for k in range(modulus)
     )
     return AlignColorResult(p, shifted, switches, apply_sequence(p.source, shifted, switches))

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alignment import ColorDSplit, _align_color, _split_color_d
+from .alignment import _align_color
 from .coloring import (
     BichromaticCycle,
     EdgeColoring,
@@ -63,9 +63,10 @@ from .graph import (
 )
 
 
-#: Largest cover, in vertices, that :func:`kempe_cover_witness` builds. Builds of up to
-#: 240,000 cover vertices grew RSS by 1.3-2.2 kB per cover vertex; none at the bound has been
-#: measured. The smallest cover of a d=6 instance, 2 * beta(6) = 3,317,760 vertices, is refused.
+#: Largest cover, in vertices, that :func:`kempe_cover_witness` builds. A build of d=4 n=80,000
+#: (960,000 cover vertices) took 59 s and grew RSS by 1,955 MiB, 2.1 kB per cover vertex (x86_64,
+#: Python 3.11.7); smaller ones grew it by 1.3-2.2 kB per cover vertex. The smallest cover of a
+#: d=6 instance, 2 * beta(6) = 3,317,760 vertices, is refused.
 MAX_COVER_VERTICES = 1_000_000
 
 
@@ -198,11 +199,11 @@ def _aligned_witness(
 
 
 def _misaligned_witness(
-    g: Multigraph, c1: EdgeColoring, c2: EdgeColoring, split: ColorDSplit
+    g: Multigraph, c1: EdgeColoring, c2: EdgeColoring, moving: list[EdgeId]
 ) -> tuple[CoveringMap, SwitchSequence]:
-    """Align the top color along ``split``, then run the aligned recursion on both sides."""
-    d = split.degree
-    ar = _align_color(g, c1, c2, split)
+    """Align the top color along the ``moving`` edges, then run the aligned recursion on both sides."""
+    d = c1.degree
+    ar = _align_color(g, c1, moving)
     p = ar.cover
     c1_up = pullback_coloring(p, c1)
     c2_up = pullback_coloring(p, c2)
@@ -330,8 +331,10 @@ def _witness(
     components = connected_components(g)
     if len(components) > 1:
         return _per_component_witness(g, c1, c2, d, components)
-    split = _split_color_d(g, c1, c2, d)
-    if not split.moving:  # the top-color classes are equal
+    colors2 = c2._colors
+    # the edges that exactly one of the colorings gives the top color
+    moving = [e for e, col in c1._colors.items() if (col == d) != (colors2[e] == d)]
+    if not moving:  # the top-color classes are equal
         cover, switches = _aligned_witness(g, c1, c2, d)
         return _union_witness(g, [(cover, switches, range(g.vertex_count), range(max(g._edges) + 1))], beta(d))
-    return _misaligned_witness(g, c1, c2, split)
+    return _misaligned_witness(g, c1, c2, moving)

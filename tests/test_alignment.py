@@ -325,4 +325,4 @@ def test_a_broken_lift_is_rejected_by_the_replay(monkeypatch, k33, k33_pair):
 
     monkeypatch.setattr(alignment, "_build_alignment_cover", recolored)
     with pytest.raises(IllegalColoringError, match="colors do not make a legal coloring"):
-        alignment._align_color(k33, c1, c2, split_color_d(k33, c1, c2))
+        alignment._align_color(k33, c1, split_color_d(k33, c1, c2).moving)

@@ -69,3 +69,18 @@ def test_deep_reference_witness_digest():
     assert len(text) == 491_997  # with the trailing newline
     digest = hashlib.sha256(text[:-1].encode()).hexdigest()
     assert digest == "436359ed6c2b9879682019aaf3e00dcac87da5ee3099f632d2638f9329d5bfe1"
+
+
+@pytest.mark.parametrize(
+    "seed, d, n, size, expected",
+    [
+        # a d=3 witness at scale: 3,000 cover edges with ids up to 3,999
+        (2, 3, 1000, 148_000, "19c66174bdb65d48ef04eb9fa77293ade7002cecfa6dd7507e7934d9dfa5eda2"),
+        (1, 4, 150, 141_860, "b28b3fb5833da7d108e75fb1b2bbac280e0076e41cb578883bf9b9e589144fe3"),
+    ],
+)
+def test_wide_reference_witness_digest(seed, d, n, size, expected):
+    # the shapes of perfbench's wide workload, each too large to keep as a file
+    text = canonical(kempe_cover_witness(*random_colored_instance(seed, d, n)))[:-1]
+    assert len(text) == size
+    assert hashlib.sha256(text.encode()).hexdigest() == expected

@@ -8,7 +8,8 @@ flips one component back and forth and leaves the verdict unchanged.
 The construction tests count the input and cover checks of one alignment
 and one witness build: each input is proven once, and no derived cover is
 proven again. They also count the recursion's calls, so that identical
-components stay built once. The oracle tests count the `EdgeColoring`s,
+components stay built once, and its color-class scans, of which there are
+none. The oracle tests count the `EdgeColoring`s,
 `BichromaticCycle`s, `bichromatic_cycles` calls and cycle decompositions of
 a census and its queries, which must not grow with the switches the
 breadth-first search tries: one cycle per coloring it reaches, or per step
@@ -315,6 +316,16 @@ def test_kempe_cover_witness_builds_each_distinct_component_once(monkeypatch):
     assert len(calls) == 95  # the top-level call included; 270 without reuse
     # one scan per call that reaches the component test; 57 when the split re-scanned
     assert len(scans) == 43
+
+
+@pytest.mark.parametrize("seed, d, n", [(1, 5, 6), (2, 3, 1000), (1, 4, 150)])
+def test_kempe_cover_witness_scans_no_color_class(monkeypatch, seed, d, n):
+    g, c1, c2 = random_colored_instance(seed, d, n)
+    scans = counter(monkeypatch, (EdgeColoring,), "color_class")
+    kempe_cover_witness(g, c1, c2)
+    # the recursion finds its moving edges in one pass over both colorings;
+    # 86, 3 and 12 scans when every node split the two top-color classes
+    assert scans == []
 
 
 @pytest.fixture(scope="module")

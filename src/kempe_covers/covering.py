@@ -4,13 +4,13 @@ A graph map ``p`` from a cover onto a base is a covering when it is
 surjective and restricts, at every cover vertex, to a bijection between the
 edges there and the edges at the image vertex. Covers of d-regular graphs
 are d-regular, and a legal base coloring pulls back to a legal cover
-coloring. This module also lifts switch sequences through covers, composes
-covers, and extends a cover of a spanning subgraph to a cover of the full
-graph. These trust their input coverings and do not re-check what they
-build; :func:`verify_covering` checks maps from outside. Its incidence half
-(totality, ranges, incidence) is also the first step of
-``equivalence.verify_witness``, which gets the rest of the axioms from
-constant fibers, an edge count and the legality of a pulled-back coloring.
+coloring. This module also lifts switch sequences through covers, replaying
+each unless the caller has, composes covers, and extends a spanning
+subgraph's cover to the full graph. These trust their input coverings and
+do not re-check what they build; :func:`verify_covering` checks maps from
+outside. Its incidence half (totality, ranges, incidence) is also the first
+step of ``equivalence.verify_witness``, which gets the rest of the axioms
+from constant fibers, an edge count and the legality of a pulled-back coloring.
 
 Fiber sizes are required to be constant across all base vertices, even for
 disconnected bases; the equivalence construction normalizes every
@@ -195,12 +195,16 @@ def pullback_coloring(p: CoveringMap, c: EdgeColoring) -> EdgeColoring:
 def lift_sequence(p: CoveringMap, c: EdgeColoring, sequence: Sequence[BichromaticCycle]) -> SwitchSequence:
     """Lift a replayable sequence switch by switch, each to the components of its preimage.
 
-    The base sequence is replayed once from ``c``, so a stale switch names
-    its sequence position. The components of one switch are disjoint and
-    bi-chromatic for the pull-back, so flipping them all, in any order,
-    equals pulling back the flipped base coloring.
-    """
+    The sequence is read once and replayed once from ``c``, so a stale switch names its
+    position. The components of one switch are disjoint and bi-chromatic for the pull-back,
+    so flipping them all, in any order, equals pulling back the flipped base coloring."""
+    sequence = tuple(sequence)
     _replay(p.target, c.degree, dict(c._colors), enumerate(sequence))
+    return _lift(p, sequence)
+
+
+def _lift(p: CoveringMap, sequence: SwitchSequence) -> SwitchSequence:
+    """:func:`lift_sequence` of a sequence already replayed on ``p.target``; the recursion enters here."""
     source, emap = p.source, p._emap
     fibers: dict[EdgeId, list[EdgeId]] = {}
     for e in source._edges:

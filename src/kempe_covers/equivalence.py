@@ -46,6 +46,7 @@ from .coloring import (
 from .covering import (
     CoveringMap,
     Verdict,
+    _lift,
     _verify_incidence,
     compose,
     extend_subgraph_cover,
@@ -201,7 +202,10 @@ def _aligned_witness(
 def _misaligned_witness(
     g: Multigraph, c1: EdgeColoring, c2: EdgeColoring, moving: list[EdgeId]
 ) -> tuple[CoveringMap, SwitchSequence]:
-    """Align the top color along the ``moving`` edges, then run the aligned recursion on both sides."""
+    """Align the top color along the ``moving`` edges, then run the aligned recursion on both sides.
+
+    :func:`_align_color` has replayed the alignment switches, so they lift through the two
+    aligned covers with no second replay; the lift of ``s1`` is the only replay ``s1`` gets."""
     d = c1.degree
     ar = _align_color(g, c1, moving)
     p = ar.cover
@@ -215,11 +219,7 @@ def _misaligned_witness(
 
     r12 = compose(r1, r2)
     cover = compose(p, r12)
-    switches = (
-        lift_sequence(r2, pullback_coloring(r1, c1_up), s1)
-        + lift_sequence(r12, ar.start_coloring, ar.switches)
-        + s2
-    )
+    switches = lift_sequence(r2, pullback_coloring(r1, c1_up), s1) + _lift(r12, ar.switches) + s2
     return cover, switches
 
 

@@ -15,9 +15,11 @@ from kempe_covers import (
     apply_sequence,
     bichromatic_cycles,
     build_alignment_cover,
+    coloring,
     compose,
     connected_components,
     copies_cover,
+    covering,
     disjoint_union,
     extend_subgraph_cover,
     is_legal,
@@ -196,6 +198,53 @@ def test_lift_sequence_names_the_position_of_a_stale_base_switch(k33, k33_pair, 
 
 def test_lift_empty_sequence(k33, k33_pair):
     assert lift_sequence(copies_cover(k33, 2), k33_pair[0], ()) == ()
+
+
+@pytest.fixture(scope="module")
+def d4_witness():
+    return kempe_cover_witness(*random_colored_instance(2, 4, 8))
+
+
+@pytest.mark.parametrize(
+    "one_shot", [iter, lambda switches: (cycle for cycle in switches)], ids=["iterator", "generator"]
+)
+def test_lift_sequence_lifts_a_one_shot_iterable_as_a_tuple(d4_witness, one_shot):
+    w = d4_witness
+    projection = copies_cover(w.cover.source, 2)
+    start = pullback_coloring(w.cover, w.start)
+    switches = w.switches[:5]
+    lifted = lift_sequence(projection, start, switches)
+    assert len(lifted) == 10
+    # the sequence is read once: a second read, to lift, would find a one-shot iterable empty
+    assert lift_sequence(projection, start, one_shot(switches)) == lifted
+
+
+def kempe_walk(g, c):
+    """A replayable sequence on ``g`` from ``c``: switch the first cycle of every color pair in turn."""
+    walk = []
+    for i in range(1, c.degree + 1):
+        for j in range(i + 1, c.degree + 1):
+            walk.append(bichromatic_cycles(g, c, i, j)[0])
+            c = kempe_switch(g, c, walk[-1])
+    return tuple(walk)
+
+
+@pytest.mark.parametrize("seed, d, n", [(2, 4, 8), (1, 3, 8), (5, 3, 4), (1, 5, 6)])
+def test_lift_is_lift_sequence_without_its_replay(monkeypatch, seed, d, n):
+    g, c1, c2 = random_colored_instance(seed, d, n)
+    w = kempe_cover_witness(g, c1, c2)
+    projection = copies_cover(w.cover.source, 2)
+    # a witness cover with a walk on its base, and a projection with the witness's own switches
+    cases = [(w.cover, c1, kempe_walk(g, c1)), (projection, pullback_coloring(w.cover, c1), w.switches)]
+    expected = [lift_sequence(p, c, sequence) for p, c, sequence in cases]
+    assert all(expected)
+
+    def no_replay(*args):
+        raise AssertionError("_lift replayed its sequence")
+
+    for module in (coloring, covering):
+        monkeypatch.setattr(module, "_replay", no_replay)
+    assert [covering._lift(p, sequence) for p, _, sequence in cases] == expected
 
 
 def test_copies_cover_counts_and_provenance():

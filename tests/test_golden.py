@@ -84,3 +84,10 @@ def test_wide_reference_witness_digest(seed, d, n, size, expected):
     text = canonical(kempe_cover_witness(*random_colored_instance(seed, d, n)))[:-1]
     assert len(text) == size
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+def test_deep_d4_slot_witness_digest():
+    # the largest shape of perfbench's 24 random d=4 deep slots, whose n runs from 20 to 40
+    text = canonical(kempe_cover_witness(*random_colored_instance(2, 4, 40)))[:-1]
+    assert len(text) == 34_062
+    assert hashlib.sha256(text.encode()).hexdigest() == "d9a9bb5a818cfbd7651b7234d88fca4e3ce26bfb64f2b3fe6fd4545bc8ef1c48"

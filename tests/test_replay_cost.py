@@ -8,12 +8,12 @@ flips one component back and forth and leaves the verdict unchanged.
 The construction tests count the input and cover checks of one alignment
 and one witness build: each input is proven once, and no derived cover is
 proven again. They also count the recursion's calls, so that identical
-components stay built once, and its color-class scans, of which there are
-none. The oracle tests count the `EdgeColoring`s,
-`BichromaticCycle`s, `bichromatic_cycles` calls and cycle decompositions of
-a census and its queries, which must not grow with the switches the
-breadth-first search tries: one cycle per coloring it reaches, or per step
-of the path it returns. The replay test counts every Python call the
+components stay built once, its color-class scans, of which there are
+none, and its replays, which check each alignment switch once. The oracle
+tests count the `EdgeColoring`s, `BichromaticCycle`s, `bichromatic_cycles`
+calls and cycle decompositions of a census and its queries, which must not
+grow with the switches the breadth-first search tries: one cycle per
+coloring it reaches, or per step of the path it returns. The replay test counts every Python call the
 package makes while it verifies a 5,088-switch witness, so that the replay
 and the cover check stay loops over tables, with no call per switch or per
 cover vertex; verifying it counts the degrees of the base only. The parse
@@ -29,6 +29,7 @@ to name a failing vertex counts the degrees of each graph once.
 import json
 import os
 import sys
+from collections import Counter
 
 import pytest
 
@@ -278,6 +279,42 @@ def test_lift_sequence_validates_each_base_switch_once(monkeypatch, witnesses):
     lift_sequence(projection, start, w.switches)
     assert len(checked) == len(lifts) == len(w.switches)
     assert checked == [(projection.target, k) for k in range(len(w.switches))]
+
+
+@pytest.mark.parametrize(
+    "seed, d, n, aligned, checked", [(1, 5, 6, 139, 495), (2, 3, 1000, 4, 8), (1, 4, 150, 28, 68)]
+)
+def test_kempe_cover_witness_replays_each_alignment_switch_once(monkeypatch, seed, d, n, aligned, checked):
+    g, c1, c2 = random_colored_instance(seed, d, n)
+    # every result and every drawn switch is kept, so no switch object is freed and its id reused
+    alignments = []
+    align = equivalence._align_color
+
+    def kept(*args):
+        alignments.append(align(*args))
+        return alignments[-1]
+
+    monkeypatch.setattr(equivalence, "_align_color", kept)
+    replay, checked_switches = coloring._replay, []
+
+    def counted_replay(g, degree, colors, steps):
+        def drawn():
+            for index, cycle in steps:
+                checked_switches.append(cycle)
+                yield index, cycle
+
+        replay(g, degree, colors, drawn())
+
+    for module in bindings("_replay"):
+        monkeypatch.setattr(module, "_replay", counted_replay)
+    kempe_cover_witness(g, c1, c2)
+    switches = [id(cycle) for result in alignments for cycle in result.switches]
+    assert len(switches) == len(set(switches)) == aligned
+    # _align_color replays its switches; the recursion lifts them with no second replay
+    draws = Counter(map(id, checked_switches))
+    assert [draws[s] for s in switches] == [1] * aligned
+    # the rest are the first aligned half's switches, replayed once by their lift
+    assert len(checked_switches) == checked
 
 
 def test_align_color_checks_its_inputs_once(monkeypatch):

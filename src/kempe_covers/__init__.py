@@ -74,7 +74,6 @@ from .oracle import (
     random_colored_instance,
 )
 from .serialize import (
-    dot_export,
     instance_from_json,
     instance_to_json,
     witness_from_json,
@@ -124,7 +123,6 @@ __all__ = [
     "copies_cover",
     "default_orientation",
     "disjoint_union",
-    "dot_export",
     "enumerate_legal_colorings",
     "equivalent_without_cover",
     "extend_subgraph_cover",

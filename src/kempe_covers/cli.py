@@ -9,16 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from .coloring import common_degree, kempe_switch
-from .covering import pullback_coloring
+from .coloring import common_degree
 from .equivalence import kempe_cover_witness, verify_witness
 from .errors import ColoringError, FormatError, KempeCoversError
 from .graph import is_regular
 from .oracle import DEFAULT_MAX_EDGES, kempe_class_partition, random_colored_instance
 from .serialize import (
-    dot_export,
     dump_json,
     instance_from_json,
     instance_to_json,
@@ -44,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_wit.add_argument("--from", dest="from_name", required=True)
     p_wit.add_argument("--to", dest="to_name", required=True)
     p_wit.add_argument("--out")
-    p_wit.add_argument("--emit-dot", dest="emit_dot")
 
     p_ver = sub.add_parser("verify", help="verify a witness against its instance")
     p_ver.add_argument("--input", required=True)
@@ -99,23 +95,7 @@ def _cmd_witness(args) -> int:
     if args.out:
         dump_json(witness_to_json(witness, (args.from_name, args.to_name)), args.out)
         print(f"witness written to {args.out}")
-    if args.emit_dot:
-        _emit_dot_files(Path(args.emit_dot), witness)
     return 0
-
-
-def _emit_dot_files(directory: Path, witness) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "base_from.dot").write_text(dot_export(witness.graph, witness.start))
-    (directory / "base_to.dot").write_text(dot_export(witness.graph, witness.goal))
-    cover_graph = witness.cover.source
-    current = pullback_coloring(witness.cover, witness.start)
-    (directory / "cover_from.dot").write_text(dot_export(cover_graph, current))
-    for k, cycle in enumerate(witness.switches):  # the witness has been verified
-        path = directory / f"cover_step_{k:03d}.dot"
-        path.write_text(dot_export(cover_graph, current, highlight=cycle))
-        current = kempe_switch(cover_graph, current, cycle)
-    (directory / "cover_to.dot").write_text(dot_export(cover_graph, current))
 
 
 def _cmd_verify(args) -> int:

@@ -1,4 +1,4 @@
-"""JSON instance and witness documents, plus DOT rendering.
+"""JSON instance and witness documents.
 
 Instances are small human-diffable JSON files: an edge list (edge id =
 list index) and named colorings (color list indexed by edge id). Witness
@@ -6,8 +6,7 @@ documents embed the full cover graph with explicit edge ids, because covers
 built by subgraph extension legitimately carry non-dense ids and round-trips
 must be exact. The witness parser reads each block once: one bulk pass
 type-checks the document's own rows, which are copied only when one holds
-a non-integer, and each table is built from them once. DOT output renders
-a colored graph with an optional bold cycle; it is never re-imported.
+a non-integer, and each table is built from them once.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .coloring import BichromaticCycle, EdgeColoring
 from .covering import CoveringMap
@@ -26,60 +25,10 @@ from .errors import (
     KempeCoversError,
     RegularityError,
 )
-from .graph import EdgeId, Multigraph, is_regular
+from .graph import Multigraph, is_regular
 
 INSTANCE_FORMAT = "kempe-instance/1"
 WITNESS_FORMAT = "kempe-witness/1"
-
-#: colors 1..3 follow the blue/red/black convention; the rest are fixed names
-DOT_PALETTE = (
-    "blue",
-    "red",
-    "black",
-    "forestgreen",
-    "darkorange",
-    "purple",
-    "saddlebrown",
-    "deepskyblue",
-    "magenta",
-    "goldenrod",
-    "teal",
-    "crimson",
-)
-
-
-def dot_color(color: int) -> str:
-    """Palette lookup; colors beyond the named palette get a stable HSV string."""
-    if 1 <= color <= len(DOT_PALETTE):
-        return DOT_PALETTE[color - 1]
-    hue = (color * 0.618033988749895) % 1.0
-    return f"{hue:.4f} 0.600 0.600"
-
-
-def dot_export(
-    g: Multigraph,
-    c: EdgeColoring,
-    highlight: BichromaticCycle | Iterable[EdgeId] | None = None,
-) -> str:
-    """Deterministic DOT text for a colored graph; highlighted edges are bold."""
-    if isinstance(highlight, BichromaticCycle):
-        bold = set(highlight.edge_ids)
-    elif highlight is None:
-        bold = set()
-    else:
-        bold = set(highlight)
-    lines = ["graph kempe {", "  node [shape=circle fontsize=10];"]
-    for v in g.vertices():
-        lines.append(f"  {v};")
-    for e in g.edge_ids():
-        u, w = g.endpoints(e)
-        attrs = f'color="{dot_color(c[e])}"'
-        if e in bold:
-            attrs += " style=bold penwidth=2.5"
-        lines.append(f"  {u} -- {w} [{attrs}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
 
 # -- instances ------------------------------------------------------------
 

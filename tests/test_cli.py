@@ -19,8 +19,6 @@ from kempe_covers import (
     apply_sequence,
     bichromatic_cycles,
     bundled_instance_path,
-    dot_export,
-    kempe_cover_witness,
     pullback_coloring,
     verify_witness,
 )
@@ -124,22 +122,14 @@ def test_witness_mismatched_degrees(tmp_path):
     assert main(["witness", "--input", str(path), "--from", "c1", "--to", "c4"]) == 2
 
 
-def test_witness_emit_dot(tmp_path):
+def test_witness_has_no_drawing_flag(tmp_path):
+    # the witness document is the command's only output
     dots = tmp_path / "dots"
-    assert main(["witness", "--input", K33, "--from", "c1", "--to", "c2",
-                 "--emit-dot", str(dots)]) == 0
-    names = sorted(p.name for p in dots.iterdir())
-    assert "base_from.dot" in names and "cover_to.dot" in names
-    assert any(n.startswith("cover_step_") for n in names)
-    g, colorings = instance_from_json(load_json(K33))
-    witness = kempe_cover_witness(g, colorings["c1"], colorings["c2"])
-    cover, first = witness.cover, witness.switches[0]
-    goal = pullback_coloring(cover, colorings["c2"])
-    assert (dots / "cover_to.dot").read_text() == dot_export(cover.source, goal)
-    step = (dots / "cover_step_000.dot").read_text()
-    start = pullback_coloring(cover, colorings["c1"])
-    assert step == dot_export(cover.source, start, highlight=first)
-    assert step.count("style=bold") == len(first)
+    with pytest.raises(SystemExit) as exc:
+        main(["witness", "--input", K33, "--from", "c1", "--to", "c2",
+              "--emit-dot", str(dots)])
+    assert exc.value.code == 2
+    assert not dots.exists()
 
 
 def test_verify_fresh_witness(tmp_path):
@@ -575,18 +565,6 @@ def test_instance_roundtrip_exact():
     doc = load_json(K33)
     g, colorings = instance_from_json(doc)
     assert instance_to_json(g, colorings, metadata=doc.get("metadata")) == doc
-
-
-def test_dot_export_deterministic_and_bold(k33, k33_pair):
-    c1, _ = k33_pair
-    text1 = dot_export(k33, c1)
-    text2 = dot_export(k33, c1)
-    assert text1 == text2
-    assert "style=bold" not in text1
-    bold = dot_export(k33, c1, highlight=[0, 4])
-    assert bold.count("style=bold") == 2
-    # blue/red/black palette for colors 1..3
-    assert 'color="blue"' in text1 and 'color="red"' in text1 and 'color="black"' in text1
 
 
 @pytest.mark.parametrize(

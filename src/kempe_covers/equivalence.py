@@ -12,15 +12,16 @@ beta(d) = (d-1) * beta(d-1)^2. The construction is a recursion on d:
   disjoint union. Identical components (the same relabelled edges and the
   same colors on them) are solved once per split; their cover and switches
   are shared between the parts, which only read them.
-* top-color classes already equal: drop the top color. The remaining edges
-  form a spanning (d-1)-regular subgraph carrying both colorings; recurse
-  there, extend the resulting cover to the full graph (the top-color edges
-  lift along equal fiber labels), and replay the same switches.
-* otherwise: align the top color first with the degree-(d-1) alignment
-  cover, then run the aligned case twice, once from the pulled-back first
-  coloring to the shifted coloring and once from the aligned coloring to
-  the pulled-back second coloring. Composing the three covers multiplies
-  the degrees to (d-1) * beta(d-1)^2 exactly.
+* some color classes already equal: drop the largest such color k. The
+  remaining edges form a spanning (d-1)-regular subgraph carrying both
+  colorings with d renamed to k; recurse there, extend the resulting cover
+  to the full graph (the k-colored edges lift along equal fiber labels), and
+  replay the same switches with k renamed back to d.
+* no color class equal: align the top color first with the degree-(d-1)
+  alignment cover, then run the aligned case for k = d twice, once from the
+  pulled-back first coloring to the shifted coloring and once from the
+  aligned coloring to the pulled-back second coloring. Composing the three
+  covers multiplies the degrees to (d-1) * beta(d-1)^2 exactly.
 
 Every result is normalized to degree exactly beta(d) by padding with
 disjoint copies, except the trivial short-circuit for identical inputs,
@@ -173,30 +174,35 @@ def _base_two_witness(
 
 
 def _aligned_witness(
-    g: Multigraph, c1: EdgeColoring, c2: EdgeColoring, d: int
+    g: Multigraph, c1: EdgeColoring, c2: EdgeColoring, d: int, k: int
 ) -> tuple[CoveringMap, SwitchSequence]:
-    """Equal top-color classes (the caller checks): recurse on the (d-1)-regular rest.
+    """Equal color-k classes (the caller checks): recurse on the (d-1)-regular rest.
 
-    The sub-witness cover extends to the full graph by lifting each
-    top-colored edge along equal fiber labels, and its switch sequence is
-    reused verbatim (no switch touches the top color). Result degree is
-    exactly beta(d-1), with no pad. On unequal inputs :func:`_witness` has
-    degree exactly beta(k): the d=2 identity is degree 1 = beta(2), two
-    cases take copies up to beta(k), the third composes (k-1)*beta(k-1)^2.
-    And the colorings of the rest always differ. In :func:`_witness`,
-    c1 != c2 with equal top classes. In :func:`_misaligned_witness`'s first
-    call, the d-1 lifts of an edge with c1 != d take every shifted color.
-    In its second, every vertex meets at most two edges top-colored in c1
-    or c2, so at d >= 3 some edge is neither; its lifts miss the moving
-    preimage and keep all d-1 shifted colors, which the surjective r1 keeps.
+    The rest carries both colorings with d renamed to k, and each sub-switch
+    has k renamed back to d; a renaming of colors maps legal colorings and
+    their {a, b} components to legal colorings and components. The sub-witness
+    cover extends to g by lifting each k-colored edge along equal fiber labels,
+    and no switch touches k. Result degree is exactly beta(d-1), with no pad.
+    On unequal inputs :func:`_witness` has degree exactly beta(j): the d=2
+    identity is degree 1 = beta(2), two cases take copies up to beta(j), the
+    third composes (j-1)*beta(j-1)^2. And the colorings of the rest always
+    differ. In :func:`_witness`, c1 != c2 and they agree on k's class. In
+    :func:`_misaligned_witness`, k = d; in its first call, the d-1 lifts of an
+    edge with c1 != d take every shifted color. In its second, every vertex
+    meets at most two edges top-colored in c1 or c2, so at d >= 3 some edge is
+    neither; its lifts miss the moving preimage and keep all d-1 shifted
+    colors, which the surjective r1 keeps.
     """
     colors = c1._colors
-    rest = [e for e in g._edges if colors[e] != d]
+    rest = [e for e in g._edges if colors[e] != k]
     h = spanning_subgraph(g, rest)
-    # both colorings give the top color to the same edges, so rest misses it
-    sub = [EdgeColoring._adopt(d - 1, {e: c._colors[e] for e in rest}) for c in (c1, c2)]
+    # both colorings give color k to the same edges, so rest misses it, and d takes k's name
+    names = [*range(d), k]
+    sub = [EdgeColoring._adopt(d - 1, {e: names[c._colors[e]] for e in rest}) for c in (c1, c2)]
     cover, switches = _witness(h, *sub, d - 1)
-    return extend_subgraph_cover(g, h, cover), switches
+    # a sub-switch on {a, k} switches {a, d} here, and a < d keeps the pair sorted
+    renamed = [BichromaticCycle((sum(s.colors) - k, d), s.edge_ids) if k in s.colors else s for s in switches]
+    return extend_subgraph_cover(g, h, cover), tuple(renamed)
 
 
 def _misaligned_witness(
@@ -212,10 +218,10 @@ def _misaligned_witness(
     c1_up = pullback_coloring(p, c1)
     c2_up = pullback_coloring(p, c2)
 
-    r1, s1 = _aligned_witness(p.source, c1_up, ar.start_coloring, d)
+    r1, s1 = _aligned_witness(p.source, c1_up, ar.start_coloring, d, d)
     aligned_up = pullback_coloring(r1, ar.aligned_coloring)
     c2_up_up = pullback_coloring(r1, c2_up)
-    r2, s2 = _aligned_witness(r1.source, aligned_up, c2_up_up, d)
+    r2, s2 = _aligned_witness(r1.source, aligned_up, c2_up_up, d, d)
 
     r12 = compose(r1, r2)
     cover = compose(p, r12)
@@ -331,10 +337,12 @@ def _witness(
     components = connected_components(g)
     if len(components) > 1:
         return _per_component_witness(g, c1, c2, d, components)
-    colors2 = c2._colors
-    # the edges that exactly one of the colorings gives the top color
-    moving = [e for e, col in c1._colors.items() if (col == d) != (colors2[e] == d)]
-    if not moving:  # the top-color classes are equal
-        cover, switches = _aligned_witness(g, c1, c2, d)
+    colors1, colors2 = c1._colors, c2._colors
+    # the edges on which the colorings differ: a color that none of them carries has equal
+    # classes, and those that either coloring gives the top color are the moving edges
+    differ = [e for e, col in colors1.items() if col != colors2[e]]
+    agree = set(range(1, d + 1)).difference(map(colors1.__getitem__, differ), map(colors2.__getitem__, differ))
+    if agree:  # drop the largest such color
+        cover, switches = _aligned_witness(g, c1, c2, d, max(agree))
         return _union_witness(g, [(cover, switches, range(g.vertex_count), range(max(g._edges) + 1))], beta(d))
-    return _misaligned_witness(g, c1, c2, moving)
+    return _misaligned_witness(g, c1, c2, [e for e in differ if d in (colors1[e], colors2[e])])

@@ -64,11 +64,11 @@ def test_golden_file_verifies(filename):
 
 
 def test_deep_reference_witness_digest():
-    # the d=5 n=6 seed-1 witness is 491,996 canonical bytes, too large to keep as a file
+    # the d=5 n=6 seed-1 witness is 307,474 canonical bytes, too large to keep as a file
     text = canonical(kempe_cover_witness(*random_colored_instance(1, 5, 6)))
-    assert len(text) == 491_997  # with the trailing newline
+    assert len(text) == 307_475  # with the trailing newline
     digest = hashlib.sha256(text[:-1].encode()).hexdigest()
-    assert digest == "436359ed6c2b9879682019aaf3e00dcac87da5ee3099f632d2638f9329d5bfe1"
+    assert digest == "4eddd047c340cb1c4f1e763a0a59f2bf6d77ff279fff80461aac11df22d2afe6"
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ and pull-back that the construction builds without checking.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kempe_covers import (
     EquivalenceWitness,
@@ -18,6 +18,7 @@ from kempe_covers import (
     compose,
     copies_cover,
     CoveringMap,
+    EdgeColoring,
     equivalent_without_cover,
     is_legal,
     is_regular,
@@ -151,6 +152,30 @@ def test_witness_soundness(seed, shape):
         assert w.cover.degree == 1
     else:
         assert w.cover.degree == beta(d)
+
+
+@RELAXED
+@given(SEEDS, st.sampled_from([(3, 6), (3, 8), (4, 6), (4, 8), (5, 6)]), st.data())
+def test_witness_never_switches_a_class_both_colorings_share(seed, shape, data):
+    d, n = shape
+    g, c1, _ = random_colored_instance(seed, d, n)
+    k = data.draw(st.integers(min_value=1, max_value=d), label="shared color")
+    # rename the other colors, then switch {i, j} components with i, j != k
+    others = [c for c in range(1, d + 1) if c != k]
+    image = data.draw(st.permutations(others), label="renaming")
+    rename = dict(zip([k, *others], [k, *image]))
+    c2 = EdgeColoring(d, {e: rename[c] for e, c in c1.items()})
+    pairs = [(i, j) for i in others for j in others if i < j]
+    for i, j in data.draw(st.lists(st.sampled_from(pairs), max_size=3), label="switched pairs"):
+        cycles = bichromatic_cycles(g, c2, i, j)
+        c2 = kempe_switch(g, c2, cycles[data.draw(st.integers(0, len(cycles) - 1), label="cycle")])
+    assume(c1 != c2)
+    assert c2.color_class(k) == c1.color_class(k)
+    w = kempe_cover_witness(g, c1, c2)
+    verdict = verify_witness(w)
+    assert verdict, verdict.reason
+    assert w.cover.degree == beta(d)
+    assert all(k not in cycle.colors for cycle in w.switches)
 
 
 @settings(max_examples=25, deadline=None)

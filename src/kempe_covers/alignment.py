@@ -141,8 +141,8 @@ def build_alignment_cover(
     """The degree-(d-1) cover and its shifted coloring.
 
     Cover vertex ``v*(d-1) + k`` is vertex v on sheet k, and cover edge
-    ``r*(d-1) + k`` is copy k of the base edge of rank r, on the sheets of
-    the module docstring. A given ``orientation`` must pair each edge's two
+    ``e*(d-1) + k`` is copy k of the base edge e, on the sheets of the
+    module docstring. A given ``orientation`` must pair each edge's two
     endpoints; its offsets give these same sheets, so the output is one
     graph, map and coloring for every orientation. The inputs are
     validated; the cover and the shifted coloring are legal by construction
@@ -170,25 +170,21 @@ def _build_alignment_cover(
     """:func:`build_alignment_cover` from the vertex shifts of proved inputs."""
     d, modulus = c1.degree, c1.degree - 1
     pairs: dict[EdgeId, tuple[VertexId, VertexId]] = {}
-    emap: dict[EdgeId, EdgeId] = {}
     colors: dict[EdgeId, int] = {}
-    for rank, (e, (u, w)) in enumerate(g._edges.items()):
+    for e, (u, w) in g._edges.items():
         color = c1._colors[e]
         low = shift[min(u, w)]
         # each end's sheet, less k; the smaller endpoint's is 0
         at_u, at_w = (0, 0) if color == d else (shift[u] - low, shift[w] - low)
-        lifts = range(rank * modulus, (rank + 1) * modulus)
-        for k, f in enumerate(lifts):
+        for k, f in enumerate(range(e * modulus, (e + 1) * modulus)):
             pairs[f] = (u * modulus + (k + at_u) % modulus, w * modulus + (k + at_w) % modulus)
             # the residue as a color: 0 stands for the color modulus
             colors[f] = d if color == d else (k - low + color) % modulus or modulus
-        emap.update(dict.fromkeys(lifts, e))
 
-    # ids count up from 0; the copy of (u, w) joins sheets of u and of w != u
+    # ids ascend with g's; the copy of (u, w) joins sheets of u and of w != u
     cover_graph = Multigraph._adopt(g.vertex_count * modulus, pairs)
-    p = CoveringMap(cover_graph, g, [v // modulus for v in range(cover_graph.vertex_count)], emap)
     # each color is d, or a residue mod d-1 read as a color in 1..d-1
-    return p, EdgeColoring._adopt(d, colors)
+    return CoveringMap._sheeted(cover_graph, g, modulus), EdgeColoring._adopt(d, colors)
 
 
 @dataclass(frozen=True)
@@ -231,9 +227,8 @@ def _align_color(g: Multigraph, c1: EdgeColoring, moving: Collection[EdgeId]) ->
     d = c1.degree
     modulus = d - 1
     p, shifted = _build_alignment_cover(g, c1, _shifts(g, c1, moving, d))
-    rank = {e: r for r, e in enumerate(g._edges)}
     switches = tuple(
-        BichromaticCycle((k or modulus, d), tuple(rank[e] * modulus + k for e in cycle))
+        BichromaticCycle((k or modulus, d), tuple(e * modulus + k for e in cycle))
         for cycle in _cycle_decomposition(g, moving)
         for k in range(modulus)
     )

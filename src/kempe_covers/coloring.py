@@ -6,7 +6,8 @@ edges colored i or j form a disjoint union of cycles; switching the two
 colors along one such cycle (a Kempe switch) yields another legal coloring.
 
 The public :class:`EdgeColoring` constructor checks every color, because
-its table may come from outside. The private :meth:`EdgeColoring._adopt`
+its table may come from outside: each must be an integer in ``1..degree``.
+An id that names no edge is refused where the coloring meets a graph. The private :meth:`EdgeColoring._adopt`
 takes as is the tables the package derives from checked colorings: switch
 and replay results, pull-backs, restrictions to the lower colors or to one
 component, and an alignment cover's shifted coloring. Each exchanges, copies
@@ -30,11 +31,17 @@ class EdgeColoring:
     __slots__ = ("_degree", "_colors")
 
     def __init__(self, degree: int, colors: Mapping[EdgeId, Color]):
+        if type(degree) is not int:
+            raise ColoringError(f"ambient degree must be an integer, got {degree!r}")
         if degree < 1:
             raise ColoringError(f"ambient degree must be >= 1, got {degree}")
-        for e, c in colors.items():
-            if not (1 <= c <= degree):
-                raise ColoringError(f"edge {e}: color {c} outside 1..{degree}")
+        for c in colors.values():
+            if type(c) is not int or not 1 <= c <= degree:  # bools are not integers here
+                for e, col in colors.items():  # name the first fault
+                    if type(col) is not int:
+                        raise ColoringError(f"edge {e}: color {col!r} is not an integer")
+                    if not (1 <= col <= degree):
+                        raise ColoringError(f"edge {e}: color {col} outside 1..{degree}")
         self._degree = degree
         self._colors = dict(colors)
 

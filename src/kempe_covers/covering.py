@@ -4,13 +4,23 @@ A graph map ``p`` from a cover onto a base is a covering when it is
 surjective and restricts, at every cover vertex, to a bijection between the
 edges there and the edges at the image vertex. Covers of d-regular graphs
 are d-regular, and a legal base coloring pulls back to a legal cover
-coloring. This module also lifts switch sequences through covers, replaying
-each unless the caller has, composes covers, and extends a spanning
-subgraph's cover to the full graph. These trust their input coverings and
-do not re-check what they build; :func:`verify_covering` checks maps from
-outside. Its incidence half (totality, ranges, incidence) is also the first
-step of ``equivalence.verify_witness``, which gets the rest of the axioms
-from constant fibers, an edge count and the legality of a pulled-back coloring.
+coloring.
+
+Every cover the package builds is numbered sheet by sheet, in its base's
+own id space: in a cover of degree m, vertex (v, k) has id v*m + k and edge
+(e, k) has id e*m + k, for k in 0..m-1. Its projection is then x // m on
+vertices and on edges, and it is a permutation voltage graph (J. L. Gross
+and T. W. Tucker, "Generating all graph coverings by permutation voltage
+assignments", Discrete Math. 18, 1977). This module lifts switch sequences
+through such covers, replaying each unless the caller has, composes them,
+copies a graph and extends a spanning subgraph's cover to the full graph,
+all by that division. They refuse, with CoveringError, a map whose tables
+number its cover otherwise. They trust their input coverings and do not
+re-check what they build; :func:`verify_covering` checks maps of any
+numbering from outside. Its incidence half (totality, ranges, incidence)
+is also the first step of ``equivalence.verify_witness``, which gets the
+rest of the axioms from constant fibers, an edge count and the legality of
+a pulled-back coloring.
 
 Fiber sizes are required to be constant across all base vertices, even for
 disconnected bases; the equivalence construction normalizes every
@@ -22,6 +32,7 @@ vertex image lies in the target before it counts the fibers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Mapping, Sequence
 
 from .coloring import (
@@ -32,7 +43,7 @@ from .coloring import (
     _replay,
 )
 from .errors import CoveringError, GraphStructureError
-from .graph import EdgeId, Multigraph, VertexId, _degrees, disjoint_union
+from .graph import EdgeId, Multigraph, VertexId, _degrees
 
 
 @dataclass(frozen=True)
@@ -52,9 +63,13 @@ class CoveringMap:
     Construction does not validate; run :func:`verify_covering` explicitly
     (tests need to build broken maps on purpose). ``degree`` checks the
     vertex map alone: every image in the target, fibers of one size m >= 1.
+    A map the package builds is sheet-numbered (see the module docstring):
+    it knows its degree and builds its tables only when they are read.
+    Whether a map is sheet-numbered and whether its tables exist are two
+    facts, kept apart, so reading the tables changes no later division.
     """
 
-    __slots__ = ("source", "target", "_vmap", "_emap", "_degree")
+    __slots__ = ("source", "target", "_vmap", "_emap", "_degree", "_sheets")
 
     def __init__(
         self,
@@ -65,29 +80,58 @@ class CoveringMap:
     ):
         self.source = source
         self.target = target
-        self._vmap = tuple(vertex_map)
-        self._emap = dict(edge_map)
+        self._vmap: tuple[VertexId, ...] | None = tuple(vertex_map)
+        self._emap: dict[EdgeId, EdgeId] | None = dict(edge_map)
         self._degree: int | None = None
+        self._sheets: int | None = None  # m, once the maps are known to be x // m
+
+    @classmethod
+    def _sheeted(cls, source: Multigraph, target: Multigraph, m: int) -> "CoveringMap":
+        """The projection x // m of a cover that the caller numbered sheet by sheet, with no tables yet."""
+        p = cls.__new__(cls)
+        p.source, p.target = source, target
+        p._vmap = p._emap = None
+        p._degree = p._sheets = m
+        return p
 
     @classmethod
     def identity(cls, g: Multigraph) -> "CoveringMap":
-        return cls(g, g, range(g.vertex_count), dict(zip(g._edges, g._edges)))
+        return cls._sheeted(g, g, 1)
 
     def edge_image(self, e: EdgeId) -> EdgeId:
-        return self._emap[e]
+        return self._tables()[1][e]
 
     @property
     def vertex_map(self) -> tuple[VertexId, ...]:
-        return self._vmap
+        return self._tables()[0]
 
     @property
     def edge_map(self) -> dict[EdgeId, EdgeId]:
-        return dict(self._emap)
+        return dict(self._tables()[1])
+
+    def _tables(self) -> tuple[tuple[VertexId, ...], dict[EdgeId, EdgeId]]:
+        """The vertex and edge maps themselves, for reading; a sheet-numbered map builds them on first use."""
+        if self._vmap is None:
+            m, source = self._sheets, self.source
+            self._vmap = tuple([x // m for x in range(source.vertex_count)])
+            self._emap = {f: f // m for f in source._edges}
+        return self._vmap, self._emap
+
+    def _sheet_degree(self) -> int:
+        """The degree m of a sheet-numbered map; raises CoveringError on tables numbered otherwise."""
+        if self._sheets is None:
+            m = self.degree  # raises on an image outside the target, or on fibers not constant
+            vmap, emap = self._vmap, self._emap
+            if vmap != tuple([x // m for x in range(len(vmap))]) or emap != {f: f // m for f in emap}:
+                raise CoveringError(f"cover is not sheet-numbered: vertex x and edge y must lie over x // {m} and y // {m}")
+            self._sheets = m
+        return self._sheets
 
     # no package code calls this; it stays because perfbench/tracer.py's METHODS wraps it by name
     def vertex_fiber(self, v: VertexId) -> tuple[VertexId, ...]:
         """Source vertices over ``v``, in increasing id order."""
-        return tuple(w for w in self.source.vertices() if self._vmap[w] == v)
+        vmap = self._tables()[0]
+        return tuple(w for w in self.source.vertices() if vmap[w] == v)
 
     @property
     def degree(self) -> int:
@@ -109,12 +153,7 @@ class CoveringMap:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoveringMap):
             return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self._vmap == other._vmap
-            and self._emap == other._emap
-        )
+        return self.source == other.source and self.target == other.target and self._tables() == other._tables()
 
     def __repr__(self) -> str:
         return f"CoveringMap({self.source!r} -> {self.target!r})"
@@ -122,7 +161,8 @@ class CoveringMap:
 
 def _verify_incidence(p: CoveringMap) -> Verdict:
     """The first half of :func:`verify_covering`: totality, vertex ranges and incidence."""
-    src, tgt, vmap, emap = p.source, p.target, p._vmap, p._emap
+    src, tgt = p.source, p.target
+    vmap, emap = p._tables()
     if len(vmap) != src.vertex_count:
         return Verdict(False, "vertex map is not total on the source")
     if emap.keys() != src._edges.keys():
@@ -153,7 +193,8 @@ def verify_covering(p: CoveringMap) -> Verdict:
     verdict = _verify_incidence(p)
     if not verdict:
         return verdict
-    src, tgt, vmap, emap = p.source, p.target, p._vmap, p._emap
+    src, tgt = p.source, p.target
+    vmap, emap = p._tables()
     src_edges, tgt_edges = src._edges, tgt._edges
     if len(set(vmap)) != tgt.vertex_count:
         return Verdict(False, "vertex map is not surjective")
@@ -180,15 +221,22 @@ def verify_covering(p: CoveringMap) -> Verdict:
 def pullback_coloring(p: CoveringMap, c: EdgeColoring) -> EdgeColoring:
     """Pull ``c`` back through the covering ``p``; a legal ``c`` pulls back legal.
 
-    ``p`` is not re-checked; run :func:`verify_covering` on untrusted maps.
+    A sheet-numbered ``p`` gives cover edge f the color of f // m; any other
+    reads its edge map. ``p`` is not re-checked; run :func:`verify_covering`
+    on untrusted maps.
     """
-    colors, emap = c._colors, p._emap
+    colors, m = c._colors, p._sheets
     try:
+        if m is None:
+            emap = p._emap
+            pulled = {e: colors[emap[e]] for e in p.source._edges}
+        else:
+            pulled = {f: colors[f // m] for f in p.source._edges}
         # every color is one of c's, already in 1..degree
-        return EdgeColoring._adopt(c.degree, {e: colors[emap[e]] for e in p.source._edges})
+        return EdgeColoring._adopt(c.degree, pulled)
     except KeyError:  # let c[...] raise its ColoringError for the first uncolored image
         for e in p.source._edges:
-            c[emap[e]]
+            c[p.edge_image(e)]
         raise
 
 
@@ -197,63 +245,61 @@ def lift_sequence(p: CoveringMap, c: EdgeColoring, sequence: Sequence[Bichromati
 
     The sequence is read once and replayed once from ``c``, so a stale switch names its
     position. The components of one switch are disjoint and bi-chromatic for the pull-back,
-    so flipping them all, in any order, equals pulling back the flipped base coloring."""
+    so flipping them all, in any order, equals pulling back the flipped base coloring.
+    ``p`` must be sheet-numbered; a map numbered otherwise raises CoveringError."""
     sequence = tuple(sequence)
     _replay(p.target, c.degree, dict(c._colors), enumerate(sequence))
     return _lift(p, sequence)
 
 
 def _lift(p: CoveringMap, sequence: SwitchSequence) -> SwitchSequence:
-    """:func:`lift_sequence` of a sequence already replayed on ``p.target``; the recursion enters here."""
-    source, emap = p.source, p._emap
-    fibers: dict[EdgeId, list[EdgeId]] = {}
-    for e in source._edges:
-        fibers.setdefault(emap[e], []).append(e)
+    """:func:`lift_sequence` of a sequence already replayed on ``p.target``; the recursion enters here.
+
+    The fiber of base edge e is the range e*m .. e*m + m-1."""
+    m, source = p._sheet_degree(), p.source
     out: list[BichromaticCycle] = []
     for cycle in sequence:
-        member = [f for e in cycle.edge_ids for f in fibers.get(e, ())]
+        member = [f for e in cycle.edge_ids for f in range(e * m, e * m + m)]
         out.extend(BichromaticCycle(cycle.colors, edges) for edges in _cycle_decomposition(source, member))
     return tuple(out)
 
 
 def compose(p: CoveringMap, q: CoveringMap) -> CoveringMap:
-    """The covering ``p`` after ``q`` (q's target must be p's source).
+    """The covering ``p`` after ``q`` (q's target must be p's source), both sheet-numbered.
 
+    The composite is sheet-numbered with the product of the degrees:
+    (v*m_p + k)*m_q + j = v*m_p*m_q + (k*m_q + j), and the same for edges.
     ``p`` and ``q`` must be coverings; they are not re-checked.
     """
     if q.target != p.source:
         raise CoveringError("cannot compose: middle graphs differ")
-    p_vmap, p_emap, q_emap = p._vmap, p._emap, q._emap
-    return CoveringMap(
-        q.source,
-        p.target,
-        [p_vmap[x] for x in q._vmap],
-        {e: p_emap[q_emap[e]] for e in q.source._edges},
-    )
+    return CoveringMap._sheeted(q.source, p.target, p._sheet_degree() * q._sheet_degree())
 
 
 def copies_cover(g: Multigraph, m: int) -> CoveringMap:
     """The projection of ``m`` disjoint copies of ``g`` onto ``g``: a covering of degree ``m``.
 
-    Copy k follows copy k-1, each in g's own order, so copy k of the edge
-    of rank r in g has id k|E| + r.
+    Copy k is sheet k: copy k of vertex v is v*m + k, and copy k of the
+    edge e = (u, w) is e*m + k, from u*m + k to w*m + k. That is the
+    extension of the m copies of g's edgeless spanning subgraph.
     """
     if m < 1:
         raise GraphStructureError(f"need at least one copy, got {m}")
-    union = disjoint_union([g] * m)[0]
-    return CoveringMap(union, g, tuple(range(g.vertex_count)) * m, dict(zip(union._edges, tuple(g._edges) * m)))
+    edgeless = Multigraph._adopt(g.vertex_count, {})
+    copies = CoveringMap._sheeted(Multigraph._adopt(g.vertex_count * m, {}), edgeless, m)
+    return extend_subgraph_cover(g, edgeless, copies)
 
 
 def extend_subgraph_cover(g: Multigraph, h: Multigraph, p: CoveringMap) -> CoveringMap:
-    """Extend a constant-fiber cover of a spanning subgraph to a cover of ``g``.
+    """Extend a sheet-numbered cover of a spanning subgraph to a cover of ``g``.
 
     ``h`` must be a spanning subgraph of ``g`` and ``p`` a covering of ``h``
-    with fiber size ``m`` at every vertex; ``p`` is not re-checked (run
-    :func:`verify_covering` on untrusted maps). Each edge of ``g`` missing
-    from ``h`` lifts to ``m`` new edges wired between equal fiber labels,
-    where label k at a vertex means the k-th smallest source vertex over it,
-    so every cover vertex gets exactly one lift of it. The result restricts
-    to ``p`` on the source of ``p`` (ids untouched) and has the same degree.
+    of degree ``m``, numbered sheet by sheet; ``p`` is not re-checked (run
+    :func:`verify_covering` on untrusted maps). Each edge e = (u, w) of
+    ``g`` missing from ``h`` lifts to the ``m`` edges e*m + k from u*m + k
+    to w*m + k, so every cover vertex gets exactly one lift of it. The
+    result is sheet-numbered, restricts to ``p`` on the source of ``p``
+    (ids untouched) and has the same degree.
     """
     if h.vertex_count != g.vertex_count:
         raise CoveringError("subgraph is not spanning: vertex sets differ")
@@ -264,21 +310,17 @@ def extend_subgraph_cover(g: Multigraph, h: Multigraph, p: CoveringMap) -> Cover
                 raise CoveringError(f"edge {e} of the subgraph is not an edge of the full graph")
     if p.target != h:
         raise CoveringError("cover does not map onto the given subgraph")
-    m = p.degree  # raises on non-constant fibers
+    m = p._sheet_degree()  # raises on non-constant fibers
 
-    fibers: list[list[VertexId]] = [[] for _ in range(g.vertex_count)]
-    for w, image in enumerate(p._vmap):
-        fibers[image].append(w)
-    pairs = dict(p.source._edges)
-    emap = dict(p._emap)
-    next_id = max(pairs, default=-1) + 1
+    # p's rows come m to an edge of h, in g's id order
+    rows = iter(p.source._edges.items())
+    pairs: dict[EdgeId, tuple[VertexId, VertexId]] = {}
     for e, (u, w) in g_edges.items():
-        if e not in h_edges:
-            lifts = range(next_id, next_id + m)
-            pairs.update(zip(lifts, zip(fibers[u], fibers[w])))
-            emap.update(dict.fromkeys(lifts, e))
-            next_id += m
-    # new ids follow the source's ascending ones; a lift joins the fibers of
-    # two distinct vertices of g, so its ends are distinct source vertices
-    extended = Multigraph._adopt(p.source.vertex_count, pairs)
-    return CoveringMap(extended, g, p._vmap, emap)
+        if e in h_edges:
+            pairs.update(islice(rows, m))
+        else:
+            f, u, w = e * m, u * m, w * m
+            for k in range(m):
+                pairs[f + k] = (u + k, w + k)
+    # ids ascend with g's; a lift joins the fibers of two distinct vertices of g
+    return CoveringMap._sheeted(Multigraph._adopt(p.source.vertex_count, pairs), g, m)

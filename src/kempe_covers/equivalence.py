@@ -15,7 +15,8 @@ beta(d) = (d-1) * beta(d-1)^2. The construction is a recursion on d:
 * some color classes already equal: drop the largest such color k. The
   remaining edges form a spanning (d-1)-regular subgraph carrying both
   colorings with d renamed to k; recurse there, extend the resulting cover
-  to the full graph (the k-colored edges lift along equal fiber labels), and
+  to the full graph (each k-colored edge lifts to one copy per sheet,
+  joining equal sheets), and
   replay the same switches with k renamed back to d.
 * no color class equal: align the top color first with the degree-(d-1)
   alignment cover, then run the aligned case for k = d twice, once from the
@@ -28,7 +29,9 @@ disjoint copies, except the trivial short-circuit for identical inputs,
 which keeps the identity cover. Padding is a disjoint union of copies
 that renumbers each switch onto every copy, with no replay. It keeps
 fibers constant across disconnected intermediate subgraphs, which is what
-lets cover extension stay in the constant-fiber case throughout.
+lets cover extension stay in the constant-fiber case throughout. Every
+cover is numbered sheet by sheet in its base's id space (see ``covering``),
+so each projection is a division and no layer builds a map table.
 """
 
 from __future__ import annotations
@@ -55,14 +58,7 @@ from .covering import (
     pullback_coloring,
 )
 from .errors import CoveringError, GraphStructureError, IllegalColoringError, KempeCoversError
-from .graph import (
-    EdgeId,
-    Multigraph,
-    VertexId,
-    connected_components,
-    disjoint_union,
-    spanning_subgraph,
-)
+from .graph import EdgeId, Multigraph, VertexId, connected_components, spanning_subgraph
 
 
 #: Largest cover, in vertices, that :func:`kempe_cover_witness` builds. A build of d=4 n=80,000
@@ -181,7 +177,7 @@ def _aligned_witness(
     The rest carries both colorings with d renamed to k, and each sub-switch
     has k renamed back to d; a renaming of colors maps legal colorings and
     their {a, b} components to legal colorings and components. The sub-witness
-    cover extends to g by lifting each k-colored edge along equal fiber labels,
+    cover extends to g by lifting each k-colored edge to one copy per sheet,
     and no switch touches k. Result degree is exactly beta(d-1), with no pad.
     On unequal inputs :func:`_witness` has degree exactly beta(j): the d=2
     identity is degree 1 = beta(2), two cases take copies up to beta(j), the
@@ -280,30 +276,35 @@ def _per_component_witness(
 
 
 def _union_witness(g: Multigraph, parts: list[tuple], degree: int) -> tuple[CoveringMap, SwitchSequence]:
-    """The disjoint union of ``degree // cover.degree`` copies of each part's witness: a cover of ``g``.
+    """The disjoint union of ``degree // m`` copies of each part's witness of degree m: a cover of ``g``.
 
     A part ``(cover, switches, vback, eback)`` is a witness whose vertex and
-    edge ids map into ``g`` through ``vback`` and ``eback``. Copies follow
-    one another, part by part, and each switch goes onto every copy of its
-    part before the next: the order in which :func:`lift_sequence` lifts a
-    sequence through the projection of the copies, here with no replay.
+    edge ids map into ``g`` through ``vback`` and ``eback``. The union is
+    sheet-numbered: copy c of the part's cover vertex v*m + k is sheet
+    c*m + k over vback[v], with id vback[v]*degree + c*m + k, and the same
+    for edges. Each switch goes onto every copy of its part, copy by copy,
+    before the next.
     """
-    copies = [degree // cover.degree for cover, _, _, _ in parts]
-    union, emaps = disjoint_union([cover.source for (cover, *_), m in zip(parts, copies) for _ in range(m)])
-    vertex_map: list[VertexId] = []
-    edge_images: list[EdgeId] = []
+    pairs: dict[EdgeId, tuple[VertexId, VertexId]] = {}
     all_switches: list[BichromaticCycle] = []
-    at = 0
-    for (cover, switches, vback, eback), m in zip(parts, copies):
-        vertex_map += [vback[x] for x in cover._vmap] * m
-        edge_images += [eback[cover._emap[e]] for e in cover.source._edges] * m
-        part_emaps, at = emaps[at:at + m], at + m
-        # disjoint_union numbers a copy's edges in increasing order, so a sorted switch stays sorted
+    for cover, switches, vback, eback in parts:
+        m = cover._sheet_degree()
+        firsts = range(0, degree, m)  # the first sheet of each copy: c*m for copy c
+        # the ids of copy 0; copy c adds c*m to every vertex and edge id
+        at = [vback[x // m] * degree + x % m for x in range(cover.source.vertex_count)]
+        ends = [(at[u], at[w]) for u, w in cover.source._edges.values()]
+        ids = [eback[f // m] * degree + f % m for f in cover.source._edges]
+        for s in firsts:
+            pairs.update(zip(map(s.__add__, ids), [(u + s, w + s) for u, w in ends] if s else ends))
+        # eback ascends, so a sorted switch stays sorted
         for cyc in switches:
-            for emap in part_emaps:
-                all_switches.append(BichromaticCycle(cyc.colors, tuple(map(emap.__getitem__, cyc.edge_ids))))
-    # the union numbers its edges 0, 1, ... copy after copy
-    return CoveringMap(union, g, vertex_map, dict(enumerate(edge_images))), tuple(all_switches)
+            moved = [eback[f // m] * degree + f % m for f in cyc.edge_ids]
+            for s in firsts:
+                all_switches.append(BichromaticCycle(cyc.colors, tuple(map(s.__add__, moved))))
+    # the rows came copy by copy and part by part: put them in id order, ascending with g's
+    # (each copy joins the copies of two distinct vertices)
+    union = Multigraph._adopt(g.vertex_count * degree, {f: pairs[f] for f in sorted(pairs)})
+    return CoveringMap._sheeted(union, g, degree), tuple(all_switches)
 
 
 def kempe_cover_witness(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> EquivalenceWitness:

@@ -12,12 +12,14 @@ Graphs are immutable once constructed; :meth:`Multigraph.from_edges`
 builds one with dense edge ids from a list of endpoint pairs. The public
 constructor checks a table that may come from outside: it keeps a copy,
 re-keyed in id order only when the ids do not already ascend, and one pass
-checks each edge's endpoints in id order, rebuilding only a pair that is
-not a tuple.
+checks, in id order, that each id is an integer and each entry a tuple or
+list of two integer endpoints in range with no loop, rebuilding only a pair
+that is not a tuple. Bools are not integers here, as in the witness parser.
 The private :meth:`Multigraph._adopt` takes as is the tables the package derives
 from checked graphs: spanning subgraphs, disjoint unions, relabelled
-components, extended covers and alignment covers. Each builds ascending ids
-and endpoints from ranges it knows, so a check would prove nothing new.
+components, copies and unions of copies, extended covers and alignment
+covers. Each builds ascending ids and endpoints from ranges it knows, so a
+check would prove nothing new.
 """
 
 from __future__ import annotations
@@ -41,20 +43,33 @@ class Multigraph:
     __slots__ = ("_n", "_edges")
 
     def __init__(self, vertex_count: int, edges: Mapping[EdgeId, tuple[VertexId, VertexId]]):
+        if type(vertex_count) is not int:
+            raise GraphStructureError(f"vertex count must be an integer, got {vertex_count!r}")
         if vertex_count < 0:
             raise GraphStructureError(f"negative vertex count {vertex_count}")
-        ids = sorted(edges)
-        table = dict(edges) if ids == list(edges) else {e: edges[e] for e in ids}
-        for eid, ends in table.items():
-            u, v = ends
-            if not (0 <= u < vertex_count):
-                raise UnknownVertexError(f"edge {eid}: vertex {u} not in graph")
-            if not (0 <= v < vertex_count):
-                raise UnknownVertexError(f"edge {eid}: vertex {v} not in graph")
-            if u == v:
-                raise LoopEdgeError(f"edge {eid} would be a loop at vertex {u}")
-            if type(ends) is not tuple:
-                table[eid] = (u, v)
+        # ids and ends must be ints, and bools are not: a fault raises TypeError or ValueError
+        try:
+            ids = sorted(edges)
+            table = dict(edges) if ids == list(edges) else {e: edges[e] for e in ids}
+            for eid, ends in table.items():
+                u, v = ends
+                if type(u) is not int or type(v) is not int or type(eid) is not int:
+                    raise TypeError
+                if not (0 <= u < vertex_count):
+                    raise UnknownVertexError(f"edge {eid}: vertex {u} not in graph")
+                if not (0 <= v < vertex_count):
+                    raise UnknownVertexError(f"edge {eid}: vertex {v} not in graph")
+                if u == v:
+                    raise LoopEdgeError(f"edge {eid} would be a loop at vertex {u}")
+                if type(ends) is not tuple:
+                    if type(ends) is not list:
+                        raise TypeError
+                    table[eid] = (u, v)
+        except (TypeError, ValueError):
+            for e in edges:
+                if type(e) is not int:
+                    raise GraphStructureError(f"edge id {e!r} is not an integer") from None
+            raise GraphStructureError(f"edge {eid}: endpoints {ends!r} are not a pair of integers") from None
         self._n = vertex_count
         self._edges = table
 
@@ -70,7 +85,7 @@ class Multigraph:
     @classmethod
     def from_edges(cls, vertex_count: int, pairs: Iterable[tuple[VertexId, VertexId]]) -> "Multigraph":
         """Build a graph with dense edge ids ``0..len(pairs)-1`` in input order."""
-        return cls(vertex_count, {i: (u, v) for i, (u, v) in enumerate(pairs)})
+        return cls(vertex_count, dict(enumerate(pairs)))
 
     # -- queries ---------------------------------------------------------
 

@@ -2,11 +2,14 @@
 
 Instances are small human-diffable JSON files: an edge list (edge id =
 list index) and named colorings (color list indexed by edge id). Witness
-documents embed the full cover graph with explicit edge ids, because covers
-built by subgraph extension legitimately carry non-dense ids and round-trips
-must be exact. The witness parser reads each block once: one bulk pass
-type-checks the document's own rows, which are copied only when one holds
-a non-integer, and each table is built from them once.
+documents embed the full cover graph with explicit edge ids and both maps.
+A built cover is sheet-numbered (see ``covering``), so over a base with
+dense ids its ids are dense and its maps are division. A document may come
+from outside, though: the parser takes ids and maps as written, the
+verifier checks them, and round-trips are exact. The witness parser reads
+each block once: one bulk pass type-checks the document's own rows, which
+are copied only when one holds a non-integer, and each table is built from
+them once.
 """
 
 from __future__ import annotations
@@ -163,6 +166,7 @@ def _coloring_from_json(doc, block: str) -> EdgeColoring:
 
 def witness_to_json(w: EquivalenceWitness, names: tuple[str, str] | None = None) -> dict:
     """Witness document; its ``edge_map`` rows are (id, image) tuples, which JSON writes as arrays."""
+    vertex_map, edge_map = w.cover._tables()
     doc = {
         "format": WITNESS_FORMAT,
         "degree": w.cover.degree,
@@ -170,8 +174,8 @@ def witness_to_json(w: EquivalenceWitness, names: tuple[str, str] | None = None)
         "start": _coloring_to_json(w.start),
         "goal": _coloring_to_json(w.goal),
         "cover": _graph_to_json(w.cover.source),
-        "vertex_map": list(w.cover.vertex_map),
-        "edge_map": sorted(w.cover._emap.items()),
+        "vertex_map": list(vertex_map),
+        "edge_map": sorted(edge_map.items()),
         "sequence": [
             {"colors": list(cyc.colors), "edges": list(cyc.edge_ids)} for cyc in w.switches
         ],

@@ -163,7 +163,8 @@ def reference_alignment(g, c1, c2, orientation):
     """The offset-keyed alignment cover and its cover-side switches, frozen as the reference.
 
     Each copy of an edge is placed through the orientation's offset and
-    re-keyed by its sheet at the smaller endpoint. The switches decompose
+    re-keyed by its sheet at the smaller endpoint: copy k of edge e is
+    e*(d-1) + k, in the base's own id space. The switches decompose
     the cover's preimage of the moving edges, each with its smallest color.
     """
     d = c1.degree
@@ -177,7 +178,7 @@ def reference_alignment(g, c1, c2, orientation):
         origin, terminus = orientation[e]
         offset = 0 if c1[e] == d else (shift[origin] - shift[terminus]) % modulus
         for label in range(modulus):
-            f = len(pairs)
+            f = e * modulus + label
             at_terminus = label if min(u, w) == terminus else (label - offset) % modulus
             at_origin = (at_terminus + offset) % modulus
             if u == terminus:

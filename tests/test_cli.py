@@ -145,7 +145,7 @@ VERIFY_PATH = {
     "cli._build_parser", "cli._cmd_verify", "cli._load_instance", "cli.main",
     "coloring.__eq__", "coloring.__init__", "coloring._adopt", "coloring._replay",
     "coloring.common_degree", "coloring.degree",
-    "covering.__bool__", "covering.__init__", "covering._verify_incidence", "covering.degree",
+    "covering.__bool__", "covering.__init__", "covering._tables", "covering._verify_incidence", "covering.degree",
     "covering.pullback_coloring",
     "equivalence._betas", "equivalence.verify_witness",
     "graph.__eq__", "graph.__init__", "graph._degrees", "graph.edge_count", "graph.from_edges",
@@ -233,9 +233,9 @@ def theta_witness_with(tmp_path, **blocks):
 
 @pytest.mark.parametrize("blocks, reason", [
     # theta's three edges are parallel twins: incidence holds, and cover
-    # vertex 0 gets two edges over base edge 1
-    ({"edge_map": [[0, 1], [1, 1], [2, 2], [3, 0], [4, 1], [5, 2]]},
-     "local bijection fails: colors do not make a legal coloring: edges 0 and 1 both have color 2 at vertex 0"),
+    # vertex 0 gets two edges over base edge 1, cover edge 0 and its sheet-0 lift 2
+    ({"edge_map": [[0, 1], [1, 0], [2, 1], [3, 1], [4, 2], [5, 2]]},
+     "local bijection fails: colors do not make a legal coloring: edges 0 and 2 both have color 2 at vertex 0"),
     ({"degree": 0, "cover": {"vertices": 0, "edges": []}, "vertex_map": [], "edge_map": [], "sequence": []},
      "fibers are empty: no source vertex maps onto the target"),
 ], ids=["parallel-twin", "empty-cover"])

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -55,6 +56,17 @@ def test_coloring_rejects_out_of_range():
         EdgeColoring(3, {0: 4})
     with pytest.raises(ColoringError):
         EdgeColoring(3, {0: 0})
+
+
+@pytest.mark.parametrize("degree, colors, message", [
+    (2, {0: 1.5}, "edge 0: color 1.5 is not an integer"),
+    (2, {0: 1, 1: True}, "edge 1: color True is not an integer"),
+    (2, {0: "1"}, "edge 0: color '1' is not an integer"),
+    (2.0, {0: 1}, "ambient degree must be an integer, got 2.0"),
+], ids=["fraction", "bool", "string", "float degree"])
+def test_coloring_refuses_what_is_not_an_integer(degree, colors, message):
+    with pytest.raises(ColoringError, match=f"^{re.escape(message)}$"):
+        EdgeColoring(degree, colors)
 
 
 def test_is_legal(k33, k33_pair):

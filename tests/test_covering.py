@@ -36,15 +36,19 @@ from conftest import alternating_coloring, dart_lists, make_cycle, make_k33, mak
 
 
 def double_cycle_cover(length):
-    """Wrap-around double cover of a cycle: 2L-cycle onto L-cycle."""
-    big = make_cycle(2 * length)
+    """Wrap-around double cover of a cycle, 2L-cycle onto L-cycle, numbered sheet by sheet.
+
+    Copy k of edge e joins sheet k over its ends, vertex 2v + k over v, and
+    has id 2e + k; the copies of the closing edge L-1 cross to the other sheet.
+    """
     small = make_cycle(length)
-    return CoveringMap(
-        big,
-        small,
-        [v % length for v in big.vertices()],
-        {e: e % length for e in big.edge_ids()},
-    )
+    pairs = {
+        2 * e + k: (2 * u + k, 2 * w + (k if e < length - 1 else 1 - k))
+        for e, (u, w) in small._edges.items()
+        for k in range(2)
+    }
+    big = Multigraph(2 * length, pairs)
+    return CoveringMap(big, small, [v // 2 for v in big.vertices()], {e: e // 2 for e in big.edge_ids()})
 
 
 def test_identity_is_a_covering(k33):
@@ -127,9 +131,12 @@ def test_pullback_through_identity(k33, k33_pair):
 
 def test_pullback_through_double_cover():
     p = double_cycle_cover(4)
-    pulled = pullback_coloring(p, alternating_coloring(4))
+    c = alternating_coloring(4)
+    pulled = pullback_coloring(p, c)
     assert is_legal(p.source, pulled)
-    assert pulled == alternating_coloring(8)
+    # the 8-cycle alternates, each edge colored as its image
+    assert len(connected_components(p.source)) == 1
+    assert dict(pulled.items()) == {e: c[p.edge_image(e)] for e in p.source.edge_ids()}
 
 
 def test_pullback_names_the_first_uncolored_base_edge(k33):
@@ -253,15 +260,15 @@ def test_copies_cover_counts_and_provenance():
     assert doubled.source.vertex_count == 12 and doubled.source.edge_count == 18
     assert len(connected_components(doubled.source)) == 2
     assert verify_covering(doubled) and doubled.degree == 2
-    # copy k of vertex v is k|V| + v; copy k of the edge of rank r is k|E| + r
+    # copy k of vertex v is 3v + k; copy k of edge e is 3e + k, in g's own ids
     gapped = spanning_subgraph(make_cycle(6), [0, 2, 3, 5])
     tripled = copies_cover(gapped, 3)
-    assert tripled.vertex_map == tuple(range(6)) * 3
-    for e in tripled.source.edge_ids():
-        k, r = divmod(e, 4)
-        old = gapped.edge_ids()[r]
-        assert tripled.edge_image(e) == old
-        assert tripled.source.endpoints(e) == tuple(6 * k + v for v in gapped.endpoints(old))
+    assert tripled.vertex_map == tuple(v for v in range(6) for _ in range(3))
+    assert tripled.source.edge_ids() == (0, 1, 2, 6, 7, 8, 9, 10, 11, 15, 16, 17)
+    for f in tripled.source.edge_ids():
+        e, k = divmod(f, 3)
+        assert tripled.edge_image(f) == e
+        assert tripled.source.endpoints(f) == tuple(3 * v + k for v in gapped.endpoints(e))
     assert copies_cover(k33, 1).source == k33
 
 
@@ -278,6 +285,26 @@ def test_compose_identity_and_degrees(k33):
     assert r.degree == 6
     with pytest.raises(CoveringError):
         compose(q, p)  # middle graphs do not match
+
+
+def test_a_cover_numbered_otherwise_is_refused_where_division_would_mislift():
+    # the double cover of the 4-cycle by the 8-cycle, numbered around the cycle: v over v % 4
+    big, small = make_cycle(8), make_cycle(4)
+    p = CoveringMap(big, small, [v % 4 for v in big.vertices()], {e: e % 4 for e in big.edge_ids()})
+    assert verify_covering(p) and p.degree == 2
+    c = alternating_coloring(4)
+    gamma = bichromatic_cycles(small, c, 1, 2)[0]
+    calls = [
+        lambda: lift_sequence(p, c, [gamma]),
+        lambda: compose(CoveringMap.identity(small), p),
+        lambda: compose(p, CoveringMap.identity(big)),
+        lambda: extend_subgraph_cover(small, small, p),
+    ]
+    for call in calls:
+        with pytest.raises(CoveringError, match=r"^cover is not sheet-numbered: vertex x and edge y must lie over x // 2"):
+            call()
+    # the general paths take any numbering
+    assert is_legal(big, pullback_coloring(p, c))
 
 
 def test_extend_subgraph_cover_full_graph(k33, k33_pair):

@@ -18,10 +18,12 @@ from kempe_covers import (
     Verdict,
     beta,
     bichromatic_cycles,
+    bundled_instance_path,
     common_degree,
     compose,
     connected_components,
     copies_cover,
+    disjoint_union,
     equivalence,
     equivalent_without_cover,
     is_legal,
@@ -34,8 +36,9 @@ from kempe_covers import (
     verify_witness,
 )
 from kempe_covers.coloring import _replay
+from kempe_covers.serialize import instance_from_json, load_json
 
-from conftest import K33_C1, K33_C2, alternating_coloring, make_cycle, make_k33, make_petersen
+from conftest import K33_C1, K33_C2, alternating_coloring, make_cycle, make_k33, make_petersen, make_theta
 
 
 def test_beta_table():
@@ -93,10 +96,10 @@ def test_aligned_input_still_degree_beta(k33, k33_pair):
 def test_disconnected_input_single_cover(k33, k33_pair):
     c1v, c2v = k33_pair
     p = copies_cover(make_k33(), 2)
-    g = p.source  # copy k of k33's edge e has id 9k + e
+    g = p.source  # copy k of k33's edge e has id 2e + k
     c1 = EdgeColoring(3, {e: c1v[p.edge_image(e)] for e in g.edge_ids()})
     # second copy differs, first copy identical
-    c2 = EdgeColoring(3, {e: (c2v if e >= 9 else c1v)[p.edge_image(e)] for e in g.edge_ids()})
+    c2 = EdgeColoring(3, {e: (c2v if e % 2 else c1v)[p.edge_image(e)] for e in g.edge_ids()})
     w = kempe_cover_witness(g, c1, c2)
     assert w.cover.degree == beta(3)
     assert verify_witness(w)
@@ -104,10 +107,11 @@ def test_disconnected_input_single_cover(k33, k33_pair):
 
 def k33_copies(pairs):
     """Disjoint K3,3 copies; copy k is colored from ``pairs[k][0]`` to ``pairs[k][1]``."""
-    g = copies_cover(make_k33(), len(pairs)).source
-    # copy k of k33's edge e has id 9k + e
-    start = EdgeColoring(3, {e: pairs[e // 9][0][e % 9] for e in g.edge_ids()})
-    goal = EdgeColoring(3, {e: pairs[e // 9][1][e % 9] for e in g.edge_ids()})
+    m = len(pairs)
+    g = copies_cover(make_k33(), m).source
+    # copy k of k33's edge e has id me + k
+    start = EdgeColoring(3, {e: pairs[e % m][0][e // m] for e in g.edge_ids()})
+    goal = EdgeColoring(3, {e: pairs[e % m][1][e // m] for e in g.edge_ids()})
     return g, start, goal
 
 
@@ -224,10 +228,33 @@ def test_over_degree_witness_rejected(k33, k33_pair):
 
 
 def reference_pad_to_degree(cover, switches, start, target_degree):
-    """Padding as a lift, frozen: project copies of the cover, lift the switches by a replay, compose."""
-    projection = copies_cover(cover.source, target_degree // cover.degree)
+    """Padding as a lift, frozen: project copies of the cover, lift the switches by a replay, compose.
+
+    The composite numbers copy c of the cover's sheet k as its sheet k*t + c,
+    t the number of copies; the union numbers it c*m + k, m the cover's
+    degree. So every id is renumbered, and each lifted switch re-sorted.
+    """
+    m, t = cover.degree, target_degree // cover.degree
+    projection = copies_cover(cover.source, t)
     lifted = lift_sequence(projection, pullback_coloring(cover, start), switches)
-    return compose(cover, projection), lifted
+    composite = compose(cover, projection)
+
+    def renumbered(x):
+        return x // target_degree * target_degree + x % t * m + x % target_degree // t
+
+    source = Multigraph(
+        composite.source.vertex_count,
+        {renumbered(f): tuple(map(renumbered, ends)) for f, ends in composite.source._edges.items()},
+    )
+    padded = CoveringMap(
+        source,
+        composite.target,
+        [composite.vertex_map[x] for x in sorted(source.vertices(), key=renumbered)],
+        {renumbered(f): image for f, image in composite.edge_map.items()},
+    )
+    return padded, tuple(
+        BichromaticCycle(cycle.colors, tuple(sorted(map(renumbered, cycle.edge_ids)))) for cycle in lifted
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -245,6 +272,42 @@ def test_union_of_copies_pads_as_the_lift_through_the_copies(seed, shape, factor
     expected_cover, expected_switches = reference_pad_to_degree(w.cover, w.switches, c1, target)
     assert cover == expected_cover and cover.degree == target
     assert switches == expected_switches
+
+
+def k33_beside_theta():
+    """A disconnected base: K3,3 and a theta graph, each with two colorings of its own."""
+    g, _ = disjoint_union([make_k33(), make_theta()])
+    c1 = EdgeColoring(3, dict(enumerate(K33_C1 + (1, 2, 3))))
+    c2 = EdgeColoring(3, dict(enumerate(K33_C2 + (2, 1, 3))))
+    return g, c1, c2
+
+
+def bundled(name):
+    g, colorings = instance_from_json(load_json(bundled_instance_path(name)))
+    return g, colorings["c1"], colorings["c2"]
+
+
+@pytest.mark.parametrize("instance", [
+    lambda: random_colored_instance(1, 3, 8),
+    lambda: random_colored_instance(2, 3, 1000),
+    lambda: random_colored_instance(2, 4, 40),
+    lambda: random_colored_instance(1, 5, 6),
+    k33_beside_theta,
+    lambda: bundled("k33"),
+    lambda: bundled("theta"),
+], ids=["d3-n8-seed1", "d3-n1000-seed2", "d4-n40-seed2", "d5-n6-seed1", "disconnected", "k33", "theta"])
+def test_built_witnesses_are_sheet_numbered_with_dense_ids(instance):
+    g, c1, c2 = instance()
+    w = kempe_cover_witness(g, c1, c2)
+    m = w.cover.degree
+    assert m == beta(c1.degree)
+    # the ids of m sheets over g's dense ids, and a covering that lies over them by division
+    assert w.cover.source.edge_ids() == tuple(range(m * g.edge_count))
+    assert w.cover.source.vertex_count == m * g.vertex_count
+    assert w.cover.vertex_map == tuple(x // m for x in range(m * g.vertex_count))
+    assert w.cover.edge_map == {y: y // m for y in range(m * g.edge_count)}
+    verdict = verify_covering(w.cover)
+    assert verdict, verdict.reason
 
 
 def rejected_input(name):
@@ -385,7 +448,7 @@ def test_every_adopted_table_passes_the_public_checks(checked_adoption):
         assert len(connected_components(w.cover.source)) > 1
         assert verify_witness(w)
     kempe_switch(g, c1, bichromatic_cycles(g, c1, 1, 2)[0])
-    graphs = {"spanning_subgraph", "disjoint_union", "extend_subgraph_cover", "_build_alignment_cover",
+    graphs = {"spanning_subgraph", "_union_witness", "extend_subgraph_cover", "_build_alignment_cover",
               "_per_component_witness"}
     colorings = {"pullback_coloring", "kempe_switch", "apply_sequence", "_aligned_witness",
                  "_per_component_witness", "_build_alignment_cover"}
@@ -411,9 +474,10 @@ def test_a_parallel_twin_image_fails_the_local_bijection(theta, theta_coloring):
     assert edge_map[0] == 0
     edge_map[0] = 1  # a parallel twin: incidence holds, cover vertex 0 has two edges over edge 1
     verdict = verify_witness(with_cover(w, w.cover.source, w.cover.vertex_map, edge_map))
+    # cover edge 2 is sheet 0 of base edge 1
     assert verdict == Verdict(
         False, "local bijection fails: colors do not make a legal coloring: "
-        "edges 0 and 1 both have color 2 at vertex 0"
+        "edges 0 and 2 both have color 2 at vertex 0"
     )
 
 

@@ -64,20 +64,21 @@ def test_golden_file_verifies(filename):
 
 
 def test_deep_reference_witness_digest():
-    # the d=5 n=6 seed-1 witness is 307,474 canonical bytes, too large to keep as a file
+    # the d=5 n=6 seed-1 witness is 308,406 canonical bytes, too large to keep as a file
     text = canonical(kempe_cover_witness(*random_colored_instance(1, 5, 6)))
-    assert len(text) == 307_475  # with the trailing newline
+    assert len(text) == 308_407  # with the trailing newline
     digest = hashlib.sha256(text[:-1].encode()).hexdigest()
-    assert digest == "4eddd047c340cb1c4f1e763a0a59f2bf6d77ff279fff80461aac11df22d2afe6"
+    assert digest == "cf7a98887326f5f499d729e8c275bc9c8b37b1624dd98606e54f4b4cee9093a4"
 
 
 @pytest.mark.parametrize(
     "seed, d, n, size, expected",
     [
-        # a d=3 witness at scale: 3,000 cover edges with ids up to 3,999
-        (2, 3, 1000, 148_000, "19c66174bdb65d48ef04eb9fa77293ade7002cecfa6dd7507e7934d9dfa5eda2"),
-        (1, 4, 150, 141_860, "b28b3fb5833da7d108e75fb1b2bbac280e0076e41cb578883bf9b9e589144fe3"),
+        # a d=3 witness at scale: 3,000 cover edges with the dense ids 0..2,999
+        (2, 3, 1000, 147_251, "3f140b665223967e58aed367ebfa3eb8fbc9fdbf2676905ef2fe65ca280f6864"),
+        (1, 4, 150, 142_196, "1cc2d064504ad35e59f2757616c301d02f00df5edbe5adbf2bb58016b6497e7c"),
     ],
+    ids=["d3-n1000-seed2", "d4-n150-seed1"],
 )
 def test_wide_reference_witness_digest(seed, d, n, size, expected):
     # the shapes of perfbench's wide workload, each too large to keep as a file
@@ -89,5 +90,5 @@ def test_wide_reference_witness_digest(seed, d, n, size, expected):
 def test_deep_d4_slot_witness_digest():
     # the largest shape of perfbench's 24 random d=4 deep slots, whose n runs from 20 to 40
     text = canonical(kempe_cover_witness(*random_colored_instance(2, 4, 40)))[:-1]
-    assert len(text) == 34_062
-    assert hashlib.sha256(text.encode()).hexdigest() == "d9a9bb5a818cfbd7651b7234d88fca4e3ce26bfb64f2b3fe6fd4545bc8ef1c48"
+    assert len(text) == 34_072
+    assert hashlib.sha256(text.encode()).hexdigest() == "a48f465daa9d5b1083ae616bdc84a03a20a2d7631795b301a640892694da0ac6"

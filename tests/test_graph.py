@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import pytest
@@ -124,6 +125,25 @@ def test_construction_errors_raise_before_any_walk(monkeypatch, n, edges, error,
     with pytest.raises(error, match=message):
         Multigraph(n, edges)
     assert walks == []
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (3, {0: (0.5, 1)}, "edge 0: endpoints (0.5, 1) are not a pair of integers"),
+    (3, {0: (0, 1), 1: (True, 2)}, "edge 1: endpoints (True, 2) are not a pair of integers"),
+    (3, {0: ("a", 1)}, "edge 0: endpoints ('a', 1) are not a pair of integers"),
+    (3, {0: (0, 1, 2)}, "edge 0: endpoints (0, 1, 2) are not a pair of integers"),
+    (3, {0: 5}, "edge 0: endpoints 5 are not a pair of integers"),
+    (3, {0: {0, 1}}, "edge 0: endpoints {0, 1} are not a pair of integers"),
+    (3, {"x": (0, 1)}, "edge id 'x' is not an integer"),
+    (3, {True: (0, 1)}, "edge id True is not an integer"),
+    (3.0, {0: (0, 1)}, "vertex count must be an integer, got 3.0"),
+], ids=["fraction", "bool end", "string end", "triple", "int", "set", "string id", "bool id", "float count"])
+def test_constructor_refuses_what_is_not_an_integer(n, edges, message):
+    with pytest.raises(GraphStructureError, match=f"^{re.escape(message)}$"):
+        Multigraph(n, edges)
+    if isinstance(n, int) and list(edges) == list(range(len(edges))):  # the builder takes the same rows
+        with pytest.raises(GraphStructureError, match=f"^{re.escape(message)}$"):
+            Multigraph.from_edges(n, list(edges.values()))
 
 
 @pytest.mark.parametrize("edges", [{0: (1, 2), 2: (0, 1)}, {2: [0, 1], 0: [1, 2]}], ids=["ascending", "unsorted"])

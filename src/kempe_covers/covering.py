@@ -6,27 +6,23 @@ edges there and the edges at the image vertex. Covers of d-regular graphs
 are d-regular, and a legal base coloring pulls back to a legal cover
 coloring.
 
-Every cover the package builds is numbered sheet by sheet, in its base's
-own id space: in a cover of degree m, vertex (v, k) has id v*m + k and edge
-(e, k) has id e*m + k, for k in 0..m-1. Its projection is then x // m on
-vertices and on edges, and it is a permutation voltage graph (J. L. Gross
-and T. W. Tucker, "Generating all graph coverings by permutation voltage
-assignments", Discrete Math. 18, 1977). This module lifts switch sequences
-through such covers, replaying each unless the caller has, composes them,
-copies a graph and extends a spanning subgraph's cover to the full graph,
-all by that division. They refuse, with CoveringError, a map whose tables
-number its cover otherwise. They trust their input coverings and do not
-re-check what they build; :func:`verify_covering` checks maps of any
-numbering from outside. Its incidence half (totality, ranges, incidence)
-is also the first step of ``equivalence.verify_witness``, which gets the
-rest of the axioms from constant fibers, an edge count and the legality of
-a pulled-back coloring.
-
-Fiber sizes are required to be constant across all base vertices, even for
-disconnected bases; the equivalence construction normalizes every
-intermediate cover to a uniform degree, so nothing more general is needed
-and composition stays well-defined. ``CoveringMap.degree`` checks that every
-vertex image lies in the target before it counts the fibers.
+Every covering map is numbered sheet by sheet, in its base's own id space:
+in a cover of degree m, vertex (v, k) has id v*m + k and edge (e, k) has id
+e*m + k, for k in 0..m-1. Its projection is then x // m on vertices and on
+edges, and it is a permutation voltage graph (J. L. Gross and T. W. Tucker,
+"Generating all graph coverings by permutation voltage assignments",
+Discrete Math. 18, 1977). Any covering of constant degree m can be
+renumbered so. A :class:`CoveringMap` is therefore its source, its target
+and m; its public constructor takes maps from outside only when they are
+x // m, and names the first entry that is not. This module lifts switch
+sequences through such covers, replaying each unless the caller has,
+composes them, copies a graph and extends a spanning subgraph's cover to
+the full graph, all by that division. They trust their input coverings and
+do not re-check what they build. The type gives total maps, vertex images
+in the target and constant, non-empty fibers; :func:`verify_covering`
+checks the rest of the axioms. Its incidence half is also the first step of
+``equivalence.verify_witness``, which gets the rest from an edge count and
+the legality of a pulled-back coloring.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ from .coloring import (
     _cycle_decomposition,
     _replay,
 )
-from .errors import CoveringError, GraphStructureError
+from .errors import CoveringError, GraphStructureError, UnknownEdgeError
 from .graph import EdgeId, Multigraph, VertexId, _degrees
 
 
@@ -58,18 +54,17 @@ class Verdict:
 
 
 class CoveringMap:
-    """Vertex and edge maps from a source graph onto a target graph.
+    """The projection x // m of a cover numbered sheet by sheet onto its base.
 
-    Construction does not validate; run :func:`verify_covering` explicitly
-    (tests need to build broken maps on purpose). ``degree`` checks the
-    vertex map alone: every image in the target, fibers of one size m >= 1.
-    A map the package builds is sheet-numbered (see the module docstring):
-    it knows its degree and builds its tables only when they are read.
-    Whether a map is sheet-numbered and whether its tables exist are two
-    facts, kept apart, so reading the tables changes no later division.
+    The constructor checks maps from outside: it raises CoveringError
+    unless ``vertex_map`` is total on ``source`` and equal to x // m, where
+    m >= 1 and m * |V(target)| = |V(source)|, and ``edge_map`` has exactly
+    the source's edge ids as keys, each with the image f // m. It does not
+    check incidence or local bijection; run :func:`verify_covering` for
+    those (tests build broken maps on purpose).
     """
 
-    __slots__ = ("source", "target", "_vmap", "_emap", "_degree", "_sheets")
+    __slots__ = ("source", "target", "degree")
 
     def __init__(
         self,
@@ -78,20 +73,28 @@ class CoveringMap:
         vertex_map: Sequence[VertexId],
         edge_map: Mapping[EdgeId, EdgeId],
     ):
-        self.source = source
-        self.target = target
-        self._vmap: tuple[VertexId, ...] | None = tuple(vertex_map)
-        self._emap: dict[EdgeId, EdgeId] | None = dict(edge_map)
-        self._degree: int | None = None
-        self._sheets: int | None = None  # m, once the maps are known to be x // m
+        size, n = source.vertex_count, target.vertex_count
+        m = size // n if n else 0
+        if m < 1 or m * n != size:
+            raise CoveringError(f"cover has {size} vertices, not m >= 1 times the target's {n}")
+        for kind, given, want in (
+            ("vertex", dict(enumerate(vertex_map)), {x: x // m for x in range(size)}),
+            ("edge", dict(edge_map), {f: f // m for f in source._edges}),
+        ):
+            if given != want:  # name the smallest id that is missing, foreign or mapped elsewhere
+                x = min(given.keys() ^ want.keys() | {x for x in want.keys() & given.keys() if given[x] != want[x]})
+                if x not in want:
+                    raise CoveringError(f"{kind} map names {kind} {x}, not a source {kind}")
+                if x not in given:
+                    raise CoveringError(f"{kind} {x} has no image")
+                raise CoveringError(f"{kind} {x} maps to {given[x]}, not to {x} // {m} = {want[x]}")
+        self.source, self.target, self.degree = source, target, m
 
     @classmethod
     def _sheeted(cls, source: Multigraph, target: Multigraph, m: int) -> "CoveringMap":
-        """The projection x // m of a cover that the caller numbered sheet by sheet, with no tables yet."""
+        """The projection x // m of a cover that the caller numbered sheet by sheet."""
         p = cls.__new__(cls)
-        p.source, p.target = source, target
-        p._vmap = p._emap = None
-        p._degree = p._sheets = m
+        p.source, p.target, p.degree = source, target, m
         return p
 
     @classmethod
@@ -99,144 +102,90 @@ class CoveringMap:
         return cls._sheeted(g, g, 1)
 
     def edge_image(self, e: EdgeId) -> EdgeId:
-        return self._tables()[1][e]
+        if e not in self.source._edges:
+            raise UnknownEdgeError(f"no edge {e} in the cover")
+        return e // self.degree
 
     @property
     def vertex_map(self) -> tuple[VertexId, ...]:
-        return self._tables()[0]
+        m = self.degree
+        return tuple([x // m for x in range(self.source.vertex_count)])
 
     @property
     def edge_map(self) -> dict[EdgeId, EdgeId]:
-        return dict(self._tables()[1])
-
-    def _tables(self) -> tuple[tuple[VertexId, ...], dict[EdgeId, EdgeId]]:
-        """The vertex and edge maps themselves, for reading; a sheet-numbered map builds them on first use."""
-        if self._vmap is None:
-            m, source = self._sheets, self.source
-            self._vmap = tuple([x // m for x in range(source.vertex_count)])
-            self._emap = {f: f // m for f in source._edges}
-        return self._vmap, self._emap
-
-    def _sheet_degree(self) -> int:
-        """The degree m of a sheet-numbered map; raises CoveringError on tables numbered otherwise."""
-        if self._sheets is None:
-            m = self.degree  # raises on an image outside the target, or on fibers not constant
-            vmap, emap = self._vmap, self._emap
-            if vmap != tuple([x // m for x in range(len(vmap))]) or emap != {f: f // m for f in emap}:
-                raise CoveringError(f"cover is not sheet-numbered: vertex x and edge y must lie over x // {m} and y // {m}")
-            self._sheets = m
-        return self._sheets
+        m = self.degree
+        return {f: f // m for f in self.source._edges}
 
     # no package code calls this; it stays because perfbench/tracer.py's METHODS wraps it by name
     def vertex_fiber(self, v: VertexId) -> tuple[VertexId, ...]:
         """Source vertices over ``v``, in increasing id order."""
-        vmap = self._tables()[0]
-        return tuple(w for w in self.source.vertices() if vmap[w] == v)
-
-    @property
-    def degree(self) -> int:
-        """Common fiber size; raises on an image outside the target, or on fibers not constant or empty."""
-        if self._degree is None:
-            n = self.target.vertex_count
-            sizes = [0] * n
-            for v, image in enumerate(self._vmap):
-                if not 0 <= image < n:
-                    raise CoveringError(f"vertex {v} maps outside the target")
-                sizes[image] += 1
-            if len(set(sizes)) > 1:
-                raise CoveringError(f"fiber sizes not constant: {sorted(set(sizes))}")
-            if not any(sizes):
-                raise CoveringError("fibers are empty: no source vertex maps onto the target")
-            self._degree = sizes[0]
-        return self._degree
+        m = self.degree
+        return tuple(range(v * m, v * m + m))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoveringMap):
             return NotImplemented
-        return self.source == other.source and self.target == other.target and self._tables() == other._tables()
+        return self.source == other.source and self.target == other.target and self.degree == other.degree
 
     def __repr__(self) -> str:
         return f"CoveringMap({self.source!r} -> {self.target!r})"
 
 
 def _verify_incidence(p: CoveringMap) -> Verdict:
-    """The first half of :func:`verify_covering`: totality, vertex ranges and incidence."""
-    src, tgt = p.source, p.target
-    vmap, emap = p._tables()
-    if len(vmap) != src.vertex_count:
-        return Verdict(False, "vertex map is not total on the source")
-    if emap.keys() != src._edges.keys():
-        return Verdict(False, "edge map does not match the source edge set")
-    n, tgt_edges = tgt.vertex_count, tgt._edges
-    for v, x in enumerate(vmap):
-        if not 0 <= x < n:
-            return Verdict(False, f"vertex {v} maps outside the target")
-    for e, (u, w) in src._edges.items():
-        ends = tgt_edges.get(emap[e])
+    """The first half of :func:`verify_covering`: each edge f runs over f // m, between the images of its ends."""
+    m, tgt_edges = p.degree, p.target._edges
+    for f, (u, w) in p.source._edges.items():
+        ends = tgt_edges.get(f // m)
         if ends is None:
-            return Verdict(False, f"edge {e} maps outside the target")
-        x, y = vmap[u], vmap[w]
+            return Verdict(False, f"edge {f} maps outside the target")
+        x, y = u // m, w // m
         if ends != (x, y) and ends != (y, x):
-            return Verdict(False, f"edge {e} does not preserve incidence")
+            return Verdict(False, f"edge {f} does not preserve incidence")
     return Verdict(True)
 
 
 def verify_covering(p: CoveringMap) -> Verdict:
-    """Check totality, incidence, surjectivity, local bijection, constant fibers.
+    """Check incidence, edge surjectivity and local bijection; the type gives the rest.
 
-    Images that keep incidence put v's edges over edges at vmap[v]. So v's
-    edges map one to one onto the edges at vmap[v] exactly when the
+    Images that keep incidence put v's edges over edges at v // m. So v's
+    edges map one to one onto the edges at v // m exactly when the
     (end vertex, image edge) pairs at v are deg(v) distinct ones and
-    deg(v) = deg(vmap[v]). The first source vertex where two edges share
+    deg(v) = deg(v // m). The first source vertex where two edges share
     an image or the degrees differ is named.
     """
     verdict = _verify_incidence(p)
     if not verdict:
         return verdict
-    src, tgt = p.source, p.target
-    vmap, emap = p._tables()
-    src_edges, tgt_edges = src._edges, tgt._edges
-    if len(set(vmap)) != tgt.vertex_count:
-        return Verdict(False, "vertex map is not surjective")
-    if len(set(emap.values())) != len(tgt_edges):
+    m, src_edges = p.degree, p.source._edges
+    images = [f // m for f in src_edges]
+    if len(set(images)) != p.target.edge_count:
         return Verdict(False, "edge map is not surjective")
-    images = [emap[e] for e in src_edges]
     pairs = set(zip([u for u, _ in src_edges.values()], images))
     pairs.update(zip([w for _, w in src_edges.values()], images))
-    distinct, degree, tgt_degree = [0] * len(vmap), _degrees(src), _degrees(tgt)
+    distinct, degree, tgt_degree = [0] * p.source.vertex_count, _degrees(p.source), _degrees(p.target)
     for v, _ in pairs:
         distinct[v] += 1
-    for v, x in enumerate(vmap):
-        if distinct[v] != degree[v]:
+    for v, count in enumerate(distinct):
+        if count != degree[v]:
             return Verdict(False, f"local bijection fails at source vertex {v} (collision)")
-        if degree[v] != tgt_degree[x]:
+        if count != tgt_degree[v // m]:
             return Verdict(False, f"local bijection fails at source vertex {v}")
-    try:
-        p.degree
-    except CoveringError as exc:
-        return Verdict(False, str(exc))
     return Verdict(True)
 
 
 def pullback_coloring(p: CoveringMap, c: EdgeColoring) -> EdgeColoring:
-    """Pull ``c`` back through the covering ``p``; a legal ``c`` pulls back legal.
+    """Pull ``c`` back through the covering ``p``: cover edge f gets the color of f // m.
 
-    A sheet-numbered ``p`` gives cover edge f the color of f // m; any other
-    reads its edge map. ``p`` is not re-checked; run :func:`verify_covering`
-    on untrusted maps.
+    A legal ``c`` pulls back legal. ``p`` is not re-checked; run
+    :func:`verify_covering` on untrusted maps.
     """
-    colors, m = c._colors, p._sheets
+    colors, m = c._colors, p.degree
     try:
-        if m is None:
-            emap = p._emap
-            pulled = {e: colors[emap[e]] for e in p.source._edges}
-        else:
-            pulled = {f: colors[f // m] for f in p.source._edges}
         # every color is one of c's, already in 1..degree
-        return EdgeColoring._adopt(c.degree, pulled)
+        return EdgeColoring._adopt(c.degree, {f: colors[f // m] for f in p.source._edges})
     except KeyError:  # let c[...] raise its ColoringError for the first uncolored image
-        for e in p.source._edges:
-            c[p.edge_image(e)]
+        for f in p.source._edges:
+            c[f // m]
         raise
 
 
@@ -245,8 +194,7 @@ def lift_sequence(p: CoveringMap, c: EdgeColoring, sequence: Sequence[Bichromati
 
     The sequence is read once and replayed once from ``c``, so a stale switch names its
     position. The components of one switch are disjoint and bi-chromatic for the pull-back,
-    so flipping them all, in any order, equals pulling back the flipped base coloring.
-    ``p`` must be sheet-numbered; a map numbered otherwise raises CoveringError."""
+    so flipping them all, in any order, equals pulling back the flipped base coloring."""
     sequence = tuple(sequence)
     _replay(p.target, c.degree, dict(c._colors), enumerate(sequence))
     return _lift(p, sequence)
@@ -256,7 +204,7 @@ def _lift(p: CoveringMap, sequence: SwitchSequence) -> SwitchSequence:
     """:func:`lift_sequence` of a sequence already replayed on ``p.target``; the recursion enters here.
 
     The fiber of base edge e is the range e*m .. e*m + m-1."""
-    m, source = p._sheet_degree(), p.source
+    m, source = p.degree, p.source
     out: list[BichromaticCycle] = []
     for cycle in sequence:
         member = [f for e in cycle.edge_ids for f in range(e * m, e * m + m)]
@@ -265,7 +213,7 @@ def _lift(p: CoveringMap, sequence: SwitchSequence) -> SwitchSequence:
 
 
 def compose(p: CoveringMap, q: CoveringMap) -> CoveringMap:
-    """The covering ``p`` after ``q`` (q's target must be p's source), both sheet-numbered.
+    """The covering ``p`` after ``q`` (q's target must be p's source).
 
     The composite is sheet-numbered with the product of the degrees:
     (v*m_p + k)*m_q + j = v*m_p*m_q + (k*m_q + j), and the same for edges.
@@ -273,7 +221,7 @@ def compose(p: CoveringMap, q: CoveringMap) -> CoveringMap:
     """
     if q.target != p.source:
         raise CoveringError("cannot compose: middle graphs differ")
-    return CoveringMap._sheeted(q.source, p.target, p._sheet_degree() * q._sheet_degree())
+    return CoveringMap._sheeted(q.source, p.target, p.degree * q.degree)
 
 
 def copies_cover(g: Multigraph, m: int) -> CoveringMap:
@@ -283,18 +231,18 @@ def copies_cover(g: Multigraph, m: int) -> CoveringMap:
     edge e = (u, w) is e*m + k, from u*m + k to w*m + k. That is the
     extension of the m copies of g's edgeless spanning subgraph.
     """
-    if m < 1:
-        raise GraphStructureError(f"need at least one copy, got {m}")
+    if type(m) is not int or m < 1:  # bools are not integers here
+        raise GraphStructureError(f"need at least one copy, got {m!r}")
     edgeless = Multigraph._adopt(g.vertex_count, {})
     copies = CoveringMap._sheeted(Multigraph._adopt(g.vertex_count * m, {}), edgeless, m)
     return extend_subgraph_cover(g, edgeless, copies)
 
 
 def extend_subgraph_cover(g: Multigraph, h: Multigraph, p: CoveringMap) -> CoveringMap:
-    """Extend a sheet-numbered cover of a spanning subgraph to a cover of ``g``.
+    """Extend a cover of a spanning subgraph to a cover of ``g``.
 
     ``h`` must be a spanning subgraph of ``g`` and ``p`` a covering of ``h``
-    of degree ``m``, numbered sheet by sheet; ``p`` is not re-checked (run
+    of degree ``m``; ``p`` is not re-checked (run
     :func:`verify_covering` on untrusted maps). Each edge e = (u, w) of
     ``g`` missing from ``h`` lifts to the ``m`` edges e*m + k from u*m + k
     to w*m + k, so every cover vertex gets exactly one lift of it. The
@@ -310,7 +258,7 @@ def extend_subgraph_cover(g: Multigraph, h: Multigraph, p: CoveringMap) -> Cover
                 raise CoveringError(f"edge {e} of the subgraph is not an edge of the full graph")
     if p.target != h:
         raise CoveringError("cover does not map onto the given subgraph")
-    m = p._sheet_degree()  # raises on non-constant fibers
+    m = p.degree
 
     # p's rows come m to an edge of h, in g's id order
     rows = iter(p.source._edges.items())

@@ -79,8 +79,8 @@ def _betas(d: int):
 
 def beta(d: int) -> int:
     """Covering-degree bound: beta(1) = beta(2) = 1, beta(d) = (d-1)*beta(d-1)^2."""
-    if d < 1:
-        raise GraphStructureError(f"beta needs d >= 1, got {d}")
+    if type(d) is not int or d < 1:  # bools are not integers here
+        raise GraphStructureError(f"beta needs an integer d >= 1, got {d!r}")
     *_, value = _betas(d)
     return value
 
@@ -103,8 +103,9 @@ class EquivalenceWitness:
 def verify_witness(w: EquivalenceWitness) -> Verdict:
     """Machine-check a witness: cover axioms, replay equality, degree bound.
 
-    The cover must map onto the witness graph with total maps that keep
-    incidence, constant fibers of some size m >= 1 and m|E| edges.
+    The cover must map onto the witness graph with images that keep
+    incidence, and have m|E| edges; its type gives total maps and constant,
+    non-empty fibers of its degree m.
     :func:`common_degree` then checks that the base is d-regular and that
     both colorings are legal colorings of degree d; its message is the
     reason of a rejection. The replay's domain check fills its color table
@@ -130,7 +131,7 @@ def verify_witness(w: EquivalenceWitness) -> Verdict:
         verdict = _verify_incidence(w.cover)
         if not verdict:
             return verdict
-        m = w.cover.degree  # raises unless the fibers have one size m >= 1
+        m = w.cover.degree
         edges = len(w.cover.source._edges)
         if edges != m * len(w.graph._edges):
             return Verdict(False, f"cover edge count {edges} is not {m} x {len(w.graph._edges)}")
@@ -288,7 +289,7 @@ def _union_witness(g: Multigraph, parts: list[tuple], degree: int) -> tuple[Cove
     pairs: dict[EdgeId, tuple[VertexId, VertexId]] = {}
     all_switches: list[BichromaticCycle] = []
     for cover, switches, vback, eback in parts:
-        m = cover._sheet_degree()
+        m = cover.degree
         firsts = range(0, degree, m)  # the first sheet of each copy: c*m for copy c
         # the ids of copy 0; copy c adds c*m to every vertex and edge id
         at = [vback[x // m] * degree + x % m for x in range(cover.source.vertex_count)]

@@ -3,10 +3,13 @@
 Instances are small human-diffable JSON files: an edge list (edge id =
 list index) and named colorings (color list indexed by edge id). Witness
 documents embed the full cover graph with explicit edge ids and both maps.
-A built cover is sheet-numbered (see ``covering``), so over a base with
-dense ids its ids are dense and its maps are division. A document may come
-from outside, though: the parser takes ids and maps as written, the
-verifier checks them, and round-trips are exact. The witness parser reads
+Every cover is numbered sheet by sheet (see ``covering``), so a format-1
+document's maps are x // degree: vertex x and edge f lie over x // degree
+and f // degree. The parser builds the map through the public
+``CoveringMap`` constructor, so a document numbered any other way, such as
+a witness written before covers were numbered so, is refused with
+CoveringError (exit 2 from the CLI). The verifier checks the rest of the
+cover, and round-trips are exact. The witness parser reads
 each block once: one bulk pass type-checks the document's own rows, which
 are copied only when one holds a non-integer, and each table is built from
 them once.
@@ -166,16 +169,16 @@ def _coloring_from_json(doc, block: str) -> EdgeColoring:
 
 def witness_to_json(w: EquivalenceWitness, names: tuple[str, str] | None = None) -> dict:
     """Witness document; its ``edge_map`` rows are (id, image) tuples, which JSON writes as arrays."""
-    vertex_map, edge_map = w.cover._tables()
+    m, cover = w.cover.degree, w.cover.source
     doc = {
         "format": WITNESS_FORMAT,
-        "degree": w.cover.degree,
+        "degree": m,
         "base": _graph_to_json(w.graph),
         "start": _coloring_to_json(w.start),
         "goal": _coloring_to_json(w.goal),
-        "cover": _graph_to_json(w.cover.source),
-        "vertex_map": list(vertex_map),
-        "edge_map": sorted(edge_map.items()),
+        "cover": _graph_to_json(cover),
+        "vertex_map": [x // m for x in range(cover.vertex_count)],
+        "edge_map": [(f, f // m) for f in cover._edges],  # the table is in id order
         "sequence": [
             {"colors": list(cyc.colors), "edges": list(cyc.edge_ids)} for cyc in w.switches
         ],

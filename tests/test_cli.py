@@ -145,8 +145,7 @@ VERIFY_PATH = {
     "cli._build_parser", "cli._cmd_verify", "cli._load_instance", "cli.main",
     "coloring.__eq__", "coloring.__init__", "coloring._adopt", "coloring._replay",
     "coloring.common_degree", "coloring.degree",
-    "covering.__bool__", "covering.__init__", "covering._tables", "covering._verify_incidence", "covering.degree",
-    "covering.pullback_coloring",
+    "covering.__bool__", "covering.__init__", "covering._verify_incidence", "covering.pullback_coloring",
     "equivalence._betas", "equivalence.verify_witness",
     "graph.__eq__", "graph.__init__", "graph._degrees", "graph.edge_count", "graph.from_edges",
     "graph.is_regular", "graph.vertex_count",
@@ -231,19 +230,55 @@ def theta_witness_with(tmp_path, **blocks):
     return str(path)
 
 
-@pytest.mark.parametrize("blocks, reason", [
-    # theta's three edges are parallel twins: incidence holds, and cover
-    # vertex 0 gets two edges over base edge 1, cover edge 0 and its sheet-0 lift 2
-    ({"edge_map": [[0, 1], [1, 0], [2, 1], [3, 1], [4, 2], [5, 2]]},
-     "local bijection fails: colors do not make a legal coloring: edges 0 and 2 both have color 2 at vertex 0"),
+THETA_COVER = load_json(GOLDEN_THETA)["cover"]
+
+
+@pytest.mark.parametrize("blocks, line", [
+    # theta's three edges are parallel twins: reattaching cover edge 1, the sheet-1 lift of
+    # base edge 0, at cover vertex 0 keeps incidence, and vertex 0 meets both lifts of edge 0
+    ({"cover": {**THETA_COVER, "edges": [[0, 0, 2], [1, 0, 3], *THETA_COVER["edges"][2:]]}},
+     "error: witness verification failed: local bijection fails: "
+     "colors do not make a legal coloring: edges 0 and 1 both have color 1 at vertex 0"),
     ({"degree": 0, "cover": {"vertices": 0, "edges": []}, "vertex_map": [], "edge_map": [], "sequence": []},
-     "fibers are empty: no source vertex maps onto the target"),
+     "error: cover has 0 vertices, not m >= 1 times the target's 2"),
 ], ids=["parallel-twin", "empty-cover"])
-def test_verify_rejects_a_cover_that_keeps_incidence_but_is_no_covering(tmp_path, capsys, blocks, reason):
+def test_verify_rejects_a_cover_that_keeps_incidence_but_is_no_covering(tmp_path, capsys, blocks, line):
+    assert THETA_COVER["edges"][:2] == [[0, 0, 2], [1, 1, 3]]
     assert main(["verify", "--input", THETA, "--witness", theta_witness_with(tmp_path, **blocks)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [f"error: witness verification failed: {reason}"]
+    assert captured.err.splitlines() == [line]
+
+
+def renumbered(doc, vertex, edge):
+    """``doc`` with its cover's vertex and edge ids sent through ``vertex`` and ``edge``, maps and
+    switches included: the same covering and the same witness, numbered another way."""
+    doc = copy.deepcopy(doc)
+    cover = doc["cover"]
+    cover["edges"] = sorted([edge(f), vertex(u), vertex(w)] for f, u, w in cover["edges"])
+    images = doc["vertex_map"]
+    doc["vertex_map"] = [images[x] for x in sorted(range(len(images)), key=vertex)]
+    doc["edge_map"] = sorted([edge(f), image] for f, image in doc["edge_map"])
+    for entry in doc["sequence"]:
+        entry["edges"] = sorted(map(edge, entry["edges"]))
+    return doc
+
+
+def test_verify_refuses_a_true_covering_numbered_otherwise(tmp_path, capsys):
+    doc = load_json(GOLDEN_K33)
+    m = doc["degree"]
+    assert m == 2
+    path = tmp_path / "renumbered.json"
+    # swapping two sheets keeps every id over its image, x // m: still sheet-numbered, and it verifies
+    dump_json(renumbered(doc, lambda x: x ^ 1, lambda f: f ^ 1), path)
+    assert main(["verify", "--input", K33, "--witness", str(path)]) == 0
+    # swapping the fibers over base vertices 0 and 1 is the same covering, but vertex 0 lies over 1
+    dump_json(renumbered(doc, lambda x: x + m if x < m else x - m if x < 2 * m else x, lambda f: f), path)
+    capsys.readouterr()
+    assert main(["verify", "--input", K33, "--witness", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: vertex 0 maps to 1, not to 0 // 2 = 0"]
 
 
 def test_verify_switch_edges_not_a_cycle(tmp_path, capsys):

@@ -64,9 +64,10 @@ def test_double_cycle_cover_verifies():
 
 
 def test_parallel_edge_collapse_fails_local_bijection():
-    theta = make_theta()
     two = Multigraph.from_edges(2, [(0, 1), (0, 1)])
-    bad = CoveringMap(theta, two, [0, 1], {0: 0, 1: 1, 2: 1})
+    # both lifts of base edge 0 meet at cover vertex 0, and both of edge 1 at vertex 1
+    source = Multigraph(4, {0: (0, 2), 1: (0, 3), 2: (1, 2), 3: (1, 3)})
+    bad = CoveringMap(source, two, [0, 0, 1, 1], {f: f // 2 for f in range(4)})
     verdict = verify_covering(bad)
     assert not verdict
     assert "local bijection" in verdict.reason
@@ -74,10 +75,8 @@ def test_parallel_edge_collapse_fails_local_bijection():
 
 def test_non_surjective_map_fails():
     four = make_cycle(4)
-    sub = spanning_subgraph(four, [0, 1, 2, 3])
-    bad = CoveringMap(four, four, [0, 1, 2, 3][:3] + [0], {e: e for e in four.edge_ids()})
-    assert not verify_covering(bad)
-    assert sub == four  # sanity: helper graphs untouched
+    with pytest.raises(CoveringError, match=r"^vertex 3 maps to 0, not to 3 // 1 = 3$"):
+        CoveringMap(four, four, [0, 1, 2, 0], {e: e for e in four.edge_ids()})
 
 
 def test_nonconstant_fibers_rejected():
@@ -86,32 +85,27 @@ def test_nonconstant_fibers_rejected():
     # for coverings, so fabricate a map with uneven vertex fibers directly
     six = make_cycle(6)
     three = make_cycle(3)
-    bad = CoveringMap(six, three, [0, 1, 2, 0, 1, 0], {e: e % 3 for e in six.edge_ids()})
-    with pytest.raises(CoveringError):
-        bad.degree
+    with pytest.raises(CoveringError, match=r"^vertex 1 maps to 1, not to 1 // 2 = 0$"):
+        CoveringMap(six, three, [0, 1, 2, 0, 1, 0], {e: e % 3 for e in six.edge_ids()})
 
 
 def test_degree_refuses_empty_fibers():
-    # every fiber over the theta graph has size 0: constant, but no covering
-    empty = CoveringMap(Multigraph(0, {}), make_theta(), [], {})
-    with pytest.raises(CoveringError, match="^fibers are empty: no source vertex maps onto the target$"):
-        empty.degree
-    assert verify_covering(empty) == Verdict(False, "vertex map is not surjective")
+    # every fiber over the theta graph would have size 0: constant, but no covering
+    with pytest.raises(CoveringError, match="^cover has 0 vertices, not m >= 1 times the target's 2$"):
+        CoveringMap(Multigraph(0, {}), make_theta(), [], {})
 
 
 @pytest.mark.parametrize("image", [-1, 5])
 def test_degree_refuses_an_image_outside_the_target(image):
     edge = Multigraph.from_edges(2, [(0, 1)])
-    with pytest.raises(CoveringError, match="^vertex 1 maps outside the target$"):
-        CoveringMap(edge, edge, [0, image], {0: 0}).degree
+    with pytest.raises(CoveringError, match=f"^vertex 1 maps to {image}, not to 1 // 1 = 1$"):
+        CoveringMap(edge, edge, [0, image], {0: 0})
 
 
 def test_degree_refuses_an_empty_target():
     empty = Multigraph(0, {})
-    reason = "fibers are empty: no source vertex maps onto the target"
-    with pytest.raises(CoveringError, match=f"^{reason}$"):
-        CoveringMap(empty, empty, [], {}).degree
-    assert verify_covering(CoveringMap(empty, empty, [], {})) == Verdict(False, reason)
+    with pytest.raises(CoveringError, match="^cover has 0 vertices, not m >= 1 times the target's 0$"):
+        CoveringMap(empty, empty, [], {})
 
 
 @pytest.mark.parametrize("image", [-1, 6])
@@ -119,9 +113,8 @@ def test_extend_refuses_an_image_outside_the_target(k33, k33_pair, image):
     h = spanning_subgraph(k33, k33_pair[0].color_class(1))
     vmap = list(range(6))
     vmap[5] = image
-    broken = CoveringMap(h, h, vmap, {e: e for e in h.edge_ids()})
-    with pytest.raises(CoveringError, match="^vertex 5 maps outside the target$"):
-        extend_subgraph_cover(k33, h, broken)
+    with pytest.raises(CoveringError, match=f"^vertex 5 maps to {image}, not to 5 // 1 = 5$"):
+        extend_subgraph_cover(k33, h, CoveringMap(h, h, vmap, {e: e for e in h.edge_ids()}))
 
 
 def test_pullback_through_identity(k33, k33_pair):
@@ -277,6 +270,12 @@ def test_copies_cover_rejects_zero():
         copies_cover(make_k33(), 0)
 
 
+@pytest.mark.parametrize("m", [2.5, 2.0, "2", True, None])
+def test_copies_cover_refuses_what_is_not_an_integer(m):
+    with pytest.raises(GraphStructureError, match=f"^need at least one copy, got {m!r}$"):
+        copies_cover(make_k33(), m)
+
+
 def test_compose_identity_and_degrees(k33):
     p = copies_cover(k33, 2)
     assert compose(CoveringMap.identity(k33), p) == p
@@ -290,21 +289,13 @@ def test_compose_identity_and_degrees(k33):
 def test_a_cover_numbered_otherwise_is_refused_where_division_would_mislift():
     # the double cover of the 4-cycle by the 8-cycle, numbered around the cycle: v over v % 4
     big, small = make_cycle(8), make_cycle(4)
-    p = CoveringMap(big, small, [v % 4 for v in big.vertices()], {e: e % 4 for e in big.edge_ids()})
-    assert verify_covering(p) and p.degree == 2
+    with pytest.raises(CoveringError, match=r"^vertex 1 maps to 1, not to 1 // 2 = 0$"):
+        CoveringMap(big, small, [v % 4 for v in big.vertices()], {e: e % 4 for e in big.edge_ids()})
+    # the same covering numbered sheet by sheet is taken, and lifts the 4-cycle to the 8-cycle
+    p = double_cycle_cover(4)
     c = alternating_coloring(4)
-    gamma = bichromatic_cycles(small, c, 1, 2)[0]
-    calls = [
-        lambda: lift_sequence(p, c, [gamma]),
-        lambda: compose(CoveringMap.identity(small), p),
-        lambda: compose(p, CoveringMap.identity(big)),
-        lambda: extend_subgraph_cover(small, small, p),
-    ]
-    for call in calls:
-        with pytest.raises(CoveringError, match=r"^cover is not sheet-numbered: vertex x and edge y must lie over x // 2"):
-            call()
-    # the general paths take any numbering
-    assert is_legal(big, pullback_coloring(p, c))
+    assert verify_covering(p) and p.vertex_fiber(3) == (6, 7)
+    assert [len(cycle) for cycle in lift_sequence(p, c, bichromatic_cycles(small, c, 1, 2))] == [8]
 
 
 def test_extend_subgraph_cover_full_graph(k33, k33_pair):
@@ -355,12 +346,9 @@ def test_extend_rejects_nonconstant_fibers(k33, k33_pair):
     c1, _ = k33_pair
     h = spanning_subgraph(k33, c1.color_class(1) | c1.color_class(2))
     p = copies_cover(h, 2)
-    # break fiber constancy by dropping one vertex pair onto another target
-    broken = CoveringMap(
-        p.source, h, list(p.vertex_map)[:-1] + [0], p.edge_map
-    )
-    with pytest.raises(CoveringError):
-        extend_subgraph_cover(k33, h, broken)
+    # break fiber constancy by moving the last cover vertex onto base vertex 0
+    with pytest.raises(CoveringError, match=r"^vertex 11 maps to 0, not to 11 // 2 = 5$"):
+        extend_subgraph_cover(k33, h, CoveringMap(p.source, h, list(p.vertex_map)[:-1] + [0], p.edge_map))
 
 
 # -- verdicts pinned reason by reason ------------------------------------------
@@ -376,9 +364,20 @@ def _not_total():
     return CoveringMap(k33, k33, vmap[:-1], emap)
 
 
+def _too_long():
+    k33, vmap, emap = _k33_identity_parts()
+    return CoveringMap(k33, k33, vmap + [0], emap)
+
+
 def _edge_map_mismatch():
     k33, vmap, emap = _k33_identity_parts()
     del emap[8]
+    return CoveringMap(k33, k33, vmap, emap)
+
+
+def _edge_map_foreign():
+    k33, vmap, emap = _k33_identity_parts()
+    emap[12] = emap[9] = 0
     return CoveringMap(k33, k33, vmap, emap)
 
 
@@ -388,15 +387,9 @@ def _vertex_outside():
     return CoveringMap(k33, k33, vmap, emap)
 
 
-def _edge_outside():
+def _edge_image():
     k33, vmap, emap = _k33_identity_parts()
     emap[4] = 9
-    return CoveringMap(k33, k33, vmap, emap)
-
-
-def _incidence():
-    k33, vmap, emap = _k33_identity_parts()
-    emap[0] = 1  # edge 0 is (0, 3), edge 1 is (0, 4)
     return CoveringMap(k33, k33, vmap, emap)
 
 
@@ -404,23 +397,6 @@ def _vertex_not_surjective():
     triangle = make_cycle(3)
     with_isolated = Multigraph(4, dict(triangle._edges))
     return CoveringMap(triangle, with_isolated, [0, 1, 2], {e: e for e in triangle.edge_ids()})
-
-
-def _edge_not_surjective():
-    digon = Multigraph.from_edges(2, [(0, 1), (0, 1)])
-    return CoveringMap(digon, make_theta(), [0, 1], {0: 0, 1: 1})
-
-
-def _collision():
-    digon = Multigraph.from_edges(2, [(0, 1), (0, 1)])
-    return CoveringMap(make_theta(), digon, [0, 1], {0: 0, 1: 1, 2: 1})
-
-
-def _local_bijection():
-    # a digon and a single edge over the theta graph: onto, no collision,
-    # constant fibers, but each source vertex sees only part of its image's edges
-    source = Multigraph.from_edges(4, [(0, 1), (0, 1), (2, 3)])
-    return CoveringMap(source, make_theta(), [0, 1, 0, 1], {0: 0, 1: 1, 2: 2})
 
 
 def _nonconstant_fibers():
@@ -435,16 +411,61 @@ def _nonconstant_fibers():
 @pytest.mark.parametrize(
     "broken, reason",
     [
-        (_not_total, "vertex map is not total on the source"),
-        (_edge_map_mismatch, "edge map does not match the source edge set"),
-        (_vertex_outside, "vertex 2 maps outside the target"),
+        (_not_total, "vertex 5 has no image"),
+        (_too_long, "vertex map names vertex 6, not a source vertex"),
+        (_edge_map_mismatch, "edge 8 has no image"),
+        (_edge_map_foreign, "edge map names edge 9, not a source edge"),
+        (_vertex_outside, "vertex 2 maps to 6, not to 2 // 1 = 2"),
+        (_edge_image, "edge 4 maps to 9, not to 4 // 1 = 4"),
+        (_vertex_not_surjective, "cover has 3 vertices, not m >= 1 times the target's 4"),
+        (_nonconstant_fibers, "cover has 9 vertices, not m >= 1 times the target's 6"),
+    ],
+)
+def test_constructor_names_the_first_entry_at_fault(broken, reason):
+    with pytest.raises(CoveringError) as info:
+        broken()
+    assert str(info.value) == reason
+
+
+def _edge_outside():
+    # the theta graph's identity with cover edge 2 renumbered 4: the base has no edge 4
+    source = Multigraph(2, {0: (0, 1), 1: (0, 1), 4: (0, 1)})
+    return CoveringMap(source, make_theta(), [0, 1], {0: 0, 1: 1, 4: 4})
+
+
+def _incidence():
+    k33, vmap, emap = _k33_identity_parts()
+    # edge 0 is (0, 3); rerouted to (0, 4), it no longer runs over its image's ends
+    return CoveringMap(Multigraph(6, {**k33._edges, 0: (0, 4)}), k33, vmap, emap)
+
+
+def _edge_not_surjective():
+    digon = Multigraph.from_edges(2, [(0, 1), (0, 1)])
+    return CoveringMap(digon, make_theta(), [0, 1], {0: 0, 1: 1})
+
+
+def _collision():
+    # both lifts of the digon's edge 0 meet at cover vertex 0
+    digon = Multigraph.from_edges(2, [(0, 1), (0, 1)])
+    source = Multigraph(4, {0: (0, 2), 1: (0, 3), 2: (1, 2), 3: (1, 3)})
+    return CoveringMap(source, digon, [0, 0, 1, 1], {f: f // 2 for f in range(4)})
+
+
+def _local_bijection():
+    # one lift of each theta edge, onto, no collision, constant fibers,
+    # but each source vertex sees only part of its image's edges
+    source = Multigraph(4, {0: (0, 2), 2: (0, 2), 4: (1, 3)})
+    return CoveringMap(source, make_theta(), [0, 0, 1, 1], {0: 0, 2: 1, 4: 2})
+
+
+@pytest.mark.parametrize(
+    "broken, reason",
+    [
         (_edge_outside, "edge 4 maps outside the target"),
         (_incidence, "edge 0 does not preserve incidence"),
-        (_vertex_not_surjective, "vertex map is not surjective"),
         (_edge_not_surjective, "edge map is not surjective"),
         (_collision, "local bijection fails at source vertex 0 (collision)"),
         (_local_bijection, "local bijection fails at source vertex 0"),
-        (_nonconstant_fibers, "fiber sizes not constant: [1, 2]"),
     ],
 )
 def test_verify_covering_reasons(broken, reason):
@@ -543,27 +564,44 @@ MUTATION = st.sampled_from(["none", "vertex", "edge", "parallel", "drop"])
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_verify_covering_matches_reference(valid_covers, data):
+    """Both checks on a valid cover whose graph had one row changed; the maps stay x // m."""
     p, _ = data.draw(st.sampled_from(valid_covers))
-    vmap, emap = list(p.vertex_map), p.edge_map
+    m, rows = p.degree, dict(p.source._edges)
     kind = data.draw(MUTATION)
-    if kind == "vertex":
-        v = data.draw(st.sampled_from(range(len(vmap))))
-        vmap[v] = data.draw(st.integers(-1, p.target.vertex_count))
-    elif kind == "edge":
-        e = data.draw(st.sampled_from(sorted(emap)))
-        emap[e] = data.draw(st.sampled_from((-1, *p.target.edge_ids(), p.target.edge_count)))
-    elif kind == "parallel":  # keeps incidence, so the later checks get reached
-        e = data.draw(st.sampled_from(sorted(emap)))
-        ends = set(p.target.endpoints(emap[e]))
-        emap[e] = data.draw(
-            st.sampled_from([f for f in p.target.edge_ids() if set(p.target.endpoints(f)) == ends])
-        )
-    elif kind == "drop":
-        del emap[data.draw(st.sampled_from(sorted(emap)))]
-    fast = outcome(verify_covering, CoveringMap(p.source, p.target, vmap, emap))
-    slow = outcome(reference_verify_covering, CoveringMap(p.source, p.target, vmap, emap))
+    if kind != "none":
+        f = data.draw(st.sampled_from(sorted(rows)))
+        u, w = rows.pop(f)
+    if kind == "vertex":  # reattach one end anywhere
+        rows[f] = (data.draw(st.sampled_from([x for x in p.source.vertices() if x != w])), w)
+    elif kind == "edge":  # renumber the row, so it lies over another base edge or none
+        ids = range(-m, m * (max(p.target._edges) + 2))
+        rows[data.draw(st.sampled_from([g for g in ids if g not in rows]))] = (u, w)
+    elif kind == "parallel":  # reattach one end within its fiber: keeps incidence, so the later checks get reached
+        rows[f] = (data.draw(st.sampled_from([x for x in range(u - u % m, u - u % m + m) if x != w])), w)
+    source = Multigraph(p.source.vertex_count, rows)
+    broken = CoveringMap(source, p.target, [x // m for x in source.vertices()], {g: g // m for g in rows})
+    fast, slow = outcome(verify_covering, broken), outcome(reference_verify_covering, broken)
     assert fast == slow
     assert kind != "none" or fast == Verdict(True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_constructor_takes_built_maps_and_names_any_changed_entry(valid_covers, data):
+    p, _ = data.draw(st.sampled_from(valid_covers))
+    vmap, emap = list(p.vertex_map), p.edge_map
+    assert CoveringMap(p.source, p.target, vmap, emap) == p
+    if data.draw(st.booleans()):
+        x = data.draw(st.sampled_from(range(len(vmap))))
+        vmap[x] = data.draw(st.integers(-1, p.target.vertex_count).filter(lambda image: image != x // p.degree))
+        fault = f"vertex {x} maps to {vmap[x]}, "
+    else:
+        f = data.draw(st.sampled_from(sorted(emap)))
+        emap[f] = data.draw(st.integers(-1, p.target.edge_count).filter(lambda image: image != f // p.degree))
+        fault = f"edge {f} maps to {emap[f]}, "
+    with pytest.raises(CoveringError) as info:
+        CoveringMap(p.source, p.target, vmap, emap)
+    assert str(info.value).startswith(fault)
 
 
 @settings(max_examples=400, deadline=None)

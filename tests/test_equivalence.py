@@ -47,6 +47,12 @@ def test_beta_table():
         beta(0)
 
 
+@pytest.mark.parametrize("d", [2.0, 2.5, "3", True, None])
+def test_beta_refuses_what_is_not_an_integer(d):
+    with pytest.raises(GraphStructureError, match=f"^beta needs an integer d >= 1, got {d!r}$"):
+        beta(d)
+
+
 def test_identity_witness_for_equal_colorings(k33, k33_pair):
     c1, _ = k33_pair
     w = kempe_cover_witness(k33, c1, c1)
@@ -461,23 +467,24 @@ def test_every_adopted_table_passes_the_public_checks(checked_adoption):
 THETA_GOAL = EdgeColoring(3, {0: 2, 1: 1, 2: 3})
 
 
-def with_cover(w, source, vertex_map, edge_map):
-    """``w`` with its cover replaced by the given maps from ``source`` onto ``w.graph``."""
-    return EquivalenceWitness(
-        w.graph, w.start, w.goal, CoveringMap(source, w.graph, vertex_map, edge_map), w.switches
-    )
+def with_cover(w, source):
+    """``w`` with its cover graph replaced by ``source``, over ``w.graph`` by division by ``w``'s degree."""
+    m = w.cover.degree
+    cover = CoveringMap(source, w.graph, [x // m for x in source.vertices()], {f: f // m for f in source._edges})
+    return EquivalenceWitness(w.graph, w.start, w.goal, cover, w.switches)
 
 
 def test_a_parallel_twin_image_fails_the_local_bijection(theta, theta_coloring):
     w = kempe_cover_witness(theta, theta_coloring, THETA_GOAL)
-    edge_map = w.cover.edge_map
-    assert edge_map[0] == 0
-    edge_map[0] = 1  # a parallel twin: incidence holds, cover vertex 0 has two edges over edge 1
-    verdict = verify_witness(with_cover(w, w.cover.source, w.cover.vertex_map, edge_map))
-    # cover edge 2 is sheet 0 of base edge 1
+    edges = dict(w.cover.source._edges)
+    assert (edges[1], edges[2]) == ((1, 3), (0, 2))
+    # swapping the ids of cover edges 1 and 2 moves each onto a parallel twin of its base edge:
+    # incidence holds, and cover vertex 0 gets edges 0 and 1, both over base edge 0
+    edges[1], edges[2] = edges[2], edges[1]
+    verdict = verify_witness(with_cover(w, Multigraph(4, edges)))
     assert verdict == Verdict(
         False, "local bijection fails: colors do not make a legal coloring: "
-        "edges 0 and 2 both have color 2 at vertex 0"
+        "edges 0 and 1 both have color 1 at vertex 0"
     )
 
 
@@ -492,10 +499,10 @@ def test_a_cover_with_too_few_edges_is_rejected(theta, theta_coloring):
 
 
 def test_an_empty_cover_is_rejected(theta, theta_coloring):
-    empty = CoveringMap(Multigraph(0, {}), theta, [], {})
-    # the pull-backs of both colorings are empty, so the replay alone would accept
-    w = EquivalenceWitness(theta, theta_coloring, THETA_GOAL, empty, ())
-    assert verify_witness(w) == Verdict(False, "fibers are empty: no source vertex maps onto the target")
+    # the pull-backs of both colorings would be empty, so the replay alone would accept;
+    # the type has m >= 1, so no witness can hold an empty cover
+    with pytest.raises(CoveringError, match="^cover has 0 vertices, not m >= 1 times the target's 2$"):
+        CoveringMap(Multigraph(0, {}), theta, [], {})
 
 
 def parent_verify_witness(w):
@@ -533,34 +540,33 @@ def proof_witnesses():
 
 @st.composite
 def mutated_cover_rows(draw, w):
-    """``w`` after 1-2 changes to rows of its ``vertex_map``, ``edge_map`` and ``cover.edges``.
+    """``w`` after 1-2 changes to the rows of its cover graph, with both maps x // m.
 
-    Some keep incidence, so that the counts and the fill get reached: an
-    image moved to a parallel twin, and a cover edge whose ends move within
-    their fibers.
+    Some keep incidence, so that the counts and the fill get reached: a
+    cover edge whose ends move within their fibers, and two cover edges
+    that swap ids, each then over the other's base edge.
     """
-    base, source = w.graph, w.cover.source
-    vertex_map, edge_map, edges = list(w.cover.vertex_map), w.cover.edge_map, dict(source._edges)
+    m, source = w.cover.degree, w.cover.source
+    edges = dict(source._edges)
     for _ in range(draw(st.integers(1, 2))):
-        kind = draw(st.sampled_from(["vertex", "image", "twin", "ends", "drop"]))
+        kind = draw(st.sampled_from(["reattach", "renumber", "swap", "ends", "drop"]))
         e = draw(st.sampled_from(sorted(edges)))
-        if kind == "vertex":
-            vertex_map[draw(st.sampled_from(range(len(vertex_map))))] = draw(st.integers(-1, base.vertex_count))
-        elif kind == "image":
-            edge_map[e] = draw(st.integers(-1, base.edge_count))
-        elif kind == "twin" and edge_map[e] in base._edges:
-            ends = set(base._edges[edge_map[e]])
-            edge_map[e] = draw(st.sampled_from([f for f, uw in base._edges.items() if set(uw) == ends]))
+        u, v = edges[e]
+        if kind == "reattach":
+            edges[e] = (u, draw(st.sampled_from([x for x in source.vertices() if x != u])))
+        elif kind == "renumber":
+            del edges[e]
+            edges[draw(st.sampled_from([f for f in range(-m, m * (w.graph.edge_count + 1)) if f not in edges]))] = (u, v)
+        elif kind == "swap":
+            f = draw(st.sampled_from(sorted(edges)))
+            edges[e], edges[f] = edges[f], edges[e]
         elif kind == "ends":
-            moved = tuple(
-                draw(st.sampled_from([x for x, image in enumerate(vertex_map) if image == vertex_map[v]]))
-                for v in edges[e]
-            )
+            moved = tuple(x - x % m + draw(st.integers(0, m - 1)) for x in (u, v))
             if moved[0] != moved[1]:
                 edges[e] = moved
-        elif kind == "drop" and len(edges) > 1:  # a cover edge and its edge_map row
-            del edges[e], edge_map[e]
-    return with_cover(w, Multigraph(source.vertex_count, edges), vertex_map, edge_map)
+        elif kind == "drop" and len(edges) > 1:
+            del edges[e]
+    return with_cover(w, Multigraph(source.vertex_count, edges))
 
 
 @settings(max_examples=300, deadline=None)

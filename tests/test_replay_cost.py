@@ -219,9 +219,9 @@ def test_per_vertex_edge_lists_are_built_at_most_once_per_call(monkeypatch):
     assert drawn == []
     # a cover that fails the counts counts the degrees of each graph once
     degrees = counter(monkeypatch, bindings("_degrees", graph), "_degrees")
-    source = Multigraph.from_edges(4, [(0, 1), (0, 1), (2, 3)])
+    source = Multigraph(4, {0: (0, 2), 2: (0, 2), 4: (1, 3)})
     theta = Multigraph.from_edges(2, [(0, 1)] * 3)
-    verdict = verify_covering(CoveringMap(source, theta, [0, 1, 0, 1], {0: 0, 1: 1, 2: 2}))
+    verdict = verify_covering(CoveringMap(source, theta, [0, 0, 1, 1], {0: 0, 2: 1, 4: 2}))
     assert verdict.reason == "local bijection fails at source vertex 0"
     assert degrees == [(source,), (theta,)]
 

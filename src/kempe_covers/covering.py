@@ -17,10 +17,13 @@ and m; its public constructor takes maps from outside only when they are
 x // m, and names the first entry that is not. This module lifts switch
 sequences through such covers, replaying each unless the caller has,
 composes them, copies a graph and extends a spanning subgraph's cover to
-the full graph, all by that division. They trust their input coverings and
-do not re-check what they build. The type gives total maps, vertex images
-in the target and constant, non-empty fibers; :func:`verify_covering`
-checks the rest of the axioms. Its incidence half is also the first step of
+the full graph, all by that division. A cover of degree 1 costs nothing:
+each switch is its own lift, and the trivial cover of a spanning subgraph
+extends to the identity of the full graph; :func:`lift_sequence` still
+replays its sequence. Its functions trust their input coverings and do
+not re-check what they build. The type gives total maps, vertex images in
+the target and constant, non-empty fibers; :func:`verify_covering` checks
+the rest of the axioms. Its incidence half is also the first step of
 ``equivalence.verify_witness``, which gets the rest from an edge count and
 the legality of a pulled-back coloring.
 """
@@ -203,7 +206,10 @@ def lift_sequence(p: CoveringMap, c: EdgeColoring, sequence: Sequence[Bichromati
 def _lift(p: CoveringMap, sequence: SwitchSequence) -> SwitchSequence:
     """:func:`lift_sequence` of a sequence already replayed on ``p.target``; the recursion enters here.
 
-    The fiber of base edge e is the range e*m .. e*m + m-1."""
+    The fiber of base edge e is the range e*m .. e*m + m-1. At m = 1 a fiber is its edge alone,
+    so each switch is its own lift and the sequence is returned as it is."""
+    if p.degree == 1:
+        return tuple(sequence)
     m, source = p.degree, p.source
     out: list[BichromaticCycle] = []
     for cycle in sequence:
@@ -247,7 +253,10 @@ def extend_subgraph_cover(g: Multigraph, h: Multigraph, p: CoveringMap) -> Cover
     ``g`` missing from ``h`` lifts to the ``m`` edges e*m + k from u*m + k
     to w*m + k, so every cover vertex gets exactly one lift of it. The
     result is sheet-numbered, restricts to ``p`` on the source of ``p``
-    (ids untouched) and has the same degree.
+    (ids untouched) and has the same degree. The trivial cover of ``h``,
+    of degree 1 with ``h`` itself as source, extends row for row to the
+    trivial cover of ``g``, which is returned with no table rebuilt; a
+    degree-1 cover whose source stores rows otherwise is extended as above.
     """
     if h.vertex_count != g.vertex_count:
         raise CoveringError("subgraph is not spanning: vertex sets differ")
@@ -258,6 +267,8 @@ def extend_subgraph_cover(g: Multigraph, h: Multigraph, p: CoveringMap) -> Cover
                 raise CoveringError(f"edge {e} of the subgraph is not an edge of the full graph")
     if p.target != h:
         raise CoveringError("cover does not map onto the given subgraph")
+    if p.degree == 1 and p.source == h:
+        return CoveringMap.identity(g)
     m = p.degree
 
     # p's rows come m to an edge of h, in g's id order

@@ -325,6 +325,51 @@ def test_extend_degree_one_adds_each_missing_edge_once(k33, k33_pair):
     assert r.source.edge_count == k33.edge_count
 
 
+def test_extend_the_trivial_cover_to_the_identity_of_the_full_graph(k33, k33_pair):
+    c1, _ = k33_pair
+    h = spanning_subgraph(k33, c1.color_class(1) | c1.color_class(2))
+    r = extend_subgraph_cover(k33, h, CoveringMap.identity(h))
+    assert r == CoveringMap.identity(k33)
+    # no table is rebuilt: the cover is the full graph itself
+    assert r.source is k33
+    # m = 1 copies are the extension of the trivial cover of the edgeless subgraph
+    assert copies_cover(k33, 1) == CoveringMap.identity(k33)
+    assert copies_cover(k33, 1).source is k33
+
+
+def test_extend_a_degree_one_cover_stored_otherwise_row_for_row(k33, k33_pair):
+    c1, _ = k33_pair
+    h = spanning_subgraph(k33, c1.color_class(1) | c1.color_class(2))
+    first = h.edge_ids()[0]
+    rows = {e: ends[::-1] if e == first else ends for e, ends in h._edges.items()}
+    source = Multigraph(h.vertex_count, rows)
+    p = CoveringMap(source, h, range(h.vertex_count), {e: e for e in rows})
+    assert verify_covering(p) and p.degree == 1 and source != h
+    r = extend_subgraph_cover(k33, h, p)
+    # the cover's rows are kept as stored, one reversed, and each missing edge is added once
+    assert verify_covering(r) and r.degree == 1 and r.target is k33
+    assert r.source._edges == {e: rows.get(e, ends) for e, ends in k33._edges.items()}
+    assert r.source != k33
+
+
+def test_lift_through_the_trivial_cover_keeps_each_switch(monkeypatch, k33, k33_pair):
+    c1, _ = k33_pair
+    sequence = kempe_walk(k33, c1)
+
+    def no_decomposition(*args):
+        raise AssertionError("_lift decomposed a switch")
+
+    monkeypatch.setattr(covering, "_cycle_decomposition", no_decomposition)
+    lifted = covering._lift(CoveringMap.identity(k33), sequence)
+    assert lifted == sequence
+    assert all(up is down for up, down in zip(lifted, sequence))
+    assert lift_sequence(CoveringMap.identity(k33), c1, iter(sequence)) == sequence
+    # lift_sequence still replays: one edge short, the second switch is stale
+    stale = BichromaticCycle(sequence[1].colors, sequence[1].edge_ids[:-1])
+    with pytest.raises(StaleSwitchError, match="sequence position 1"):
+        lift_sequence(CoveringMap.identity(k33), c1, (sequence[0], stale))
+
+
 def test_extend_rejects_non_spanning(k33):
     h = Multigraph.from_edges(5, [])  # fewer vertices -> not spanning
     with pytest.raises(CoveringError):

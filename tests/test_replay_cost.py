@@ -11,7 +11,9 @@ proven again. They also count the recursion's calls, so that identical
 components stay built once, its color-class scans, of which there are
 none, and its replays, which check each alignment switch once. A node
 whose colorings agree on a lower color class drops that class and aligns
-nothing. The oracle tests count the `EdgeColoring`s, `BichromaticCycle`s,
+nothing. A degree-1 cover costs nothing: the tests count the graphs that
+builds of d=3 and d=4 adopt, and the cycle decompositions of their lifts.
+The oracle tests count the `EdgeColoring`s, `BichromaticCycle`s,
 `bichromatic_cycles` calls and cycle decompositions of a census and its
 queries, which must not grow with the switches the breadth-first search
 tries: one cycle per coloring it reaches, or per step of the path it
@@ -320,6 +322,29 @@ def test_kempe_cover_witness_replays_each_alignment_switch_once(monkeypatch, see
     assert [draws[s] for s in switches] == [1] * aligned
     # the rest are the first aligned half's switches, replayed once by their lift
     assert len(checked_switches) == checked
+
+
+@pytest.mark.parametrize(
+    "seed, d, n, graphs, edges, decompositions", [(2, 3, 1000, 3, 7000, 0), (1, 4, 150, 20, 18975, 32)]
+)
+def test_kempe_cover_witness_takes_a_degree_one_cover_as_the_identity(
+    monkeypatch, seed, d, n, graphs, edges, decompositions
+):
+    g, c1, c2 = random_colored_instance(seed, d, n)
+    adopted, adopt = [], Multigraph._adopt
+
+    def counted_adopt(vertex_count, table):
+        adopted.append(len(table))
+        return adopt(vertex_count, table)
+
+    monkeypatch.setattr(Multigraph, "_adopt", staticmethod(counted_adopt))
+    lifts = counter(monkeypatch, (covering,), "_cycle_decomposition")
+    kempe_cover_witness(g, c1, c2)
+    # both aligned halves of a d=3 node run over the trivial cover, which extends to the identity
+    # of g and lifts each switch to itself: 5 graphs with 13,000 edges and 8 decompositions at
+    # d=3 n=1,000, and 26 graphs with 23,475 edges and 68 decompositions at d=4 n=150, when both
+    # were rebuilt
+    assert (len(adopted), sum(adopted), len(lifts)) == (graphs, edges, decompositions)
 
 
 def test_align_color_checks_its_inputs_once(monkeypatch):

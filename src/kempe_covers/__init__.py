@@ -62,7 +62,6 @@ from .errors import (
 from .graph import (
     Multigraph,
     connected_components,
-    disjoint_union,
     is_regular,
     spanning_subgraph,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "connected_components",
     "copies_cover",
     "default_orientation",
-    "disjoint_union",
     "enumerate_legal_colorings",
     "equivalent_without_cover",
     "extend_subgraph_cover",

@@ -9,7 +9,7 @@ two moving edges.
 
 The alignment cover has d-1 sheets indexed by residues modulo d-1. Write
 ``shift(v)`` for the residue of c1's color on the unique c2-d-edge at v
-(zero at shared vertices). Copy k of an edge e with endpoints u < w runs
+(zero at shared vertices). Copy k of an edge e stored as (u, w) runs
 from (u, k) to (w, k + shift(w) - shift(u)), or to (w, k) when c1(e) = d;
 it is colored d when c1(e) = d and ``k - shift(u) + c1(e)`` (a residue, 0
 read as d-1) otherwise. Both ends of a moving edge have one shift, so each
@@ -26,7 +26,8 @@ orientation. Give each edge the offset ``shift(origin) - shift(terminus)``
 an edge negates its offset, which relabels the sheets of its copies but
 leaves every (endpoint-sheet, endpoint-sheet, color) triple untouched. So
 every orientation gives the copies above, numbered by their sheet at the
-smaller endpoint, and the cover is built from the shifts alone.
+edge's first stored endpoint, as every built cover is (see ``covering``),
+and the cover is built from the shifts alone.
 """
 
 from __future__ import annotations
@@ -141,12 +142,12 @@ def build_alignment_cover(
     """The degree-(d-1) cover and its shifted coloring.
 
     Cover vertex ``v*(d-1) + k`` is vertex v on sheet k, and cover edge
-    ``e*(d-1) + k`` is copy k of the base edge e, on the sheets of the
-    module docstring. A given ``orientation`` must pair each edge's two
-    endpoints; its offsets give these same sheets, so the output is one
-    graph, map and coloring for every orientation. The inputs are
-    validated; the cover and the shifted coloring are legal by construction
-    and are not re-checked.
+    ``e*(d-1) + k`` is copy k of the base edge e, which leaves e's first
+    stored endpoint on sheet k (see the module docstring). A given
+    ``orientation`` must pair each edge's two endpoints; its offsets give
+    these same sheets, so the output is one graph, map and coloring for
+    every orientation. The inputs are validated; the cover and the shifted
+    coloring are legal by construction and are not re-checked.
     """
     split = split_color_d(g, c1, c2)
     shift = _shifts(g, c1, split.moving, split.degree)
@@ -173,13 +174,12 @@ def _build_alignment_cover(
     colors: dict[EdgeId, int] = {}
     for e, (u, w) in g._edges.items():
         color = c1._colors[e]
-        low = shift[min(u, w)]
-        # each end's sheet, less k; the smaller endpoint's is 0
-        at_u, at_w = (0, 0) if color == d else (shift[u] - low, shift[w] - low)
+        # copy k leaves u on sheet k and reaches w on sheet k + step
+        step = 0 if color == d else shift[w] - shift[u]
         for k, f in enumerate(range(e * modulus, (e + 1) * modulus)):
-            pairs[f] = (u * modulus + (k + at_u) % modulus, w * modulus + (k + at_w) % modulus)
+            pairs[f] = (u * modulus + k, w * modulus + (k + step) % modulus)
             # the residue as a color: 0 stands for the color modulus
-            colors[f] = d if color == d else (k - low + color) % modulus or modulus
+            colors[f] = d if color == d else (k - shift[u] + color) % modulus or modulus
 
     # ids ascend with g's; the copy of (u, w) joins sheets of u and of w != u
     cover_graph = Multigraph._adopt(g.vertex_count * modulus, pairs)

@@ -26,7 +26,7 @@ Color = int
 
 
 class EdgeColoring:
-    """Total map edge id -> color in ``{1..degree}``. Immutable and hashable."""
+    """Total map edge id -> color in ``{1..degree}``. Immutable."""
 
     __slots__ = ("_degree", "_colors")
 
@@ -75,9 +75,6 @@ class EdgeColoring:
         if not isinstance(other, EdgeColoring):
             return NotImplemented
         return self._degree == other._degree and self._colors == other._colors
-
-    def __hash__(self):
-        return hash((self._degree, tuple(sorted(self._colors.items()))))
 
     def __repr__(self) -> str:
         return f"EdgeColoring(degree={self._degree}, edges={len(self._colors)})"

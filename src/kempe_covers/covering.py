@@ -9,12 +9,15 @@ coloring.
 Every covering map is numbered sheet by sheet, in its base's own id space:
 in a cover of degree m, vertex (v, k) has id v*m + k and edge (e, k) has id
 e*m + k, for k in 0..m-1. Its projection is then x // m on vertices and on
-edges, and it is a permutation voltage graph (J. L. Gross and T. W. Tucker,
-"Generating all graph coverings by permutation voltage assignments",
-Discrete Math. 18, 1977). Any covering of constant degree m can be
-renumbered so. A :class:`CoveringMap` is therefore its source, its target
-and m; its public constructor takes maps from outside only when they are
-x // m, and names the first entry that is not. This module lifts switch
+edges. Every cover the package builds also numbers each edge by its sheet
+at the base row's first end: row e*m + k of e = (u, w) runs from u*m + k to
+w*m + pi_e(k), so the cover is one permutation pi_e per base edge, a
+permutation voltage graph (J. L. Gross and T. W. Tucker, "Generating all
+graph coverings by permutation voltage assignments", Discrete Math. 18,
+1977). Any covering of constant degree m can be renumbered so. A
+:class:`CoveringMap` is therefore its source, its target and m; its public
+constructor takes maps from outside only when they are x // m, and names
+the first entry that is not. This module lifts switch
 sequences through such covers, replaying each unless the caller has,
 composes them, copies a graph and extends a spanning subgraph's cover to
 the full graph, all by that division. A cover of degree 1 costs nothing:
@@ -109,16 +112,6 @@ class CoveringMap:
             raise UnknownEdgeError(f"no edge {e} in the cover")
         return e // self.degree
 
-    @property
-    def vertex_map(self) -> tuple[VertexId, ...]:
-        m = self.degree
-        return tuple([x // m for x in range(self.source.vertex_count)])
-
-    @property
-    def edge_map(self) -> dict[EdgeId, EdgeId]:
-        m = self.degree
-        return {f: f // m for f in self.source._edges}
-
     # no package code calls this; it stays because perfbench/tracer.py's METHODS wraps it by name
     def vertex_fiber(self, v: VertexId) -> tuple[VertexId, ...]:
         """Source vertices over ``v``, in increasing id order."""
@@ -179,9 +172,12 @@ def verify_covering(p: CoveringMap) -> Verdict:
 def pullback_coloring(p: CoveringMap, c: EdgeColoring) -> EdgeColoring:
     """Pull ``c`` back through the covering ``p``: cover edge f gets the color of f // m.
 
-    A legal ``c`` pulls back legal. ``p`` is not re-checked; run
-    :func:`verify_covering` on untrusted maps.
+    A legal ``c`` pulls back legal; through a cover whose source is its
+    target, the identity, it pulls back as ``c`` itself. ``p`` is not
+    re-checked; run :func:`verify_covering` on untrusted maps.
     """
+    if p.source is p.target:
+        return c
     colors, m = c._colors, p.degree
     try:
         # every color is one of c's, already in 1..degree

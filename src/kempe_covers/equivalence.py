@@ -24,7 +24,8 @@ beta(d) = (d-1) * beta(d-1)^2. The construction is a recursion on d:
   aligned coloring to the pulled-back second coloring. Composing the three
   covers multiplies the degrees to (d-1) * beta(d-1)^2 exactly. At d=3
   both aligned cases run over the identity, as beta(2) = 1: their covers
-  extend to the identity of the graph and lift each switch to itself.
+  extend to the identity of the graph, which lifts each switch to itself
+  and pulls each coloring back as itself.
 
 Every result is normalized to degree exactly beta(d) by padding with
 disjoint copies, except the trivial short-circuit for identical inputs,
@@ -140,8 +141,11 @@ def verify_witness(w: EquivalenceWitness) -> Verdict:
         if edges != m * len(w.graph._edges):
             return Verdict(False, f"cover edge count {edges} is not {m} x {len(w.graph._edges)}")
         d = common_degree(w.graph, w.start, w.goal)
-        # the pull-back is built for this replay alone, so it flips in place
+        # the pull-back is built for this replay alone, so it flips in place, except through
+        # the identity, whose pull-back is w.start itself
         current = pullback_coloring(w.cover, w.start)._colors
+        if w.cover.source is w.cover.target:
+            current = dict(current)
         goal = pullback_coloring(w.cover, w.goal)
         try:
             _replay(w.cover.source, d, current, enumerate(w.switches))

@@ -16,15 +16,15 @@ checks, in id order, that each id is an integer and each entry a tuple or
 list of two integer endpoints in range with no loop, rebuilding only a pair
 that is not a tuple. Bools are not integers here, as in the witness parser.
 The private :meth:`Multigraph._adopt` takes as is the tables the package derives
-from checked graphs: spanning subgraphs, disjoint unions, relabelled
-components, copies and unions of copies, extended covers and alignment
+from checked graphs: spanning subgraphs, relabelled components, the edgeless
+graphs that copies extend, extended covers, unions of copies and alignment
 covers. Each builds ascending ids and endpoints from ranges it knows, so a
 check would prove nothing new.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import (
     GraphStructureError,
@@ -96,9 +96,6 @@ class Multigraph:
     @property
     def edge_count(self) -> int:
         return len(self._edges)
-
-    def vertices(self) -> range:
-        return range(self._n)
 
     def edge_ids(self) -> tuple[EdgeId, ...]:
         """Edge ids in increasing order."""
@@ -176,22 +173,3 @@ def spanning_subgraph(g: Multigraph, edges: Iterable[EdgeId]) -> Multigraph:
     if len(sub) != len(chosen):
         raise UnknownEdgeError(f"no edge {min(chosen - table.keys())}")
     return Multigraph._adopt(g._n, sub)
-
-
-def disjoint_union(parts: Sequence[Multigraph]) -> tuple[Multigraph, list[dict[EdgeId, EdgeId]]]:
-    """Disjoint union with per-part edge injections (old id -> new id).
-
-    Each part's vertices follow the previous parts' in order, and its edges
-    are numbered in increasing order of their old ids, so its injection
-    keeps the order of any sorted edge list.
-    """
-    edge_maps: list[dict[EdgeId, EdgeId]] = []
-    pairs: dict[EdgeId, tuple[VertexId, VertexId]] = {}
-    v_off = 0
-    for part in parts:
-        new_ids = range(len(pairs), len(pairs) + len(part._edges))
-        pairs.update(zip(new_ids, [(u + v_off, w + v_off) for u, w in part._edges.values()]))
-        edge_maps.append(dict(zip(part._edges, new_ids)))
-        v_off += part._n
-    # ids count up from 0; each part's ends are shifted past the previous parts'
-    return Multigraph._adopt(v_off, pairs), edge_maps

@@ -56,6 +56,27 @@ def alternating_coloring(length: int) -> EdgeColoring:
     return EdgeColoring(2, {e: e % 2 + 1 for e in range(length)})
 
 
+def make_disjoint(*parts: Multigraph) -> Multigraph:
+    """The parts side by side: each part's vertices follow the previous parts', and edges count up densely."""
+    pairs, offset = [], 0
+    for part in parts:
+        pairs += [(u + offset, w + offset) for u, w in part._edges.values()]
+        offset += part.vertex_count
+    return Multigraph.from_edges(offset, pairs)
+
+
+def sheet_maps(p) -> tuple[list[int], dict[int, int]]:
+    """The vertex and edge maps x // m of ``p``, in the form the public CoveringMap constructor takes."""
+    m = p.degree
+    return [x // m for x in range(p.source.vertex_count)], {f: f // m for f in p.source._edges}
+
+
+def rows_off_their_first_end_sheet(p) -> list[int]:
+    """The cover rows e*m + k that do not start at u*m + k, for the base row e = (u, w) of ``p``."""
+    m, base = p.degree, p.target._edges
+    return [f for f, (u, _) in p.source._edges.items() if u != base[f // m][0] * m + f % m]
+
+
 def dart_lists(g: Multigraph) -> list[list[tuple[int, int]]]:
     """Per-vertex (edge id, endpoint slot) lists in edge id order, built from the edge table.
 

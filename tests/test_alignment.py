@@ -42,7 +42,7 @@ def test_split_equal_colorings(k33, k33_pair):
     split = split_color_d(k33, c1, c1)
     assert split.shared == c1.color_class(3)
     assert split.moving == frozenset()
-    assert split.shared_vertices == frozenset(k33.vertices())
+    assert split.shared_vertices == frozenset(range(k33.vertex_count))
 
 
 def test_split_k33_pair(k33, k33_pair):
@@ -64,7 +64,7 @@ def test_split_disjoint_top_classes_cover_all_vertices():
     assert split.shared == frozenset()
     assert split.shared_vertices == frozenset()
     support = {v for e in split.moving for v in cube.endpoints(e)}
-    assert support == set(cube.vertices())
+    assert support == set(range(cube.vertex_count))
 
 
 def test_alignment_data_invariants(k33, k33_pair):
@@ -72,7 +72,7 @@ def test_alignment_data_invariants(k33, k33_pair):
     data = alignment_data(k33, c1, c2)
     split = split_color_d(k33, c1, c2)
     assert data.modulus == 2
-    for v in k33.vertices():
+    for v in range(k33.vertex_count):
         anchor = data.anchor[v]
         assert c2[anchor] == 3
         assert v in k33.endpoints(anchor)
@@ -163,15 +163,15 @@ def reference_alignment(g, c1, c2, orientation):
     """The offset-keyed alignment cover and its cover-side switches, frozen as the reference.
 
     Each copy of an edge is placed through the orientation's offset and
-    re-keyed by its sheet at the smaller endpoint: copy k of edge e is
-    e*(d-1) + k, in the base's own id space. The switches decompose
+    re-keyed by its sheet at the edge's first stored endpoint: copy k of
+    edge e is e*(d-1) + k, in the base's own id space. The switches decompose
     the cover's preimage of the moving edges, each with its smallest color.
     """
     d = c1.degree
     modulus = d - 1
     split = split_color_d(g, c1, c2)
     anchor = {v: e for e in c2.color_class(d) for v in g.endpoints(e)}
-    shift = {v: 0 if v in split.shared_vertices else c1[anchor[v]] % modulus for v in g.vertices()}
+    shift = {v: 0 if v in split.shared_vertices else c1[anchor[v]] % modulus for v in range(g.vertex_count)}
     pairs, emap, colors = {}, {}, {}
     for e in g.edge_ids():
         u, w = g.endpoints(e)
@@ -179,7 +179,7 @@ def reference_alignment(g, c1, c2, orientation):
         offset = 0 if c1[e] == d else (shift[origin] - shift[terminus]) % modulus
         for label in range(modulus):
             f = e * modulus + label
-            at_terminus = label if min(u, w) == terminus else (label - offset) % modulus
+            at_terminus = label if u == terminus else (label - offset) % modulus
             at_origin = (at_terminus + offset) % modulus
             if u == terminus:
                 pairs[f] = (u * modulus + at_terminus, w * modulus + at_origin)
@@ -188,7 +188,7 @@ def reference_alignment(g, c1, c2, orientation):
             colors[f] = d if c1[e] == d else (at_terminus - shift[terminus] + c1[e]) % modulus or modulus
             emap[f] = e
     cover = Multigraph(g.vertex_count * modulus, pairs)
-    p = CoveringMap(cover, g, [v // modulus for v in cover.vertices()], emap)
+    p = CoveringMap(cover, g, [v // modulus for v in range(cover.vertex_count)], emap)
     shifted = EdgeColoring(d, colors)
     member = [f for f, e in emap.items() if e in split.moving]
     switches = tuple(
@@ -245,7 +245,7 @@ def test_moving_edge_copies_colored_by_their_sheet():
         for e in split.moving:
             if c1[e] == d:
                 continue
-            for copy in (f for f, img in p.edge_map.items() if img == e):
+            for copy in (f for f in p.source.edge_ids() if p.edge_image(f) == e):
                 sheets = {v % modulus for v in p.source.endpoints(copy)}
                 assert len(sheets) == 1  # offset vanishes on moving edges
                 sheet = sheets.pop()
@@ -320,7 +320,7 @@ def test_a_broken_lift_is_rejected_by_the_replay(monkeypatch, k33, k33_pair):
         p, shifted = build(g, c, data)
         colors = dict(shifted.items())
         # a lift of a c2 top-color edge, colored 1 or 2; give it the other one
-        f = next(f for f, e in p.edge_map.items() if e in moving and colors[f] != 3)
+        f = next(f for f in p.source.edge_ids() if p.edge_image(f) in moving and colors[f] != 3)
         colors[f] = 3 - colors[f]
         return p, EdgeColoring(3, colors)
 

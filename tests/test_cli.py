@@ -20,6 +20,7 @@ from kempe_covers import (
     bichromatic_cycles,
     bundled_instance_path,
     pullback_coloring,
+    random_colored_instance,
     verify_witness,
 )
 from kempe_covers.cli import _build_parser, main
@@ -72,6 +73,7 @@ def test_check_malformed_json(tmp_path):
 
 GOLDEN_K33 = str(Path(__file__).parent / "golden" / "k33_c1_c2.json")
 GOLDEN_THETA = str(Path(__file__).parent / "golden" / "theta_c1_c2.json")
+GOLDEN_D3 = str(Path(__file__).parent / "golden" / "random_d3_n4_seed5.json")
 UNREADABLE_DOCUMENTS = {
     # the decoder recurses once per bracket
     "nested": b"[" * 100_000 + b"]" * 100_000,
@@ -701,6 +703,20 @@ def verify_k33_witness(tmp_path, edit, instance=K33):
     return ["verify", "--input", instance, "--witness", str(out)]
 
 
+def verify_golden_d3_with_crossed_rows(tmp_path):
+    """``verify`` argv for the golden d=3 witness with the second ends of cover rows 8 and 10
+    swapped: two rows of one color that no switch touches, so only the incidence check sees it."""
+    instance, witness = tmp_path / "d3.json", tmp_path / "d3-crossed.json"
+    g, c1, c2 = random_colored_instance(5, 3, 4)
+    dump_json(instance_to_json(g, {"c1": c1, "c2": c2}), instance)
+    doc = load_json(GOLDEN_D3)
+    rows = doc["cover"]["edges"]
+    assert (rows[8][0], rows[10][0]) == (8, 10)
+    rows[8][2], rows[10][2] = rows[10][2], rows[8][2]
+    dump_json(doc, witness)
+    return ["verify", "--input", str(instance), "--witness", str(witness)]
+
+
 def witness_failing_self_verification(tmp_path, monkeypatch):
     monkeypatch.setattr(kempe_covers.cli, "verify_witness", lambda w: kempe_covers.Verdict(False, "forced"))
     return ["witness", "--input", K33, "--from", "c1", "--to", "c2"]
@@ -732,6 +748,10 @@ CONTENT_VIOLATIONS = {
         lambda tmp, _: verify_k33_witness(tmp, lambda doc: doc["sequence"].pop()),
         "error: witness verification failed: replay mismatch at cover edge",
     ),
+    "crossed rows": (
+        lambda tmp, _: verify_golden_d3_with_crossed_rows(tmp),
+        "error: witness verification failed: edge 8 does not preserve incidence",
+    ),
 }
 
 
@@ -745,6 +765,37 @@ def test_a_content_violation_is_one_error_line(tmp_path, capsys, monkeypatch, ca
     assert captured.out == ""
     [err] = captured.err.splitlines()
     assert err.startswith(line)
+
+
+def check_k33_as(tmp_path, document_format):
+    """``check`` argv for the bundled k33 instance under another ``format`` string."""
+    path = tmp_path / "k33.json"
+    dump_json({**load_json(K33), "format": document_format}, path)
+    return ["check", "--input", str(path), "--coloring", "c1"]
+
+
+#: each malformed document a command refuses itself: argv from tmp_path, and the whole line
+MALFORMED_DOCUMENTS = {
+    "instance format": (
+        lambda tmp: check_k33_as(tmp, "kempe-instance/2"),
+        "error: not a kempe-instance/1 document",
+    ),
+    "three-color switch": (
+        lambda tmp: verify_k33_witness(tmp, lambda doc: doc["sequence"][0]["colors"].append(3)),
+        "error: switch needs exactly two colors",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
+def test_a_malformed_document_is_one_error_line(tmp_path, capsys, case):
+    argv, line = MALFORMED_DOCUMENTS[case]
+    argv = argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
 
 
 def test_all_lists_every_public_binding():

@@ -11,6 +11,7 @@ from kempe_covers import (
     KempeCoversError,
     Multigraph,
     StaleSwitchError,
+    UnknownEdgeError,
     Verdict,
     apply_sequence,
     bichromatic_cycles,
@@ -20,7 +21,7 @@ from kempe_covers import (
     connected_components,
     copies_cover,
     covering,
-    disjoint_union,
+    equivalence,
     extend_subgraph_cover,
     is_legal,
     kempe_cover_witness,
@@ -32,7 +33,18 @@ from kempe_covers import (
     verify_covering,
 )
 
-from conftest import alternating_coloring, dart_lists, make_cycle, make_k33, make_theta, K33_C1, K33_C2
+from conftest import (
+    K33_C1,
+    K33_C2,
+    alternating_coloring,
+    dart_lists,
+    make_cycle,
+    make_disjoint,
+    make_k33,
+    make_theta,
+    rows_off_their_first_end_sheet,
+    sheet_maps,
+)
 
 
 def double_cycle_cover(length):
@@ -48,7 +60,15 @@ def double_cycle_cover(length):
         for k in range(2)
     }
     big = Multigraph(2 * length, pairs)
-    return CoveringMap(big, small, [v // 2 for v in big.vertices()], {e: e // 2 for e in big.edge_ids()})
+    return CoveringMap(big, small, [v // 2 for v in range(2 * length)], {e: e // 2 for e in big.edge_ids()})
+
+
+@pytest.mark.parametrize("value", [make_k33(), EdgeColoring(3, dict(enumerate(K33_C1))), copies_cover(make_k33(), 2)],
+                         ids=["graph", "coloring", "cover"])
+def test_a_value_is_unequal_to_what_is_not_of_its_type(value):
+    # __eq__ answers NotImplemented, so Python falls back to identity rather than reading missing fields
+    for other in (None, 0, "k33"):
+        assert (value == other) is False and (value != other) is True
 
 
 def test_identity_is_a_covering(k33):
@@ -119,7 +139,11 @@ def test_extend_refuses_an_image_outside_the_target(k33, k33_pair, image):
 
 def test_pullback_through_identity(k33, k33_pair):
     c1, _ = k33_pair
-    assert pullback_coloring(CoveringMap.identity(k33), c1) == c1
+    assert pullback_coloring(CoveringMap.identity(k33), c1) is c1
+    # a degree-1 cover whose source is another graph object pulls back a table of its own
+    twin = CoveringMap(Multigraph(6, dict(k33._edges)), k33, range(6), {e: e for e in k33.edge_ids()})
+    pulled = pullback_coloring(twin, c1)
+    assert pulled == c1 and pulled._colors is not c1._colors
 
 
 def test_pullback_through_double_cover():
@@ -256,12 +280,15 @@ def test_copies_cover_counts_and_provenance():
     # copy k of vertex v is 3v + k; copy k of edge e is 3e + k, in g's own ids
     gapped = spanning_subgraph(make_cycle(6), [0, 2, 3, 5])
     tripled = copies_cover(gapped, 3)
-    assert tripled.vertex_map == tuple(v for v in range(6) for _ in range(3))
+    assert tripled.degree == 3 and tripled.source.vertex_count == 18
     assert tripled.source.edge_ids() == (0, 1, 2, 6, 7, 8, 9, 10, 11, 15, 16, 17)
     for f in tripled.source.edge_ids():
         e, k = divmod(f, 3)
         assert tripled.edge_image(f) == e
         assert tripled.source.endpoints(f) == tuple(3 * v + k for v in gapped.endpoints(e))
+    # 3 // 3 = 1 is no edge of gapped either: an id in a gap has no image
+    with pytest.raises(UnknownEdgeError, match="^no edge 3 in the cover$"):
+        tripled.edge_image(3)
     assert copies_cover(k33, 1).source == k33
 
 
@@ -274,6 +301,70 @@ def test_copies_cover_rejects_zero():
 def test_copies_cover_refuses_what_is_not_an_integer(m):
     with pytest.raises(GraphStructureError, match=f"^need at least one copy, got {m!r}$"):
         copies_cover(make_k33(), m)
+
+
+def _rest_of_a_top_class(seed, d, n):
+    """A (d+1)-regular g, its d-regular rest h without one color class, and two colorings of h.
+
+    h keeps g's scattered edge ids; its second coloring is its first after a {i, d} switch for each i < d.
+    """
+    g, _, c = random_colored_instance(seed, d + 1, n)
+    h = spanning_subgraph(g, [e for e in g.edge_ids() if c[e] <= d])
+    a = b = EdgeColoring(d, {e: c[e] for e in h.edge_ids()})
+    for i in range(1, d):
+        b = kempe_switch(h, b, bichromatic_cycles(h, b, i, d)[-1])
+    return g, h, a, b
+
+
+REST_SHAPES = [(0, 3, 8), (1, 4, 8), (2, 3, 10), (3, 4, 10)]
+
+
+def _alignment_covers():
+    rests = [(h, a, b) for _, h, a, b in (_rest_of_a_top_class(*shape) for shape in REST_SHAPES)]
+    instances = [random_colored_instance(seed, d, 8) for seed in range(4) for d in (3, 4, 5)]
+    return [build_alignment_cover(*instance)[0] for instance in rests + instances]
+
+
+def _extension_covers():
+    covers = []
+    for g, h, a, b in (_rest_of_a_top_class(*shape) for shape in REST_SHAPES):
+        covers.append(extend_subgraph_cover(g, h, build_alignment_cover(h, a, b)[0]))
+        covers.append(extend_subgraph_cover(g, h, kempe_cover_witness(h, a, b).cover))
+    return covers
+
+
+def _copies_covers():
+    return [copies_cover(_rest_of_a_top_class(*shape)[1], m) for shape, m in zip(REST_SHAPES, (1, 2, 3, 4))]
+
+
+def _union_covers():
+    g, c1, c2 = random_colored_instance(1, 4, 8)
+    w = kempe_cover_witness(g, c1, c2)
+    part = (w.cover, w.switches, range(g.vertex_count), range(g.edge_count))
+    # and the per-component witness of g beside another d=4 instance, whose edge ids follow g's
+    other, d1, d2 = random_colored_instance(3, 4, 8)
+    pairs = [{**c._colors, **{e + g.edge_count: col for e, col in x.items()}} for c, x in ((c1, d1), (c2, d2))]
+    apart = kempe_cover_witness(make_disjoint(g, other), *(EdgeColoring(4, colors) for colors in pairs))
+    return [equivalence._union_witness(g, [part], 2 * w.cover.degree)[0], apart.cover]
+
+
+def _witness_covers():
+    shapes = [(seed, 3, n) for seed in range(6) for n in (8, 20)] + [(seed, 4, 20) for seed in range(4)]
+    shapes += [(1, 5, 6), (3, 5, 6)]
+    return [kempe_cover_witness(*random_colored_instance(*shape)).cover for shape in shapes]
+
+
+@pytest.mark.parametrize(
+    "built",
+    [_alignment_covers, _extension_covers, _copies_covers, _union_covers, _witness_covers],
+    ids=["alignment", "extension", "copies", "union", "witness"],
+)
+def test_every_built_row_leaves_its_base_rows_first_end_on_its_own_sheet(built):
+    # row e*m + k of e = (u, w) starts at u*m + k: the cover is one sheet permutation per base edge
+    for p in built():
+        assert rows_off_their_first_end_sheet(p) == []
+        verdict = verify_covering(p)
+        assert verdict, verdict.reason
 
 
 def test_compose_identity_and_degrees(k33):
@@ -290,7 +381,7 @@ def test_a_cover_numbered_otherwise_is_refused_where_division_would_mislift():
     # the double cover of the 4-cycle by the 8-cycle, numbered around the cycle: v over v % 4
     big, small = make_cycle(8), make_cycle(4)
     with pytest.raises(CoveringError, match=r"^vertex 1 maps to 1, not to 1 // 2 = 0$"):
-        CoveringMap(big, small, [v % 4 for v in big.vertices()], {e: e % 4 for e in big.edge_ids()})
+        CoveringMap(big, small, [v % 4 for v in range(8)], {e: e % 4 for e in big.edge_ids()})
     # the same covering numbered sheet by sheet is taken, and lifts the 4-cycle to the 8-cycle
     p = double_cycle_cover(4)
     c = alternating_coloring(4)
@@ -312,9 +403,9 @@ def test_extend_from_color_class(k33, k33_pair):
     assert verify_covering(r)
     assert r.degree == 2
     # restriction to the subgraph cover is untouched
-    assert r.vertex_map == p.vertex_map
+    assert r.source.vertex_count == p.source.vertex_count
     for e in p.source.edge_ids():
-        assert r.edge_map[e] == p.edge_map[e]
+        assert r.source.endpoints(e) == p.source.endpoints(e) and r.edge_image(e) == p.edge_image(e)
 
 
 def test_extend_degree_one_adds_each_missing_edge_once(k33, k33_pair):
@@ -376,6 +467,14 @@ def test_extend_rejects_non_spanning(k33):
         extend_subgraph_cover(k33, h, CoveringMap.identity(h))
 
 
+def test_extend_rejects_a_cover_of_another_subgraph(k33, k33_pair):
+    c1, _ = k33_pair
+    h = spanning_subgraph(k33, c1.color_class(1) | c1.color_class(2))
+    other = spanning_subgraph(k33, c1.color_class(1) | c1.color_class(3))
+    with pytest.raises(CoveringError, match="^cover does not map onto the given subgraph$"):
+        extend_subgraph_cover(k33, h, copies_cover(other, 2))
+
+
 @pytest.mark.parametrize("edges, wrong", [
     ({0: (0, 3), 5: (2, 4)}, 5),  # edge 5 runs 1-5 in k33
     ({0: (3, 0)}, 0),  # the stored endpoint order differs
@@ -392,8 +491,9 @@ def test_extend_rejects_nonconstant_fibers(k33, k33_pair):
     h = spanning_subgraph(k33, c1.color_class(1) | c1.color_class(2))
     p = copies_cover(h, 2)
     # break fiber constancy by moving the last cover vertex onto base vertex 0
+    vmap, emap = sheet_maps(p)
     with pytest.raises(CoveringError, match=r"^vertex 11 maps to 0, not to 11 // 2 = 5$"):
-        extend_subgraph_cover(k33, h, CoveringMap(p.source, h, list(p.vertex_map)[:-1] + [0], p.edge_map))
+        extend_subgraph_cover(k33, h, CoveringMap(p.source, h, vmap[:-1] + [0], emap))
 
 
 # -- verdicts pinned reason by reason ------------------------------------------
@@ -401,7 +501,7 @@ def test_extend_rejects_nonconstant_fibers(k33, k33_pair):
 
 def _k33_identity_parts():
     k33 = make_k33()
-    return k33, list(k33.vertices()), {e: e for e in k33.edge_ids()}
+    return k33, list(range(6)), {e: e for e in k33.edge_ids()}
 
 
 def _not_total():
@@ -446,8 +546,8 @@ def _vertex_not_surjective():
 
 def _nonconstant_fibers():
     # locally bijective onto two triangles, but a hexagon covers one twice
-    base, _ = disjoint_union([make_cycle(3), make_cycle(3)])
-    source, _ = disjoint_union([make_cycle(6), make_cycle(3)])
+    base = make_disjoint(make_cycle(3), make_cycle(3))
+    source = make_disjoint(make_cycle(6), make_cycle(3))
     vertex_map = [v % 3 for v in range(6)] + [3, 4, 5]
     edge_map = {e: e % 3 if e < 6 else e - 3 for e in source.edge_ids()}
     return CoveringMap(source, base, vertex_map, edge_map)
@@ -522,12 +622,12 @@ def test_verify_covering_reasons(broken, reason):
 
 def reference_verify_covering(p):
     """The multi-pass verify_covering this module's one-pass check must agree with."""
-    src, tgt, vmap = p.source, p.target, p.vertex_map
+    src, tgt, (vmap, emap) = p.source, p.target, sheet_maps(p)
     if len(vmap) != src.vertex_count:
         return Verdict(False, "vertex map is not total on the source")
-    if set(p.edge_map) != set(src.edge_ids()):
+    if set(emap) != set(src.edge_ids()):
         return Verdict(False, "edge map does not match the source edge set")
-    for v in src.vertices():
+    for v in range(src.vertex_count):
         if not 0 <= vmap[v] < tgt.vertex_count:
             return Verdict(False, f"vertex {v} maps outside the target")
     for e in src.edge_ids():
@@ -537,12 +637,12 @@ def reference_verify_covering(p):
         u, w = src.endpoints(e)
         if {vmap[u], vmap[w]} != set(tgt.endpoints(img)):
             return Verdict(False, f"edge {e} does not preserve incidence")
-    if set(vmap) != set(tgt.vertices()):
+    if set(vmap) != set(range(tgt.vertex_count)):
         return Verdict(False, "vertex map is not surjective")
     if {p.edge_image(e) for e in src.edge_ids()} != set(tgt.edge_ids()):
         return Verdict(False, "edge map is not surjective")
     src_darts, tgt_darts = dart_lists(src), dart_lists(tgt)
-    for v in src.vertices():
+    for v in range(src.vertex_count):
         local = [p.edge_image(e) for e, _ in src_darts[v]]
         if len(set(local)) != len(local):
             return Verdict(False, f"local bijection fails at source vertex {v} (collision)")
@@ -617,14 +717,14 @@ def test_verify_covering_matches_reference(valid_covers, data):
         f = data.draw(st.sampled_from(sorted(rows)))
         u, w = rows.pop(f)
     if kind == "vertex":  # reattach one end anywhere
-        rows[f] = (data.draw(st.sampled_from([x for x in p.source.vertices() if x != w])), w)
+        rows[f] = (data.draw(st.sampled_from([x for x in range(p.source.vertex_count) if x != w])), w)
     elif kind == "edge":  # renumber the row, so it lies over another base edge or none
         ids = range(-m, m * (max(p.target._edges) + 2))
         rows[data.draw(st.sampled_from([g for g in ids if g not in rows]))] = (u, w)
     elif kind == "parallel":  # reattach one end within its fiber: keeps incidence, so the later checks get reached
         rows[f] = (data.draw(st.sampled_from([x for x in range(u - u % m, u - u % m + m) if x != w])), w)
     source = Multigraph(p.source.vertex_count, rows)
-    broken = CoveringMap(source, p.target, [x // m for x in source.vertices()], {g: g // m for g in rows})
+    broken = CoveringMap(source, p.target, [x // m for x in range(source.vertex_count)], {g: g // m for g in rows})
     fast, slow = outcome(verify_covering, broken), outcome(reference_verify_covering, broken)
     assert fast == slow
     assert kind != "none" or fast == Verdict(True)
@@ -634,7 +734,7 @@ def test_verify_covering_matches_reference(valid_covers, data):
 @given(data=st.data())
 def test_the_constructor_takes_built_maps_and_names_any_changed_entry(valid_covers, data):
     p, _ = data.draw(st.sampled_from(valid_covers))
-    vmap, emap = list(p.vertex_map), p.edge_map
+    vmap, emap = sheet_maps(p)
     assert CoveringMap(p.source, p.target, vmap, emap) == p
     if data.draw(st.booleans()):
         x = data.draw(st.sampled_from(range(len(vmap))))

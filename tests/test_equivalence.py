@@ -1,4 +1,5 @@
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,6 @@ from kempe_covers import (
     compose,
     connected_components,
     copies_cover,
-    disjoint_union,
     equivalence,
     equivalent_without_cover,
     is_legal,
@@ -36,9 +36,20 @@ from kempe_covers import (
     verify_witness,
 )
 from kempe_covers.coloring import _replay
-from kempe_covers.serialize import instance_from_json, load_json
+from kempe_covers.serialize import instance_from_json, load_json, witness_from_json
 
-from conftest import K33_C1, K33_C2, alternating_coloring, make_cycle, make_k33, make_petersen, make_theta
+from conftest import (
+    K33_C1,
+    K33_C2,
+    alternating_coloring,
+    make_cycle,
+    make_disjoint,
+    make_k33,
+    make_petersen,
+    make_theta,
+    rows_off_their_first_end_sheet,
+    sheet_maps,
+)
 
 
 def test_beta_table():
@@ -252,11 +263,12 @@ def reference_pad_to_degree(cover, switches, start, target_degree):
         composite.source.vertex_count,
         {renumbered(f): tuple(map(renumbered, ends)) for f, ends in composite.source._edges.items()},
     )
+    vmap, emap = sheet_maps(composite)
     padded = CoveringMap(
         source,
         composite.target,
-        [composite.vertex_map[x] for x in sorted(source.vertices(), key=renumbered)],
-        {renumbered(f): image for f, image in composite.edge_map.items()},
+        [vmap[x] for x in sorted(range(source.vertex_count), key=renumbered)],
+        {renumbered(f): image for f, image in emap.items()},
     )
     return padded, tuple(
         BichromaticCycle(cycle.colors, tuple(sorted(map(renumbered, cycle.edge_ids)))) for cycle in lifted
@@ -282,7 +294,7 @@ def test_union_of_copies_pads_as_the_lift_through_the_copies(seed, shape, factor
 
 def k33_beside_theta():
     """A disconnected base: K3,3 and a theta graph, each with two colorings of its own."""
-    g, _ = disjoint_union([make_k33(), make_theta()])
+    g = make_disjoint(make_k33(), make_theta())
     c1 = EdgeColoring(3, dict(enumerate(K33_C1 + (1, 2, 3))))
     c2 = EdgeColoring(3, dict(enumerate(K33_C2 + (2, 1, 3))))
     return g, c1, c2
@@ -310,8 +322,8 @@ def test_built_witnesses_are_sheet_numbered_with_dense_ids(instance):
     # the ids of m sheets over g's dense ids, and a covering that lies over them by division
     assert w.cover.source.edge_ids() == tuple(range(m * g.edge_count))
     assert w.cover.source.vertex_count == m * g.vertex_count
-    assert w.cover.vertex_map == tuple(x // m for x in range(m * g.vertex_count))
-    assert w.cover.edge_map == {y: y // m for y in range(m * g.edge_count)}
+    # and each row e*m + k leaves the first end of e on sheet k
+    assert rows_off_their_first_end_sheet(w.cover) == []
     verdict = verify_covering(w.cover)
     assert verdict, verdict.reason
 
@@ -364,6 +376,17 @@ def test_oracle_path_yields_identity_witness(theta, theta_coloring):
     assert path is not None and len(path) == 1
     w = EquivalenceWitness(theta, theta_coloring, goal, CoveringMap.identity(theta), path)
     assert verify_witness(w)
+
+
+def test_verifying_an_identity_witness_leaves_its_start_unchanged(theta, theta_coloring):
+    # the identity pulls the start back as the start itself, and the replay flips what it pulled back
+    before = dict(theta_coloring.items())
+    path = equivalent_without_cover(theta, theta_coloring, THETA_GOAL)
+    for switches, ok in ((path, True), (path + path, False)):
+        w = EquivalenceWitness(theta, theta_coloring, THETA_GOAL, CoveringMap.identity(theta), switches)
+        assert pullback_coloring(w.cover, w.start) is w.start
+        assert bool(verify_witness(w)) is ok
+        assert dict(w.start.items()) == before
 
 
 def blind_flip(c, cycle):
@@ -470,7 +493,8 @@ THETA_GOAL = EdgeColoring(3, {0: 2, 1: 1, 2: 3})
 def with_cover(w, source):
     """``w`` with its cover graph replaced by ``source``, over ``w.graph`` by division by ``w``'s degree."""
     m = w.cover.degree
-    cover = CoveringMap(source, w.graph, [x // m for x in source.vertices()], {f: f // m for f in source._edges})
+    vertex_map = [x // m for x in range(source.vertex_count)]
+    cover = CoveringMap(source, w.graph, vertex_map, {f: f // m for f in source._edges})
     return EquivalenceWitness(w.graph, w.start, w.goal, cover, w.switches)
 
 
@@ -503,6 +527,47 @@ def test_an_empty_cover_is_rejected(theta, theta_coloring):
     # the type has m >= 1, so no witness can hold an empty cover
     with pytest.raises(CoveringError, match="^cover has 0 vertices, not m >= 1 times the target's 2$"):
         CoveringMap(Multigraph(0, {}), theta, [], {})
+
+
+GOLDEN_D3 = Path(__file__).parent / "golden" / "random_d3_n4_seed5.json"
+
+
+def crossed_rows(w, f, g):
+    """``w`` with the second ends of cover rows f and g swapped. Both rows have one color
+    and no switch touches them, so the fill and the replay cannot see the swap."""
+    start = pullback_coloring(w.cover, w.start)
+    assert start[f] == start[g] and not {f, g} & {e for s in w.switches for e in s.edge_ids}
+    edges = dict(w.cover.source._edges)
+    (u, x), (v, y) = edges[f], edges[g]
+    edges[f], edges[g] = (u, y), (v, x)
+    return with_cover(w, Multigraph(w.cover.source.vertex_count, edges))
+
+
+def tampered_witness(name):
+    """A witness that ``verify_witness`` must refuse, with the only check that sees the fault."""
+    k33 = make_k33()
+    c1, c2 = (EdgeColoring(3, dict(enumerate(colors))) for colors in (K33_C1, K33_C2))
+    if name == "other target":  # k33 with each edge stored the other way round: the same sizes and ends
+        w = kempe_cover_witness(k33, c1, c2)
+        flipped = Multigraph(6, {e: (v, u) for e, (u, v) in k33._edges.items()})
+        return EquivalenceWitness(k33, c1, c2, CoveringMap(w.cover.source, flipped, *sheet_maps(w.cover)), w.switches)
+    if name == "crossed rows d3":
+        return crossed_rows(witness_from_json(load_json(GOLDEN_D3))[0], 8, 10)
+    if name == "crossed rows d4":
+        return crossed_rows(kempe_cover_witness(*random_colored_instance(1, 4, 12)), 160, 196)
+    # without its last switch, the k33 witness first differs from the goal pull-back at edge 1, not 0
+    w = kempe_cover_witness(k33, c1, c2)
+    return EquivalenceWitness(k33, c1, c2, w.cover, w.switches[:-1])
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("other target", "cover does not map onto the witness graph"),
+    ("crossed rows d3", "edge 8 does not preserve incidence"),
+    ("crossed rows d4", "edge 160 does not preserve incidence"),
+    ("first mismatch", "replay mismatch at cover edge 1: got 2, want 1"),
+])
+def test_a_tampered_witness_is_refused_with_its_reason(name, reason):
+    assert verify_witness(tampered_witness(name)) == Verdict(False, reason)
 
 
 def parent_verify_witness(w):
@@ -553,7 +618,7 @@ def mutated_cover_rows(draw, w):
         e = draw(st.sampled_from(sorted(edges)))
         u, v = edges[e]
         if kind == "reattach":
-            edges[e] = (u, draw(st.sampled_from([x for x in source.vertices() if x != u])))
+            edges[e] = (u, draw(st.sampled_from([x for x in range(source.vertex_count) if x != u])))
         elif kind == "renumber":
             del edges[e]
             edges[draw(st.sampled_from([f for f in range(-m, m * (w.graph.edge_count + 1)) if f not in edges]))] = (u, v)

@@ -11,14 +11,13 @@ from kempe_covers import (
     UnknownEdgeError,
     UnknownVertexError,
     connected_components,
-    disjoint_union,
     is_regular,
     spanning_subgraph,
 )
 from kempe_covers import graph
 from kempe_covers.graph import _degrees
 
-from conftest import dart_lists, make_cycle, make_k33, make_theta
+from conftest import dart_lists, make_cycle, make_disjoint, make_k33, make_theta
 
 
 def test_builder_rejects_loops():
@@ -74,7 +73,7 @@ def test_degree_sum_is_twice_edge_count():
 
 def test_connected_components():
     assert len(connected_components(make_k33())) == 1
-    two_cycles, _ = disjoint_union([make_cycle(4)] * 2)
+    two_cycles = make_disjoint(make_cycle(4), make_cycle(4))
     assert len(connected_components(two_cycles)) == 2
     edgeless = Multigraph(5, {})
     comps = connected_components(edgeless)
@@ -86,6 +85,8 @@ def test_spanning_subgraph_preserves_ids():
     assert spanning_subgraph(g, g.edge_ids()) == g
     empty = spanning_subgraph(g, [])
     assert empty.vertex_count == g.vertex_count and empty.edge_count == 0
+    with pytest.raises(UnknownEdgeError, match="^no edge 2$"):
+        empty.endpoints(2)
     sub = spanning_subgraph(g, [2, 5, 8])
     assert sub.edge_ids() == (2, 5, 8)
     assert sub.endpoints(5) == g.endpoints(5)
@@ -98,19 +99,6 @@ def test_spanning_subgraph_color_class_is_matching(k33, k33_pair):
     matching = spanning_subgraph(k33, [e for e in k33.edge_ids() if c1[e] == 3])
     assert matching.edge_count == 3
     assert is_regular(matching) == 1
-
-
-def test_disjoint_union_preserves_endpoint_order():
-    g = Multigraph.from_edges(3, [(2, 0), (1, 2)])
-    parts = [g, spanning_subgraph(make_k33(), [1, 5]), g]
-    union, emaps = disjoint_union(parts)
-    offset = 0
-    for part, emap in zip(parts, emaps):
-        for old in part.edge_ids():
-            u, w = part.endpoints(old)
-            assert union.endpoints(emap[old]) == (u + offset, w + offset)
-        offset += part.vertex_count  # each part's vertices follow the previous parts'
-    assert union.vertex_count == offset
 
 
 @pytest.mark.parametrize("n, edges, error, message", [
@@ -173,11 +161,11 @@ def test_walk_queries_match_the_edge_table(g):
     degrees = {len(d) for d in darts}
     assert is_regular(g) == (degrees.pop() if len(degrees) == 1 else None)
     # reference components: merge endpoint classes edge by edge
-    label = list(g.vertices())
+    label = list(range(g.vertex_count))
     for u, w in g._edges.values():
         old, new = label[u], label[w]
         label = [new if x == old else x for x in label]
     classes = {}
-    for v in g.vertices():
+    for v in range(g.vertex_count):
         classes.setdefault(label[v], set()).add(v)
     assert connected_components(g) == sorted(map(frozenset, classes.values()), key=min)

@@ -16,7 +16,6 @@ from kempe_covers import (
     apply_sequence,
     bichromatic_cycles,
     common_degree,
-    disjoint_union,
     enumerate_legal_colorings,
     equivalent_without_cover,
     is_legal,
@@ -31,7 +30,7 @@ from kempe_covers import (
 )
 from kempe_covers.oracle import DEFAULT_MAX_EDGES, _coloring_keys, _edge_colorings, _pack, _switch_walker
 
-from conftest import dart_lists, make_cube, make_cycle, make_k33, make_theta
+from conftest import dart_lists, make_cube, make_cycle, make_disjoint, make_k33, make_theta
 
 
 def make_k4():
@@ -46,7 +45,7 @@ def test_k33_has_twelve_colorings(k33):
     # cross-check: equals the number of 3x3 Latin squares
     colorings = enumerate_legal_colorings(k33)
     assert len(colorings) == 12
-    assert len(set(colorings)) == 12
+    assert len(set(map(color_key, colorings))) == 12
     assert all(is_legal(k33, c) for c in colorings)
 
 
@@ -271,6 +270,11 @@ def reference_enumerate(g, max_edges=DEFAULT_MAX_EDGES):
     return found
 
 
+def color_key(c):
+    """A coloring's (edge, color) rows in edge order: equal for equal colorings of one degree."""
+    return tuple(sorted(c.items()))
+
+
 def reference_neighbors(g, c):
     for i, j in combinations(range(1, c.degree + 1), 2):
         for cycle in bichromatic_cycles(g, c, i, j):
@@ -279,7 +283,7 @@ def reference_neighbors(g, c):
 
 def reference_partition(g):
     colorings = reference_enumerate(g)
-    index_of = {c: k for k, c in enumerate(colorings)}
+    index_of = {color_key(c): k for k, c in enumerate(colorings)}
     paths, classes = {}, []
     visited = [False] * len(colorings)
     for root in range(len(colorings)):
@@ -292,7 +296,7 @@ def reference_partition(g):
             nxt = []
             for idx in frontier:
                 for cycle, neighbor in reference_neighbors(g, colorings[idx]):
-                    n_idx = index_of[neighbor]
+                    n_idx = index_of[color_key(neighbor)]
                     if not visited[n_idx]:
                         visited[n_idx] = True
                         paths[n_idx] = paths[idx] + (cycle,)
@@ -307,17 +311,17 @@ def reference_query(g, c1, c2):
     common_degree(g, c1, c2)
     if c1 == c2:
         return ()
-    seen = {c1: ()}
+    seen = {color_key(c1): ()}
     frontier = [c1]
     while frontier:
         nxt = []
         for current in frontier:
             for cycle, neighbor in reference_neighbors(g, current):
-                if neighbor in seen:
+                if color_key(neighbor) in seen:
                     continue
-                seen[neighbor] = seen[current] + (cycle,)
+                path = seen[color_key(neighbor)] = seen[color_key(current)] + (cycle,)
                 if neighbor == c2:
-                    return seen[neighbor]
+                    return path
                 nxt.append(neighbor)
         frontier = nxt
     return None
@@ -557,7 +561,7 @@ def test_switch_walker_matches_bichromatic_cycles(seed, shape, data):
 @pytest.fixture(scope="module")
 def two_class_censuses():
     """Censuses of small cubic bases, each with at least two Kempe classes."""
-    bases = [make_k33(), disjoint_union([make_k33(), make_theta()])[0]]
+    bases = [make_k33(), make_disjoint(make_k33(), make_theta())]
     bases += [random_colored_instance(seed, 3, n)[0] for seed, n in [(17, 8), (22, 8), (2, 10), (9, 10)]]
     censuses = [kempe_class_partition(g) for g in bases]
     assert all(len(census.classes) >= 2 for census in censuses)

@@ -245,27 +245,6 @@ def test_verify_covering_does_not_scan_vertex_fibers(monkeypatch, witnesses):
     assert fibers == []
 
 
-def test_lift_sequence_reads_the_edge_map_a_constant_number_of_times(monkeypatch, witnesses):
-    w = witnesses[0]
-    projection = copies_cover(w.cover.source, 2)
-    start = pullback_coloring(w.cover, w.start)
-    reads = []
-    original = CoveringMap.edge_map
-
-    def counted(self):
-        reads.append(None)
-        return original.fget(self)
-
-    monkeypatch.setattr(CoveringMap, "edge_map", property(counted))
-    counts = []
-    for sequence in (w.switches, witnesses[1].switches):
-        reads.clear()
-        lifted = lift_sequence(projection, start, sequence)
-        assert len(lifted) == 2 * len(sequence)
-        counts.append(len(reads))
-    assert counts[0] == counts[1] <= 1
-
-
 def test_lift_sequence_validates_each_base_switch_once(monkeypatch, witnesses):
     w = witnesses[0]
     projection = copies_cover(w.cover.source, 2)

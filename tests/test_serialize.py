@@ -24,6 +24,7 @@ from kempe_covers import (
     Multigraph,
     kempe_cover_witness,
     random_colored_instance,
+    spanning_subgraph,
 )
 from kempe_covers.errors import (
     CoveringError,
@@ -34,7 +35,13 @@ from kempe_covers.errors import (
     RegularityError,
     UnknownVertexError,
 )
-from kempe_covers.serialize import WITNESS_FORMAT, witness_from_json, witness_to_json
+from kempe_covers.serialize import (
+    WITNESS_FORMAT,
+    instance_from_json,
+    instance_to_json,
+    witness_from_json,
+    witness_to_json,
+)
 
 from conftest import FUZZ_VALUES, K33_C1, K33_C2, make_k33, mutated_documents
 
@@ -238,3 +245,24 @@ def two_faults(doc, name):
 def test_parser_names_the_first_of_two_faults_as_the_reference_does(documents, name, message):
     doc = two_faults(copy.deepcopy(documents["d4"]), name)
     assert outcome(witness_from_json, doc) == outcome(reference_witness_from_json, doc) == (FormatError, message)
+
+
+def test_a_perfect_matching_base_round_trips():
+    # a 1-regular base has twice as many vertices as edges, the most the base-size guard lets through
+    g = Multigraph.from_edges(4, [(0, 1), (2, 3)])
+    c = EdgeColoring(1, {0: 1, 1: 1})
+    w = kempe_cover_witness(g, c, c)
+    assert witness_from_json(witness_to_json(w))[0] == w
+
+
+@pytest.mark.parametrize("name, message", [
+    ("sparse ids", "instance serialization needs dense edge ids"),
+    ("other format", "not a kempe-instance/1 document"),
+])
+def test_an_instance_document_is_written_and_read_only_in_its_own_form(name, message):
+    k33, c1 = make_k33(), EdgeColoring(3, dict(enumerate(K33_C1)))
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        if name == "sparse ids":  # an edge's id is its list index on disk, so ids 1, 2, 3, 4, 6, 8 have no place
+            instance_to_json(spanning_subgraph(k33, [e for e in k33.edge_ids() if c1[e] != 1]), {})
+        else:  # a well-formed document under another format string
+            instance_from_json({**instance_to_json(k33, {"c1": c1}), "format": "kempe-instance/2"})

@@ -94,13 +94,13 @@ def split_color_d(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> ColorDSp
     d = common_degree(g, c1, c2)
     class1, class2 = c1.color_class(d), c2.color_class(d)
     shared = class1 & class2
-    shared_vertices = frozenset([v for e in shared for v in g._edges[e]])
+    shared_vertices = frozenset([g._tails[e] for e in shared] + [g._heads[e] for e in shared])
     return ColorDSplit(d, shared, class1 ^ class2, shared_vertices)
 
 
 def default_orientation(g: Multigraph) -> dict[EdgeId, tuple[VertexId, VertexId]]:
     """Each edge oriented from its smaller endpoint id to its larger."""
-    return {e: (u, w) if u < w else (w, u) for e, (u, w) in g._edges.items()}
+    return {e: (u, w) if u < w else (w, u) for e, (u, w) in enumerate(zip(g._tails, g._heads))}
 
 
 def alignment_data(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> AlignmentData:
@@ -108,8 +108,8 @@ def alignment_data(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> Alignme
     split = split_color_d(g, c1, c2)
     d = split.degree
     shift = _shifts(g, c1, split.moving, d)
-    table, colors1, modulus = g._edges, c1._colors, d - 1
-    anchor = {v: e for e in c2.color_class(d) for v in table[e]}
+    colors1, modulus = c1._colors, d - 1
+    anchor = {v: e for e in c2.color_class(d) for v in (g._tails[e], g._heads[e])}
     oriented = default_orientation(g)
     offset = {
         e: 0 if colors1[e] == d else (shift[origin] - shift[terminus]) % modulus
@@ -124,12 +124,11 @@ def _shifts(g: Multigraph, c1: EdgeColoring, moving: Iterable[EdgeId], d: int) -
     shared. Elsewhere that edge is the moving edge at v that c1 does not color d."""
     if d < 2:
         raise RegularityError("alignment needs degree at least 2 (no residues mod 0)")
-    table, colors1 = g._edges, c1._colors
+    colors1 = c1._colors
     shift = [0] * g.vertex_count
     for e in moving:
         if colors1[e] != d:
-            u, w = table[e]
-            shift[u] = shift[w] = colors1[e] % (d - 1)
+            shift[g._tails[e]] = shift[g._heads[e]] = colors1[e] % (d - 1)
     return shift
 
 
@@ -152,7 +151,7 @@ def build_alignment_cover(
     split = split_color_d(g, c1, c2)
     shift = _shifts(g, c1, split.moving, split.degree)
     if orientation is not None:
-        for e, ends in g._edges.items():
+        for e, ends in enumerate(zip(g._tails, g._heads)):
             if e not in orientation:
                 raise GraphStructureError(f"orientation missing edge {e}")
             try:
@@ -170,19 +169,20 @@ def _build_alignment_cover(
 ) -> tuple[CoveringMap, EdgeColoring]:
     """:func:`build_alignment_cover` from the vertex shifts of proved inputs."""
     d, modulus = c1.degree, c1.degree - 1
-    pairs: dict[EdgeId, tuple[VertexId, VertexId]] = {}
-    colors: dict[EdgeId, int] = {}
-    for e, (u, w) in g._edges.items():
-        color = c1._colors[e]
-        # copy k leaves u on sheet k and reaches w on sheet k + step
+    tails: list[VertexId] = []
+    heads: list[VertexId] = []
+    colors: list[int] = []
+    for u, w, color in zip(g._tails, g._heads, c1._colors):
+        # copy k, row e*modulus + k, leaves u on sheet k and reaches w on sheet k + step
         step = 0 if color == d else shift[w] - shift[u]
-        for k, f in enumerate(range(e * modulus, (e + 1) * modulus)):
-            pairs[f] = (u * modulus + k, w * modulus + (k + step) % modulus)
+        for k in range(modulus):
+            tails.append(u * modulus + k)
+            heads.append(w * modulus + (k + step) % modulus)
             # the residue as a color: 0 stands for the color modulus
-            colors[f] = d if color == d else (k - shift[u] + color) % modulus or modulus
+            colors.append(d if color == d else (k - shift[u] + color) % modulus or modulus)
 
-    # ids ascend with g's; the copy of (u, w) joins sheets of u and of w != u
-    cover_graph = Multigraph._adopt(g.vertex_count * modulus, pairs)
+    # the copy of (u, w) joins sheets of u and of w != u
+    cover_graph = Multigraph._adopt(g.vertex_count * modulus, tails, heads)
     # each color is d, or a residue mod d-1 read as a color in 1..d-1
     return CoveringMap._sheeted(cover_graph, g, modulus), EdgeColoring._adopt(d, colors)
 

@@ -5,10 +5,12 @@ every edge so that adjacent edges differ. For any two colors i != j the
 edges colored i or j form a disjoint union of cycles; switching the two
 colors along one such cycle (a Kempe switch) yields another legal coloring.
 
-The public :class:`EdgeColoring` constructor checks every color, because
-its table may come from outside: each must be an integer in ``1..degree``.
-An id that names no edge is refused where the coloring meets a graph. The private :meth:`EdgeColoring._adopt`
-takes as is the tables the package derives from checked colorings: switch
+A coloring is the list of its edges' colors, in edge id order. The public
+:class:`EdgeColoring` constructor takes a sequence, or a mapping keyed by
+exactly ``0..E-1``, and checks every color, because its table may come from
+outside: each must be an integer in ``1..degree``. A list of another length
+is refused where the coloring meets a graph. The private :meth:`EdgeColoring._adopt`
+takes as is the lists the package derives from checked colorings: switch
 and replay results, pull-backs, restrictions to the lower colors or to one
 component, and an alignment cover's shifted coloring. Each exchanges, copies
 or computes colors inside ``1..degree``, so a check would prove nothing new.
@@ -17,36 +19,38 @@ or computes colors inside ``1..degree``, so a check would prove nothing new.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ColoringError, IllegalColoringError, RegularityError, StaleSwitchError
-from .graph import EdgeId, Multigraph, VertexId, is_regular
+from .graph import EdgeId, Multigraph, VertexId, _in_id_order, is_regular
 
 Color = int
 
 
 class EdgeColoring:
-    """Total map edge id -> color in ``{1..degree}``. Immutable."""
+    """The colors of edges ``0..E-1``, each in ``{1..degree}``. Immutable."""
 
     __slots__ = ("_degree", "_colors")
 
-    def __init__(self, degree: int, colors: Mapping[EdgeId, Color]):
+    def __init__(self, degree: int, colors: Sequence[Color] | Mapping[EdgeId, Color]):
         if type(degree) is not int:
             raise ColoringError(f"ambient degree must be an integer, got {degree!r}")
         if degree < 1:
             raise ColoringError(f"ambient degree must be >= 1, got {degree}")
-        for c in colors.values():
+        colors = _in_id_order(colors, ColoringError)
+        for c in colors:
             if type(c) is not int or not 1 <= c <= degree:  # bools are not integers here
-                for e, col in colors.items():  # name the first fault
+                for e, col in enumerate(colors):  # name the first fault
                     if type(col) is not int:
                         raise ColoringError(f"edge {e}: color {col!r} is not an integer")
                     if not (1 <= col <= degree):
                         raise ColoringError(f"edge {e}: color {col} outside 1..{degree}")
         self._degree = degree
-        self._colors = dict(colors)
+        self._colors = colors
 
     @classmethod
-    def _adopt(cls, degree: int, colors: dict[EdgeId, Color]) -> "EdgeColoring":
+    def _adopt(cls, degree: int, colors: list[Color]) -> "EdgeColoring":
         """A coloring owning ``colors`` unchecked and uncopied: the caller
         proves ``degree >= 1`` and every color lies in ``1..degree``."""
         c = cls.__new__(cls)
@@ -59,17 +63,17 @@ class EdgeColoring:
         return self._degree
 
     def __getitem__(self, e: EdgeId) -> Color:
-        try:
-            return self._colors[e]
-        except KeyError:
-            raise ColoringError(f"edge {e} is not colored") from None
+        if type(e) is not int or not 0 <= e < len(self._colors):
+            raise ColoringError(f"edge {e} is not colored")
+        return self._colors[e]
 
     def items(self):
-        return self._colors.items()
+        """(edge id, color) pairs in id order."""
+        return enumerate(self._colors)
 
     def color_class(self, color: Color) -> frozenset[EdgeId]:
         """Edge set carrying the given color."""
-        return frozenset([e for e, c in self._colors.items() if c == color])
+        return frozenset(compress(count(), map(color.__eq__, self._colors)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeColoring):
@@ -110,7 +114,7 @@ SwitchSequence = tuple[BichromaticCycle, ...]
 def is_legal(g: Multigraph, c: EdgeColoring) -> bool:
     """True iff no two adjacent edges of ``g`` share a color under ``c``, by the
     domain check of :func:`_replay`: totality first (else ColoringError), then legality.
-    That check fills ``n * (degree + 1)`` slots, for ``c``'s ambient degree."""
+    That check fills ``degree + 1`` rows of ``n`` slots, for ``c``'s ambient degree."""
     try:
         _replay(g, c.degree, c._colors, ())
     except IllegalColoringError:
@@ -143,11 +147,11 @@ def _cycle_decomposition(g: Multigraph, edges: Iterable[EdgeId]) -> list[tuple[E
     smallest edge. Every edge must be in ``g``.
     """
     member = sorted(set(edges))
-    table = g._edges
+    tails, heads = g._tails, g._heads
     one: dict[VertexId, EdgeId] = {}
     two: dict[VertexId, EdgeId] = {}
     for e in member:
-        u, w = table[e]
+        u, w = tails[e], heads[e]
         if u in one:
             two[u] = e
         else:
@@ -167,14 +171,13 @@ def _cycle_decomposition(g: Multigraph, edges: Iterable[EdgeId]) -> list[tuple[E
         if first in used:
             continue
         cycle = [first]
-        e, v = first, table[first][1]  # v: the vertex the walk has arrived at
+        e, v = first, heads[first]  # v: the vertex the walk has arrived at
         while True:
             e = two[v] if one[v] == e else one[v]
             if e == first:
                 break
             cycle.append(e)
-            u, w = table[e]
-            v = w if u == v else u
+            v ^= tails[e] ^ heads[e]  # the other end of e
         used.update(cycle)
         cycle.sort()
         cycles.append(tuple(cycle))
@@ -195,7 +198,7 @@ def bichromatic_cycles(g: Multigraph, c: EdgeColoring, i: Color, j: Color) -> li
     if lo < 1 or hi > c.degree:
         raise ColoringError(f"color pair ({i}, {j}) outside 1..{c.degree}")
     _replay(g, c.degree, c._colors, ())
-    member = [e for e, col in c._colors.items() if col == lo or col == hi]
+    member = [e for e, col in enumerate(c._colors) if col == lo or col == hi]
     return [BichromaticCycle((lo, hi), edges) for edges in _cycle_decomposition(g, member)]
 
 
@@ -204,10 +207,10 @@ def _stale(msg: str, index: int | None) -> StaleSwitchError:
     return StaleSwitchError(f"stale switch{at}: {msg}", index=index)
 
 
-def _misfit(table, colors, edges, pair, index) -> StaleSwitchError | None:
+def _misfit(colors, edges, pair, index) -> StaleSwitchError | None:
     """The rejection of the smallest edge of the set that is unknown or off the pair, if any."""
     for e in sorted(edges):
-        if e not in table:
+        if not 0 <= e < len(colors):  # a list would read -1 as its last slot
             return _stale(f"edge {e} not in graph", index)
         if colors[e] not in pair:
             return _stale(f"edge {e} has color {colors[e]}, not in {pair}", index)
@@ -217,57 +220,49 @@ def _misfit(table, colors, edges, pair, index) -> StaleSwitchError | None:
 def _replay(
     g: Multigraph,
     degree: int,
-    colors: dict[EdgeId, Color],
+    colors: list[Color],
     steps: Iterable[tuple[int | None, BichromaticCycle]],
 ) -> None:
     """Check each switch against ``colors`` and transpose it there, in order.
 
-    ``colors`` maps edge ids to colors in ``1..degree``; ``steps`` pairs
-    each switch with the sequence position that names it if it is stale
-    (None for a lone switch). A switch acts on a legal coloring of ``g``
-    that colors exactly its edges. Before the first switch is drawn, the
-    package's one domain check raises ColoringError for the smallest edge
-    not colored, else the smallest colored edge ``g`` does not have, then
-    IllegalColoringError for two edges of one color at a vertex, leaving
-    ``colors`` as it was. With no steps it is that check alone, as run by
-    ``common_degree``, ``is_legal`` and ``bichromatic_cycles``.
+    ``colors`` lists the color in ``1..degree`` of each edge id; ``steps``
+    pairs each switch with the sequence position that names it if it is
+    stale (None for a lone switch). Before the first switch is drawn, the
+    package's one domain check raises ColoringError for the first edge not
+    colored, else the first colored edge ``g`` does not have, then
+    IllegalColoringError for two edges of one color at a vertex. With no
+    steps it is that check alone, as ``common_degree``, ``is_legal`` and
+    ``bichromatic_cycles`` run it.
 
-    One walk follows the component of a switch's smallest edge. At each
-    vertex it reaches it steps on along the pair edge it did not arrive by,
-    which has the other color, until it is back at the first edge; a vertex
-    with no such edge rejects the switch. So the component is an alternating
-    cycle and the walk meets each of its edges once. Every edge it meets must
-    be in the switch, and it must meet as many edges as the switch lists:
-    then the switch is the component. A rejection names the smallest listed
-    edge that is unknown or off the pair, if there is one.
-
-    The walk reads a color table filled once per replay from the edge table:
-    slot (v, c) holds the edge of color c at v, or None. The edge the walk
-    arrives by is the one of its color, so each step is the slot of the
-    pair's other color. A flip transposes a whole alternating two-color
-    component, which keeps a legal coloring legal, so a replay that starts
-    legal stays legal at every step without re-checking the graph; the flip
-    rewrites the pair's slots at both ends of every flipped edge. Every
-    replay in the package runs this loop, and no other code flips an edge's
-    color in place.
+    The check fills a color table once: row c holds at each vertex its edge
+    of color c, or None. One walk follows the component of a switch's
+    smallest edge: it arrives by an edge of one color of the pair and leaves
+    by the other color's row, its next vertex the XOR of the edge's ends with
+    the current one, until it is back at the first edge; a vertex with no
+    such edge rejects the switch. Every edge it meets must be in the switch,
+    and it must meet as many edges as the switch lists: then the switch is
+    the component. A rejection names the smallest listed edge that is
+    unknown (outside ``0..E-1``, checked before any list is indexed with it)
+    or off the pair, if there is one. A flip of a whole alternating
+    component keeps a legal coloring legal, so no step re-checks the graph;
+    it rewrites the pair's rows at both ends of each flipped edge. No other
+    code flips an edge's color in place.
     """
-    table, width = g._edges, degree + 1
-    if colors.keys() != table.keys():
-        missing = table.keys() - colors.keys()
-        if missing:
-            raise ColoringError(f"edge {min(missing)} is not colored")
-        raise ColoringError(f"edge {min(colors.keys() - table.keys())} is not in the graph")
-    slots: list = [None] * (g._n * width)
-    for e, (u, w) in table.items():
-        col = colors[e]
-        at_u, at_w = u * width + col, w * width + col
-        if slots[at_u] is not None or slots[at_w] is not None:
-            at = at_u if slots[at_u] is not None else at_w
+    tails, heads, size = g._tails, g._heads, len(g._tails)
+    if len(colors) < size:
+        raise ColoringError(f"edge {len(colors)} is not colored")
+    if len(colors) > size:
+        raise ColoringError(f"edge {size} is not in the graph")
+    rows: list[list] = [[None] * g._n for _ in range(degree + 1)]
+    for e, u, w, col in zip(count(), tails, heads, colors):
+        row = rows[col]
+        if row[u] is not None or row[w] is not None:
+            at = u if row[u] is not None else w
             raise IllegalColoringError(
-                f"colors do not make a legal coloring: edges {slots[at]} and {e} "
-                f"both have color {col} at vertex {at // width}"
+                f"colors do not make a legal coloring: edges {row[at]} and {e} "
+                f"both have color {col} at vertex {at}"
             )
-        slots[at_u] = slots[at_w] = e
+        row[u] = row[w] = e
     for index, cycle in steps:
         lo, hi = pair = cycle.colors
         if not (1 <= lo < hi <= degree):
@@ -278,33 +273,34 @@ def _replay(
         if len(edges) != len(cycle.edge_ids):
             raise _stale("repeated edge in switch", index)
         first = min(edges)
-        if first not in table or (colors[first] != lo and colors[first] != hi):
-            raise _misfit(table, colors, edges, pair, index)
-        both = lo + hi
-        col, v, met = colors[first], table[first][1], 1
+        if not 0 <= first < size or (colors[first] != lo and colors[first] != hi):
+            raise _misfit(colors, edges, pair, index)
+        # the walk arrives by an edge of one color and leaves by the other
+        here, there = (rows[hi], rows[lo]) if colors[first] == lo else (rows[lo], rows[hi])
+        v, met = heads[first], 1
         while True:
-            col = both - col
-            nxt = slots[v * width + col]
+            nxt = here[v]
             if nxt is None:
                 raise _stale(f"cycle is not a full two-color component at vertex {v}", index)
             if nxt == first:
                 break
             if nxt not in edges:
-                raise _misfit(table, colors, edges, pair, index) or _stale(
+                raise _misfit(colors, edges, pair, index) or _stale(
                     f"cycle is not a full two-color component: it misses edge {nxt}", index
                 )
-            u, w = table[nxt]
-            v, met = w if u == v else u, met + 1
+            v ^= tails[nxt] ^ heads[nxt]
+            here, there = there, here
+            met += 1
         if met != len(edges):
-            raise _misfit(table, colors, edges, pair, index) or _stale(
+            raise _misfit(colors, edges, pair, index) or _stale(
                 f"edge set is not a single cycle: edges lie off the cycle of edge {first}", index
             )
+        both = lo + hi
         for e in cycle.edge_ids:
             col = both - colors[e]
             colors[e] = col
-            u, w = table[e]
-            slots[u * width + col] = e
-            slots[w * width + col] = e
+            row = rows[col]
+            row[tails[e]] = row[heads[e]] = e
 
 
 def kempe_switch(g: Multigraph, c: EdgeColoring, cycle: BichromaticCycle) -> EdgeColoring:
@@ -312,7 +308,7 @@ def kempe_switch(g: Multigraph, c: EdgeColoring, cycle: BichromaticCycle) -> Edg
 
     ``c`` must color exactly the edges of ``g``, legally; otherwise ColoringError.
     """
-    colors = dict(c._colors)
+    colors = list(c._colors)
     _replay(g, c.degree, colors, [(None, cycle)])
     # the replay only exchanges the two colors of a checked pair in 1..degree
     return EdgeColoring._adopt(c.degree, colors)
@@ -324,7 +320,7 @@ def apply_sequence(g: Multigraph, c: EdgeColoring, sequence: Sequence[Bichromati
     ``c`` must color exactly the edges of ``g``, legally; otherwise ColoringError
     before the first switch.
     """
-    colors = dict(c._colors)
+    colors = list(c._colors)
     _replay(g, c.degree, colors, enumerate(sequence))
     # the replay only exchanges the two colors of a checked pair in 1..degree
     return EdgeColoring._adopt(c.degree, colors)

@@ -16,25 +16,24 @@ permutation voltage graph (J. L. Gross and T. W. Tucker, "Generating all
 graph coverings by permutation voltage assignments", Discrete Math. 18,
 1977). Any covering of constant degree m can be renumbered so. A
 :class:`CoveringMap` is therefore its source, its target and m; its public
-constructor takes maps from outside only when they are x // m, and names
-the first entry that is not. This module lifts switch
-sequences through such covers, replaying each unless the caller has,
-composes them, copies a graph and extends a spanning subgraph's cover to
-the full graph, all by that division. A cover of degree 1 costs nothing:
-each switch is its own lift, and the trivial cover of a spanning subgraph
-extends to the identity of the full graph; :func:`lift_sequence` still
-replays its sequence. Its functions trust their input coverings and do
-not re-check what they build. The type gives total maps, vertex images in
-the target and constant, non-empty fibers; :func:`verify_covering` checks
-the rest of the axioms. Its incidence half is also the first step of
-``equivalence.verify_witness``, which gets the rest from an edge count and
-the legality of a pulled-back coloring.
+constructor takes maps from outside only when they are x // m. This module
+lifts switch sequences through such covers, replaying each unless the
+caller has, composes them, copies a graph and extends a spanning
+subgraph's cover to the full graph, all by that division. A cover of
+degree 1 costs nothing: each switch is its own lift, and the trivial cover
+of a spanning subgraph extends to the identity of the full graph. Its
+functions trust their input coverings and do not re-check what they build.
+The type gives total maps, vertex images in the target and constant,
+non-empty fibers; :func:`verify_covering` checks the rest of the axioms.
+Its incidence half is also the first step of ``equivalence.verify_witness``,
+which gets the rest from an edge count and a pulled-back coloring's fill.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import repeat
+from operator import floordiv
 from typing import Mapping, Sequence
 
 from .coloring import (
@@ -44,7 +43,7 @@ from .coloring import (
     _cycle_decomposition,
     _replay,
 )
-from .errors import CoveringError, GraphStructureError, UnknownEdgeError
+from .errors import ColoringError, CoveringError, GraphStructureError, UnknownEdgeError
 from .graph import EdgeId, Multigraph, VertexId, _degrees
 
 
@@ -62,12 +61,11 @@ class Verdict:
 class CoveringMap:
     """The projection x // m of a cover numbered sheet by sheet onto its base.
 
-    The constructor checks maps from outside: it raises CoveringError
-    unless ``vertex_map`` is total on ``source`` and equal to x // m, where
-    m >= 1 and m * |V(target)| = |V(source)|, and ``edge_map`` has exactly
-    the source's edge ids as keys, each with the image f // m. It does not
-    check incidence or local bijection; run :func:`verify_covering` for
-    those (tests build broken maps on purpose).
+    The constructor raises CoveringError, naming the first entry at fault,
+    unless ``vertex_map`` is x // m on ``source``, where m >= 1 and
+    m * |V(target)| = |V(source)|, and ``edge_map``, a sequence or a mapping,
+    is f // m on its edges. It does not check incidence or local bijection;
+    run :func:`verify_covering` for those.
     """
 
     __slots__ = ("source", "target", "degree")
@@ -77,23 +75,24 @@ class CoveringMap:
         source: Multigraph,
         target: Multigraph,
         vertex_map: Sequence[VertexId],
-        edge_map: Mapping[EdgeId, EdgeId],
+        edge_map: Sequence[EdgeId] | Mapping[EdgeId, EdgeId],
     ):
         size, n = source.vertex_count, target.vertex_count
         m = size // n if n else 0
         if m < 1 or m * n != size:
             raise CoveringError(f"cover has {size} vertices, not m >= 1 times the target's {n}")
-        for kind, given, want in (
-            ("vertex", dict(enumerate(vertex_map)), {x: x // m for x in range(size)}),
-            ("edge", dict(edge_map), {f: f // m for f in source._edges}),
-        ):
-            if given != want:  # name the smallest id that is missing, foreign or mapped elsewhere
-                x = min(given.keys() ^ want.keys() | {x for x in want.keys() & given.keys() if given[x] != want[x]})
-                if x not in want:
-                    raise CoveringError(f"{kind} map names {kind} {x}, not a source {kind}")
-                if x not in given:
-                    raise CoveringError(f"{kind} {x} has no image")
-                raise CoveringError(f"{kind} {x} maps to {given[x]}, not to {x} // {m} = {want[x]}")
+        for kind, given, count in (("vertex", vertex_map, size), ("edge", edge_map, source.edge_count)):
+            want = list(map(floordiv, range(count), repeat(m)))
+            if isinstance(given, Mapping) or list(given) != want:
+                given = dict(given) if isinstance(given, Mapping) else dict(enumerate(given))
+                want = dict(enumerate(want))
+                if given != want:  # name the smallest id that is missing, foreign or mapped elsewhere
+                    x = min(given.keys() ^ want.keys() | {x for x in want.keys() & given.keys() if given[x] != want[x]})
+                    if x not in want:
+                        raise CoveringError(f"{kind} map names {kind} {x}, not a source {kind}")
+                    if x not in given:
+                        raise CoveringError(f"{kind} {x} has no image")
+                    raise CoveringError(f"{kind} {x} maps to {given[x]}, not to {x} // {m} = {want[x]}")
         self.source, self.target, self.degree = source, target, m
 
     @classmethod
@@ -108,7 +107,7 @@ class CoveringMap:
         return cls._sheeted(g, g, 1)
 
     def edge_image(self, e: EdgeId) -> EdgeId:
-        if e not in self.source._edges:
+        if type(e) is not int or not 0 <= e < self.source.edge_count:
             raise UnknownEdgeError(f"no edge {e} in the cover")
         return e // self.degree
 
@@ -127,16 +126,26 @@ class CoveringMap:
         return f"CoveringMap({self.source!r} -> {self.target!r})"
 
 
+def _repeat_each(values: list, m: int) -> list:
+    """Each value m times in a row: the value of x // m at x, for x in ``0..m*len(values)-1``."""
+    out = values * m
+    for k in range(m):
+        out[k::m] = values
+    return out
+
+
 def _verify_incidence(p: CoveringMap) -> Verdict:
     """The first half of :func:`verify_covering`: each edge f runs over f // m, between the images of its ends."""
-    m, tgt_edges = p.degree, p.target._edges
-    for f, (u, w) in p.source._edges.items():
-        ends = tgt_edges.get(f // m)
-        if ends is None:
-            return Verdict(False, f"edge {f} maps outside the target")
-        x, y = u // m, w // m
-        if ends != (x, y) and ends != (y, x):
-            return Verdict(False, f"edge {f} does not preserve incidence")
+    m, src, tgt = p.degree, p.source, p.target
+    inside = min(src.edge_count, m * tgt.edge_count)  # the rows f with an image f // m in the target
+    images = [list(map(floordiv, ends[:inside], repeat(m))) for ends in (src._tails, src._heads)]
+    rows = [_repeat_each(ends, m)[:inside] for ends in (tgt._tails, tgt._heads)]
+    if images != rows:
+        for f, x, y, a, b in zip(range(inside), *images, *rows):
+            if not (x == a and y == b or x == b and y == a):
+                return Verdict(False, f"edge {f} does not preserve incidence")
+    if inside < src.edge_count:
+        return Verdict(False, f"edge {inside} maps outside the target")
     return Verdict(True)
 
 
@@ -152,12 +161,12 @@ def verify_covering(p: CoveringMap) -> Verdict:
     verdict = _verify_incidence(p)
     if not verdict:
         return verdict
-    m, src_edges = p.degree, p.source._edges
-    images = [f // m for f in src_edges]
+    m, src = p.degree, p.source
+    images = list(map(floordiv, range(src.edge_count), repeat(m)))
     if len(set(images)) != p.target.edge_count:
         return Verdict(False, "edge map is not surjective")
-    pairs = set(zip([u for u, _ in src_edges.values()], images))
-    pairs.update(zip([w for _, w in src_edges.values()], images))
+    pairs = set(zip(src._tails, images))
+    pairs.update(zip(src._heads, images))
     distinct, degree, tgt_degree = [0] * p.source.vertex_count, _degrees(p.source), _degrees(p.target)
     for v, _ in pairs:
         distinct[v] += 1
@@ -170,7 +179,7 @@ def verify_covering(p: CoveringMap) -> Verdict:
 
 
 def pullback_coloring(p: CoveringMap, c: EdgeColoring) -> EdgeColoring:
-    """Pull ``c`` back through the covering ``p``: cover edge f gets the color of f // m.
+    """Pull ``c`` back through the covering ``p``: each color repeats m times, for the sheets of its edge.
 
     A legal ``c`` pulls back legal; through a cover whose source is its
     target, the identity, it pulls back as ``c`` itself. ``p`` is not
@@ -178,14 +187,11 @@ def pullback_coloring(p: CoveringMap, c: EdgeColoring) -> EdgeColoring:
     """
     if p.source is p.target:
         return c
-    colors, m = c._colors, p.degree
-    try:
-        # every color is one of c's, already in 1..degree
-        return EdgeColoring._adopt(c.degree, {f: colors[f // m] for f in p.source._edges})
-    except KeyError:  # let c[...] raise its ColoringError for the first uncolored image
-        for f in p.source._edges:
-            c[f // m]
-        raise
+    m, size = p.degree, p.source.edge_count
+    if m * len(c._colors) < size:
+        raise ColoringError(f"edge {len(c._colors)} is not colored")
+    # every color is one of c's, already in 1..degree
+    return EdgeColoring._adopt(c.degree, _repeat_each(c._colors, m)[:size])
 
 
 def lift_sequence(p: CoveringMap, c: EdgeColoring, sequence: Sequence[BichromaticCycle]) -> SwitchSequence:
@@ -195,7 +201,7 @@ def lift_sequence(p: CoveringMap, c: EdgeColoring, sequence: Sequence[Bichromati
     position. The components of one switch are disjoint and bi-chromatic for the pull-back,
     so flipping them all, in any order, equals pulling back the flipped base coloring."""
     sequence = tuple(sequence)
-    _replay(p.target, c.degree, dict(c._colors), enumerate(sequence))
+    _replay(p.target, c.degree, list(c._colors), enumerate(sequence))
     return _lift(p, sequence)
 
 
@@ -235,47 +241,40 @@ def copies_cover(g: Multigraph, m: int) -> CoveringMap:
     """
     if type(m) is not int or m < 1:  # bools are not integers here
         raise GraphStructureError(f"need at least one copy, got {m!r}")
-    edgeless = Multigraph._adopt(g.vertex_count, {})
-    copies = CoveringMap._sheeted(Multigraph._adopt(g.vertex_count * m, {}), edgeless, m)
-    return extend_subgraph_cover(g, edgeless, copies)
+    edgeless = Multigraph._adopt(g.vertex_count, [], [])
+    copies = CoveringMap._sheeted(Multigraph._adopt(g.vertex_count * m, [], []), edgeless, m)
+    return extend_subgraph_cover(g, (), copies)
 
 
-def extend_subgraph_cover(g: Multigraph, h: Multigraph, p: CoveringMap) -> CoveringMap:
+def extend_subgraph_cover(g: Multigraph, edges: Sequence[EdgeId], p: CoveringMap) -> CoveringMap:
     """Extend a cover of a spanning subgraph to a cover of ``g``.
 
-    ``h`` must be a spanning subgraph of ``g`` and ``p`` a covering of ``h``
-    of degree ``m``; ``p`` is not re-checked (run
-    :func:`verify_covering` on untrusted maps). Each edge e = (u, w) of
-    ``g`` missing from ``h`` lifts to the ``m`` edges e*m + k from u*m + k
-    to w*m + k, so every cover vertex gets exactly one lift of it. The
-    result is sheet-numbered, restricts to ``p`` on the source of ``p``
-    (ids untouched) and has the same degree. The trivial cover of ``h``,
-    of degree 1 with ``h`` itself as source, extends row for row to the
-    trivial cover of ``g``, which is returned with no table rebuilt; a
-    degree-1 cover whose source stores rows otherwise is extended as above.
+    ``p``, a covering of degree m of ``spanning_subgraph(g, edges)`` for
+    ascending ``edges``, is not re-checked (run :func:`verify_covering` on
+    untrusted maps). Rows e*m + k of the result are p's rows i*m + k for
+    e = edges[i], and each other edge e = (u, w) of ``g`` lifts to the m
+    edges e*m + k from u*m + k to w*m + k. The trivial cover of the
+    subgraph extends to the trivial cover of ``g`` with no table rebuilt.
     """
-    if h.vertex_count != g.vertex_count:
-        raise CoveringError("subgraph is not spanning: vertex sets differ")
-    g_edges, h_edges = g._edges, h._edges
-    if not h_edges.items() <= g_edges.items():
-        for e, ends in h_edges.items():
-            if g_edges.get(e) != ends:
-                raise CoveringError(f"edge {e} of the subgraph is not an edge of the full graph")
-    if p.target != h:
+    h, edges = p.target, list(edges)
+    # ascending ids of edges of g, whose rows there are h's
+    known = edges == sorted(set(edges)) and (not edges or 0 <= edges[0] and edges[-1] < g.edge_count)
+    if not known or (h._n, h._tails, h._heads) != (g._n, [g._tails[e] for e in edges], [g._heads[e] for e in edges]):
         raise CoveringError("cover does not map onto the given subgraph")
     if p.degree == 1 and p.source == h:
         return CoveringMap.identity(g)
-    m = p.degree
-
-    # p's rows come m to an edge of h, in g's id order
-    rows = iter(p.source._edges.items())
-    pairs: dict[EdgeId, tuple[VertexId, VertexId]] = {}
-    for e, (u, w) in g_edges.items():
-        if e in h_edges:
-            pairs.update(islice(rows, m))
+    m, source = p.degree, p.source
+    # each edge of h takes its m rows from p's source, and every other edge lifts sheet by sheet
+    rows = dict(zip(edges, range(0, len(edges) * m, m)))
+    tails: list[VertexId] = []
+    heads: list[VertexId] = []
+    for e, (u, w) in enumerate(zip(g._tails, g._heads)):
+        f = rows.get(e)
+        if f is None:
+            tails.extend(range(u * m, u * m + m))
+            heads.extend(range(w * m, w * m + m))
         else:
-            f, u, w = e * m, u * m, w * m
-            for k in range(m):
-                pairs[f + k] = (u + k, w + k)
-    # ids ascend with g's; a lift joins the fibers of two distinct vertices of g
-    return CoveringMap._sheeted(Multigraph._adopt(p.source.vertex_count, pairs), g, m)
+            tails.extend(source._tails[f : f + m])
+            heads.extend(source._heads[f : f + m])
+    # a lift joins the fibers of two distinct vertices of g
+    return CoveringMap._sheeted(Multigraph._adopt(source.vertex_count, tails, heads), g, m)

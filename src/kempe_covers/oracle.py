@@ -68,8 +68,8 @@ def _edge_colorings(g: Multigraph, d: int, keys: list[int]) -> list[EdgeColoring
     """The colorings of ``g`` that :func:`_pack` keys with width ``d.bit_length()`` stand for."""
     width = d.bit_length()
     field = (1 << width) - 1
-    places = list(zip(g.edge_ids(), _shifts(width, g.edge_count)))
-    return [EdgeColoring(d, {e: key >> shift & field for e, shift in places}) for key in keys]
+    shifts = _shifts(width, g.edge_count)
+    return [EdgeColoring(d, [key >> shift & field for shift in shifts]) for key in keys]
 
 
 def _coloring_keys(g: Multigraph, max_edges: int) -> tuple[int, list[int]]:
@@ -96,11 +96,11 @@ def _coloring_keys(g: Multigraph, max_edges: int) -> tuple[int, list[int]]:
         raise EnumerationLimitError(
             f"{g.edge_count} edges exceeds the enumeration bound {max_edges}"
         )
-    if not g._edges:  # the empty coloring, before any table of the vertices
+    if not g.edge_count:  # the empty coloring, before any table of the vertices
         return d, [0]
     unit = [1 << shift for shift in _shifts(d.bit_length(), g.edge_count)]
     partners: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
-    for bit, (u, v) in zip(unit, g._edges.values()):
+    for bit, u, v in zip(unit, g._tails, g._heads):
         partners[u].append((v, bit))
         partners[v].append((u, bit))
     everyone, every_edge = (1 << g.vertex_count) - 1, sum(unit)
@@ -180,10 +180,8 @@ def _switch_walker(g: Multigraph, d: int):
     ids = g.edge_ids()
     width = d.bit_length()
     field = (1 << width) - 1
-    ends = [g._edges[e] for e in ids]
-    tail = [u for u, _ in ends]
-    head = [v for _, v in ends]
-    cross = [u ^ v for u, v in ends]
+    tail, head = g._tails, g._heads
+    cross = [u ^ v for u, v in zip(tail, head)]
     unit = [1 << shift for shift in _shifts(width, len(ids))]
     # fields are read from the least significant end: last position first
     fill = list(enumerate(unit))[::-1]
@@ -280,9 +278,9 @@ def equivalent_without_cover(
         raise EnumerationLimitError(
             f"{g.edge_count} edges exceeds the enumeration bound {max_edges}"
         )
-    ids, width = g.edge_ids(), d.bit_length()
-    start = _pack(map(c1._colors.__getitem__, ids), width)
-    goal = _pack(map(c2._colors.__getitem__, ids), width)
+    width = d.bit_length()
+    start = _pack(c1._colors, width)
+    goal = _pack(c2._colors, width)
     if start == goal:
         return ()
     neighbors, cycle = _switch_walker(g, d)
@@ -334,7 +332,7 @@ def random_colored_instance(
         pairs.extend((perm[t], perm[t + 1]) for t in range(0, n, 2))
     g = Multigraph.from_edges(n, pairs)
     half = n // 2
-    c1 = EdgeColoring(d, {e: e // half + 1 for e in g.edge_ids()})
+    c1 = EdgeColoring(d, [e // half + 1 for e in g.edge_ids()])
 
     legal = None
     if g.edge_count <= SAMPLING_MAX_EDGES:
@@ -348,7 +346,7 @@ def random_colored_instance(
         shuffled = list(range(1, d + 1))
         rng.shuffle(shuffled)
         relabel = {k + 1: shuffled[k] for k in range(d)}
-        c2 = EdgeColoring(d, {e: relabel[c1[e]] for e in g.edge_ids()})
+        c2 = EdgeColoring(d, [relabel[col] for _, col in c1.items()])
         for _ in range(2 * d):
             i, j = rng.sample(range(1, d + 1), 2)
             cycles = bichromatic_cycles(g, c2, min(i, j), max(i, j))

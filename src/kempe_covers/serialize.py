@@ -9,16 +9,16 @@ and f // degree. The parser builds the map through the public
 ``CoveringMap`` constructor, so a document numbered any other way, such as
 a witness written before covers were numbered so, is refused with
 CoveringError (exit 2 from the CLI). The verifier checks the rest of the
-cover, and round-trips are exact. The witness parser reads
-each block once: one bulk pass type-checks the document's own rows, which
-are copied only when one holds a non-integer, and each table is built from
-them once.
+cover, and round-trips are exact. The witness parser reads each block
+once: one bulk pass type-checks its rows, which are copied only when one
+holds a non-integer. Rows that list ids 0..E-1 in order are split into
+columns; a block whose ids skip one is refused, naming the first gap.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, count
 from operator import itemgetter
 from typing import Mapping
 
@@ -31,7 +31,7 @@ from .errors import (
     KempeCoversError,
     RegularityError,
 )
-from .graph import Multigraph, is_regular
+from .graph import Multigraph, _check_ends, _in_id_order, is_regular
 
 INSTANCE_FORMAT = "kempe-instance/1"
 WITNESS_FORMAT = "kempe-witness/1"
@@ -44,14 +44,12 @@ def instance_to_json(
     colorings: Mapping[str, EdgeColoring],
     metadata: Mapping | None = None,
 ) -> dict:
-    """Instance document; requires dense edge ids (the on-disk id is the index)."""
+    """Instance document: an edge's id is its index in the edge list."""
     ids = g.edge_ids()
-    if ids != tuple(range(len(ids))):
-        raise FormatError("instance serialization needs dense edge ids")
     doc = {
         "format": INSTANCE_FORMAT,
         "vertices": g.vertex_count,
-        "edges": [list(g.endpoints(e)) for e in ids],
+        "edges": list(map(list, zip(g._tails, g._heads))),
         "colorings": {
             name: [colorings[name][e] for e in ids] for name in sorted(colorings)
         },
@@ -116,7 +114,7 @@ def instance_from_json(doc) -> tuple[Multigraph, dict[str, EdgeColoring]]:
     if degree is None:
         degree = max((col for colors in color_lists.values() for col in colors), default=1)
     colorings = {
-        name: EdgeColoring(degree, dict(enumerate(colors))) for name, colors in color_lists.items()
+        name: EdgeColoring(degree, colors) for name, colors in color_lists.items()
     }
     return g, colorings
 
@@ -127,7 +125,7 @@ def instance_from_json(doc) -> tuple[Multigraph, dict[str, EdgeColoring]]:
 def _graph_to_json(g: Multigraph) -> dict:
     return {
         "vertices": g.vertex_count,
-        "edges": [[e, u, w] for e, (u, w) in g._edges.items()],  # the table is in id order
+        "edges": list(map(list, zip(count(), g._tails, g._heads))),
     }
 
 
@@ -141,9 +139,23 @@ def _require_unique(rows: list[list[int]], table: dict, block: str) -> None:
             seen.add(row[0])
 
 
+def _in_order(rows: list, width: int) -> list[list[int]] | None:
+    """The columns after the id of rows of ``width`` entries that list ids 0..E-1 in order, else None."""
+    for e, row in enumerate(rows):
+        if len(row) != width or row[0] != e:
+            return None
+    return [list(map(itemgetter(k), rows)) for k in range(1, width)]
+
+
 def _graph_from_json(doc, block: str) -> Multigraph:
     try:
         rows = _strict_int_lists(doc["edges"], "graph edge entry")
+        ends = _in_order(rows, 3)
+        if ends:  # integers already: only their range and the loops are left to check
+            vertices = _strict_int(doc["vertices"], "vertex count")
+            _check_ends(vertices, *ends)
+            return Multigraph._adopt(vertices, *ends)
+        # rows in any other order or shape are keyed by id, and the graph names the first id missing
         pairs = {e: (u, v) for e, u, v in rows}
         graph = Multigraph(_strict_int(doc["vertices"], "vertex count"), pairs)
     except (KeyError, TypeError, ValueError, KempeCoversError) as exc:
@@ -153,14 +165,15 @@ def _graph_from_json(doc, block: str) -> Multigraph:
 
 
 def _coloring_to_json(c: EdgeColoring) -> dict:
-    return {"degree": c.degree, "colors": sorted([e, col] for e, col in c.items())}
+    return {"degree": c.degree, "colors": list(map(list, c.items()))}
 
 
 def _coloring_from_json(doc, block: str) -> EdgeColoring:
     try:
         rows = _strict_int_lists(doc["colors"], "coloring entry")
         colors = dict(rows)
-        coloring = EdgeColoring(_strict_int(doc["degree"], "degree"), colors)
+        # an id missing from the rows makes a malformed block (ValueError), not a faulty coloring
+        coloring = EdgeColoring(_strict_int(doc["degree"], "degree"), _in_id_order(colors, ValueError))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed coloring block: {exc}") from exc
     _require_unique(rows, colors, f"{block}.colors")
@@ -178,7 +191,7 @@ def witness_to_json(w: EquivalenceWitness, names: tuple[str, str] | None = None)
         "goal": _coloring_to_json(w.goal),
         "cover": _graph_to_json(cover),
         "vertex_map": [x // m for x in range(cover.vertex_count)],
-        "edge_map": [(f, f // m) for f in cover._edges],  # the table is in id order
+        "edge_map": [(f, f // m) for f in range(cover.edge_count)],
         "sequence": [
             {"colors": list(cyc.colors), "edges": list(cyc.edge_ids)} for cyc in w.switches
         ],
@@ -219,7 +232,8 @@ def witness_from_json(doc) -> tuple[EquivalenceWitness, dict | None]:
     try:
         [vertex_map] = _strict_int_lists([doc["vertex_map"]], "vertex map entry")
         map_rows = _strict_int_lists(doc["edge_map"], "edge map entry")
-        edge_map = dict(map_rows)
+        in_order = _in_order(map_rows, 2)
+        edge_map = in_order[0] if in_order else dict(map_rows)
         entries = list(doc.get("sequence", []))
         # iter() tries each row as it is looked up, so the first bad entry raises, whatever its fault
         pairs = _strict_int_lists(list(filter(iter, map(itemgetter("colors"), entries))), "switch color")

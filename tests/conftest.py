@@ -56,11 +56,16 @@ def alternating_coloring(length: int) -> EdgeColoring:
     return EdgeColoring(2, {e: e % 2 + 1 for e in range(length)})
 
 
+def edge_table(g: Multigraph) -> dict[int, tuple[int, int]]:
+    """Edge id -> stored endpoint pair, read through the public queries."""
+    return {e: g.endpoints(e) for e in g.edge_ids()}
+
+
 def make_disjoint(*parts: Multigraph) -> Multigraph:
     """The parts side by side: each part's vertices follow the previous parts', and edges count up densely."""
     pairs, offset = [], 0
     for part in parts:
-        pairs += [(u + offset, w + offset) for u, w in part._edges.values()]
+        pairs += [(u + offset, w + offset) for u, w in edge_table(part).values()]
         offset += part.vertex_count
     return Multigraph.from_edges(offset, pairs)
 
@@ -68,13 +73,13 @@ def make_disjoint(*parts: Multigraph) -> Multigraph:
 def sheet_maps(p) -> tuple[list[int], dict[int, int]]:
     """The vertex and edge maps x // m of ``p``, in the form the public CoveringMap constructor takes."""
     m = p.degree
-    return [x // m for x in range(p.source.vertex_count)], {f: f // m for f in p.source._edges}
+    return [x // m for x in range(p.source.vertex_count)], {f: f // m for f in edge_table(p.source)}
 
 
 def rows_off_their_first_end_sheet(p) -> list[int]:
     """The cover rows e*m + k that do not start at u*m + k, for the base row e = (u, w) of ``p``."""
-    m, base = p.degree, p.target._edges
-    return [f for f, (u, _) in p.source._edges.items() if u != base[f // m][0] * m + f % m]
+    m, base = p.degree, edge_table(p.target)
+    return [f for f, (u, _) in edge_table(p.source).items() if u != base[f // m][0] * m + f % m]
 
 
 def dart_lists(g: Multigraph) -> list[list[tuple[int, int]]]:
@@ -83,7 +88,7 @@ def dart_lists(g: Multigraph) -> list[list[tuple[int, int]]]:
     The reference kernels walk these, so they stay independent of the package.
     """
     darts: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
-    for e, ends in g._edges.items():
+    for e, ends in edge_table(g).items():
         for slot, v in enumerate(ends):
             darts[v].append((e, slot))
     return darts

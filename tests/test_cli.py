@@ -147,11 +147,13 @@ VERIFY_PATH = {
     "cli._build_parser", "cli._cmd_verify", "cli._load_instance", "cli.main",
     "coloring.__eq__", "coloring.__init__", "coloring._adopt", "coloring._replay",
     "coloring.common_degree", "coloring.degree",
-    "covering.__bool__", "covering.__init__", "covering._verify_incidence", "covering.pullback_coloring",
+    "covering.__bool__", "covering.__init__", "covering._repeat_each", "covering._verify_incidence",
+    "covering.pullback_coloring",
     "equivalence._betas", "equivalence.verify_witness",
-    "graph.__eq__", "graph.__init__", "graph._degrees", "graph.edge_count", "graph.from_edges",
-    "graph.is_regular", "graph.vertex_count",
-    "serialize._coloring_from_json", "serialize._graph_from_json", "serialize._require_unique",
+    "graph.__eq__", "graph.__init__", "graph._adopt", "graph._check_ends", "graph._degrees", "graph._in_id_order",
+    "graph.edge_count", "graph.from_edges", "graph.is_regular", "graph.vertex_count",
+    "serialize._coloring_from_json", "serialize._graph_from_json", "serialize._in_order",
+    "serialize._require_unique",
     "serialize._strict_int", "serialize._strict_int_lists", "serialize.instance_from_json",
     "serialize.load_json", "serialize.witness_from_json",
 }
@@ -427,6 +429,40 @@ def test_verify_rejects_an_id_listed_twice(tmp_path, capsys, block):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {block} lists id {rows[0][0]} twice"]
+
+
+@pytest.mark.parametrize("block", ["base.edges", "cover.edges", "start.colors", "goal.colors"])
+def test_verify_refuses_rows_that_skip_an_id_in_one_line(tmp_path, capsys, block):
+    # ids are positions 0..E-1: row 1 renumbered past the end leaves id 1 missing, and the count unchanged
+    out = tmp_path / "w.json"
+    main(["witness", "--input", K33, "--from", "c1", "--to", "c2", "--out", str(out)])
+    doc = load_json(out)
+    first, _, second = block.partition(".")
+    rows = doc[first][second]
+    rows[1][0] = len(rows)
+    dump_json(doc, out)
+    capsys.readouterr()
+    assert main(["verify", "--input", K33, "--witness", str(out)]) == 1
+    captured = capsys.readouterr()
+    kind = "graph" if second == "edges" else "coloring"
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: malformed {kind} block: edge ids must be 0..{len(rows) - 1}: 1 is missing"]
+
+
+@pytest.mark.parametrize("where", ["-1", "E"])
+def test_verify_refuses_a_switch_edge_outside_the_cover_as_stale(tmp_path, capsys, where):
+    # a list indexed with -1 would read its last slot, and with E would raise IndexError
+    out = tmp_path / "w.json"
+    main(["witness", "--input", K33, "--from", "c1", "--to", "c2", "--out", str(out)])
+    doc = load_json(out)
+    edge = -1 if where == "-1" else len(doc["cover"]["edges"])
+    doc["sequence"][0]["edges"].append(edge)
+    dump_json(doc, out)
+    capsys.readouterr()
+    assert main(["verify", "--input", K33, "--witness", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: witness verification failed: stale switch (sequence position 0): edge {edge} not in graph"
+    ]
 
 
 def d4_instance(tmp_path):

@@ -34,6 +34,7 @@ from kempe_covers import (
 )
 
 from conftest import (
+    edge_table,
     K33_C1,
     K33_C2,
     alternating_coloring,
@@ -56,7 +57,7 @@ def double_cycle_cover(length):
     small = make_cycle(length)
     pairs = {
         2 * e + k: (2 * u + k, 2 * w + (k if e < length - 1 else 1 - k))
-        for e, (u, w) in small._edges.items()
+        for e, (u, w) in edge_table(small).items()
         for k in range(2)
     }
     big = Multigraph(2 * length, pairs)
@@ -130,18 +131,19 @@ def test_degree_refuses_an_empty_target():
 
 @pytest.mark.parametrize("image", [-1, 6])
 def test_extend_refuses_an_image_outside_the_target(k33, k33_pair, image):
-    h = spanning_subgraph(k33, k33_pair[0].color_class(1))
+    rest = sorted(k33_pair[0].color_class(1))
+    h = spanning_subgraph(k33, rest)
     vmap = list(range(6))
     vmap[5] = image
     with pytest.raises(CoveringError, match=f"^vertex 5 maps to {image}, not to 5 // 1 = 5$"):
-        extend_subgraph_cover(k33, h, CoveringMap(h, h, vmap, {e: e for e in h.edge_ids()}))
+        extend_subgraph_cover(k33, rest, CoveringMap(h, h, vmap, {e: e for e in h.edge_ids()}))
 
 
 def test_pullback_through_identity(k33, k33_pair):
     c1, _ = k33_pair
     assert pullback_coloring(CoveringMap.identity(k33), c1) is c1
     # a degree-1 cover whose source is another graph object pulls back a table of its own
-    twin = CoveringMap(Multigraph(6, dict(k33._edges)), k33, range(6), {e: e for e in k33.edge_ids()})
+    twin = CoveringMap(Multigraph(6, dict(edge_table(k33))), k33, range(6), {e: e for e in k33.edge_ids()})
     pulled = pullback_coloring(twin, c1)
     assert pulled == c1 and pulled._colors is not c1._colors
 
@@ -157,9 +159,13 @@ def test_pullback_through_double_cover():
 
 
 def test_pullback_names_the_first_uncolored_base_edge(k33):
-    partial = EdgeColoring(3, {e: col for e, col in enumerate(K33_C1) if e not in (4, 7)})
-    with pytest.raises(ColoringError, match="edge 4 is not colored"):
+    # a coloring is a list over ids 0..E-1, so a partial one misses the ids from its length on
+    partial = EdgeColoring(3, K33_C1[:4])
+    with pytest.raises(ColoringError, match="^edge 4 is not colored$"):
         pullback_coloring(copies_cover(k33, 2), partial)
+    # a coloring with ids 4 and 7 left out is refused where it is built
+    with pytest.raises(ColoringError, match="^edge ids must be 0..6: 4 is missing$"):
+        EdgeColoring(3, {e: col for e, col in enumerate(K33_C1) if e not in (4, 7)})
 
 
 def test_lift_switch_identity(k33, k33_pair):
@@ -278,17 +284,18 @@ def test_copies_cover_counts_and_provenance():
     assert len(connected_components(doubled.source)) == 2
     assert verify_covering(doubled) and doubled.degree == 2
     # copy k of vertex v is 3v + k; copy k of edge e is 3e + k, in g's own ids
-    gapped = spanning_subgraph(make_cycle(6), [0, 2, 3, 5])
-    tripled = copies_cover(gapped, 3)
+    path_pairs = spanning_subgraph(make_cycle(6), [0, 2, 3, 5])
+    tripled = copies_cover(path_pairs, 3)
     assert tripled.degree == 3 and tripled.source.vertex_count == 18
-    assert tripled.source.edge_ids() == (0, 1, 2, 6, 7, 8, 9, 10, 11, 15, 16, 17)
+    assert tripled.source.edge_ids() == tuple(range(12))
     for f in tripled.source.edge_ids():
         e, k = divmod(f, 3)
         assert tripled.edge_image(f) == e
-        assert tripled.source.endpoints(f) == tuple(3 * v + k for v in gapped.endpoints(e))
-    # 3 // 3 = 1 is no edge of gapped either: an id in a gap has no image
-    with pytest.raises(UnknownEdgeError, match="^no edge 3 in the cover$"):
-        tripled.edge_image(3)
+        assert tripled.source.endpoints(f) == tuple(3 * v + k for v in path_pairs.endpoints(e))
+    # ids outside 0..11 have no image: a list would read -1 as its last row
+    for f in (-1, 12):
+        with pytest.raises(UnknownEdgeError, match=f"^no edge {f} in the cover$"):
+            tripled.edge_image(f)
     assert copies_cover(k33, 1).source == k33
 
 
@@ -304,37 +311,39 @@ def test_copies_cover_refuses_what_is_not_an_integer(m):
 
 
 def _rest_of_a_top_class(seed, d, n):
-    """A (d+1)-regular g, its d-regular rest h without one color class, and two colorings of h.
+    """A (d+1)-regular g, the ids in g of its d-regular rest h without one color class, h, and two colorings of h.
 
-    h keeps g's scattered edge ids; its second coloring is its first after a {i, d} switch for each i < d.
+    h numbers its edges densely in g's id order; its second coloring is its first after a {i, d}
+    switch for each i < d.
     """
     g, _, c = random_colored_instance(seed, d + 1, n)
-    h = spanning_subgraph(g, [e for e in g.edge_ids() if c[e] <= d])
-    a = b = EdgeColoring(d, {e: c[e] for e in h.edge_ids()})
+    rest = [e for e in g.edge_ids() if c[e] <= d]
+    h = spanning_subgraph(g, rest)
+    a = b = EdgeColoring(d, [c[e] for e in rest])
     for i in range(1, d):
         b = kempe_switch(h, b, bichromatic_cycles(h, b, i, d)[-1])
-    return g, h, a, b
+    return g, rest, h, a, b
 
 
 REST_SHAPES = [(0, 3, 8), (1, 4, 8), (2, 3, 10), (3, 4, 10)]
 
 
 def _alignment_covers():
-    rests = [(h, a, b) for _, h, a, b in (_rest_of_a_top_class(*shape) for shape in REST_SHAPES)]
+    rests = [(h, a, b) for _, _, h, a, b in (_rest_of_a_top_class(*shape) for shape in REST_SHAPES)]
     instances = [random_colored_instance(seed, d, 8) for seed in range(4) for d in (3, 4, 5)]
     return [build_alignment_cover(*instance)[0] for instance in rests + instances]
 
 
 def _extension_covers():
     covers = []
-    for g, h, a, b in (_rest_of_a_top_class(*shape) for shape in REST_SHAPES):
-        covers.append(extend_subgraph_cover(g, h, build_alignment_cover(h, a, b)[0]))
-        covers.append(extend_subgraph_cover(g, h, kempe_cover_witness(h, a, b).cover))
+    for g, rest, h, a, b in (_rest_of_a_top_class(*shape) for shape in REST_SHAPES):
+        covers.append(extend_subgraph_cover(g, rest, build_alignment_cover(h, a, b)[0]))
+        covers.append(extend_subgraph_cover(g, rest, kempe_cover_witness(h, a, b).cover))
     return covers
 
 
 def _copies_covers():
-    return [copies_cover(_rest_of_a_top_class(*shape)[1], m) for shape, m in zip(REST_SHAPES, (1, 2, 3, 4))]
+    return [copies_cover(_rest_of_a_top_class(*shape)[2], m) for shape, m in zip(REST_SHAPES, (1, 2, 3, 4))]
 
 
 def _union_covers():
@@ -343,7 +352,7 @@ def _union_covers():
     part = (w.cover, w.switches, range(g.vertex_count), range(g.edge_count))
     # and the per-component witness of g beside another d=4 instance, whose edge ids follow g's
     other, d1, d2 = random_colored_instance(3, 4, 8)
-    pairs = [{**c._colors, **{e + g.edge_count: col for e, col in x.items()}} for c, x in ((c1, d1), (c2, d2))]
+    pairs = [[col for _, col in c.items()] + [col for _, col in x.items()] for c, x in ((c1, d1), (c2, d2))]
     apart = kempe_cover_witness(make_disjoint(g, other), *(EdgeColoring(4, colors) for colors in pairs))
     return [equivalence._union_witness(g, [part], 2 * w.cover.degree)[0], apart.cover]
 
@@ -391,35 +400,38 @@ def test_a_cover_numbered_otherwise_is_refused_where_division_would_mislift():
 
 def test_extend_subgraph_cover_full_graph(k33, k33_pair):
     p = copies_cover(k33, 2)
-    r = extend_subgraph_cover(k33, k33, p)
+    r = extend_subgraph_cover(k33, k33.edge_ids(), p)
     assert r == p
 
 
 def test_extend_from_color_class(k33, k33_pair):
     c1, _ = k33_pair
-    h = spanning_subgraph(k33, c1.color_class(1) | c1.color_class(2))
-    p = copies_cover(h, 2)
-    r = extend_subgraph_cover(k33, h, p)
+    rest = sorted(c1.color_class(1) | c1.color_class(2))
+    p = copies_cover(spanning_subgraph(k33, rest), 2)
+    r = extend_subgraph_cover(k33, rest, p)
     assert verify_covering(r)
     assert r.degree == 2
-    # restriction to the subgraph cover is untouched
+    # restriction to the subgraph cover is untouched: its row i*2 + k is row rest[i]*2 + k
     assert r.source.vertex_count == p.source.vertex_count
-    for e in p.source.edge_ids():
-        assert r.source.endpoints(e) == p.source.endpoints(e) and r.edge_image(e) == p.edge_image(e)
+    for f in p.source.edge_ids():
+        up = rest[f // 2] * 2 + f % 2
+        assert r.source.endpoints(up) == p.source.endpoints(f) and r.edge_image(up) == rest[p.edge_image(f)]
 
 
 def test_extend_degree_one_adds_each_missing_edge_once(k33, k33_pair):
     c1, _ = k33_pair
-    h = spanning_subgraph(k33, c1.color_class(1) | c1.color_class(2))
-    r = extend_subgraph_cover(k33, h, CoveringMap.identity(h))
+    rest = sorted(c1.color_class(1) | c1.color_class(2))
+    h = spanning_subgraph(k33, rest)
+    r = extend_subgraph_cover(k33, rest, CoveringMap.identity(h))
     assert r.degree == 1
     assert r.source.edge_count == k33.edge_count
 
 
 def test_extend_the_trivial_cover_to_the_identity_of_the_full_graph(k33, k33_pair):
     c1, _ = k33_pair
-    h = spanning_subgraph(k33, c1.color_class(1) | c1.color_class(2))
-    r = extend_subgraph_cover(k33, h, CoveringMap.identity(h))
+    rest = sorted(c1.color_class(1) | c1.color_class(2))
+    h = spanning_subgraph(k33, rest)
+    r = extend_subgraph_cover(k33, rest, CoveringMap.identity(h))
     assert r == CoveringMap.identity(k33)
     # no table is rebuilt: the cover is the full graph itself
     assert r.source is k33
@@ -430,16 +442,17 @@ def test_extend_the_trivial_cover_to_the_identity_of_the_full_graph(k33, k33_pai
 
 def test_extend_a_degree_one_cover_stored_otherwise_row_for_row(k33, k33_pair):
     c1, _ = k33_pair
-    h = spanning_subgraph(k33, c1.color_class(1) | c1.color_class(2))
-    first = h.edge_ids()[0]
-    rows = {e: ends[::-1] if e == first else ends for e, ends in h._edges.items()}
+    rest = sorted(c1.color_class(1) | c1.color_class(2))
+    h = spanning_subgraph(k33, rest)
+    rows = {e: ends[::-1] if e == 0 else ends for e, ends in edge_table(h).items()}
     source = Multigraph(h.vertex_count, rows)
     p = CoveringMap(source, h, range(h.vertex_count), {e: e for e in rows})
     assert verify_covering(p) and p.degree == 1 and source != h
-    r = extend_subgraph_cover(k33, h, p)
+    r = extend_subgraph_cover(k33, rest, p)
     # the cover's rows are kept as stored, one reversed, and each missing edge is added once
     assert verify_covering(r) and r.degree == 1 and r.target is k33
-    assert r.source._edges == {e: rows.get(e, ends) for e, ends in k33._edges.items()}
+    kept = {e: rows[i] for i, e in enumerate(rest)}
+    assert edge_table(r.source) == {e: kept.get(e, ends) for e, ends in edge_table(k33).items()}
     assert r.source != k33
 
 
@@ -464,36 +477,41 @@ def test_lift_through_the_trivial_cover_keeps_each_switch(monkeypatch, k33, k33_
 def test_extend_rejects_non_spanning(k33):
     h = Multigraph.from_edges(5, [])  # fewer vertices -> not spanning
     with pytest.raises(CoveringError):
-        extend_subgraph_cover(k33, h, CoveringMap.identity(h))
+        extend_subgraph_cover(k33, [], CoveringMap.identity(h))
 
 
 def test_extend_rejects_a_cover_of_another_subgraph(k33, k33_pair):
     c1, _ = k33_pair
-    h = spanning_subgraph(k33, c1.color_class(1) | c1.color_class(2))
-    other = spanning_subgraph(k33, c1.color_class(1) | c1.color_class(3))
+    rest = sorted(c1.color_class(1) | c1.color_class(2))
+    other = spanning_subgraph(k33, c1.color_class(3))
     with pytest.raises(CoveringError, match="^cover does not map onto the given subgraph$"):
-        extend_subgraph_cover(k33, h, copies_cover(other, 2))
+        extend_subgraph_cover(k33, rest, copies_cover(other, 2))
 
 
 @pytest.mark.parametrize("edges, wrong", [
     ({0: (0, 3), 5: (2, 4)}, 5),  # edge 5 runs 1-5 in k33
     ({0: (3, 0)}, 0),  # the stored endpoint order differs
     ({0: (0, 3), 9: (1, 4)}, 9),  # k33 has no edge 9
+    ({4: (1, 4), 0: (0, 3)}, 0),  # the ids do not ascend
+    ({0: (0, 3), -1: (2, 5)}, -1),  # a list would read -1 as k33's last row
 ])
 def test_extend_rejects_a_subgraph_edge_missing_from_the_graph(k33, edges, wrong):
-    h = Multigraph(k33.vertex_count, edges)
-    with pytest.raises(CoveringError, match=f"edge {wrong} of the subgraph is not an edge"):
-        extend_subgraph_cover(k33, h, CoveringMap.identity(h))
+    # the subgraph's edge i is to be edge list(edges)[i] of k33, and edge `wrong` cannot be
+    h = Multigraph(k33.vertex_count, list(edges.values()))
+    assert wrong in edges
+    with pytest.raises(CoveringError, match="^cover does not map onto the given subgraph$"):
+        extend_subgraph_cover(k33, list(edges), CoveringMap.identity(h))
 
 
 def test_extend_rejects_nonconstant_fibers(k33, k33_pair):
     c1, _ = k33_pair
-    h = spanning_subgraph(k33, c1.color_class(1) | c1.color_class(2))
+    rest = sorted(c1.color_class(1) | c1.color_class(2))
+    h = spanning_subgraph(k33, rest)
     p = copies_cover(h, 2)
     # break fiber constancy by moving the last cover vertex onto base vertex 0
     vmap, emap = sheet_maps(p)
     with pytest.raises(CoveringError, match=r"^vertex 11 maps to 0, not to 11 // 2 = 5$"):
-        extend_subgraph_cover(k33, h, CoveringMap(p.source, h, vmap[:-1] + [0], emap))
+        extend_subgraph_cover(k33, rest, CoveringMap(p.source, h, vmap[:-1] + [0], emap))
 
 
 # -- verdicts pinned reason by reason ------------------------------------------
@@ -540,7 +558,7 @@ def _edge_image():
 
 def _vertex_not_surjective():
     triangle = make_cycle(3)
-    with_isolated = Multigraph(4, dict(triangle._edges))
+    with_isolated = Multigraph(4, dict(edge_table(triangle)))
     return CoveringMap(triangle, with_isolated, [0, 1, 2], {e: e for e in triangle.edge_ids()})
 
 
@@ -573,15 +591,16 @@ def test_constructor_names_the_first_entry_at_fault(broken, reason):
 
 
 def _edge_outside():
-    # the theta graph's identity with cover edge 2 renumbered 4: the base has no edge 4
-    source = Multigraph(2, {0: (0, 1), 1: (0, 1), 4: (0, 1)})
-    return CoveringMap(source, make_theta(), [0, 1], {0: 0, 1: 1, 4: 4})
+    # the double cover of the digon, two sheets over its two edges, plus a fifth row: 4 // 2 is no edge
+    digon = Multigraph.from_edges(2, [(0, 1), (0, 1)])
+    source = Multigraph.from_edges(4, [(0, 2), (1, 3), (0, 2), (1, 3), (0, 3)])
+    return CoveringMap(source, digon, [0, 0, 1, 1], {f: f // 2 for f in range(5)})
 
 
 def _incidence():
     k33, vmap, emap = _k33_identity_parts()
     # edge 0 is (0, 3); rerouted to (0, 4), it no longer runs over its image's ends
-    return CoveringMap(Multigraph(6, {**k33._edges, 0: (0, 4)}), k33, vmap, emap)
+    return CoveringMap(Multigraph(6, {**edge_table(k33), 0: (0, 4)}), k33, vmap, emap)
 
 
 def _edge_not_surjective():
@@ -597,10 +616,10 @@ def _collision():
 
 
 def _local_bijection():
-    # one lift of each theta edge, onto, no collision, constant fibers,
-    # but each source vertex sees only part of its image's edges
-    source = Multigraph(4, {0: (0, 2), 2: (0, 2), 4: (1, 3)})
-    return CoveringMap(source, make_theta(), [0, 0, 1, 1], {0: 0, 2: 1, 4: 2})
+    # lifts of each theta edge, onto, no collision, constant fibers,
+    # but source vertex 0 sees only two of its image's three edges
+    source = Multigraph.from_edges(4, [(0, 2), (1, 3), (0, 2), (1, 3), (1, 3)])
+    return CoveringMap(source, make_theta(), [0, 0, 1, 1], {f: f // 2 for f in range(5)})
 
 
 @pytest.mark.parametrize(
@@ -632,7 +651,7 @@ def reference_verify_covering(p):
             return Verdict(False, f"vertex {v} maps outside the target")
     for e in src.edge_ids():
         img = p.edge_image(e)
-        if img not in tgt._edges:
+        if img not in edge_table(tgt):
             return Verdict(False, f"edge {e} maps outside the target")
         u, w = src.endpoints(e)
         if {vmap[u], vmap[w]} != set(tgt.endpoints(img)):
@@ -689,7 +708,7 @@ def valid_covers():
     c1 = EdgeColoring(3, dict(enumerate(K33_C1)))
     c2 = EdgeColoring(3, dict(enumerate(K33_C2)))
     g4, d1, d2 = random_colored_instance(2, 4, 8)
-    flipped = Multigraph(6, {e: (w, u) for e, (u, w) in k33._edges.items()})
+    flipped = Multigraph(6, {e: (w, u) for e, (u, w) in edge_table(k33).items()})
     covers = [
         (CoveringMap(flipped, k33, range(6), {e: e for e in k33.edge_ids()}), c2),
         (copies_cover(k33, 3), c1),
@@ -703,7 +722,7 @@ def valid_covers():
     return covers
 
 
-MUTATION = st.sampled_from(["none", "vertex", "edge", "parallel", "drop"])
+MUTATION = st.sampled_from(["none", "vertex", "edge", "append", "parallel", "drop"])
 
 
 @settings(max_examples=400, deadline=None)
@@ -711,18 +730,24 @@ MUTATION = st.sampled_from(["none", "vertex", "edge", "parallel", "drop"])
 def test_verify_covering_matches_reference(valid_covers, data):
     """Both checks on a valid cover whose graph had one row changed; the maps stay x // m."""
     p, _ = data.draw(st.sampled_from(valid_covers))
-    m, rows = p.degree, dict(p.source._edges)
+    m, rows = p.degree, dict(edge_table(p.source))
     kind = data.draw(MUTATION)
     if kind != "none":
         f = data.draw(st.sampled_from(sorted(rows)))
         u, w = rows.pop(f)
     if kind == "vertex":  # reattach one end anywhere
         rows[f] = (data.draw(st.sampled_from([x for x in range(p.source.vertex_count) if x != w])), w)
-    elif kind == "edge":  # renumber the row, so it lies over another base edge or none
-        ids = range(-m, m * (max(p.target._edges) + 2))
-        rows[data.draw(st.sampled_from([g for g in ids if g not in rows]))] = (u, w)
+    elif kind == "edge":  # trade rows with another id, so both lie over other base edges
+        g = data.draw(st.sampled_from([g for g in range(len(rows) + 1) if g != f]))
+        rows[f], rows[g] = rows[g], (u, w)
+    elif kind == "append":  # keep the row, and a copy at a new last id lies over another base edge or none
+        rows[f] = (u, w)
+        rows[len(rows)] = (u, w)
     elif kind == "parallel":  # reattach one end within its fiber: keeps incidence, so the later checks get reached
         rows[f] = (data.draw(st.sampled_from([x for x in range(u - u % m, u - u % m + m) if x != w])), w)
+    elif kind == "drop":  # ids stay 0..E-1: the last row takes the dropped one's place
+        if f < len(rows):
+            rows[f] = rows.pop(len(rows))
     source = Multigraph(p.source.vertex_count, rows)
     broken = CoveringMap(source, p.target, [x // m for x in range(source.vertex_count)], {g: g // m for g in rows})
     fast, slow = outcome(verify_covering, broken), outcome(reference_verify_covering, broken)
@@ -758,9 +783,9 @@ def test_is_legal_matches_reference(valid_covers, data):
     if kind == "recolor":
         e = data.draw(st.sampled_from(sorted(colors)))
         colors[e] = data.draw(st.integers(1, base.degree))
-    elif kind == "drop":
-        del colors[data.draw(st.sampled_from(sorted(colors)))]
+    elif kind == "drop":  # a coloring is a list over 0..E-1: only its last edge can go uncolored
+        del colors[max(colors)]
     elif kind == "foreign":
-        colors[data.draw(st.sampled_from((-1, max(colors) + 1)))] = 1
+        colors[max(colors) + 1] = 1
     c = EdgeColoring(base.degree, colors)
     assert outcome(is_legal, p.source, c) == outcome(reference_is_legal, p.source, c)

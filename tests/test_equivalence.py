@@ -39,6 +39,7 @@ from kempe_covers.coloring import _replay
 from kempe_covers.serialize import instance_from_json, load_json, witness_from_json
 
 from conftest import (
+    edge_table,
     K33_C1,
     K33_C2,
     alternating_coloring,
@@ -261,7 +262,7 @@ def reference_pad_to_degree(cover, switches, start, target_degree):
 
     source = Multigraph(
         composite.source.vertex_count,
-        {renumbered(f): tuple(map(renumbered, ends)) for f, ends in composite.source._edges.items()},
+        {renumbered(f): tuple(map(renumbered, ends)) for f, ends in edge_table(composite.source).items()},
     )
     vmap, emap = sheet_maps(composite)
     padded = CoveringMap(
@@ -285,7 +286,7 @@ def test_union_of_copies_pads_as_the_lift_through_the_copies(seed, shape, factor
     g, c1, c2 = random_colored_instance(seed, *shape)
     w = kempe_cover_witness(g, c1, c2)
     target = factor * w.cover.degree
-    part = (w.cover, w.switches, range(g.vertex_count), range(max(g._edges) + 1))
+    part = (w.cover, w.switches, range(g.vertex_count), range(g.edge_count))
     cover, switches = equivalence._union_witness(g, [part], target)
     expected_cover, expected_switches = reference_pad_to_degree(w.cover, w.switches, c1, target)
     assert cover == expected_cover and cover.degree == target
@@ -448,20 +449,24 @@ def calling_function() -> str:
 def checked_adoption(monkeypatch):
     """Make both private ``_adopt`` constructors run the public checks too.
 
-    Each adopted table must pass the validating constructor unchanged, in
-    the same key order. Returns the set of (kind, calling function) pairs.
+    Each adopted table must be a list, or two endpoint lists of one length,
+    and pass the validating constructor unchanged, in id order. Returns the
+    set of (kind, calling function) pairs.
     """
     sites = set()
     adopt_graph, adopt_coloring = Multigraph._adopt, EdgeColoring._adopt
 
-    def checked_graph(vertex_count, table):
+    def checked_graph(vertex_count, tails, heads):
         sites.add(("graph", calling_function()))
-        assert list(Multigraph(vertex_count, table)._edges.items()) == list(table.items())
-        return adopt_graph(vertex_count, table)
+        assert type(tails) is list and type(heads) is list and len(tails) == len(heads)
+        rows = list(zip(tails, heads))
+        assert list(edge_table(Multigraph(vertex_count, rows)).items()) == list(enumerate(rows))
+        return adopt_graph(vertex_count, tails, heads)
 
     def checked_coloring(degree, colors):
         sites.add(("coloring", calling_function()))
-        assert list(EdgeColoring(degree, colors).items()) == list(colors.items())
+        assert type(colors) is list
+        assert list(EdgeColoring(degree, colors).items()) == list(enumerate(colors))
         return adopt_coloring(degree, colors)
 
     monkeypatch.setattr(Multigraph, "_adopt", staticmethod(checked_graph))
@@ -494,13 +499,13 @@ def with_cover(w, source):
     """``w`` with its cover graph replaced by ``source``, over ``w.graph`` by division by ``w``'s degree."""
     m = w.cover.degree
     vertex_map = [x // m for x in range(source.vertex_count)]
-    cover = CoveringMap(source, w.graph, vertex_map, {f: f // m for f in source._edges})
+    cover = CoveringMap(source, w.graph, vertex_map, {f: f // m for f in edge_table(source)})
     return EquivalenceWitness(w.graph, w.start, w.goal, cover, w.switches)
 
 
 def test_a_parallel_twin_image_fails_the_local_bijection(theta, theta_coloring):
     w = kempe_cover_witness(theta, theta_coloring, THETA_GOAL)
-    edges = dict(w.cover.source._edges)
+    edges = dict(edge_table(w.cover.source))
     assert (edges[1], edges[2]) == ((1, 3), (0, 2))
     # swapping the ids of cover edges 1 and 2 moves each onto a parallel twin of its base edge:
     # incidence holds, and cover vertex 0 gets edges 0 and 1, both over base edge 0
@@ -537,7 +542,7 @@ def crossed_rows(w, f, g):
     and no switch touches them, so the fill and the replay cannot see the swap."""
     start = pullback_coloring(w.cover, w.start)
     assert start[f] == start[g] and not {f, g} & {e for s in w.switches for e in s.edge_ids}
-    edges = dict(w.cover.source._edges)
+    edges = dict(edge_table(w.cover.source))
     (u, x), (v, y) = edges[f], edges[g]
     edges[f], edges[g] = (u, y), (v, x)
     return with_cover(w, Multigraph(w.cover.source.vertex_count, edges))
@@ -549,7 +554,7 @@ def tampered_witness(name):
     c1, c2 = (EdgeColoring(3, dict(enumerate(colors))) for colors in (K33_C1, K33_C2))
     if name == "other target":  # k33 with each edge stored the other way round: the same sizes and ends
         w = kempe_cover_witness(k33, c1, c2)
-        flipped = Multigraph(6, {e: (v, u) for e, (u, v) in k33._edges.items()})
+        flipped = Multigraph(6, {e: (v, u) for e, (u, v) in edge_table(k33).items()})
         return EquivalenceWitness(k33, c1, c2, CoveringMap(w.cover.source, flipped, *sheet_maps(w.cover)), w.switches)
     if name == "crossed rows d3":
         return crossed_rows(witness_from_json(load_json(GOLDEN_D3))[0], 8, 10)
@@ -612,25 +617,26 @@ def mutated_cover_rows(draw, w):
     that swap ids, each then over the other's base edge.
     """
     m, source = w.cover.degree, w.cover.source
-    edges = dict(source._edges)
+    edges = [source.endpoints(f) for f in source.edge_ids()]
     for _ in range(draw(st.integers(1, 2))):
-        kind = draw(st.sampled_from(["reattach", "renumber", "swap", "ends", "drop"]))
-        e = draw(st.sampled_from(sorted(edges)))
+        kind = draw(st.sampled_from(["reattach", "renumber", "swap", "ends", "drop", "append"]))
+        e = draw(st.sampled_from(range(len(edges))))
         u, v = edges[e]
         if kind == "reattach":
             edges[e] = (u, draw(st.sampled_from([x for x in range(source.vertex_count) if x != u])))
-        elif kind == "renumber":
-            del edges[e]
-            edges[draw(st.sampled_from([f for f in range(-m, m * (w.graph.edge_count + 1)) if f not in edges]))] = (u, v)
+        elif kind == "renumber":  # the row takes the last id, and each row after it the id before its own
+            edges.append(edges.pop(e))
         elif kind == "swap":
-            f = draw(st.sampled_from(sorted(edges)))
+            f = draw(st.sampled_from(range(len(edges))))
             edges[e], edges[f] = edges[f], edges[e]
         elif kind == "ends":
             moved = tuple(x - x % m + draw(st.integers(0, m - 1)) for x in (u, v))
             if moved[0] != moved[1]:
                 edges[e] = moved
-        elif kind == "drop" and len(edges) > 1:
+        elif kind == "drop" and len(edges) > 1:  # each row after it takes the id before its own
             del edges[e]
+        elif kind == "append":  # a copy at a new last id, over another base edge or none
+            edges.append((u, v))
     return with_cover(w, Multigraph(source.vertex_count, edges))
 
 

@@ -17,7 +17,7 @@ from kempe_covers import (
 from kempe_covers import graph
 from kempe_covers.graph import _degrees
 
-from conftest import dart_lists, make_cycle, make_disjoint, make_k33, make_theta
+from conftest import dart_lists, edge_table, make_cycle, make_disjoint, make_k33, make_theta
 
 
 def test_builder_rejects_loops():
@@ -81,17 +81,35 @@ def test_connected_components():
 
 
 def test_spanning_subgraph_preserves_ids():
+    # every edge, or the first few, keep their ids and stored endpoint order
     g = make_k33()
     assert spanning_subgraph(g, g.edge_ids()) == g
+    prefix = spanning_subgraph(g, range(4))
+    assert [prefix.endpoints(e) for e in prefix.edge_ids()] == [g.endpoints(e) for e in range(4)]
     empty = spanning_subgraph(g, [])
     assert empty.vertex_count == g.vertex_count and empty.edge_count == 0
     with pytest.raises(UnknownEdgeError, match="^no edge 2$"):
         empty.endpoints(2)
-    sub = spanning_subgraph(g, [2, 5, 8])
-    assert sub.edge_ids() == (2, 5, 8)
-    assert sub.endpoints(5) == g.endpoints(5)
     with pytest.raises(UnknownEdgeError):
         spanning_subgraph(g, [99])
+
+
+def test_spanning_subgraph_numbers_its_edges_densely():
+    # edge i of the subgraph is the i-th smallest id given, with its stored endpoint order
+    g = make_k33()
+    sub = spanning_subgraph(g, [8, 2, 5, 2])
+    assert sub.edge_ids() == (0, 1, 2)
+    assert [sub.endpoints(i) for i in range(3)] == [g.endpoints(e) for e in (2, 5, 8)]
+    for unknown in (99, -1, 9):
+        with pytest.raises(UnknownEdgeError, match=f"^no edge {unknown}$"):
+            spanning_subgraph(g, [0, unknown])
+
+
+@pytest.mark.parametrize("e", [-1, 9, 2.0, "0", None])
+def test_endpoints_refuse_an_id_outside_the_rows(e):
+    # a list would read -1 as its last row, and 2.0 or "0" would raise TypeError
+    with pytest.raises(UnknownEdgeError, match=f"^no edge {e}$"):
+        make_k33().endpoints(e)
 
 
 def test_spanning_subgraph_color_class_is_matching(k33, k33_pair):
@@ -102,9 +120,9 @@ def test_spanning_subgraph_color_class_is_matching(k33, k33_pair):
 
 
 @pytest.mark.parametrize("n, edges, error, message", [
-    (3, {0: (0, 1), 4: (2, 2)}, LoopEdgeError, "edge 4 would be a loop at vertex 2"),
-    (3, {0: (0, 1), 2: (1, 3)}, UnknownVertexError, "edge 2: vertex 3 not in graph"),
-    (3, {5: (-1, 1)}, UnknownVertexError, "edge 5: vertex -1 not in graph"),
+    (3, [(0, 1)] * 4 + [(2, 2)], LoopEdgeError, "edge 4 would be a loop at vertex 2"),
+    (3, {0: (0, 1), 2: (1, 3), 1: (1, 2)}, UnknownVertexError, "edge 2: vertex 3 not in graph"),
+    (3, [(0, 1)] * 5 + [(-1, 1)], UnknownVertexError, "edge 5: vertex -1 not in graph"),
     (-1, {}, GraphStructureError, "negative vertex count -1"),
 ])
 def test_construction_errors_raise_before_any_walk(monkeypatch, n, edges, error, message):
@@ -122,8 +140,8 @@ def test_construction_errors_raise_before_any_walk(monkeypatch, n, edges, error,
     (3, {0: (0, 1, 2)}, "edge 0: endpoints (0, 1, 2) are not a pair of integers"),
     (3, {0: 5}, "edge 0: endpoints 5 are not a pair of integers"),
     (3, {0: {0, 1}}, "edge 0: endpoints {0, 1} are not a pair of integers"),
-    (3, {"x": (0, 1)}, "edge id 'x' is not an integer"),
-    (3, {True: (0, 1)}, "edge id True is not an integer"),
+    (3, {"x": (0, 1)}, "edge ids must be 0..0: 0 is missing"),  # an id that is not an integer leaves a gap
+    (3, {True: (0, 1)}, "edge ids must be 0..0: 0 is missing"),  # bools are not ids either
     (3.0, {0: (0, 1)}, "vertex count must be an integer, got 3.0"),
 ], ids=["fraction", "bool end", "string end", "triple", "int", "set", "string id", "bool id", "float count"])
 def test_constructor_refuses_what_is_not_an_integer(n, edges, message):
@@ -134,16 +152,32 @@ def test_constructor_refuses_what_is_not_an_integer(n, edges, message):
             Multigraph.from_edges(n, list(edges.values()))
 
 
-@pytest.mark.parametrize("edges", [{0: (1, 2), 2: (0, 1)}, {2: [0, 1], 0: [1, 2]}], ids=["ascending", "unsorted"])
+@pytest.mark.parametrize("edges", [{0: (1, 2), 1: (0, 1)}, {1: [0, 1], 0: [1, 2]}], ids=["ascending", "unsorted"])
 def test_constructor_keeps_its_own_table_in_id_order_with_tuple_pairs(edges):
     g = Multigraph(3, edges)
     edges[1] = (0, 2)
-    assert list(g._edges.items()) == [(0, (1, 2)), (2, (0, 1))]
+    assert list(edge_table(g).items()) == [(0, (1, 2)), (1, (0, 1))]
+    # a sequence is kept as a copy too
+    pairs = [[1, 2], [0, 1]]
+    g = Multigraph(3, pairs)
+    pairs[1][0] = 2
+    assert list(edge_table(g).items()) == [(0, (1, 2)), (1, (0, 1))]
+
+
+@pytest.mark.parametrize("edges, missing", [
+    ({0: (0, 1), 4: (1, 2)}, 1),
+    ({5: (-1, 1)}, 0),
+    ({1: (0, 1), 2: (1, 2), 0: (0, 2), 4: (0, 1)}, 3),
+    ({0: (0, 1), True: (1, 2)}, 1),  # True == 1, but a bool is no id
+], ids=["gap", "no zero", "unsorted gap", "bool one"])
+def test_constructor_refuses_ids_that_skip_one_and_names_the_first_missing(edges, missing):
+    with pytest.raises(GraphStructureError, match=f"^edge ids must be 0..{len(edges) - 1}: {missing} is missing$"):
+        Multigraph(3, edges)
 
 
 @st.composite
 def multigraphs(draw):
-    """Parallel edges, isolated vertices, and gapped ids through ``spanning_subgraph``."""
+    """Parallel edges, isolated vertices, and subgraphs through ``spanning_subgraph``."""
     n = draw(st.integers(min_value=0, max_value=8))
     if n < 2:
         return Multigraph(n, {})
@@ -162,7 +196,7 @@ def test_walk_queries_match_the_edge_table(g):
     assert is_regular(g) == (degrees.pop() if len(degrees) == 1 else None)
     # reference components: merge endpoint classes edge by edge
     label = list(range(g.vertex_count))
-    for u, w in g._edges.values():
+    for u, w in edge_table(g).values():
         old, new = label[u], label[w]
         label = [new if x == old else x for x in label]
     classes = {}

@@ -362,13 +362,13 @@ def make_parallel(k):
     return Multigraph.from_edges(2, [(0, 1)] * k)
 
 
-def gapped_base():
+def subgraph_base():
     g, _, c2 = random_colored_instance(3, 4, 8)
     return spanning_subgraph(g, [e for e, col in c2.items() if col < 4])
 
 
 @pytest.mark.parametrize("make", [
-    make_k33, make_theta, make_k4, make_cube, gapped_base,
+    make_k33, make_theta, make_k4, make_cube, subgraph_base,
     # multigraph thetas: k parallel edges have k! colorings
     pytest.param(lambda: make_parallel(1), id="theta1"),
     pytest.param(lambda: make_parallel(2), id="theta2"),
@@ -380,10 +380,14 @@ def test_oracle_matches_reference_on_fixed_bases(make):
     assert census.colorings
 
 
-def test_gapped_base_has_edge_ids_that_are_not_positions():
-    g = gapped_base()
-    assert is_regular(g) == 3
-    assert g.edge_ids() != tuple(range(g.edge_count))
+def test_subgraph_base_numbers_its_edges_by_position():
+    # the rest of a 4-regular instance without one color class: its ids are 0..E-1, in the full graph's order
+    g, _, c2 = random_colored_instance(3, 4, 8)
+    rest = [e for e, col in c2.items() if col < 4]
+    h = subgraph_base()
+    assert is_regular(h) == 3
+    assert h.edge_ids() == tuple(range(len(rest)))
+    assert [h.endpoints(i) for i in h.edge_ids()] == [g.endpoints(e) for e in rest]
 
 
 # -- the perfect-matching enumerator against the reference ---------------------

@@ -2,7 +2,9 @@
 
 The reference below is ``witness_from_json`` as it stood when every block
 was copied row by row before its integer check, the switch loop sorted
-those copies in place, and ``Multigraph`` rebuilt its table edge by edge.
+those copies in place, and ``Multigraph`` rebuilt its table edge by edge,
+with one change since: a graph or coloring block whose ids are not
+0..E-1 is refused, naming the first missing id, before any row is checked.
 The package's parser must return exactly what it returns: an equal witness
 whose graph tables keep the same id order, or an exception of the same
 class with the same message.
@@ -43,7 +45,7 @@ from kempe_covers.serialize import (
     witness_to_json,
 )
 
-from conftest import FUZZ_VALUES, K33_C1, K33_C2, make_k33, mutated_documents
+from conftest import FUZZ_VALUES, K33_C1, K33_C2, edge_table, make_k33, mutated_documents
 
 # -- the frozen reference -----------------------------------------------------
 
@@ -52,6 +54,7 @@ def reference_graph(vertex_count, edges):
     """``Multigraph(vertex_count, edges)`` by the per-edge rebuild."""
     if vertex_count < 0:
         raise GraphStructureError(f"negative vertex count {vertex_count}")
+    reference_dense_ids(edges, GraphStructureError)
     table = {}
     for eid in sorted(edges):
         u, v = edges[eid]
@@ -62,7 +65,14 @@ def reference_graph(vertex_count, edges):
         if u == v:
             raise LoopEdgeError(f"edge {eid} would be a loop at vertex {u}")
         table[eid] = (u, v)
-    return Multigraph._adopt(vertex_count, table)
+    return Multigraph._adopt(vertex_count, [u for u, _ in table.values()], [v for _, v in table.values()])
+
+
+def reference_dense_ids(table, error):
+    """Raise ``error`` naming the first missing id unless ``table``'s keys are 0..E-1."""
+    missing = set(range(len(table))) - set(table)
+    if missing:
+        raise error(f"edge ids must be 0..{len(table) - 1}: {min(missing)} is missing")
 
 
 def reference_strict_int(value, what):
@@ -105,6 +115,7 @@ def reference_coloring_from_json(doc, block):
     try:
         rows = reference_strict_int_lists(doc["colors"], "coloring entry")
         colors = dict(rows)
+        reference_dense_ids(colors, ValueError)
         coloring = EdgeColoring(reference_strict_int(doc["degree"], "degree"), colors)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed coloring block: {exc}") from exc
@@ -189,7 +200,7 @@ def outcome(parse, doc):
         w, names = parse(doc)
     except Exception as exc:  # the reference fixes the class as well as the message
         return type(exc), str(exc)
-    return w, names, list(w.graph._edges.items()), list(w.cover.source._edges.items())
+    return w, names, list(edge_table(w.graph).items()), list(edge_table(w.cover.source).items())
 
 
 #: replacement values, plus integral floats, which the parser takes as the integers they equal
@@ -256,13 +267,15 @@ def test_a_perfect_matching_base_round_trips():
 
 
 @pytest.mark.parametrize("name, message", [
-    ("sparse ids", "instance serialization needs dense edge ids"),
     ("other format", "not a kempe-instance/1 document"),
 ])
 def test_an_instance_document_is_written_and_read_only_in_its_own_form(name, message):
     k33, c1 = make_k33(), EdgeColoring(3, dict(enumerate(K33_C1)))
     with pytest.raises(FormatError, match=f"^{message}$"):
-        if name == "sparse ids":  # an edge's id is its list index on disk, so ids 1, 2, 3, 4, 6, 8 have no place
-            instance_to_json(spanning_subgraph(k33, [e for e in k33.edge_ids() if c1[e] != 1]), {})
-        else:  # a well-formed document under another format string
-            instance_from_json({**instance_to_json(k33, {"c1": c1}), "format": "kempe-instance/2"})
+        # a well-formed document under another format string
+        instance_from_json({**instance_to_json(k33, {"c1": c1}), "format": "kempe-instance/2"})
+    # a subgraph is numbered densely, so its edge ids are its positions on disk
+    rest = [e for e in k33.edge_ids() if c1[e] != 1]
+    doc = instance_to_json(spanning_subgraph(k33, rest), {})
+    assert doc["edges"] == [list(k33.endpoints(e)) for e in rest]
+    assert instance_from_json(doc)[0] == spanning_subgraph(k33, rest)

@@ -12,8 +12,9 @@ outside: each must be an integer in ``1..degree``. A list of another length
 is refused where the coloring meets a graph. The private :meth:`EdgeColoring._adopt`
 takes as is the lists the package derives from checked colorings: switch
 and replay results, pull-backs, restrictions to the lower colors or to one
-component, and an alignment cover's shifted coloring. Each exchanges, copies
-or computes colors inside ``1..degree``, so a check would prove nothing new.
+component, an alignment cover's shifted coloring, and the oracle's
+enumerated colorings. Each exchanges, copies or computes colors inside
+``1..degree``, so a check would prove nothing new.
 """
 
 from __future__ import annotations

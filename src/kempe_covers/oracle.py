@@ -24,7 +24,7 @@ from .coloring import (
     common_degree,
     kempe_switch,
 )
-from .errors import EnumerationLimitError, GraphStructureError, RegularityError
+from .errors import ColoringError, EnumerationLimitError, GraphStructureError, RegularityError
 from .graph import Multigraph, is_regular
 
 DEFAULT_MAX_EDGES = 30
@@ -65,11 +65,17 @@ def _pack(colors: Iterable[Color], width: int) -> int:
 
 
 def _edge_colorings(g: Multigraph, d: int, keys: list[int]) -> list[EdgeColoring]:
-    """The colorings of ``g`` that :func:`_pack` keys with width ``d.bit_length()`` stand for."""
+    """The colorings of ``g`` that :func:`_pack` keys with width ``d.bit_length()`` stand for.
+
+    Each field of a key is a color in ``1..d`` by construction, so only the
+    degree is checked, with the public constructor's error."""
+    if d < 1:
+        raise ColoringError(f"ambient degree must be >= 1, got {d}")
     width = d.bit_length()
     field = (1 << width) - 1
     shifts = _shifts(width, g.edge_count)
-    return [EdgeColoring(d, [key >> shift & field for shift in shifts]) for key in keys]
+    # list() trims the comprehension's spare slots: a census keeps every coloring
+    return [EdgeColoring._adopt(d, list([key >> shift & field for shift in shifts])) for key in keys]
 
 
 def _coloring_keys(g: Multigraph, max_edges: int) -> tuple[int, list[int]]:
@@ -172,10 +178,14 @@ def _switch_walker(g: Multigraph, d: int):
     in the field of each of the component's edges, and the key XOR the mask
     is the switched coloring, since ``c ^ (lo ^ hi)`` swaps ``lo`` and
     ``hi``. ``cycle(pair, covered)`` builds the switch, so only a switch the
-    search keeps pays for its edge ids. Per coloring ``neighbors`` fills one
-    vertex-by-color table of edge positions; a component is walked by
-    alternating lookups in two of its rows. The table is total because
-    every key fed in is a legal coloring.
+    search keeps pays for its edge ids. A pair's components depend only on
+    its 2-factor, the edges colored ``lo`` or ``hi``, and a search meets
+    the same 2-factors again and again. So ``neighbors`` reads each color's
+    field units from the key's bit planes and looks the 2-factor up among
+    those the walker has walked. Only for an unseen one does it fill, once
+    per coloring, a vertex-by-color table of edge positions, and walk each
+    component by alternating lookups in two of its rows. The table is total
+    because every key fed in is a legal coloring.
     """
     ids = g.edge_ids()
     width = d.bit_length()
@@ -183,39 +193,51 @@ def _switch_walker(g: Multigraph, d: int):
     tail, head = g._tails, g._heads
     cross = [u ^ v for u, v in zip(tail, head)]
     unit = [1 << shift for shift in _shifts(width, len(ids))]
-    # fields are read from the least significant end: last position first
-    fill = list(enumerate(unit))[::-1]
+    units = sum(unit)
     last = len(ids) - 1
+    # fields are read from the least significant end: last position first
+    fill = range(last, -1, -1)
     pairs = [(pair, pair[0] ^ pair[1]) for pair in combinations(range(1, d + 1), 2)]
     n = g.vertex_count
+    walked: dict[int, list[int]] = {}  # a 2-factor's units -> each component's, smallest edge first
 
     def neighbors(key: int):
-        rows = [[0] * n for _ in range(d + 1)]
+        planes = [key >> j & units for j in range(width)]
         spread = [0] * (d + 1)
-        rest = key
-        for p, bit in fill:
-            color = rest & field
-            rest >>= width
-            row = rows[color]
-            row[tail[p]] = p
-            row[head[p]] = p
-            spread[color] |= bit
+        for color in range(1, d + 1):
+            mask = units
+            for j, plane in enumerate(planes):
+                mask &= plane if color >> j & 1 else ~plane
+            spread[color] = mask
+        rows = None
         for pair, flip in pairs:
             lo, hi = pair
             todo = spread[lo] | spread[hi]
-            while todo:
-                top = todo.bit_length() - 1
-                covered = 1 << top
-                first = last - top // width
-                here, there = (rows[hi], rows[lo]) if spread[lo] & covered else (rows[lo], rows[hi])
-                x = head[first]
-                p = here[x]
-                while p != first:
-                    covered |= unit[p]
-                    x ^= cross[p]
-                    here, there = there, here
+            components = walked.get(todo)
+            if components is None:
+                components = walked[todo] = []
+                if rows is None:
+                    rows = [[0] * n for _ in range(d + 1)]
+                    rest = key
+                    for p in fill:
+                        row = rows[rest & field]
+                        rest >>= width
+                        row[tail[p]] = row[head[p]] = p
+                while todo:
+                    top = todo.bit_length() - 1
+                    covered = 1 << top
+                    first = last - top // width
+                    here, there = (rows[hi], rows[lo]) if spread[lo] & covered else (rows[lo], rows[hi])
+                    x = head[first]
                     p = here[x]
-                todo ^= covered
+                    while p != first:
+                        covered |= unit[p]
+                        x ^= cross[p]
+                        here, there = there, here
+                        p = here[x]
+                    todo ^= covered
+                    components.append(covered)
+            for covered in components:
                 yield pair, covered, flip * covered
 
     def cycle(pair, covered: int) -> BichromaticCycle:

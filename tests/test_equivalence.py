@@ -485,7 +485,7 @@ def test_every_adopted_table_passes_the_public_checks(checked_adoption):
     graphs = {"spanning_subgraph", "_union_witness", "extend_subgraph_cover", "_build_alignment_cover",
               "_per_component_witness"}
     colorings = {"pullback_coloring", "kempe_switch", "apply_sequence", "_aligned_witness",
-                 "_per_component_witness", "_build_alignment_cover"}
+                 "_per_component_witness", "_build_alignment_cover", "_edge_colorings"}
     assert checked_adoption == {("graph", f) for f in graphs} | {("coloring", f) for f in colorings}
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import sys
 import tracemalloc
 from contextlib import contextmanager
@@ -602,3 +604,59 @@ def test_the_oracle_confirms_each_witness_on_its_cover(two_class_censuses, data)
     assert path is not None and len(path) <= len(w.switches)
     end = walk_in_the_oracle_graph(cover, start, w.switches)
     assert end == _pack(map(goal._colors.__getitem__, cover.edge_ids()), start.degree.bit_length())
+
+
+# -- the census output, pinned byte for byte ------------------------------------
+#
+# The digest pins the classes, representatives, paths and query answers of
+# the search that decodes and walks every coloring; a walker that reuses
+# the components of a two-color factor met before must leave it equal.
+
+
+CENSUS_DIGEST_BASES = [(1, 3, 16), (1, 4, 8), (3, 4, 8), (1, 5, 4)]
+CENSUS_DIGEST = "0e5b9e9e57796ff419bb9ef70cfe79d57174ce1a0c319af6a491de56968ed43b"
+
+
+def census_and_queries_text(seed, d, n):
+    """The census of ``random_colored_instance(seed, d, n)``'s graph and three path queries, as JSON.
+
+    The queries go from the first class's second member to its deepest one,
+    from the last class's deepest member to the first representative, and
+    from the first class's deepest member to the last class's last member;
+    the last two cross classes whenever the census has two."""
+    g = random_colored_instance(seed, d, n)[0]
+    census = kempe_class_partition(g)
+    colorings, paths = census.colorings, census.paths
+    deepest = [max(cls, key=lambda i: (len(paths[i]), i)) for cls in census.classes]
+    queries = [(census.classes[0][1], deepest[0]), (deepest[-1], census.representatives[0]),
+               (deepest[0], census.classes[-1][-1])]
+    answers = [equivalent_without_cover(g, colorings[a], colorings[b]) for a, b in queries]
+
+    def switches(path):
+        return None if path is None else [[s.colors, s.edge_ids] for s in path]
+
+    return json.dumps({
+        "colorings": [c._colors for c in colorings],
+        "classes": census.classes,
+        "representatives": census.representatives,
+        "paths": sorted((i, switches(path)) for i, path in paths.items()),
+        "queries": [[a, b, switches(answer)] for (a, b), answer in zip(queries, answers)],
+    }, separators=(",", ":"))
+
+
+def test_census_and_queries_are_byte_identical():
+    digest = hashlib.sha256()
+    for seed, d, n in CENSUS_DIGEST_BASES:
+        digest.update(census_and_queries_text(seed, d, n).encode())
+    assert digest.hexdigest() == CENSUS_DIGEST
+
+
+@pytest.mark.parametrize("seed, d, n", [(1, 3, 16), (1, 4, 8), (2, 5, 4)])
+def test_a_reused_switch_walker_yields_what_a_fresh_one_yields(seed, d, n):
+    # one walker across every coloring meets most two-color factors again,
+    # and must answer them from what it walked before exactly as a fresh walk does
+    g = random_colored_instance(seed, d, n)[0]
+    _, keys = _coloring_keys(g, DEFAULT_MAX_EDGES)
+    neighbors, _ = _switch_walker(g, d)
+    for key in keys + keys[::-1]:
+        assert list(neighbors(key)) == list(_switch_walker(g, d)[0](key))

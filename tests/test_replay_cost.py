@@ -399,10 +399,12 @@ def census():
 def test_kempe_class_partition_builds_one_coloring_per_enumerated_coloring(monkeypatch):
     g = random_colored_instance(4, 4, 8)[0]
     built = counter(monkeypatch, (EdgeColoring,), "__init__")
+    adopted = counter(monkeypatch, (EdgeColoring,), "_adopt")
     cycles = counter(monkeypatch, (coloring, oracle), "bichromatic_cycles")
     census = kempe_class_partition(g)
-    assert len(built) == len(census.colorings) == 384
-    assert cycles == []
+    # every field of an enumeration key is a color in 1..d, so none is checked again
+    assert len(adopted) == len(census.colorings) == 384
+    assert built == [] and cycles == []
 
 
 def test_equivalent_without_cover_builds_no_coloring(monkeypatch, census):

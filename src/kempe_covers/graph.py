@@ -57,13 +57,21 @@ class Multigraph:
     def __init__(self, vertex_count: int, edges: Sequence[Pair] | Mapping[EdgeId, Pair]):
         if type(vertex_count) is not int:
             raise GraphStructureError(f"vertex count must be an integer, got {vertex_count!r}")
-        pairs = _in_id_order(edges, GraphStructureError)
-        for ends in pairs:  # tuples or lists of two ints (bools are not); _check_ends checks the rest
+        tails: list[VertexId] = []
+        heads: list[VertexId] = []
+        faulty = vertex_count < 0
+        for ends in _in_id_order(edges, GraphStructureError):
+            # tuples or lists of two ints (bools are not); a row out of range or a loop is
+            # only noted, so that a later row that is no pair of ints is named first
             if type(ends) not in (tuple, list) or len(ends) != 2 or not type(ends[0]) is type(ends[1]) is int:
-                eid = next(e for e, row in enumerate(pairs) if row is ends)
-                raise GraphStructureError(f"edge {eid}: endpoints {ends!r} are not a pair of integers")
-        tails, heads = [u for u, _ in pairs], [w for _, w in pairs]
-        _check_ends(vertex_count, tails, heads)
+                raise GraphStructureError(f"edge {len(tails)}: endpoints {ends!r} are not a pair of integers")
+            u, v = ends
+            tails.append(u)
+            heads.append(v)
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count) or u == v:
+                faulty = True
+        if faulty:
+            _check_ends(vertex_count, tails, heads)
         self._n, self._tails, self._heads = vertex_count, tails, heads
 
     @classmethod

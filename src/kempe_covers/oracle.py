@@ -41,7 +41,10 @@ class ColoringCensus:
 
     ``classes`` holds index tuples into ``colorings``; the representative of
     a class is its smallest index. ``paths`` maps a coloring index to a
-    shortest switch sequence from its class representative.
+    shortest switch sequence from its class representative. The paths share
+    their switches: the search builds each distinct switch once, when it
+    first keeps it, and reads each coloring's color masks from its key only
+    at a class root, deriving every other coloring's from its parent's.
     """
 
     graph: Multigraph
@@ -172,20 +175,23 @@ def _switch_walker(g: Multigraph, d: int):
     """The Kempe-switch neighbours of a packed legal coloring of the d-regular ``g``.
 
     Colorings are keyed by :func:`_pack` over edge-id order, with width
-    ``d.bit_length()``. Returns two functions. ``neighbors(key)`` yields, for
-    every color pair in order and every component of that pair in order of
-    its smallest edge, the pair, ``covered`` and a mask: ``covered`` holds 1
-    in the field of each of the component's edges, and the key XOR the mask
+    ``d.bit_length()``. Returns three functions. ``masks_of(key)`` reads the
+    key's bit planes into a list whose entry ``c`` holds 1 in the low bit of
+    each field colored ``c``. ``neighbors(key, masks)`` yields, for every
+    color pair in order and every component of that pair in order of its
+    smallest edge, the pair, ``covered`` and a mask: ``covered`` holds 1 in
+    the low bit of each of the component's fields, and the key XOR the mask
     is the switched coloring, since ``c ^ (lo ^ hi)`` swaps ``lo`` and
-    ``hi``. ``cycle(pair, covered)`` builds the switch, so only a switch the
-    search keeps pays for its edge ids. A pair's components depend only on
-    its 2-factor, the edges colored ``lo`` or ``hi``, and a search meets
-    the same 2-factors again and again. So ``neighbors`` reads each color's
-    field units from the key's bit planes and looks the 2-factor up among
-    those the walker has walked. Only for an unseen one does it fill, once
-    per coloring, a vertex-by-color table of edge positions, and walk each
-    component by alternating lookups in two of its rows. The table is total
-    because every key fed in is a legal coloring.
+    ``hi``. A search reads masks from a key only where it starts and derives
+    every other coloring's with :func:`_switched`. ``cycle(pair, covered)``
+    builds the switch, so only a switch the search keeps pays for its edge
+    ids, and a census shares each one among its paths. A pair's components
+    depend only on its 2-factor, the edges colored ``lo`` or ``hi``, and a
+    search meets the same 2-factors again and again. So ``neighbors`` looks
+    each 2-factor up among those the walker has walked. Only for an unseen
+    one does it fill, once per coloring, a vertex-by-color table of edge
+    positions, and walk each component by alternating lookups in two of its
+    rows. The table is total because every key fed in is a legal coloring.
     """
     ids = g.edge_ids()
     width = d.bit_length()
@@ -201,18 +207,21 @@ def _switch_walker(g: Multigraph, d: int):
     n = g.vertex_count
     walked: dict[int, list[int]] = {}  # a 2-factor's units -> each component's, smallest edge first
 
-    def neighbors(key: int):
+    def masks_of(key: int) -> list[int]:
         planes = [key >> j & units for j in range(width)]
-        spread = [0] * (d + 1)
+        masks = [0] * (d + 1)
         for color in range(1, d + 1):
             mask = units
             for j, plane in enumerate(planes):
                 mask &= plane if color >> j & 1 else ~plane
-            spread[color] = mask
+            masks[color] = mask
+        return masks
+
+    def neighbors(key: int, masks: list[int]):
         rows = None
         for pair, flip in pairs:
             lo, hi = pair
-            todo = spread[lo] | spread[hi]
+            todo = masks[lo] | masks[hi]
             components = walked.get(todo)
             if components is None:
                 components = walked[todo] = []
@@ -227,7 +236,7 @@ def _switch_walker(g: Multigraph, d: int):
                     top = todo.bit_length() - 1
                     covered = 1 << top
                     first = last - top // width
-                    here, there = (rows[hi], rows[lo]) if spread[lo] & covered else (rows[lo], rows[hi])
+                    here, there = (rows[hi], rows[lo]) if masks[lo] & covered else (rows[lo], rows[hi])
                     x = head[first]
                     p = here[x]
                     while p != first:
@@ -243,7 +252,18 @@ def _switch_walker(g: Multigraph, d: int):
     def cycle(pair, covered: int) -> BichromaticCycle:
         return BichromaticCycle(pair, tuple([e for e, bit in zip(ids, unit) if covered & bit]))
 
-    return neighbors, cycle
+    return masks_of, neighbors, cycle
+
+
+def _switched(masks: list[int], pair: tuple[Color, Color], covered: int) -> list[int]:
+    """The :func:`_switch_walker` masks of a coloring after the switch of ``pair`` on
+    ``covered``, from the masks before it, which stay as they are: the switch swaps
+    ``lo`` and ``hi`` exactly on ``covered``."""
+    lo, hi = pair
+    masks = masks.copy()
+    masks[lo] ^= covered
+    masks[hi] ^= covered
+    return masks
 
 
 def kempe_class_partition(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> ColoringCensus:
@@ -251,7 +271,8 @@ def kempe_class_partition(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> 
     d, keys = _coloring_keys(g, max_edges)
     colorings = _edge_colorings(g, d, keys)
     index_of = {key: k for k, key in enumerate(keys)}
-    neighbors, cycle = _switch_walker(g, d)
+    masks_of, neighbors, cycle = _switch_walker(g, d)
+    switches: dict[tuple, BichromaticCycle] = {}  # (pair, covered) -> the one switch every path shares
     paths: dict[int, SwitchSequence] = {}
     classes: list[tuple[int, ...]] = []
     visited = [False] * len(colorings)
@@ -261,18 +282,24 @@ def kempe_class_partition(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> 
         visited[root] = True
         paths[root] = ()
         members = [root]
-        frontier = [root]
+        # each entry: a coloring, the masks of the one it was first reached from, and that move
+        frontier = [(root, masks_of(keys[root]), None, 0)]
         while frontier:
             nxt = []
-            for idx in frontier:
-                key = keys[idx]
-                for pair, covered, mask in neighbors(key):
+            for idx, masks, pair, covered in frontier:
+                if covered:
+                    masks = _switched(masks, pair, covered)
+                key, path = keys[idx], paths[idx]
+                for pair, covered, mask in neighbors(key, masks):
                     n_idx = index_of[key ^ mask]
                     if not visited[n_idx]:
                         visited[n_idx] = True
-                        paths[n_idx] = paths[idx] + (cycle(pair, covered),)
+                        switch = switches.get((pair, covered))
+                        if switch is None:
+                            switch = switches[pair, covered] = cycle(pair, covered)
+                        paths[n_idx] = path + (switch,)
                         members.append(n_idx)
-                        nxt.append(n_idx)
+                        nxt.append((n_idx, masks, pair, covered))
             frontier = nxt
         classes.append(tuple(sorted(members)))
     return ColoringCensus(
@@ -305,27 +332,38 @@ def equivalent_without_cover(
     goal = _pack(c2._colors, width)
     if start == goal:
         return ()
-    neighbors, cycle = _switch_walker(g, d)
+    masks_of, neighbors, cycle = _switch_walker(g, d)
     # each reached key -> (the key it was reached from, the switch's pair and covered fields)
     parent: dict[int, tuple | None] = {start: None}
-    frontier = [start]
+    # parent holds each key's move, so an entry is one expanded key's masks and the keys
+    # first reached from it (the start's own masks and the start, at first)
+    frontier = [(masks_of(start), [start])]
     while frontier:
         nxt = []
-        for current in frontier:
-            for pair, covered, mask in neighbors(current):
-                neighbor = current ^ mask
-                if neighbor in parent:
-                    continue
-                parent[neighbor] = (current, pair, covered)
-                if neighbor == goal:
-                    path = []
-                    while neighbor != start:
-                        neighbor, pair, covered = parent[neighbor]
-                        path.append(cycle(pair, covered))
-                    return tuple(reversed(path))
-                if len(parent) > MAX_COLORINGS:
-                    raise EnumerationLimitError(f"more than {MAX_COLORINGS} colorings searched")
-                nxt.append(neighbor)
+        for before, reached in frontier:
+            for current in reached:
+                if current == start:
+                    masks = before
+                else:
+                    _, pair, covered = parent[current]
+                    masks = _switched(before, pair, covered)
+                children = []
+                for pair, covered, mask in neighbors(current, masks):
+                    neighbor = current ^ mask
+                    if neighbor in parent:
+                        continue
+                    parent[neighbor] = (current, pair, covered)
+                    if neighbor == goal:
+                        path = []
+                        while neighbor != start:
+                            neighbor, pair, covered = parent[neighbor]
+                            path.append(cycle(pair, covered))
+                        return tuple(reversed(path))
+                    if len(parent) > MAX_COLORINGS:
+                        raise EnumerationLimitError(f"more than {MAX_COLORINGS} colorings searched")
+                    children.append(neighbor)
+                if children:
+                    nxt.append((masks, children))
         frontier = nxt
     return None
 

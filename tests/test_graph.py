@@ -143,7 +143,10 @@ def test_construction_errors_raise_before_any_walk(monkeypatch, n, edges, error,
     (3, {"x": (0, 1)}, "edge ids must be 0..0: 0 is missing"),  # an id that is not an integer leaves a gap
     (3, {True: (0, 1)}, "edge ids must be 0..0: 0 is missing"),  # bools are not ids either
     (3.0, {0: (0, 1)}, "vertex count must be an integer, got 3.0"),
-], ids=["fraction", "bool end", "string end", "triple", "int", "set", "string id", "bool id", "float count"])
+    # rows out of range or loops before it: a row that is no pair of integers is still named first
+    (3, {0: (0, 5), 1: (1, 1), 2: ["a", 1]}, "edge 2: endpoints ['a', 1] are not a pair of integers"),
+], ids=["fraction", "bool end", "string end", "triple", "int", "set", "string id", "bool id", "float count",
+        "after a range fault"])
 def test_constructor_refuses_what_is_not_an_integer(n, edges, message):
     with pytest.raises(GraphStructureError, match=f"^{re.escape(message)}$"):
         Multigraph(n, edges)

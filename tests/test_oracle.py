@@ -30,7 +30,14 @@ from kempe_covers import (
     random_colored_instance,
     spanning_subgraph,
 )
-from kempe_covers.oracle import DEFAULT_MAX_EDGES, _coloring_keys, _edge_colorings, _pack, _switch_walker
+from kempe_covers.oracle import (
+    DEFAULT_MAX_EDGES,
+    _coloring_keys,
+    _edge_colorings,
+    _pack,
+    _switch_walker,
+    _switched,
+)
 
 from conftest import dart_lists, make_cube, make_cycle, make_disjoint, make_k33, make_theta
 
@@ -73,6 +80,13 @@ def test_enumeration_refuses_large_graphs():
     with pytest.raises(EnumerationLimitError):
         enumerate_legal_colorings(big)
     assert len(enumerate_legal_colorings(big, max_edges=32)) == 2
+
+
+def test_query_refuses_graphs_above_the_edge_bound(k33, k33_pair):
+    c1, c2 = k33_pair
+    with pytest.raises(EnumerationLimitError, match="^9 edges exceeds the enumeration bound 8$"):
+        equivalent_without_cover(k33, c1, c2, max_edges=8)
+    assert equivalent_without_cover(k33, c1, c2, max_edges=9) is None
 
 
 def test_enumeration_answers_a_cycle_of_2400_vertices():
@@ -542,8 +556,8 @@ def test_switch_walker_matches_bichromatic_cycles(seed, shape, data):
     def key(c):
         return _pack((c[e] for e in ids), width)
 
-    neighbors, cycle_of = _switch_walker(g, d)
-    walked = list(neighbors(key(c2)))
+    masks_of, neighbors, cycle_of = _switch_walker(g, d)
+    walked = list(neighbors(key(c2), masks_of(key(c2))))
     expected = [cycle for i, j in combinations(range(1, d + 1), 2)
                 for cycle in bichromatic_cycles(g, c2, i, j)]
     assert [cycle_of(pair, fields) for pair, fields, _ in walked] == expected
@@ -579,10 +593,10 @@ def walk_in_the_oracle_graph(g, start, switches):
     """The packed coloring reached from ``start`` along ``switches``, each checked
     to be one edge of the oracle's Kempe graph on ``g``: a whole two-color component."""
     d = start.degree
-    neighbors, cycle = _switch_walker(g, d)
+    masks_of, neighbors, cycle = _switch_walker(g, d)
     key = _pack(map(start._colors.__getitem__, g.edge_ids()), d.bit_length())
     for k, switch in enumerate(switches):
-        moves = {cycle(pair, covered): mask for pair, covered, mask in neighbors(key)}
+        moves = {cycle(pair, covered): mask for pair, covered, mask in neighbors(key, masks_of(key))}
         assert switch in moves, f"witness switch {k} is not one switch of the oracle's Kempe graph"
         key ^= moves[switch]
     return key
@@ -610,7 +624,9 @@ def test_the_oracle_confirms_each_witness_on_its_cover(two_class_censuses, data)
 #
 # The digest pins the classes, representatives, paths and query answers of
 # the search that decodes and walks every coloring; a walker that reuses
-# the components of a two-color factor met before must leave it equal.
+# the components of a two-color factor met before, and searches that carry
+# each coloring's color masks from the one it was reached from, must leave
+# it equal.
 
 
 CENSUS_DIGEST_BASES = [(1, 3, 16), (1, 4, 8), (3, 4, 8), (1, 5, 4)]
@@ -657,6 +673,24 @@ def test_a_reused_switch_walker_yields_what_a_fresh_one_yields(seed, d, n):
     # and must answer them from what it walked before exactly as a fresh walk does
     g = random_colored_instance(seed, d, n)[0]
     _, keys = _coloring_keys(g, DEFAULT_MAX_EDGES)
-    neighbors, _ = _switch_walker(g, d)
+    masks_of, neighbors, _ = _switch_walker(g, d)
     for key in keys + keys[::-1]:
-        assert list(neighbors(key)) == list(_switch_walker(g, d)[0](key))
+        fresh_masks_of, fresh_neighbors, _ = _switch_walker(g, d)
+        assert list(neighbors(key, masks_of(key))) == list(fresh_neighbors(key, fresh_masks_of(key)))
+
+
+@pytest.mark.parametrize("seed, d, n", CENSUS_DIGEST_BASES)
+def test_masks_carried_through_a_switch_equal_masks_read_from_its_key(seed, d, n):
+    # the searches read masks from a key only where they start; every other
+    # coloring's come from the coloring it was reached from, through its move
+    g = random_colored_instance(seed, d, n)[0]
+    _, keys = _coloring_keys(g, DEFAULT_MAX_EDGES)
+    masks_of, neighbors, _ = _switch_walker(g, d)
+    moves = 0
+    for key in keys:
+        masks = masks_of(key)
+        for pair, covered, mask in neighbors(key, masks):
+            assert _switched(masks, pair, covered) == masks_of(key ^ mask)
+            moves += 1
+        assert masks == masks_of(key)
+    assert moves >= len(keys)

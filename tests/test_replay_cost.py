@@ -16,8 +16,9 @@ builds of d=3 and d=4 adopt, and the cycle decompositions of their lifts.
 The oracle tests count the `EdgeColoring`s, `BichromaticCycle`s,
 `bichromatic_cycles` calls and cycle decompositions of a census and its
 queries, which must not grow with the switches the breadth-first search
-tries: one cycle per coloring it reaches, or per step of the path it
-returns. The replay test counts every Python call the package makes while
+tries: one cycle per distinct switch a census keeps, or per step of the
+path a query returns. They also count the keys the searches read color
+masks from: one per class, or per query. The replay test counts every Python call the package makes while
 it verifies a 7,560-switch witness, so that the replay and the cover check
 stay loops over tables, with no call per switch or per cover vertex;
 verifying it counts the degrees of the base only. The parse test counts the
@@ -417,15 +418,54 @@ def test_equivalent_without_cover_builds_no_coloring(monkeypatch, census):
     assert built == [] and cycles == []
 
 
-def test_kempe_class_partition_builds_one_cycle_per_reached_coloring(monkeypatch):
+def test_kempe_class_partition_builds_each_switch_once(monkeypatch):
     g = random_colored_instance(1, 4, 8)[0]
     decompositions = counter(monkeypatch, bindings("_cycle_decomposition"), "_cycle_decomposition")
     cycles = counter(monkeypatch, (BichromaticCycle,), "__init__")
     census = kempe_class_partition(g)
     assert (len(census.colorings), len(census.classes)) == (192, 2)
     assert decompositions == []
-    # each coloring but a class root is reached once, by one switch
-    assert len(cycles) == len(census.colorings) - len(census.classes) == 190
+    # 190 colorings are reached by a switch, but paths share the switch objects:
+    # one build per distinct (pair, component), and equal switches are one object
+    steps = [switch for path in census.paths.values() for switch in path]
+    assert len(cycles) == len(set(steps)) == len({id(switch) for switch in steps}) == 97
+
+
+def mask_reads(monkeypatch):
+    """The keys each search's walker reads color masks from, recorded call by call."""
+    reads = []
+    walker = oracle._switch_walker
+
+    def counted_walker(g, d):
+        masks_of, neighbors, cycle = walker(g, d)
+
+        def counted(key):
+            reads.append(key)
+            return masks_of(key)
+
+        return counted, neighbors, cycle
+
+    monkeypatch.setattr(oracle, "_switch_walker", counted_walker)
+    return reads
+
+
+def test_kempe_class_partition_reads_masks_once_per_class(monkeypatch):
+    g = random_colored_instance(1, 4, 8)[0]
+    reads = mask_reads(monkeypatch)
+    census = kempe_class_partition(g)
+    # every other coloring derives its masks from the one it was reached from
+    keys = oracle._coloring_keys(g, oracle.DEFAULT_MAX_EDGES)[1]
+    assert reads == [keys[rep] for rep in census.representatives] and len(reads) == 2
+
+
+def test_equivalent_without_cover_reads_masks_once_per_query(monkeypatch, census):
+    g, start = census.graph, census.colorings[0]
+    deepest = max(census.classes[0], key=lambda i: len(census.paths[i]))
+    reads = mask_reads(monkeypatch)
+    assert len(equivalent_without_cover(g, start, census.colorings[deepest])) >= 2
+    assert len(reads) == 1
+    assert equivalent_without_cover(g, start, census.colorings[census.representatives[1]]) is None
+    assert len(reads) == 2
 
 
 def test_equivalent_without_cover_builds_only_the_returned_path(monkeypatch):

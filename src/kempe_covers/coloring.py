@@ -85,7 +85,7 @@ class EdgeColoring:
         return f"EdgeColoring(degree={self._degree}, edges={len(self._colors)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BichromaticCycle:
     """A component of the two-color subgraph: its color pair and its edge set.
 
@@ -242,12 +242,14 @@ def _replay(
     the current one, until it is back at the first edge; a vertex with no
     such edge rejects the switch. Every edge it meets must be in the switch,
     and it must meet as many edges as the switch lists: then the switch is
-    the component. A rejection names the smallest listed edge that is
+    the component. The walk also flips it: at each vertex, the pair's two
+    row entries trade places and the edge it leaves by takes the other
+    color. So a rejected switch leaves ``colors``, which the caller owns,
+    part-flipped; its rejection names the smallest listed edge that is
     unknown (outside ``0..E-1``, checked before any list is indexed with it)
-    or off the pair, if there is one. A flip of a whole alternating
-    component keeps a legal coloring legal, so no step re-checks the graph;
-    it rewrites the pair's rows at both ends of each flipped edge. No other
-    code flips an edge's color in place.
+    or off the pair, if there is one, and the walk flips no such edge. A
+    flip of a whole alternating component keeps a legal coloring legal, so
+    no step re-checks the graph. No other code flips an edge's color in place.
     """
     tails, heads, size = g._tails, g._heads, len(g._tails)
     if len(colors) < size:
@@ -276,19 +278,21 @@ def _replay(
         first = min(edges)
         if not 0 <= first < size or (colors[first] != lo and colors[first] != hi):
             raise _misfit(colors, edges, pair, index)
-        # the walk arrives by an edge of one color and leaves by the other
+        # the walk arrives by an edge of one color (there[v]) and leaves by the other (here[v])
         here, there = (rows[hi], rows[lo]) if colors[first] == lo else (rows[lo], rows[hi])
-        v, met = heads[first], 1
+        v, met, both = heads[first], 1, lo + hi
         while True:
             nxt = here[v]
             if nxt is None:
                 raise _stale(f"cycle is not a full two-color component at vertex {v}", index)
-            if nxt == first:
-                break
             if nxt not in edges:
                 raise _misfit(colors, edges, pair, index) or _stale(
                     f"cycle is not a full two-color component: it misses edge {nxt}", index
                 )
+            here[v], there[v] = there[v], nxt
+            colors[nxt] = both - colors[nxt]
+            if nxt == first:
+                break
             v ^= tails[nxt] ^ heads[nxt]
             here, there = there, here
             met += 1
@@ -296,12 +300,6 @@ def _replay(
             raise _misfit(colors, edges, pair, index) or _stale(
                 f"edge set is not a single cycle: edges lie off the cycle of edge {first}", index
             )
-        both = lo + hi
-        for e in cycle.edge_ids:
-            col = both - colors[e]
-            colors[e] = col
-            row = rows[col]
-            row[tails[e]] = row[heads[e]] = e
 
 
 def kempe_switch(g: Multigraph, c: EdgeColoring, cycle: BichromaticCycle) -> EdgeColoring:

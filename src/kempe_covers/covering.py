@@ -82,7 +82,7 @@ class CoveringMap:
         if m < 1 or m * n != size:
             raise CoveringError(f"cover has {size} vertices, not m >= 1 times the target's {n}")
         for kind, given, count in (("vertex", vertex_map, size), ("edge", edge_map, source.edge_count)):
-            want = list(map(floordiv, range(count), repeat(m)))
+            want = _repeat_each(list(range(-(-count // m))), m)[:count]  # x // m for x in 0..count-1
             if isinstance(given, Mapping) or list(given) != want:
                 given = dict(given) if isinstance(given, Mapping) else dict(enumerate(given))
                 want = dict(enumerate(want))

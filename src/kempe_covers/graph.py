@@ -21,6 +21,7 @@ nothing new.
 
 from __future__ import annotations
 
+from operator import countOf
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -40,9 +41,12 @@ def _in_id_order(table, error: type) -> list:
     ``error`` names the first id missing from the keys of any other mapping."""
     if type(table) is list or not isinstance(table, Mapping):
         return list(table)
-    ids = [e for e in table if type(e) is int]  # bools are not ints here, though True == 1
-    if ids == list(range(len(table))):
+    keys = list(table)
+    # E distinct ints, counted by type as True == 1, that ascend from 0 to E-1 are exactly 0..E-1
+    ints = countOf(map(type, keys), int) == len(keys)
+    if ints and keys[:1] == [0] and keys[-1] == len(keys) - 1 and keys == sorted(keys):
         return list(table.values())
+    ids = [e for e in keys if type(e) is int]
     missing = set(range(len(table))).difference(ids)
     if missing:
         raise error(f"edge ids must be 0..{len(table) - 1}: {min(missing)} is missing")

@@ -139,22 +139,36 @@ def _require_unique(rows: list[list[int]], table: dict, block: str) -> None:
             seen.add(row[0])
 
 
-def _in_order(rows: list, width: int) -> list[list[int]] | None:
-    """The columns after the id of rows of ``width`` entries that list ids 0..E-1 in order, else None."""
-    for e, row in enumerate(rows):
-        if len(row) != width or row[0] != e:
-            return None
-    return [list(map(itemgetter(k), rows)) for k in range(1, width)]
+def _images_in_order(rows: list) -> list[int] | None:
+    """The images of edge map rows that list ids 0..E-1 in order, else None (also for a row of another width)."""
+    images = []
+    try:
+        for e, (f, image) in enumerate(rows):
+            if f != e:
+                return None
+            images.append(image)
+    except ValueError:
+        return None
+    return images
 
 
 def _graph_from_json(doc, block: str) -> Multigraph:
     try:
         rows = _strict_int_lists(doc["edges"], "graph edge entry")
-        ends = _in_order(rows, 3)
-        if ends:  # integers already: only their range and the loops are left to check
-            vertices = _strict_int(doc["vertices"], "vertex count")
-            _check_ends(vertices, *ends)
-            return Multigraph._adopt(vertices, *ends)
+        vertices = doc.get("vertices")
+        if type(vertices) is int:  # rows in id order: one loop splits them and notes a fault for _check_ends to name
+            tails, heads, faulty = [], [], vertices < 0
+            for e, (f, u, w) in enumerate(rows):
+                if f != e:
+                    break
+                tails.append(u)
+                heads.append(w)
+                if not (0 <= u < vertices and 0 <= w < vertices) or u == w:
+                    faulty = True
+            else:
+                if faulty:
+                    _check_ends(vertices, tails, heads)
+                return Multigraph._adopt(vertices, tails, heads)
         # rows in any other order or shape are keyed by id, and the graph names the first id missing
         pairs = {e: (u, v) for e, u, v in rows}
         graph = Multigraph(_strict_int(doc["vertices"], "vertex count"), pairs)
@@ -232,8 +246,7 @@ def witness_from_json(doc) -> tuple[EquivalenceWitness, dict | None]:
     try:
         [vertex_map] = _strict_int_lists([doc["vertex_map"]], "vertex map entry")
         map_rows = _strict_int_lists(doc["edge_map"], "edge map entry")
-        in_order = _in_order(map_rows, 2)
-        edge_map = in_order[0] if in_order else dict(map_rows)
+        edge_map = _images_in_order(map_rows) or dict(map_rows)
         entries = list(doc.get("sequence", []))
         # iter() tries each row as it is looked up, so the first bad entry raises, whatever its fault
         pairs = _strict_int_lists(list(filter(iter, map(itemgetter("colors"), entries))), "switch color")

@@ -150,9 +150,9 @@ VERIFY_PATH = {
     "covering.__bool__", "covering.__init__", "covering._repeat_each", "covering._verify_incidence",
     "covering.pullback_coloring",
     "equivalence._betas", "equivalence.verify_witness",
-    "graph.__eq__", "graph.__init__", "graph._adopt", "graph._check_ends", "graph._degrees", "graph._in_id_order",
+    "graph.__eq__", "graph.__init__", "graph._adopt", "graph._degrees", "graph._in_id_order",
     "graph.edge_count", "graph.from_edges", "graph.is_regular", "graph.vertex_count",
-    "serialize._coloring_from_json", "serialize._graph_from_json", "serialize._in_order",
+    "serialize._coloring_from_json", "serialize._graph_from_json", "serialize._images_in_order",
     "serialize._require_unique",
     "serialize._strict_int", "serialize._strict_int_lists", "serialize.instance_from_json",
     "serialize.load_json", "serialize.witness_from_json",

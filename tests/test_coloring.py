@@ -60,9 +60,10 @@ def test_coloring_rejects_out_of_range():
 @pytest.mark.parametrize("degree, colors, message", [
     (2, {0: 1.5}, "edge 0: color 1.5 is not an integer"),
     (2, {0: 1, 1: True}, "edge 1: color True is not an integer"),
+    (2, {0: 1, True: 2}, "edge ids must be 0..1: 1 is missing"),  # True == 1, but a bool is no id
     (2, {0: "1"}, "edge 0: color '1' is not an integer"),
     (2.0, {0: 1}, "ambient degree must be an integer, got 2.0"),
-], ids=["fraction", "bool", "string", "float degree"])
+], ids=["fraction", "bool", "bool id", "string", "float degree"])
 def test_coloring_refuses_what_is_not_an_integer(degree, colors, message):
     with pytest.raises(ColoringError, match=f"^{re.escape(message)}$"):
         EdgeColoring(degree, colors)
@@ -463,6 +464,8 @@ K33_12 = ((0, 0), (3, 1), (5, 0), (8, 1), (7, 0), (1, 1))  # the (1, 2)-cycle of
     (make_k33(), K33_C1[:8], (1, 2), K33_12, "edge 8 is not colored"),
     (make_k33(), K33_C1, (1, 2), K33_12[1:], "misses edge 0"),
     (SQUARES, (1, 2) * 4, (1, 2), ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0)), "edges lie off the cycle of edge 0"),
+    (make_k33(), K33_C1, (K33_C1[0],) * 2, ((0, 0),), rf"color pair \({K33_C1[0]}, {K33_C1[0]}\) invalid for degree 3"),
+    (make_k33(), K33_C1, (1, 2), ((9, 0),), "edge 9 not in graph"),  # the switch's smallest edge is E
 ])
 def test_switch_checks_no_other_test_reaches(g, colors, pair, darts, message):
     c = EdgeColoring(3, dict(enumerate(colors)))
@@ -637,6 +640,160 @@ def test_replay_matches_reference_switch_by_switch(instance, data):
         assert not isinstance(got, dict) and got[1] == want[1]
         for name, at, index in (got, want):
             assert (name, index) == ("StaleSwitchError", at)
+
+
+# ``_replay`` as it stood when a walk checked each switch and a second loop
+# then flipped its edges. The package's walk flips each switch as it checks
+# it, so a rejected switch leaves its list part-flipped; it must still end in
+# the same colors, or raise the same error at the same sequence position.
+
+
+def walk_then_flip_stale(msg, index):
+    at = "" if index is None else f" (sequence position {index})"
+    return StaleSwitchError(f"stale switch{at}: {msg}", index=index)
+
+
+def walk_then_flip_misfit(colors, edges, pair, index):
+    for e in sorted(edges):
+        if not 0 <= e < len(colors):
+            return walk_then_flip_stale(f"edge {e} not in graph", index)
+        if colors[e] not in pair:
+            return walk_then_flip_stale(f"edge {e} has color {colors[e]}, not in {pair}", index)
+    return None
+
+
+def walk_then_flip_replay(g, degree, colors, steps):
+    tails, heads, size = g._tails, g._heads, len(g._tails)
+    if len(colors) < size:
+        raise ColoringError(f"edge {len(colors)} is not colored")
+    if len(colors) > size:
+        raise ColoringError(f"edge {size} is not in the graph")
+    rows = [[None] * g._n for _ in range(degree + 1)]
+    for e, u, w, col in zip(range(size), tails, heads, colors):
+        row = rows[col]
+        if row[u] is not None or row[w] is not None:
+            at = u if row[u] is not None else w
+            raise IllegalColoringError(
+                f"colors do not make a legal coloring: edges {row[at]} and {e} "
+                f"both have color {col} at vertex {at}"
+            )
+        row[u] = row[w] = e
+    for index, cycle in steps:
+        lo, hi = pair = cycle.colors
+        if not (1 <= lo < hi <= degree):
+            raise walk_then_flip_stale(f"color pair {pair} invalid for degree {degree}", index)
+        if not cycle.edge_ids:
+            raise walk_then_flip_stale("empty cycle", index)
+        edges = set(cycle.edge_ids)
+        if len(edges) != len(cycle.edge_ids):
+            raise walk_then_flip_stale("repeated edge in switch", index)
+        first = min(edges)
+        if not 0 <= first < size or (colors[first] != lo and colors[first] != hi):
+            raise walk_then_flip_misfit(colors, edges, pair, index)
+        here, there = (rows[hi], rows[lo]) if colors[first] == lo else (rows[lo], rows[hi])
+        v, met = heads[first], 1
+        while True:
+            nxt = here[v]
+            if nxt is None:
+                raise walk_then_flip_stale(f"cycle is not a full two-color component at vertex {v}", index)
+            if nxt == first:
+                break
+            if nxt not in edges:
+                raise walk_then_flip_misfit(colors, edges, pair, index) or walk_then_flip_stale(
+                    f"cycle is not a full two-color component: it misses edge {nxt}", index
+                )
+            v ^= tails[nxt] ^ heads[nxt]
+            here, there = there, here
+            met += 1
+        if met != len(edges):
+            raise walk_then_flip_misfit(colors, edges, pair, index) or walk_then_flip_stale(
+                f"edge set is not a single cycle: edges lie off the cycle of edge {first}", index
+            )
+        both = lo + hi
+        for e in cycle.edge_ids:
+            col = both - colors[e]
+            colors[e] = col
+            row = rows[col]
+            row[tails[e]] = row[heads[e]] = e
+
+
+SWITCH_KINDS = ("whole", "whole", "part", "off-pair", "other pair", "repeated", "unknown", "empty", "two components")
+
+
+def drawn_switch(draw, g, colors, d):
+    """A switch on ``colors``: one whole {i, j} component, or a kind of stale one."""
+    i, j = sorted(color_pair(draw, d))
+    components = bichromatic_cycles(g, EdgeColoring._adopt(d, colors), i, j)
+    edges = list(draw(st.sampled_from(components)).edge_ids)
+    pair = (i, j)
+    kind = draw(st.sampled_from(SWITCH_KINDS))
+    if kind == "part":
+        edges = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=len(edges) - 1, unique=True))
+    elif kind == "off-pair":
+        off = [e for e, col in enumerate(colors) if col not in pair]
+        edges.append(draw(st.sampled_from(off)))
+    elif kind == "other pair":
+        pair = tuple(sorted(color_pair(draw, d)))
+    elif kind == "repeated":
+        edges.append(draw(st.sampled_from(edges)))
+    elif kind == "unknown":
+        edges.append(draw(st.sampled_from([-1, g.edge_count, g.edge_count + 3])))
+    elif kind == "empty":
+        edges = []
+    elif kind == "two components" and len(components) > 1:
+        edges += draw(st.sampled_from([c for c in components if c.edge_ids[0] != edges[0]])).edge_ids
+    return BichromaticCycle(pair, tuple(sorted(edges)))
+
+
+def replayed(replay, g, degree, colors, switches):
+    """The end colors, or the error's class, message and index with the position last drawn."""
+    colors, drawn = list(colors), []
+
+    def steps():
+        for index, cycle in enumerate(switches):
+            drawn.append(index)
+            yield index, cycle
+
+    try:
+        replay(g, degree, colors, steps())
+    except (StaleSwitchError, ColoringError) as exc:
+        return type(exc), str(exc), getattr(exc, "index", None), drawn[-1:]
+    return colors
+
+
+@settings(max_examples=300, deadline=None)
+@given(INSTANCES, st.data())
+def test_replay_flips_in_its_walk_as_the_walk_then_flip_reference_does(instance, data):
+    g, c1, c2 = random_colored_instance(*instance)
+    start = data.draw(st.sampled_from([c1, c2]))
+    colors, switches = list(start._colors), []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+        switches.append(drawn_switch(data.draw, g, colors, start.degree))
+        reached = list(colors)
+        try:  # the next switch is drawn on the colors this one reaches, or on these if it is stale
+            walk_then_flip_replay(g, start.degree, reached, [(None, switches[-1])])
+            colors = reached
+        except StaleSwitchError:
+            pass
+    got = replayed(_replay, g, start.degree, start._colors, switches)
+    assert got == replayed(walk_then_flip_replay, g, start.degree, start._colors, switches)
+
+
+def test_a_stale_switch_leaves_the_callers_coloring_as_it_was(k33, k33_pair):
+    c = k33_pair[0]
+    whole = bichromatic_cycles(k33, c, 1, 2)[0]
+    # the walk from edge 0 flips the edges it passes before it meets the one the switch leaves out
+    part = BichromaticCycle(whole.colors, whole.edge_ids[:-1])
+    colors = list(c._colors)
+    with pytest.raises(StaleSwitchError, match="misses edge"):
+        _replay(k33, 3, colors, [(None, part)])
+    assert colors != list(c._colors)  # the replay's own list is left part-flipped
+    before = list(c._colors)
+    with pytest.raises(StaleSwitchError, match="sequence position 1"):
+        apply_sequence(k33, c, [whole, part])
+    with pytest.raises(StaleSwitchError, match="misses edge"):
+        kempe_switch(k33, c, part)
+    assert c._colors == before
 
 
 def is_two_regular(g, edges):

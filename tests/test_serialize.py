@@ -221,6 +221,7 @@ def test_parser_leaves_an_unsorted_document_alone(documents, name):
     canonical = documents[name]
     doc = copy.deepcopy(canonical)
     doc["cover"]["edges"].reverse()
+    doc["edge_map"].reverse()  # an even count of rows: none keeps its place
     for entry in doc["sequence"]:
         entry["edges"].reverse()
         entry["colors"].reverse()
@@ -255,6 +256,54 @@ def two_faults(doc, name):
 ])
 def test_parser_names_the_first_of_two_faults_as_the_reference_does(documents, name, message):
     doc = two_faults(copy.deepcopy(documents["d4"]), name)
+    assert outcome(witness_from_json, doc) == outcome(reference_witness_from_json, doc) == (FormatError, message)
+
+
+def block_fault(doc, name):
+    """``doc`` with a fault in one block, or two faults where the name gives their order."""
+    rows, vertices = doc["cover"]["edges"], doc["cover"]["vertices"]
+    if name == "range before an id out of order":
+        rows[2][1] = vertices
+        rows[5][0], rows[6][0] = rows[6][0], rows[5][0]
+    elif name == "tail at the vertex count":
+        rows[2][1] = vertices
+    elif name == "head at the vertex count":
+        rows[2][2] = vertices
+    elif name == "loop":
+        rows[3][2] = rows[3][1]
+    elif name == "range before a loop":
+        rows[2][1] = -1
+        rows[7][2] = rows[7][1]
+    elif name == "two-wide row":
+        rows[4].pop()
+    elif name == "two-wide row after an id out of order":
+        rows[1][0], rows[2][0] = rows[2][0], rows[1][0]
+        rows[6].pop()
+    elif name == "bool endpoint":
+        rows[3][1] = True
+    elif name == "negative vertex count":
+        doc["base"]["vertices"] = -1
+    else:  # a three-wide edge map row
+        doc["edge_map"][3].append(0)
+    return doc
+
+
+# The message of each fault of the d4 document as the parser gave it before
+# rows in id order got their one-loop check.
+@pytest.mark.parametrize("name, message", [
+    ("range before an id out of order", "malformed graph block: edge 2: vertex 96 not in graph"),
+    ("tail at the vertex count", "malformed graph block: edge 2: vertex 96 not in graph"),
+    ("head at the vertex count", "malformed graph block: edge 2: vertex 96 not in graph"),
+    ("loop", "malformed graph block: edge 3 would be a loop at vertex 39"),
+    ("range before a loop", "malformed graph block: edge 2: vertex -1 not in graph"),
+    ("two-wide row", "malformed graph block: not enough values to unpack (expected 3, got 2)"),
+    ("two-wide row after an id out of order", "malformed graph block: not enough values to unpack (expected 3, got 2)"),
+    ("bool endpoint", "malformed graph block: graph edge entry must be an integer, got true"),
+    ("negative vertex count", "malformed graph block: negative vertex count -1"),
+    ("three-wide edge map row", "malformed witness: dictionary update sequence element #3 has length 3; 2 is required"),
+])
+def test_parser_names_each_fault_of_a_block_as_before(documents, name, message):
+    doc = block_fault(copy.deepcopy(documents["d4"]), name)
     assert outcome(witness_from_json, doc) == outcome(reference_witness_from_json, doc) == (FormatError, message)
 
 

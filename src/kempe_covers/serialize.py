@@ -9,10 +9,12 @@ and f // degree. The parser builds the map through the public
 ``CoveringMap`` constructor, so a document numbered any other way, such as
 a witness written before covers were numbered so, is refused with
 CoveringError (exit 2 from the CLI). The verifier checks the rest of the
-cover, and round-trips are exact. The witness parser reads each block
-once: one bulk pass type-checks its rows, which are copied only when one
-holds a non-integer. Rows that list ids 0..E-1 in order are split into
-columns; a block whose ids skip one is refused, naming the first gap.
+cover, and round-trips are exact. The witness parser reads each row of a
+graph, coloring or edge map block once, in one loop that checks each
+entry's type and the row's id while it splits the columns. Only a block
+that is not rows of ints with ids 0..E-1 in order falls back to a bulk
+type check and is keyed by id; a block whose ids skip one is refused,
+naming the first gap. Every document is written in one canonical form.
 """
 
 from __future__ import annotations
@@ -71,7 +73,9 @@ def _strict_int(value, what: str) -> int:
 
 def _strict_int_lists(rows: list, what: str) -> list:
     """Rows of JSON integers, as :func:`_strict_int` takes them: type-checked
-    in one bulk pass, and returned as they are unless a value is not an int."""
+    in one bulk pass, and returned as they are unless a value is not an int.
+    The vertex map and the sequence always take it; the graph, coloring and
+    edge map blocks only when their in-order loop gives up."""
     if set(map(type, chain.from_iterable(rows))) <= {int}:
         return rows
     return [[_strict_int(v, what) for v in values] for values in rows]
@@ -139,37 +143,50 @@ def _require_unique(rows: list[list[int]], table: dict, block: str) -> None:
             seen.add(row[0])
 
 
-def _images_in_order(rows: list) -> list[int] | None:
-    """The images of edge map rows that list ids 0..E-1 in order, else None (also for a row of another width)."""
+def _images_in_order(rows) -> list[int] | None:
+    """The second entries of edge map or coloring rows that list ids 0..E-1 in order as int pairs,
+    each entry type-checked in this one loop. None at the first row that is no such pair or is out
+    of order: the block then falls back to :func:`_strict_int_lists` and is keyed by id."""
     images = []
     try:
         for e, (f, image) in enumerate(rows):
-            if f != e:
+            if type(f) is not int or type(image) is not int or f != e:
                 return None
             images.append(image)
-    except ValueError:
+    except (TypeError, ValueError):  # a row of another width, or rows that are no sequence
         return None
     return images
 
 
+def _graph_in_order(vertices: int, rows) -> Multigraph | None:
+    """The graph of rows that list ids 0..E-1 in order as int triples, read in one loop that
+    splits the columns and notes a row out of range or a loop for :func:`_check_ends` to name.
+    None at the first row that is no such triple or is out of order, as for :func:`_images_in_order`."""
+    tails, heads, faulty = [], [], vertices < 0
+    try:
+        for e, (f, u, w) in enumerate(rows):
+            if type(f) is not int or type(u) is not int or type(w) is not int or f != e:
+                return None
+            tails.append(u)
+            heads.append(w)
+            if not (0 <= u < vertices and 0 <= w < vertices) or u == w:
+                faulty = True
+    except (TypeError, ValueError):  # a row of another width, or rows that are no sequence
+        return None
+    if faulty:
+        _check_ends(vertices, tails, heads)
+    return Multigraph._adopt(vertices, tails, heads)
+
+
 def _graph_from_json(doc, block: str) -> Multigraph:
     try:
-        rows = _strict_int_lists(doc["edges"], "graph edge entry")
+        rows = doc["edges"]
         vertices = doc.get("vertices")
-        if type(vertices) is int:  # rows in id order: one loop splits them and notes a fault for _check_ends to name
-            tails, heads, faulty = [], [], vertices < 0
-            for e, (f, u, w) in enumerate(rows):
-                if f != e:
-                    break
-                tails.append(u)
-                heads.append(w)
-                if not (0 <= u < vertices and 0 <= w < vertices) or u == w:
-                    faulty = True
-            else:
-                if faulty:
-                    _check_ends(vertices, tails, heads)
-                return Multigraph._adopt(vertices, tails, heads)
-        # rows in any other order or shape are keyed by id, and the graph names the first id missing
+        graph = _graph_in_order(vertices, rows) if type(vertices) is int else None
+        if graph is not None:
+            return graph
+        # any other block is type-checked in bulk and keyed by id, and the graph names the first id missing
+        rows = _strict_int_lists(rows, "graph edge entry")
         pairs = {e: (u, v) for e, u, v in rows}
         graph = Multigraph(_strict_int(doc["vertices"], "vertex count"), pairs)
     except (KeyError, TypeError, ValueError, KempeCoversError) as exc:
@@ -184,7 +201,13 @@ def _coloring_to_json(c: EdgeColoring) -> dict:
 
 def _coloring_from_json(doc, block: str) -> EdgeColoring:
     try:
-        rows = _strict_int_lists(doc["colors"], "coloring entry")
+        rows = doc["colors"]
+        degree = doc.get("degree")
+        colors = _images_in_order(rows) if type(degree) is int and degree >= 1 else None
+        if colors is not None and (not colors or 1 <= min(colors) and max(colors) <= degree):
+            return EdgeColoring._adopt(degree, colors)
+        # any other block is type-checked in bulk and keyed by id, and the constructor names its first fault
+        rows = _strict_int_lists(rows, "coloring entry")
         colors = dict(rows)
         # an id missing from the rows makes a malformed block (ValueError), not a faulty coloring
         coloring = EdgeColoring(_strict_int(doc["degree"], "degree"), _in_id_order(colors, ValueError))
@@ -245,8 +268,11 @@ def witness_from_json(doc) -> tuple[EquivalenceWitness, dict | None]:
     goal = _coloring_from_json(doc.get("goal", {}), "goal")
     try:
         [vertex_map] = _strict_int_lists([doc["vertex_map"]], "vertex map entry")
-        map_rows = _strict_int_lists(doc["edge_map"], "edge map entry")
-        edge_map = _images_in_order(map_rows) or dict(map_rows)
+        map_rows = doc["edge_map"]
+        edge_map = _images_in_order(map_rows)
+        if edge_map is None:
+            map_rows = _strict_int_lists(map_rows, "edge map entry")
+            edge_map = dict(map_rows)
         entries = list(doc.get("sequence", []))
         # iter() tries each row as it is looked up, so the first bad entry raises, whatever its fault
         pairs = _strict_int_lists(list(filter(iter, map(itemgetter("colors"), entries))), "switch color")
@@ -285,7 +311,45 @@ def load_json(path) -> dict:
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: list entries per encoder call. A document encoded whole holds about twice its text in memory at once;
+#: slices of 4,096 entries still raised the writer's peak RSS by 1 MiB at d=5 n=6, slices of 256 by 0.1 MiB
+_PIECE = 256
+
+
+def _canonical_pieces(value):
+    """``json.dumps(value, sort_keys=True, separators=(",", ":"))`` in pieces, each from the C encoder:
+    objects entry by entry, a list of objects (a switch sequence) object by object, and any other long list
+    a slice at a time. Every key is a string, as in each document the package writes."""
+    if isinstance(value, dict) and value:
+        opening = "{"
+        for key in sorted(value):
+            yield opening + _encode(key) + ":"
+            yield from _canonical_pieces(value[key])
+            opening = ","
+        yield "}"
+    elif isinstance(value, list) and value and isinstance(value[0], dict):
+        opening = "["
+        for entry in value:
+            yield opening
+            yield from _canonical_pieces(entry)
+            opening = ","
+        yield "]"
+    elif isinstance(value, list) and len(value) > _PIECE:
+        for i in range(0, len(value), _PIECE):
+            yield ("[" if i == 0 else ",") + _encode(value[i:i + _PIECE])[1:-1]
+        yield "]"
+    else:
+        yield _encode(value)
+
+
+def canonical_json(doc) -> str:
+    """The one written form of a document: sorted keys, no spaces, a trailing newline."""
+    return "".join(_canonical_pieces(doc)) + "\n"
+
+
 def dump_json(doc: dict, path) -> None:
+    """Write ``doc`` as :func:`canonical_json`, piece by piece."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.writelines(_canonical_pieces(doc))
         fh.write("\n")

@@ -25,6 +25,7 @@ from kempe_covers import (
 )
 from kempe_covers.cli import _build_parser, main
 from kempe_covers.serialize import (
+    canonical_json,
     dump_json,
     instance_from_json,
     instance_to_json,
@@ -152,7 +153,8 @@ VERIFY_PATH = {
     "equivalence._betas", "equivalence.verify_witness",
     "graph.__eq__", "graph.__init__", "graph._adopt", "graph._degrees", "graph._in_id_order",
     "graph.edge_count", "graph.from_edges", "graph.is_regular", "graph.vertex_count",
-    "serialize._coloring_from_json", "serialize._graph_from_json", "serialize._images_in_order",
+    "serialize._coloring_from_json", "serialize._graph_from_json", "serialize._graph_in_order",
+    "serialize._images_in_order",
     "serialize._require_unique",
     "serialize._strict_int", "serialize._strict_int_lists", "serialize.instance_from_json",
     "serialize.load_json", "serialize.witness_from_json",
@@ -632,6 +634,21 @@ def test_gen_roundtrip(tmp_path, capsys):
     assert set(colorings) == {"c1", "c2"}
     # witness the generated pair end to end
     assert main(["witness", "--input", str(out), "--from", "c1", "--to", "c2"]) == 0
+
+
+@pytest.mark.parametrize("instance, golden", [(K33, GOLDEN_K33), (THETA, GOLDEN_THETA)], ids=["k33", "theta"])
+def test_witness_out_writes_the_golden_bytes(tmp_path, capsys, instance, golden):
+    out = tmp_path / "w.json"
+    assert main(["witness", "--input", instance, "--from", "c1", "--to", "c2", "--out", str(out)]) == 0
+    assert out.read_bytes() == Path(golden).read_bytes()
+
+
+def test_gen_out_writes_the_canonical_form(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--seed", "42", "--degree", "3", "--vertices", "8", "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == canonical_json(load_json(out))
+    assert text.endswith("}\n") and text.count("\n") == 1
 
 
 def test_instance_roundtrip_exact():

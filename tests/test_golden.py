@@ -1,13 +1,13 @@
 """Witnesses must stay byte-identical: same edge ids, cycle order and walks.
 
 The files under ``tests/golden/`` are canonical witness dumps (one line,
-sorted keys, no spaces, trailing newline). A refactor of the construction,
+sorted keys, no spaces, trailing newline), the form ``serialize.dump_json``
+writes. A refactor of the construction,
 lifting or replay must reproduce them exactly. Regenerate a file only for a
 deliberate, recorded change of the emitted witnesses.
 """
 
 import hashlib
-import json
 from pathlib import Path
 
 import pytest
@@ -18,13 +18,20 @@ from kempe_covers import (
     random_colored_instance,
     verify_witness,
 )
-from kempe_covers.serialize import instance_from_json, load_json, witness_from_json, witness_to_json
+from kempe_covers.serialize import (
+    canonical_json,
+    instance_from_json,
+    load_json,
+    witness_from_json,
+    witness_to_json,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def canonical(witness, names=None) -> str:
-    return json.dumps(witness_to_json(witness, names), sort_keys=True, separators=(",", ":")) + "\n"
+    """The witness document in the form the CLI writes it."""
+    return canonical_json(witness_to_json(witness, names))
 
 
 def bundled(name):

@@ -26,6 +26,7 @@ from kempe_covers import (
     Multigraph,
     kempe_cover_witness,
     random_colored_instance,
+    serialize,
     spanning_subgraph,
 )
 from kempe_covers.errors import (
@@ -39,6 +40,8 @@ from kempe_covers.errors import (
 )
 from kempe_covers.serialize import (
     WITNESS_FORMAT,
+    canonical_json,
+    dump_json,
     instance_from_json,
     instance_to_json,
     witness_from_json,
@@ -305,6 +308,119 @@ def block_fault(doc, name):
 def test_parser_names_each_fault_of_a_block_as_before(documents, name, message):
     doc = block_fault(copy.deepcopy(documents["d4"]), name)
     assert outcome(witness_from_json, doc) == outcome(reference_witness_from_json, doc) == (FormatError, message)
+
+
+#: each kind of block that an in-order loop reads: where it sits, how the bulk pass names an entry in it,
+#: and its row width (the id column, then the values)
+IN_ORDER_BLOCKS = [
+    (("base", "edges"), "malformed graph block: graph edge entry", 3),
+    (("cover", "edges"), "malformed graph block: graph edge entry", 3),
+    (("start", "colors"), "coloring entry", 2),
+    (("goal", "colors"), "coloring entry", 2),
+    (("edge_map",), "edge map entry", 2),
+]
+
+
+def entry_cases():
+    for path, what, width in IN_ORDER_BLOCKS:
+        for row in ("first", "middle", "last"):
+            for column in range(width):
+                yield pytest.param(path, what, row, column, id=f"{'.'.join(path)}-{row}-{column}")
+
+
+@pytest.mark.parametrize("path, what, row, column", entry_cases())
+def test_a_float_or_a_bool_in_an_in_order_row_reads_as_the_reference_reads_it(documents, path, what, row, column):
+    canonical = documents["d4"]
+
+    def with_entry(value):
+        doc = copy.deepcopy(canonical)
+        rows = doc[path[0]] if len(path) == 1 else doc[path[0]][path[1]]
+        k = {"first": 0, "middle": len(rows) // 2, "last": len(rows) - 1}[row]
+        rows[k][column] = value(rows[k][column])
+        return doc
+
+    # the entry as the float it equals: the same witness
+    doc = with_entry(float)
+    assert outcome(witness_from_json, doc) == outcome(reference_witness_from_json, doc)
+    assert outcome(witness_from_json, doc) == outcome(witness_from_json, canonical)
+    doc = with_entry(lambda _: 2.0)
+    assert outcome(witness_from_json, doc) == outcome(reference_witness_from_json, doc)
+    doc = with_entry(lambda _: True)
+    assert outcome(witness_from_json, doc) == outcome(reference_witness_from_json, doc)
+    assert outcome(witness_from_json, doc) == (FormatError, f"{what} must be an integer, got true")
+
+
+def bool_cases():
+    for path, what, width in IN_ORDER_BLOCKS:
+        for column in range(width):
+            yield pytest.param(path, what, column, id=f"{'.'.join(path)}-{column}")
+
+
+@pytest.mark.parametrize("path, what, column", bool_cases())
+def test_a_block_whose_every_id_or_value_is_a_bool_is_refused(path, what, column):
+    # a 1-regular base of two edges is its own cover, so each block has the two ids 0 and 1, which compare
+    # equal to false and true: every entry of one column turns bool, an id column still in id order
+    g = Multigraph.from_edges(4, [(0, 1), (2, 3)])
+    c = EdgeColoring(1, {0: 1, 1: 1})
+    doc = json.loads(json.dumps(witness_to_json(kempe_cover_witness(g, c, c))))
+    rows = doc[path[0]] if len(path) == 1 else doc[path[0]][path[1]]
+    for row in rows:
+        row[column] = bool(row[column])
+    shown = json.dumps(rows[0][column])
+    assert outcome(witness_from_json, doc) == outcome(reference_witness_from_json, doc)
+    assert outcome(witness_from_json, doc) == (FormatError, f"{what} must be an integer, got {shown}")
+
+
+def reversed_matching_document():
+    # degree 1, and each row's second end is the smaller, so a head 0 sits at the edge of the range check
+    g = Multigraph.from_edges(4, [(1, 0), (3, 2)])
+    c = EdgeColoring(1, {0: 1, 1: 1})
+    return json.loads(json.dumps(witness_to_json(kempe_cover_witness(g, c, c))))
+
+
+def empty_document():
+    # no vertex and no edge anywhere: each graph block is in order and in range, and the map check refuses it
+    graph = {"vertices": 0, "edges": []}
+    coloring = {"degree": 1, "colors": []}
+    return {"format": WITNESS_FORMAT, "degree": 0, "base": graph, "cover": graph, "start": coloring,
+            "goal": coloring, "vertex_map": [], "edge_map": [], "sequence": []}
+
+
+@pytest.mark.parametrize("make", [reversed_matching_document, empty_document])
+def test_a_sound_in_order_block_takes_neither_the_bulk_pass_nor_the_fault_search(monkeypatch, make):
+    doc = make()
+    bulk, ends = [], []
+    for name, calls in (("_strict_int_lists", bulk), ("_check_ends", ends)):
+        original = getattr(serialize, name)
+        monkeypatch.setattr(serialize, name, lambda *args, _f=original, _c=calls: _c.append(args[-1]) or _f(*args))
+    assert outcome(witness_from_json, doc) == outcome(reference_witness_from_json, doc)
+    assert ends == []
+    assert bulk == ["vertex map entry", "switch color", "switch edge id"]
+
+
+PIECE = serialize._PIECE
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        {"empty": [], "none": {}, "text": ["\u00e9", "\n", ""], "flag": [True, None]},
+        # long lists are encoded a slice at a time: just below, at and over one slice, and over two
+        *({"rows": [(k, k // 2) for k in range(n)], "n": n} for n in (PIECE - 1, PIECE, PIECE + 1, 2 * PIECE + 1)),
+        {"outer": {"inner": list(range(3 * PIECE)), "after": {"b": 1, "a": [[0, 1, 2]] * (PIECE + 1)}}},
+        # a list of objects is written object by object, whatever its length
+        {"sequence": [{"edges": list(range(3 * PIECE)), "colors": [1, 2]}, {}, {"edges": [], "colors": [2, 3]}, 7]},
+        {"sequence": [{"edges": [k], "colors": [1, 2]} for k in range(PIECE + 1)]},
+    ],
+    ids=["empty", "small", "below-a-slice", "a-slice", "over-a-slice", "over-two-slices", "nested", "objects",
+         "many-objects"],
+)
+def test_the_written_form_is_the_compact_sorted_dump(tmp_path, doc):
+    expected = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    assert canonical_json(doc) == expected
+    dump_json(doc, tmp_path / "doc.json")
+    assert (tmp_path / "doc.json").read_bytes() == expected.encode()
 
 
 def test_a_perfect_matching_base_round_trips():

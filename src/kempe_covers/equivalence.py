@@ -225,25 +225,6 @@ def _misaligned_witness(
     return cover, switches
 
 
-def _induced_components(
-    g: Multigraph, components: list[frozenset[VertexId]]
-) -> list[tuple[tuple[VertexId, ...], tuple[VertexId, ...], tuple[EdgeId, ...], tuple[VertexId, ...]]]:
-    """Each component relabelled densely: its two endpoint lists, plus edge and vertex ids back in ``g``.
-
-    One pass over g's edges, in id order, hands each edge to the component of its ends.
-    """
-    ordered = [tuple(sorted(comp)) for comp in components]
-    where = {v: (k, i) for k, vs in enumerate(ordered) for i, v in enumerate(vs)}
-    parts: list[tuple[list, list, list]] = [([], [], []) for _ in components]
-    for e, (u, w) in enumerate(zip(g._tails, g._heads)):
-        k, i = where[u]
-        tails, heads, edge_ids = parts[k]
-        tails.append(i)
-        heads.append(where[w][1])
-        edge_ids.append(e)
-    return [(*map(tuple, part), vs) for part, vs in zip(parts, ordered)]
-
-
 def _per_component_witness(
     g: Multigraph,
     c1: EdgeColoring,
@@ -259,19 +240,26 @@ def _per_component_witness(
     the edge ids (dense, in pair order), because the witness carries them.
     A reused pair is shared between parts and only read.
     """
+    vbacks = [sorted(comp) for comp in components]
+    where = {v: (k, i) for k, vback in enumerate(vbacks) for i, v in enumerate(vback)}
+    # one pass over g's edges, in id order, hands each edge to the component of its ends, relabelled densely
+    rows: list[tuple[list, list, list]] = [([], [], []) for _ in components]
+    for e, (u, w) in enumerate(zip(g._tails, g._heads)):
+        k, i = where[u]
+        tails, heads, eback = rows[k]
+        tails.append(i)
+        heads.append(where[w][1])
+        eback.append(e)
     solved: dict[tuple, tuple[CoveringMap, SwitchSequence]] = {}
     parts = []
-    for tails, heads, eback, vback in _induced_components(g, components):
-        colors1 = tuple(map(c1._colors.__getitem__, eback))
-        colors2 = tuple(map(c2._colors.__getitem__, eback))
-        key = (len(vback), tails, heads, colors1, colors2)
+    for (tails, heads, eback), vback in zip(rows, vbacks):
+        colors1 = list(map(c1._colors.__getitem__, eback))
+        colors2 = list(map(c2._colors.__getitem__, eback))
+        key = (len(vback), *map(tuple, (tails, heads, colors1, colors2)))
         if key not in solved:
-            # g's edges in id order, relabelled densely: in range, no loops
-            sub = Multigraph._adopt(len(vback), list(tails), list(heads))
-            # the colors of c1 and c2 on those edges
-            sub_c1 = EdgeColoring._adopt(d, list(colors1))
-            sub_c2 = EdgeColoring._adopt(d, list(colors2))
-            solved[key] = _witness(sub, sub_c1, sub_c2, d)
+            # g's edges in id order, relabelled densely: in range, no loops; the colors of c1 and c2 on them
+            sub = Multigraph._adopt(len(vback), tails, heads)
+            solved[key] = _witness(sub, EdgeColoring._adopt(d, colors1), EdgeColoring._adopt(d, colors2), d)
         parts.append((*solved[key], vback, eback))
     return _union_witness(g, parts, beta(d))
 

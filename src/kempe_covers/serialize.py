@@ -20,6 +20,7 @@ naming the first gap. Every document is written in one canonical form.
 from __future__ import annotations
 
 import json
+import sys
 from itertools import chain, count
 from operator import itemgetter
 from typing import Mapping
@@ -309,6 +310,10 @@ def load_json(path) -> dict:
             raise FormatError(f"{path}: JSON nested too deeply to parse") from None
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # the interpreter's limit on the digits of an int that json converts
+            raise FormatError(f"{path}: an integer has more than {sys.get_int_max_str_digits():,} digits") from None
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode

@@ -80,6 +80,8 @@ UNREADABLE_DOCUMENTS = {
     "nested": b"[" * 100_000 + b"]" * 100_000,
     # a UTF-16 byte-order mark
     "not utf-8": b"\xff\xfe" + "{}".encode("utf-16-le"),
+    # past the interpreter's limit of 4,300 digits for converting an int
+    "long integer": b'{"format": "kempe-instance/1", "vertices": ' + b"1" * 5000 + b', "edges": [], "colorings": {}}',
 }
 
 
@@ -827,8 +829,24 @@ def check_k33_as(tmp_path, document_format):
     return ["check", "--input", str(path), "--coloring", "c1"]
 
 
-#: each malformed document a command refuses itself: argv from tmp_path, and the whole line
+def with_a_long_integer(tmp_path, source, key):
+    """The path of the document at ``source``, written canonically with 5,000 more digits in its first ``key``."""
+    path = tmp_path / "long.json"
+    path.write_text(canonical_json(load_json(source)).replace(f'"{key}":', f'"{key}":' + "1" * 5000, 1))
+    return str(path)
+
+
+#: each malformed document a command refuses itself: argv from tmp_path, and the whole line, {tmp} standing
+#: for tmp_path
 MALFORMED_DOCUMENTS = {
+    "long integer in an instance": (
+        lambda tmp: ["check", "--input", with_a_long_integer(tmp, K33, "vertices"), "--coloring", "c1"],
+        "error: {tmp}/long.json: an integer has more than 4,300 digits",
+    ),
+    "long integer in a witness": (
+        lambda tmp: ["verify", "--input", K33, "--witness", with_a_long_integer(tmp, GOLDEN_K33, "degree")],
+        "error: {tmp}/long.json: an integer has more than 4,300 digits",
+    ),
     "instance format": (
         lambda tmp: check_k33_as(tmp, "kempe-instance/2"),
         "error: not a kempe-instance/1 document",
@@ -848,7 +866,7 @@ def test_a_malformed_document_is_one_error_line(tmp_path, capsys, case):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [line]
+    assert captured.err.splitlines() == [line.format(tmp=tmp_path)]
 
 
 def test_all_lists_every_public_binding():

@@ -203,6 +203,16 @@ def test_witness_refuses_a_cover_beyond_the_bound(monkeypatch, n):
     assert kempe_cover_witness(g, c1, c1).cover.degree == 1
 
 
+def test_witness_builds_a_cover_of_exactly_the_bound(monkeypatch, k33, k33_pair):
+    c1, c2 = k33_pair
+    # K3,3's cover has 6 x beta(3) = 12 vertices
+    monkeypatch.setattr(equivalence, "MAX_COVER_VERTICES", 12)
+    assert kempe_cover_witness(k33, c1, c2).cover.degree == 2
+    monkeypatch.setattr(equivalence, "MAX_COVER_VERTICES", 11)
+    with pytest.raises(CoveringError, match=r"a cover of 6 x beta\(3\) vertices exceeds the bound of 11$"):
+        kempe_cover_witness(k33, c1, c2)
+
+
 def test_deleted_switch_fails_replay(k33, k33_pair):
     c1, c2 = k33_pair
     w = kempe_cover_witness(k33, c1, c2)

@@ -7,6 +7,7 @@ coloring, non-regular graph, failed verification, mismatched documents).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -153,6 +154,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # A command's tables and parsed documents hold no reference cycles, and the cyclic
+    # collector would walk them again at every collection, so it is paused while the
+    # command runs and given back as it was, for an in-process caller.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return _COMMANDS[args.command](args)
     except (OSError, json.JSONDecodeError, FormatError) as exc:
@@ -161,6 +167,9 @@ def main(argv=None) -> int:
     except KempeCoversError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -32,8 +32,8 @@ which gets the rest from an edge count and a pulled-back coloring's fill.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import floordiv
+from itertools import compress, repeat
+from operator import floordiv, ne
 from typing import Mapping, Sequence
 
 from .coloring import (
@@ -64,8 +64,11 @@ class CoveringMap:
     The constructor raises CoveringError, naming the first entry at fault,
     unless ``vertex_map`` is x // m on ``source``, where m >= 1 and
     m * |V(target)| = |V(source)|, and ``edge_map``, a sequence or a mapping,
-    is f // m on its edges. It does not check incidence or local bijection;
-    run :func:`verify_covering` for those.
+    is f // m on its edges. A sequence's first fault is found in one scan
+    against x // m: the first index where they differ, else the shorter
+    one's length. A mapping's is found from its keys: the smallest id that
+    is missing, foreign or mapped elsewhere. It does not check incidence or
+    local bijection; run :func:`verify_covering` for those.
     """
 
     __slots__ = ("source", "target", "degree")
@@ -83,16 +86,23 @@ class CoveringMap:
             raise CoveringError(f"cover has {size} vertices, not m >= 1 times the target's {n}")
         for kind, given, count in (("vertex", vertex_map, size), ("edge", edge_map, source.edge_count)):
             want = _repeat_each(list(range(-(-count // m))), m)[:count]  # x // m for x in 0..count-1
-            if isinstance(given, Mapping) or list(given) != want:
-                given = dict(given) if isinstance(given, Mapping) else dict(enumerate(given))
-                want = dict(enumerate(want))
-                if given != want:  # name the smallest id that is missing, foreign or mapped elsewhere
-                    x = min(given.keys() ^ want.keys() | {x for x in want.keys() & given.keys() if given[x] != want[x]})
-                    if x not in want:
-                        raise CoveringError(f"{kind} map names {kind} {x}, not a source {kind}")
-                    if x not in given:
-                        raise CoveringError(f"{kind} {x} has no image")
-                    raise CoveringError(f"{kind} {x} maps to {given[x]}, not to {x} // {m} = {want[x]}")
+            if isinstance(given, Mapping):  # the smallest id that is missing, foreign or mapped elsewhere
+                given, want = dict(given), dict(enumerate(want))
+                if given == want:
+                    continue
+                x = min(given.keys() ^ want.keys() | {x for x in want.keys() & given.keys() if given[x] != want[x]})
+                ids = given.keys()
+            elif list(given) == want:
+                continue
+            else:  # the first index where the lists differ, else the shorter list's length
+                given = list(given)
+                x = next(compress(range(count), map(ne, given, want)), min(len(given), count))
+                ids = range(len(given))
+            if x not in range(count):
+                raise CoveringError(f"{kind} map names {kind} {x}, not a source {kind}")
+            if x not in ids:
+                raise CoveringError(f"{kind} {x} has no image")
+            raise CoveringError(f"{kind} {x} maps to {given[x]}, not to {x} // {m} = {want[x]}")
         self.source, self.target, self.degree = source, target, m
 
     @classmethod

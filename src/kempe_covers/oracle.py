@@ -158,6 +158,9 @@ def _coloring_keys(g: Multigraph, max_edges: int) -> tuple[int, list[int]]:
     else:
         choose(1, pool, d * every_edge)
     keys.sort()
+    # each recursive closure holds itself through its own cell, and that cycle would keep
+    # keys alive until the cyclic collector runs, which the CLI pauses
+    del choose, extend
     return d, keys
 
 

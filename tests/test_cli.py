@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import io
 import os
 import subprocess
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import kempe_covers
 from kempe_covers import (
     EdgeColoring,
+    KempeCoversError,
     Multigraph,
     apply_sequence,
     bichromatic_cycles,
@@ -23,7 +25,7 @@ from kempe_covers import (
     random_colored_instance,
     verify_witness,
 )
-from kempe_covers.cli import _build_parser, main
+from kempe_covers.cli import _COMMANDS, _build_parser, main
 from kempe_covers.serialize import (
     canonical_json,
     dump_json,
@@ -180,6 +182,52 @@ def test_verify_runs_the_pinned_path(capsys):
         sys.setprofile(previous)
     assert code == 0, capsys.readouterr().err
     assert reached == VERIFY_PATH
+
+
+@pytest.mark.parametrize("outcome, code", [("returns", 0), ("refuses", 2), ("raises", None)])
+@pytest.mark.parametrize("collecting", [True, False], ids=["collecting", "paused"])
+def test_a_command_runs_with_the_cyclic_collector_paused(monkeypatch, capsys, outcome, code, collecting):
+    seen = []
+
+    def command(args):
+        seen.append(gc.isenabled())
+        if outcome == "refuses":
+            raise KempeCoversError("refused")
+        if outcome == "raises":
+            raise RuntimeError("not a package error")
+        return 0
+
+    monkeypatch.setitem(_COMMANDS, "check", command)
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        with pytest.raises(RuntimeError) if code is None else contextlib.nullcontext():
+            assert main(["check", "--input", K33, "--coloring", "c1"]) == code
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert seen == [False]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--input", K33, "--coloring", "c1"],
+    ["witness", "--input", K33, "--from", "c1", "--to", "c2", "--out", "{tmp}/w.json"],
+    ["verify", "--input", K33, "--witness", GOLDEN_K33],
+    ["classes", "--input", K33],
+    ["gen", "--seed", "1", "--degree", "4", "--vertices", "8", "--out", "{tmp}/g.json"],
+], ids=lambda argv: argv[0])
+def test_a_command_frees_what_it_builds_without_the_cyclic_collector(tmp_path, capsys, argv):
+    args = _build_parser().parse_args([arg.format(tmp=tmp_path) for arg in argv])
+    gc.collect()  # the parser's own cycles, and anything earlier
+    before = gc.isenabled()
+    gc.disable()
+    try:
+        assert _COMMANDS[args.command](args) == 0
+        unreachable = gc.collect()
+    finally:
+        if before:
+            gc.enable()
+    assert unreachable == 0
 
 
 def illegal_k33(tmp_path):

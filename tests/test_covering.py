@@ -556,6 +556,22 @@ def _edge_image():
     return CoveringMap(k33, k33, vmap, emap)
 
 
+def _edge_list_cut_short():
+    k33, vmap, emap = _k33_identity_parts()
+    return CoveringMap(k33, k33, vmap, list(emap.values())[:8])
+
+
+def _edge_list_run_long():
+    k33, vmap, emap = _k33_identity_parts()
+    return CoveringMap(k33, k33, vmap, list(emap.values()) + [0] * 4)
+
+
+def _edge_list_image():
+    k33, vmap, emap = _k33_identity_parts()
+    emap[4] = 9
+    return CoveringMap(k33, k33, vmap, list(emap.values()))
+
+
 def _vertex_not_surjective():
     triangle = make_cycle(3)
     with_isolated = Multigraph(4, dict(edge_table(triangle)))
@@ -580,6 +596,10 @@ def _nonconstant_fibers():
         (_edge_map_foreign, "edge map names edge 9, not a source edge"),
         (_vertex_outside, "vertex 2 maps to 6, not to 2 // 1 = 2"),
         (_edge_image, "edge 4 maps to 9, not to 4 // 1 = 4"),
+        # the same three faults in an edge map given as a list
+        (_edge_list_cut_short, "edge 8 has no image"),
+        (_edge_list_run_long, "edge map names edge 9, not a source edge"),
+        (_edge_list_image, "edge 4 maps to 9, not to 4 // 1 = 4"),
         (_vertex_not_surjective, "cover has 3 vertices, not m >= 1 times the target's 4"),
         (_nonconstant_fibers, "cover has 9 vertices, not m >= 1 times the target's 6"),
     ],
@@ -588,6 +608,15 @@ def test_constructor_names_the_first_entry_at_fault(broken, reason):
     with pytest.raises(CoveringError) as info:
         broken()
     assert str(info.value) == reason
+
+
+def test_a_faulty_map_given_as_an_iterator_is_refused_as_a_covering_error():
+    # a map that is no sequence is read once to compare it; a faulty one still raises CoveringError
+    k33, vmap, emap = _k33_identity_parts()
+    assert CoveringMap(k33, k33, iter(vmap), iter(emap.values())) == CoveringMap.identity(k33)
+    vmap[2] = 6
+    with pytest.raises(CoveringError):
+        CoveringMap(k33, k33, iter(vmap), emap)
 
 
 def _edge_outside():
@@ -758,20 +787,46 @@ def test_verify_covering_matches_reference(valid_covers, data):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_the_constructor_takes_built_maps_and_names_any_changed_entry(valid_covers, data):
+    """A changed entry, a map cut short or run long, or a change with a length fault: the first id at
+    fault is named. The edge map is a list or a dict, and a list fails as the same map keyed by id does."""
     p, _ = data.draw(st.sampled_from(valid_covers))
-    vmap, emap = sheet_maps(p)
-    assert CoveringMap(p.source, p.target, vmap, emap) == p
+    m, (vmap, emap) = p.degree, sheet_maps(p)
     if data.draw(st.booleans()):
-        x = data.draw(st.sampled_from(range(len(vmap))))
-        vmap[x] = data.draw(st.integers(-1, p.target.vertex_count).filter(lambda image: image != x // p.degree))
-        fault = f"vertex {x} maps to {vmap[x]}, "
-    else:
-        f = data.draw(st.sampled_from(sorted(emap)))
-        emap[f] = data.draw(st.integers(-1, p.target.edge_count).filter(lambda image: image != f // p.degree))
-        fault = f"edge {f} maps to {emap[f]}, "
+        emap = list(emap.values())
+    assert CoveringMap(p.source, p.target, vmap, emap) == p
+    kind = data.draw(st.sampled_from(["vertex", "edge"]))
+    images, size, targets = (
+        (vmap, p.source.vertex_count, p.target.vertex_count)
+        if kind == "vertex"
+        else (emap, p.source.edge_count, p.target.edge_count)
+    )
+    changed = data.draw(st.booleans())
+    length = data.draw(st.sampled_from(["kept", "short", "long"] if changed else ["short", "long"]))
+    faults = []
+    if changed:
+        x = data.draw(st.sampled_from(range(size)))
+        images[x] = data.draw(st.integers(-1, targets).filter(lambda image: image != x // m))
+        faults.append((x, f"{kind} {x} maps to {images[x]}, not to {x} // {m} = {x // m}"))
+    if length == "short":  # the entries from ``cut`` on go, a changed one among them
+        cut = data.draw(st.integers(0, size - 1))
+        for y in reversed(range(cut, size)):
+            del images[y]
+        faults = [(x, reason) for x, reason in faults if x < cut] + [(cut, f"{kind} {cut} has no image")]
+    elif length == "long":
+        extra = range(size, size + data.draw(st.integers(1, 3)))
+        if isinstance(images, dict):
+            images.update(dict.fromkeys(extra, 0))
+        else:
+            images.extend([0] * len(extra))
+        faults.append((size, f"{kind} map names {kind} {size}, not a source {kind}"))
     with pytest.raises(CoveringError) as info:
         CoveringMap(p.source, p.target, vmap, emap)
-    assert str(info.value).startswith(fault)
+    assert str(info.value) == min(faults)[1]
+    if isinstance(images, list):
+        keyed = dict(enumerate(images))
+        with pytest.raises(CoveringError) as reference:
+            CoveringMap(p.source, p.target, *((keyed, emap) if kind == "vertex" else (vmap, keyed)))
+        assert str(reference.value) == str(info.value)
 
 
 @settings(max_examples=400, deadline=None)

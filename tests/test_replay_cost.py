@@ -29,12 +29,14 @@ the calls and the degree counts of d=5 builds: covers are composed, pulled
 back and split through their raw tables, and only the input graph has its
 degrees counted. A replay fills its per-vertex color table once, before it
 draws a switch, and a cover check that is about to name a failing vertex
-counts the degrees of each graph once.
+counts the degrees of each graph once. Naming the first faulty entry of a
+cover's edge map traces no more memory than accepting the sound map does.
 """
 
 import json
 import os
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -42,6 +44,7 @@ import pytest
 
 from kempe_covers import (
     BichromaticCycle,
+    CoveringError,
     CoveringMap,
     EdgeColoring,
     EquivalenceWitness,
@@ -250,6 +253,36 @@ def test_witness_from_json_type_checks_in_bulk_only_the_vertex_map_and_the_seque
     # the graph, coloring and edge map blocks list their ids in order, so each row is read by one typed loop
     assert [what for _, what in bulk] == ["vertex map entry", "switch color", "switch edge id"]
     assert bulk[0][0] == [doc["vertex_map"]]
+
+
+def traced_peak(fn, *args):
+    """The traced peak of allocations while ``fn(*args)`` runs, in bytes, and the CoveringError it raises."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+    except CoveringError as exc:
+        reason = str(exc)
+    else:
+        reason = None
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak, reason
+
+
+def test_naming_an_edge_map_fault_costs_what_accepting_the_map_does():
+    w = kempe_cover_witness(*random_colored_instance(1, 5, 6))
+    doc = json.loads(json.dumps(witness_to_json(w)))
+    source, vertex_map, rows = w.cover.source, doc["vertex_map"], doc["edge_map"]
+    sound = [image for _, image in rows]
+    row = rows[len(rows) // 2]  # the middle row's image moved to the next base edge
+    row[1] = (row[1] + 1) % w.graph.edge_count
+    accepted = traced_peak(CoveringMap, source, w.graph, vertex_map, sound)
+    refused = traced_peak(CoveringMap, source, w.graph, vertex_map, [image for _, image in rows])
+    assert accepted[1] is None
+    assert refused[1] == "edge 4320 maps to 8, not to 4320 // 576 = 7"
+    # 2,240,284 against 169,613 bytes when the fault was sought in dicts of every id
+    assert refused[0] < accepted[0] + 32 * 1024
 
 
 def test_verify_covering_does_not_scan_vertex_fibers(monkeypatch, witnesses):

@@ -73,16 +73,15 @@ class AlignmentData:
 
     ``anchor[v]`` is the unique c2-top-color edge at v; ``shift[v]`` its
     c1-color as a residue (0 at shared vertices); ``offset[e]`` the sheet
-    displacement across e for the stored orientation, the default one.
-    ``modulus`` is d-1. The cover is built from ``shift`` alone: any
-    orientation's offsets give the same sheets (see the module docstring).
+    displacement across e for :func:`default_orientation`. ``modulus`` is
+    d-1. The cover is built from ``shift`` alone: any orientation's offsets
+    give the same sheets (see the module docstring).
     """
 
     modulus: int
     anchor: dict[VertexId, EdgeId]
     shift: dict[VertexId, Residue]
     offset: dict[EdgeId, Residue]
-    orientation: dict[EdgeId, tuple[VertexId, VertexId]]
 
 
 def split_color_d(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> ColorDSplit:
@@ -110,12 +109,11 @@ def alignment_data(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> Alignme
     shift = _shifts(g, c1, split.moving, d)
     colors1, modulus = c1._colors, d - 1
     anchor = {v: e for e in c2.color_class(d) for v in (g._tails[e], g._heads[e])}
-    oriented = default_orientation(g)
     offset = {
         e: 0 if colors1[e] == d else (shift[origin] - shift[terminus]) % modulus
-        for e, (origin, terminus) in oriented.items()
+        for e, (origin, terminus) in default_orientation(g).items()
     }
-    return AlignmentData(modulus, anchor, dict(enumerate(shift)), offset, oriented)
+    return AlignmentData(modulus, anchor, dict(enumerate(shift)), offset)
 
 
 def _shifts(g: Multigraph, c1: EdgeColoring, moving: Iterable[EdgeId], d: int) -> list[Residue]:

@@ -19,10 +19,10 @@ graph coverings by permutation voltage assignments", Discrete Math. 18,
 constructor takes maps from outside only when they are x // m. This module
 lifts switch sequences through such covers, replaying each unless the
 caller has, composes them, copies a graph and extends a spanning
-subgraph's cover to the full graph, all by that division. A cover of
-degree 1 costs nothing: each switch is its own lift, and the trivial cover
-of a spanning subgraph extends to the identity of the full graph. Its
-functions trust their input coverings and do not re-check what they build.
+subgraph's cover to the full graph, all by that division. Through a cover
+of degree 1 each switch is its own lift, and through the identity each
+coloring pulls back as itself. Its functions trust their input coverings
+and do not re-check what they build.
 The type gives total maps, vertex images in the target and constant,
 non-empty fibers; :func:`verify_covering` checks the rest of the axioms.
 Its incidence half is also the first step of ``equivalence.verify_witness``,
@@ -172,9 +172,10 @@ def verify_covering(p: CoveringMap) -> Verdict:
     if not verdict:
         return verdict
     m, src = p.degree, p.source
-    images = list(map(floordiv, range(src.edge_count), repeat(m)))
-    if len(set(images)) != p.target.edge_count:
+    # the images f // m of the rows 0..E-1 are the ids 0..ceil(E / m)-1
+    if -(-src.edge_count // m) != p.target.edge_count:
         return Verdict(False, "edge map is not surjective")
+    images = list(map(floordiv, range(src.edge_count), repeat(m)))
     pairs = set(zip(src._tails, images))
     pairs.update(zip(src._heads, images))
     distinct, degree, tgt_degree = [0] * p.source.vertex_count, _degrees(p.source), _degrees(p.target)
@@ -246,14 +247,14 @@ def copies_cover(g: Multigraph, m: int) -> CoveringMap:
     """The projection of ``m`` disjoint copies of ``g`` onto ``g``: a covering of degree ``m``.
 
     Copy k is sheet k: copy k of vertex v is v*m + k, and copy k of the
-    edge e = (u, w) is e*m + k, from u*m + k to w*m + k. That is the
-    extension of the m copies of g's edgeless spanning subgraph.
+    edge e = (u, w) is row e*m + k, from u*m + k to w*m + k.
     """
     if type(m) is not int or m < 1:  # bools are not integers here
         raise GraphStructureError(f"need at least one copy, got {m!r}")
-    edgeless = Multigraph._adopt(g.vertex_count, [], [])
-    copies = CoveringMap._sheeted(Multigraph._adopt(g.vertex_count * m, [], []), edgeless, m)
-    return extend_subgraph_cover(g, (), copies)
+    # copies of g's rows: in range and loop-free
+    tails = [u * m + k for u in g._tails for k in range(m)]
+    heads = [w * m + k for w in g._heads for k in range(m)]
+    return CoveringMap._sheeted(Multigraph._adopt(g.vertex_count * m, tails, heads), g, m)
 
 
 def extend_subgraph_cover(g: Multigraph, edges: Sequence[EdgeId], p: CoveringMap) -> CoveringMap:
@@ -263,16 +264,13 @@ def extend_subgraph_cover(g: Multigraph, edges: Sequence[EdgeId], p: CoveringMap
     ascending ``edges``, is not re-checked (run :func:`verify_covering` on
     untrusted maps). Rows e*m + k of the result are p's rows i*m + k for
     e = edges[i], and each other edge e = (u, w) of ``g`` lifts to the m
-    edges e*m + k from u*m + k to w*m + k. The trivial cover of the
-    subgraph extends to the trivial cover of ``g`` with no table rebuilt.
+    edges e*m + k from u*m + k to w*m + k, as in :func:`copies_cover`.
     """
     h, edges = p.target, list(edges)
     # ascending ids of edges of g, whose rows there are h's
     known = edges == sorted(set(edges)) and (not edges or 0 <= edges[0] and edges[-1] < g.edge_count)
     if not known or (h._n, h._tails, h._heads) != (g._n, [g._tails[e] for e in edges], [g._heads[e] for e in edges]):
         raise CoveringError("cover does not map onto the given subgraph")
-    if p.degree == 1 and p.source == h:
-        return CoveringMap.identity(g)
     m, source = p.degree, p.source
     # each edge of h takes its m rows from p's source, and every other edge lifts sheet by sheet
     rows = dict(zip(edges, range(0, len(edges) * m, m)))

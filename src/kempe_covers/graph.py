@@ -6,22 +6,21 @@ order in the full graph. The table is two lists, the first and the second
 stored endpoint of each edge, and it is the whole graph. Walks follow edge
 ids through it, which keeps parallel edges and 2-cycles apart.
 
-Graphs are immutable once constructed; :meth:`Multigraph.from_edges`
-builds one from a list of endpoint pairs. The public constructor copies a
-table that may come from outside, a sequence of pairs or a mapping keyed by
-exactly ``0..E-1``, and refuses other keys with one error that names the
-first missing id. It checks that each pair is a tuple or list of two
-integers, then that each lies in range and is no loop, naming the first
-faulty row. Bools are not integers here, as in the witness parser. The
-private :meth:`Multigraph._adopt` takes as is the lists the package derives
-from checked graphs: spanning subgraphs, relabelled components, extended
-covers, unions of copies and alignment covers, so a check would prove
-nothing new.
+Graphs are immutable once constructed. The public constructor copies a
+table that may come from outside: any iterable of endpoint pairs, numbered
+in input order, or a mapping keyed by exactly ``0..E-1``. It refuses other
+keys with one error that names the first missing id. It checks that each
+pair is a tuple or list of two integers, then that each lies in range and
+is no loop, naming the first faulty row. Bools are not integers here, as in
+the witness parser. The private :meth:`Multigraph._adopt` takes as is the
+lists the package derives from checked graphs: spanning subgraphs,
+relabelled components, extended covers, copies of a graph, unions of copies
+and alignment covers, so a check would prove nothing new.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import (
     GraphStructureError,
@@ -36,7 +35,7 @@ Pair = tuple[VertexId, VertexId]
 
 
 def _in_id_order(table, error: type) -> list:
-    """The values of a sequence, or of a mapping keyed by exactly ``0..E-1``, as a new list in id order;
+    """The values of an iterable, or of a mapping keyed by exactly ``0..E-1``, as a new list in id order;
     ``error`` names the first id missing from the keys of any other mapping."""
     if type(table) is list or not isinstance(table, Mapping):
         return list(table)
@@ -52,7 +51,7 @@ class Multigraph:
 
     __slots__ = ("_n", "_tails", "_heads")
 
-    def __init__(self, vertex_count: int, edges: Sequence[Pair] | Mapping[EdgeId, Pair]):
+    def __init__(self, vertex_count: int, edges: Iterable[Pair] | Mapping[EdgeId, Pair]):
         if type(vertex_count) is not int:
             raise GraphStructureError(f"vertex count must be an integer, got {vertex_count!r}")
         tails: list[VertexId] = []
@@ -79,11 +78,6 @@ class Multigraph:
         g = cls.__new__(cls)
         g._n, g._tails, g._heads = vertex_count, tails, heads
         return g
-
-    @classmethod
-    def from_edges(cls, vertex_count: int, pairs: Iterable[tuple[VertexId, VertexId]]) -> "Multigraph":
-        """Build a graph with edge ids ``0..len(pairs)-1`` in input order."""
-        return cls(vertex_count, list(pairs))
 
     # -- queries ---------------------------------------------------------
 

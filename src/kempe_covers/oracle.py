@@ -393,7 +393,7 @@ def random_colored_instance(
         perm = list(range(n))
         rng.shuffle(perm)
         pairs.extend((perm[t], perm[t + 1]) for t in range(0, n, 2))
-    g = Multigraph.from_edges(n, pairs)
+    g = Multigraph(n, pairs)
     half = n // 2
     c1 = EdgeColoring(d, [e // half + 1 for e in g.edge_ids()])
 

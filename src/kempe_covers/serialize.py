@@ -99,7 +99,7 @@ def instance_from_json(doc) -> tuple[Multigraph, dict[str, EdgeColoring]]:
             raise FormatError(f"edge {k} is not a pair")
         pairs.append(tuple(_strict_int(v, f"edge {k} endpoint") for v in pair))
     try:
-        g = Multigraph.from_edges(vertex_count, pairs)
+        g = Multigraph(vertex_count, pairs)
     except KempeCoversError as exc:
         raise FormatError(f"bad edge list: {exc}") from exc
 
@@ -280,7 +280,8 @@ def witness_from_json(doc) -> tuple[EquivalenceWitness, dict | None]:
         edge_lists = _strict_int_lists(list(filter(iter, map(itemgetter("edges"), entries))), "switch edge id")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed witness: {exc}") from exc
-    _require_unique(map_rows, edge_map, "edge_map")
+    if type(edge_map) is dict:  # an in-order list holds each id once
+        _require_unique(map_rows, edge_map, "edge_map")
     names = doc.get("names")
     if "names" in doc and not (
         isinstance(names, dict) and isinstance(names.get("from"), str) and isinstance(names.get("to"), str)

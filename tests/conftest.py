@@ -21,19 +21,19 @@ K33_C2 = (1, 2, 3, 3, 1, 2, 2, 3, 1)
 
 def make_k33() -> Multigraph:
     """Complete bipartite graph on 3+3 vertices, edges in (left, right) order."""
-    return Multigraph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    return Multigraph(6, [(i, j) for i in range(3) for j in range(3, 6)])
 
 
 def make_theta() -> Multigraph:
     """Two vertices joined by three parallel edges."""
-    return Multigraph.from_edges(2, [(0, 1)] * 3)
+    return Multigraph(2, [(0, 1)] * 3)
 
 
 def make_petersen() -> Multigraph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Multigraph.from_edges(10, outer + spokes + inner)
+    return Multigraph(10, outer + spokes + inner)
 
 
 def make_cube() -> Multigraph:
@@ -41,7 +41,7 @@ def make_cube() -> Multigraph:
     pairs = []
     for dim in range(3):
         pairs.extend((v, v | (1 << dim)) for v in range(8) if not v & (1 << dim))
-    return Multigraph.from_edges(8, pairs)
+    return Multigraph(8, pairs)
 
 
 def cube_dimension_coloring() -> EdgeColoring:
@@ -49,7 +49,7 @@ def cube_dimension_coloring() -> EdgeColoring:
 
 
 def make_cycle(length: int) -> Multigraph:
-    return Multigraph.from_edges(length, [(i, (i + 1) % length) for i in range(length)])
+    return Multigraph(length, [(i, (i + 1) % length) for i in range(length)])
 
 
 def alternating_coloring(length: int) -> EdgeColoring:
@@ -67,7 +67,7 @@ def make_disjoint(*parts: Multigraph) -> Multigraph:
     for part in parts:
         pairs += [(u + offset, w + offset) for u, w in edge_table(part).values()]
         offset += part.vertex_count
-    return Multigraph.from_edges(offset, pairs)
+    return Multigraph(offset, pairs)
 
 
 def sheet_maps(p) -> tuple[list[int], dict[int, int]]:

@@ -88,7 +88,7 @@ def test_alignment_rejects_degree_one():
     matching = make_cycle(2)  # 2-cycle is 2-regular; build a true 1-regular graph
     from kempe_covers import Multigraph
 
-    one = Multigraph.from_edges(2, [(0, 1)])
+    one = Multigraph(2, [(0, 1)])
     c = EdgeColoring(1, {0: 1})
     with pytest.raises(RegularityError):
         alignment_data(one, c, c)

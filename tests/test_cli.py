@@ -156,10 +156,9 @@ VERIFY_PATH = {
     "covering.pullback_coloring",
     "equivalence._betas", "equivalence.verify_witness",
     "graph.__eq__", "graph.__init__", "graph._adopt", "graph._degrees", "graph._in_id_order",
-    "graph.edge_count", "graph.from_edges", "graph.is_regular", "graph.vertex_count",
+    "graph.edge_count", "graph.is_regular", "graph.vertex_count",
     "serialize._coloring_from_json", "serialize._graph_from_json", "serialize._graph_in_order",
     "serialize._images_in_order",
-    "serialize._require_unique",
     "serialize._strict_int", "serialize._strict_int_lists", "serialize.instance_from_json",
     "serialize.load_json", "serialize.witness_from_json",
 }
@@ -649,7 +648,7 @@ def test_classes_stops_at_the_coloring_bound(tmp_path, capsys, monkeypatch):
     # 12 parallel edges pass the 30-edge bound but have 12! legal colorings
     monkeypatch.setattr(kempe_covers.oracle, "MAX_COLORINGS", 1000)
     path = tmp_path / "theta12.json"
-    dump_json(instance_to_json(Multigraph.from_edges(2, [(0, 1)] * 12), {}), path)
+    dump_json(instance_to_json(Multigraph(2, [(0, 1)] * 12), {}), path)
     assert main(["classes", "--input", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

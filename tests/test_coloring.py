@@ -148,14 +148,14 @@ def test_cycles_come_in_order_of_smallest_edge(k33, k33_pair):
 
 def test_cycle_decomposition_canonical_walks():
     # two triangles, one with a reversed stored edge; vertex 3 is isolated
-    g = Multigraph.from_edges(7, [(0, 1), (4, 5), (2, 1), (5, 6), (0, 2), (6, 4)])
+    g = Multigraph(7, [(0, 1), (4, 5), (2, 1), (5, 6), (0, 2), (6, 4)])
     cycles = _cycle_decomposition(g, [5, 2, 0, 3, 4, 1])
     assert cycles == [(0, 2, 4), (1, 3, 5)]
 
 
 @pytest.mark.parametrize("g", [
-    Multigraph.from_edges(3, [(0, 1), (1, 2)]),  # path: its ends meet one edge
-    Multigraph.from_edges(2, [(0, 1)] * 3),  # theta: both vertices meet three
+    Multigraph(3, [(0, 1), (1, 2)]),  # path: its ends meet one edge
+    Multigraph(2, [(0, 1)] * 3),  # theta: both vertices meet three
 ])
 def test_cycle_decomposition_rejects_non_two_regular(g):
     with pytest.raises(IllegalColoringError):
@@ -239,7 +239,7 @@ def test_closed_alternating_walk_with_a_third_pair_edge_is_not_a_component():
     # 0-2 also has color 1, so vertices 0 and 2 meet three edges of the pair
     # and the square is only part of its component; a legal coloring has no
     # such vertex, so the coloring is refused before the square is read
-    g = Multigraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    g = Multigraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     c = EdgeColoring(3, {0: 1, 1: 2, 2: 1, 3: 2, 4: 1})
     square = BichromaticCycle((1, 2), (0, 1, 2, 3))
     illegal = "edges 0 and 4 both have color 1 at vertex 0"
@@ -249,8 +249,8 @@ def test_closed_alternating_walk_with_a_third_pair_edge_is_not_a_component():
         apply_sequence(g, c, (square,))
 
 
-PROBE = Multigraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (0, 5)])
-SQUARES = Multigraph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
+PROBE = Multigraph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (0, 5)])
+SQUARES = Multigraph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
 
 
 # a 4-cycle colored 1, 2, 1, 2 whose vertex 0 also meets two edges of color 3,
@@ -363,7 +363,7 @@ def test_coloring_functions_agree_on_a_mutated_coloring(instance, data):
 
 def test_a_legal_coloring_of_a_path_is_rejected_at_its_end():
     # legal, but vertex 2 meets one edge of the pair: the walk cannot step on
-    path = Multigraph.from_edges(3, [(0, 1), (1, 2)])
+    path = Multigraph(3, [(0, 1), (1, 2)])
     c = EdgeColoring(2, {0: 1, 1: 2})
     assert is_legal(path, c)
     with pytest.raises(StaleSwitchError, match="not a full two-color component at vertex 2"):
@@ -450,7 +450,7 @@ def in_domain(g, c):
     return len(list(c.items())) == g.edge_count and is_legal(g, c)
 
 
-TRIANGLE = Multigraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+TRIANGLE = Multigraph(3, [(0, 1), (1, 2), (2, 0)])
 K33_12 = ((0, 0), (3, 1), (5, 0), (8, 1), (7, 0), (1, 1))  # the (1, 2)-cycle of conftest's K33_C1
 
 
@@ -881,7 +881,7 @@ def planted_multigraphs(draw):
         pairs.extend((ring[k], ring[(k + 1) % length]) for k in range(length))
     vertex = st.integers(min_value=0, max_value=n - 1)
     noise = draw(st.lists(st.tuples(vertex, vertex).filter(lambda uv: uv[0] != uv[1]), max_size=10)) if n > 1 else []
-    g = Multigraph.from_edges(n, pairs + noise)
+    g = Multigraph(n, pairs + noise)
     dropped = draw(st.sets(st.sampled_from(range(len(pairs), g.edge_count)))) if noise else set()
     return spanning_subgraph(g, [e for e in g.edge_ids() if e not in dropped]), planted
 

@@ -177,7 +177,7 @@ def test_witness_rejects_illegal_coloring():
 
 
 def test_witness_rejects_non_regular():
-    path = Multigraph.from_edges(3, [(0, 1), (1, 2)])
+    path = Multigraph(3, [(0, 1), (1, 2)])
     c = EdgeColoring(2, {0: 1, 1: 2})
     with pytest.raises(RegularityError):
         kempe_cover_witness(path, c, c)
@@ -350,7 +350,7 @@ def rejected_input(name):
         return k33, good, illegal
     if name == "wrong degree":
         return k33, EdgeColoring(4, dict(enumerate(K33_C1))), good
-    lollipop = Multigraph.from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
+    lollipop = Multigraph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
     legal_colors = EdgeColoring(3, {0: 1, 1: 2, 2: 3, 3: 2})
     return lollipop, legal_colors, legal_colors
 
@@ -531,7 +531,7 @@ def test_a_cover_with_too_few_edges_is_rejected(theta, theta_coloring):
     # one sheet that carries one of the three edges: incidence holds, the
     # fibers have size 1 and the pull-back has no clash, but edges 1 and 2
     # have no lift
-    short = CoveringMap(Multigraph.from_edges(2, [(0, 1)]), theta, [0, 1], {0: 0})
+    short = CoveringMap(Multigraph(2, [(0, 1)]), theta, [0, 1], {0: 0})
     w = EquivalenceWitness(theta, theta_coloring, theta_coloring, short, ())
     assert verify_witness(w) == Verdict(False, "cover edge count 1 is not 1 x 3")
     assert not verify_covering(short)

@@ -22,16 +22,16 @@ from conftest import dart_lists, edge_table, make_cycle, make_disjoint, make_k33
 
 def test_builder_rejects_loops():
     with pytest.raises(LoopEdgeError):
-        Multigraph.from_edges(1, [(0, 0)])
+        Multigraph(1, [(0, 0)])
 
 
 def test_builder_rejects_unknown_vertex():
     with pytest.raises(UnknownVertexError):
-        Multigraph.from_edges(0, [(0, 1)])
+        Multigraph(0, [(0, 1)])
 
 
 def test_parallel_edges_get_distinct_ids():
-    g = Multigraph.from_edges(2, [(0, 1), (0, 1)])
+    g = Multigraph(2, [(0, 1), (0, 1)])
     assert g.edge_ids() == (0, 1)
     assert g.endpoints(0) == g.endpoints(1) == (0, 1)
 
@@ -39,7 +39,7 @@ def test_parallel_edges_get_distinct_ids():
 def test_incidence_covers_each_edge_twice():
     assert _degrees(make_theta()) == [3, 3]
     assert _degrees(make_k33()) == [3] * 6
-    assert _degrees(Multigraph.from_edges(4, [(0, 1), (2, 1)])) == [1, 2, 1, 0]
+    assert _degrees(Multigraph(4, [(0, 1), (2, 1)])) == [1, 2, 1, 0]
 
 
 def test_degree_and_regularity():
@@ -47,7 +47,7 @@ def test_degree_and_regularity():
     assert all(len(darts) == 3 for darts in dart_lists(k33))
     assert is_regular(k33) == 3
     assert is_regular(make_theta()) == 3
-    path = Multigraph.from_edges(3, [(0, 1), (1, 2)])
+    path = Multigraph(3, [(0, 1), (1, 2)])
     assert is_regular(path) is None
     assert is_regular(Multigraph(0, {})) is None
 
@@ -152,7 +152,7 @@ def test_constructor_refuses_what_is_not_an_integer(n, edges, message):
         Multigraph(n, edges)
     if isinstance(n, int) and list(edges) == list(range(len(edges))):  # the builder takes the same rows
         with pytest.raises(GraphStructureError, match=f"^{re.escape(message)}$"):
-            Multigraph.from_edges(n, list(edges.values()))
+            Multigraph(n, list(edges.values()))
 
 
 @pytest.mark.parametrize("edges", [{0: (1, 2), 1: (0, 1)}, {1: [0, 1], 0: [1, 2]}], ids=["ascending", "unsorted"])
@@ -186,7 +186,7 @@ def multigraphs(draw):
         return Multigraph(n, {})
     vertex = st.integers(min_value=0, max_value=n - 1)
     pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda uv: uv[0] != uv[1]), max_size=14))
-    g = Multigraph.from_edges(n, pairs)
+    g = Multigraph(n, pairs)
     return spanning_subgraph(g, draw(st.sets(st.sampled_from(range(len(pairs))))) if pairs else [])
 
 

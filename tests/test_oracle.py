@@ -43,7 +43,7 @@ from conftest import dart_lists, make_cube, make_cycle, make_disjoint, make_k33,
 
 
 def make_k4():
-    return Multigraph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    return Multigraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 
 def test_theta_has_six_colorings(theta):
@@ -76,7 +76,7 @@ def test_petersen_has_no_coloring(petersen, monkeypatch):
 
 
 def test_enumeration_refuses_large_graphs():
-    big = Multigraph.from_edges(32, [(i, (i + 1) % 32) for i in range(32)])
+    big = Multigraph(32, [(i, (i + 1) % 32) for i in range(32)])
     with pytest.raises(EnumerationLimitError):
         enumerate_legal_colorings(big)
     assert len(enumerate_legal_colorings(big, max_edges=32)) == 2
@@ -139,7 +139,7 @@ def test_census_paths_replay(k33):
 def test_class_count_stable_under_edge_relabeling():
     # same graph with edges created in a different order
     k33 = make_k33()
-    reordered = Multigraph.from_edges(6, [(i, j) for j in range(3, 6) for i in range(3)])
+    reordered = Multigraph(6, [(i, j) for j in range(3, 6) for i in range(3)])
     assert len(kempe_class_partition(k33).classes) == len(
         kempe_class_partition(reordered).classes
     )
@@ -375,7 +375,7 @@ def test_oracle_matches_reference_on_random_bases(seed, shape):
 
 
 def make_parallel(k):
-    return Multigraph.from_edges(2, [(0, 1)] * k)
+    return Multigraph(2, [(0, 1)] * k)
 
 
 def subgraph_base():
@@ -476,7 +476,7 @@ def test_enumeration_work_stops_near_the_coloring_bound(monkeypatch, d, bonds):
     # disjoint d-fold bonds: d ** bonds perfect matchings (a million or more)
     # and d! ** bonds colorings; listing every matching first would take
     # millions of calls before the bound of 1000 colorings is seen
-    g = Multigraph.from_edges(2 * bonds, [(2 * k, 2 * k + 1) for k in range(bonds) for _ in range(d)])
+    g = Multigraph(2 * bonds, [(2 * k, 2 * k + 1) for k in range(bonds) for _ in range(d)])
     monkeypatch.setattr(oracle, "MAX_COLORINGS", 1000)
     with counting_oracle_calls() as calls, pytest.raises(EnumerationLimitError, match="more than 1000 legal colorings"):
         enumerate_legal_colorings(g, max_edges=g.edge_count)

@@ -213,7 +213,7 @@ def test_kempe_cover_witness_builds_no_per_vertex_edge_lists(monkeypatch):
 def test_per_vertex_edge_lists_are_built_at_most_once_per_call(monkeypatch):
     # a 4-cycle colored 1, 2, 1, 2 whose vertex 0 also meets two edges of color 3:
     # filling the color table finds vertex 0 before any switch is drawn
-    g = Multigraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (0, 5)])
+    g = Multigraph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (0, 5)])
     c = EdgeColoring(3, {0: 1, 1: 2, 2: 1, 3: 2, 4: 3, 5: 3})
     cycle = BichromaticCycle((1, 2), (0, 1, 2, 3))
     drawn = []
@@ -228,8 +228,8 @@ def test_per_vertex_edge_lists_are_built_at_most_once_per_call(monkeypatch):
     assert drawn == []
     # a cover that fails the counts counts the degrees of each graph once
     degrees = counter(monkeypatch, bindings("_degrees", graph), "_degrees")
-    source = Multigraph.from_edges(4, [(0, 2), (1, 3), (0, 2), (1, 3), (1, 3)])
-    theta = Multigraph.from_edges(2, [(0, 1)] * 3)
+    source = Multigraph(4, [(0, 2), (1, 3), (0, 2), (1, 3), (1, 3)])
+    theta = Multigraph(2, [(0, 1)] * 3)
     verdict = verify_covering(CoveringMap(source, theta, [0, 0, 1, 1], {f: f // 2 for f in range(5)}))
     assert verdict.reason == "local bijection fails at source vertex 0"
     assert degrees == [(source,), (theta,)]

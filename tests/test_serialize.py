@@ -360,7 +360,7 @@ def bool_cases():
 def test_a_block_whose_every_id_or_value_is_a_bool_is_refused(path, what, column):
     # a 1-regular base of two edges is its own cover, so each block has the two ids 0 and 1, which compare
     # equal to false and true: every entry of one column turns bool, an id column still in id order
-    g = Multigraph.from_edges(4, [(0, 1), (2, 3)])
+    g = Multigraph(4, [(0, 1), (2, 3)])
     c = EdgeColoring(1, {0: 1, 1: 1})
     doc = json.loads(json.dumps(witness_to_json(kempe_cover_witness(g, c, c))))
     rows = doc[path[0]] if len(path) == 1 else doc[path[0]][path[1]]
@@ -373,7 +373,7 @@ def test_a_block_whose_every_id_or_value_is_a_bool_is_refused(path, what, column
 
 def reversed_matching_document():
     # degree 1, and each row's second end is the smaller, so a head 0 sits at the edge of the range check
-    g = Multigraph.from_edges(4, [(1, 0), (3, 2)])
+    g = Multigraph(4, [(1, 0), (3, 2)])
     c = EdgeColoring(1, {0: 1, 1: 1})
     return json.loads(json.dumps(witness_to_json(kempe_cover_witness(g, c, c))))
 
@@ -425,7 +425,7 @@ def test_the_written_form_is_the_compact_sorted_dump(tmp_path, doc):
 
 def test_a_perfect_matching_base_round_trips():
     # a 1-regular base has twice as many vertices as edges, the most the base-size guard lets through
-    g = Multigraph.from_edges(4, [(0, 1), (2, 3)])
+    g = Multigraph(4, [(0, 1), (2, 3)])
     c = EdgeColoring(1, {0: 1, 1: 1})
     w = kempe_cover_witness(g, c, c)
     assert witness_from_json(witness_to_json(w))[0] == w

@@ -18,8 +18,9 @@ graph coverings by permutation voltage assignments", Discrete Math. 18,
 :class:`CoveringMap` is therefore its source, its target and m; its public
 constructor takes maps from outside only when they are x // m. This module
 lifts switch sequences through such covers, replaying each unless the
-caller has, composes them, copies a graph and extends a spanning
-subgraph's cover to the full graph, all by that division. Through a cover
+caller has, and composes them, all by that division. One writer,
+``_union_witness``, writes every row of copies of a graph, of extensions of
+a spanning subgraph's cover and of unions of witnesses. Through a cover
 of degree 1 each switch is its own lift, and through the identity each
 coloring pulls back as itself. Its functions trust their input coverings
 and do not re-check what they build.
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import floordiv, ne
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .coloring import (
     BichromaticCycle,
@@ -192,15 +193,19 @@ def verify_covering(p: CoveringMap) -> Verdict:
 def pullback_coloring(p: CoveringMap, c: EdgeColoring) -> EdgeColoring:
     """Pull ``c`` back through the covering ``p``: each color repeats m times, for the sheets of its edge.
 
-    A legal ``c`` pulls back legal; through a cover whose source is its
-    target, the identity, it pulls back as ``c`` itself. ``p`` is not
-    re-checked; run :func:`verify_covering` on untrusted maps.
+    ``c`` must color exactly the target's edges. A legal ``c`` pulls back
+    legal; through a cover whose source is its target, the identity, it
+    pulls back as ``c`` itself. ``p`` is not re-checked; run
+    :func:`verify_covering` on untrusted maps.
     """
+    colored, edges = len(c._colors), p.target.edge_count
+    if colored < edges:  # the replay's messages
+        raise ColoringError(f"edge {colored} is not colored")
+    if colored > edges:
+        raise ColoringError(f"edge {edges} is not in the graph")
     if p.source is p.target:
         return c
     m, size = p.degree, p.source.edge_count
-    if m * len(c._colors) < size:
-        raise ColoringError(f"edge {len(c._colors)} is not colored")
     # every color is one of c's, already in 1..degree
     return EdgeColoring._adopt(c.degree, _repeat_each(c._colors, m)[:size])
 
@@ -251,10 +256,7 @@ def copies_cover(g: Multigraph, m: int) -> CoveringMap:
     """
     if type(m) is not int or m < 1:  # bools are not integers here
         raise GraphStructureError(f"need at least one copy, got {m!r}")
-    # copies of g's rows: in range and loop-free
-    tails = [u * m + k for u in g._tails for k in range(m)]
-    heads = [w * m + k for w in g._heads for k in range(m)]
-    return CoveringMap._sheeted(Multigraph._adopt(g.vertex_count * m, tails, heads), g, m)
+    return _union_witness(g, [], m, range(g.edge_count))[0]
 
 
 def extend_subgraph_cover(g: Multigraph, edges: Sequence[EdgeId], p: CoveringMap) -> CoveringMap:
@@ -271,18 +273,47 @@ def extend_subgraph_cover(g: Multigraph, edges: Sequence[EdgeId], p: CoveringMap
     known = edges == sorted(set(edges)) and (not edges or 0 <= edges[0] and edges[-1] < g.edge_count)
     if not known or (h._n, h._tails, h._heads) != (g._n, [g._tails[e] for e in edges], [g._heads[e] for e in edges]):
         raise CoveringError("cover does not map onto the given subgraph")
-    m, source = p.degree, p.source
-    # each edge of h takes its m rows from p's source, and every other edge lifts sheet by sheet
-    rows = dict(zip(edges, range(0, len(edges) * m, m)))
-    tails: list[VertexId] = []
-    heads: list[VertexId] = []
-    for e, (u, w) in enumerate(zip(g._tails, g._heads)):
-        f = rows.get(e)
-        if f is None:
-            tails.extend(range(u * m, u * m + m))
-            heads.extend(range(w * m, w * m + m))
-        else:
-            tails.extend(source._tails[f : f + m])
-            heads.extend(source._heads[f : f + m])
-    # a lift joins the fibers of two distinct vertices of g
-    return CoveringMap._sheeted(Multigraph._adopt(source.vertex_count, tails, heads), g, m)
+    others = set(range(g.edge_count)).difference(edges)
+    return _union_witness(g, [(p, (), range(g.vertex_count), edges)], p.degree, others)[0]
+
+
+def _union_witness(
+    g: Multigraph, parts: list[tuple], degree: int, lifted: Iterable[EdgeId] = ()
+) -> tuple[CoveringMap, SwitchSequence]:
+    """The disjoint union of ``degree // m`` copies of each part's witness of degree m: a cover of ``g``.
+
+    A part ``(cover, switches, vback, eback)`` is a witness whose vertex and
+    edge ids map into ``g`` through ``vback`` and ``eback``, with ``eback``
+    ascending. Copy c of the part's cover vertex v*m + k is sheet c*m + k
+    over vback[v], with id vback[v]*degree + c*m + k, and the same for
+    edges, each row written at its id. Each switch goes onto every copy of
+    its part before the next. Each edge e = (u, w) of ``lifted``, which no
+    part lists, lifts sheet by sheet to the rows e*degree + k from
+    u*degree + k to w*degree + k. Copies of a graph, extensions of a
+    subgraph's cover, unions of components and pads all write here.
+    """
+    size = g.edge_count * degree
+    tails, heads = [0] * size, [0] * size
+    for e in lifted:
+        f, u, w = e * degree, g._tails[e] * degree, g._heads[e] * degree
+        tails[f : f + degree] = range(u, u + degree)
+        heads[f : f + degree] = range(w, w + degree)
+    all_switches: list[BichromaticCycle] = []
+    for cover, switches, vback, eback in parts:
+        m, source = cover.degree, cover.source
+        firsts = range(0, degree, m)  # the first sheet of each copy: c*m for copy c
+        # the ids of copy 0; copy c adds c*m to every vertex and edge id
+        at = [v * degree + k for v in vback for k in range(m)]
+        ids = [e * degree + k for e in eback for k in range(m)]
+        ups, downs = list(map(at.__getitem__, source._tails)), list(map(at.__getitem__, source._heads))
+        for s in firsts:
+            for f, u, w in zip(ids, ups, downs):
+                tails[f + s], heads[f + s] = u + s, w + s
+        # eback ascends, so a sorted switch stays sorted
+        for cyc in switches:
+            moved = list(map(ids.__getitem__, cyc.edge_ids))
+            for s in firsts:
+                all_switches.append(BichromaticCycle(cyc.colors, tuple(map(s.__add__, moved))))
+    # each copy and each lift joins the copies of two distinct vertices
+    union = Multigraph._adopt(g.vertex_count * degree, tails, heads)
+    return CoveringMap._sheeted(union, g, degree), tuple(all_switches)

@@ -14,11 +14,11 @@ beta(d) = (d-1) * beta(d-1)^2. The construction is a recursion on d:
   are shared between the parts, which only read them.
 * some color classes already equal: drop the largest such color k. The
   remaining edges form a spanning (d-1)-regular subgraph, numbered densely,
-  carrying both colorings with d renamed to k; recurse there, extend the
-  resulting cover to the full graph (each k-colored edge lifts to one copy
-  per sheet, joining equal sheets), and replay the same switches with k
-  renamed back to d, their edge ids taken back to the full graph. At d=3
-  the rest is 2-regular, and its cycles are found on the graph's own table.
+  carrying both colorings with d renamed to k; recurse there, and take the
+  sub-witness, with k renamed back to d, as the one part of a union of its
+  own degree, which takes its rows and switches back to the full graph and
+  lifts each k-colored edge to one copy per sheet, joining equal sheets.
+  At d=3 the rest is 2-regular; its cycles are found on the graph's table.
 * no color class equal: align the top color first with the degree-(d-1)
   alignment cover, then run the aligned case for k = d twice, once from the
   pulled-back first coloring to the shifted coloring and once from the
@@ -29,7 +29,8 @@ beta(d) = (d-1) * beta(d-1)^2. The construction is a recursion on d:
 
 Every result is normalized to degree exactly beta(d) by padding with
 disjoint copies, except the trivial short-circuit for identical inputs,
-which keeps the identity cover. Padding is a disjoint union of copies
+which keeps the identity cover. Padding, like the union of components and
+the aligned case's extension, is a ``covering._union_witness`` of copies
 that renumbers each switch onto every copy, with no replay. It keeps
 fibers constant across disconnected intermediate subgraphs, which is what
 lets cover extension stay in the constant-fiber case throughout. Every
@@ -53,9 +54,9 @@ from .covering import (
     CoveringMap,
     Verdict,
     _lift,
+    _union_witness,
     _verify_incidence,
     compose,
-    extend_subgraph_cover,
     lift_sequence,
     pullback_coloring,
 )
@@ -175,9 +176,10 @@ def _aligned_witness(
     The rest, numbered densely, carries both colorings with d renamed to k,
     and each sub-switch has k renamed back to d and its ids taken back to g;
     a renaming of colors maps legal colorings and their {a, b} components to
-    legal colorings and components. The sub-witness cover extends to g by
-    lifting each k-colored edge to one copy per sheet, and no switch touches
-    k. Result degree is exactly beta(d-1), with no pad: on unequal inputs
+    legal colorings and components. The sub-witness is the one part of a
+    ``covering._union_witness`` of its own degree, which lifts each k-colored
+    edge to one copy per sheet; no switch touches k. Result degree is
+    exactly beta(d-1), with no pad: on unequal inputs
     :func:`_witness` has degree exactly beta(j), and the colorings of the
     rest always differ. In :func:`_witness`, c1 != c2 agree on k's class. In
     :func:`_misaligned_witness`, k = d; in its first call, the d-1 lifts of an
@@ -188,17 +190,15 @@ def _aligned_witness(
     if d == 3:  # the rest is 2-regular, and its cycles are found on g's own table
         return _base_two_witness(g, c1, c2, (1, 2) if k == 3 else (3 - k, 3))
     rest = [e for e, col in enumerate(c1._colors) if col != k]
+    top = [e for e, col in enumerate(c1._colors) if col == k]
     h = spanning_subgraph(g, rest)
     # both colorings give color k to the same edges, so rest misses it, and d takes k's name
     names = [*range(d), k]
     sub = [EdgeColoring._adopt(d - 1, [names[c._colors[e]] for e in rest]) for c in (c1, c2)]
     cover, switches = _witness(h, *sub, d - 1)
-    # row f of the rest's cover is row rest[f // m]*m + f % m here, which ascends with f, so switches stay
-    # sorted; a sub-switch on {a, k} switches {a, d} here, and a < d keeps the pair sorted
-    m = cover.degree
-    renamed = [BichromaticCycle((sum(s.colors) - k, d) if k in s.colors else s.colors,
-                                tuple([rest[f // m] * m + f % m for f in s.edge_ids])) for s in switches]
-    return extend_subgraph_cover(g, rest, cover), tuple(renamed)
+    # a sub-switch on {a, k} switches {a, d} here, and a < d keeps the pair sorted
+    renamed = [BichromaticCycle((sum(s.colors) - k, d), s.edge_ids) if k in s.colors else s for s in switches]
+    return _union_witness(g, [(cover, renamed, range(g.vertex_count), rest)], cover.degree, top)
 
 
 def _misaligned_witness(
@@ -262,38 +262,6 @@ def _per_component_witness(
             solved[key] = _witness(sub, EdgeColoring._adopt(d, colors1), EdgeColoring._adopt(d, colors2), d)
         parts.append((*solved[key], vback, eback))
     return _union_witness(g, parts, beta(d))
-
-
-def _union_witness(g: Multigraph, parts: list[tuple], degree: int) -> tuple[CoveringMap, SwitchSequence]:
-    """The disjoint union of ``degree // m`` copies of each part's witness of degree m: a cover of ``g``.
-
-    A part ``(cover, switches, vback, eback)`` is a witness whose vertex and
-    edge ids map into ``g`` through ``vback`` and ``eback``. Copy c of the
-    part's cover vertex v*m + k is sheet c*m + k over vback[v], with id
-    vback[v]*degree + c*m + k, and the same for edges, each row written at
-    its id. Each switch goes onto every copy of its part before the next.
-    """
-    size = g.edge_count * degree
-    tails, heads = [0] * size, [0] * size
-    all_switches: list[BichromaticCycle] = []
-    for cover, switches, vback, eback in parts:
-        m, source = cover.degree, cover.source
-        firsts = range(0, degree, m)  # the first sheet of each copy: c*m for copy c
-        # the rows of copy 0; copy c adds c*m to every vertex and edge id
-        at = [vback[x // m] * degree + x % m for x in range(source.vertex_count)]
-        ids = [eback[f // m] * degree + f % m for f in range(source.edge_count)]
-        rows = list(zip(ids, map(at.__getitem__, source._tails), map(at.__getitem__, source._heads)))
-        for s in firsts:
-            for f, u, w in rows:
-                tails[f + s], heads[f + s] = u + s, w + s
-        # eback ascends, so a sorted switch stays sorted
-        for cyc in switches:
-            moved = [eback[f // m] * degree + f % m for f in cyc.edge_ids]
-            for s in firsts:
-                all_switches.append(BichromaticCycle(cyc.colors, tuple(map(s.__add__, moved))))
-    # each copy joins the copies of two distinct vertices
-    union = Multigraph._adopt(g.vertex_count * degree, tails, heads)
-    return CoveringMap._sheeted(union, g, degree), tuple(all_switches)
 
 
 def kempe_cover_witness(g: Multigraph, c1: EdgeColoring, c2: EdgeColoring) -> EquivalenceWitness:

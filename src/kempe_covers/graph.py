@@ -168,7 +168,7 @@ def connected_components(g: Multigraph) -> list[frozenset[VertexId]]:
 
 def spanning_subgraph(g: Multigraph, edges: Iterable[EdgeId]) -> Multigraph:
     """Subgraph on all vertices of ``g`` and exactly the given edges: its edge i is the i-th smallest
-    given id, with its stored endpoint order, as :func:`~kempe_covers.covering.extend_subgraph_cover` reads it."""
+    given id, with its stored endpoint order, as ``covering._union_witness`` reads a part's edge ids back."""
     chosen, size = sorted(set(edges)), len(g._tails)
     if chosen and not (0 <= chosen[0] and chosen[-1] < size):
         raise UnknownEdgeError(f"no edge {next(e for e in chosen if not 0 <= e < size)}")

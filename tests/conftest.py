@@ -159,11 +159,14 @@ def checked_layers():
     The library proves its inputs once and builds every later cover and
     coloring from lemmas, without checking them again. While this fixture
     is active, every cover that ``compose``, ``copies_cover``,
-    ``extend_subgraph_cover``, ``_build_alignment_cover`` and the padding
-    union ``_union_witness`` return must pass ``verify_covering`` (and the
+    ``extend_subgraph_cover``, ``_build_alignment_cover`` and
+    ``_union_witness`` return must pass ``verify_covering`` (and the
     shifted coloring ``is_legal``), and every ``pullback_coloring`` result
-    must be legal. Each function is replaced in every ``kempe_covers``
-    namespace that binds it, so calls between layers are checked too.
+    must be legal. ``covering._union_witness``, bound in ``equivalence``
+    too, writes every copy, extension, union of components and pad, so the
+    recursion's covers are all checked there. Each function is replaced in
+    every ``kempe_covers`` namespace that binds it, so calls between layers
+    are checked too.
     ``_build_alignment_cover`` is the builder behind both the public
     ``build_alignment_cover`` and the recursion's private alignment entry.
     Yields the number of checked results per function.
@@ -172,7 +175,7 @@ def checked_layers():
     wrappers = {
         covering.compose: _checking_covers,
         covering.copies_cover: _checking_covers,
-        equivalence._union_witness: _checking_covers,
+        covering._union_witness: _checking_covers,
         covering.extend_subgraph_cover: _checking_covers,
         alignment._build_alignment_cover: _checking_covers,
         covering.pullback_coloring: _checking_pullbacks,

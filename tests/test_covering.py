@@ -168,6 +168,17 @@ def test_pullback_names_the_first_uncolored_base_edge(k33):
         EdgeColoring(3, {e: col for e, col in enumerate(K33_C1) if e not in (4, 7)})
 
 
+@pytest.mark.parametrize("cover", [lambda g: copies_cover(g, 2), CoveringMap.identity], ids=["copies", "identity"])
+@pytest.mark.parametrize("colors, reason", [
+    (K33_C1[:8], "^edge 8 is not colored$"),
+    (K33_C1 + (1, 2), "^edge 9 is not in the graph$"),  # extra entries are not dropped
+], ids=["short", "long"])
+def test_pullback_refuses_a_coloring_of_another_length(k33, cover, colors, reason):
+    # the identity returns its coloring as it is, so the length is checked before that shortcut
+    with pytest.raises(ColoringError, match=reason):
+        pullback_coloring(cover(k33), EdgeColoring(3, colors))
+
+
 def test_lift_switch_identity(k33, k33_pair):
     c1, _ = k33_pair
     gamma = bichromatic_cycles(k33, c1, 1, 2)[0]
@@ -840,3 +851,72 @@ def test_is_legal_matches_reference(valid_covers, data):
         colors[max(colors) + 1] = 1
     c = EdgeColoring(base.degree, colors)
     assert outcome(is_legal, p.source, c) == outcome(reference_is_legal, p.source, c)
+
+
+# -- the one row writer against the builders it replaced ------------------------
+
+
+def reference_copies_rows(g, m):
+    """Frozen copy of the rows that copies_cover built before one writer wrote them all: copy k of
+    the edge e = (u, w) is row e*m + k, from u*m + k to w*m + k."""
+    tails = [u * m + k for u in g._tails for k in range(m)]
+    heads = [w * m + k for w in g._heads for k in range(m)]
+    return g.vertex_count * m, tails, heads, m
+
+
+def reference_extension_rows(g, edges, p):
+    """Frozen copy of the row loop that extend_subgraph_cover ran before one writer wrote them all:
+    edge edges[i] takes p's rows i*m + k, and each other edge lifts sheet by sheet."""
+    m, source = p.degree, p.source
+    rows = dict(zip(edges, range(0, len(edges) * m, m)))
+    tails, heads = [], []
+    for e, (u, w) in enumerate(zip(g._tails, g._heads)):
+        f = rows.get(e)
+        if f is None:
+            tails.extend(range(u * m, u * m + m))
+            heads.extend(range(w * m, w * m + m))
+        else:
+            tails.extend(source._tails[f : f + m])
+            heads.extend(source._heads[f : f + m])
+    return source.vertex_count, tails, heads, m
+
+
+def written_rows(p):
+    return p.source._n, p.source._tails, p.source._heads, p.degree
+
+
+@pytest.fixture(scope="module")
+def spanning_covers():
+    """(g, edges, h, covers): the empty edge list and each color class's complement in a few bases, the
+    spanning subgraph h on those edges and covers of h. Past the identity they are the alignment cover
+    and a built witness's cover of two colorings of h, a switch apart, whose permutations are not all
+    the identity."""
+    bases = [(make_k33(), EdgeColoring(3, K33_C1))]
+    for seed, d in ((0, 4), (1, 4), (2, 5)):
+        g, c, _ = random_colored_instance(seed, d, 8)
+        bases.append((g, c))
+    samples = []
+    for g, c in bases:
+        d = c.degree
+        samples.append((g, [], spanning_subgraph(g, []), []))
+        for k in range(1, d + 1):
+            edges = [e for e in g.edge_ids() if c[e] != k]
+            h = spanning_subgraph(g, edges)
+            names = [*range(d), k]  # d takes k's name, so h's colors are 1..d-1
+            a = EdgeColoring(d - 1, [names[c[e]] for e in edges])
+            b = kempe_switch(h, a, bichromatic_cycles(h, a, 1, d - 1)[0])
+            samples.append((g, edges, h, [build_alignment_cover(h, a, b)[0], kempe_cover_witness(h, a, b).cover]))
+    # some of their permutations are not the identity: those covers are not copies
+    assert any(written_rows(p) != reference_copies_rows(p.target, p.degree) for *_, covers in samples for p in covers)
+    return samples
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_copies_and_extensions_write_the_rows_of_the_frozen_builders(spanning_covers, data):
+    g, edges, h, covers = data.draw(st.sampled_from(spanning_covers))
+    m = data.draw(st.integers(1, 4))
+    for base in (g, h):
+        assert written_rows(copies_cover(base, m)) == reference_copies_rows(base, m)
+    p = data.draw(st.sampled_from([CoveringMap.identity(h), copies_cover(h, m), *covers]))
+    assert written_rows(extend_subgraph_cover(g, edges, p)) == reference_extension_rows(g, edges, p)

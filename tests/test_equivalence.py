@@ -492,8 +492,7 @@ def test_every_adopted_table_passes_the_public_checks(checked_adoption):
         assert len(connected_components(w.cover.source)) > 1
         assert verify_witness(w)
     kempe_switch(g, c1, bichromatic_cycles(g, c1, 1, 2)[0])
-    graphs = {"spanning_subgraph", "_union_witness", "extend_subgraph_cover", "_build_alignment_cover",
-              "_per_component_witness"}
+    graphs = {"spanning_subgraph", "_union_witness", "_build_alignment_cover", "_per_component_witness"}
     colorings = {"pullback_coloring", "kempe_switch", "apply_sequence", "_aligned_witness",
                  "_per_component_witness", "_build_alignment_cover", "_edge_colorings"}
     assert checked_adoption == {("graph", f) for f in graphs} | {("coloring", f) for f in colorings}

@@ -99,3 +99,19 @@ def test_deep_d4_slot_witness_digest():
     text = canonical(kempe_cover_witness(*random_colored_instance(2, 4, 40)))[:-1]
     assert len(text) == 34_072
     assert hashlib.sha256(text.encode()).hexdigest() == "a35eda6ba5ab524001f9c75df1239d3067549e405787297671f046001978b755"
+
+
+def test_cross_seed_witnesses_digest():
+    # 59 instances across d=3, 4 and 5, hashed in this order: a refactor of any cover or switch
+    # writer must leave every byte of every witness as it was
+    shapes = [(3, n, seed) for n in (8, 20, 100, 1000) for seed in range(6)]
+    shapes += [(4, n, seed) for n in (8, 20, 40, 150) for seed in range(6)]
+    shapes += [(5, n, seed) for n in (6, 8) for seed in range(5)]
+    shapes.append((4, 30, 0))
+    digest, switches = hashlib.sha256(), 0
+    for d, n, seed in shapes:
+        witness = kempe_cover_witness(*random_colored_instance(seed, d, n))
+        switches += len(witness.switches)
+        digest.update(canonical(witness).encode())
+    assert (len(shapes), switches) == (59, 42_661)
+    assert digest.hexdigest() == "0c8e89dddb7e2b3c71eff2984c1dc5ac8341d600b9ae46c3ae5cbbbe941998c5"

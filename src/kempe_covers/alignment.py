@@ -43,7 +43,7 @@ from .coloring import (
     apply_sequence,
     common_degree,
 )
-from .covering import CoveringMap
+from .covering import CoveringMap, _first_ends
 from .errors import GraphStructureError, RegularityError
 from .graph import EdgeId, Multigraph, VertexId
 
@@ -167,20 +167,18 @@ def _build_alignment_cover(
 ) -> tuple[CoveringMap, EdgeColoring]:
     """:func:`build_alignment_cover` from the vertex shifts of proved inputs."""
     d, modulus = c1.degree, c1.degree - 1
-    tails: list[VertexId] = []
     heads: list[VertexId] = []
     colors: list[int] = []
     for u, w, color in zip(g._tails, g._heads, c1._colors):
-        # copy k, row e*modulus + k, leaves u on sheet k and reaches w on sheet k + step
+        # copy k, row e*modulus + k, leaves u on sheet k (the sheet rule's tail) and reaches w on sheet k + step
         step = 0 if color == d else shift[w] - shift[u]
         for k in range(modulus):
-            tails.append(u * modulus + k)
             heads.append(w * modulus + (k + step) % modulus)
             # the residue as a color: 0 stands for the color modulus
             colors.append(d if color == d else (k - shift[u] + color) % modulus or modulus)
 
     # the copy of (u, w) joins sheets of u and of w != u
-    cover_graph = Multigraph._adopt(g.vertex_count * modulus, tails, heads)
+    cover_graph = Multigraph._adopt(g.vertex_count * modulus, _first_ends(g, modulus), heads)
     # each color is d, or a residue mod d-1 read as a color in 1..d-1
     return CoveringMap._sheeted(cover_graph, g, modulus), EdgeColoring._adopt(d, colors)
 

@@ -9,32 +9,34 @@ coloring.
 Every covering map is numbered sheet by sheet, in its base's own id space:
 in a cover of degree m, vertex (v, k) has id v*m + k and edge (e, k) has id
 e*m + k, for k in 0..m-1. Its projection is then x // m on vertices and on
-edges. Every cover the package builds also numbers each edge by its sheet
-at the base row's first end: row e*m + k of e = (u, w) runs from u*m + k to
-w*m + pi_e(k), so the cover is one permutation pi_e per base edge, a
-permutation voltage graph (J. L. Gross and T. W. Tucker, "Generating all
-graph coverings by permutation voltage assignments", Discrete Math. 18,
-1977). Any covering of constant degree m can be renumbered so. A
-:class:`CoveringMap` is therefore its source, its target and m; its public
-constructor takes maps from outside only when they are x // m. This module
-lifts switch sequences through such covers, replaying each unless the
-caller has, and composes them, all by that division. One writer,
-``_union_witness``, writes every row of copies of a graph, of extensions of
-a spanning subgraph's cover and of unions of witnesses. Through a cover
-of degree 1 each switch is its own lift, and through the identity each
-coloring pulls back as itself. Its functions trust their input coverings
-and do not re-check what they build.
+edges. A cover also obeys the *sheet rule*, read directed: it has m|E|
+rows, and row e*m + k of the base row e = (u, w) runs from u*m + k to
+w*m + pi_e(k). So the cover is its base, m and one head per row, one
+permutation pi_e per base edge: a permutation voltage graph (J. L. Gross
+and T. W. Tucker, "Generating all graph coverings by permutation voltage
+assignments", Discrete Math. 18, 1977). Any covering of constant degree m
+can be renumbered so. A :class:`CoveringMap` is therefore its source, its
+target and m; its public constructor takes maps from outside only when
+they are x // m. This module lifts switch sequences through such covers,
+replaying each unless the caller has, and composes them, all by that
+division. Every builder takes its tails from the base, as one list, and
+writes only heads; one writer, ``_union_witness``, writes every row of
+copies of a graph, of extensions of a spanning subgraph's cover and of
+unions of witnesses. Through a cover of degree 1 each switch is its own
+lift, and through the identity each coloring pulls back as itself. Its
+functions trust their input coverings and do not re-check what they build.
 The type gives total maps, vertex images in the target and constant,
-non-empty fibers; :func:`verify_covering` checks the rest of the axioms.
-Its incidence half is also the first step of ``equivalence.verify_witness``,
-which gets the rest from an edge count and a pulled-back coloring's fill.
+non-empty fibers. The sheet rule is the one incidence check: it is the
+first half of :func:`verify_covering` and the first step of
+``equivalence.verify_witness``, which gets the rest from a pulled-back
+coloring's fill.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import floordiv, ne
+from itertools import compress, count, cycle, repeat
+from operator import add, floordiv, mul, ne
 from typing import Iterable, Mapping, Sequence
 
 from .coloring import (
@@ -45,7 +47,7 @@ from .coloring import (
     _replay,
 )
 from .errors import ColoringError, CoveringError, GraphStructureError, UnknownEdgeError
-from .graph import EdgeId, Multigraph, VertexId, _degrees
+from .graph import EdgeId, Multigraph, VertexId, _in_id_order
 
 
 @dataclass(frozen=True)
@@ -64,12 +66,13 @@ class CoveringMap:
 
     The constructor raises CoveringError, naming the first entry at fault,
     unless ``vertex_map`` is x // m on ``source``, where m >= 1 and
-    m * |V(target)| = |V(source)|, and ``edge_map``, a sequence or a mapping,
-    is f // m on its edges. A sequence's first fault is found in one scan
+    m * |V(target)| = |V(source)|, and ``edge_map`` is f // m on its edges.
+    Either map is a sequence, or a mapping keyed by exactly 0..N-1 and read
+    in id order as a graph's edge table is; any other mapping is refused,
+    naming its first missing key. The first fault is found in one scan
     against x // m: the first index where they differ, else the shorter
-    one's length. A mapping's is found from its keys: the smallest id that
-    is missing, foreign or mapped elsewhere. It does not check incidence or
-    local bijection; run :func:`verify_covering` for those.
+    one's length. It does not check the sheet rule or local bijection; run
+    :func:`verify_covering` for those.
     """
 
     __slots__ = ("source", "target", "degree")
@@ -85,23 +88,16 @@ class CoveringMap:
         m = size // n if n else 0
         if m < 1 or m * n != size:
             raise CoveringError(f"cover has {size} vertices, not m >= 1 times the target's {n}")
-        for kind, given, count in (("vertex", vertex_map, size), ("edge", edge_map, source.edge_count)):
-            want = _repeat_each(list(range(-(-count // m))), m)[:count]  # x // m for x in 0..count-1
-            if isinstance(given, Mapping):  # the smallest id that is missing, foreign or mapped elsewhere
-                given, want = dict(given), dict(enumerate(want))
-                if given == want:
-                    continue
-                x = min(given.keys() ^ want.keys() | {x for x in want.keys() & given.keys() if given[x] != want[x]})
-                ids = given.keys()
-            elif list(given) == want:
+        for kind, given, total in (("vertex", vertex_map, size), ("edge", edge_map, source.edge_count)):
+            given = _in_id_order(given, CoveringError)
+            want = _repeat_each(list(range(-(-total // m))), m)[:total]  # x // m for x in 0..total-1
+            if given == want:
                 continue
-            else:  # the first index where the lists differ, else the shorter list's length
-                given = list(given)
-                x = next(compress(range(count), map(ne, given, want)), min(len(given), count))
-                ids = range(len(given))
-            if x not in range(count):
+            # the first index where the lists differ, else the shorter list's length
+            x = next(compress(range(total), map(ne, given, want)), min(len(given), total))
+            if x == total:
                 raise CoveringError(f"{kind} map names {kind} {x}, not a source {kind}")
-            if x not in ids:
+            if x == len(given):
                 raise CoveringError(f"{kind} {x} has no image")
             raise CoveringError(f"{kind} {x} maps to {given[x]}, not to {x} // {m} = {want[x]}")
         self.source, self.target, self.degree = source, target, m
@@ -145,48 +141,47 @@ def _repeat_each(values: list, m: int) -> list:
     return out
 
 
+def _first_ends(g: Multigraph, m: int) -> list[VertexId]:
+    """The first end u*m + k of row e*m + k, for each row e = (u, w) of ``g`` and each sheet k:
+    the tails of every cover of ``g`` of degree m."""
+    return list(map(add, _repeat_each(list(map(mul, g._tails, repeat(m))), m), cycle(range(m))))
+
+
 def _verify_incidence(p: CoveringMap) -> Verdict:
-    """The first half of :func:`verify_covering`: each edge f runs over f // m, between the images of its ends."""
+    """The sheet rule, the first half of :func:`verify_covering`: the cover has m|E| rows, and row
+    e*m + k of the base row e = (u, w) runs from u*m + k to a vertex over w. The first row that
+    breaks it is named, also when it is stored reversed."""
     m, src, tgt = p.degree, p.source, p.target
-    inside = min(src.edge_count, m * tgt.edge_count)  # the rows f with an image f // m in the target
-    images = [list(map(floordiv, ends[:inside], repeat(m))) for ends in (src._tails, src._heads)]
-    rows = [_repeat_each(ends, m)[:inside] for ends in (tgt._tails, tgt._heads)]
-    if images != rows:
-        for f, x, y, a, b in zip(range(inside), *images, *rows):
-            if not (x == a and y == b or x == b and y == a):
-                return Verdict(False, f"edge {f} does not preserve incidence")
-    if inside < src.edge_count:
-        return Verdict(False, f"edge {inside} maps outside the target")
+    if src.edge_count != m * tgt.edge_count:
+        return Verdict(False, f"cover edge count {src.edge_count} is not {m} x {tgt.edge_count}")
+    tails, over = _first_ends(tgt, m), _repeat_each(tgt._heads, m)
+    images = list(map(floordiv, src._heads, repeat(m)))
+    if src._tails != tails or images != over:
+        f = next(compress(count(), map(ne, zip(src._tails, images), zip(tails, over))))
+        return Verdict(False, f"edge {f} does not preserve incidence")
     return Verdict(True)
 
 
 def verify_covering(p: CoveringMap) -> Verdict:
-    """Check incidence, edge surjectivity and local bijection; the type gives the rest.
+    """Check the sheet rule, then local bijection; the type gives the rest.
 
-    Images that keep incidence put v's edges over edges at v // m. So v's
-    edges map one to one onto the edges at v // m exactly when the
-    (end vertex, image edge) pairs at v are deg(v) distinct ones and
-    deg(v) = deg(v // m). The first source vertex where two edges share
-    an image or the degrees differ is named.
+    Under the sheet rule, the edges at the cover vertex v = x*m + k are row
+    e*m + k of each base edge e that leaves x, and each row over a base edge
+    that enters x whose second end is v; base edges are no loops. So v's
+    edges map one to one onto the edges at x, and every base edge has m
+    lifts, exactly when the m second ends over each base edge are distinct.
+    In the first base edge where two of its rows share a second end, that
+    vertex is named.
     """
     verdict = _verify_incidence(p)
     if not verdict:
         return verdict
-    m, src = p.degree, p.source
-    # the images f // m of the rows 0..E-1 are the ids 0..ceil(E / m)-1
-    if -(-src.edge_count // m) != p.target.edge_count:
-        return Verdict(False, "edge map is not surjective")
-    images = list(map(floordiv, range(src.edge_count), repeat(m)))
-    pairs = set(zip(src._tails, images))
-    pairs.update(zip(src._heads, images))
-    distinct, degree, tgt_degree = [0] * p.source.vertex_count, _degrees(p.source), _degrees(p.target)
-    for v, _ in pairs:
-        distinct[v] += 1
-    for v, count in enumerate(distinct):
-        if count != degree[v]:
+    m, heads = p.degree, p.source._heads
+    for f in range(0, len(heads), m):
+        ends = heads[f : f + m]
+        if len(set(ends)) < m:
+            v = next(v for i, v in enumerate(ends) if v in ends[:i])
             return Verdict(False, f"local bijection fails at source vertex {v} (collision)")
-        if count != tgt_degree[v // m]:
-            return Verdict(False, f"local bijection fails at source vertex {v}")
     return Verdict(True)
 
 
@@ -264,8 +259,9 @@ def extend_subgraph_cover(g: Multigraph, edges: Sequence[EdgeId], p: CoveringMap
 
     ``p``, a covering of degree m of ``spanning_subgraph(g, edges)`` for
     ascending ``edges``, is not re-checked (run :func:`verify_covering` on
-    untrusted maps). Rows e*m + k of the result are p's rows i*m + k for
-    e = edges[i], and each other edge e = (u, w) of ``g`` lifts to the m
+    untrusted maps). Every row of the result keeps the sheet rule, so its
+    tails come from ``g``: row e*m + k for e = edges[i] takes the head of
+    p's row i*m + k, and each other edge e = (u, w) of ``g`` lifts to the m
     edges e*m + k from u*m + k to w*m + k, as in :func:`copies_cover`.
     """
     h, edges = p.target, list(edges)
@@ -284,20 +280,21 @@ def _union_witness(
 
     A part ``(cover, switches, vback, eback)`` is a witness whose vertex and
     edge ids map into ``g`` through ``vback`` and ``eback``, with ``eback``
-    ascending. Copy c of the part's cover vertex v*m + k is sheet c*m + k
-    over vback[v], with id vback[v]*degree + c*m + k, and the same for
-    edges, each row written at its id. Each switch goes onto every copy of
-    its part before the next. Each edge e = (u, w) of ``lifted``, which no
-    part lists, lifts sheet by sheet to the rows e*degree + k from
-    u*degree + k to w*degree + k. Copies of a graph, extensions of a
-    subgraph's cover, unions of components and pads all write here.
+    ascending and each base row i = (u, w) of the part over g's row
+    eback[i] = (vback[u], vback[w]). Copy c of the part's cover vertex
+    v*m + k is sheet c*m + k over vback[v], with id vback[v]*degree + c*m + k,
+    and the same for edges. Every row keeps the sheet rule, so all tails come
+    from g as one list, and only each row's head is written at its id. Each
+    switch goes onto every copy of its part before the next. Each edge
+    e = (u, w) of ``lifted``, which no part lists, lifts sheet by sheet to the
+    rows e*degree + k from u*degree + k to w*degree + k. Copies of a graph,
+    extensions of a subgraph's cover, unions of components and pads all
+    write here.
     """
-    size = g.edge_count * degree
-    tails, heads = [0] * size, [0] * size
+    heads = [0] * (g.edge_count * degree)
     for e in lifted:
-        f, u, w = e * degree, g._tails[e] * degree, g._heads[e] * degree
-        tails[f : f + degree] = range(u, u + degree)
-        heads[f : f + degree] = range(w, w + degree)
+        w = g._heads[e] * degree
+        heads[e * degree : e * degree + degree] = range(w, w + degree)
     all_switches: list[BichromaticCycle] = []
     for cover, switches, vback, eback in parts:
         m, source = cover.degree, cover.source
@@ -305,15 +302,15 @@ def _union_witness(
         # the ids of copy 0; copy c adds c*m to every vertex and edge id
         at = [v * degree + k for v in vback for k in range(m)]
         ids = [e * degree + k for e in eback for k in range(m)]
-        ups, downs = list(map(at.__getitem__, source._tails)), list(map(at.__getitem__, source._heads))
+        downs = list(map(at.__getitem__, source._heads))
         for s in firsts:
-            for f, u, w in zip(ids, ups, downs):
-                tails[f + s], heads[f + s] = u + s, w + s
+            for f, w in zip(ids, downs):
+                heads[f + s] = w + s
         # eback ascends, so a sorted switch stays sorted
         for cyc in switches:
             moved = list(map(ids.__getitem__, cyc.edge_ids))
             for s in firsts:
                 all_switches.append(BichromaticCycle(cyc.colors, tuple(map(s.__add__, moved))))
     # each copy and each lift joins the copies of two distinct vertices
-    union = Multigraph._adopt(g.vertex_count * degree, tails, heads)
+    union = Multigraph._adopt(g.vertex_count * degree, _first_ends(g, degree), heads)
     return CoveringMap._sheeted(union, g, degree), tuple(all_switches)

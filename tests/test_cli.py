@@ -152,8 +152,8 @@ VERIFY_PATH = {
     "cli._build_parser", "cli._cmd_verify", "cli._load_instance", "cli.main",
     "coloring.__eq__", "coloring.__init__", "coloring._adopt", "coloring._replay",
     "coloring.common_degree", "coloring.degree",
-    "covering.__bool__", "covering.__init__", "covering._repeat_each", "covering._verify_incidence",
-    "covering.pullback_coloring",
+    "covering.__bool__", "covering.__init__", "covering._first_ends", "covering._repeat_each",
+    "covering._verify_incidence", "covering.pullback_coloring",
     "equivalence._betas", "equivalence.verify_witness",
     "graph.__eq__", "graph.__init__", "graph._adopt", "graph._degrees", "graph._in_id_order",
     "graph.edge_count", "graph.is_regular", "graph.vertex_count",
@@ -289,11 +289,11 @@ THETA_COVER = load_json(GOLDEN_THETA)["cover"]
 
 
 @pytest.mark.parametrize("blocks, line", [
-    # theta's three edges are parallel twins: reattaching cover edge 1, the sheet-1 lift of
-    # base edge 0, at cover vertex 0 keeps incidence, and vertex 0 meets both lifts of edge 0
-    ({"cover": {**THETA_COVER, "edges": [[0, 0, 2], [1, 0, 3], *THETA_COVER["edges"][2:]]}},
+    # theta's three edges are parallel twins: sending cover edge 1, the sheet-1 lift of base
+    # edge 0, to cover vertex 2 keeps the sheet rule, and vertex 2 meets both lifts of edge 0
+    ({"cover": {**THETA_COVER, "edges": [[0, 0, 2], [1, 1, 2], *THETA_COVER["edges"][2:]]}},
      "error: witness verification failed: local bijection fails: "
-     "colors do not make a legal coloring: edges 0 and 1 both have color 1 at vertex 0"),
+     "colors do not make a legal coloring: edges 0 and 1 both have color 1 at vertex 2"),
     ({"degree": 0, "cover": {"vertices": 0, "edges": []}, "vertex_map": [], "edge_map": [], "sequence": []},
      "error: cover has 0 vertices, not m >= 1 times the target's 2"),
 ], ids=["parallel-twin", "empty-cover"])
@@ -819,6 +819,30 @@ def verify_golden_d3_with_crossed_rows(tmp_path):
     return ["verify", "--input", str(instance), "--witness", str(witness)]
 
 
+def verify_golden_k33_with_rows(tmp_path, edit):
+    """``verify`` argv for the golden k33 witness (m = 2) after ``edit`` changed its cover rows and
+    sequence. Rows 8 and 9 are the two lifts of base edge 4 = (1, 4): [8, 2, 8] and [9, 3, 9]."""
+    doc = load_json(GOLDEN_K33)
+    assert doc["cover"]["edges"][8:10] == [[8, 2, 8], [9, 3, 9]]
+    edit(doc["cover"]["edges"], doc["sequence"])
+    witness = tmp_path / "k33-rows.json"
+    dump_json(doc, witness)
+    return ["verify", "--input", K33, "--witness", str(witness)]
+
+
+def swap_fiber_rows(rows, sequence):
+    """Rows 8 and 9 trade their ends and every switch renames 8 <-> 9: the same cover graph and
+    switches, with row 8 leaving base vertex 1 on sheet 1 against the sheet rule."""
+    rows[8][1:], rows[9][1:] = rows[9][1:], rows[8][1:]
+    for entry in sequence:
+        entry["edges"] = sorted({8: 9, 9: 8}.get(f, f) for f in entry["edges"])
+
+
+def reverse_row_9(rows, sequence):
+    """Row 9 stored the other way round, [9, 9, 3]: the same edge, with its ends in the wrong order."""
+    rows[9][1:] = rows[9][:0:-1]
+
+
 def witness_failing_self_verification(tmp_path, monkeypatch):
     monkeypatch.setattr(kempe_covers.cli, "verify_witness", lambda w: kempe_covers.Verdict(False, "forced"))
     return ["witness", "--input", K33, "--from", "c1", "--to", "c2"]
@@ -853,6 +877,14 @@ CONTENT_VIOLATIONS = {
     "crossed rows": (
         lambda tmp, _: verify_golden_d3_with_crossed_rows(tmp),
         "error: witness verification failed: edge 8 does not preserve incidence",
+    ),
+    "fiber swap": (
+        lambda tmp, _: verify_golden_k33_with_rows(tmp, swap_fiber_rows),
+        "error: witness verification failed: edge 8 does not preserve incidence",
+    ),
+    "reversed row": (
+        lambda tmp, _: verify_golden_k33_with_rows(tmp, reverse_row_9),
+        "error: witness verification failed: edge 9 does not preserve incidence",
     ),
 }
 

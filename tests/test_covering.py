@@ -86,8 +86,8 @@ def test_double_cycle_cover_verifies():
 
 def test_parallel_edge_collapse_fails_local_bijection():
     two = Multigraph(2, [(0, 1), (0, 1)])
-    # both lifts of base edge 0 meet at cover vertex 0, and both of edge 1 at vertex 1
-    source = Multigraph(4, {0: (0, 2), 1: (0, 3), 2: (1, 2), 3: (1, 3)})
+    # each row leaves its sheet of base vertex 0, but both lifts of base edge 0 reach cover vertex 2
+    source = Multigraph(4, {0: (0, 2), 1: (1, 2), 2: (0, 2), 3: (1, 3)})
     bad = CoveringMap(source, two, [0, 0, 1, 1], {f: f // 2 for f in range(4)})
     verdict = verify_covering(bad)
     assert not verdict
@@ -447,20 +447,20 @@ def test_extend_the_trivial_cover_to_the_identity_of_the_full_graph(k33, k33_pai
     assert copies_cover(k33, 1) == CoveringMap.identity(k33)
 
 
-def test_extend_a_degree_one_cover_stored_otherwise_row_for_row(k33, k33_pair):
+def test_a_degree_one_cover_stored_reversed_is_refused_and_so_is_its_extension(k33, k33_pair):
     c1, _ = k33_pair
     rest = sorted(c1.color_class(1) | c1.color_class(2))
     h = spanning_subgraph(k33, rest)
     rows = {e: ends[::-1] if e == 0 else ends for e, ends in edge_table(h).items()}
     source = Multigraph(h.vertex_count, rows)
     p = CoveringMap(source, h, range(h.vertex_count), {e: e for e in rows})
-    assert verify_covering(p) and p.degree == 1 and source != h
+    # row 0 is the base row stored the other way round: the sheet rule reads rows directed
+    assert verify_covering(p) == Verdict(False, "edge 0 does not preserve incidence")
+    # the extension trusts its input and takes every tail from k33, so that row comes out a loop
     r = extend_subgraph_cover(k33, rest, p)
-    # the cover's rows are kept as stored, one reversed, and each missing edge is added once
-    assert verify_covering(r) and r.degree == 1 and r.target is k33
-    kept = {e: rows[i] for i, e in enumerate(rest)}
-    assert edge_table(r.source) == {e: kept.get(e, ends) for e, ends in edge_table(k33).items()}
-    assert r.source != k33
+    u, _ = k33.endpoints(rest[0])
+    assert r.source.endpoints(rest[0]) == (u, u)
+    assert verify_covering(r) == Verdict(False, f"edge {rest[0]} does not preserve incidence")
 
 
 def test_lift_through_the_trivial_cover_keeps_each_switch(monkeypatch, k33, k33_pair):
@@ -551,6 +551,17 @@ def _edge_map_foreign():
     return CoveringMap(k33, k33, vmap, emap)
 
 
+def _edge_map_str_key():
+    edge = Multigraph(2, [(0, 1)])
+    return CoveringMap(edge, edge, [0, 1], {"a": 0})
+
+
+def _edge_map_bool_key():
+    # False == 0, but a bool is no id, as in a graph's edge table
+    edge = Multigraph(2, [(0, 1)])
+    return CoveringMap(edge, edge, [False, True], {False: 0})
+
+
 def _vertex_outside():
     k33, vmap, emap = _k33_identity_parts()
     vmap[2] = 6
@@ -600,7 +611,10 @@ def _nonconstant_fibers():
         (_not_total, "vertex 5 has no image"),
         (_too_long, "vertex map names vertex 6, not a source vertex"),
         (_edge_map_mismatch, "edge 8 has no image"),
-        (_edge_map_foreign, "edge map names edge 9, not a source edge"),
+        # a mapping is read as a graph's edge table is: keyed by exactly 0..N-1, else its first gap is named
+        (_edge_map_foreign, "edge ids must be 0..10: 10 is missing"),
+        (_edge_map_str_key, "edge ids must be 0..0: 0 is missing"),
+        (_edge_map_bool_key, "edge ids must be 0..0: 0 is missing"),
         (_vertex_outside, "vertex 2 maps to 6, not to 2 // 1 = 2"),
         (_edge_image, "edge 4 maps to 9, not to 4 // 1 = 4"),
         # the same three faults in an edge map given as a list
@@ -627,7 +641,8 @@ def test_a_faulty_map_given_as_an_iterator_is_refused_as_a_covering_error():
 
 
 def _edge_outside():
-    # the double cover of the digon, two sheets over its two edges, plus a fifth row: 4 // 2 is no edge
+    # the double cover of the digon, two sheets over its two edges, plus a fifth row: 4 // 2 is no edge,
+    # and the cover has more than m|E| rows
     digon = Multigraph(2, [(0, 1), (0, 1)])
     source = Multigraph(4, [(0, 2), (1, 3), (0, 2), (1, 3), (0, 3)])
     return CoveringMap(source, digon, [0, 0, 1, 1], {f: f // 2 for f in range(5)})
@@ -640,32 +655,49 @@ def _incidence():
 
 
 def _edge_not_surjective():
+    # no row lies over theta's edge 2
     digon = Multigraph(2, [(0, 1), (0, 1)])
     return CoveringMap(digon, make_theta(), [0, 1], {0: 0, 1: 1})
 
 
 def _collision():
-    # both lifts of the digon's edge 0 meet at cover vertex 0
+    # every row keeps the sheet rule, but both lifts of the digon's edge 0 reach cover vertex 2
     digon = Multigraph(2, [(0, 1), (0, 1)])
-    source = Multigraph(4, {0: (0, 2), 1: (0, 3), 2: (1, 2), 3: (1, 3)})
+    source = Multigraph(4, {0: (0, 2), 1: (1, 2), 2: (0, 2), 3: (1, 3)})
     return CoveringMap(source, digon, [0, 0, 1, 1], {f: f // 2 for f in range(4)})
 
 
-def _local_bijection():
-    # lifts of each theta edge, onto, no collision, constant fibers,
-    # but source vertex 0 sees only two of its image's three edges
-    source = Multigraph(4, [(0, 2), (1, 3), (0, 2), (1, 3), (1, 3)])
+def _short_fiber():
+    # the lifts of theta's edges 0 and 1 and one of edge 2: onto, no collision, constant vertex fibers,
+    # but source vertex 1 sees only two of its image's three edges
+    source = Multigraph(4, [(0, 2), (1, 3), (0, 2), (1, 3), (0, 2)])
     return CoveringMap(source, make_theta(), [0, 0, 1, 1], {f: f // 2 for f in range(5)})
+
+
+def _reversed_rows():
+    k33, vmap, emap = _k33_identity_parts()
+    # k33 with each edge stored the other way round: a covering, but each row leaves the wrong end
+    return CoveringMap(Multigraph(6, {e: (w, u) for e, (u, w) in edge_table(k33).items()}), k33, vmap, emap)
+
+
+def _fiber_swap():
+    # two copies of k33: rows 8 and 9, the lifts of edge 4 = (1, 4), trade their ends, so row 8
+    # leaves base vertex 1 on sheet 1; the graph is the same, and so is every vertex's image
+    rows = dict(edge_table(copies_cover(make_k33(), 2).source))
+    rows[8], rows[9] = rows[9], rows[8]
+    return CoveringMap(Multigraph(12, rows), make_k33(), [v // 2 for v in range(12)], {f: f // 2 for f in rows})
 
 
 @pytest.mark.parametrize(
     "broken, reason",
     [
-        (_edge_outside, "edge 4 maps outside the target"),
+        (_edge_outside, "cover edge count 5 is not 2 x 2"),
         (_incidence, "edge 0 does not preserve incidence"),
-        (_edge_not_surjective, "edge map is not surjective"),
-        (_collision, "local bijection fails at source vertex 0 (collision)"),
-        (_local_bijection, "local bijection fails at source vertex 0"),
+        (_reversed_rows, "edge 0 does not preserve incidence"),
+        (_fiber_swap, "edge 8 does not preserve incidence"),
+        (_edge_not_surjective, "cover edge count 2 is not 1 x 3"),
+        (_collision, "local bijection fails at source vertex 2 (collision)"),
+        (_short_fiber, "cover edge count 5 is not 2 x 3"),
     ],
 )
 def test_verify_covering_reasons(broken, reason):
@@ -676,37 +708,35 @@ def test_verify_covering_reasons(broken, reason):
 
 
 def reference_verify_covering(p):
-    """The multi-pass verify_covering this module's one-pass check must agree with."""
+    """The multi-pass verify_covering this module's check must agree with: the row count, the sheet
+    rule row by row, then each row's second end against the earlier rows at that vertex, and last
+    the local bijection at every vertex, which the rule and distinct second ends must already give."""
     src, tgt, (vmap, emap) = p.source, p.target, sheet_maps(p)
+    m = p.degree
     if len(vmap) != src.vertex_count:
         return Verdict(False, "vertex map is not total on the source")
     if set(emap) != set(src.edge_ids()):
         return Verdict(False, "edge map does not match the source edge set")
+    if src.edge_count != m * tgt.edge_count:
+        return Verdict(False, f"cover edge count {src.edge_count} is not {m} x {tgt.edge_count}")
     for v in range(src.vertex_count):
         if not 0 <= vmap[v] < tgt.vertex_count:
             return Verdict(False, f"vertex {v} maps outside the target")
-    for e in src.edge_ids():
-        img = p.edge_image(e)
-        if img not in edge_table(tgt):
-            return Verdict(False, f"edge {e} maps outside the target")
-        u, w = src.endpoints(e)
-        if {vmap[u], vmap[w]} != set(tgt.endpoints(img)):
-            return Verdict(False, f"edge {e} does not preserve incidence")
-    if set(vmap) != set(range(tgt.vertex_count)):
-        return Verdict(False, "vertex map is not surjective")
-    if {p.edge_image(e) for e in src.edge_ids()} != set(tgt.edge_ids()):
-        return Verdict(False, "edge map is not surjective")
+    for f in src.edge_ids():
+        (u, w), (a, b) = src.endpoints(f), tgt.endpoints(emap[f])
+        # the sheet rule, read directed: from sheet f % m of the base row's first end, to a vertex over its second
+        if u != a * m + f % m or vmap[w] != b:
+            return Verdict(False, f"edge {f} does not preserve incidence")
     src_darts, tgt_darts = dart_lists(src), dart_lists(tgt)
-    for v in range(src.vertex_count):
-        local = [p.edge_image(e) for e, _ in src_darts[v]]
-        if len(set(local)) != len(local):
+    for f in src.edge_ids():
+        v = src.endpoints(f)[1]
+        if any(e < f and emap[e] == emap[f] for e, _ in src_darts[v]):
             return Verdict(False, f"local bijection fails at source vertex {v} (collision)")
-        if set(local) != {e for e, _ in tgt_darts[vmap[v]]}:
+    for v in range(src.vertex_count):
+        if sorted(emap[e] for e, _ in src_darts[v]) != sorted(e for e, _ in tgt_darts[vmap[v]]):
             return Verdict(False, f"local bijection fails at source vertex {v}")
-    try:
-        p.degree
-    except CoveringError as exc:
-        return Verdict(False, str(exc))
+    if set(vmap) != set(range(tgt.vertex_count)) or set(emap.values()) != set(tgt.edge_ids()):
+        return Verdict(False, "map is not surjective")
     return Verdict(True)
 
 
@@ -738,15 +768,13 @@ def outcome(check, *args):
 
 @pytest.fixture(scope="module")
 def valid_covers():
-    """(cover, base coloring) pairs: copies, alignment and witness covers, and
-    one cover that stores every edge's endpoints in the opposite order."""
+    """(cover, base coloring) pairs: the identity, and copies, alignment and witness covers."""
     k33 = make_k33()
     c1 = EdgeColoring(3, dict(enumerate(K33_C1)))
     c2 = EdgeColoring(3, dict(enumerate(K33_C2)))
     g4, d1, d2 = random_colored_instance(2, 4, 8)
-    flipped = Multigraph(6, {e: (w, u) for e, (u, w) in edge_table(k33).items()})
     covers = [
-        (CoveringMap(flipped, k33, range(6), {e: e for e in k33.edge_ids()}), c2),
+        (CoveringMap(Multigraph(6, dict(edge_table(k33))), k33, range(6), {e: e for e in k33.edge_ids()}), c2),
         (copies_cover(k33, 3), c1),
         (build_alignment_cover(k33, c1, c2)[0], c2),
         (kempe_cover_witness(k33, c1, c2).cover, c1),
@@ -758,7 +786,7 @@ def valid_covers():
     return covers
 
 
-MUTATION = st.sampled_from(["none", "vertex", "edge", "append", "parallel", "drop"])
+MUTATION = st.sampled_from(["none", "vertex", "edge", "append", "parallel", "fiber-swap", "drop"])
 
 
 @settings(max_examples=400, deadline=None)
@@ -779,8 +807,12 @@ def test_verify_covering_matches_reference(valid_covers, data):
     elif kind == "append":  # keep the row, and a copy at a new last id lies over another base edge or none
         rows[f] = (u, w)
         rows[len(rows)] = (u, w)
-    elif kind == "parallel":  # reattach one end within its fiber: keeps incidence, so the later checks get reached
-        rows[f] = (data.draw(st.sampled_from([x for x in range(u - u % m, u - u % m + m) if x != w])), w)
+    elif kind == "parallel":  # reattach the second end within its fiber: keeps the sheet rule, so the later checks get reached
+        rows[f] = (u, data.draw(st.sampled_from(range(w - w % m, w - w % m + m))))
+    elif kind == "fiber-swap":  # exchange the tails of two rows of one fiber: the same graph, numbered off the rule
+        g = data.draw(st.sampled_from(range(f - f % m, f - f % m + m)))
+        rows[f] = (u, w)
+        rows[f], rows[g] = (rows[g][0], w), (u, rows[g][1])
     elif kind == "drop":  # ids stay 0..E-1: the last row takes the dropped one's place
         if f < len(rows):
             rows[f] = rows.pop(len(rows))
@@ -798,6 +830,12 @@ def test_the_constructor_takes_built_maps_and_names_any_changed_entry(valid_cove
     fault is named. The edge map is a list or a dict, and a list fails as the same map keyed by id does."""
     p, _ = data.draw(st.sampled_from(valid_covers))
     m, (vmap, emap) = p.degree, sheet_maps(p)
+    # a key that is no id, a string or a bool, leaves a gap in a mapping, which is named
+    x = data.draw(st.sampled_from([0, 1]))
+    keyed = dict(emap)
+    keyed[data.draw(st.sampled_from([str(x), bool(x)]))] = keyed.pop(x)
+    with pytest.raises(CoveringError, match=f"^edge ids must be 0..{len(keyed) - 1}: {x} is missing$"):
+        CoveringMap(p.source, p.target, vmap, keyed)
     if data.draw(st.booleans()):
         emap = list(emap.values())
     assert CoveringMap(p.source, p.target, vmap, emap) == p

@@ -515,14 +515,14 @@ def with_cover(w, source):
 def test_a_parallel_twin_image_fails_the_local_bijection(theta, theta_coloring):
     w = kempe_cover_witness(theta, theta_coloring, THETA_GOAL)
     edges = dict(edge_table(w.cover.source))
-    assert (edges[1], edges[2]) == ((1, 3), (0, 2))
-    # swapping the ids of cover edges 1 and 2 moves each onto a parallel twin of its base edge:
-    # incidence holds, and cover vertex 0 gets edges 0 and 1, both over base edge 0
-    edges[1], edges[2] = edges[2], edges[1]
+    assert (edges[0], edges[1]) == ((0, 2), (1, 3))
+    # sending cover edge 1 to cover vertex 2 keeps the sheet rule (it still leaves sheet 1 of base
+    # vertex 0 for a vertex over 1), and cover vertex 2 gets edges 0 and 1, both over base edge 0
+    edges[1] = (1, 2)
     verdict = verify_witness(with_cover(w, Multigraph(4, edges)))
     assert verdict == Verdict(
         False, "local bijection fails: colors do not make a legal coloring: "
-        "edges 0 and 1 both have color 1 at vertex 0"
+        "edges 0 and 1 both have color 1 at vertex 2"
     )
 
 

@@ -226,13 +226,14 @@ def test_per_vertex_edge_lists_are_built_at_most_once_per_call(monkeypatch):
     with pytest.raises(IllegalColoringError, match="at vertex 0"):
         apply_sequence(g, c, sequence())
     assert drawn == []
-    # a cover that fails the counts counts the degrees of each graph once
+    # a cover that fails the local bijection counts no degree: the sheet rule puts one row of each
+    # base edge leaving each cover vertex, and the distinct second ends decide the rest
     degrees = counter(monkeypatch, bindings("_degrees", graph), "_degrees")
-    source = Multigraph(4, [(0, 2), (1, 3), (0, 2), (1, 3), (1, 3)])
+    source = Multigraph(4, [(0, 2), (1, 2), (0, 2), (1, 3), (0, 2), (1, 3)])
     theta = Multigraph(2, [(0, 1)] * 3)
-    verdict = verify_covering(CoveringMap(source, theta, [0, 0, 1, 1], {f: f // 2 for f in range(5)}))
-    assert verdict.reason == "local bijection fails at source vertex 0"
-    assert degrees == [(source,), (theta,)]
+    verdict = verify_covering(CoveringMap(source, theta, [0, 0, 1, 1], {f: f // 2 for f in range(6)}))
+    assert verdict.reason == "local bijection fails at source vertex 2 (collision)"
+    assert degrees == []
 
 
 def test_witness_from_json_rebuilds_no_walk_and_makes_no_call_per_switch(monkeypatch, d5_witness):
